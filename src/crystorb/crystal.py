@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exactla
 from .exactla import IntMatrix, RatMatrix, mod1_vec
@@ -86,12 +87,66 @@ class VectorSystem:
                      zip(img, self.translations[i], self.translations[prod]))
 
     def is_consistent(self):
-        n = self.group.order()
-        for i in range(n):
-            for j in range(n):
-                if any(x.denominator != 1 for x in self.cocycle_defect(i, j)):
+        """True iff L(g)u_h + u_g - u_{gh} lies in Z^r for all g, h in G.
+
+        Checked on S x G for a generating set S, plus u_1 in Z^r: the defect
+        d obeys d(sg, h) = L(s)d(g, h) + d(s, gh) - d(s, g) and d(1, h) = u_1,
+        so integrality extends to G x G by induction on word length.
+        """
+        g = self.group
+        den = _common_denominator(self.translations)
+        num = _numerators(self.translations, den)
+        if any(x % den for x in num[0]):
+            return False
+        for s, row in _generator_products(g).items():
+            lin = _rows(g.elements[s])
+            us = num[s]
+            for h, sh in enumerate(row):
+                if any((x + a - b) % den for x, a, b in
+                       zip(_apply(lin, num[h]), us, num[sh])):
                     return False
         return True
+
+
+def _common_denominator(vectors):
+    return lcm(*(x.denominator for v in vectors for x in v))
+
+
+def _numerators(vectors, den):
+    """Integer vectors N*v for rational vectors v with common denominator N."""
+    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors]
+
+
+def _rows(m: IntMatrix):
+    return [m.row(i) for i in range(m.rows)]
+
+
+def _apply(rows, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+
+def _generator_products(group: MatrixGroup):
+    """{s: [s*h for h in G]} for a generating set S of `group`.
+
+    S is the recorded generator list when left multiplication by it reaches
+    all of G from the identity, and all of G otherwise (subgroups and
+    hand-built groups may record none), so every element is a word in S.
+    """
+    n = group.order()
+    gens = group.generator_indices
+    if gens:
+        rows = {s: [group.mul(s, h) for h in range(n)] for s in gens}
+        seen = {0}
+        stack = [0]
+        while stack:
+            h = stack.pop()
+            for row in rows.values():
+                if row[h] not in seen:
+                    seen.add(row[h])
+                    stack.append(row[h])
+        if len(seen) == n:
+            return rows
+    return {s: [group.mul(s, h) for h in range(n)] for s in range(n)}
 
 
 class CrystGroup:
@@ -180,7 +235,8 @@ def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> Cryst
     Checks: the point group is finite, the lattice has the declared rank
     (always Z^r here), and nothing outside the lattice acts trivially, i.e.
     the linear part determines the group element.  The cocycle condition on
-    the assembled vector system is verified exactly for every pair.
+    the assembled vector system is verified exactly, on generators x G
+    (see VectorSystem.is_consistent), which covers every pair.
     """
     try:
         lin_group = closure([g for g, _ in data.generators], bound=bound, rank=data.rank)
@@ -259,7 +315,7 @@ def _lattice_with(rank, vectors):
     den = 1
     for v in vectors:
         for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(den, x.denominator)
     rows = []
     for i in range(rank):
         rows.append([den if j == i else 0 for j in range(rank)])
@@ -273,11 +329,6 @@ def _lattice_with(rank, vectors):
                                 for i in range(rank)])
 
 
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
 @dataclass(frozen=True)
 class ExtensionCocycle:
     """A normalized integer 2-cocycle f: G x G -> Z^r."""
@@ -289,29 +340,38 @@ class ExtensionCocycle:
         return self.values[(i, j)]
 
     def validate(self):
+        """Raise CocycleViolation unless f is a normalized integer 2-cocycle.
+
+        Values and normalization are checked on G x G, the identity
+        f(a,b) + f(ab,c) = L(a)f(b,c) + f(a,bc) for b in a generating set S
+        only.  This is Light's associativity test on Z^r x_f G: the elements
+        that associate in the middle position are closed under products and
+        include Z^r and the lifts of S, which generate the extension.
+        """
         g = self.group
         n = g.order()
         rank = g.rank
+        vals = self.values
         for i in range(n):
             for j in range(n):
-                v = self.values.get((i, j))
+                v = vals.get((i, j))
                 if v is None or len(v) != rank:
                     raise CocycleViolation(f"missing or malformed value at {(i, j)}")
                 if any(not isinstance(x, int) for x in v):
                     raise CocycleViolation("cocycle values must be integer vectors")
         for i in range(n):
-            if any(self.values[(i, 0)]) or any(self.values[(0, i)]):
+            if any(vals[(i, 0)]) or any(vals[(0, i)]):
                 raise CocycleViolation("cocycle is not normalized")
-        for a in range(n):
-            la = g.elements[a]
-            for b in range(n):
+        lins = [_rows(m) for m in g.elements]
+        for b, b_row in _generator_products(g).items():
+            for a in range(n):
+                la = lins[a]
                 ab = g.mul(a, b)
-                for c in range(n):
-                    bc = g.mul(b, c)
-                    lhs = la.mul_vec(self.values[(b, c)])
-                    rest = self.values[(a, bc)]
-                    mid = self.values[(ab, c)]
-                    own = self.values[(a, b)]
+                own = vals[(a, b)]
+                for c, bc in enumerate(b_row):
+                    lhs = _apply(la, vals[(b, c)])
+                    rest = vals[(a, bc)]
+                    mid = vals[(ab, c)]
                     if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
                         raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
 
@@ -319,13 +379,18 @@ class ExtensionCocycle:
 def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
     """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh}."""
     g = vs.group
+    n = g.order()
+    den = _common_denominator(vs.translations)
+    num = _numerators(vs.translations, den)
     values = {}
-    for i in range(g.order()):
-        for j in range(g.order()):
-            d = vs.cocycle_defect(i, j)
-            if any(x.denominator != 1 for x in d):
+    for i in range(n):
+        lin = _rows(g.elements[i])
+        ui = num[i]
+        for j in range(n):
+            d = [x + a - b for x, a, b in zip(_apply(lin, num[j]), ui, num[g.mul(i, j)])]
+            if any(x % den for x in d):
                 raise CocycleViolation("vector system is not a valid realization")
-            values[(i, j)] = tuple(int(x) for x in d)
+            values[(i, j)] = tuple(x // den for x in d)
     return ExtensionCocycle(g, values)
 
 
@@ -333,32 +398,30 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
     """Vector system of the extension: u_g = (1/|G|) sum over h of f(g, h).
 
     The averaged system satisfies L(g)u_h + u_g - u_{gh} = f(g,h) exactly,
-    hence the cocycle condition modulo Z^r; this is checked before returning.
+    hence the cocycle condition modulo Z^r; both are checked before
+    returning.  The first is checked on S x G for a generating set S: the
+    difference of its two sides is a normalized 2-cocycle, which vanishes on
+    G x G once it vanishes on S x G, by induction on word length.
     """
     if cocycle.group is not linear and cocycle.group.elements != linear.elements:
         raise CocycleViolation("cocycle is defined on a different group")
     cocycle.validate()
     n = linear.order()
-    rank = linear.rank
-    raw = []
-    for i in range(n):
-        acc = [F(0)] * rank
-        for j in range(n):
-            for t, x in enumerate(cocycle.values[(i, j)]):
-                acc[t] += x
-        raw.append(tuple(a / n for a in acc))
+    vals = cocycle.values
+    # sums[g] = n u_g, an integer vector
+    sums = [[sum(col) for col in zip(*(vals[(i, j)] for j in range(n)))]
+            for i in range(n)]
     # exact realization identity against the input cocycle
-    for i in range(n):
-        li = linear.elements[i].to_rat()
-        for j in range(n):
-            prod = linear.mul(i, j)
-            lhs = tuple(a + b - c for a, b, c in
-                        zip(li.mul_vec(raw[j]), raw[i], raw[prod]))
-            if tuple(int(x) if x.denominator == 1 else None for x in lhs) != \
-                    tuple(cocycle.values[(i, j)]):
+    for s, row in _generator_products(linear).items():
+        lin = _rows(linear.elements[s])
+        us = sums[s]
+        for h, sh in enumerate(row):
+            lhs = [x + a - b for x, a, b in zip(_apply(lin, sums[h]), us, sums[sh])]
+            if lhs != [n * x for x in vals[(s, h)]]:
                 raise CocycleViolation("averaged system does not realize the cocycle")
-    vs = VectorSystem(linear, tuple(mod1_vec(u) for u in raw))
-    assert vs.is_consistent()
+    vs = VectorSystem(linear, tuple(mod1_vec(tuple(F(a, n) for a in u)) for u in sums))
+    if not vs.is_consistent():
+        raise CocycleViolation("averaged system fails the cocycle condition")
     return vs
 
 

@@ -67,12 +67,17 @@ class MatrixGroup:
 
     def inv(self, i):
         if self._inv is None:
+            # a^k and a^(o-k) are inverse: one pass over the powers of a
+            # settles every power of a
             inv = [None] * self.order()
             for a in range(self.order()):
-                for b in range(self.order()):
-                    if self.mul(a, b) == 0:
-                        inv[a] = b
-                        break
+                if inv[a] is None:
+                    powers = [0, a]
+                    while powers[-1] != 0:
+                        powers.append(self.mul(powers[-1], a))
+                    o = len(powers) - 1
+                    for k in range(o):
+                        inv[powers[k]] = powers[o - k]
             self._inv = inv
         return self._inv[i]
 
@@ -92,10 +97,6 @@ class MatrixGroup:
             o = self.element_order(i)
             e = e * o // gcd(e, o)
         return e
-
-    def is_abelian(self):
-        g = self.generator_indices
-        return all(self.mul(a, b) == self.mul(b, a) for a in g for b in g)
 
     def subgroup(self, element_indices):
         """Subgroup from a closed set of element indices, parent order kept."""
