@@ -126,27 +126,10 @@ def _apply(rows, v):
 
 
 def _generator_products(group: MatrixGroup):
-    """{s: [s*h for h in G]} for a generating set S of `group`.
-
-    S is the recorded generator list when left multiplication by it reaches
-    all of G from the identity, and all of G otherwise (subgroups and
-    hand-built groups may record none), so every element is a word in S.
-    """
+    """{s: [s*h for h in G]} for the generating set S = group.generators, so
+    every element is a word in S."""
     n = group.order()
-    gens = group.generator_indices
-    if gens:
-        rows = {s: [group.mul(s, h) for h in range(n)] for s in gens}
-        seen = {0}
-        stack = [0]
-        while stack:
-            h = stack.pop()
-            for row in rows.values():
-                if row[h] not in seen:
-                    seen.add(row[h])
-                    stack.append(row[h])
-        if len(seen) == n:
-            return rows
-    return {s: [group.mul(s, h) for h in range(n)] for s in range(n)}
+    return {s: [group.mul(s, h) for h in range(n)] for s in group.generators}
 
 
 class CrystGroup:

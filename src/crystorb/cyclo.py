@@ -51,6 +51,7 @@ class CycloField:
         poly = cyclotomic_polynomial(order)
         self.degree = len(poly) - 1
         self.modulus = tuple(Fraction(c) for c in poly)
+        self._galois_maps = {}
         cls._cache[order] = self
         return self
 
@@ -89,6 +90,29 @@ class CycloField:
             for i, x in enumerate(red):
                 acc[i] += Fraction(c) * x
         return Cyclo(self, tuple(acc))
+
+    def galois_coords(self, coords, a):
+        """Coordinates of the image of the element with power-basis
+        coordinates `coords` under zeta -> zeta^a (a coprime to the order).
+
+        The map is cached per a as the integer coordinates of zeta^(a t) for
+        each basis power t, so integer coordinates stay integers.
+        """
+        a %= self.order
+        rows = self._galois_maps.get(a)
+        if rows is None:
+            if gcd(a, self.order) != 1:
+                raise ValueError("automorphism exponent not coprime to order")
+            rows = tuple(tuple(int(x) for x in self._reduce_power(a * t % self.order))
+                         for t in range(self.degree))
+            self._galois_maps[a] = rows
+        out = [0] * self.degree
+        for c, row in zip(coords, rows):
+            if c:
+                for i, x in enumerate(row):
+                    if x:
+                        out[i] += c * x
+        return out
 
     @lru_cache(maxsize=None)
     def _reduce_power(self, t):
@@ -211,15 +235,8 @@ class Cyclo:
 
     def galois(self, a):
         """The automorphism zeta -> zeta^a (a coprime to the order)."""
-        e = self.field.order
-        if gcd(a, e) != 1:
-            raise ValueError("automorphism exponent not coprime to order")
-        # rewrite each basis power through zeta^t -> zeta^(a t)
-        out = self.field(0)
-        for t, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + c * self.field.zeta((a * t) % e)
-        return out
+        out = self.field.galois_coords(self.coeffs, a)
+        return Cyclo(self.field, tuple(Fraction(x) for x in out))
 
     def lift(self, new_order):
         """Reinterpret in Q(zeta_E) for e | E via zeta_e = zeta_E^(E/e)."""

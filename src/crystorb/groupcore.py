@@ -1,6 +1,11 @@
 """Finite integer matrix groups: closure from generators, conjugacy classes,
 exact character tables, Frobenius-Schur indicators, isotypic dimensions.
 
+Group products are index lookups: each group records, for a generating set S,
+the index of every product w*s (an n x |S| table) and a word over S for every
+element, so a product g*h walks h's word through the table and no matrix is
+multiplied after the group is built.
+
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
 values by root-of-unity multiplicity recovery.  All published values are
@@ -23,15 +28,30 @@ class ExceedsBound(Exception):
     """Closure or table computation passed the configured group-order bound."""
 
 
+def _require(cond, msg):
+    """A self-check that stays on under `python -O`."""
+    if not cond:
+        raise ArithmeticError(msg)
+
+
 class MatrixGroup:
     """A finite group of invertible integer matrices of fixed rank.
 
     Elements are stored in a deterministic order: breadth-first over
     generator words, ties within a word length broken lexicographically by
     matrix entries.  The identity is always element 0.
+
+    `generators` is the generating set S the products are taken over: the
+    recorded `generator_indices` when they generate the group, and all of its
+    elements otherwise (subgroups and hand-built groups may record none, or a
+    list that does not generate).  Products are index lookups, not matrix
+    products.  `products` = (S, table, words) holds the index of w*s for every
+    element w and every s in S, and a word over S for every element; `closure`
+    and `subgroup` pass it in, and otherwise it is built here once with n*|S|
+    matrix products.
     """
 
-    def __init__(self, rank, elements, generator_indices):
+    def __init__(self, rank, elements, generator_indices, products=None):
         self.rank = rank
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
@@ -40,10 +60,31 @@ class MatrixGroup:
             raise ValueError("duplicate elements")
         if not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
-        self._mul = {}
+        if products is None:
+            products = (self._right_products(self.generator_indices)
+                        or self._right_products(range(len(self.elements))))
+        self.generators, self._right, self._words = products
         self._inv = None
         self._orders = {}
         self._square_class_counts = None
+
+    def _right_products(self, gens):
+        """(S, [w*s for s in S] per w, a word over S per element) for S = gens,
+        or None when gens do not generate the group."""
+        gens = tuple(gens)
+        mats = [self.elements[s] for s in gens]
+        right = [tuple(self.index_of(w.mul(m)) for m in mats) for w in self.elements]
+        words = [None] * len(self.elements)
+        words[0] = ()
+        queue = [0]
+        for w in queue:
+            for k, x in enumerate(right[w]):
+                if words[x] is None:
+                    words[x] = words[w] + (k,)
+                    queue.append(x)
+        if len(queue) < len(self.elements):
+            return None
+        return gens, right, words
 
     def order(self):
         return len(self.elements)
@@ -58,12 +99,10 @@ class MatrixGroup:
         return isinstance(mat, IntMatrix) and mat.entries in self._index
 
     def mul(self, i, j):
-        key = (i, j)
-        k = self._mul.get(key)
-        if k is None:
-            k = self.index_of(self.elements[i].mul(self.elements[j]))
-            self._mul[key] = k
-        return k
+        right = self._right
+        for k in self._words[j]:
+            i = right[i][k]
+        return i
 
     def inv(self, i):
         if self._inv is None:
@@ -99,15 +138,20 @@ class MatrixGroup:
         return e
 
     def subgroup(self, element_indices):
-        """Subgroup from a closed set of element indices, parent order kept."""
+        """Subgroup from a closed set of element indices, parent order kept.
+
+        Its generating set is all of its elements, and its products are read
+        off the parent's.
+        """
         idx = sorted(set(element_indices) | {0})
-        elems = [self.elements[i] for i in idx]
-        sub = MatrixGroup(self.rank, elems, ())
-        for i in idx:
-            for j in idx:
-                if self.mul(i, j) not in idx:
-                    raise ValueError("element set is not closed under products")
-        return sub
+        pos = {g: i for i, g in enumerate(idx)}
+        try:
+            right = [tuple(pos[self.mul(i, j)] for j in idx) for i in idx]
+        except KeyError:
+            raise ValueError("element set is not closed under products") from None
+        words = [()] + [(i,) for i in range(1, len(idx))]
+        return MatrixGroup(self.rank, [self.elements[i] for i in idx], (),
+                           (tuple(range(len(idx))), right, words))
 
 
 def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
@@ -115,7 +159,8 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
 
     Raises ExceedsBound once more than `bound` distinct elements appear,
     which is how non-finite inputs surface.  With no generators the rank
-    must be supplied and the trivial group is returned.
+    must be supplied and the trivial group is returned.  Every product w*g it
+    forms is recorded by index, so the group it returns multiplies by lookup.
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
     if not gens:
@@ -132,30 +177,38 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
         raise ValueError("declared rank does not match generators")
 
     ident = IntMatrix.identity(r)
-    seen = {ident.entries}
+    index = {ident.entries: 0}
     ordered = [ident]
-    frontier = [ident]
-    while frontier:
-        level = []
-        for w in frontier:
-            for g in gens:
-                nxt = w.mul(g)
-                if nxt.entries not in seen:
-                    seen.add(nxt.entries)
-                    level.append(nxt)
-                    if len(seen) > bound:
+    words = [()]
+    right = []          # entries of ordered[w] * gens[k], made indices below
+    start = 0
+    while start < len(ordered):
+        level = {}
+        for w in range(start, len(ordered)):
+            row = []
+            for k, g in enumerate(gens):
+                nxt = ordered[w].mul(g)
+                key = nxt.entries
+                if key not in index and key not in level:
+                    level[key] = (nxt, words[w] + (k,))
+                    if len(index) + len(level) > bound:
                         raise ExceedsBound(
                             f"closure exceeded {bound} elements; group is not finite "
                             f"or the bound is too small")
-        level.sort(key=lambda m: m.entries)
-        ordered.extend(level)
-        frontier = level
+                row.append(key)
+            right.append(row)
+        start = len(ordered)
+        for key in sorted(level):
+            index[key] = len(ordered)
+            ordered.append(level[key][0])
+            words.append(level[key][1])
 
     for g in gens:
         if abs(g.det()) != 1:
             raise ValueError("finite closure forces det = +-1; generator violates it")
-    index = {m.entries: i for i, m in enumerate(ordered)}
-    return MatrixGroup(r, ordered, tuple(index[g.entries] for g in gens))
+    gen_indices = tuple(index[g.entries] for g in gens)
+    right = [tuple(index[key] for key in row) for row in right]
+    return MatrixGroup(r, ordered, gen_indices, (gen_indices, right, words))
 
 
 @dataclass(frozen=True)
@@ -166,21 +219,29 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(group: MatrixGroup):
-    """Partition into conjugacy classes, ordered by smallest member index."""
+    """Partition into conjugacy classes, ordered by smallest member index.
+
+    Each class is the orbit of its smallest member under x -> s^-1 x s for s
+    in the group's generating set.
+    """
     n = group.order()
+    conjugators = [(group.inv(s), s) for s in group.generators]
     assigned = [False] * n
     classes = []
     for i in range(n):
         if assigned[i]:
             continue
-        orbit = set()
-        for h in range(n):
-            orbit.add(group.mul(group.mul(h, i), group.inv(h)))
+        assigned[i] = True
+        orbit = [i]
+        for x in orbit:
+            for s_inv, s in conjugators:
+                y = group.mul(s_inv, group.mul(x, s))
+                if not assigned[y]:
+                    assigned[y] = True
+                    orbit.append(y)
         members = tuple(sorted(orbit))
-        for m in members:
-            assigned[m] = True
         classes.append(ConjugacyClass(members[0], members, len(members)))
-    assert sum(c.size for c in classes) == n
+    _require(sum(c.size for c in classes) == n, "conjugacy classes do not partition G")
     return classes
 
 
@@ -349,6 +410,7 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
     field = CycloField(e)
     p = _dixon_prime(n, e)
     z = _root_of_unity(p, e) if e > 1 else 1
+    z_powers = [pow(z, t, p) for t in range(e)]
 
     class_of = {}
     for ci, c in enumerate(classes):
@@ -363,7 +425,7 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
         for i in range(k):
             for l in range(k):
                 q, rem = divmod(T[i][l], classes[l].size)
-                assert rem == 0
+                _require(rem == 0, "class structure constant is not integral")
                 T[i][l] = q % p
         return T
 
@@ -427,17 +489,17 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
             for t in range(e):
                 m_t = 0
                 for s_ in range(e):
-                    m_t = (m_t + chi_mod[pow_class[s_]] * pow(z, (-s_ * t) % (p - 1), p)) % p
+                    m_t = (m_t + chi_mod[pow_class[s_]] * z_powers[(-s_ * t) % e]) % p
                 m_t = (m_t * e_inv) % p
                 if m_t > d:
                     raise ArithmeticError("root-of-unity multiplicity out of range")
                 if m_t:
                     exps[t] = exps.get(t, 0) + m_t
             values.append(field.from_exponents(exps) if exps else field(0))
-        assert values[0].rational_value() == d
+        _require(values[0].rational_value() == d, "character degree mismatch")
         rows.append((d, values))
 
-    assert sum(d * d for d, _ in rows) == n
+    _require(sum(d * d for d, _ in rows) == n, "squared degrees do not sum to |G|")
 
     # deterministic ordering: trivial character first, then degree, then values
     def sort_key(row):
@@ -456,7 +518,7 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
         for l in range(k):
             fs_total = fs_total + counts[l] * values[l]
         fs = (fs_total * Fraction(1, n)).rational_value()
-        assert fs in (-1, 0, 1)
+        _require(fs in (-1, 0, 1), "Frobenius-Schur indicator out of range")
         characters.append(Character(f"chi{label_i}", d, tuple(values), int(fs)))
 
     table = CharacterTable(group, tuple(classes), field, tuple(characters))
@@ -474,22 +536,59 @@ def _square_class_counts(group, class_of, k):
 
 
 def _verify_orthogonality(table: CharacterTable):
-    field = table.field
-    k = len(table.classes)
+    """Check row and column orthogonality exactly, in integer arithmetic.
+
+    Character values are algebraic integers and 1, zeta, ..., zeta^(phi(e)-1)
+    is a Z-basis of Z[zeta_e], so every coordinate must be an integer and each
+    relation is an identity of integer polynomials modulo the monic Phi_e.
+    """
     n = table.group.order()
-    for a, chi_a in enumerate(table.characters):
-        for b, chi_b in enumerate(table.characters):
-            ip = table.inner_product(chi_a, chi_b)
-            if ip != field(1 if a == b else 0):
+    phi = [int(c) for c in table.field.modulus]
+    coords = []
+    for chi in table.characters:
+        if any(c.denominator != 1 for v in chi.values for c in v.coeffs):
+            raise ArithmeticError("character value is not an algebraic integer")
+        coords.append([[int(c) for c in v.coeffs] for v in chi.values])
+    values = [[_terms(x) for x in row] for row in coords]
+    conjugates = [[_terms(table.field.galois_coords(x, -1)) for x in row] for row in coords]
+    sizes = [c.size for c in table.classes]
+
+    def expect(total):
+        return [total] + [0] * (len(phi) - 2)
+
+    for a, row_a in enumerate(values):
+        weighted = [[(i, size * x) for i, x in v] for size, v in zip(sizes, row_a)]
+        for b, conj_b in enumerate(conjugates):
+            if _reduced_sum(zip(weighted, conj_b), phi) != expect(n if a == b else 0):
                 raise ArithmeticError("row orthogonality failed")
-    for i in range(k):
-        for j in range(k):
-            total = field(0)
-            for chi in table.characters:
-                total = total + chi.values[i] * chi.values[j].conjugate()
-            want = field(Fraction(n, table.classes[i].size) if i == j else 0)
-            if total != want:
+    for i, size in enumerate(sizes):
+        for j in range(len(sizes)):
+            total = _reduced_sum(((row[i], crow[j]) for row, crow in zip(values, conjugates)),
+                                 phi)
+            if total != expect(n // size if i == j else 0):
                 raise ArithmeticError("column orthogonality failed")
+
+
+def _terms(x):
+    """The nonzero (power, coefficient) pairs of a coordinate vector."""
+    return [(i, c) for i, c in enumerate(x) if c]
+
+
+def _reduced_sum(pairs, phi):
+    """Sum of x*y over pairs of integer polynomials given by their terms,
+    reduced modulo monic phi."""
+    deg = len(phi) - 1
+    acc = [0] * (2 * deg - 1)
+    for x, y in pairs:
+        for i, a in x:
+            for j, b in y:
+                acc[i + j] += a * b
+    for top in range(len(acc) - 1, deg - 1, -1):
+        c = acc[top]
+        if c:
+            for i in range(deg):
+                acc[top - deg + i] -= c * phi[i]
+    return acc[:deg]
 
 
 def fs_indicator(chi: Character, table: CharacterTable):
@@ -584,14 +683,14 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
             if m == 0:
                 continue
             # a real representation contains quaternionic constituents evenly
-            assert m % 2 == 0
+            _require(m % 2 == 0, "odd multiplicity of a quaternionic constituent")
             out.append(IsotypicClass((chi.label,), "quaternionic", d, m, m * d, True))
         else:
             j = conj_index[i]
             used.update((i, j))
             if m == 0 and mults[j] == 0:
                 continue
-            assert mults[j] == m
+            _require(mults[j] == m, "complex conjugate constituents differ in multiplicity")
             labels = tuple(sorted((chi.label, table.characters[j].label)))
             out.append(IsotypicClass(labels, "complex", d, m, 2 * m * d, True))
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -79,6 +81,41 @@ def test_galois():
     z = K.zeta()
     tr = z + z.galois(2) + z.galois(3) + z.galois(4)
     assert tr.rational_value() == -1
+
+
+def oracle_galois(x, a):
+    """zeta -> zeta^a by rewriting each basis power t as zeta^(a t)."""
+    field = x.field
+    out = field(0)
+    for t, c in enumerate(x.coeffs):
+        if c != 0:
+            out = out + c * field.zeta((a * t) % field.order)
+    return out
+
+
+def test_galois_matches_oracle():
+    # the oracle costs O(degree) per nonzero coordinate, so the random
+    # elements have at most four
+    rng = random.Random(7)
+    for e in range(1, 61):
+        K = CycloField(e)
+        xs = []
+        for _ in range(2):
+            coeffs = [F(0)] * K.degree
+            for t in rng.sample(range(K.degree), min(K.degree, 4)):
+                coeffs[t] = F(rng.randint(-9, 9), rng.randint(1, 4))
+            xs.append(Cyclo(K, tuple(coeffs)))
+        for a in range(1, e + 1):
+            if gcd(a, e) != 1:
+                with pytest.raises(ValueError):
+                    xs[0].galois(a)
+                continue
+            for x in xs:
+                image = x.galois(a)
+                assert image.coeffs == oracle_galois(x, a).coeffs
+                assert all(type(c) is Fraction for c in image.coeffs)
+        for x in xs:
+            assert x.conjugate() == oracle_galois(x, e - 1)
 
 
 def test_complex_value():
