@@ -163,9 +163,6 @@ class CrystGroup:
         img = lin.mul_vec(tuple(F(x) for x in point))
         return mod1_vec(tuple(a + b for a, b in zip(img, self.u(i))))
 
-    def is_even_rank(self):
-        return self.rank % 2 == 0
-
     @property
     def n(self):
         if self.rank % 2 != 0:

@@ -1,6 +1,9 @@
 """Exact integer/rational linear algebra: normal forms, lattice congruences,
 rational kernels.
 
+The integer algorithms (Hermite and Smith forms, Bareiss determinants) live
+here; row reduction over Q (inverse, kernel, rank) is `fieldlin`'s.
+
 Everything here is arbitrary-precision and deterministic; no floating point.
 Conventions fixed for reproducibility:
 
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+from . import fieldlin
 
 
 @dataclass(frozen=True)
@@ -189,21 +194,10 @@ class RatMatrix:
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return RatMatrix.from_rows([r[n:] for r in aug])
+        try:
+            return RatMatrix.from_rows(fieldlin.inverse(self.to_lists()))
+        except ArithmeticError:
+            raise ValueError("matrix is singular") from None
 
 
 @dataclass(frozen=True)
@@ -435,34 +429,7 @@ def kernel_q(A: RatMatrix):
     coordinate and content 1; the list order follows the free columns of the
     reduced echelon form.
     """
-    n, m = A.rows, A.cols
-    rows = A.to_lists()
-    pivots = []
-    pr = 0
-    for pc in range(m):
-        piv = next((i for i in range(pr, n) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        pv = rows[pr][pc]
-        rows[pr] = [x / pv for x in rows[pr]]
-        for i in range(n):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == n:
-            break
-    free_cols = [j for j in range(m) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -rows[k][fc]
-        basis.append(_primitive(v))
-    return basis
+    return [_primitive(v) for v in fieldlin.nullspace(A.to_lists())]
 
 
 def _primitive(v):
@@ -507,21 +474,4 @@ def solve_affine_congruence(M: IntMatrix, c):
 
 
 def rank_rat(A: RatMatrix):
-    rows = A.to_lists()
-    n, m = A.rows, A.cols
-    pr = 0
-    for pc in range(m):
-        piv = next((i for i in range(pr, n) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        pv = rows[pr][pc]
-        rows[pr] = [x / pv for x in rows[pr]]
-        for i in range(n):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-        pr += 1
-        if pr == n:
-            break
-    return pr
+    return fieldlin.rank(A.to_lists())

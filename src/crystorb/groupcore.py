@@ -8,8 +8,10 @@ multiplied after the group is built.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
-values by root-of-unity multiplicity recovery.  All published values are
-exact; F_p only ever appears internally.
+values by root-of-unity multiplicity recovery.  The linear algebra over F_p
+(restriction, characteristic polynomial, eigenspaces) is `fieldlin`'s, on
+`fieldlin.GF` elements.  All published values are exact; F_p only ever
+appears internally.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from . import fieldlin
 from .cyclo import CycloField
 from .exactla import IntMatrix
 
@@ -284,85 +287,12 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 # prime-field helpers (internal to the table computation)
 
-def _fp_nullspace(mat, p):
-    rows = [r[:] for r in mat]
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    pivots = []
-    pr = 0
-    for pc in range(m):
-        piv = next((i for i in range(pr, n) if rows[i][pc] % p), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = pow(rows[pr][pc], p - 2, p)
-        rows[pr] = [(x * inv) % p for x in rows[pr]]
-        for i in range(n):
-            if i != pr and rows[i][pc] % p:
-                f = rows[i][pc]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == n:
-            break
-    basis = []
-    for fc in range(m):
-        if fc in pivots:
-            continue
-        v = [0] * m
-        v[fc] = 1
-        for k, pc in enumerate(pivots):
-            v[pc] = (-rows[k][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _fp_solve_columns(B, Y, p):
-    """Solve B * X = Y column-wise for B with full column rank (mod p)."""
-    k = len(B)
-    w = len(B[0])
-    ny = len(Y[0])
-    aug = [B[i][:] + Y[i][:] for i in range(k)]
-    pr = 0
-    piv_cols = []
-    for pc in range(w):
-        piv = next((i for i in range(pr, k) if aug[i][pc] % p), None)
-        if piv is None:
-            raise ArithmeticError("basis matrix not of full column rank")
-        aug[pr], aug[piv] = aug[piv], aug[pr]
-        inv = pow(aug[pr][pc], p - 2, p)
-        aug[pr] = [(x * inv) % p for x in aug[pr]]
-        for i in range(k):
-            if i != pr and aug[i][pc] % p:
-                f = aug[i][pc]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[pr])]
-        piv_cols.append(pc)
-        pr += 1
-    for i in range(pr, k):
-        if any(x % p for x in aug[i][w:]):
-            raise ArithmeticError("inconsistent restriction system")
-    X = [[aug[r][w + j] for j in range(ny)] for r in range(w)]
-    return X
-
-
-def _fp_det(mat, p):
-    rows = [r[:] for r in mat]
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = (-det) % p
-        det = (det * rows[c][c]) % p
-        inv = pow(rows[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if rows[i][c] % p:
-                f = (rows[i][c] * inv) % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return det % p
+def _poly_at(coeffs, x, p):
+    """Value mod p at x of the polynomial with coefficients c_0, c_1, ... ."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _is_prime(n):
@@ -439,20 +369,22 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
             if len(sp) == 1:
                 refined.append(sp)
                 continue
-            B = [[sp[b][a] for b in range(len(sp))] for a in range(k)]
-            MB = [[sum(Mj[a][c] * B[c][b] for c in range(k)) % p
-                   for b in range(len(sp))] for a in range(k)]
-            R = _fp_solve_columns(B, MB, p)
             w = len(sp)
-            roots = [lam for lam in range(p)
-                     if _fp_det([[(R[i][j2] - (lam if i == j2 else 0)) % p
-                                  for j2 in range(w)] for i in range(w)], p) == 0]
-            for lam in roots:
-                shifted = [[(R[i][j2] - (lam if i == j2 else 0)) % p
-                            for j2 in range(w)] for i in range(w)]
-                eigen = [[sum(B[a][b] * vec[b] for b in range(w)) % p
+            B = [[sp[b][a] for b in range(w)] for a in range(k)]
+            # Mj B = B R: R is Mj on the span of sp, in the basis sp
+            R = fieldlin.solve_columns(
+                [[fieldlin.GF(x, p) for x in row] for row in B],
+                [[fieldlin.GF(sum(Mj[a][c] * B[c][b] for c in range(k)), p) for b in range(w)]
+                 for a in range(k)])
+            charpoly = [c.v for c in fieldlin.charpoly(R)]
+            for lam in range(p):
+                if _poly_at(charpoly, lam, p):
+                    continue
+                shifted = [[x - lam if i == j2 else x for j2, x in enumerate(row)]
+                           for i, row in enumerate(R)]
+                eigen = [[sum(B[a][b] * vec[b].v for b in range(w)) % p
                           for a in range(k)]
-                         for vec in _fp_nullspace(shifted, p)]
+                         for vec in fieldlin.nullspace(shifted)]
                 if eigen:
                     refined.append(eigen)
         spaces = refined
@@ -623,10 +555,6 @@ class IsotypicReport:
     def total_dim(self):
         return sum(c.complex_dim for c in self.classes)
 
-    @property
-    def all_even(self):
-        return all(c.admits_complex_structure for c in self.classes)
-
     def odd_classes(self):
         return tuple(c for c in self.classes if not c.admits_complex_structure)
 
@@ -647,19 +575,20 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
     traces = [sum(rho.elements[c.representative].at(i, i) for i in range(rho.rank))
               for c in table.classes]
 
+    conj_rows = [tuple(v.conjugate() for v in chi.values) for chi in table.characters]
+
     mults = []
-    for chi in table.characters:
+    for conj_values in conj_rows:
         total = field(0)
         for l in range(k):
-            total = total + table.classes[l].size * traces[l] * chi.values[l].conjugate()
+            total = total + table.classes[l].size * traces[l] * conj_values[l]
         m = (total * Fraction(1, rho.order())).rational_value()
         if m.denominator != 1 or m < 0:
             raise ArithmeticError("multiplicity is not a nonnegative integer")
         mults.append(int(m))
 
     conj_index = {}
-    for i, chi in enumerate(table.characters):
-        conj_values = tuple(v.conjugate() for v in chi.values)
+    for i, conj_values in enumerate(conj_rows):
         for j, other in enumerate(table.characters):
             if other.values == conj_values:
                 conj_index[i] = j

@@ -26,6 +26,7 @@ from .groupcore import (
     CharacterTable,
     IsotypicReport,
     MatrixGroup,
+    _require,
     character_table,
     real_isotypic_dimensions,
 )
@@ -112,10 +113,6 @@ def _mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def _identity_rows(w):
-    return [[F(1 if i == j else 0) for j in range(w)] for i in range(w)]
-
-
 def _is_minus_identity(A):
     w = len(A)
     return all(A[i][j] == (F(-1) if i == j else 0) for i in range(w) for j in range(w))
@@ -178,6 +175,22 @@ def _scaled_root(X, w):
     return [[x / s for x in row] for row in X]
 
 
+def _candidates(basis, w, seed, attempts, spread):
+    """The basis matrices, their pairwise sums and differences, then
+    `attempts` seeded combinations with coefficients in [-spread, spread]."""
+    out = list(basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            out.append([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
+            out.append([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        coeffs = [F(rng.randint(-spread, spread)) for _ in basis]
+        out.append([[sum((c * b[i][j] for c, b in zip(coeffs, basis)), F(0))
+                     for j in range(w)] for i in range(w)])
+    return out
+
+
 def _exact_j_for_action(mats, seed, attempts=8):
     """A rational J with J^2 = -I commuting with every matrix, or None.
 
@@ -202,20 +215,7 @@ def _exact_j_for_action(mats, seed, attempts=8):
     S = _sum_gram(mats, w)
     Sinv = fieldlin.inverse(S)
     skew = _invariant_skew_basis(mats, w)
-    candidates = [b for b in skew]
-    for i in range(len(skew)):
-        for j in range(i + 1, len(skew)):
-            candidates.append([[x + y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(skew[i], skew[j])])
-            candidates.append([[x - y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(skew[i], skew[j])])
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        coeffs = [F(rng.randint(-4, 4)) for _ in skew]
-        combo = [[sum((c * b[i][j] for c, b in zip(coeffs, skew)), F(0))
-                  for j in range(w)] for i in range(w)]
-        candidates.append(combo)
-    for A in candidates:
+    for A in _candidates(skew, w, seed, attempts, 4):
         if fieldlin.det(A) == 0:
             continue
         X = fieldlin.mat_mul(Sinv, A)
@@ -343,8 +343,8 @@ def invariant_complex_structure(crys: CrystGroup, seed=0,
     if J is None:
         J = _blockwise_exact_j(crys, mats, seed)
     if J is not None:
-        assert _is_minus_identity(fieldlin.mat_mul(J, J))
-        assert _commutes_with_all(J, mats)
+        _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "exact J does not square to -I")
+        _require(_commutes_with_all(J, mats), "exact J does not commute with the action")
         structure = ComplexStructure(
             "exact", tuple(tuple(r) for r in J), precision, F(0), F(0))
         return JSearchResult(structure, ev)
@@ -443,14 +443,6 @@ class OmegaMatrix:
             ent = tuple(tuple(mpmath.mpc(v) for v in row) for row in values)
         return OmegaMatrix("approximate", rows, cols, ent, precision)
 
-    def entry_pairs(self):
-        if self.mode != "exact":
-            raise ValueError("only exact matrices expose rational pairs")
-        out = []
-        for row in self.entries:
-            out.append([(z.coeffs[0], z.coeffs[1]) for z in row])
-        return out
-
     def conjugate_entries(self):
         if self.mode == "exact":
             return [[z.conjugate() for z in row] for row in self.entries]
@@ -514,7 +506,7 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
         iOM1 = [[i_unit * x for x in row] for row in fieldlin.mat_mul(O, M1)]
         J = [[(z + z.conjugate()).rational_value() for z in row] for row in iOM1]
         JJ = fieldlin.mat_mul(J, J)
-        assert _is_minus_identity(JJ)
+        _require(_is_minus_identity(JJ), "J of the period matrix does not square to -I")
         proj = tuple(tuple((z.coeffs[0], z.coeffs[1]) for z in row) for row in M1)
         structure = ComplexStructure("exact", tuple(tuple(r) for r in J),
                                      omega.precision_bits, F(0), F(0))
@@ -640,7 +632,7 @@ def hodge_types(crys: CrystGroup):
         splits = tuple(ClassSplit(c.labels, c.fs_type, c.degree, c.multiplicity, a)
                        for c, a in zip(classes, combo))
         t = HodgeType(splits)
-        assert t.holomorphic_dim == crys.n
+        _require(t.holomorphic_dim == crys.n, "Hodge type does not have dimension n")
         out.append(t)
     return out
 
@@ -736,20 +728,7 @@ def _sqrt_minus_one_in_commutant(acts, w, seed, attempts=8):
         if _commutes_with_all(cand, acts) and \
                 _is_minus_identity(fieldlin.mat_mul(cand, cand)):
             return cand
-    basis = _commutant_basis(acts, w)
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append([[x + y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(basis[i], basis[j])])
-            candidates.append([[x - y for x, y in zip(r1, r2)]
-                               for r1, r2 in zip(basis[i], basis[j])])
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        coeffs = [F(rng.randint(-3, 3)) for _ in basis]
-        candidates.append([[sum((c * b[i][j] for c, b in zip(coeffs, basis)), F(0))
-                            for j in range(w)] for i in range(w)])
-    for X in candidates:
+    for X in _candidates(_commutant_basis(acts, w), w, seed, attempts, 3):
         J = _scaled_root(X, w)
         if J is not None:
             return J
@@ -801,7 +780,7 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
             R = _rational_isotypic_basis(crys, table, chi)
             width = len(R[0])
             acts = []
-            for gi in set(crys.group.generator_indices) | {0}:
+            for gi in set(crys.group.generators) | {0}:
                 lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), R)
                 acts.append(fieldlin.solve_columns(R, lb))
             X = _sqrt_minus_one_in_commutant(acts, width, seed)
@@ -810,15 +789,16 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
             shifted = [[field(X[i][j]) - (i_unit if i == j else field(0))
                         for j in range(width)] for i in range(width)]
             ys = fieldlin.nullspace(shifted)
-            assert len(ys) == width // 2
+            _require(len(ys) == width // 2, "i-eigenspace of the pairing has the wrong dimension")
             Rf = [[field(x) for x in row] for row in R]
             block = fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)])
             cols.append(block)
 
     B = fieldlin.hstack(*cols)
-    assert len(B[0]) == crys.n
-    assert fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w
-    for gi in set(crys.group.generator_indices):
+    _require(len(B[0]) == crys.n, "sampled subspace does not have dimension n")
+    _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w,
+             "sampled subspace meets its conjugate")
+    for gi in set(crys.group.generators):
         lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), B)
         fieldlin.solve_columns(B, lb)   # raises if not invariant
     return B
@@ -834,7 +814,7 @@ def tangent_dimension(crys: CrystGroup, B) -> int:
     C = _conj_cols(B)
     M = fieldlin.hstack(B, C)
     Minv = fieldlin.inverse(M)
-    gens = set(crys.group.generator_indices) or {0}
+    gens = set(crys.group.generators) or {0}
     rows = []
     zero = B[0][0] - B[0][0]
     for gi in gens:

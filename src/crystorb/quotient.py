@@ -135,12 +135,9 @@ def _require_even(crys):
 
 def _check_j(crys, J):
     if J is not None and getattr(J, "mode", None) == "exact":
-        rows = J.rational_rows()
-        for gi in crys.group.generator_indices:
-            m = [[F(crys.linear(gi).at(i, j)) for j in range(crys.rank)]
-                 for i in range(crys.rank)]
-            if fieldlin.mat_mul(rows, m) != fieldlin.mat_mul(m, rows):
-                raise ValueError("complex structure does not commute with the action")
+        gens = [hodge._frac_rows(crys.linear(gi)) for gi in crys.group.generators]
+        if not hodge._commutes_with_all(J.rational_rows(), gens):
+            raise ValueError("complex structure does not commute with the action")
 
 
 def classify_action(crys: CrystGroup, J=None) -> ActionClassification:

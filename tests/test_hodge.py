@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -288,3 +292,32 @@ class TestSamplesAndTangent:
             desc = quotient.orbifold_descriptor(KUMMER, tm.J)
             outcomes.add((cls.kind, desc.kind, desc.stratum_summary))
         assert outcomes == {("quasi_free", "quasi_free", (((2, 2), 16),))}
+
+
+MISCOUNTED_TYPE = """
+import sys
+from crystorb import hodge
+from crystorb.crystal import CrystData, verify_crystallographic
+
+assert False, "assert statements must be off"
+minus = [[-1 if i == j else 0 for j in range(4)] for i in range(4)]
+g = verify_crystallographic(CrystData.make(4, [(minus, (0, 0, 0, 0))]))
+# a Hodge type whose holomorphic dimension is miscounted must be refused
+hodge.HodgeType.holomorphic_dim = property(lambda self: -1)
+try:
+    hodge.hodge_types(g)
+except ArithmeticError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_hodge_checks_survive_optimize():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-O", "-c", MISCOUNTED_TYPE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "dimension" in run.stdout
