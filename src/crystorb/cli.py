@@ -79,8 +79,13 @@ def _fail(path, message):
     raise ValidationError(f"{path}: {message}")
 
 
+def _is_int(x):
+    """A JSON integer: Python's bool is an int, JSON's true/false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(value, path):
-    if isinstance(value, int):
+    if _is_int(value):
         return F(value)
     if isinstance(value, str):
         try:
@@ -102,7 +107,7 @@ def _check_document(doc, path="input"):
     for key in options:
         if key not in _OPTION_KEYS:
             _fail(f"{path}.options.{key}", "unknown option")
-        if not isinstance(options[key], int):
+        if not _is_int(options[key]):
             _fail(f"{path}.options.{key}", "must be an integer")
 
 
@@ -110,7 +115,7 @@ def parse_cryst_data(doc, path="input") -> CrystData:
     if "rank" not in doc:
         _fail(f"{path}.rank", "missing")
     rank = doc["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         _fail(f"{path}.rank", "must be a positive integer")
     gens = doc.get("generators", [])
     if not isinstance(gens, list):
@@ -129,7 +134,7 @@ def parse_cryst_data(doc, path="input") -> CrystData:
             _fail(f"{gpath}.linear", f"must be a {rank}x{rank} integer matrix")
         for i, row in enumerate(lin):
             for j, x in enumerate(row):
-                if not isinstance(x, int):
+                if not _is_int(x):
                     _fail(f"{gpath}.linear[{i}][{j}]", "must be an integer")
         trans = g.get("translation", ["0"] * rank)
         if not (isinstance(trans, list) and len(trans) == rank):
@@ -291,11 +296,10 @@ def _parse_cocycle(doc, group):
         if not (isinstance(item, list) and len(item) == 3):
             _fail(ipath, "must be [g, h, vector]")
         g, h, vec = item
-        if not (isinstance(g, int) and isinstance(h, int)
-                and 0 <= g < n and 0 <= h < n):
+        if not (_is_int(g) and _is_int(h) and 0 <= g < n and 0 <= h < n):
             _fail(ipath, f"element indices must lie in [0, {n})")
         if not (isinstance(vec, list) and len(vec) == group.rank
-                and all(isinstance(x, int) for x in vec)):
+                and all(_is_int(x) for x in vec)):
             _fail(ipath, "cocycle values are integer vectors of lattice rank")
         values[(g, h)] = tuple(vec)
     for g in range(n):
@@ -417,7 +421,7 @@ def cmd_platonic(doc, opts):
     if "triple" in doc:
         triple = doc["triple"]
         if not (isinstance(triple, list) and len(triple) == 3
-                and all(isinstance(m, int) for m in triple)):
+                and all(_is_int(m) for m in triple)):
             _fail("input.triple", "must be three integers")
         if min(triple) < 2:
             _fail("input.triple", "multiplicities must be >= 2")
@@ -441,8 +445,17 @@ def cmd_platonic(doc, opts):
         if "loops" in doc or "multiplicities" in doc:
             loops = doc.get("loops", [])
             mults = doc.get("multiplicities", [])
-            loops = [tuple(int(x) for x in w) for w in loops]
-            p = orbpi.orbifold_quotient(p, loops, mults)
+            if not isinstance(loops, list):
+                _fail("input.loops", "must be a list of words")
+            if not isinstance(mults, list):
+                _fail("input.multiplicities", "must be a list of integers")
+            for i, w in enumerate(loops):
+                if not (isinstance(w, list) and all(_is_int(x) for x in w)):
+                    _fail(f"input.loops[{i}]", "words are lists of signed indices")
+            for i, m in enumerate(mults):
+                if not _is_int(m):
+                    _fail(f"input.multiplicities[{i}]", "must be an integer")
+            p = orbpi.orbifold_quotient(p, [tuple(w) for w in loops], mults)
         order = orbpi.coset_enumerate(p, bound=opts["bound"])
         return {
             "generators": list(p.generators),
@@ -464,7 +477,7 @@ def _parse_presentation(raw, path="input.presentation"):
         _fail(f"{path}.relators", "must be a list of words")
     words = []
     for i, w in enumerate(rels):
-        if not (isinstance(w, list) and all(isinstance(x, int) for x in w)):
+        if not (isinstance(w, list) and all(_is_int(x) for x in w)):
             _fail(f"{path}.relators[{i}]", "words are lists of signed indices")
         words.append(tuple(w))
     try:

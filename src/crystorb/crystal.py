@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import exactla
@@ -133,7 +134,10 @@ def _generator_products(group: MatrixGroup):
 
 
 class CrystGroup:
-    """A validated crystallographic group with lattice Z^r."""
+    """A validated crystallographic group with lattice Z^r.
+
+    L(g) - I and the fixed set of every element are cached properties,
+    computed once per group and freed with it."""
 
     def __init__(self, rank, group: MatrixGroup, translations):
         self.rank = rank
@@ -152,6 +156,21 @@ class CrystGroup:
 
     def u(self, i):
         return self.translations[i]
+
+    @cached_property
+    def linear_minus_identity(self):
+        """L(g) - I for every element g, in element order."""
+        minus_identity = IntMatrix.identity(self.rank).neg()
+        return tuple(m.add(minus_identity) for m in self.group.elements)
+
+    @cached_property
+    def fixed_sets(self):
+        """The SolutionSet of (L(g) - I) v = -u_g (mod Z^r), the points of the
+        torus that g fixes, for every g != 1; None at the identity."""
+        return (None,) + tuple(
+            exactla.solve_mod_lattice(self.linear_minus_identity[i],
+                                      tuple(-x for x in self.u(i)))
+            for i in range(1, self.order()))
 
     @property
     def vector_system(self) -> VectorSystem:
@@ -420,14 +439,11 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     if vs_a.group is not vs_b.group and vs_a.group.elements != vs_b.group.elements:
         raise ValueError("vector systems live on different groups")
     g = vs_a.group
-    rank = g.rank
-    ident = IntMatrix.identity(rank)
+    minus_identity = IntMatrix.identity(g.rank).neg()
     blocks = []
     rhs = []
     for i in range(g.order()):
-        lin = g.elements[i]
-        for r in range(rank):
-            blocks.append([lin.at(r, c) - ident.at(r, c) for c in range(rank)])
+        blocks.extend(g.elements[i].add(minus_identity).to_lists())
         diff = tuple(a - b for a, b in zip(vs_a.u(i), vs_b.u(i)))
         rhs.extend(diff)
     M = IntMatrix.from_rows(blocks)
@@ -454,15 +470,6 @@ def is_torsion_free(group: CrystGroup) -> TorsionReport:
     """Torsion test: the group is torsion free iff no nontrivial element
     fixes a point of the torus, i.e. (L(g) - I) v = -u_g (mod Z^r) has no
     solution for every g != 1."""
-    rank = group.rank
-    ident = IntMatrix.identity(rank)
-    offenders = []
-    for i in range(1, group.order()):
-        lin = group.linear(i)
-        A = IntMatrix(rank, rank, tuple(a - b for a, b in
-                                        zip(lin.entries, ident.entries)))
-        b = tuple(-x for x in group.u(i))
-        sol = exactla.solve_mod_lattice(A, b)
-        if not sol.is_empty():
-            offenders.append(i)
-    return TorsionReport(not offenders, tuple(offenders))
+    offenders = tuple(i for i in range(1, group.order())
+                      if not group.fixed_sets[i].is_empty())
+    return TorsionReport(not offenders, offenders)

@@ -409,14 +409,9 @@ def solve_mod_lattice(A, b) -> SolutionSet:
         else:
             choices.append(tuple((c[i] + k) / d[i] for k in range(d[i])))
 
-    Vmat = dec.V
-    basis = tuple(tuple(Vmat.at(i, j) for i in range(r)) for j in free)
-
-    points = []
-    for combo in product(*choices):
-        v = Vmat.to_rat().mul_vec(combo)
-        points.append(mod1_vec(v))
-    points = tuple(sorted(set(points)))
+    basis = tuple(tuple(dec.V.at(i, j) for i in range(r)) for j in free)
+    V = dec.V.to_rat()
+    points = tuple(sorted({mod1_vec(V.mul_vec(combo)) for combo in product(*choices)}))
 
     kind = "family" if free else "finite"
     return SolutionSet(kind, points, basis)

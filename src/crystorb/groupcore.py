@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from . import fieldlin
@@ -52,6 +53,11 @@ class MatrixGroup:
     element w and every s in S, and a word over S for every element; `closure`
     and `subgroup` pass it in, and otherwise it is built here once with n*|S|
     matrix products.
+
+    Each group computes its invariants once, on first use, and keeps them as
+    cached properties, freed with the group: its conjugacy classes and the
+    class of every element, its character table and isotypic report, its
+    inverses and its square-class counts.
     """
 
     def __init__(self, rank, elements, generator_indices, products=None):
@@ -67,9 +73,6 @@ class MatrixGroup:
             products = (self._right_products(self.generator_indices)
                         or self._right_products(range(len(self.elements))))
         self.generators, self._right, self._words = products
-        self._inv = None
-        self._orders = {}
-        self._square_class_counts = None
 
     def _right_products(self, gens):
         """(S, [w*s for s in S] per w, a word over S per element) for S = gens,
@@ -108,30 +111,62 @@ class MatrixGroup:
         return i
 
     def inv(self, i):
-        if self._inv is None:
-            # a^k and a^(o-k) are inverse: one pass over the powers of a
-            # settles every power of a
-            inv = [None] * self.order()
-            for a in range(self.order()):
-                if inv[a] is None:
-                    powers = [0, a]
-                    while powers[-1] != 0:
-                        powers.append(self.mul(powers[-1], a))
-                    o = len(powers) - 1
-                    for k in range(o):
-                        inv[powers[k]] = powers[o - k]
-            self._inv = inv
-        return self._inv[i]
+        return self.inverses[i]
 
     def element_order(self, i):
-        o = self._orders.get(i)
-        if o is None:
-            o, j = 1, i
-            while j != 0:
-                j = self.mul(j, i)
-                o += 1
-            self._orders[i] = o
-        return o
+        return len(self._powers(i)) - 1
+
+    def _powers(self, a):
+        """[a^0, a^1, ..., a^o] with a^o the identity, o the order of a."""
+        powers = [0, a]
+        while powers[-1] != 0:
+            powers.append(self.mul(powers[-1], a))
+        return powers
+
+    @cached_property
+    def inverses(self):
+        # a^k and a^(o-k) are inverse: one pass over the powers of a settles
+        # every power of a
+        inv = [None] * self.order()
+        for a in range(self.order()):
+            if inv[a] is None:
+                powers = self._powers(a)
+                o = len(powers) - 1
+                for k in range(o):
+                    inv[powers[k]] = powers[o - k]
+        return tuple(inv)
+
+    @cached_property
+    def classes(self):
+        """The conjugacy classes, ordered by smallest member index."""
+        return tuple(conjugacy_classes(self))
+
+    @cached_property
+    def class_index(self):
+        """class_index[g] is the position in `classes` of the class of g."""
+        index = [None] * self.order()
+        for ci, c in enumerate(self.classes):
+            for m in c.members:
+                index[m] = ci
+        return tuple(index)
+
+    @cached_property
+    def square_class_counts(self):
+        """The number of g with g^2 in each class, in class order."""
+        counts = [0] * len(self.classes)
+        for g in range(self.order()):
+            counts[self.class_index[self.mul(g, g)]] += 1
+        return tuple(counts)
+
+    @cached_property
+    def table(self):
+        """The exact character table, computed under the default bound."""
+        return character_table(self)
+
+    @cached_property
+    def isotypic(self):
+        """The real isotypic report of the lattice representation."""
+        return real_isotypic_dimensions(self, self.table)
 
     def exponent(self):
         e = 1
@@ -263,19 +298,6 @@ class CharacterTable:
     field: CycloField
     characters: tuple
 
-    def class_of(self, element_index):
-        return self._class_lookup()[element_index]
-
-    def _class_lookup(self):
-        lookup = getattr(self, "_lookup_cache", None)
-        if lookup is None:
-            lookup = {}
-            for ci, c in enumerate(self.classes):
-                for m in c.members:
-                    lookup[m] = ci
-            object.__setattr__(self, "_lookup_cache", lookup)
-        return lookup
-
     def inner_product(self, chi_a: Character, chi_b: Character):
         """Exact <a, b> = (1/|G|) sum over G of a(g) * conj(b(g))."""
         total = self.field(0)
@@ -334,18 +356,14 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
     n = group.order()
     if n > bound:
         raise ExceedsBound(f"group order {n} exceeds bound {bound}")
-    classes = conjugacy_classes(group)
+    classes = group.classes
+    class_of = group.class_index
     k = len(classes)
     e = group.exponent()
     field = CycloField(e)
     p = _dixon_prime(n, e)
     z = _root_of_unity(p, e) if e > 1 else 1
     z_powers = [pow(z, t, p) for t in range(e)]
-
-    class_of = {}
-    for ci, c in enumerate(classes):
-        for m in c.members:
-            class_of[m] = ci
 
     def class_matrix(j):
         T = [[0] * k for _ in range(k)]
@@ -443,28 +461,15 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
 
     rows.sort(key=sort_key)
 
-    counts = _square_class_counts(group, class_of, k)
     characters = []
     for label_i, (d, values) in enumerate(rows):
-        fs_total = field(0)
-        for l in range(k):
-            fs_total = fs_total + counts[l] * values[l]
-        fs = (fs_total * Fraction(1, n)).rational_value()
+        fs = _indicator(group, field, values)
         _require(fs in (-1, 0, 1), "Frobenius-Schur indicator out of range")
         characters.append(Character(f"chi{label_i}", d, tuple(values), int(fs)))
 
-    table = CharacterTable(group, tuple(classes), field, tuple(characters))
+    table = CharacterTable(group, classes, field, tuple(characters))
     _verify_orthogonality(table)
     return table
-
-
-def _square_class_counts(group, class_of, k):
-    if group._square_class_counts is None:
-        counts = [0] * k
-        for g in range(group.order()):
-            counts[class_of[group.mul(g, g)]] += 1
-        group._square_class_counts = counts
-    return group._square_class_counts
 
 
 def _verify_orthogonality(table: CharacterTable):
@@ -523,15 +528,17 @@ def _reduced_sum(pairs, phi):
     return acc[:deg]
 
 
+def _indicator(group, field, values):
+    """(1/|G|) sum over g of chi(g^2) for the class values of chi."""
+    total = field(0)
+    for c, v in zip(group.square_class_counts, values):
+        total = total + c * v
+    return (total * Fraction(1, group.order())).rational_value()
+
+
 def fs_indicator(chi: Character, table: CharacterTable):
     """Frobenius-Schur indicator (1/|G|) sum over g of chi(g^2)."""
-    group = table.group
-    class_of = table._class_lookup()
-    counts = _square_class_counts(group, class_of, len(table.classes))
-    total = table.field(0)
-    for l, c in enumerate(counts):
-        total = total + c * chi.values[l]
-    return int((total * Fraction(1, group.order())).rational_value())
+    return int(_indicator(table.group, table.field, chi.values))
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,7 @@ from . import fieldlin
 from .crystal import CrystGroup
 from .cyclo import CycloField
 from .exactla import IntMatrix, RatMatrix, kernel_q
-from .groupcore import (
-    CharacterTable,
-    IsotypicReport,
-    MatrixGroup,
-    _require,
-    character_table,
-    real_isotypic_dimensions,
-)
+from .groupcore import CharacterTable, IsotypicReport, MatrixGroup, _require
 
 F = Fraction
 
@@ -46,16 +39,8 @@ class DegenerateOmega(Exception):
     """det(Omega | conj Omega) vanished: the columns do not split C^2n."""
 
 
-_table_cache = {}
-
-
 def point_group_table(crys: CrystGroup) -> CharacterTable:
-    key = (crys.rank, tuple(m.entries for m in crys.group.elements))
-    table = _table_cache.get(key)
-    if table is None:
-        table = character_table(crys.group)
-        _table_cache[key] = table
-    return table
+    return crys.group.table
 
 
 @dataclass(frozen=True)
@@ -68,8 +53,7 @@ class EvennessReport:
 def is_even(crys: CrystGroup) -> EvennessReport:
     """Even rank plus an invariant-complex-structure-admitting isotypic
     decomposition.  The odd witness lists every blocking class."""
-    table = point_group_table(crys)
-    report = real_isotypic_dimensions(crys.group, table)
+    report = crys.group.isotypic
     witness = []
     if crys.rank % 2 != 0:
         witness.append("odd_rank")
@@ -234,69 +218,71 @@ def _sum_gram(mats, w):
     return S
 
 
-def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
-    """Projectors onto the rational (Galois-orbit) isotypic components.
+def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None):
+    """Columns spanning the image of P = (1/|G|) sum over g of
+    (sum over chi in chars of chi(1) conj chi(g)) L(g), the isotypic part of
+    the characters `chars` in the lattice representation.
 
-    Returns a list of (labels, projector rows) with rational entries; zero
-    projectors are dropped."""
+    The entries lie in Q when `field` is None, and raise ValueError when a
+    coefficient is not rational; otherwise in the cyclotomic `field`, which
+    must contain the table's field."""
+    n = group.order()
+    w = group.rank
+    zero = F(0) if field is None else field(0)
+    coeffs = []
+    for ci in range(len(table.classes)):
+        total = table.field(0)
+        for chi in chars:
+            total = total + chi.degree * chi.values[ci].conjugate()
+        c = total.rational_value() if field is None else total.lift(field.order)
+        coeffs.append(c * F(1, n))
+    proj = [[zero] * w for _ in range(w)]
+    for g, ci in enumerate(group.class_index):
+        c = coeffs[ci]
+        if c == 0:
+            continue
+        mat = group.elements[g]
+        for i in range(w):
+            for j in range(w):
+                if mat.at(i, j):
+                    proj[i][j] = proj[i][j] + c * mat.at(i, j)
+    red, pivots = fieldlin.rref(proj)
+    return fieldlin.columns(proj, pivots)
+
+
+def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
+    """The rational (Galois-orbit) isotypic components of the lattice.
+
+    Returns a list of (labels, rational column basis of the projector's
+    image), one per Galois orbit of characters; zero components are
+    dropped."""
     e = table.field.order
+    units = [a for a in range(1, e + 1) if gcd(a, e) == 1]
     chars = table.characters
-    orbits = []
+    index = {chi.values: i for i, chi in enumerate(chars)}
+    out = []
     seen = set()
     for i, chi in enumerate(chars):
         if i in seen:
             continue
-        orbit = {i}
-        for a in range(1, e + 1):
-            if gcd(a, e) != 1:
-                continue
-            mapped = tuple(v.galois(a) for v in chi.values)
-            for j, other in enumerate(chars):
-                if other.values == mapped:
-                    orbit.add(j)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-
-    n = group.order()
-    w = group.rank
-    class_lookup = table._class_lookup()
-    out = []
-    for orbit in orbits:
-        proj = [[F(0)] * w for _ in range(w)]
-        nonzero = False
-        for g in range(n):
-            ci = class_lookup[group.inv(g)]
-            coeff = table.field(0)
-            for oi in orbit:
-                chi = chars[oi]
-                coeff = coeff + chi.degree * chi.values[ci]
-            if not coeff.is_rational():
-                raise ArithmeticError("Galois-orbit character sum is not rational")
-            c = coeff.rational_value() / n
-            if c == 0:
-                continue
-            nonzero = True
-            mat = group.elements[g]
-            for i in range(w):
-                for j in range(w):
-                    proj[i][j] += c * mat.at(i, j)
-        if nonzero and any(x != 0 for row in proj for x in row):
-            labels = tuple(chars[oi].label for oi in orbit)
-            out.append((labels, proj))
+        images = (tuple(v.galois(a) for v in chi.values) for a in units)
+        orbit = sorted({index[values] for values in images if values in index})
+        seen.update(orbit)
+        try:
+            basis = isotypic_basis(group, table, [chars[oi] for oi in orbit])
+        except ValueError:
+            raise ArithmeticError("Galois-orbit character sum is not rational") from None
+        if basis[0]:
+            out.append((tuple(chars[oi].label for oi in orbit), basis))
     return out
 
 
-def _blockwise_exact_j(crys, mats, seed):
+def _blockwise_exact_j(crys, seed):
     table = point_group_table(crys)
-    blocks = rational_isotypic_projectors(crys.group, table)
     w = crys.rank
     bases = []
     sub_js = []
-    for _, proj in blocks:
-        red, pivots = fieldlin.rref(proj)
-        if not pivots:
-            continue
-        basis = fieldlin.columns(proj, pivots)
+    for _, basis in rational_isotypic_projectors(crys.group, table):
         acts = []
         for gi in range(crys.group.order()):
             lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), basis)
@@ -341,7 +327,7 @@ def invariant_complex_structure(crys: CrystGroup, seed=0,
 
     J = _exact_j_for_action(mats, seed)
     if J is None:
-        J = _blockwise_exact_j(crys, mats, seed)
+        J = _blockwise_exact_j(crys, seed)
     if J is not None:
         _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "exact J does not square to -I")
         _require(_commutes_with_all(J, mats), "exact J does not commute with the action")
@@ -656,49 +642,8 @@ def _sample_field(table: CharacterTable) -> CycloField:
     return CycloField(E)
 
 
-def _isotypic_basis(crys, table, chi, field):
-    """Columns spanning the chi-isotypic part of (lattice tensor C)."""
-    n = crys.group.order()
-    w = crys.rank
-    lookup = table._class_lookup()
-    proj = [[field(0)] * w for _ in range(w)]
-    scale = F(chi.degree, n)
-    for g in range(n):
-        val = chi.values[lookup[g]].conjugate().lift(field.order) * scale
-        if val.is_zero():
-            continue
-        mat = crys.group.elements[g]
-        for i in range(w):
-            for j in range(w):
-                if mat.at(i, j):
-                    proj[i][j] = proj[i][j] + val * mat.at(i, j)
-    red, pivots = fieldlin.rref(proj)
-    return fieldlin.columns(proj, pivots)
-
-
 def _conj_cols(cols):
     return [[z.conjugate() for z in row] for row in cols]
-
-
-def _rational_isotypic_basis(crys, table, chi):
-    """Rational column basis for a rational-valued character's isotypic."""
-    n = crys.group.order()
-    w = crys.rank
-    lookup = table._class_lookup()
-    proj = [[F(0)] * w for _ in range(w)]
-    for g in range(n):
-        val = chi.values[lookup[g]].conjugate()
-        if not val.is_rational():
-            raise ValueError("character is not rational-valued")
-        c = val.rational_value() * F(chi.degree, n)
-        if c == 0:
-            continue
-        mat = crys.group.elements[g]
-        for i in range(w):
-            for j in range(w):
-                proj[i][j] += c * mat.at(i, j)
-    red, pivots = fieldlin.rref(proj)
-    return fieldlin.columns(proj, pivots)
 
 
 def _commutant_basis(acts, w):
@@ -753,8 +698,8 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
         if s.fs_type == "complex":
             chi_a = chars[s.labels[0]]
             chi_b = chars[s.labels[1]]
-            WA = _isotypic_basis(crys, table, chi_a, field)
-            WB = _isotypic_basis(crys, table, chi_b, field)
+            WA = isotypic_basis(crys.group, table, [chi_a], field)
+            WB = isotypic_basis(crys.group, table, [chi_b], field)
             m, d, a = s.multiplicity, s.degree, s.a
             if d > 1 and a not in (0, m):
                 raise ValueError(
@@ -777,7 +722,7 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
                 cols.append(chosen)
         else:
             chi = chars[s.labels[0]]
-            R = _rational_isotypic_basis(crys, table, chi)
+            R = isotypic_basis(crys.group, table, [chi])
             width = len(R[0])
             acts = []
             for gi in set(crys.group.generators) | {0}:

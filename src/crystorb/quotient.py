@@ -87,11 +87,7 @@ def fixed_points(crys: CrystGroup, g) -> FixedLocus:
     if gi == 0:
         raise ValueError("the identity fixes everything; pass a nontrivial element")
     rank = crys.rank
-    ident = IntMatrix.identity(rank)
-    lin = crys.linear(gi)
-    A = IntMatrix(rank, rank, tuple(a - b for a, b in zip(lin.entries, ident.entries)))
-    b = tuple(-x for x in crys.u(gi))
-    sol = exactla.solve_mod_lattice(A, b)
+    sol = crys.fixed_sets[gi]
     if sol.is_empty():
         return FixedLocus(gi, sol, None, None, None)
     rdim = sol.dim
@@ -267,15 +263,10 @@ def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
 def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
     """Indices of elements fixing the subtorus pointwise."""
     out = []
-    rank = crys.rank
-    for h in range(crys.order()):
-        lin = crys.linear(h)
-        ident = IntMatrix.identity(rank)
-        A = IntMatrix(rank, rank, tuple(a - b for a, b in
-                                        zip(lin.entries, ident.entries)))
+    for h, A in enumerate(crys.linear_minus_identity):
         if any(any(x != 0 for x in A.mul_vec(b)) for b in sub.basis):
             continue
-        img = A.to_rat().mul_vec(sub.base)
+        img = A.mul_vec(sub.base)
         if all((a + b).denominator == 1 for a, b in zip(img, crys.u(h))):
             out.append(h)
     return tuple(out)

@@ -187,3 +187,42 @@ class TestCorpusCoverage:
             path = corpus_path(tmp_path, name)
             code, out, _ = run(capsys, "verify", "--input", path, "--format", "json")
             assert code == 0, name
+
+
+_MINUS1 = {"linear": [[-1, 0], [0, -1]], "translation": ["0", "0"]}
+_CYCLIC3 = {"presentation": {"generators": ["a"], "relators": [[1, 1, 1]]}}
+
+
+class TestBooleansRejected:
+    """JSON true/false are not integers, although Python's bool is an int."""
+
+    @pytest.mark.parametrize("command, doc, where", [
+        ("verify", {"rank": True, "generators": []}, "input.rank"),
+        ("verify", {"rank": 2, "generators": [
+            {"linear": [[True, 0], [0, 1]]}]}, "input.generators[0].linear[0][0]"),
+        ("verify", {"rank": 2, "generators": [
+            {"linear": [[1, 0], [0, 1]], "translation": [False, "0"]}]},
+         "input.generators[0].translation[0]"),
+        ("verify", {"rank": 2, "generators": [], "options": {"seed": False}},
+         "input.options.seed"),
+        ("realize", {"rank": 2, "generators": [_MINUS1],
+                     "cocycle": [[True, 1, [0, 0]]]}, "input.cocycle[0]"),
+        ("realize", {"rank": 2, "generators": [_MINUS1],
+                     "cocycle": [[1, 1, [True, 0]]]}, "input.cocycle[0]"),
+        ("platonic", {"triple": [2, 3, True]}, "input.triple"),
+        ("platonic", {**_CYCLIC3, "loops": [[True]], "multiplicities": [2]},
+         "input.loops[0]"),
+        ("platonic", {**_CYCLIC3, "loops": [[1]], "multiplicities": [True]},
+         "input.multiplicities[0]"),
+        ("platonic", {"presentation": {"generators": ["a"], "relators": [[True]]}},
+         "input.presentation.relators[0]"),
+        ("platonic", {**_CYCLIC3, "loops": [[1]], "multiplicities": True},
+         "input.multiplicities"),
+    ])
+    def test_boolean_is_not_an_integer(self, capsys, tmp_path, command, doc, where):
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--input", path, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert f"{where}:" in err
+        assert "integer" in err or "indices" in err

@@ -1,0 +1,75 @@
+"""Each group computes its invariants once and frees them with itself.
+
+The conjugacy classes, the character table and the isotypic report live on
+the MatrixGroup, and the fixed sets of the affine elements on the
+CrystGroup, as cached properties.  A whole `action` job therefore computes
+each of them once, and nothing outside the group keeps it alive.
+"""
+
+import gc
+import json
+import weakref
+
+import pytest
+
+from crystorb import cli, crystal, exactla, groupcore, hodge, quotient
+from crystorb.cli import parse_cryst_data
+from crystorb.corpus import load_corpus
+
+COUNTED = ((groupcore, "character_table"), (groupcore, "conjugacy_classes"),
+           (groupcore, "real_isotypic_dimensions"), (exactla, "solve_mod_lattice"))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = dict.fromkeys((name for _, name in COUNTED), 0)
+    for module, name in COUNTED:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _group(name):
+    return crystal.verify_crystallographic(parse_cryst_data(load_corpus(name)))
+
+
+def _expected(order):
+    return {"character_table": 1, "conjugacy_classes": 1,
+            "real_isotypic_dimensions": 1, "solve_mod_lattice": order - 1}
+
+
+def test_action_job_computes_each_invariant_once(calls, capsys, tmp_path):
+    path = tmp_path / "mixed_c2c2.json"
+    path.write_text(json.dumps(load_corpus("mixed_c2c2")))
+    assert cli.main(["action", "--input", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == _expected(4)
+
+
+def test_classification_and_descriptor_share_one_analysis(calls):
+    g = _group("c6_rank2")
+    quotient.classify_action(g)
+    quotient.orbifold_descriptor(g)
+    assert calls == _expected(g.order())
+
+
+def test_torsion_test_reads_the_fixed_sets(calls):
+    g = _group("s3_rank4")
+    crystal.is_torsion_free(g)
+    quotient.all_fixed_loci(g)
+    assert calls["solve_mod_lattice"] == g.order() - 1
+
+
+def test_group_is_freed_after_analysis():
+    g = _group("c3_rank2")
+    assert hodge.is_even(g).even
+    assert hodge.invariant_complex_structure(g).structure is not None
+    ref = weakref.ref(g.group)
+    del g
+    gc.collect()
+    assert ref() is None

@@ -1,0 +1,203 @@
+"""The one isotypic projector builder of `hodge` against the three it replaced.
+
+`hodge` used to build the projector P = (1/|G|) sum_g (sum_chi chi(1)
+conj chi(g)) L(g) three ways: per Galois orbit over Q
+(`rational_isotypic_projectors`, which returned P itself), per character over
+a cyclotomic field (`_isotypic_basis`) and per rational-valued character over
+Q (`_rational_isotypic_basis`).  Those builders are kept below as oracles and
+compared with `hodge.isotypic_basis` on every character of every corpus group
+and of two generated groups with irrational characters, c6wr_rank4 and
+c3wr_rank6.  The error split stays: a character that is not rational-valued
+raises ValueError over Q, and a Galois-orbit sum that is not rational raises
+ArithmeticError.
+"""
+
+import dataclasses
+import sys
+from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from crystorb import crystal, fieldlin, hodge
+from crystorb.cli import parse_cryst_data
+from crystorb.corpus import corpus_names, load_corpus
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import family  # noqa: E402
+
+GENERATED = ("c6wr_rank4", "c3wr_rank6")
+
+
+def _lookup(table):
+    return {m: ci for ci, c in enumerate(table.classes) for m in c.members}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the three builders the package used to carry
+
+def oracle_rational_isotypic_projectors(group, table):
+    e = table.field.order
+    chars = table.characters
+    orbits = []
+    seen = set()
+    for i, chi in enumerate(chars):
+        if i in seen:
+            continue
+        orbit = {i}
+        for a in range(1, e + 1):
+            if gcd(a, e) != 1:
+                continue
+            mapped = tuple(v.galois(a) for v in chi.values)
+            for j, other in enumerate(chars):
+                if other.values == mapped:
+                    orbit.add(j)
+        seen |= orbit
+        orbits.append(sorted(orbit))
+
+    n = group.order()
+    w = group.rank
+    class_lookup = _lookup(table)
+    out = []
+    for orbit in orbits:
+        proj = [[F(0)] * w for _ in range(w)]
+        nonzero = False
+        for g in range(n):
+            ci = class_lookup[group.inv(g)]
+            coeff = table.field(0)
+            for oi in orbit:
+                chi = chars[oi]
+                coeff = coeff + chi.degree * chi.values[ci]
+            if not coeff.is_rational():
+                raise ArithmeticError("Galois-orbit character sum is not rational")
+            c = coeff.rational_value() / n
+            if c == 0:
+                continue
+            nonzero = True
+            mat = group.elements[g]
+            for i in range(w):
+                for j in range(w):
+                    proj[i][j] += c * mat.at(i, j)
+        if nonzero and any(x != 0 for row in proj for x in row):
+            labels = tuple(chars[oi].label for oi in orbit)
+            out.append((labels, proj))
+    return out
+
+
+def oracle_isotypic_basis(crys, table, chi, field):
+    n = crys.group.order()
+    w = crys.rank
+    lookup = _lookup(table)
+    proj = [[field(0)] * w for _ in range(w)]
+    scale = F(chi.degree, n)
+    for g in range(n):
+        val = chi.values[lookup[g]].conjugate().lift(field.order) * scale
+        if val.is_zero():
+            continue
+        mat = crys.group.elements[g]
+        for i in range(w):
+            for j in range(w):
+                if mat.at(i, j):
+                    proj[i][j] = proj[i][j] + val * mat.at(i, j)
+    red, pivots = fieldlin.rref(proj)
+    return fieldlin.columns(proj, pivots)
+
+
+def oracle_rational_isotypic_basis(crys, table, chi):
+    n = crys.group.order()
+    w = crys.rank
+    lookup = _lookup(table)
+    proj = [[F(0)] * w for _ in range(w)]
+    for g in range(n):
+        val = chi.values[lookup[g]].conjugate()
+        if not val.is_rational():
+            raise ValueError("character is not rational-valued")
+        c = val.rational_value() * F(chi.degree, n)
+        if c == 0:
+            continue
+        mat = crys.group.elements[g]
+        for i in range(w):
+            for j in range(w):
+                proj[i][j] += c * mat.at(i, j)
+    red, pivots = fieldlin.rref(proj)
+    return fieldlin.columns(proj, pivots)
+
+
+# ---------------------------------------------------------------------------
+
+def _crystal(doc):
+    return crystal.normalize_action(parse_cryst_data(doc)).group
+
+
+def _groups():
+    docs = {name: load_corpus(name) for name in corpus_names()}
+    scaling = family.scaling_family()
+    docs.update({name: scaling[name][0] for name in GENERATED})
+    return docs
+
+
+@pytest.fixture(scope="module", params=sorted(_groups()))
+def analysed(request):
+    doc = _groups()[request.param]
+    crys = _crystal(doc)
+    return crys, hodge.point_group_table(crys)
+
+
+def test_every_character_over_the_sample_field(analysed):
+    crys, table = analysed
+    field = hodge._sample_field(table)
+    for chi in table.characters:
+        assert (hodge.isotypic_basis(crys.group, table, [chi], field)
+                == oracle_isotypic_basis(crys, table, chi, field)), chi.label
+
+
+def test_every_character_over_q(analysed):
+    crys, table = analysed
+    for chi in table.characters:
+        try:
+            want = oracle_rational_isotypic_basis(crys, table, chi)
+        except ValueError:
+            with pytest.raises(ValueError):
+                hodge.isotypic_basis(crys.group, table, [chi])
+            continue
+        assert hodge.isotypic_basis(crys.group, table, [chi]) == want, chi.label
+
+
+def test_every_galois_orbit(analysed):
+    crys, table = analysed
+    got = hodge.rational_isotypic_projectors(crys.group, table)
+    want = oracle_rational_isotypic_projectors(crys.group, table)
+    assert [labels for labels, _ in got] == [labels for labels, _ in want]
+    for (_, basis), (_, proj) in zip(got, want):
+        assert basis == fieldlin.columns(proj, fieldlin.rref(proj)[1])
+
+
+def test_the_generated_groups_have_irrational_characters():
+    for name in GENERATED:
+        crys = _crystal(_groups()[name])
+        table = hodge.point_group_table(crys)
+        assert any(not v.is_rational() for chi in table.characters for v in chi.values)
+
+
+def test_irrational_character_over_q_is_a_value_error():
+    crys = _crystal(load_corpus("c3_rank2"))
+    table = hodge.point_group_table(crys)
+    chi = next(c for c in table.characters if not all(v.is_rational() for v in c.values))
+    with pytest.raises(ValueError):
+        oracle_rational_isotypic_basis(crys, table, chi)
+    with pytest.raises(ValueError):
+        hodge.isotypic_basis(crys.group, table, [chi])
+
+
+def test_partial_galois_orbit_is_an_arithmetic_error():
+    # a table holding one of two Galois-conjugate characters: its orbit sum
+    # is not rational, which only an internal fault can produce
+    crys = _crystal(load_corpus("c3_rank2"))
+    table = hodge.point_group_table(crys)
+    chi = next(c for c in table.characters if not all(v.is_rational() for v in c.values))
+    partial = dataclasses.replace(table, characters=(chi,))
+    with pytest.raises(ArithmeticError):
+        oracle_rational_isotypic_projectors(crys.group, partial)
+    with pytest.raises(ArithmeticError):
+        hodge.rational_isotypic_projectors(crys.group, partial)
