@@ -48,6 +48,8 @@ class JobSpec:
     def build(command, document, output_format, seed=None, bound=None,
               precision=None):
         _check_document(document)
+        if bound is not None and bound < 1:
+            _fail("--bound", "must be at least 1")
         options = document.get("options", {})
         default_bound = 10000 if command == "platonic" else DEFAULT_ORDER_BOUND
         return JobSpec(
@@ -109,6 +111,8 @@ def _check_document(doc, path="input"):
             _fail(f"{path}.options.{key}", "unknown option")
         if not _is_int(options[key]):
             _fail(f"{path}.options.{key}", "must be an integer")
+    if options.get("bound", 1) < 1:
+        _fail(f"{path}.options.bound", "must be at least 1")
 
 
 def parse_cryst_data(doc, path="input") -> CrystData:
@@ -401,7 +405,7 @@ def cmd_teich(doc, opts):
             B = hodge.sample_subspace(group, t, seed=opts["seed"])
             entry["tangent_dimension"] = hodge.tangent_dimension(group, B)
             entry["tangent_agrees"] = entry["tangent_dimension"] == entry["dimension"]
-        except ValueError:
+        except hodge.UnsupportedSample:
             entry["tangent_dimension"] = None
             entry["tangent_agrees"] = None
         rows.append(entry)

@@ -5,7 +5,10 @@ of the torus parameter space.
 
 Existence questions are decided exactly (evenness of isotypic data); the
 numeric path only ever constructs a certificate for an answer that is
-already known, and reports max-norm residuals at 128-bit precision.
+already known, and reports max-norm residuals at 128-bit precision.  One
+search, `_rational_j`, finds every rational J, with invariance checked on the
+generators; one builder, `_matrix_equation`, writes every linear matrix
+equation.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ DEFAULT_PRECISION = 128
 class NumericalFailure(Exception):
     """The certified-residual construction failed after all retries.  This
     signals an implementation problem: existence was already decided."""
+
+
+class UnsupportedSample(Exception):
+    """A Hodge type whose sample point `sample_subspace` does not construct."""
 
 
 class DegenerateOmega(Exception):
@@ -93,34 +100,60 @@ def _frac_rows(mat: IntMatrix):
     return [[F(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
-def _mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def _is_minus_identity(A):
     w = len(A)
     return all(A[i][j] == (F(-1) if i == j else 0) for i in range(w) for j in range(w))
 
 
 def _commutes_with_all(J, mats):
-    return all(_mat_eq(fieldlin.mat_mul(J, m), fieldlin.mat_mul(m, J)) for m in mats)
+    return all(fieldlin.mat_mul(J, m) == fieldlin.mat_mul(m, J) for m in mats)
 
 
-def _standard_pairings(w):
-    n = w // 2
-    block = [[F(0)] * w for _ in range(w)]
-    for i in range(n):
-        block[i][n + i] = F(-1)
-        block[n + i][i] = F(1)
-    inter = [[F(0)] * w for _ in range(w)]
-    for i in range(0, w, 2):
-        inter[i][i + 1] = F(-1)
-        inter[i + 1][i] = F(1)
-    return [block, inter]
+def _identity(w, one=F(1)):
+    zero = one - one
+    return [[one if i == j else zero for j in range(w)] for i in range(w)]
 
 
-def _invariant_skew_basis(mats, w):
-    """Rational basis of {A skew : m^T A m = A for all m}."""
+def _neg(M):
+    return [[-x for x in row] for row in M]
+
+
+def _block_action(crys: CrystGroup, basis, indices):
+    """The matrices of the elements `indices` on the span of the columns of
+    `basis`, in those coordinates; ArithmeticError if it is not invariant."""
+    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(_frac_rows(crys.linear(g)), basis))
+            for g in indices]
+
+
+def _matrix_equation(terms):
+    """The linear equations sum over (P, Q) in `terms` of P X Q = 0 in the
+    row-major entries of X: row (i, j), column (a, b) holds the sum of
+    P[i][a] Q[b][j].  Exact over any field."""
+    P0, Q0 = terms[0]
+    inner = len(Q0)
+    zero = P0[0][0] - P0[0][0]
+    rows = []
+    for i in range(len(P0)):
+        for j in range(len(Q0[0])):
+            row = [zero] * (len(P0[0]) * inner)
+            for P, Q in terms:
+                for a, x in enumerate(P[i]):
+                    if x != 0:
+                        for b in range(inner):
+                            if Q[b][j] != 0:
+                                row[a * inner + b] += x * Q[b][j]
+            rows.append(row)
+    return rows
+
+
+def _kernel_matrices(rows, w):
+    """The primitive integer kernel basis of `kernel_q`, as w x w matrices."""
+    return [[list(v[i * w:(i + 1) * w]) for i in range(w)]
+            for v in kernel_q(RatMatrix.from_rows(rows))]
+
+
+def _invariant_skew_basis(gens, w):
+    """Rational basis of {A skew : m^T A m = A for every generator m}."""
     rows = []
     for i in range(w):
         for j in range(i, w):
@@ -128,21 +161,47 @@ def _invariant_skew_basis(mats, w):
             row[i * w + j] += 1
             row[j * w + i] += 1
             rows.append(row)
+    for m in gens:
+        rows += _matrix_equation([([list(c) for c in zip(*m)], m),
+                                  (_neg(_identity(w)), _identity(w))])
+    return _kernel_matrices(rows, w)
+
+
+def _commutant_basis(acts, w):
+    """Rational basis of matrices commuting with every action matrix."""
+    rows = []
+    for m in acts:
+        rows += _matrix_equation([(_identity(w), m), (_neg(m), _identity(w))])
+    return _kernel_matrices(rows, w)
+
+
+def _sum_gram(mats, w):
+    S = [[F(0)] * w for _ in range(w)]
     for m in mats:
         for i in range(w):
             for j in range(w):
-                row = [F(0)] * (w * w)
-                for a in range(w):
-                    for b in range(w):
-                        row[a * w + b] += m[a][i] * m[b][j]
-                row[i * w + j] -= 1
-                rows.append(row)
-    basis = kernel_q(RatMatrix.from_rows(rows))
-    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
+                S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
+    return S
 
 
-def _scaled_root(X, w):
-    """J = X / sqrt(c) when X^2 = -c I with c a square rational; else None."""
+def _standard_pairings(w):
+    """Two fixed pairings of coordinates; both square to -I iff w is even."""
+    n = w // 2
+    block = [[F(0)] * w for _ in range(w)]
+    for i in range(n):
+        block[i][n + i] = F(-1)
+        block[n + i][i] = F(1)
+    inter = [[F(0)] * w for _ in range(w)]
+    for i in range(0, w - 1, 2):
+        inter[i][i + 1] = F(-1)
+        inter[i + 1][i] = F(1)
+    return [block, inter]
+
+
+def _scaled_root(X):
+    """J = X / sqrt(c) when X^2 = -c I with c a square rational, c > 0;
+    else None.  c > 0 makes X invertible."""
+    w = len(X)
     X2 = fieldlin.mat_mul(X, X)
     c = -X2[0][0]
     if c <= 0:
@@ -175,47 +234,29 @@ def _candidates(basis, w, seed, attempts, spread):
     return out
 
 
-def _exact_j_for_action(mats, seed, attempts=8):
-    """A rational J with J^2 = -I commuting with every matrix, or None.
-
-    Tries fixed pairing patterns, the matrices themselves, and exact
-    skew-form quotients S^{-1}A rescaled when their square is a negative
-    square scalar.  Deterministic given the seed."""
-    w = len(mats[0])
-    if w % 2 != 0:
-        return None
-
-    def ok(J):
-        return (_is_minus_identity(fieldlin.mat_mul(J, J))
-                and _commutes_with_all(J, mats))
-
-    for cand in _standard_pairings(w):
-        if ok(cand):
-            return cand
-    for m in mats:
-        if _is_minus_identity(fieldlin.mat_mul(m, m)) and _commutes_with_all(m, mats):
-            return [list(r) for r in m]
-
-    S = _sum_gram(mats, w)
-    Sinv = fieldlin.inverse(S)
-    skew = _invariant_skew_basis(mats, w)
-    for A in _candidates(skew, w, seed, attempts, 4):
-        if fieldlin.det(A) == 0:
-            continue
-        X = fieldlin.mat_mul(Sinv, A)
-        J = _scaled_root(X, w)
-        if J is not None and ok(J):
+def _rational_j(candidates, gens):
+    """The first X / sqrt(c) over the candidates X with X^2 = -c I, c a
+    rational square, that commutes with every generator matrix; or None."""
+    for X in candidates:
+        J = _scaled_root(X)
+        if J is not None and _commutes_with_all(J, gens):
             return J
     return None
 
 
-def _sum_gram(mats, w):
-    S = [[F(0)] * w for _ in range(w)]
-    for m in mats:
-        for i in range(w):
-            for j in range(w):
-                S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
-    return S
+def _action_j(mats, gens, seed):
+    """(J, forms): the search over the pairing patterns, the action matrices
+    `mats`, then skew quotients S^-1 A, with S the Gram sum over `mats`;
+    forms = (S, S^-1, skew basis), None when they were not needed."""
+    w = len(mats[0])
+    J = _rational_j(itertools.chain(_standard_pairings(w), mats), gens)
+    if J is not None:
+        return J, None
+    S = _sum_gram(mats, w)
+    Sinv = fieldlin.inverse(S)
+    skew = _invariant_skew_basis(gens, w)
+    quotients = (fieldlin.mat_mul(Sinv, A) for A in _candidates(skew, w, seed, 8, 4))
+    return _rational_j(quotients, gens), (S, Sinv, skew)
 
 
 def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None):
@@ -278,16 +319,15 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
 
 
 def _blockwise_exact_j(crys, seed):
-    table = point_group_table(crys)
+    """J = T diag(J_1, ..., J_k) T^-1 from one rational J_i per rational
+    isotypic block, T the columns of the blocks; None when a block has none."""
     w = crys.rank
     bases = []
     sub_js = []
-    for _, basis in rational_isotypic_projectors(crys.group, table):
-        acts = []
-        for gi in range(crys.group.order()):
-            lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), basis)
-            acts.append(fieldlin.solve_columns(basis, lb))
-        J_block = _exact_j_for_action(acts, seed)
+    for _, basis in rational_isotypic_projectors(crys.group, point_group_table(crys)):
+        acts = _block_action(crys, basis, range(crys.order()))
+        block_gens = [acts[s] for s in crys.group.generators]
+        J_block, _ = _action_j(acts, block_gens, seed)
         if J_block is None:
             return None
         bases.append(basis)
@@ -314,35 +354,35 @@ def invariant_complex_structure(crys: CrystGroup, seed=0,
                                 retries=8) -> JSearchResult:
     """Construct a complex structure commuting with the point group.
 
-    Existence is decided by is_even alone.  When the group is even the
-    function first searches for an exact rational J (pairing patterns, group
-    elements, scaled skew quotients, then blockwise over the rational
-    isotypic decomposition); failing that it builds a certified approximate
-    J from a random invariant skew form at the requested precision."""
+    Existence is decided by is_even alone.  For an even group one search
+    takes the first X with X^2 = -c I, c a rational square, whose X / sqrt(c)
+    commutes with every generator: pairing patterns, group elements, then
+    skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form);
+    then the same search on each rational isotypic block; then a certified
+    approximate J, whose commutator residual is a maximum over all of G."""
     ev = is_even(crys)
     if not ev.even:
         return JSearchResult(None, ev)
     mats = [_frac_rows(m) for m in crys.group.elements]
-    w = crys.rank
+    gens = [mats[s] for s in crys.group.generators]
 
-    J = _exact_j_for_action(mats, seed)
+    J, forms = _action_j(mats, gens, seed)
     if J is None:
         J = _blockwise_exact_j(crys, seed)
     if J is not None:
         _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "exact J does not square to -I")
-        _require(_commutes_with_all(J, mats), "exact J does not commute with the action")
+        _require(_commutes_with_all(J, gens), "exact J does not commute with the action")
         structure = ComplexStructure(
             "exact", tuple(tuple(r) for r in J), precision, F(0), F(0))
         return JSearchResult(structure, ev)
 
-    structure = _approximate_j(mats, w, seed, precision, retries)
+    structure = _approximate_j(mats, forms, seed, precision, retries)
     return JSearchResult(structure, ev)
 
 
-def _approximate_j(mats, w, seed, precision, retries):
-    S = _sum_gram(mats, w)
-    Sinv = fieldlin.inverse(S)
-    skew = _invariant_skew_basis(mats, w)
+def _approximate_j(mats, forms, seed, precision, retries):
+    S, Sinv, skew = forms
+    w = len(S)
     if not skew:
         raise NumericalFailure("no invariant skew forms; evenness bookkeeping broken")
     rng = random.Random(seed)
@@ -646,48 +686,20 @@ def _conj_cols(cols):
     return [[z.conjugate() for z in row] for row in cols]
 
 
-def _commutant_basis(acts, w):
-    """Rational basis of matrices commuting with every action matrix."""
-    rows = []
-    for m in acts:
-        for i in range(w):
-            for j in range(w):
-                row = [F(0)] * (w * w)
-                for a in range(w):
-                    for b in range(w):
-                        coeff = F(0)
-                        if a == i:
-                            coeff += m[b][j]
-                        if b == j:
-                            coeff -= m[i][a]
-                        if coeff:
-                            row[a * w + b] += coeff
-                rows.append(row)
-    basis = kernel_q(RatMatrix.from_rows(rows))
-    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
-
-
-def _sqrt_minus_one_in_commutant(acts, w, seed, attempts=8):
-    """X with X^2 = -I commuting with the given action matrices, rational."""
-    for cand in _standard_pairings(w):
-        if _commutes_with_all(cand, acts) and \
-                _is_minus_identity(fieldlin.mat_mul(cand, cand)):
-            return cand
-    for X in _candidates(_commutant_basis(acts, w), w, seed, attempts, 3):
-        J = _scaled_root(X, w)
-        if J is not None:
-            return J
-    return None
+def _commutant_candidates(acts, w, seed):
+    """The pairing patterns, then seeded combinations of the commutant."""
+    yield from _standard_pairings(w)
+    yield from _candidates(_commutant_basis(acts, w), w, seed, 8, 3)
 
 
 def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     """An explicit invariant subspace of the given Hodge type.
 
     Returns a 2n x n matrix over a cyclotomic field (list of rows); columns
-    span V with V + conj V = C^2n.  Raises ValueError for split patterns the
-    sampler does not construct (intermediate splits of higher-degree
-    complex-type pairs)."""
+    span V with V + conj V = C^2n.  Raises UnsupportedSample for the types
+    the sampler does not construct."""
     table = point_group_table(crys)
+    gens = crys.group.generators
     field = _sample_field(table)
     i_unit = field.zeta(field.order // 4)
     chars = {c.label: c for c in table.characters}
@@ -696,14 +708,12 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
 
     for s in t.splits:
         if s.fs_type == "complex":
-            chi_a = chars[s.labels[0]]
-            chi_b = chars[s.labels[1]]
-            WA = isotypic_basis(crys.group, table, [chi_a], field)
-            WB = isotypic_basis(crys.group, table, [chi_b], field)
             m, d, a = s.multiplicity, s.degree, s.a
             if d > 1 and a not in (0, m):
-                raise ValueError(
+                raise UnsupportedSample(
                     "sampling of intermediate splits needs degree-1 constituents")
+            WA = isotypic_basis(crys.group, table, [chars[s.labels[0]]], field)
+            WB = isotypic_basis(crys.group, table, [chars[s.labels[1]]], field)
             VA = fieldlin.columns(WA, range(a * d))
             conjVA = _conj_cols(VA)
             target = m * d
@@ -722,15 +732,15 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
                 cols.append(chosen)
         else:
             chi = chars[s.labels[0]]
+            if not all(v.is_rational() for v in chi.values):
+                raise UnsupportedSample(
+                    "sampling of real or quaternionic classes needs rational characters")
             R = isotypic_basis(crys.group, table, [chi])
             width = len(R[0])
-            acts = []
-            for gi in set(crys.group.generators) | {0}:
-                lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), R)
-                acts.append(fieldlin.solve_columns(R, lb))
-            X = _sqrt_minus_one_in_commutant(acts, width, seed)
+            acts = _block_action(crys, R, gens)
+            X = _rational_j(_commutant_candidates(acts, width, seed), acts)
             if X is None:
-                raise ValueError("no rational multiplicity-space pairing found")
+                raise UnsupportedSample("no rational multiplicity-space pairing found")
             shifted = [[field(X[i][j]) - (i_unit if i == j else field(0))
                         for j in range(width)] for i in range(width)]
             ys = fieldlin.nullspace(shifted)
@@ -743,9 +753,7 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     _require(len(B[0]) == crys.n, "sampled subspace does not have dimension n")
     _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w,
              "sampled subspace meets its conjugate")
-    for gi in set(crys.group.generators):
-        lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), B)
-        fieldlin.solve_columns(B, lb)   # raises if not invariant
+    _block_action(crys, B, gens)   # raises if not invariant
     return B
 
 
@@ -759,27 +767,13 @@ def tangent_dimension(crys: CrystGroup, B) -> int:
     C = _conj_cols(B)
     M = fieldlin.hstack(B, C)
     Minv = fieldlin.inverse(M)
-    gens = set(crys.group.generators) or {0}
+    identity = _identity(n, B[0][0].field(1))
     rows = []
-    zero = B[0][0] - B[0][0]
-    for gi in gens:
-        L = [[B[0][0] - B[0][0] + crys.linear(gi).at(i, j)
-              for j in range(2 * n)] for i in range(2 * n)]
-        rho = fieldlin.solve_columns(B, fieldlin.mat_mul(L, B))
-        LC = fieldlin.mat_mul(L, C)
-        coords = fieldlin.mat_mul(Minv, LC)
-        Q = coords[n:]
+    gens = crys.group.generators or (0,)
+    for gi, rho in zip(gens, _block_action(crys, B, gens)):
+        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(_frac_rows(crys.linear(gi)), C))[n:]
         # unknown Psi (n x n): Psi rho - Q Psi = 0
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for b in range(n):
-                    row[i * n + b] = row[i * n + b] + rho[b][j]
-                for a in range(n):
-                    row[a * n + j] = row[a * n + j] - Q[i][a]
-                rows.append(row)
-    if not rows:
-        return n * n
+        rows += _matrix_equation([(identity, rho), (_neg(Q), identity)])
     return len(fieldlin.nullspace(rows))
 
 

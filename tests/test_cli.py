@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crystorb import cli
+from crystorb import cli, hodge
 from crystorb.corpus import corpus_names, load_corpus
 
 
@@ -226,3 +226,52 @@ class TestBooleansRejected:
         assert out == ""
         assert f"{where}:" in err
         assert "integer" in err or "indices" in err
+
+
+class TestBoundRange:
+    @pytest.mark.parametrize("flags, options, where", [
+        (["--bound", "-5"], {}, "--bound"),
+        (["--bound", "0"], {}, "--bound"),
+        ([], {"bound": -5}, "input.options.bound"),
+        ([], {"bound": 0}, "input.options.bound"),
+    ])
+    def test_bound_below_one_rejected(self, capsys, tmp_path, flags, options, where):
+        path = write_doc(tmp_path, {**load_corpus("c3_rank2"), "options": options})
+        code, out, err = run(capsys, "verify", "--input", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert f"{where}: must be at least 1" in err
+
+    def test_bound_one_accepted(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"rank": 2, "generators": [], "options": {"bound": 1}})
+        code, _, _ = run(capsys, "verify", "--input", path, "--bound", "1")
+        assert code == 0
+
+
+class TestSamplerFailures:
+    """`teich` reports the types the sampler does not construct as
+    tangent_agrees: null, and stops on any other error inside the sampler."""
+
+    @staticmethod
+    def _raising(exc):
+        def sampler_step(*args, **kwargs):
+            raise exc
+        return sampler_step
+
+    def test_unsupported_type_reported_as_null(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(hodge, "isotypic_basis",
+                            self._raising(hodge.UnsupportedSample("synthetic")))
+        path = corpus_path(tmp_path, "c3_rank2")
+        code, out, _ = run(capsys, "teich", "--input", path, "--format", "json")
+        assert code == 0
+        types = json.loads(out)["result"]["types"]
+        assert types and all(t["tangent_agrees"] is None for t in types)
+
+    def test_value_error_in_sampler_stops_the_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(hodge, "isotypic_basis",
+                            self._raising(ValueError("synthetic fault")))
+        path = corpus_path(tmp_path, "c3_rank2")
+        code, out, err = run(capsys, "teich", "--input", path, "--format", "json")
+        assert code != 0
+        assert out == ""
+        assert "synthetic fault" in err

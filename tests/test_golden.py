@@ -2,14 +2,17 @@
 
 tests/golden/<entry>.<command>.json holds the canonical JSON report of a
 successful run, <entry>.<command>.err the error message of a failed one, and
-exit_codes.json the exit code of every run.  After an intended change of
-output, rewrite them with
+exit_codes.json the exit code of every run.  One more pass runs every case
+in a `python -O` child, so the output cannot depend on an assert statement.
+After an intended change of output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -56,6 +59,38 @@ def test_output_matches_golden(case):
     expected = exit_codes()[case]
     assert code == expected
     assert (out if code == 0 else err) == golden_path(case, code).read_text()
+
+
+OPTIMIZED_PASS = """
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import test_golden
+
+mismatched = []
+codes = test_golden.exit_codes()
+for case, expected in sorted(codes.items()):
+    code, out, err = test_golden.run_cli(*case.rsplit(".", 1))
+    text = out if code == 0 else err
+    golden = test_golden.golden_path(case, code)
+    if code != expected or not golden.exists() or text != golden.read_text():
+        mismatched.append(case)
+print(json.dumps({"optimize": sys.flags.optimize, "cases": len(codes),
+                  "mismatched": mismatched}))
+"""
+
+
+def test_golden_matches_under_optimize():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PASS, str(Path(__file__).resolve().parent)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "optimize": 1, "cases": len(exit_codes()), "mismatched": []}
 
 
 def regenerate():

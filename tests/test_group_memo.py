@@ -3,18 +3,24 @@
 The conjugacy classes, the character table and the isotypic report live on
 the MatrixGroup, and the fixed sets of the affine elements on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
-each of them once, and nothing outside the group keeps it alive.
+each of them once, and nothing outside the group keeps it alive.  One J
+search likewise builds each action's skew-form system and Gram sum once.
 """
 
 import gc
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 from crystorb import cli, crystal, exactla, groupcore, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import family  # noqa: E402
 
 COUNTED = ((groupcore, "character_table"), (groupcore, "conjugacy_classes"),
            (groupcore, "real_isotypic_dimensions"), (exactla, "solve_mod_lattice"))
@@ -73,3 +79,43 @@ def test_group_is_freed_after_analysis():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_j_search_builds_each_skew_system_once(monkeypatch):
+    # c6wr_rank4: |G| = 72, |S| = 2, w = 4, and no rational J, so the top-level
+    # search, the one rational block and the approximate path all run.  The
+    # top level and the approximate path share one skew system and one Gram sum.
+    doc = family.scaling_family()["c6wr_rank4"][0]
+    g = crystal.normalize_action(parse_cryst_data(doc)).group
+    where = ["top"]
+    systems, grams = [], []
+    blockwise, kernel, gram = hodge._blockwise_exact_j, hodge.kernel_q, hodge._sum_gram
+
+    def in_blocks(*args):
+        where[0] = "block"
+        try:
+            return blockwise(*args)
+        finally:
+            where[0] = "top"
+
+    def counted_kernel(A):
+        systems.append((where[0], A.rows, A.cols))
+        return kernel(A)
+
+    def counted_gram(mats, w):
+        grams.append((where[0], len(mats)))
+        return gram(mats, w)
+
+    monkeypatch.setattr(hodge, "_blockwise_exact_j", in_blocks)
+    monkeypatch.setattr(hodge, "kernel_q", counted_kernel)
+    monkeypatch.setattr(hodge, "_sum_gram", counted_gram)
+    assert hodge.invariant_complex_structure(g).structure.mode == "approximate"
+
+    w, gens = g.rank, len(g.group.generators)
+    blocks = hodge.rational_isotypic_projectors(g.group, g.group.table)
+    assert (w, gens, g.order(), len(blocks)) == (4, 2, 72, 1)
+    bound = w * (w + 1) // 2 + gens * w * w
+    assert bound == 42
+    assert [(rows, cols) for at, rows, cols in systems if at == "top"] == [(42, 16)]
+    assert all(rows <= bound for _, rows, _ in systems)
+    assert grams == [("top", 72)] + [("block", 72)] * len(blocks)

@@ -294,6 +294,38 @@ class TestSamplesAndTangent:
         assert outcomes == {("quasi_free", "quasi_free", (((2, 2), 16),))}
 
 
+def _lattice_matrix(images, r):
+    """The matrix on Z[zeta_(r+1)] = Z^r, basis 1, zeta, ..., zeta^(r-1),
+    sending zeta^k to zeta^images[k], where zeta^r = -(1 + ... + zeta^(r-1))."""
+    cols = [[-1] * r if k == r else [int(i == k) for i in range(r)] for k in images]
+    return [[cols[j][i] for j in range(r)] for i in range(r)]
+
+
+# D5 and C7 : C3 on two copies of the cyclotomic lattices Z[zeta_5] and Z[zeta_7]
+D5_DOUBLE = crys(8, blowup(_lattice_matrix([1, 2, 3, 4], 4)),
+                 blowup(_lattice_matrix([0, 4, 3, 2], 4)))
+C7C3_DOUBLE = crys(12, blowup(_lattice_matrix([1, 2, 3, 4, 5, 6], 6)),
+                   blowup(_lattice_matrix([0, 2, 4, 6, 1, 3], 6)))
+
+
+class TestUnsupportedSamples:
+    """The types sample_subspace does not construct raise UnsupportedSample,
+    which `teich` reports as tangent_agrees: null."""
+
+    def test_real_class_with_irrational_character(self):
+        # the two real characters of degree 2 take the values (-1 +- sqrt 5)/2
+        ts = hodge.hodge_types(D5_DOUBLE)
+        assert [s.fs_type for t in ts for s in t.splits] == ["real", "real"]
+        with pytest.raises(hodge.UnsupportedSample, match="rational characters"):
+            hodge.sample_subspace(D5_DOUBLE, ts[0])
+
+    def test_intermediate_split_of_degree_three_pair(self):
+        (middle,) = [t for t in hodge.hodge_types(C7C3_DOUBLE) if t.splits[0].a == 1]
+        assert middle.splits[0].degree == 3
+        with pytest.raises(hodge.UnsupportedSample, match="intermediate splits"):
+            hodge.sample_subspace(C7C3_DOUBLE, middle)
+
+
 MISCOUNTED_TYPE = """
 import sys
 from crystorb import hodge

@@ -1,0 +1,306 @@
+"""The one J search and the one matrix-equation builder of `hodge` against
+the code they replaced.
+
+`hodge` used to search for a rational complex structure J twice: once for
+the lattice action and its rational isotypic blocks (`_exact_j_for_action`)
+and once in the sampler's multiplicity spaces
+(`_sqrt_minus_one_in_commutant`).  Both tested invariance against every
+element of G, and three loop nests wrote the matrix equations: the invariant
+skew forms (m^T A m = A), the commutant (X m = m X) and the tangent equations
+(Psi rho = Q Psi).  Those routines are kept below as oracles.  On every corpus
+group and on four generated groups, the new code, which checks invariance on
+the generators only, must give the same skew and commutant bases, the same J
+at the top level and on every block, the same sampler pairing and the same
+tangent dimension.
+"""
+
+import random
+import sys
+from fractions import Fraction as F
+from math import isqrt
+from pathlib import Path
+
+import pytest
+
+from crystorb import crystal, fieldlin, hodge
+from crystorb.cli import parse_cryst_data
+from crystorb.corpus import corpus_names, load_corpus
+from crystorb.exactla import RatMatrix, kernel_q
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import family  # noqa: E402
+
+GENERATED = ("c6wr_rank4", "c3wr_rank6", "b3diag_rank6", "s4double_rank8")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the search and the equation loops the package used to carry
+
+def _frac_rows(mat):
+    return [[F(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def _is_minus_identity(A):
+    w = len(A)
+    return all(A[i][j] == (F(-1) if i == j else 0) for i in range(w) for j in range(w))
+
+
+def _commutes_with_all(J, mats):
+    return all(fieldlin.mat_mul(J, m) == fieldlin.mat_mul(m, J) for m in mats)
+
+
+def _standard_pairings(w):
+    n = w // 2
+    block = [[F(0)] * w for _ in range(w)]
+    for i in range(n):
+        block[i][n + i] = F(-1)
+        block[n + i][i] = F(1)
+    inter = [[F(0)] * w for _ in range(w)]
+    for i in range(0, w, 2):
+        inter[i][i + 1] = F(-1)
+        inter[i + 1][i] = F(1)
+    return [block, inter]
+
+
+def oracle_invariant_skew_basis(mats, w):
+    rows = []
+    for i in range(w):
+        for j in range(i, w):
+            row = [F(0)] * (w * w)
+            row[i * w + j] += 1
+            row[j * w + i] += 1
+            rows.append(row)
+    for m in mats:
+        for i in range(w):
+            for j in range(w):
+                row = [F(0)] * (w * w)
+                for a in range(w):
+                    for b in range(w):
+                        row[a * w + b] += m[a][i] * m[b][j]
+                row[i * w + j] -= 1
+                rows.append(row)
+    basis = kernel_q(RatMatrix.from_rows(rows))
+    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
+
+
+def _scaled_root(X, w):
+    X2 = fieldlin.mat_mul(X, X)
+    c = -X2[0][0]
+    if c <= 0:
+        return None
+    for i in range(w):
+        for j in range(w):
+            if X2[i][j] != (-c if i == j else 0):
+                return None
+    num, den = c.numerator, c.denominator
+    sn, sd = isqrt(num), isqrt(den)
+    if sn * sn != num or sd * sd != den:
+        return None
+    s = F(sn, sd)
+    return [[x / s for x in row] for row in X]
+
+
+def _candidates(basis, w, seed, attempts, spread):
+    out = list(basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            out.append([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
+            out.append([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        coeffs = [F(rng.randint(-spread, spread)) for _ in basis]
+        out.append([[sum((c * b[i][j] for c, b in zip(coeffs, basis)), F(0))
+                     for j in range(w)] for i in range(w)])
+    return out
+
+
+def _sum_gram(mats, w):
+    S = [[F(0)] * w for _ in range(w)]
+    for m in mats:
+        for i in range(w):
+            for j in range(w):
+                S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
+    return S
+
+
+def oracle_exact_j_for_action(mats, seed, attempts=8, skew=None):
+    """`skew`, when given, is oracle_invariant_skew_basis(mats, w)."""
+    w = len(mats[0])
+    if w % 2 != 0:
+        return None
+
+    def ok(J):
+        return (_is_minus_identity(fieldlin.mat_mul(J, J))
+                and _commutes_with_all(J, mats))
+
+    for cand in _standard_pairings(w):
+        if ok(cand):
+            return cand
+    for m in mats:
+        if _is_minus_identity(fieldlin.mat_mul(m, m)) and _commutes_with_all(m, mats):
+            return [list(r) for r in m]
+
+    S = _sum_gram(mats, w)
+    Sinv = fieldlin.inverse(S)
+    if skew is None:
+        skew = oracle_invariant_skew_basis(mats, w)
+    for A in _candidates(skew, w, seed, attempts, 4):
+        if fieldlin.det(A) == 0:
+            continue
+        X = fieldlin.mat_mul(Sinv, A)
+        J = _scaled_root(X, w)
+        if J is not None and ok(J):
+            return J
+    return None
+
+
+def oracle_commutant_basis(acts, w):
+    rows = []
+    for m in acts:
+        for i in range(w):
+            for j in range(w):
+                row = [F(0)] * (w * w)
+                for a in range(w):
+                    for b in range(w):
+                        coeff = F(0)
+                        if a == i:
+                            coeff += m[b][j]
+                        if b == j:
+                            coeff -= m[i][a]
+                        if coeff:
+                            row[a * w + b] += coeff
+                rows.append(row)
+    basis = kernel_q(RatMatrix.from_rows(rows))
+    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
+
+
+def oracle_sqrt_minus_one_in_commutant(acts, w, seed, attempts=8):
+    for cand in _standard_pairings(w):
+        if _commutes_with_all(cand, acts) and \
+                _is_minus_identity(fieldlin.mat_mul(cand, cand)):
+            return cand
+    for X in _candidates(oracle_commutant_basis(acts, w), w, seed, attempts, 3):
+        J = _scaled_root(X, w)
+        if J is not None:
+            return J
+    return None
+
+
+def oracle_block_action(crys, basis, indices):
+    acts = []
+    for gi in indices:
+        lb = fieldlin.mat_mul(_frac_rows(crys.linear(gi)), basis)
+        acts.append(fieldlin.solve_columns(basis, lb))
+    return acts
+
+
+def oracle_tangent_dimension(crys, B):
+    n = crys.n
+    C = [[z.conjugate() for z in row] for row in B]
+    M = fieldlin.hstack(B, C)
+    Minv = fieldlin.inverse(M)
+    gens = set(crys.group.generators) or {0}
+    rows = []
+    zero = B[0][0] - B[0][0]
+    for gi in gens:
+        L = [[B[0][0] - B[0][0] + crys.linear(gi).at(i, j)
+              for j in range(2 * n)] for i in range(2 * n)]
+        rho = fieldlin.solve_columns(B, fieldlin.mat_mul(L, B))
+        LC = fieldlin.mat_mul(L, C)
+        coords = fieldlin.mat_mul(Minv, LC)
+        Q = coords[n:]
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                for b in range(n):
+                    row[i * n + b] = row[i * n + b] + rho[b][j]
+                for a in range(n):
+                    row[a * n + j] = row[a * n + j] - Q[i][a]
+                rows.append(row)
+    return len(fieldlin.nullspace(rows))
+
+
+# ---------------------------------------------------------------------------
+
+def _groups():
+    docs = {name: load_corpus(name) for name in corpus_names()}
+    scaling = family.scaling_family()
+    docs.update({name: scaling[name][0] for name in GENERATED})
+    return docs
+
+
+@pytest.fixture(scope="module", params=sorted(_groups()))
+def analysed(request):
+    crys = crystal.normalize_action(parse_cryst_data(_groups()[request.param])).group
+    mats = [_frac_rows(m) for m in crys.group.elements]
+    gens = [mats[s] for s in crys.group.generators or (0,)]
+    return crys, mats, gens
+
+
+def _blocks(crys):
+    """(all block matrices, generator block matrices) per rational block."""
+    gens = crys.group.generators or (0,)
+    out = []
+    for _, basis in hodge.rational_isotypic_projectors(crys.group, crys.group.table):
+        acts = hodge._block_action(crys, basis, range(crys.order()))
+        assert acts == oracle_block_action(crys, basis, range(crys.order()))
+        out.append((acts, [acts[s] for s in gens]))
+    return out
+
+
+def test_skew_basis_and_top_level_j(analysed):
+    crys, mats, gens = analysed
+    skew = oracle_invariant_skew_basis(mats, crys.rank)
+    assert hodge._invariant_skew_basis(gens, crys.rank) == skew
+    if hodge.is_even(crys).even:
+        assert hodge._action_j(mats, gens, 0)[0] == \
+            oracle_exact_j_for_action(mats, 0, skew=skew)
+
+
+def test_block_j_and_commutant(analysed):
+    crys, mats, _ = analysed
+    if not hodge.is_even(crys).even:
+        pytest.skip("no J to search for")
+    for acts, gen_acts in _blocks(crys):
+        k = len(acts[0])
+        assert hodge._commutant_basis(gen_acts, k) == oracle_commutant_basis(acts, k)
+        if acts != mats:   # a block on the lattice basis is the top-level search
+            assert hodge._action_j(acts, gen_acts, 0)[0] == \
+                oracle_exact_j_for_action(acts, 0)
+
+
+def test_sampler_pairing_and_tangent(analysed, monkeypatch):
+    crys, _, _ = analysed
+    if not hodge.is_even(crys).even:
+        pytest.skip("no Hodge types")
+    pairings = []
+    search = hodge._rational_j
+
+    def recorded(candidates, gens):
+        J = search(candidates, gens)
+        pairings.append(J)
+        return J
+
+    monkeypatch.setattr(hodge, "_rational_j", recorded)
+    table = crys.group.table
+    chars = {c.label: c for c in table.characters}
+    generators = set(crys.group.generators) | {0}
+    for t in hodge.hodge_types(crys):
+        pairings.clear()
+        want = []
+        for s in t.splits:
+            chi = chars[s.labels[0]]
+            if s.fs_type == "complex" or not all(v.is_rational() for v in chi.values):
+                continue
+            R = hodge.isotypic_basis(crys.group, table, [chi])
+            acts = oracle_block_action(crys, R, generators)
+            want.append(oracle_sqrt_minus_one_in_commutant(acts, len(R[0]), 0))
+        try:
+            B = hodge.sample_subspace(crys, t)
+        except hodge.UnsupportedSample:
+            B = None
+        assert pairings == want[:len(pairings)]
+        if B is None:
+            continue
+        assert pairings == want
+        assert hodge.tangent_dimension(crys, B) == oracle_tangent_dimension(crys, B)
