@@ -172,13 +172,9 @@ def parse_omega(doc, path="input.omega"):
 
 
 def _build_group(data: CrystData, bound):
-    """Verify, falling back to lattice normalization for pure translations."""
-    try:
-        group = crystal.verify_crystallographic(data, bound=bound)
-        return group, None
-    except crystal.KernelTooBig:
-        res = crystal.normalize_action(data, bound=bound)
-        return res.group, res
+    """Verify, absorbing pure translations into the lattice if there are any."""
+    res = crystal.normalize_action(data, bound=bound)
+    return res.group, res
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,7 @@ def group_report(group, normalization):
             for i in range(group.order())
         ],
     }
-    if normalization is not None and normalization.changed:
+    if normalization.changed:
         out["normalized"] = True
         out["notice"] = ("pure translations outside the lattice were absorbed; "
                          "coordinates were rebased")
@@ -284,7 +280,7 @@ def cmd_realize(doc, opts):
         "cocycle_consistent": averaged.is_consistent(),
         "equivalent": eq.equivalent,
         "shift_witness": vec_str(eq.shift) if eq.equivalent else None,
-        "normalized": bool(normalization and normalization.changed),
+        "normalized": normalization.changed,
     }
 
 
@@ -321,7 +317,7 @@ def cmd_even(doc, opts):
         "rank": group.rank,
         "classes": isotypic_report(ev.report),
         "odd_witness": list(ev.odd_witness),
-        "normalized": bool(normalization and normalization.changed),
+        "normalized": normalization.changed,
     }
 
 

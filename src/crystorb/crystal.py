@@ -5,7 +5,10 @@ equivalence of realizations, and torsion testing.
 A group is presented by affine generators (integer linear part, rational
 translation).  Internally everything is reduced modulo the lattice Z^r, so a
 group element is a pair (linear part, translation in [0,1)^r) and the vector
-system is stored on all of the finite quotient G.
+system is stored on all of the finite quotient G.  The group is closed once,
+on its linear parts; translations, the pure translations outside Z^r and the
+cocycle condition are all read off that closure's product table, in integer
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ class NotFinite(Exception):
 
 
 class KernelTooBig(Exception):
-    """A pure translation outside the lattice appeared; the conjugation
-    action has kernel strictly larger than Z^r.  Carries the offending
-    translation so normalize_action can absorb it."""
+    """Pure translations outside the lattice appeared; the conjugation
+    action has kernel strictly larger than Z^r.  Carries every distinct one
+    found, in scan order, as `translations` (`translation` is the first), so
+    normalize_action can absorb them."""
 
-    def __init__(self, translation):
-        self.translation = tuple(translation)
+    def __init__(self, translations):
+        self.translations = tuple(tuple(t) for t in translations)
+        self.translation = self.translations[0]
         super().__init__(
             f"pure translation {self.translation} lies outside the lattice; "
             f"use normalize_action to absorb it")
@@ -43,8 +48,8 @@ class CocycleViolation(Exception):
 
 
 class NonLattice(Exception):
-    """Adjoined translations fail to generate a discrete rank-r group.
-    Unreachable for rational input data; kept for interface completeness."""
+    """An enlarged lattice is not a G-stable rank-r lattice free of pure
+    translations.  Unreachable for rational input data: an internal fault."""
 
 
 @dataclass(frozen=True)
@@ -81,32 +86,25 @@ class VectorSystem:
     def cocycle_defect(self, i, j):
         """L(g_i) u_j + u_i - u_{ij}; integral for a valid system."""
         g = self.group
-        lin = g.elements[i].to_rat()
-        prod = g.mul(i, j)
-        img = lin.mul_vec(self.translations[j])
+        img = g.elements[i].mul_vec(self.translations[j])
         return tuple(a + b - c for a, b, c in
-                     zip(img, self.translations[i], self.translations[prod]))
+                     zip(img, self.translations[i], self.translations[g.mul(i, j)]))
 
     def is_consistent(self):
         """True iff L(g)u_h + u_g - u_{gh} lies in Z^r for all g, h in G.
 
-        Checked on S x G for a generating set S, plus u_1 in Z^r: the defect
-        d obeys d(sg, h) = L(s)d(g, h) + d(s, gh) - d(s, g) and d(1, h) = u_1,
-        so integrality extends to G x G by induction on word length.
+        Checked on G x S for the group's generating set S (see _defects),
+        plus u_1 in Z^r: the defect d is a coboundary, so
+        L(g)d(h, s) - d(gh, s) + d(g, hs) - d(g, h) = 0, and with d(g, 1) =
+        L(g)u_1 integrality extends to G x G by induction on the word of h.
         """
         g = self.group
         den = _common_denominator(self.translations)
         num = _numerators(self.translations, den)
         if any(x % den for x in num[0]):
             return False
-        for s, row in _generator_products(g).items():
-            lin = _rows(g.elements[s])
-            us = num[s]
-            for h, sh in enumerate(row):
-                if any((x + a - b) % den for x, a, b in
-                       zip(_apply(lin, num[h]), us, num[sh])):
-                    return False
-        return True
+        gen_num = [num[s] for s in g.generators]
+        return next(_defects(g, num, gen_num, den), None) is None
 
 
 def _common_denominator(vectors):
@@ -131,6 +129,37 @@ def _generator_products(group: MatrixGroup):
     every element is a word in S."""
     n = group.order()
     return {s: [group.mul(s, h) for h in range(n)] for s in group.generators}
+
+
+def _translations(group: MatrixGroup, gen_num, den):
+    """Numerators over den of the u_g with u_1 = 0 and u_{w*s_k} = L(w)u_k +
+    u_w (mod den) where the product table, walked breadth first, first
+    reaches w*s_k; gen_num[k] are the numerators of u_k."""
+    num = [None] * group.order()
+    num[0] = (0,) * group.rank
+    queue = [0]
+    for w in queue:
+        lin = _rows(group.elements[w])
+        for uk, x in zip(gen_num, group.right[w]):
+            if num[x] is None:
+                num[x] = tuple((a + b) % den for a, b in zip(_apply(lin, uk), num[w]))
+                queue.append(x)
+    return num
+
+
+def _defects(group: MatrixGroup, num, gen_num, den):
+    """Yield each nonzero d = L(w)u_k + u_w - u_{w*s_k} (mod den), for w in
+    element order and every generator s_k; num[w] and gen_num[k] are the
+    numerators of u_w and u_k.  With u_w from _translations, each d is a pure
+    translation, and with Z^r the d generate the kernel of the map to the
+    point group (Schreier's lemma)."""
+    for w, row in enumerate(group.right):
+        lin = _rows(group.elements[w])
+        uw = num[w]
+        for uk, x in zip(gen_num, row):
+            d = tuple((a + b - c) % den for a, b, c in zip(_apply(lin, uk), uw, num[x]))
+            if any(d):
+                yield d
 
 
 class CrystGroup:
@@ -178,8 +207,7 @@ class CrystGroup:
 
     def affine_image(self, i, point):
         """The torus image of `point` under element i, reduced into [0,1)^r."""
-        lin = self.linear(i).to_rat()
-        img = lin.mul_vec(tuple(F(x) for x in point))
+        img = self.linear(i).mul_vec(tuple(F(x) for x in point))
         return mod1_vec(tuple(a + b for a, b in zip(img, self.u(i))))
 
     @property
@@ -189,71 +217,26 @@ class CrystGroup:
         return self.rank // 2
 
 
-def _affine_closure(data: CrystData, bound):
-    """Close the affine generators modulo Z^r.
-
-    Returns (elements, pure_translations) where elements maps linear-part
-    entries to translations and pure_translations collects the nonzero
-    translations found with identity linear part.
-    """
-    rank = data.rank
-    ident = IntMatrix.identity(rank)
-    zero = tuple(F(0) for _ in range(rank))
-    table = {ident.entries: (ident, zero)}
-    pure = {}
-    frontier = [(ident, zero)]
-    pair_bound = 4 * bound
-    count = 1
-    while frontier:
-        new = []
-        for lin, trans in frontier:
-            for glin, gtrans in data.generators:
-                nl = lin.mul(glin)
-                nt = mod1_vec(tuple(a + b for a, b in
-                                    zip(lin.to_rat().mul_vec(gtrans), trans)))
-                key = nl.entries
-                if key in table:
-                    old = table[key][1]
-                    if old != nt:
-                        diff = mod1_vec(tuple(a - b for a, b in zip(nt, old)))
-                        pure[diff] = True
-                    continue
-                table[key] = (nl, nt)
-                new.append((nl, nt))
-                count += 1
-                if count > pair_bound:
-                    raise NotFinite(
-                        f"affine closure exceeded {pair_bound} cosets")
-        frontier = new
-    return table, list(pure)
-
-
 def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> CrystGroup:
     """Validate the crystallographic axioms and return the finished group.
 
-    Checks: the point group is finite, the lattice has the declared rank
-    (always Z^r here), and nothing outside the lattice acts trivially, i.e.
-    the linear part determines the group element.  The cocycle condition on
-    the assembled vector system is verified exactly, on generators x G
-    (see VectorSystem.is_consistent), which covers every pair.
-    """
+    One closure of the linear parts: the point group must be finite.  The
+    u_g, integer numerators over the lcm N of the generators' denominators,
+    are read off its product table.  Nothing outside the lattice Z^r may act
+    trivially: KernelTooBig carries the nonzero defects on G x S.  With none,
+    the vector system is a cocycle (see VectorSystem.is_consistent)."""
     try:
         lin_group = closure([g for g, _ in data.generators], bound=bound, rank=data.rank)
     except ExceedsBound as exc:
         raise NotFinite(str(exc)) from exc
-
-    table, pure = _affine_closure(data, bound)
+    shifts = [t for _, t in data.generators]
+    den = _common_denominator(shifts)
+    gen_num = _numerators(shifts, den)
+    num = _translations(lin_group, gen_num, den)
+    pure = dict.fromkeys(_defects(lin_group, num, gen_num, den))
     if pure:
-        raise KernelTooBig(pure[0])
-    if len(table) != lin_group.order():
-        # affine closure found elements the linear closure missed: impossible
-        raise AssertionError("affine and linear closures disagree")
-
-    translations = [table[m.entries][1] for m in lin_group.elements]
-    group = CrystGroup(data.rank, lin_group, translations)
-    if not group.vector_system.is_consistent():
-        raise CocycleViolation("vector system fails the cocycle condition")
-    return group
+        raise KernelTooBig([tuple(F(x, den) for x in d) for d in pure])
+    return CrystGroup(data.rank, lin_group, [tuple(F(x, den) for x in u) for u in num])
 
 
 @dataclass(frozen=True)
@@ -269,57 +252,38 @@ class NormalizedAction:
 def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAction:
     """Enlarge the lattice until the point group contains no translations.
 
-    Every pure translation discovered in the affine closure is adjoined to
-    the lattice together with its orbit under the linear parts; coordinates
-    are rebased so the lattice is Z^r again.  The returned basis change P
-    has the new basis vectors as columns (old coordinates): v_old = P v_new.
+    The defects that verify_crystallographic reports generate, with Z^r, the
+    whole translation subgroup, which is G-stable; it becomes the lattice in
+    one step and coordinates are rebased so the lattice is Z^r again.  The
+    returned basis change P has the new basis vectors as columns (old
+    coordinates): v_old = P v_new.  A second defect is an internal fault.
     """
     rank = data.rank
-    current = data
-    P_total = RatMatrix.identity(rank)
-    absorbed = []
-    changed = False
-    for _ in range(64):
-        try:
-            lin_group = closure([g for g, _ in current.generators],
-                                bound=bound, rank=rank)
-        except ExceedsBound as exc:
-            raise NotFinite(str(exc)) from exc
-        _, pure = _affine_closure(current, bound)
-        if not pure:
-            group = verify_crystallographic(current, bound)
-            return NormalizedAction(group, P_total, tuple(absorbed), changed)
-        changed = True
-        # adjoin the full linear orbit so the enlarged lattice is G-stable
-        vectors = []
-        for t in pure:
-            for m in lin_group.elements:
-                vectors.append(m.to_rat().mul_vec(t))
-        P = _lattice_with(rank, vectors)
-        absorbed.extend(P_total.mul_vec(t) for t in pure)
-        P_inv = P.inverse()
-        new_gens = []
-        for lin, trans in current.generators:
-            new_lin = P_inv.mul(lin.to_rat()).mul(P)
-            if not new_lin.is_integral():
-                raise NonLattice("enlarged lattice is not stable under the action")
-            new_gens.append((new_lin.to_int(), P_inv.mul_vec(trans)))
-        current = CrystData.make(rank, new_gens)
-        P_total = P_total.mul(P)
-    raise NonLattice("lattice enlargement did not terminate")
+    try:
+        group = verify_crystallographic(data, bound)
+        return NormalizedAction(group, RatMatrix.identity(rank), (), False)
+    except KernelTooBig as exc:
+        pure = exc.translations
+    P = _lattice_with(rank, pure)
+    P_inv = P.inverse()
+    new_gens = []
+    for lin, trans in data.generators:
+        new_lin = P_inv.mul(lin.to_rat()).mul(P)
+        if not new_lin.is_integral():
+            raise NonLattice("enlarged lattice is not stable under the action")
+        new_gens.append((new_lin.to_int(), P_inv.mul_vec(trans)))
+    try:
+        group = verify_crystallographic(CrystData.make(rank, new_gens), bound)
+    except KernelTooBig as exc:
+        raise NonLattice(f"absorbed lattice still misses {exc.translation}") from exc
+    return NormalizedAction(group, P, pure, True)
 
 
 def _lattice_with(rank, vectors):
     """Basis (as columns) of Z^r + <vectors>, via HNF of scaled generators."""
-    den = 1
-    for v in vectors:
-        for x in v:
-            den = lcm(den, x.denominator)
-    rows = []
-    for i in range(rank):
-        rows.append([den if j == i else 0 for j in range(rank)])
-    for v in vectors:
-        rows.append([int(x * den) for x in v])
+    den = _common_denominator(vectors)
+    rows = [[den if j == i else 0 for j in range(rank)] for i in range(rank)]
+    rows += _numerators(vectors, den)
     H, _ = exactla.hnf(IntMatrix.from_rows(rows))
     if any(H.at(i, i) == 0 for i in range(rank)):
         raise NonLattice("translations do not generate a rank-r lattice")
@@ -452,8 +416,7 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
         return EquivalenceWitness(False, ())
     # confirm the witness
     for i in range(g.order()):
-        lin = g.elements[i].to_rat()
-        img = lin.mul_vec(w)
+        img = g.elements[i].mul_vec(w)
         for a, b, x, ww in zip(vs_a.u(i), vs_b.u(i), img, w):
             if (a - b - (x - ww)).denominator != 1:
                 raise AssertionError("congruence witness failed verification")

@@ -395,7 +395,7 @@ def solve_mod_lattice(A, b) -> SolutionSet:
     b = tuple(Fraction(x) for x in b)
 
     dec = snf(A)
-    c = dec.U.to_rat().mul_vec(b)
+    c = dec.U.mul_vec(b)
     d = dec.diagonal()
 
     free = []
@@ -410,8 +410,7 @@ def solve_mod_lattice(A, b) -> SolutionSet:
             choices.append(tuple((c[i] + k) / d[i] for k in range(d[i])))
 
     basis = tuple(tuple(dec.V.at(i, j) for i in range(r)) for j in free)
-    V = dec.V.to_rat()
-    points = tuple(sorted({mod1_vec(V.mul_vec(combo)) for combo in product(*choices)}))
+    points = tuple(sorted({mod1_vec(dec.V.mul_vec(combo)) for combo in product(*choices)}))
 
     kind = "family" if free else "finite"
     return SolutionSet(kind, points, basis)
@@ -455,7 +454,7 @@ def solve_affine_congruence(M: IntMatrix, c):
         raise ValueError("c has wrong length")
     c = tuple(Fraction(x) for x in c)
     dec = snf(M)
-    cp = dec.U.to_rat().mul_vec(c)
+    cp = dec.U.mul_vec(c)
     r = M.cols
     y = [Fraction(0)] * r
     diag = dec.diagonal()
@@ -465,7 +464,7 @@ def solve_affine_congruence(M: IntMatrix, c):
             y[i] = cp[i] / di
         elif cp[i].denominator != 1:
             return None
-    return dec.V.to_rat().mul_vec(y)
+    return dec.V.mul_vec(y)
 
 
 def rank_rat(A: RatMatrix):

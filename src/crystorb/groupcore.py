@@ -49,10 +49,11 @@ class MatrixGroup:
     recorded `generator_indices` when they generate the group, and all of its
     elements otherwise (subgroups and hand-built groups may record none, or a
     list that does not generate).  Products are index lookups, not matrix
-    products.  `products` = (S, table, words) holds the index of w*s for every
-    element w and every s in S, and a word over S for every element; `closure`
-    and `subgroup` pass it in, and otherwise it is built here once with n*|S|
-    matrix products.
+    products.  `products` = (S, right, words) holds the index right[w][k] of
+    w*S[k] for every element w and every k, and a word over S for every
+    element; `closure` and `subgroup` pass it in, and otherwise it is built
+    here once with n*|S| matrix products.  The n x |S| table is public as
+    `right`.
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
@@ -72,7 +73,7 @@ class MatrixGroup:
         if products is None:
             products = (self._right_products(self.generator_indices)
                         or self._right_products(range(len(self.elements))))
-        self.generators, self._right, self._words = products
+        self.generators, self.right, self._words = products
 
     def _right_products(self, gens):
         """(S, [w*s for s in S] per w, a word over S per element) for S = gens,
@@ -105,7 +106,7 @@ class MatrixGroup:
         return isinstance(mat, IntMatrix) and mat.entries in self._index
 
     def mul(self, i, j):
-        right = self._right
+        right = self.right
         for k in self._words[j]:
             i = right[i][k]
         return i

@@ -320,11 +320,15 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
 
 def _blockwise_exact_j(crys, seed):
     """J = T diag(J_1, ..., J_k) T^-1 from one rational J_i per rational
-    isotypic block, T the columns of the blocks; None when a block has none."""
+    isotypic block, T the columns of the blocks; None when a block has none,
+    or when the one block is the lattice, where the search already failed."""
     w = crys.rank
+    blocks = rational_isotypic_projectors(crys.group, point_group_table(crys))
+    if len(blocks) == 1:
+        return None
     bases = []
     sub_js = []
-    for _, basis in rational_isotypic_projectors(crys.group, point_group_table(crys)):
+    for _, basis in blocks:
         acts = _block_action(crys, basis, range(crys.order()))
         block_gens = [acts[s] for s in crys.group.generators]
         J_block, _ = _action_j(acts, block_gens, seed)
@@ -358,8 +362,9 @@ def invariant_complex_structure(crys: CrystGroup, seed=0,
     takes the first X with X^2 = -c I, c a rational square, whose X / sqrt(c)
     commutes with every generator: pairing patterns, group elements, then
     skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form);
-    then the same search on each rational isotypic block; then a certified
-    approximate J, whose commutator residual is a maximum over all of G."""
+    then the same search on each rational isotypic block, when there are
+    several; then a certified approximate J, whose commutator residual is a
+    maximum over all of G."""
     ev = is_even(crys)
     if not ev.even:
         return JSearchResult(None, ev)

@@ -170,28 +170,20 @@ def pseudoreflections(crys: CrystGroup, J=None):
 
 
 def gpr_subgroup(crys: CrystGroup, J=None) -> MatrixGroup:
-    """Normal closure of the pseudoreflections inside the point group."""
-    refl = set(pseudoreflections(crys, J))
+    """The subgroup generated by the pseudoreflections, searched breadth
+    first from the identity.  It is normal: h Fix(g) = Fix(h g h^-1), so the
+    pseudoreflections are closed under conjugation."""
+    refl = pseudoreflections(crys, J)
     g = crys.group
-    current = {0} | refl
-    while True:
-        grown = set(current)
-        for h in range(g.order()):
-            for s in current:
-                grown.add(g.mul(g.mul(h, s), g.inv(h)))
-        frontier = True
-        while frontier:
-            frontier = False
-            for a in list(grown):
-                for b in list(grown):
-                    p = g.mul(a, b)
-                    if p not in grown:
-                        grown.add(p)
-                        frontier = True
-        if grown == current:
-            break
-        current = grown
-    return g.subgroup(current)
+    members = {0}
+    queue = [0]
+    for a in queue:
+        for s in refl:
+            p = g.mul(a, s)
+            if p not in members:
+                members.add(p)
+                queue.append(p)
+    return g.subgroup(members)
 
 
 @dataclass(frozen=True)

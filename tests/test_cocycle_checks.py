@@ -1,6 +1,6 @@
 """The generator-based cocycle checks against all-pairs and all-triples oracles.
 
-VectorSystem.is_consistent checks the cocycle condition on S x G and
+VectorSystem.is_consistent checks the cocycle condition on G x S and
 ExtensionCocycle.validate the cocycle identity on G x S x G, for a generating
 set S.  The oracles below are the direct checks on G x G and G x G x G in
 Fraction arithmetic; on every input both must give the same answer.

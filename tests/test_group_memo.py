@@ -83,8 +83,8 @@ def test_group_is_freed_after_analysis():
 
 def test_j_search_builds_each_skew_system_once(monkeypatch):
     # c6wr_rank4: |G| = 72, |S| = 2, w = 4, and no rational J, so the top-level
-    # search, the one rational block and the approximate path all run.  The
-    # top level and the approximate path share one skew system and one Gram sum.
+    # search and the approximate path run.  They share one skew system and one
+    # Gram sum; the one rational block is the lattice and is not searched again.
     doc = family.scaling_family()["c6wr_rank4"][0]
     g = crystal.normalize_action(parse_cryst_data(doc)).group
     where = ["top"]
@@ -118,4 +118,5 @@ def test_j_search_builds_each_skew_system_once(monkeypatch):
     assert bound == 42
     assert [(rows, cols) for at, rows, cols in systems if at == "top"] == [(42, 16)]
     assert all(rows <= bound for _, rows, _ in systems)
-    assert grams == [("top", 72)] + [("block", 72)] * len(blocks)
+    assert grams == [("top", 72)]
+    assert all(at == "top" for at, _, _ in systems)
