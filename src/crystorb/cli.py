@@ -48,8 +48,9 @@ class JobSpec:
     def build(command, document, output_format, seed=None, bound=None,
               precision=None):
         _check_document(document)
-        if bound is not None and bound < 1:
-            _fail("--bound", "must be at least 1")
+        for name, value in (("bound", bound), ("precision", precision)):
+            if value is not None and value < _FLOORS[name]:
+                _fail(f"--{name}", f"must be at least {_FLOORS[name]}")
         options = document.get("options", {})
         default_bound = 10000 if command == "platonic" else DEFAULT_ORDER_BOUND
         return JobSpec(
@@ -75,6 +76,9 @@ _TOP_KEYS = {"rank", "generators", "omega", "cocycle", "triple",
              "presentation", "loops", "multiplicities", "options"}
 _GEN_KEYS = {"linear", "translation"}
 _OPTION_KEYS = {"seed", "bound", "precision"}
+# below 64 bits a numeric J was certified although J^2 != -I (0 and 1 bits)
+# or its search failed as an internal error (20 to 63 bits)
+_FLOORS = {"bound": 1, "precision": 64}
 
 
 def _fail(path, message):
@@ -111,8 +115,9 @@ def _check_document(doc, path="input"):
             _fail(f"{path}.options.{key}", "unknown option")
         if not _is_int(options[key]):
             _fail(f"{path}.options.{key}", "must be an integer")
-    if options.get("bound", 1) < 1:
-        _fail(f"{path}.options.bound", "must be at least 1")
+    for key, floor in _FLOORS.items():
+        if options.get(key, floor) < floor:
+            _fail(f"{path}.options.{key}", f"must be at least {floor}")
 
 
 def parse_cryst_data(doc, path="input") -> CrystData:
@@ -277,7 +282,7 @@ def cmd_realize(doc, opts):
     return {
         "input_system": [vec_str(u) for u in vs.translations],
         "averaged_system": [vec_str(u) for u in averaged.translations],
-        "cocycle_consistent": averaged.is_consistent(),
+        "cocycle_consistent": True,     # affine_realization raised otherwise
         "equivalent": eq.equivalent,
         "shift_witness": vec_str(eq.shift) if eq.equivalent else None,
         "normalized": normalization.changed,

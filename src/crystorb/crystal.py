@@ -165,8 +165,8 @@ def _defects(group: MatrixGroup, num, gen_num, den):
 class CrystGroup:
     """A validated crystallographic group with lattice Z^r.
 
-    L(g) - I and the fixed set of every element are cached properties,
-    computed once per group and freed with it."""
+    The class fixed sets are cached, once per group; the u_g are also kept
+    as integer numerators over their common denominator."""
 
     def __init__(self, rank, group: MatrixGroup, translations):
         self.rank = rank
@@ -176,6 +176,8 @@ class CrystGroup:
             raise ValueError("one translation per point-group element required")
         if any(x != 0 for x in self.translations[0]):
             raise ValueError("identity element must carry zero translation")
+        self.denominator = _common_denominator(self.translations)
+        self.numerators = _numerators(self.translations, self.denominator)
 
     def order(self):
         return self.group.order()
@@ -187,28 +189,32 @@ class CrystGroup:
         return self.translations[i]
 
     @cached_property
-    def linear_minus_identity(self):
-        """L(g) - I for every element g, in element order."""
-        minus_identity = IntMatrix.identity(self.rank).neg()
-        return tuple(m.add(minus_identity) for m in self.group.elements)
-
-    @cached_property
     def fixed_sets(self):
-        """The SolutionSet of (L(g) - I) v = -u_g (mod Z^r), the points of the
-        torus that g fixes, for every g != 1; None at the identity."""
-        return (None,) + tuple(
-            exactla.solve_mod_lattice(self.linear_minus_identity[i],
-                                      tuple(-x for x in self.u(i)))
-            for i in range(1, self.order()))
+        """{g: fixed set of g} for the smallest g of each nontrivial class, in
+        index order; Fix(h g h^-1) = h Fix(g) has the same shape."""
+        return {c.representative: self.solve_fixed(c.representative)
+                for c in self.group.classes[1:]}
+
+    def solve_fixed(self, i):
+        """The points the element i fixes: (L - I) v = -u (mod Z^r)."""
+        L_minus_I = self.linear(i).add(IntMatrix.identity(self.rank).neg())
+        return exactla.solve_mod_lattice(L_minus_I, tuple(-x for x in self.u(i)))
+
+    def fixed_set(self, i):
+        """The fixed set of the smallest conjugate of element i != 1."""
+        g = self.group
+        return self.fixed_sets[g.classes[g.class_index[i]].representative]
 
     @property
     def vector_system(self) -> VectorSystem:
         return VectorSystem(self.group, self.translations)
 
-    def affine_image(self, i, point):
-        """The torus image of `point` under element i, reduced into [0,1)^r."""
-        img = self.linear(i).mul_vec(tuple(F(x) for x in point))
-        return mod1_vec(tuple(a + b for a, b in zip(img, self.u(i))))
+    def affine_image(self, i, num, den):
+        """Numerators over den of the torus image of the point num/den under
+        element i, reduced mod den; den is a multiple of self.denominator."""
+        q = den // self.denominator
+        return tuple((a + q * b) % den
+                     for a, b in zip(self.linear(i).mul_vec(num), self.numerators[i]))
 
     @property
     def n(self):
@@ -432,7 +438,7 @@ class TorsionReport:
 def is_torsion_free(group: CrystGroup) -> TorsionReport:
     """Torsion test: the group is torsion free iff no nontrivial element
     fixes a point of the torus, i.e. (L(g) - I) v = -u_g (mod Z^r) has no
-    solution for every g != 1."""
+    solution for every g != 1: one emptiness test per conjugacy class."""
     offenders = tuple(i for i in range(1, group.order())
-                      if not group.fixed_sets[i].is_empty())
+                      if not group.fixed_set(i).is_empty())
     return TorsionReport(not offenders, offenders)

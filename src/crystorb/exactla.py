@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 from . import fieldlin
 
@@ -81,7 +84,7 @@ class IntMatrix:
     def mul_vec(self, v):
         if self.cols != len(v):
             raise ValueError("shape mismatch")
-        return tuple(sum(self.at(i, k) * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -117,9 +120,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def is_identity(self):
-        return self.rows == self.cols and all(
-            self.at(i, j) == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols))
+        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
     def to_rat(self):
         return RatMatrix(self.rows, self.cols, tuple(Fraction(x) for x in self.entries))
@@ -161,10 +162,6 @@ class RatMatrix:
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return RatMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -219,12 +216,19 @@ class SolutionSet:
     kind is one of "empty", "finite", "family".  For "finite", points holds
     every representative.  For "family", points holds one representative per
     connected component and basis spans the continuous directions (primitive
-    integer vectors).
+    integer vectors).  Points are listed on first use.
     """
 
     kind: str
-    points: tuple
     basis: tuple
+    cosets: tuple = ()      # (V, choices): the points are V*y mod 1, y in product(*choices)
+
+    @cached_property
+    def points(self):
+        if not self.cosets:
+            return ()
+        V, choices = self.cosets
+        return tuple(sorted({mod1_vec(V.mul_vec(y)) for y in product(*choices)}))
 
     @property
     def dim(self):
@@ -240,13 +244,9 @@ class SolutionSet:
         return self.kind == "empty"
 
 
-def _mod1(x):
-    return Fraction(x) - (Fraction(x).numerator // Fraction(x).denominator)
-
-
 def mod1_vec(v):
     """Reduce a rational vector into [0,1)^r."""
-    return tuple(_mod1(x) for x in v)
+    return tuple(Fraction(x) % 1 for x in v)
 
 
 def hnf(A: IntMatrix):
@@ -390,30 +390,15 @@ def solve_mod_lattice(A, b) -> SolutionSet:
     if A.rows != A.cols:
         raise ValueError("A must be square (size = lattice rank)")
     r = A.rows
-    if len(b) != r:
-        raise ValueError("b has wrong length")
-    b = tuple(Fraction(x) for x in b)
-
-    dec = snf(A)
-    c = dec.U.mul_vec(b)
-    d = dec.diagonal()
-
-    free = []
-    choices = []
-    for i in range(r):
-        if d[i] == 0:
-            if c[i].denominator != 1:
-                return SolutionSet("empty", (), ())
-            free.append(i)
-            choices.append((Fraction(0),))
-        else:
-            choices.append(tuple((c[i] + k) / d[i] for k in range(d[i])))
-
+    solved = _smith_solve(A, b)
+    if solved is None:
+        return SolutionSet("empty", ())
+    dec, d, c = solved
+    free = [i for i in range(r) if d[i] == 0]
+    choices = [(Fraction(0),) if d[i] == 0 else tuple((c[i] + k) / d[i] for k in range(d[i]))
+               for i in range(r)]
     basis = tuple(tuple(dec.V.at(i, j) for i in range(r)) for j in free)
-    points = tuple(sorted({mod1_vec(dec.V.mul_vec(combo)) for combo in product(*choices)}))
-
-    kind = "family" if free else "finite"
-    return SolutionSet(kind, points, basis)
+    return SolutionSet("family" if free else "finite", basis, (dec.V, choices))
 
 
 def kernel_q(A: RatMatrix):
@@ -427,20 +412,12 @@ def kernel_q(A: RatMatrix):
 
 
 def _primitive(v):
-    from math import gcd
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     w = [int(x * den) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
-    if g > 1:
-        w = [x // g for x in w]
-    lead = next((x for x in w if x != 0), 0)
-    if lead < 0:
-        w = [-x for x in w]
-    return tuple(Fraction(x) for x in w)
+    g = gcd(*w) or 1
+    if next((x for x in w if x != 0), 0) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in w)
 
 
 def solve_affine_congruence(M: IntMatrix, c):
@@ -450,21 +427,28 @@ def solve_affine_congruence(M: IntMatrix, c):
     Used for removing vector-system coboundaries and for subtorus membership
     tests; the returned witness is a single representative, not the full set.
     """
+    solved = _smith_solve(M, c)
+    if solved is None:
+        return None
+    dec, diag, cu = solved
+    return dec.V.mul_vec([cu[i] / diag[i] if diag[i] else Fraction(0) for i in range(M.cols)])
+
+
+def _smith_solve(M: IntMatrix, c):
+    """(U*M*V = D, diagonal of D zero-padded to max(rows, cols), U*c), or None
+    when M*w = c (mod Z^rows) has no rational w: (U*c)_i fractional where
+    d_i = 0.  U multiplies c's integer numerators over their lcm."""
     if len(c) != M.rows:
-        raise ValueError("c has wrong length")
-    c = tuple(Fraction(x) for x in c)
+        raise ValueError("right-hand side has wrong length")
+    c = [Fraction(x) for x in c]
+    den = lcm(*(x.denominator for x in c))
     dec = snf(M)
-    cp = dec.U.mul_vec(c)
-    r = M.cols
-    y = [Fraction(0)] * r
-    diag = dec.diagonal()
-    for i in range(M.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di != 0:
-            y[i] = cp[i] / di
-        elif cp[i].denominator != 1:
-            return None
-    return dec.V.mul_vec(y)
+    num = [x.numerator * (den // x.denominator) for x in c]
+    cu = [Fraction(x, den) for x in dec.U.mul_vec(num)]
+    diag = dec.diagonal() + (0,) * abs(M.rows - M.cols)
+    if any(d == 0 and x.denominator != 1 for d, x in zip(diag, cu)):
+        return None
+    return dec, diag, cu
 
 
 def rank_rat(A: RatMatrix):

@@ -5,80 +5,107 @@ and the subgroup they generate, and the quotient-orbifold descriptor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
-from . import exactla, fieldlin, hodge
+from . import exactla, hodge
 from .crystal import CrystGroup
 from .exactla import IntMatrix, SolutionSet
-from .groupcore import MatrixGroup
+from .groupcore import MatrixGroup, _require
 
 F = Fraction
 
 
 @dataclass(frozen=True)
 class FixedLocus:
-    """Solution set of (L(g) - I) v = -u_g on the torus for one element.
-
-    complex_dim / complex_codim are filled when the lattice rank is even and
-    the locus dimension is even (always the case for an even group, since
+    """The fixed set of g, (L(g) - I) v = -u_g on the torus, shaped like that
+    of the smallest member of g's class.  complex_dim / complex_codim are
+    filled when rank and locus dimension are even (always for an even group:
     the kernel of L(g) - I is invariant under any invariant J)."""
 
     element_index: int
-    solutions: SolutionSet
-    real_dim: object
+    real_dim: object          # None when empty
     complex_dim: object
     complex_codim: object
+    crys: CrystGroup = field(repr=False, compare=False)
 
     def is_empty(self):
-        return self.solutions.is_empty()
+        return self.real_dim is None
+
+    @cached_property
+    def solutions(self) -> SolutionSet:
+        """g's own fixed set, solved on first use unless g is smallest."""
+        sets = self.crys.fixed_sets
+        i = self.element_index
+        return sets[i] if i in sets else self.crys.solve_fixed(i)
 
     def components(self):
         """One Subtorus per connected component."""
-        if self.is_empty():
-            return ()
         return tuple(Subtorus.make(p, self.solutions.basis)
                      for p in self.solutions.points)
 
 
 @dataclass(frozen=True)
 class Subtorus:
-    """An affine subtorus: base point in [0,1)^r plus integral directions."""
+    """An affine subtorus: base point num/den in [0,1)^r, num reduced mod
+    den, plus integral directions."""
 
-    base: tuple
+    num: tuple
+    den: int
     basis: tuple
-    span_key: tuple
 
     @staticmethod
     def make(base, basis):
-        base = tuple(F(x) for x in base)
-        basis = tuple(tuple(int(x) for x in b) for b in basis)
-        return Subtorus(base, basis, _span_key(basis, len(base)))
+        base = [F(x) for x in base]
+        den = lcm(*(x.denominator for x in base))
+        return Subtorus(tuple(x.numerator * (den // x.denominator) % den for x in base),
+                        den, tuple(tuple(int(x) for x in b) for b in basis))
+
+    @property
+    def base(self):
+        return tuple(F(x, self.den) for x in self.num)
 
     @property
     def dim(self):
         return len(self.basis)
 
 
-def _span_key(basis, r):
-    if not basis:
+def _hnf_kernel(rows, r):
+    """The HNF basis of {v in Z^r : row . v = 0 for every row}, from the rows
+    of the HNF transform of the transposed matrix past its rank."""
+    if not rows:
+        return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    H, U = exactla.hnf(IntMatrix.from_rows(rows).transpose())
+    rank = sum(1 for i in range(H.rows) if any(H.row(i)))
+    if rank == r:
         return ()
-    red, pivots = fieldlin.rref([[F(x) for x in b] for b in basis])
-    return tuple(tuple(red[i]) for i in range(len(pivots)))
+    K, _ = exactla.hnf(IntMatrix.from_rows([U.row(i) for i in range(rank, r)]))
+    return tuple(K.row(i) for i in range(K.rows))
+
+
+def subtorus_key(sub: Subtorus, lattices: dict):
+    """Equal exactly for equal subsets of the torus: the HNF of the saturated
+    direction lattice D, then Y*base mod 1 as numerators over their least
+    denominator, Y the HNF basis of the integer forms vanishing on D.  Rows
+    of Y extend to a unimodular matrix, so Y*v is integral iff v lies in
+    span(D) + Z^r.  `lattices` keeps (D, Y) per direction basis met."""
+    lattice = lattices.get(sub.basis)
+    if lattice is None:
+        forms = _hnf_kernel(sub.basis, len(sub.num))
+        lattice = lattices[sub.basis] = (_hnf_kernel(forms, len(sub.num)), forms)
+    directions, forms = lattice
+    y = [sum(a * b for a, b in zip(row, sub.num)) % sub.den for row in forms]
+    g = gcd(sub.den, *y)
+    return directions, sub.den // g, tuple(x // g for x in y)
 
 
 def subtori_equal(a: Subtorus, b: Subtorus) -> bool:
     """Equality as subsets of the torus: same span, base points congruent
     modulo the span plus the lattice."""
-    if a.span_key != b.span_key:
-        return False
-    diff = tuple(x - y for x, y in zip(a.base, b.base))
-    if not a.basis:
-        return all(d.denominator == 1 for d in diff)
-    r = len(a.base)
-    M = IntMatrix.from_rows([[a.basis[j][i] for j in range(len(a.basis))]
-                             for i in range(r)])
-    return exactla.solve_affine_congruence(M, diff) is not None
+    lattices = {}
+    return subtorus_key(a, lattices) == subtorus_key(b, lattices)
 
 
 def fixed_points(crys: CrystGroup, g) -> FixedLocus:
@@ -86,16 +113,13 @@ def fixed_points(crys: CrystGroup, g) -> FixedLocus:
     gi = g if isinstance(g, int) else crys.group.index_of(g)
     if gi == 0:
         raise ValueError("the identity fixes everything; pass a nontrivial element")
-    rank = crys.rank
-    sol = crys.fixed_sets[gi]
+    sol = crys.fixed_set(gi)
     if sol.is_empty():
-        return FixedLocus(gi, sol, None, None, None)
+        return FixedLocus(gi, None, None, None, crys)
     rdim = sol.dim
-    cdim = ccodim = None
-    if rank % 2 == 0 and rdim % 2 == 0:
-        cdim = rdim // 2
-        ccodim = rank // 2 - cdim
-    return FixedLocus(gi, sol, rdim, cdim, ccodim)
+    if crys.rank % 2 or rdim % 2:
+        return FixedLocus(gi, rdim, None, None, crys)
+    return FixedLocus(gi, rdim, rdim // 2, (crys.rank - rdim) // 2, crys)
 
 
 def all_fixed_loci(crys: CrystGroup):
@@ -144,9 +168,8 @@ def classify_action(crys: CrystGroup, J=None) -> ActionClassification:
     nonempty = [l for l in all_fixed_loci(crys) if not l.is_empty()]
     if not nonempty:
         return ActionClassification("free", ())
-    for l in nonempty:
-        if l.complex_codim is None:
-            raise ArithmeticError("odd-dimensional fixed locus in an even action")
+    _require(all(l.complex_codim is not None for l in nonempty),
+             "odd-dimensional fixed locus in an even action")
     min_codim = min(l.complex_codim for l in nonempty)
     evidence = tuple((l.element_index, l.complex_codim)
                      for l in nonempty if l.complex_codim == min_codim)
@@ -160,13 +183,7 @@ def pseudoreflections(crys: CrystGroup, J=None):
     fix points on the torus."""
     _require_even(crys)
     _check_j(crys, J)
-    out = []
-    for l in all_fixed_loci(crys):
-        if l.is_empty():
-            continue
-        if l.complex_codim == 1:
-            out.append(l.element_index)
-    return tuple(out)
+    return tuple(l.element_index for l in all_fixed_loci(crys) if l.complex_codim == 1)
 
 
 def gpr_subgroup(crys: CrystGroup, J=None) -> MatrixGroup:
@@ -207,11 +224,8 @@ def factorization_report(crys: CrystGroup, J=None) -> FactorizationReport:
     sub_entries = {m.entries for m in sub.elements}
     indices = tuple(i for i in range(g.order())
                     if g.elements[i].entries in sub_entries)
-    audit = []
-    for l in all_fixed_loci(crys):
-        if l.is_empty() or l.element_index in indices:
-            continue
-        audit.append((l.element_index, l.complex_codim))
+    audit = [(l.element_index, l.complex_codim) for l in all_fixed_loci(crys)
+             if not l.is_empty() and l.element_index not in indices]
     quasi_etale = all(codim >= 2 for _, codim in audit)
     return FactorizationReport(
         gpr_order=sub.order(),
@@ -240,36 +254,38 @@ class OrbifoldDescriptor:
     divisor_classes: tuple
     stratum_summary: tuple   # ((complex codim, stabilizer order), count), sorted
 
-    @property
-    def is_free(self):
-        return self.kind == "free"
-
 
 def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
     lin = crys.linear(h)
-    base = crys.affine_image(h, sub.base)
-    basis = tuple(tuple(lin.mul_vec(b)) for b in sub.basis)
-    return Subtorus.make(base, basis)
+    den = lcm(sub.den, crys.denominator)
+    num = crys.affine_image(h, [x * (den // sub.den) for x in sub.num], den)
+    return Subtorus(num, den, tuple(lin.mul_vec(b) for b in sub.basis))
 
 
 def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
-    """Indices of elements fixing the subtorus pointwise."""
-    out = []
-    for h, A in enumerate(crys.linear_minus_identity):
-        if any(any(x != 0 for x in A.mul_vec(b)) for b in sub.basis):
-            continue
-        img = A.mul_vec(sub.base)
-        if all((a + b).denominator == 1 for a, b in zip(img, crys.u(h))):
-            out.append(h)
-    return tuple(out)
+    """Indices of elements fixing the subtorus pointwise, in integers mod the
+    common denominator of the base point and the translations."""
+    den = lcm(sub.den, crys.denominator)
+    num = tuple(x * (den // sub.den) for x in sub.num)
+    return tuple(h for h in range(crys.order())
+                 if all(crys.linear(h).mul_vec(b) == b for b in sub.basis)
+                 and crys.affine_image(h, num, den) == num)
 
 
-def _dedupe_components(comps):
-    unique = []
-    for c in comps:
-        if not any(subtori_equal(c, u) for u in unique):
-            unique.append(c)
-    return unique
+def _orbit_keys(crys, sub: Subtorus, lattices):
+    """The keys of the G-orbit of `sub`, breadth first over the generators S:
+    |orbit|*|S| transforms (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, 4.1).  Members keep their canonical directions."""
+    keys = {subtorus_key(sub, lattices)}
+    queue = [sub]
+    for member in queue:
+        for s in crys.group.generators:
+            image = _transform_subtorus(crys, s, member)
+            key = subtorus_key(image, lattices)
+            if key not in keys:
+                keys.add(key)
+                queue.append(Subtorus(image.num, image.den, key[0]))
+    return keys
 
 
 def orbifold_descriptor(crys: CrystGroup, J=None) -> OrbifoldDescriptor:
@@ -280,47 +296,36 @@ def orbifold_descriptor(crys: CrystGroup, J=None) -> OrbifoldDescriptor:
     (classes live on the quotient); the multiplicity of a class is the
     order of the cyclic pointwise stabilizer of any of its components.
     Multiplicity-1 divisors cannot occur: every listed component is fixed
-    by the nontrivial element that produced it."""
+    by the nontrivial element that produced it.
+
+    Fix(h g h^-1) = h Fix(g): the components of the smallest member of each
+    class, in element then point order, meet every orbit, and each one
+    outside the orbits found so far is its orbit's first component over all
+    of G.  Conjugate components have stabilizers of equal order."""
     _require_even(crys)
     classification = classify_action(crys, J)
-    loci = [l for l in all_fixed_loci(crys) if not l.is_empty()]
-
-    divisor_comps = []
-    deep_comps = []
-    for l in loci:
-        for comp in l.components():
-            (divisor_comps if l.complex_codim == 1 else deep_comps).append(comp)
-    divisor_comps = _dedupe_components(divisor_comps)
-    deep_comps = _dedupe_components(deep_comps)
-
+    lattices = {}
+    placed = set()
     classes = []
-    unassigned = list(divisor_comps)
-    while unassigned:
-        rep = unassigned[0]
-        orbit = []
-        for h in range(crys.order()):
-            img = _transform_subtorus(crys, h, rep)
-            if not any(subtori_equal(img, o) for o in orbit):
-                orbit.append(img)
-        remaining = []
-        for c in unassigned:
-            if not any(subtori_equal(c, o) for o in orbit):
-                remaining.append(c)
-        unassigned = remaining
-        stab = pointwise_stabilizer(crys, rep)
-        m = len(stab)
-        if m < 2:
-            raise ArithmeticError("divisor component with trivial stabilizer")
-        if not any(crys.group.element_order(h) == m for h in stab):
-            raise ArithmeticError("divisor stabilizer is not cyclic")
-        classes.append(DivisorClass(rep, m, len(orbit), len(orbit)))
-
     histogram = {}
-    for comp in deep_comps:
-        stab = pointwise_stabilizer(crys, comp)
-        codim = crys.n - comp.dim // 2
-        key = (codim, len(stab))
-        histogram[key] = histogram.get(key, 0) + 1
-    summary = tuple(sorted(histogram.items()))
-
-    return OrbifoldDescriptor(classification.kind, tuple(classes), summary)
+    for g in crys.fixed_sets:
+        locus = fixed_points(crys, g)
+        for comp in locus.components():
+            if subtorus_key(comp, lattices) in placed:
+                continue
+            orbit = _orbit_keys(crys, comp, lattices)
+            placed |= orbit
+            stab = pointwise_stabilizer(crys, comp)
+            m = len(stab)
+            if locus.complex_codim == 1:
+                _require(m >= 2, "divisor component with trivial stabilizer")
+                _require(any(crys.group.element_order(h) == m for h in stab),
+                         "divisor stabilizer is not cyclic")
+                _require(all(subtori_equal(_transform_subtorus(crys, h, comp), comp)
+                             for h in stab), "a stabilizer element moves its divisor")
+                classes.append(DivisorClass(comp, m, len(orbit), len(orbit)))
+            else:
+                key = (locus.complex_codim, m)
+                histogram[key] = histogram.get(key, 0) + len(orbit)
+    return OrbifoldDescriptor(classification.kind, tuple(classes),
+                              tuple(sorted(histogram.items())))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crystorb import cli, hodge
+from crystorb import cli, crystal, hodge
 from crystorb.corpus import corpus_names, load_corpus
 
 
@@ -246,6 +246,55 @@ class TestBoundRange:
         path = write_doc(tmp_path, {"rank": 2, "generators": [], "options": {"bound": 1}})
         code, _, _ = run(capsys, "verify", "--input", path, "--bound", "1")
         assert code == 0
+
+
+class TestPrecisionRange:
+    """Below 64 bits the numeric J of c3_rank2 and c6_rank2 was certified
+    although false (0 and 1 bits) or failed as an internal error (20 to 63
+    bits); such a precision is now bad input."""
+
+    @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
+    @pytest.mark.parametrize("flags, options, where", [
+        (["--precision", "0"], {}, "--precision"),
+        (["--precision", "1"], {}, "--precision"),
+        (["--precision", "20"], {}, "--precision"),
+        (["--precision", "63"], {}, "--precision"),
+        ([], {"precision": 1}, "input.options.precision"),
+        ([], {"precision": 63}, "input.options.precision"),
+    ])
+    def test_precision_below_64_rejected(self, capsys, tmp_path, name, flags, options, where):
+        path = write_doc(tmp_path, {**load_corpus(name), "options": options})
+        code, out, err = run(capsys, "jstruct", "--input", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert f"{where}: must be at least 64" in err
+
+    @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
+    def test_precision_64_accepted(self, capsys, tmp_path, name):
+        path = corpus_path(tmp_path, name)
+        code, out, _ = run(capsys, "jstruct", "--input", path, "--precision", "64",
+                           "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["exists"] is True and result["precision_bits"] == 64
+
+
+def test_realize_checks_the_cocycle_condition_once(capsys, tmp_path, monkeypatch):
+    # affine_realization checks the averaged system and raises on failure;
+    # the report states that result instead of checking again
+    calls = []
+    check = crystal.VectorSystem.is_consistent
+
+    def counted(vs):
+        calls.append(vs)
+        return check(vs)
+
+    monkeypatch.setattr(crystal.VectorSystem, "is_consistent", counted)
+    path = corpus_path(tmp_path, "mixed_c2c2")
+    code, out, _ = run(capsys, "realize", "--input", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["cocycle_consistent"] is True
+    assert len(calls) == 1
 
 
 class TestSamplerFailures:

@@ -28,9 +28,13 @@ COMMANDS = ("verify", "realize", "even", "jstruct", "action", "teich")
 
 def run_cli(name, command):
     """(exit code, stdout, stderr) of one JSON-format CLI run on stdin."""
+    return run_document(load_corpus(name), command)
+
+
+def run_document(doc, command):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(load_corpus(name)))
+    sys.stdin = io.StringIO(json.dumps(doc))
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main([command, "--input", "-", "--format", "json"])
@@ -91,6 +95,26 @@ def test_golden_matches_under_optimize():
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {
         "optimize": 1, "cases": len(exit_codes()), "mismatched": []}
+
+
+def b4_doubled():
+    """B4 on Z^4 + Z^4, the three b4_rank4 generators as block(g, g): |G| =
+    384 at rank 8, where the fixed-locus geometry is large."""
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    cycle = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    sign = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return {"rank": 8, "generators": [
+        {"linear": [row + [0] * 4 for row in g] + [[0] * 4 + row for row in g]}
+        for g in (swap, cycle, sign)]}
+
+
+@pytest.mark.parametrize("command", ["verify", "action"])
+def test_b4_doubled_matches_golden(command):
+    # pinned from the output before fixed sets were solved per conjugacy
+    # class, when `action` took about a minute
+    code, out, _ = run_document(b4_doubled(), command)
+    assert code == 0
+    assert out == (GOLDEN / f"b4double_rank8.{command}.json").read_text()
 
 
 def regenerate():

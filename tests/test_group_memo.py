@@ -1,7 +1,7 @@
 """Each group computes its invariants once and frees them with itself.
 
 The conjugacy classes, the character table and the isotypic report live on
-the MatrixGroup, and the fixed sets of the affine elements on the
+the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
 each of them once, and nothing outside the group keeps it alive.  One J
 search likewise builds each action's skew-form system and Gram sum once.
@@ -44,9 +44,9 @@ def _group(name):
     return crystal.verify_crystallographic(parse_cryst_data(load_corpus(name)))
 
 
-def _expected(order):
+def _expected(nontrivial_classes):
     return {"character_table": 1, "conjugacy_classes": 1,
-            "real_isotypic_dimensions": 1, "solve_mod_lattice": order - 1}
+            "real_isotypic_dimensions": 1, "solve_mod_lattice": nontrivial_classes}
 
 
 def test_action_job_computes_each_invariant_once(calls, capsys, tmp_path):
@@ -54,21 +54,22 @@ def test_action_job_computes_each_invariant_once(calls, capsys, tmp_path):
     path.write_text(json.dumps(load_corpus("mixed_c2c2")))
     assert cli.main(["action", "--input", str(path), "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls == _expected(4)
+    assert calls == _expected(3)
 
 
 def test_classification_and_descriptor_share_one_analysis(calls):
     g = _group("c6_rank2")
     quotient.classify_action(g)
     quotient.orbifold_descriptor(g)
-    assert calls == _expected(g.order())
+    assert calls == _expected(len(g.group.classes) - 1)
 
 
 def test_torsion_test_reads_the_fixed_sets(calls):
+    # one fixed set per nontrivial conjugacy class: S3 has 2, and 5 elements
     g = _group("s3_rank4")
     crystal.is_torsion_free(g)
     quotient.all_fixed_loci(g)
-    assert calls["solve_mod_lattice"] == g.order() - 1
+    assert calls["solve_mod_lattice"] == len(g.group.classes) - 1 == 2
 
 
 def test_group_is_freed_after_analysis():
