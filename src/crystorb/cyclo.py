@@ -1,45 +1,47 @@
-"""Exact cyclotomic arithmetic: Q(zeta_e) as rational coordinate vectors in
-the power basis 1, zeta, ..., zeta^(phi(e)-1), reduced modulo the e-th
-cyclotomic polynomial."""
+"""Exact cyclotomic arithmetic: Q(zeta_e) in the power basis 1, zeta, ...,
+zeta^(phi(e)-1), modulo the e-th cyclotomic polynomial Phi_e.
+
+An element is a tuple of integer coordinates `num` over one positive
+denominator `den`, in lowest terms (zero is 0/1), so equal elements of one
+field have equal (num, den).  Phi_e is monic with integer coefficients: sums,
+differences and products are integer loops, and a product reduced modulo
+Phi_e stays integral.  The inverse is the product of the other Galois
+conjugates over the norm.  `coeffs` is a Fraction view for callers outside
+the arithmetic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int):
-    """Integer coefficients of Phi_e, ascending degree, monic."""
+    """Integer coefficients of Phi_e, ascending degree, monic: x^e - 1 over
+    the monic Phi_d of the proper divisors d of e, by exact long division."""
     if e < 1:
         raise ValueError("order must be positive")
-    # x^e - 1 divided by the product of Phi_d over proper divisors d | e
     num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            quot = [0] * (len(num) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = q = num[i + k]
+                for j, c in enumerate(den):
+                    num[i + j] -= q * c
+            if any(num):
+                raise ArithmeticError("non-exact polynomial division")
+            num = quot
     return tuple(num)
 
 
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[k] = q
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 class CycloField:
-    """The field Q(zeta_e); a factory and arithmetic context for elements."""
+    """The field Q(zeta_e); a factory and arithmetic context for elements.
+    `modulus` is Phi_e; the powers of zeta are tabulated on first use."""
 
     _cache = {}
 
@@ -48,10 +50,9 @@ class CycloField:
             return cls._cache[order]
         self = super().__new__(cls)
         self.order = order
-        poly = cyclotomic_polynomial(order)
-        self.degree = len(poly) - 1
-        self.modulus = tuple(Fraction(c) for c in poly)
-        self._galois_maps = {}
+        self.modulus = cyclotomic_polynomial(order)
+        self.degree = len(self.modulus) - 1
+        self._phi_terms = tuple((i, c) for i, c in enumerate(self.modulus[:-1]) if c)
         cls._cache[order] = self
         return self
 
@@ -59,19 +60,14 @@ class CycloField:
         return f"CycloField({self.order})"
 
     def __call__(self, value):
-        if isinstance(value, Cyclo):
+        if type(value) is Cyclo:
             if value.field is self:
                 return value
             return value.lift(self.order)
-        coeffs = [Fraction(0)] * self.degree
-        if self.degree > 0:
-            coeffs[0] = Fraction(value)
-            return Cyclo(self, tuple(coeffs))
-        raise ValueError("degenerate field")
-
-    @property
-    def zero(self):
-        return self(0)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num, den = value.as_integer_ratio()
+        return _make(self, [num] + [0] * (self.degree - 1), den)
 
     @property
     def one(self):
@@ -79,85 +75,96 @@ class CycloField:
 
     def zeta(self, power=1):
         """zeta_e^power as a field element."""
-        return self.from_exponents({power % self.order: Fraction(1)})
+        return self.from_exponents({power: 1})
 
     def from_exponents(self, exps):
-        """Element sum_t c_t * zeta^t from an exponent -> coefficient map."""
-        acc = [Fraction(0)] * self.degree
-        for t, c in exps.items():
-            t %= self.order
-            red = self._reduce_power(t)
-            for i, x in enumerate(red):
-                acc[i] += Fraction(c) * x
-        return Cyclo(self, tuple(acc))
+        """Element sum_t c_t * zeta^t from a map t -> integer c_t."""
+        return _make(self, self._combine(exps.items()))
 
     def galois_coords(self, coords, a):
-        """Coordinates of the image of the element with power-basis
-        coordinates `coords` under zeta -> zeta^a (a coprime to the order).
+        """The image of integer coordinates `coords` under zeta -> zeta^a, a
+        coprime to the order: each basis power t becomes zeta^(a t)."""
+        if gcd(a, self.order) != 1:
+            raise ValueError("automorphism exponent not coprime to order")
+        return self._combine((a * t, c) for t, c in enumerate(coords))
 
-        The map is cached per a as the integer coordinates of zeta^(a t) for
-        each basis power t, so integer coordinates stay integers.
-        """
-        a %= self.order
-        rows = self._galois_maps.get(a)
-        if rows is None:
-            if gcd(a, self.order) != 1:
-                raise ValueError("automorphism exponent not coprime to order")
-            rows = tuple(tuple(int(x) for x in self._reduce_power(a * t % self.order))
-                         for t in range(self.degree))
-            self._galois_maps[a] = rows
-        out = [0] * self.degree
-        for c, row in zip(coords, rows):
+    @cached_property
+    def _powers(self):
+        # the nonzero (index, coordinate) pairs of zeta^t for t < e
+        cur, out = [1] + [0] * (self.degree - 1), []
+        for _ in range(self.order):
+            out.append(tuple((i, x) for i, x in enumerate(cur) if x))
+            cur = self.reduce([0] + cur)
+        return tuple(out)
+
+    def _combine(self, terms):
+        """Integer coordinates of sum c * zeta^t over the (t, c) pairs."""
+        powers, e, acc = self._powers, self.order, [0] * self.degree
+        for t, c in terms:
             if c:
-                for i, x in enumerate(row):
-                    if x:
-                        out[i] += c * x
-        return out
+                for i, x in powers[t % e]:
+                    acc[i] += c * x
+        return acc
 
-    @lru_cache(maxsize=None)
-    def _reduce_power(self, t):
-        # coordinates of zeta^t in the power basis
-        poly = [Fraction(0)] * (t + 1)
-        poly[t] = Fraction(1)
-        return tuple(_poly_mod(poly, self.modulus))
+    def reduce(self, acc):
+        """The integer polynomial `acc` reduced modulo Phi_e, in place."""
+        d = self.degree
+        for top in range(len(acc) - 1, d - 1, -1):
+            c = acc[top]
+            if c:
+                for i, p in self._phi_terms:
+                    acc[top - d + i] -= c * p
+        del acc[d:]
+        return acc
+
+    def _mul(self, x, y):
+        """Integer coordinates of the product of integer coordinates x, y."""
+        acc = [0] * (2 * self.degree - 1)
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    acc[i + j] += a * b
+        return self.reduce(acc)
 
 
-def _poly_mod(poly, modulus):
-    poly = list(poly)
-    deg = len(modulus) - 1
-    while len(poly) > deg:
-        c = poly[-1]
-        if c != 0:
-            shift = len(poly) - 1 - deg
-            for i in range(deg):
-                poly[shift + i] -= c * modulus[i]
-        poly.pop()
-    poly += [Fraction(0)] * (deg - len(poly))
-    return poly
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
+def _make(field, num, den=1):
+    """The element num/den of `field`, den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    out = object.__new__(Cyclo)
+    out.field = field
+    out.num = tuple(num)
+    out.den = den
     return out
 
 
 class Cyclo:
-    """An element of Q(zeta_e), immutable."""
+    """An element num/den of Q(zeta_e), immutable.
 
-    __slots__ = ("field", "coeffs")
+    Equal elements of one field hash alike, and a rational element hashes
+    like its Fraction.  Elements of different fields compare equal when one
+    lifts to the other, but their hashes may differ."""
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _coerce(self, other):
-        if isinstance(other, Cyclo):
+        if type(other) is Cyclo:
             if other.field is self.field:
                 return other
             if self.field.order % other.field.order == 0:
@@ -165,42 +172,54 @@ class Cyclo:
             raise ValueError("elements of incompatible cyclotomic fields")
         return self.field(other)
 
+    def _add(self, o, op):
+        a, b = self.den, o.den
+        if a == b:
+            return _make(self.field, list(map(op, self.num, o.num)), a)
+        return _make(self.field, [op(x * b, y * a) for x, y in zip(self.num, o.num)], a * b)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        return Cyclo(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add(self._coerce(other), add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._add(self._coerce(other), sub)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self._coerce(other)._add(self, sub)
 
     def __mul__(self, other):
+        t = type(other)
+        if t is int:
+            return _make(self.field, [x * other for x in self.num], self.den)
+        if t is Fraction:
+            return _make(self.field, [x * other.numerator for x in self.num],
+                         self.den * other.denominator)
         o = self._coerce(other)
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return Cyclo(self.field, tuple(_poly_mod(prod, self.field.modulus)))
+        return _make(self.field, self.field._mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """The product of the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        a = list(self.field.modulus)
-        b = list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(b):
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = next(c for c in reversed(a) if c != 0)
-        inv = [c / lead for c in s0]
-        return Cyclo(self.field, tuple(_poly_mod(inv, self.field.modulus)))
+        field, e = self.field, self.field.order
+        adj = [1] + [0] * (field.degree - 1)
+        if not self.is_rational():
+            for a in range(2, e):
+                if gcd(a, e) == 1:
+                    adj = field._mul(adj, field.galois_coords(self.num, a))
+        norm = field._mul(self.num, adj)
+        # a self-check that stays on under `python -O`
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is not a nonzero rational")
+        scale = self.den if norm[0] > 0 else -self.den
+        return _make(field, [scale * x for x in adj], abs(norm[0]))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -209,25 +228,29 @@ class Cyclo:
         return self._coerce(other) / self
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         try:
             o = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.field.order, self.num, self.den))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(e-1)."""
@@ -235,8 +258,7 @@ class Cyclo:
 
     def galois(self, a):
         """The automorphism zeta -> zeta^a (a coprime to the order)."""
-        out = self.field.galois_coords(self.coeffs, a)
-        return Cyclo(self.field, tuple(Fraction(x) for x in out))
+        return _make(self.field, self.field.galois_coords(self.num, a), self.den)
 
     def lift(self, new_order):
         """Reinterpret in Q(zeta_E) for e | E via zeta_e = zeta_E^(E/e)."""
@@ -245,11 +267,8 @@ class Cyclo:
             raise ValueError("target order must be a multiple")
         big = CycloField(new_order)
         step = new_order // e
-        out = big(0)
-        for t, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + c * big.zeta(step * t)
-        return out
+        return _make(big, big._combine((step * t, c) for t, c in enumerate(self.num)),
+                     self.den)
 
     def complex_value(self, mp):
         """Numeric value at zeta = exp(2 pi i / e) using an mpmath context."""
@@ -262,40 +281,6 @@ class Cyclo:
 
     def __repr__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for t, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if t == 0:
-                parts.append(str(c))
-            elif t == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{t}")
-        return "(" + " + ".join(parts) + f" | z=zeta_{self.field.order})"
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c != 0)
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db]
-        if c == 0:
-            continue
-        f = c / lead
-        q[k] = f
-        for i in range(db + 1):
-            a[k + i] -= f * b[i]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+            return str(self.rational_value())
+        terms = " + ".join(f"{c}*z^{t}" for t, c in enumerate(self.coeffs) if c)
+        return f"({terms} | z=zeta_{self.field.order})"

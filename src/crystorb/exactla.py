@@ -221,14 +221,21 @@ class SolutionSet:
 
     kind: str
     basis: tuple
-    cosets: tuple = ()      # (V, choices): the points are V*y mod 1, y in product(*choices)
+    cosets: tuple = ()      # (V, choices, den): the points are V*y/den mod 1
 
     @cached_property
-    def points(self):
+    def numerators(self):
+        """(den, the points' numerators over den in [0, den), sorted)."""
         if not self.cosets:
-            return ()
-        V, choices = self.cosets
-        return tuple(sorted({mod1_vec(V.mul_vec(y)) for y in product(*choices)}))
+            return 1, ()
+        V, choices, den = self.cosets
+        return den, tuple(sorted({tuple(x % den for x in V.mul_vec(y))
+                                  for y in product(*choices)}))
+
+    @property
+    def points(self):
+        den, nums = self.numerators
+        return tuple(tuple(Fraction(x, den) for x in p) for p in nums)
 
     @property
     def dim(self):
@@ -238,7 +245,7 @@ class SolutionSet:
     def cardinality(self):
         if self.kind != "finite":
             raise ValueError("cardinality only defined for finite solution sets")
-        return len(self.points)
+        return len(self.numerators[1])
 
     def is_empty(self):
         return self.kind == "empty"
@@ -295,11 +302,13 @@ def hnf(A: IntMatrix):
     return IntMatrix.from_rows(H), IntMatrix.from_rows(U)
 
 
-def snf(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: U*A*V = D."""
+def snf(A: IntMatrix, rhs=None) -> SmithDecomposition:
+    """Smith normal form with transforms: U*A*V = D.  Given an integer
+    right-hand side c, the row operations act on c in place of the identity,
+    and U is the column U*c."""
     n, m = A.rows, A.cols
     M = A.to_lists()
-    U = IntMatrix.identity(n).to_lists()
+    U = IntMatrix.identity(n).to_lists() if rhs is None else [[x] for x in rhs]
     V = IntMatrix.identity(m).to_lists()
 
     def swap_rows(i, j):
@@ -393,12 +402,14 @@ def solve_mod_lattice(A, b) -> SolutionSet:
     solved = _smith_solve(A, b)
     if solved is None:
         return SolutionSet("empty", ())
-    dec, d, c = solved
+    dec, d, c, den = solved
     free = [i for i in range(r) if d[i] == 0]
-    choices = [(Fraction(0),) if d[i] == 0 else tuple((c[i] + k) / d[i] for k in range(d[i]))
-               for i in range(r)]
+    # y_i = (c_i / den + k) / d_i for k < d_i, over one denominator den * step
+    step = lcm(*(x for x in d if x))
+    choices = [tuple((x + k * den) * (step // di) for k in range(di)) if di else (0,)
+               for x, di in zip(c, d)]
     basis = tuple(tuple(dec.V.at(i, j) for i in range(r)) for j in free)
-    return SolutionSet("family" if free else "finite", basis, (dec.V, choices))
+    return SolutionSet("family" if free else "finite", basis, (dec.V, choices, den * step))
 
 
 def kernel_q(A: RatMatrix):
@@ -430,25 +441,26 @@ def solve_affine_congruence(M: IntMatrix, c):
     solved = _smith_solve(M, c)
     if solved is None:
         return None
-    dec, diag, cu = solved
-    return dec.V.mul_vec([cu[i] / diag[i] if diag[i] else Fraction(0) for i in range(M.cols)])
+    dec, diag, cu, den = solved
+    return dec.V.mul_vec([Fraction(cu[i], den * diag[i]) if diag[i] else Fraction(0)
+                          for i in range(M.cols)])
 
 
 def _smith_solve(M: IntMatrix, c):
-    """(U*M*V = D, diagonal of D zero-padded to max(rows, cols), U*c), or None
-    when M*w = c (mod Z^rows) has no rational w: (U*c)_i fractional where
-    d_i = 0.  U multiplies c's integer numerators over their lcm."""
+    """(U*M*V = D, diagonal of D zero-padded to max(rows, cols), U*c as
+    numerators over den, den), or None when M*w = c (mod Z^rows) has no
+    rational w: (U*c)_i fractional where d_i = 0.  The elimination carries
+    c's integer numerators over their lcm den in place of U, so the
+    decomposition's U is the column U*c."""
     if len(c) != M.rows:
         raise ValueError("right-hand side has wrong length")
     c = [Fraction(x) for x in c]
     den = lcm(*(x.denominator for x in c))
-    dec = snf(M)
-    num = [x.numerator * (den // x.denominator) for x in c]
-    cu = [Fraction(x, den) for x in dec.U.mul_vec(num)]
+    dec = snf(M, [x.numerator * (den // x.denominator) for x in c])
     diag = dec.diagonal() + (0,) * abs(M.rows - M.cols)
-    if any(d == 0 and x.denominator != 1 for d, x in zip(diag, cu)):
+    if any(d == 0 and x % den for d, x in zip(diag, dec.U.entries)):
         return None
-    return dec, diag, cu
+    return dec, diag, dec.U.entries, den
 
 
 def rank_rat(A: RatMatrix):

@@ -2,10 +2,12 @@
 kernel of the package.
 
 Matrices are lists of lists whose entries support +, -, *, /, == and mix
-with Python ints: Fraction (over Q), Cyclo (over a cyclotomic field) and GF
-(over F_p, for character tables).  Besides elimination (rref, rank,
-nullspace, solve_columns, inverse, det) there is `charpoly`, the
-characteristic polynomial by Hessenberg reduction.  Nothing here is numeric."""
+with Python ints: Fraction (over Q), Cyclo (over a cyclotomic field, integer
+coordinates over one denominator) and GF (over F_p, for character tables).
+Elimination inverts each pivot once and scales its row by the inverse.
+Besides elimination (rref, rank, nullspace, solve_columns, inverse, det)
+there is `charpoly`, the characteristic polynomial by Hessenberg reduction.
+Nothing here is numeric."""
 
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ def rref(rows):
     n = len(rows)
     m = len(rows[0]) if n else 0
     pivots = []
+    one = _zero_one(rows)[1] if m else None
     pr = 0
     for pc in range(m):
         piv = next((i for i in range(pr, n) if rows[i][pc] != 0), None)
@@ -70,10 +73,10 @@ def rref(rows):
             continue
         rows[pr], rows[piv] = rows[piv], rows[pr]
         prow = rows[pr]
-        pv = prow[pc]
+        inv = one / prow[pc]
         # rows pr.. are zero left of pc: only the nonzero entries of the
         # pivot row from pc on change the other rows
-        prow[pc:] = [x / pv for x in prow[pc:]]
+        prow[pc:] = [x * inv for x in prow[pc:]]
         support = [(j, prow[j]) for j in range(pc, m) if prow[j] != 0]
         for i, row in enumerate(rows):
             f = row[pc]

@@ -8,10 +8,12 @@ multiplied after the group is built.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
-values by root-of-unity multiplicity recovery.  The linear algebra over F_p
-(restriction, characteristic polynomial, eigenspaces) is `fieldlin`'s, on
-`fieldlin.GF` elements.  All published values are exact; F_p only ever
-appears internally.
+values by root-of-unity multiplicity recovery (J. D. Dixon, Numer. Math.
+10, 1967): for a class representative g of order o, a Fourier sum over
+s, t < o of chi(g^s) gives the multiplicity of each eigenvalue
+zeta_e^(t e/o).  The linear algebra over F_p (restriction, characteristic
+polynomial, eigenspaces) is `fieldlin`'s, on `fieldlin.GF` elements.  All
+published values are exact; F_p only ever appears internally.
 """
 
 from __future__ import annotations
@@ -412,6 +414,9 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
         raise ArithmeticError("class algebra did not split into eigenlines")
 
     inv_class = [class_of[group.inv(c.representative)] for c in classes]
+    size_inv = [pow(c.size, p - 2, p) for c in classes]
+    pow_classes = [[class_of[x] for x in group._powers(c.representative)[:-1]]
+                   for c in classes]
 
     rows = []
     for sp in spaces:
@@ -420,33 +425,14 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
         v = [(x * v0inv) % p for x in v]
         s = 0
         for i in range(k):
-            s = (s + v[i] * v[inv_class[i]] * pow(classes[i].size, p - 2, p)) % p
+            s = (s + v[i] * v[inv_class[i]] * size_inv[i]) % p
         d2 = (n * pow(s, p - 2, p)) % p
         d = next((x for x in range(1, p) if (x * x) % p == d2 and x <= isqrt(n)), None)
         if d is None:
             raise ArithmeticError("degree recovery failed")
-        chi_mod = [(d * v[i] * pow(classes[i].size, p - 2, p)) % p for i in range(k)]
+        chi_mod = [(d * v[i] * size_inv[i]) % p for i in range(k)]
 
-        values = []
-        for ci, c in enumerate(classes):
-            g = c.representative
-            pow_class = []
-            cur = 0
-            for _ in range(e):
-                pow_class.append(class_of[cur])
-                cur = group.mul(cur, g)
-            exps = {}
-            e_inv = pow(e % p, p - 2, p)
-            for t in range(e):
-                m_t = 0
-                for s_ in range(e):
-                    m_t = (m_t + chi_mod[pow_class[s_]] * z_powers[(-s_ * t) % e]) % p
-                m_t = (m_t * e_inv) % p
-                if m_t > d:
-                    raise ArithmeticError("root-of-unity multiplicity out of range")
-                if m_t:
-                    exps[t] = exps.get(t, 0) + m_t
-            values.append(field.from_exponents(exps) if exps else field(0))
+        values = _lift(chi_mod, d, pow_classes, z_powers, p, field)
         _require(values[0].rational_value() == d, "character degree mismatch")
         rows.append((d, values))
 
@@ -455,10 +441,8 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
     # deterministic ordering: trivial character first, then degree, then values
     def sort_key(row):
         d, values = row
-        trivial = all(val == field(1) for val in values)
-        vkey = tuple(tuple((c.numerator, c.denominator) for c in val.coeffs)
-                     for val in values)
-        return (not trivial, d, vkey)
+        trivial = all(val == 1 for val in values)
+        return (not trivial, d, tuple((val.num, val.den) for val in values))
 
     rows.sort(key=sort_key)
 
@@ -473,6 +457,31 @@ def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterT
     return table
 
 
+def _lift(chi_mod, d, pow_classes, z_powers, p, field):
+    """The exact class values of the degree-d character chi_mod (mod p),
+    z_powers the powers of an element of order e in F_p, and pow_classes the
+    classes of g^0, ..., g^(o-1) for each class representative g."""
+    e = field.order
+    values = []
+    for pow_class in pow_classes:
+        o = len(pow_class)
+        step = e // o
+        chis = [chi_mod[c] for c in pow_class]
+        o_inv = pow(o, p - 2, p)
+        exps = {}
+        for t in range(o):
+            m_t = 0
+            for s, x in enumerate(chis):
+                m_t += x * z_powers[(-s * t * step) % e]
+            m_t = (m_t * o_inv) % p
+            if m_t > d:
+                raise ArithmeticError("root-of-unity multiplicity out of range")
+            if m_t:
+                exps[t * step] = m_t
+        values.append(field.from_exponents(exps))
+    return values
+
+
 def _verify_orthogonality(table: CharacterTable):
     """Check row and column orthogonality exactly, in integer arithmetic.
 
@@ -481,30 +490,25 @@ def _verify_orthogonality(table: CharacterTable):
     relation is an identity of integer polynomials modulo the monic Phi_e.
     """
     n = table.group.order()
-    phi = [int(c) for c in table.field.modulus]
-    coords = []
-    for chi in table.characters:
-        if any(c.denominator != 1 for v in chi.values for c in v.coeffs):
-            raise ArithmeticError("character value is not an algebraic integer")
-        coords.append([[int(c) for c in v.coeffs] for v in chi.values])
-    values = [[_terms(x) for x in row] for row in coords]
-    conjugates = [[_terms(table.field.galois_coords(x, -1)) for x in row] for row in coords]
+    field = table.field
+    if any(v.den != 1 for chi in table.characters for v in chi.values):
+        raise ArithmeticError("character value is not an algebraic integer")
+    values = [[_terms(v.num) for v in chi.values] for chi in table.characters]
+    conjugates = [[_terms(field.galois_coords(v.num, -1)) for v in chi.values]
+                  for chi in table.characters]
     sizes = [c.size for c in table.classes]
-
-    def expect(total):
-        return [total] + [0] * (len(phi) - 2)
-
-    for a, row_a in enumerate(values):
-        weighted = [[(i, size * x) for i, x in v] for size, v in zip(sizes, row_a)]
-        for b, conj_b in enumerate(conjugates):
-            if _reduced_sum(zip(weighted, conj_b), phi) != expect(n if a == b else 0):
-                raise ArithmeticError("row orthogonality failed")
-    for i, size in enumerate(sizes):
-        for j in range(len(sizes)):
-            total = _reduced_sum(((row[i], crow[j]) for row, crow in zip(values, conjugates)),
-                                 phi)
-            if total != expect(n // size if i == j else 0):
-                raise ArithmeticError("column orthogonality failed")
+    weighted = [[[(i, size * x) for i, x in v] for size, v in zip(sizes, row)]
+                for row in values]
+    # rows: sum over classes of |C| chi_a conj chi_b = |G| delta_ab; columns:
+    # sum over characters of chi(C_i) conj chi(C_j) = |G| / |C_i| delta_ij
+    for kind, xs, ys, diagonal in (
+            ("row", weighted, conjugates, [n] * len(sizes)),
+            ("column", list(zip(*values)), list(zip(*conjugates)), [n // s for s in sizes])):
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                want = [diagonal[a] if a == b else 0] + [0] * (field.degree - 1)
+                if _reduced_sum(zip(x, y), field) != want:
+                    raise ArithmeticError(f"{kind} orthogonality failed")
 
 
 def _terms(x):
@@ -512,21 +516,15 @@ def _terms(x):
     return [(i, c) for i, c in enumerate(x) if c]
 
 
-def _reduced_sum(pairs, phi):
+def _reduced_sum(pairs, field):
     """Sum of x*y over pairs of integer polynomials given by their terms,
-    reduced modulo monic phi."""
-    deg = len(phi) - 1
-    acc = [0] * (2 * deg - 1)
+    reduced modulo the field's cyclotomic polynomial."""
+    acc = [0] * (2 * field.degree - 1)
     for x, y in pairs:
         for i, a in x:
             for j, b in y:
                 acc[i + j] += a * b
-    for top in range(len(acc) - 1, deg - 1, -1):
-        c = acc[top]
-        if c:
-            for i in range(deg):
-                acc[top - deg + i] -= c * phi[i]
-    return acc[:deg]
+    return field.reduce(acc)
 
 
 def _indicator(group, field, values):

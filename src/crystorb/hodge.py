@@ -176,12 +176,13 @@ def _commutant_basis(acts, w):
 
 
 def _sum_gram(mats, w):
-    S = [[F(0)] * w for _ in range(w)]
+    """Sum of m^T m over mats in the entries' own type, as Fractions."""
+    S = [[0] * w for _ in range(w)]
     for m in mats:
         for i in range(w):
             for j in range(w):
                 S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
-    return S
+    return [[F(x) for x in row] for row in S]
 
 
 def _standard_pairings(w):
@@ -368,7 +369,7 @@ def invariant_complex_structure(crys: CrystGroup, seed=0,
     ev = is_even(crys)
     if not ev.even:
         return JSearchResult(None, ev)
-    mats = [_frac_rows(m) for m in crys.group.elements]
+    mats = [m.to_lists() for m in crys.group.elements]
     gens = [mats[s] for s in crys.group.generators]
 
     J, forms = _action_j(mats, gens, seed)
@@ -538,7 +539,7 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
         J = [[(z + z.conjugate()).rational_value() for z in row] for row in iOM1]
         JJ = fieldlin.mat_mul(J, J)
         _require(_is_minus_identity(JJ), "J of the period matrix does not square to -I")
-        proj = tuple(tuple((z.coeffs[0], z.coeffs[1]) for z in row) for row in M1)
+        proj = tuple(tuple((F(z.num[0], z.den), F(z.num[1], z.den)) for z in row) for row in M1)
         structure = ComplexStructure("exact", tuple(tuple(r) for r in J),
                                      omega.precision_bits, F(0), F(0))
         return TorusModel(structure, proj, "exact")

@@ -43,8 +43,8 @@ class FixedLocus:
 
     def components(self):
         """One Subtorus per connected component."""
-        return tuple(Subtorus.make(p, self.solutions.basis)
-                     for p in self.solutions.points)
+        den, nums = self.solutions.numerators
+        return tuple(Subtorus(p, den, self.solutions.basis) for p in nums)
 
 
 @dataclass(frozen=True)
