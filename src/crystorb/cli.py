@@ -249,7 +249,7 @@ def group_report(group, normalization):
         out["normalized"] = True
         out["notice"] = ("pure translations outside the lattice were absorbed; "
                          "coordinates were rebased")
-        out["basis_change"] = mat_str(normalization.basis_change.to_lists())
+        out["basis_change"] = mat_str(normalization.basis_change)
         out["absorbed_translations"] = [vec_str(t) for t in normalization.absorbed]
     else:
         out["normalized"] = False
@@ -586,10 +586,8 @@ def main(argv=None):
         else:
             _render_text(report, sys.stdout)
         return 0
-    except (ValidationError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (NotFinite, ExceedsBound, crystal.CocycleViolation, ValueError) as exc:
+    except (ValidationError, OSError, NotFinite, ExceedsBound, crystal.CocycleViolation,
+            ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:   # internal failure

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
-from . import exactla
-from .exactla import IntMatrix, RatMatrix, mod1_vec
-from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, MatrixGroup, closure
+from . import exactla, fieldlin
+from .exactla import IntMatrix, mod1_vec
+from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, MatrixGroup, _require, closure
 
 F = Fraction
 
@@ -45,11 +46,6 @@ class KernelTooBig(Exception):
 
 class CocycleViolation(Exception):
     """A claimed 2-cocycle fails normalization or the cocycle identity."""
-
-
-class NonLattice(Exception):
-    """An enlarged lattice is not a G-stable rank-r lattice free of pure
-    translations.  Unreachable for rational input data: an internal fault."""
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ class NormalizedAction:
     """Result of absorbing pure translations into the lattice."""
 
     group: CrystGroup
-    basis_change: RatMatrix     # columns: new lattice basis in old coordinates
+    basis_change: tuple         # Fraction rows; columns: new basis, old coordinates
     absorbed: tuple             # translations absorbed, old coordinates
     changed: bool
 
@@ -262,40 +258,42 @@ def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAc
     whole translation subgroup, which is G-stable; it becomes the lattice in
     one step and coordinates are rebased so the lattice is Z^r again.  The
     returned basis change P has the new basis vectors as columns (old
-    coordinates): v_old = P v_new.  A second defect is an internal fault.
+    coordinates): v_old = P v_new.  An enlarged lattice that is not G-stable,
+    or a second defect, is an internal fault: unreachable for rational data.
     """
     rank = data.rank
     try:
         group = verify_crystallographic(data, bound)
-        return NormalizedAction(group, RatMatrix.identity(rank), (), False)
+        identity = tuple(tuple(F(int(i == j)) for j in range(rank)) for i in range(rank))
+        return NormalizedAction(group, identity, (), False)
     except KernelTooBig as exc:
         pure = exc.translations
     P = _lattice_with(rank, pure)
-    P_inv = P.inverse()
+    P_inv = fieldlin.inverse(P)
     new_gens = []
     for lin, trans in data.generators:
-        new_lin = P_inv.mul(lin.to_rat()).mul(P)
-        if not new_lin.is_integral():
-            raise NonLattice("enlarged lattice is not stable under the action")
-        new_gens.append((new_lin.to_int(), P_inv.mul_vec(trans)))
+        new_lin = fieldlin.mat_mul(P_inv, fieldlin.mat_mul(lin.to_lists(), P))
+        _require(all(x.denominator == 1 for row in new_lin for x in row),
+                 "enlarged lattice is not stable under the action")
+        new_gens.append((new_lin, [sum(map(mul, row, trans)) for row in P_inv]))
     try:
         group = verify_crystallographic(CrystData.make(rank, new_gens), bound)
     except KernelTooBig as exc:
-        raise NonLattice(f"absorbed lattice still misses {exc.translation}") from exc
+        raise ArithmeticError(f"absorbed lattice still misses {exc.translation}") from exc
     return NormalizedAction(group, P, pure, True)
 
 
 def _lattice_with(rank, vectors):
-    """Basis (as columns) of Z^r + <vectors>, via HNF of scaled generators."""
+    """Basis (as columns of Fraction rows) of Z^r + <vectors>, via HNF of
+    scaled generators."""
     den = _common_denominator(vectors)
     rows = [[den if j == i else 0 for j in range(rank)] for i in range(rank)]
     rows += _numerators(vectors, den)
     H, _ = exactla.hnf(IntMatrix.from_rows(rows))
-    if any(H.at(i, i) == 0 for i in range(rank)):
-        raise NonLattice("translations do not generate a rank-r lattice")
+    _require(all(H.at(i, i) != 0 for i in range(rank)),
+             "translations do not generate a rank-r lattice")
     # column j of P is the j-th HNF basis row, rescaled
-    return RatMatrix.from_rows([[F(H.at(j, i), den) for j in range(rank)]
-                                for i in range(rank)])
+    return tuple(tuple(F(H.at(j, i), den) for j in range(rank)) for i in range(rank))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Exact integer/rational linear algebra: normal forms, lattice congruences,
-rational kernels.
+"""Exact integer linear algebra for lattices: Hermite and Smith normal
+forms, congruences modulo Z^r, primitive integer kernels.
 
-The integer algorithms (Hermite and Smith forms, Bareiss determinants) live
-here; row reduction over Q (inverse, kernel, rank) is `fieldlin`'s.
+Matrices here are integer (`IntMatrix`).  Everything over a field, such as
+inverse, rank, determinant and the rational kernel, is `fieldlin`'s; a
+rational matrix is a list of Fraction rows.
 
 Everything here is arbitrary-precision and deterministic; no floating point.
 Conventions fixed for reproducibility:
@@ -53,10 +54,6 @@ class IntMatrix:
     def identity(n):
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zero(rows, cols):
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -95,106 +92,8 @@ class IntMatrix:
     def neg(self):
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def is_identity(self):
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
-    def to_rat(self):
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(x) for x in self.entries))
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix; entries are Fractions (always in lowest terms)."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return RatMatrix(n, m, tuple(Fraction(x) for r in rows for x in r))
-
-    @staticmethod
-    def identity(n):
-        one, zero = Fraction(1), Fraction(0)
-        return RatMatrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_lists(), other.to_lists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum((ai[k] * b[k][j] for k in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vec(self, v):
-        if self.cols != len(v):
-            raise ValueError("shape mismatch")
-        return tuple(sum((self.at(i, k) * Fraction(v[k]) for k in range(self.cols)), Fraction(0))
-                     for i in range(self.rows))
-
-    def is_integral(self):
-        return all(x.denominator == 1 for x in self.entries)
-
-    def to_int(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, tuple(int(x) for x in self.entries))
-
-    def inverse(self):
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        try:
-            return RatMatrix.from_rows(fieldlin.inverse(self.to_lists()))
-        except ArithmeticError:
-            raise ValueError("matrix is singular") from None
 
 
 @dataclass(frozen=True)
@@ -384,18 +283,14 @@ def snf(A: IntMatrix, rhs=None) -> SmithDecomposition:
     return SmithDecomposition(D, IntMatrix.from_rows(U), IntMatrix.from_rows(V))
 
 
-def solve_mod_lattice(A, b) -> SolutionSet:
-    """Describe {v in R^r/Z^r : A*v = b (mod Z^r)} for square integral A.
-
-    A may be an IntMatrix or an integral RatMatrix; b is a rational vector.
-    The result is empty, a finite sorted list of representatives, or a
-    finite union of affine subtori (component base points plus a common
-    basis of continuous directions).
+def solve_mod_lattice(A: IntMatrix, b) -> SolutionSet:
+    """Describe {v in R^r/Z^r : A*v = b (mod Z^r)} for a square IntMatrix A
+    and a rational vector b.  The result is empty, a finite sorted list of
+    representatives, or a finite union of affine subtori (component base
+    points plus a common basis of continuous directions).
     """
-    if isinstance(A, RatMatrix):
-        A = A.to_int()
     if not isinstance(A, IntMatrix):
-        raise TypeError("A must be an IntMatrix or RatMatrix")
+        raise TypeError("A must be an IntMatrix")
     if A.rows != A.cols:
         raise ValueError("A must be square (size = lattice rank)")
     r = A.rows
@@ -412,14 +307,15 @@ def solve_mod_lattice(A, b) -> SolutionSet:
     return SolutionSet("family" if free else "finite", basis, (dec.V, choices, den * step))
 
 
-def kernel_q(A: RatMatrix):
-    """Basis of the rational kernel of A, as primitive integer vectors.
+def kernel_q(rows):
+    """Basis of the rational kernel of the matrix `rows`, as primitive
+    integer vectors.
 
     Each basis vector is scaled to integer entries with positive leading
     coordinate and content 1; the list order follows the free columns of the
     reduced echelon form.
     """
-    return [_primitive(v) for v in fieldlin.nullspace(A.to_lists())]
+    return [_primitive(v) for v in fieldlin.nullspace(rows)]
 
 
 def _primitive(v):
@@ -463,5 +359,5 @@ def _smith_solve(M: IntMatrix, c):
     return dec, diag, dec.U.entries, den
 
 
-def rank_rat(A: RatMatrix):
-    return fieldlin.rank(A.to_lists())
+def rank_rat(rows):
+    return fieldlin.rank(rows)

@@ -1,15 +1,17 @@
-"""Gaussian elimination over an arbitrary exact field: the one row-reduction
-kernel of the package.
+"""Linear algebra over an exact field, for every matrix over Q, F_p or a
+cyclotomic field: the one row-reduction kernel of the package.
 
 Matrices are lists of lists whose entries support +, -, *, /, == and mix
 with Python ints: Fraction (over Q), Cyclo (over a cyclotomic field, integer
 coordinates over one denominator) and GF (over F_p, for character tables).
 Elimination inverts each pivot once and scales its row by the inverse.
-Besides elimination (rref, rank, nullspace, solve_columns, inverse, det)
-there is `charpoly`, the characteristic polynomial by Hessenberg reduction.
-Nothing here is numeric."""
+Besides elimination (rref, rank, nullspace, solve_columns, inverse) there is
+`charpoly`, the characteristic polynomial by Hessenberg reduction, and `det`
+is read off its constant term.  Nothing here is numeric."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class GF:
@@ -54,8 +56,11 @@ class GF:
 
 
 def _zero_one(rows):
+    """Zero and one of the entries' field; an int-led matrix is over Q."""
     e = rows[0][0]
     zero = e - e
+    if type(zero) is int:
+        zero = Fraction(0)
     return zero, zero + 1
 
 
@@ -131,30 +136,6 @@ def inverse(rows):
                                 for i in range(n)])
 
 
-def det(rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    zero, one = _zero_one(rows)
-    sign = one
-    acc = one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = zero - sign
-        acc = acc * rows[c][c]
-        inv = one / rows[c][c]
-        support = [(j, rows[c][j]) for j in range(c, n) if rows[c][j] != 0]
-        for row in rows[c + 1:]:
-            if row[c] != 0:
-                f = row[c] * inv
-                for j, y in support:
-                    row[j] = row[j] - f * y
-    return sign * acc
-
-
 def charpoly(rows):
     """Coefficients c_0, ..., c_n (c_n = 1) of det(x I - A), A square, n >= 1.
 
@@ -192,6 +173,13 @@ def charpoly(rows):
                     p[k] = p[k] - c * q
         polys.append(p)
     return polys[n]
+
+
+def det(rows):
+    """det A = (-1)^n c_0, c_0 the constant term of `charpoly` (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, 2.2)."""
+    c0 = charpoly(rows)[0]
+    return c0 if len(rows) % 2 == 0 else (c0 - c0) - c0
 
 
 def mat_mul(A, B):

@@ -1,6 +1,9 @@
 """Finite integer matrix groups: closure from generators, conjugacy classes,
 exact character tables, Frobenius-Schur indicators, isotypic dimensions.
 
+The closure computes no determinant: every generator must have a left
+inverse inside its finite closure, read off the product table.
+
 Group products are index lookups: each group records, for a generating set S,
 the index of every product w*s (an n x |S| table) and a word over S for every
 element, so a product g*h walks h's word through the table and no matrix is
@@ -199,9 +202,11 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     """Close a generator list under multiplication.
 
     Raises ExceedsBound once more than `bound` distinct elements appear,
-    which is how non-finite inputs surface.  With no generators the rank
-    must be supplied and the trivial group is returned.  Every product w*g it
-    forms is recorded by index, so the group it returns multiplies by lookup.
+    which is how non-finite inputs surface, and ValueError when the finite
+    closure holds no w with w*g = 1 for some generator g.  With no
+    generators the rank must be supplied and the trivial group is returned.
+    Every product w*g it forms is recorded by index, so the group it returns
+    multiplies by lookup.
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
     if not gens:
@@ -212,8 +217,6 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     for g in gens:
         if g.rows != g.cols or g.rows != r:
             raise ValueError("generators must be square of equal rank")
-        if g.det() == 0:
-            raise ValueError("generators must be invertible")
     if rank is not None and rank != r:
         raise ValueError("declared rank does not match generators")
 
@@ -244,11 +247,12 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
             ordered.append(level[key][0])
             words.append(level[key][1])
 
-    for g in gens:
-        if abs(g.det()) != 1:
-            raise ValueError("finite closure forces det = +-1; generator violates it")
     gen_indices = tuple(index[g.entries] for g in gens)
     right = [tuple(index[key] for key in row) for row in right]
+    # a finite monoid whose generators have left inverses is a group, and an
+    # integer matrix with an integer inverse has det +-1
+    if not all(0 in column for column in zip(*right)):
+        raise ValueError("generators must be invertible")
     return MatrixGroup(r, ordered, gen_indices, (gen_indices, right, words))
 
 
@@ -354,7 +358,8 @@ def _root_of_unity(p, e):
 def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterTable:
     """Exact complex character table with Frobenius-Schur indicators.
 
-    Row and column orthogonality are verified exactly before returning.
+    The table is checked square and row-orthogonal, exactly, before
+    returning; the column relations follow.
     """
     n = group.order()
     if n > bound:
@@ -483,32 +488,32 @@ def _lift(chi_mod, d, pow_classes, z_powers, p, field):
 
 
 def _verify_orthogonality(table: CharacterTable):
-    """Check row and column orthogonality exactly, in integer arithmetic.
+    """Check that the table is square and its rows orthogonal, exactly, in
+    integer arithmetic.
 
     Character values are algebraic integers and 1, zeta, ..., zeta^(phi(e)-1)
     is a Z-basis of Z[zeta_e], so every coordinate must be an integer and each
     relation is an identity of integer polynomials modulo the monic Phi_e.
+    The column relations follow: for a square X with X diag(|C|) X* = |G| I,
+    X diag(|C|) is invertible with inverse X* / |G|, so X* X = |G|
+    diag(|C|)^-1.
     """
     n = table.group.order()
     field = table.field
+    _require(len(table.characters) == len(table.classes), "character table is not square")
     if any(v.den != 1 for chi in table.characters for v in chi.values):
         raise ArithmeticError("character value is not an algebraic integer")
-    values = [[_terms(v.num) for v in chi.values] for chi in table.characters]
+    sizes = [c.size for c in table.classes]
+    weighted = [[[(i, size * x) for i, x in _terms(v.num)]
+                 for size, v in zip(sizes, chi.values)] for chi in table.characters]
     conjugates = [[_terms(field.galois_coords(v.num, -1)) for v in chi.values]
                   for chi in table.characters]
-    sizes = [c.size for c in table.classes]
-    weighted = [[[(i, size * x) for i, x in v] for size, v in zip(sizes, row)]
-                for row in values]
-    # rows: sum over classes of |C| chi_a conj chi_b = |G| delta_ab; columns:
-    # sum over characters of chi(C_i) conj chi(C_j) = |G| / |C_i| delta_ij
-    for kind, xs, ys, diagonal in (
-            ("row", weighted, conjugates, [n] * len(sizes)),
-            ("column", list(zip(*values)), list(zip(*conjugates)), [n // s for s in sizes])):
-        for a, x in enumerate(xs):
-            for b, y in enumerate(ys):
-                want = [diagonal[a] if a == b else 0] + [0] * (field.degree - 1)
-                if _reduced_sum(zip(x, y), field) != want:
-                    raise ArithmeticError(f"{kind} orthogonality failed")
+    # sum over classes of |C| chi_a conj chi_b = |G| delta_ab
+    for a, x in enumerate(weighted):
+        for b, y in enumerate(conjugates):
+            want = [n if a == b else 0] + [0] * (field.degree - 1)
+            if _reduced_sum(zip(x, y), field) != want:
+                raise ArithmeticError("row orthogonality failed")
 
 
 def _terms(x):

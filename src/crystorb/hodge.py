@@ -24,7 +24,7 @@ import mpmath
 from . import fieldlin
 from .crystal import CrystGroup
 from .cyclo import CycloField
-from .exactla import IntMatrix, RatMatrix, kernel_q
+from .exactla import IntMatrix, kernel_q
 from .groupcore import CharacterTable, IsotypicReport, MatrixGroup, _require
 
 F = Fraction
@@ -81,11 +81,6 @@ class ComplexStructure:
     def dim(self):
         return len(self.entries)
 
-    def rational_rows(self):
-        if self.mode != "exact":
-            raise ValueError("only exact structures have rational entries")
-        return [list(r) for r in self.entries]
-
 
 @dataclass(frozen=True)
 class JSearchResult:
@@ -95,10 +90,6 @@ class JSearchResult:
 
 # ---------------------------------------------------------------------------
 # exact search machinery
-
-def _frac_rows(mat: IntMatrix):
-    return [[F(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
-
 
 def _is_minus_identity(A):
     w = len(A)
@@ -121,7 +112,7 @@ def _neg(M):
 def _block_action(crys: CrystGroup, basis, indices):
     """The matrices of the elements `indices` on the span of the columns of
     `basis`, in those coordinates; ArithmeticError if it is not invariant."""
-    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(_frac_rows(crys.linear(g)), basis))
+    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(crys.linear(g).to_lists(), basis))
             for g in indices]
 
 
@@ -149,7 +140,7 @@ def _matrix_equation(terms):
 def _kernel_matrices(rows, w):
     """The primitive integer kernel basis of `kernel_q`, as w x w matrices."""
     return [[list(v[i * w:(i + 1) * w]) for i in range(w)]
-            for v in kernel_q(RatMatrix.from_rows(rows))]
+            for v in kernel_q(rows)]
 
 
 def _invariant_skew_basis(gens, w):
@@ -572,7 +563,13 @@ def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
     the fixed points are exactly the invariant subspaces."""
     if g.rows != omega.rows or g.cols != omega.rows:
         raise ValueError("group element has incompatible shape")
-    ginv = g.to_rat().inverse().to_int()
+    try:
+        inv = fieldlin.inverse([[F(x) for x in row] for row in g.to_lists()])
+    except ArithmeticError:
+        raise ValueError("matrix is singular") from None
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix has non-integer entries")
+    ginv = [[int(x) for x in row] for row in inv]
     if omega.mode == "exact":
         rows = []
         for i in range(omega.rows):
@@ -580,7 +577,7 @@ def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
             for j in range(omega.cols):
                 acc = GAUSS(0)
                 for k in range(omega.rows):
-                    acc = acc + ginv.at(i, k) * omega.entries[k][j]
+                    acc = acc + ginv[i][k] * omega.entries[k][j]
                 row.append(acc)
             rows.append(tuple(row))
         return OmegaMatrix("exact", omega.rows, omega.cols, tuple(rows),
@@ -592,7 +589,7 @@ def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
             for j in range(omega.cols):
                 acc = mpmath.mpc(0)
                 for k in range(omega.rows):
-                    acc += ginv.at(i, k) * omega.entries[k][j]
+                    acc += ginv[i][k] * omega.entries[k][j]
                 row.append(acc)
             rows.append(tuple(row))
         return OmegaMatrix("approximate", omega.rows, omega.cols, tuple(rows),
@@ -777,7 +774,7 @@ def tangent_dimension(crys: CrystGroup, B) -> int:
     rows = []
     gens = crys.group.generators or (0,)
     for gi, rho in zip(gens, _block_action(crys, B, gens)):
-        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(_frac_rows(crys.linear(gi)), C))[n:]
+        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi).to_lists(), C))[n:]
         # unknown Psi (n x n): Psi rho - Q Psi = 0
         rows += _matrix_equation([(identity, rho), (_neg(Q), identity)])
     return len(fieldlin.nullspace(rows))

@@ -127,19 +127,6 @@ def all_fixed_loci(crys: CrystGroup):
 
 
 @dataclass(frozen=True)
-class FreeActionReport:
-    free: bool
-    offenders: tuple
-
-
-def free_action_report(crys: CrystGroup) -> FreeActionReport:
-    """Emptiness of every nontrivial fixed locus; no complex structure
-    needed, hence usable on odd or non-even groups for cross-checks."""
-    offenders = tuple(l.element_index for l in all_fixed_loci(crys) if not l.is_empty())
-    return FreeActionReport(not offenders, offenders)
-
-
-@dataclass(frozen=True)
 class ActionClassification:
     kind: str              # "free" | "quasi_free" | "divisorial"
     evidence: tuple        # (element index, complex codim) at the extremes
@@ -153,18 +140,10 @@ def _require_even(crys):
     return ev
 
 
-def _check_j(crys, J):
-    if J is not None and getattr(J, "mode", None) == "exact":
-        gens = [hodge._frac_rows(crys.linear(gi)) for gi in crys.group.generators]
-        if not hodge._commutes_with_all(J.rational_rows(), gens):
-            raise ValueError("complex structure does not commute with the action")
-
-
-def classify_action(crys: CrystGroup, J=None) -> ActionClassification:
+def classify_action(crys: CrystGroup) -> ActionClassification:
     """free: no fixed points; quasi_free: all loci of complex codim >= 2;
     divisorial: some locus of complex codim 1."""
     _require_even(crys)
-    _check_j(crys, J)
     nonempty = [l for l in all_fixed_loci(crys) if not l.is_empty()]
     if not nonempty:
         return ActionClassification("free", ())
@@ -177,20 +156,19 @@ def classify_action(crys: CrystGroup, J=None) -> ActionClassification:
     return ActionClassification(kind, evidence)
 
 
-def pseudoreflections(crys: CrystGroup, J=None):
+def pseudoreflections(crys: CrystGroup):
     """Nontrivial elements whose complex linear part fixes a hyperplane
     (eigenvalue-1 eigenspace of complex dimension n-1) and which actually
     fix points on the torus."""
     _require_even(crys)
-    _check_j(crys, J)
     return tuple(l.element_index for l in all_fixed_loci(crys) if l.complex_codim == 1)
 
 
-def gpr_subgroup(crys: CrystGroup, J=None) -> MatrixGroup:
+def gpr_subgroup(crys: CrystGroup) -> MatrixGroup:
     """The subgroup generated by the pseudoreflections, searched breadth
     first from the identity.  It is normal: h Fix(g) = Fix(h g h^-1), so the
     pseudoreflections are closed under conjugation."""
-    refl = pseudoreflections(crys, J)
+    refl = pseudoreflections(crys)
     g = crys.group
     members = {0}
     queue = [0]
@@ -217,10 +195,10 @@ class FactorizationReport:
     quasi_etale: bool
 
 
-def factorization_report(crys: CrystGroup, J=None) -> FactorizationReport:
+def factorization_report(crys: CrystGroup) -> FactorizationReport:
     _require_even(crys)
     g = crys.group
-    sub = gpr_subgroup(crys, J)
+    sub = gpr_subgroup(crys)
     sub_entries = {m.entries for m in sub.elements}
     indices = tuple(i for i in range(g.order())
                     if g.elements[i].entries in sub_entries)
@@ -288,7 +266,7 @@ def _orbit_keys(crys, sub: Subtorus, lattices):
     return keys
 
 
-def orbifold_descriptor(crys: CrystGroup, J=None) -> OrbifoldDescriptor:
+def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
     """Branch-divisor classes with multiplicities plus the summary of the
     deeper (complex codimension >= 2) singular strata.
 
@@ -303,7 +281,7 @@ def orbifold_descriptor(crys: CrystGroup, J=None) -> OrbifoldDescriptor:
     outside the orbits found so far is its orbit's first component over all
     of G.  Conjugate components have stabilizers of equal order."""
     _require_even(crys)
-    classification = classify_action(crys, J)
+    classification = classify_action(crys)
     lattices = {}
     placed = set()
     classes = []

@@ -1,10 +1,13 @@
 """The integer orthogonality check of character tables against an oracle.
 
-`_verify_orthogonality` checks both orthogonality relations on the integer
-coordinates of the character values in Z[zeta_e].  The oracle below is the
-direct check in Cyclo arithmetic.  Both accept every real table; the integer
-check rejects each kind of corrupted table, and the oracle rejects those that
-break orthogonality.
+`_verify_orthogonality` checks that the table is square and checks the row
+relations on the integer coordinates of the character values in Z[zeta_e];
+the column relations follow from those.  The oracle below is the direct check
+of both relations in Cyclo arithmetic.  Both accept every real table; the
+integer check rejects each kind of corrupted table, and the oracle rejects
+those that break orthogonality.  A table missing one character keeps its
+rows orthogonal: only the column relations, and so the squareness check,
+reject it.
 """
 
 import os
@@ -124,6 +127,20 @@ def test_integer_check_agrees_with_oracle(name):
     if mutant is not None:
         assert rejects(_verify_orthogonality, mutant)
         assert rejects(oracle_verify_orthogonality, mutant)
+
+
+@pytest.mark.parametrize("name", corpus_names() + sorted(INLINE))
+def test_dropped_character_rejected(name):
+    table = character_table(point_group(name))
+    if len(table.characters) == 1:
+        return
+    for a in (0, len(table.characters) - 1):
+        chars = table.characters[:a] + table.characters[a + 1:]
+        mutant = replace(table, characters=chars)
+        with pytest.raises(ArithmeticError, match="not square"):
+            _verify_orthogonality(mutant)
+        with pytest.raises(ArithmeticError, match="column orthogonality"):
+            oracle_verify_orthogonality(mutant)
 
 
 @pytest.mark.parametrize("name", corpus_names() + sorted(INLINE))

@@ -26,11 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from crystorb import cli, crystal, hodge, quotient
+from crystorb import cli, crystal, fieldlin, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import CrystData, KernelTooBig
-from crystorb.exactla import IntMatrix, RatMatrix, mod1_vec
+from crystorb.exactla import IntMatrix, mod1_vec
 from crystorb.groupcore import DEFAULT_ORDER_BOUND, closure
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -55,7 +55,7 @@ def oracle_affine_closure(data, bound=DEFAULT_ORDER_BOUND):
             for glin, gtrans in data.generators:
                 nl = lin.mul(glin)
                 nt = mod1_vec(tuple(a + b for a, b in
-                                    zip(lin.to_rat().mul_vec(gtrans), trans)))
+                                    zip(lin.mul_vec(gtrans), trans)))
                 key = nl.entries
                 if key in table:
                     old = table[key][1]
@@ -80,11 +80,19 @@ def oracle_translations(data):
     return tuple(table[m.entries][1] for m in lin_group.elements)
 
 
+def _identity(rank):
+    return [[F(int(i == j)) for j in range(rank)] for i in range(rank)]
+
+
+def _mul_vec(rows, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+
+
 def oracle_normalize(data):
     """(basis change, absorbed translations, final translations)."""
     rank = data.rank
     current = data
-    P_total = RatMatrix.identity(rank)
+    P_total = _identity(rank)
     absorbed = []
     for _ in range(64):
         lin_group = closure([g for g, _ in current.generators], rank=rank)
@@ -92,15 +100,17 @@ def oracle_normalize(data):
         if not pure:
             return P_total, tuple(absorbed), oracle_translations(current)
         # the linear orbit, each vector once (the lattice it spans is the same)
-        vectors = list(dict.fromkeys(m.to_rat().mul_vec(t)
+        vectors = list(dict.fromkeys(m.mul_vec(t)
                                      for t in pure for m in lin_group.elements))
         P = crystal._lattice_with(rank, vectors)
-        absorbed.extend(P_total.mul_vec(t) for t in pure)
-        P_inv = P.inverse()
-        current = CrystData.make(rank, [
-            (P_inv.mul(lin.to_rat()).mul(P).to_int(), P_inv.mul_vec(trans))
-            for lin, trans in current.generators])
-        P_total = P_total.mul(P)
+        absorbed.extend(_mul_vec(P_total, t) for t in pure)
+        P_inv = fieldlin.inverse(P)
+        lins = [fieldlin.mat_mul(fieldlin.mat_mul(P_inv, lin.to_lists()), P)
+                for lin, _ in current.generators]
+        assert all(x.denominator == 1 for m in lins for row in m for x in row)
+        current = CrystData.make(rank, [(m, _mul_vec(P_inv, trans))
+                                        for m, (_, trans) in zip(lins, current.generators)])
+        P_total = fieldlin.mat_mul(P_total, P)
     raise AssertionError("lattice enlargement did not terminate")
 
 
@@ -193,8 +203,8 @@ INPUTS = _inputs()
 
 
 def _in_lattice(vectors, P):
-    P_inv = P.inverse()
-    return all(x.denominator == 1 for v in vectors for x in P_inv.mul_vec(v))
+    P_inv = fieldlin.inverse(P)
+    return all(x.denominator == 1 for v in vectors for x in _mul_vec(P_inv, v))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def test_one_closure_agrees_with_affine_closure(label):
     P, absorbed, final = oracle_normalize(data)
     res = crystal.normalize_action(data)
     assert res.changed == (expected is None) == bool(absorbed)
-    assert res.basis_change.to_lists() == P.to_lists()
+    assert [list(row) for row in res.basis_change] == P
     assert res.group.translations == final
     if expected is None:
         assert res.absorbed == info.value.translations
@@ -264,7 +274,7 @@ def test_cli_verify_closes_once_per_lattice(monkeypatch, tmp_path, capsys):
 
 
 def test_unabsorbed_translation_is_an_internal_fault(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(crystal, "_lattice_with", lambda rank, vectors: RatMatrix.identity(rank))
+    monkeypatch.setattr(crystal, "_lattice_with", lambda rank, vectors: _identity(rank))
     path = tmp_path / "halftrans.json"
     path.write_text(json.dumps(load_corpus("halftrans_rank2")))
     assert cli.main(["verify", "--input", str(path), "--format", "json"]) == 2

@@ -79,13 +79,13 @@ class TestNormalize:
         assert res.changed
         assert res.group.order() == 2
         P = res.basis_change
-        assert sorted(abs(P.at(i, j)) for i in range(2) for j in range(2)) == \
+        assert sorted(abs(x) for row in P for x in row) == \
             [F(0), F(0), F(1, 2), F(1)]
 
     def test_already_normalized(self):
         res = normalize_action(KLEIN)
         assert not res.changed
-        assert res.basis_change.to_lists() == [[1, 0], [0, 1]]
+        assert res.basis_change == ((1, 0), (0, 1))
         assert res.group.order() == 2
 
     def test_no_pure_translations_outside_lattice(self):
@@ -184,8 +184,7 @@ class TestEquivalence:
         res = realizations_equivalent(u, up)
         assert res.equivalent
         w = res.shift
-        lin = group.elements[1].to_rat()
-        img = lin.mul_vec(w)
+        img = group.elements[1].mul_vec(w)
         diff = tuple(a - b for a, b in zip(u.u(1), up.u(1)))
         assert mod1_vec(tuple(d - (i - ww) for d, i, ww in zip(diff, img, w))) == (0, 0)
 

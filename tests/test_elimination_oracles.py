@@ -4,9 +4,12 @@ Row reduction over Q used to be written out in `exactla` (RatMatrix.inverse,
 kernel_q, rank_rat) and over F_p in `groupcore` (nullspace, solve_columns,
 det on ints mod p).  Those six loops are kept below as oracles and compared
 with the `fieldlin` paths on seeded random matrices, including rank-deficient
-and inconsistent systems.  `fieldlin.charpoly` is checked against
-det(x I - A) over Q, F_p and a cyclotomic field, and `fieldlin.GF` against
-int arithmetic mod p.
+and inconsistent systems.  So are the two determinants that `fieldlin.det`
+replaced by the constant term of `charpoly`: Bareiss elimination on integer
+matrices (`IntMatrix.det`) and the pivoting loop of the old `fieldlin.det`,
+over Q, F_p and Q(zeta_12).  `fieldlin.charpoly` is checked against
+det(x I - A), evaluated by that loop, over the same three fields, and
+`fieldlin.GF` against int arithmetic mod p.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 
 from crystorb import fieldlin
 from crystorb.cyclo import CycloField
-from crystorb.exactla import IntMatrix, RatMatrix, kernel_q, rank_rat
+from crystorb.exactla import kernel_q, rank_rat
 from crystorb.fieldlin import GF
 
 PRIMES = (2, 3, 13, 73)
@@ -26,8 +29,8 @@ PRIMES = (2, 3, 13, 73)
 # oracles: the hand-written eliminations the package used to carry
 
 def oracle_rat_inverse(A):
-    n = A.rows
-    aug = [list(A.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)]
+    n = len(A)
+    aug = [list(A[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
@@ -40,7 +43,7 @@ def oracle_rat_inverse(A):
             if i != col and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return RatMatrix.from_rows([r[n:] for r in aug])
+    return [r[n:] for r in aug]
 
 
 def _oracle_rref_q(rows, n, m):
@@ -66,11 +69,12 @@ def _oracle_rref_q(rows, n, m):
 
 def oracle_kernel_q(A):
     from crystorb.exactla import _primitive
-    rows = A.to_lists()
-    pivots = _oracle_rref_q(rows, A.rows, A.cols)
+    rows = [list(r) for r in A]
+    m = len(A[0])
+    pivots = _oracle_rref_q(rows, len(A), m)
     basis = []
-    for fc in [j for j in range(A.cols) if j not in pivots]:
-        v = [Fraction(0)] * A.cols
+    for fc in [j for j in range(m) if j not in pivots]:
+        v = [Fraction(0)] * m
         v[fc] = Fraction(1)
         for k, pc in enumerate(pivots):
             v[pc] = -rows[k][fc]
@@ -79,7 +83,7 @@ def oracle_kernel_q(A):
 
 
 def oracle_rank_rat(A):
-    return len(_oracle_rref_q(A.to_lists(), A.rows, A.cols))
+    return len(_oracle_rref_q([list(r) for r in A], len(A), len(A[0])))
 
 
 def _oracle_rref_fp(rows, p):
@@ -165,6 +169,55 @@ def oracle_fp_det(mat, p):
     return det % p
 
 
+def oracle_bareiss(rows):
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: the former IntMatrix.det."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def oracle_field_det(rows):
+    """Determinant by pivoting elimination over any field: the former
+    fieldlin.det."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    zero = rows[0][0] - rows[0][0]
+    one = zero + 1
+    sign = one
+    acc = one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = zero - sign
+        acc = acc * rows[c][c]
+        inv = one / rows[c][c]
+        for row in rows[c + 1:]:
+            if row[c] != 0:
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], rows[c][c:])]
+    return sign * acc
+
+
 # ---------------------------------------------------------------------------
 # seeded inputs
 
@@ -194,7 +247,7 @@ def rat_cases(count=60, seed=11):
     for _ in range(count):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rank = rng.choice([None, None, rng.randint(0, min(n, m))])
-        yield RatMatrix.from_rows(random_matrix(rng, n, m, rank, rational_entry))
+        yield random_matrix(rng, n, m, rank, rational_entry)
 
 
 def to_gf(rows, p):
@@ -214,26 +267,26 @@ def test_inverse_matches_oracle():
     for _ in range(80):
         n = rng.randint(1, 6)
         rank = rng.choice([None, None, None, rng.randint(0, n - 1) if n > 1 else 0])
-        A = RatMatrix.from_rows(random_matrix(rng, n, n, rank, rational_entry))
+        A = [[Fraction(x) for x in r] for r in random_matrix(rng, n, n, rank, rational_entry)]
         try:
             want = oracle_rat_inverse(A)
-        except ValueError as exc:
+        except ValueError:
             singular += 1
-            with pytest.raises(ValueError, match=str(exc)):
-                A.inverse()
+            with pytest.raises(ArithmeticError):
+                fieldlin.inverse(A)
             continue
         invertible += 1
-        got = A.inverse()
+        got = fieldlin.inverse(A)
         assert got == want
-        assert A.mul(got) == RatMatrix.identity(n)
+        assert fieldlin.mat_mul(A, got) == [[int(i == j) for j in range(n)] for i in range(n)]
     assert singular >= 10 and invertible >= 30
 
 
 def test_rref_matches_oracle():
     for A in rat_cases(seed=10):
-        rows = A.to_lists()
-        pivots = _oracle_rref_q(rows, A.rows, A.cols)
-        assert fieldlin.rref(A.to_lists()) == (rows, pivots)
+        rows = [list(r) for r in A]
+        pivots = _oracle_rref_q(rows, len(A), len(A[0]))
+        assert fieldlin.rref(A) == (rows, pivots)
 
 
 def test_kernel_q_matches_oracle():
@@ -243,7 +296,7 @@ def test_kernel_q_matches_oracle():
         assert got == oracle_kernel_q(A)
         nontrivial += bool(got)
         for v in got:
-            assert all(x == 0 for x in A.mul_vec(v))
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
     assert nontrivial >= 20
 
 
@@ -258,12 +311,61 @@ def test_rank_rat_matches_oracle():
 
 def test_det_matches_bareiss():
     rng = random.Random(6)
+    zero = nonzero = 0
     for _ in range(60):
         n = rng.randint(1, 6)
         rank = rng.choice([None, None, rng.randint(0, n)])
         rows = random_matrix(rng, n, n, rank)
-        assert fieldlin.det([[Fraction(x) for x in r] for r in rows]) == \
-            IntMatrix.from_rows(rows).det()
+        want = oracle_bareiss(rows)
+        got = fieldlin.det([[Fraction(x) for x in r] for r in rows])
+        assert type(got) is Fraction and got == want
+        zero += want == 0
+        nonzero += want != 0
+    assert zero and nonzero
+
+
+def test_int_rows_are_eliminated_over_q():
+    # a matrix of ints is a matrix over Q: no pivot is inverted in floats
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = random_matrix(rng, n, n, rng.choice([None, rng.randint(0, n)]))
+        exact = [[Fraction(x) for x in r] for r in rows]
+        d = fieldlin.det(rows)
+        assert not isinstance(d, float) and d == oracle_bareiss(rows)
+        assert kernel_q(rows) == oracle_kernel_q(exact)
+        assert rank_rat(rows) == oracle_rank_rat(exact)
+        assert fieldlin.rref(rows) == fieldlin.rref(exact)
+
+
+def test_det_matches_elimination_over_q():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rank = rng.choice([None, None, rng.randint(0, n)])
+        A = [[Fraction(x) for x in r]
+             for r in random_matrix(rng, n, n, rank, rational_entry)]
+        assert fieldlin.det(A) == oracle_field_det(A)
+
+
+def test_det_over_cyclotomic_field():
+    field = CycloField(12)
+    rng = random.Random(8)
+
+    def entry(rng):
+        return field.zeta(rng.randrange(12)) * rng.randint(-2, 2) + rng.randint(-1, 1)
+
+    zero = nonzero = 0
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        rank = rng.choice([None, None, rng.randint(0, n)])
+        A = [[field(x) for x in row] for row in random_matrix(rng, n, n, rank, entry)]
+        want = oracle_field_det(A)
+        got = fieldlin.det(A)
+        assert got == want
+        zero += want == 0
+        nonzero += want != 0
+    assert zero and nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +410,7 @@ def test_fp_det_matches_oracle(p):
              for row in random_matrix(rng, n, n, rank, lambda rng: rng.randrange(p))]
         want = oracle_fp_det(A, p)
         got = fieldlin.det(to_gf(A, p))
-        assert got.v == want
+        assert type(got) is GF and got.v == want == oracle_field_det(to_gf(A, p)).v
         zero += want == 0
         nonzero += want != 0
     assert zero and nonzero
@@ -360,9 +462,11 @@ def _charpoly_at(coeffs, x):
 
 
 def _det_shift(A, x, one):
+    """det(x I - A) by the elimination oracle, so charpoly is not checked
+    against itself."""
     n = len(A)
-    return fieldlin.det([[(x if i == j else one - one) - A[i][j] for j in range(n)]
-                         for i in range(n)])
+    return oracle_field_det([[(x if i == j else one - one) - A[i][j] for j in range(n)]
+                             for i in range(n)])
 
 
 def test_charpoly_over_q():

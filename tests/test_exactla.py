@@ -4,18 +4,31 @@ from itertools import product
 
 import pytest
 
+from crystorb import fieldlin
 from crystorb.exactla import (
     IntMatrix,
-    RatMatrix,
     hnf,
     kernel_q,
     mod1_vec,
+    rank_rat,
     snf,
     solve_affine_congruence,
     solve_mod_lattice,
 )
 
 F = Fraction
+
+
+def rat(A: IntMatrix):
+    return [[F(x) for x in row] for row in A.to_lists()]
+
+
+def det(A: IntMatrix):
+    return fieldlin.det(rat(A))
+
+
+def mul_vec(rows, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
 
 
 def brute_force_torus_solutions(A: IntMatrix, b):
@@ -25,7 +38,7 @@ def brute_force_torus_solutions(A: IntMatrix, b):
     keeps v = A^{-1}(b + k) that lands in [0,1)^r.
     """
     r = A.rows
-    Ainv = A.to_rat().inverse()
+    Ainv = fieldlin.inverse(rat(A))
     b = [F(x) for x in b]
     los, his = [], []
     for i in range(r):
@@ -36,7 +49,7 @@ def brute_force_torus_solutions(A: IntMatrix, b):
     sols = set()
     for k in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
         rhs = [b[i] + k[i] for i in range(r)]
-        v = Ainv.mul_vec(rhs)
+        v = mul_vec(Ainv, rhs)
         if all(0 <= x < 1 for x in v):
             sols.add(tuple(v))
     return sorted(sols)
@@ -54,15 +67,15 @@ class TestHnf:
         A = IntMatrix.from_rows([[2, 4], [6, 8]])
         H, U = hnf(A)
         assert H.to_lists() == [[2, 0], [0, 4]]
-        assert abs(U.det()) == 1
+        assert abs(det(U)) == 1
         assert U.mul(A) == H
-        assert abs(H.det()) == abs(A.det()) == 8
+        assert abs(det(H)) == abs(det(A)) == 8
 
     def test_zero_matrix(self):
-        A = IntMatrix.zero(2, 2)
+        A = IntMatrix(2, 2, (0,) * 4)
         H, U = hnf(A)
         assert H == A
-        assert abs(U.det()) == 1
+        assert abs(det(U)) == 1
 
     def test_idempotent_and_transform(self):
         rng = random.Random(7)
@@ -71,7 +84,7 @@ class TestHnf:
             m = rng.randint(1, 4)
             A = IntMatrix(n, m, tuple(rng.randint(-9, 9) for _ in range(n * m)))
             H, U = hnf(A)
-            assert abs(U.det()) == 1
+            assert abs(det(U)) == 1
             assert U.mul(A) == H
             H2, _ = hnf(H)
             assert H2 == H
@@ -117,8 +130,8 @@ class TestSnf:
             m = rng.randint(1, 4)
             A = IntMatrix(n, m, tuple(rng.randint(-8, 8) for _ in range(n * m)))
             dec = snf(A)
-            assert abs(dec.U.det()) == 1
-            assert abs(dec.V.det()) == 1
+            assert abs(det(dec.U)) == 1
+            assert abs(det(dec.V)) == 1
             assert dec.U.mul(A).mul(dec.V) == dec.D
             diag = dec.diagonal()
             assert all(x >= 0 for x in diag)
@@ -139,7 +152,7 @@ class TestSnf:
         while count < 30:
             n = rng.randint(1, 4)
             A = IntMatrix(n, n, tuple(rng.randint(-5, 5) for _ in range(n * n)))
-            d = A.det()
+            d = det(A)
             if d == 0:
                 continue
             count += 1
@@ -158,7 +171,7 @@ class TestSolveModLattice:
         expected = sorted(tuple(F(a, 2) for a in bits) for bits in product((0, 1), repeat=4))
         assert sol.kind == "finite"
         assert list(sol.points) == expected
-        assert sol.cardinality == 16 == abs(A.det())
+        assert sol.cardinality == 16 == abs(det(A))
 
     def test_invertible_over_z(self):
         sol = solve_mod_lattice(IntMatrix.identity(2), [F(1, 3), 0])
@@ -183,13 +196,8 @@ class TestSolveModLattice:
             solve_mod_lattice(IntMatrix.from_rows([[1, 0]]), [0])
 
     def test_rejects_fractional_matrix(self):
-        A = RatMatrix.from_rows([[F(1, 2), 0], [0, 1]])
-        with pytest.raises(ValueError):
-            solve_mod_lattice(A, [0, 0])
-
-    def test_accepts_integral_rat_matrix(self):
-        A = RatMatrix.from_rows([[2, 0], [0, 2]])
-        assert solve_mod_lattice(A, [0, 0]).cardinality == 4
+        with pytest.raises(TypeError):
+            solve_mod_lattice([[F(1, 2), 0], [0, 1]], [0, 0])
 
     def test_cardinality_matches_brute_force(self):
         rng = random.Random(13)
@@ -197,7 +205,7 @@ class TestSolveModLattice:
         while checked < 25:
             r = rng.randint(1, 3)
             A = IntMatrix(r, r, tuple(rng.randint(-3, 3) for _ in range(r * r)))
-            d = A.det()
+            d = det(A)
             if d == 0 or abs(d) > 64:
                 continue
             checked += 1
@@ -219,15 +227,15 @@ class TestSolveModLattice:
 
 class TestKernelQ:
     def test_identity_empty(self):
-        assert kernel_q(RatMatrix.identity(3)) == []
+        assert kernel_q(rat(IntMatrix.identity(3))) == []
 
     def test_zero_full(self):
-        basis = kernel_q(RatMatrix.from_rows([[0, 0], [0, 0]]))
+        basis = kernel_q([[F(0), F(0)], [F(0), F(0)]])
         assert len(basis) == 2
 
     def test_rank_one(self):
         # Gaussian elimination by hand: kernel spanned by (1, -1)
-        basis = kernel_q(RatMatrix.from_rows([[1, 1], [2, 2]]))
+        basis = kernel_q([[F(1), F(1)], [F(2), F(2)]])
         assert basis == [(F(1), F(-1))]
 
     def test_kernel_property(self):
@@ -235,13 +243,12 @@ class TestKernelQ:
         for _ in range(40):
             n = rng.randint(1, 4)
             m = rng.randint(1, 4)
-            A = RatMatrix(n, m, tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-                                      for _ in range(n * m)))
+            A = [[F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(m)]
+                 for _ in range(n)]
             basis = kernel_q(A)
             for v in basis:
-                assert all(x == 0 for x in A.mul_vec(v))
+                assert all(x == 0 for x in mul_vec(A, v))
             # maximality: rank + nullity = cols
-            from crystorb.exactla import rank_rat
             assert rank_rat(A) + len(basis) == m
 
 
@@ -250,7 +257,7 @@ class TestAffineCongruence:
         M = IntMatrix.from_rows([[0, 0], [0, -2]])
         w = solve_affine_congruence(M, [0, F(1, 3)])
         assert w is not None
-        img = M.to_rat().mul_vec(w)
+        img = M.mul_vec(w)
         assert mod1_vec([img[0] - 0, img[1] - F(1, 3)]) == (F(0), F(0))
 
     def test_no_witness(self):
@@ -261,5 +268,5 @@ class TestAffineCongruence:
         M = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         w = solve_affine_congruence(M, [F(1, 4), F(1, 4), F(1, 2)])
         assert w is not None
-        img = M.to_rat().mul_vec(w)
+        img = M.mul_vec(w)
         assert mod1_vec([img[0] - F(1, 4), img[1] - F(1, 4), img[2] - F(1, 2)]) == (0, 0, 0)

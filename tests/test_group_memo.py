@@ -99,9 +99,9 @@ def test_j_search_builds_each_skew_system_once(monkeypatch):
         finally:
             where[0] = "top"
 
-    def counted_kernel(A):
-        systems.append((where[0], A.rows, A.cols))
-        return kernel(A)
+    def counted_kernel(rows):
+        systems.append((where[0], len(rows), len(rows[0])))
+        return kernel(rows)
 
     def counted_gram(mats, w):
         grams.append((where[0], len(mats)))

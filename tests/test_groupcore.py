@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from crystorb import cli, fieldlin
+from crystorb.crystal import CrystData, NotFinite, verify_crystallographic
 from crystorb.cyclo import CycloField
 from crystorb.exactla import IntMatrix
 from crystorb.groupcore import (
@@ -26,6 +29,13 @@ Q8_GENS = [
     [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
 ]
 D4_GENS = [ROT4, DIAG_SIGN]
+
+
+def verify_exit(tmp_path, linear):
+    """Exit code of `verify` on one generator with zero translation."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"rank": len(linear), "generators": [{"linear": linear}]}))
+    return cli.main(["verify", "--input", str(path), "--format", "json"])
 
 
 def powers_of(mat):
@@ -58,6 +68,37 @@ class TestClosure:
         assert g.order() == 1
         assert g.rank == 3
 
+    def test_singular_generator_with_finite_closure_rejected(self, tmp_path, capsys):
+        # diag(1, 0) is idempotent: the closure {I, g} is finite, but no
+        # w in it has w g = I
+        with pytest.raises(ValueError, match="invertible"):
+            closure([[[1, 0], [0, 0]]])
+        assert verify_exit(tmp_path, [[1, 0], [0, 0]]) == 1
+        assert "invertible" in capsys.readouterr().err
+
+    def test_determinant_two_is_not_finite(self, tmp_path, capsys):
+        with pytest.raises(NotFinite):
+            verify_crystallographic(CrystData.make(2, [([[2, 0], [0, 1]], (0, 0))]))
+        assert verify_exit(tmp_path, [[2, 0], [0, 1]]) == 1
+        assert "not finite" in capsys.readouterr().err
+
+    def test_closure_computes_no_determinant(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bareiss = getattr(IntMatrix, "det", None)
+        monkeypatch.setattr(IntMatrix, "det", counted("IntMatrix.det", bareiss), raising=False)
+        for name in ("det", "charpoly"):
+            monkeypatch.setattr(fieldlin, name, counted(name, getattr(fieldlin, name)))
+        for gens in (S3_GENS, Q8_GENS, D4_GENS, [MINUS_I2]):
+            closure(gens)
+        assert calls == []
+
     def test_element_zero_is_identity(self):
         for gens in (S3_GENS, Q8_GENS, D4_GENS):
             g = closure(gens)
@@ -66,7 +107,8 @@ class TestClosure:
     def test_dets_unimodular(self):
         for gens in (S3_GENS, Q8_GENS, D4_GENS):
             g = closure(gens)
-            assert all(m.det() in (1, -1) for m in g.elements)
+            assert all(fieldlin.det([[F(x) for x in row] for row in m.to_lists()]) in (1, -1)
+                       for m in g.elements)
 
     def test_deterministic_order(self):
         a = closure(S3_GENS)

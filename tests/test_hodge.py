@@ -95,7 +95,7 @@ class TestInvariantComplexStructure:
         for g in (TRIV2, ROT4G, KUMMER, S3R4, Q8):
             res = hodge.invariant_complex_structure(g)
             assert res.structure.mode == "exact"
-            J = res.structure.rational_rows()
+            J = res.structure.entries
             JJ = fieldlin.mat_mul(J, J)
             w = len(J)
             assert all(JJ[i][j] == (F(-1) if i == j else 0)
@@ -185,10 +185,17 @@ class TestOmega:
         two = hodge.right_action(om, g.mul(h))
         assert one.entries == two.entries
 
+    def test_right_action_needs_an_integer_inverse(self):
+        om = hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]])
+        for g, message in (([[2, 0], [0, 1]], "non-integer"), ([[1, 1], [1, 1]], "singular")):
+            with pytest.raises(ValueError, match=message):
+                hodge.right_action(om, IntMatrix.from_rows(g))
+
     def test_invariant_omega_gives_commuting_j(self):
         om = hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]])
         tm = hodge.torus_from_omega(om)
-        J = tm.J.rational_rows()
+        assert tm.J.mode == "exact"
+        J = tm.J.entries
         R = [[F(x) for x in row] for row in ROT4]
         assert fieldlin.mat_mul(J, R) == fieldlin.mat_mul(R, J)
 
@@ -272,8 +279,8 @@ class TestSamplesAndTangent:
 
     def test_classification_constant_along_component(self):
         # three points of the (unique, 4-dimensional) Kummer component: the
-        # induced complex structures differ but the quotient classification
-        # and descriptor do not
+        # induced complex structures differ, and the quotient classification
+        # and descriptor, read off the fixed loci alone, are the same
         from crystorb import quotient
 
         omegas = [
@@ -288,8 +295,8 @@ class TestSamplesAndTangent:
         for om in omegas:
             assert hodge.omega_in_T(om)
             tm = hodge.torus_from_omega(om)
-            cls = quotient.classify_action(KUMMER, tm.J)
-            desc = quotient.orbifold_descriptor(KUMMER, tm.J)
+            cls = quotient.classify_action(KUMMER)
+            desc = quotient.orbifold_descriptor(KUMMER)
             outcomes.add((cls.kind, desc.kind, desc.stratum_summary))
         assert outcomes == {("quasi_free", "quasi_free", (((2, 2), 16),))}
 

@@ -25,7 +25,7 @@ import pytest
 from crystorb import crystal, fieldlin, hodge
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import corpus_names, load_corpus
-from crystorb.exactla import RatMatrix, kernel_q
+from crystorb.exactla import kernel_q
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import family  # noqa: E402
@@ -79,7 +79,7 @@ def oracle_invariant_skew_basis(mats, w):
                         row[a * w + b] += m[a][i] * m[b][j]
                 row[i * w + j] -= 1
                 rows.append(row)
-    basis = kernel_q(RatMatrix.from_rows(rows))
+    basis = kernel_q(rows)
     return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
 
 
@@ -170,7 +170,7 @@ def oracle_commutant_basis(acts, w):
                         if coeff:
                             row[a * w + b] += coeff
                 rows.append(row)
-    basis = kernel_q(RatMatrix.from_rows(rows))
+    basis = kernel_q(rows)
     return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 
-from crystorb import hodge, quotient
+from crystorb import fieldlin, hodge, quotient
 from crystorb.crystal import (
     CrystData,
     KernelTooBig,
@@ -14,7 +14,7 @@ from crystorb.crystal import (
     normalize_action,
     verify_crystallographic,
 )
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import IntMatrix, solve_affine_congruence
 from crystorb.groupcore import ExceedsBound
 
 F = Fraction
@@ -60,8 +60,14 @@ GROUPS = random_groups(2026, 60, 2) + random_groups(1931, 25, 4)
 
 
 def test_torsion_matches_fixed_point_emptiness():
+    # each element's own congruence (L(g) - I) v = -u_g (mod Z^r), solved
+    # directly instead of once per conjugacy class
     for g in GROUPS:
-        assert is_torsion_free(g).torsion_free == quotient.free_action_report(g).free
+        minus_identity = IntMatrix.identity(g.rank).neg()
+        fixing = tuple(gi for gi in range(1, g.order()) if solve_affine_congruence(
+            g.linear(gi).add(minus_identity), [-x for x in g.u(gi)]) is not None)
+        report = is_torsion_free(g)
+        assert report.offenders == fixing and report.torsion_free == (not fixing)
 
 
 def test_determinant_counts_fixed_points():
@@ -71,7 +77,7 @@ def test_determinant_counts_fixed_points():
             A = IntMatrix(g.rank, g.rank,
                           tuple(a - b for a, b in
                                 zip(g.linear(gi).entries, ident.entries)))
-            d = A.det()
+            d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
             if d != 0:
                 assert quotient.fixed_points(g, gi).solutions.cardinality == abs(d)
 

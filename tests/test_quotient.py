@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from crystorb import fieldlin
 from crystorb.crystal import CrystData, is_torsion_free, verify_crystallographic
 from crystorb.exactla import IntMatrix
 from crystorb.quotient import (
     classify_action,
     factorization_report,
     fixed_points,
-    free_action_report,
     gpr_subgroup,
     orbifold_descriptor,
     pointwise_stabilizer,
@@ -64,7 +64,7 @@ class TestFixedPoints:
                 lin = g.linear(gi)
                 A = IntMatrix(g.rank, g.rank,
                               tuple(a - b for a, b in zip(lin.entries, ident.entries)))
-                d = A.det()
+                d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
                 if d == 0:
                     continue
                 locus = fixed_points(g, gi)
@@ -114,7 +114,6 @@ class TestClassification:
         for data in (KUMMER, BDF, PSEUDOREF, MIXED, MINUS1_RANK2):
             g = crys(data)
             tf = is_torsion_free(g).torsion_free
-            assert free_action_report(g).free == tf
             assert (classify_action(g).kind == "free") == tf
 
     def test_odd_group_rejected(self):
