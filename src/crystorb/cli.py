@@ -26,6 +26,7 @@ from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound
 F = Fraction
 
 COMMANDS = ("verify", "realize", "even", "jstruct", "action", "teich", "platonic")
+DEFAULT_PRECISION = 128
 
 
 class ValidationError(Exception):
@@ -60,7 +61,7 @@ class JobSpec:
             seed=seed if seed is not None else options.get("seed", 0),
             bound=bound if bound is not None else options.get("bound", default_bound),
             precision=precision if precision is not None
-                      else options.get("precision", hodge.DEFAULT_PRECISION),
+                      else options.get("precision", DEFAULT_PRECISION),
         )
 
     def run(self):
@@ -76,8 +77,8 @@ _TOP_KEYS = {"rank", "generators", "omega", "cocycle", "triple",
              "presentation", "loops", "multiplicities", "options"}
 _GEN_KEYS = {"linear", "translation"}
 _OPTION_KEYS = {"seed", "bound", "precision"}
-# below 64 bits a numeric J was certified although J^2 != -I (0 and 1 bits)
-# or its search failed as an internal error (20 to 63 bits)
+# precision is the working precision, in bits, of the decimals rendered for
+# an algebraic J; below 64 bits they would carry fewer than 17 digits
 _FLOORS = {"bound": 1, "precision": 64}
 
 
@@ -201,24 +202,29 @@ def _decimals_for(precision_bits):
     return max(6, int(precision_bits * 0.30103) - 2)
 
 
-def mpf_str(x, precision_bits):
-    return mpmath.nstr(x, _decimals_for(precision_bits), strip_zeros=False)
+def decimal_str(x, precision_bits):
+    """Decimals of the real cyclotomic number x, evaluated at the precision."""
+    with mpmath.workprec(precision_bits):
+        return mpmath.nstr(x.complex_value(mpmath).real, _decimals_for(precision_bits),
+                           strip_zeros=False)
 
 
-def structure_report(structure, witness):
+def structure_report(structure, witness, precision_bits):
+    """An exact J as "p/q" strings; an algebraic J as the power-basis
+    coordinates of its entries in Q(zeta_N), with decimals rendered from
+    them.  Both residuals are exactly 0."""
     if structure is None:
         return {"exists": False, "witness": list(witness)}
-    out = {"exists": True, "mode": structure.mode,
-           "precision_bits": structure.precision_bits}
+    out = {"exists": True, "mode": structure.mode, "precision_bits": precision_bits,
+           "j_squared_residual": "0", "commutator_residual": "0"}
     if structure.mode == "exact":
         out["matrix"] = mat_str(structure.entries)
-        out["j_squared_residual"] = "0"
-        out["commutator_residual"] = "0"
     else:
-        bits = structure.precision_bits
-        out["matrix"] = [[mpf_str(x, bits) for x in row] for row in structure.entries]
-        out["j_squared_residual"] = mpf_str(structure.j_squared_residual, bits)
-        out["commutator_residual"] = mpf_str(structure.commutator_residual, bits)
+        out["field_order"] = structure.field_order
+        out["zeta_coordinates"] = [[vec_str(x.coeffs) for x in row]
+                                   for row in structure.entries]
+        out["matrix"] = [[decimal_str(x, precision_bits) for x in row]
+                         for row in structure.entries]
     return out
 
 
@@ -329,9 +335,12 @@ def cmd_even(doc, opts):
 def cmd_jstruct(doc, opts):
     data = parse_cryst_data(doc)
     group, _ = _build_group(data, opts["bound"])
-    res = hodge.invariant_complex_structure(
-        group, seed=opts["seed"], precision=opts["precision"])
-    out = structure_report(res.structure, res.evenness.odd_witness)
+    try:
+        res = hodge.invariant_complex_structure(group, seed=opts["seed"])
+    except hodge.UnsupportedSample:
+        # only even groups reach the sampler: J exists, but is not built
+        return {"exists": True, "mode": "unsupported", "even": True}
+    out = structure_report(res.structure, res.evenness.odd_witness, opts["precision"])
     out["even"] = res.evenness.even
     return out
 

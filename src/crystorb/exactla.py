@@ -27,6 +27,14 @@ from operator import mul
 from . import fieldlin
 
 
+def _integer(x):
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major entries."""
@@ -43,12 +51,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows):
+        """Rows of ints or integral Fractions; any other entry is a
+        ValueError, never truncated."""
         rows = [list(r) for r in rows]
         n = len(rows)
         m = len(rows[0])
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(n, m, tuple(int(x) for r in rows for x in r))
+        return IntMatrix(n, m, tuple(_integer(x) for r in rows for x in r))
 
     @staticmethod
     def identity(n):

@@ -3,23 +3,23 @@ construction of invariant complex structures, period-type matrices with the
 orientation test, Hodge types, and dimensions of the fixed-locus components
 of the torus parameter space.
 
-Existence questions are decided exactly (evenness of isotypic data); the
-numeric path only ever constructs a certificate for an answer that is
-already known, and reports max-norm residuals at 128-bit precision.  One
-search, `_rational_j`, finds every rational J, with invariance checked on the
-generators; one builder, `_matrix_equation`, writes every linear matrix
-equation.
+Everything here is exact; nothing is numeric.  Existence of J is decided by
+evenness of the isotypic data.  One search, `_rational_j`, finds every
+rational J, with invariance checked on the generators; when it finds none, J
+is read off the exact sample point of the first Hodge type: with M = (B |
+conj B) for a basis B of the sampled V, J = M diag(iI, -iI) M^-1, whose
+entries lie in a cyclotomic field.  One builder, `_matrix_equation`, writes
+every linear matrix equation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-
-import mpmath
+from math import gcd, isqrt, lcm
 
 from . import fieldlin
 from .crystal import CrystGroup
@@ -28,14 +28,6 @@ from .exactla import IntMatrix, kernel_q
 from .groupcore import CharacterTable, IsotypicReport, MatrixGroup, _require
 
 F = Fraction
-
-RESIDUAL_TOLERANCE = "1e-30"
-DEFAULT_PRECISION = 128
-
-
-class NumericalFailure(Exception):
-    """The certified-residual construction failed after all retries.  This
-    signals an implementation problem: existence was already decided."""
 
 
 class UnsupportedSample(Exception):
@@ -71,15 +63,24 @@ def is_even(crys: CrystGroup) -> EvennessReport:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    mode: str                 # "exact" | "approximate"
-    entries: tuple            # Fractions (exact) or mpf (approximate)
-    precision_bits: int
-    j_squared_residual: object
-    commutator_residual: object
+    """An exact J: Fractions when every entry is rational ("exact"), else
+    Cyclo values of one field Q(zeta_N) ("algebraic")."""
+
+    entries: tuple
+
+    @staticmethod
+    def of(J):
+        if all(type(x) is F or x.is_rational() for row in J for x in row):
+            J = [[F(x) if type(x) is F else x.rational_value() for x in row] for row in J]
+        return ComplexStructure(tuple(tuple(row) for row in J))
 
     @property
-    def dim(self):
-        return len(self.entries)
+    def mode(self):
+        return "exact" if type(self.entries[0][0]) is F else "algebraic"
+
+    @property
+    def field_order(self):
+        return self.entries[0][0].field.order
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,8 @@ def _standard_pairings(w):
     return [block, inter]
 
 
-def _scaled_root(X):
-    """J = X / sqrt(c) when X^2 = -c I with c a square rational, c > 0;
-    else None.  c > 0 makes X invertible."""
+def _minus_square(X):
+    """c when X^2 = -c I with c > 0, a rational; else None."""
     w = len(X)
     X2 = fieldlin.mat_mul(X, X)
     c = -X2[0][0]
@@ -202,6 +202,15 @@ def _scaled_root(X):
         for j in range(w):
             if X2[i][j] != (-c if i == j else 0):
                 return None
+    return F(c)
+
+
+def _scaled_root(X):
+    """J = X / sqrt(c) when X^2 = -c I with c a square rational, c > 0;
+    else None.  c > 0 makes X invertible."""
+    c = _minus_square(X)
+    if c is None:
+        return None
     num, den = c.numerator, c.denominator
     sn, sd = isqrt(num), isqrt(den)
     if sn * sn != num or sd * sd != den:
@@ -237,18 +246,17 @@ def _rational_j(candidates, gens):
 
 
 def _action_j(mats, gens, seed):
-    """(J, forms): the search over the pairing patterns, the action matrices
-    `mats`, then skew quotients S^-1 A, with S the Gram sum over `mats`;
-    forms = (S, S^-1, skew basis), None when they were not needed."""
+    """A rational J or None: the search over the pairing patterns, the
+    action matrices `mats`, then skew quotients S^-1 A, with S the Gram sum
+    over `mats` and A an invariant skew form."""
     w = len(mats[0])
     J = _rational_j(itertools.chain(_standard_pairings(w), mats), gens)
     if J is not None:
-        return J, None
-    S = _sum_gram(mats, w)
-    Sinv = fieldlin.inverse(S)
+        return J
+    Sinv = fieldlin.inverse(_sum_gram(mats, w))
     skew = _invariant_skew_basis(gens, w)
     quotients = (fieldlin.mat_mul(Sinv, A) for A in _candidates(skew, w, seed, 8, 4))
-    return _rational_j(quotients, gens), (S, Sinv, skew)
+    return _rational_j(quotients, gens)
 
 
 def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None):
@@ -310,125 +318,27 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     return out
 
 
-def _blockwise_exact_j(crys, seed):
-    """J = T diag(J_1, ..., J_k) T^-1 from one rational J_i per rational
-    isotypic block, T the columns of the blocks; None when a block has none,
-    or when the one block is the lattice, where the search already failed."""
-    w = crys.rank
-    blocks = rational_isotypic_projectors(crys.group, point_group_table(crys))
-    if len(blocks) == 1:
-        return None
-    bases = []
-    sub_js = []
-    for _, basis in blocks:
-        acts = _block_action(crys, basis, range(crys.order()))
-        block_gens = [acts[s] for s in crys.group.generators]
-        J_block, _ = _action_j(acts, block_gens, seed)
-        if J_block is None:
-            return None
-        bases.append(basis)
-        sub_js.append(J_block)
-    T = fieldlin.hstack(*bases)
-    if len(T[0]) != w:
-        return None
-    D = [[F(0)] * w for _ in range(w)]
-    off = 0
-    for Jb in sub_js:
-        k = len(Jb)
-        for i in range(k):
-            for j in range(k):
-                D[off + i][off + j] = Jb[i][j]
-        off += k
-    J = fieldlin.mat_mul(fieldlin.mat_mul(T, D), fieldlin.inverse(T))
-    return J
-
-
-# ---------------------------------------------------------------------------
-
-def invariant_complex_structure(crys: CrystGroup, seed=0,
-                                precision=DEFAULT_PRECISION,
-                                retries=8) -> JSearchResult:
+def invariant_complex_structure(crys: CrystGroup, seed=0) -> JSearchResult:
     """Construct a complex structure commuting with the point group.
 
     Existence is decided by is_even alone.  For an even group one search
     takes the first X with X^2 = -c I, c a rational square, whose X / sqrt(c)
     commutes with every generator: pairing patterns, group elements, then
-    skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form);
-    then the same search on each rational isotypic block, when there are
-    several; then a certified approximate J, whose commutator residual is a
-    maximum over all of G."""
+    skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form).
+    When it finds none, J is the complex structure of the sample point of
+    the first Hodge type, exact over a cyclotomic field; UnsupportedSample
+    when the sampler does not construct that type."""
     ev = is_even(crys)
     if not ev.even:
         return JSearchResult(None, ev)
     mats = [m.to_lists() for m in crys.group.elements]
     gens = [mats[s] for s in crys.group.generators]
-
-    J, forms = _action_j(mats, gens, seed)
+    J = _action_j(mats, gens, seed)
     if J is None:
-        J = _blockwise_exact_j(crys, seed)
-    if J is not None:
-        _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "exact J does not square to -I")
-        _require(_commutes_with_all(J, gens), "exact J does not commute with the action")
-        structure = ComplexStructure(
-            "exact", tuple(tuple(r) for r in J), precision, F(0), F(0))
-        return JSearchResult(structure, ev)
-
-    structure = _approximate_j(mats, forms, seed, precision, retries)
-    return JSearchResult(structure, ev)
-
-
-def _approximate_j(mats, forms, seed, precision, retries):
-    S, Sinv, skew = forms
-    w = len(S)
-    if not skew:
-        raise NumericalFailure("no invariant skew forms; evenness bookkeeping broken")
-    rng = random.Random(seed)
-    tol = None
-    for attempt in range(retries):
-        if attempt == 0:
-            coeffs = [F(1)] * len(skew)
-        else:
-            coeffs = [F(rng.randint(-9, 9)) for _ in skew]
-        A = [[sum((c * b[i][j] for c, b in zip(coeffs, skew)), F(0))
-              for j in range(w)] for i in range(w)]
-        if fieldlin.det(A) == 0:
-            continue
-        X = fieldlin.mat_mul(Sinv, A)
-        T = [[-x for x in row] for row in fieldlin.mat_mul(X, X)]
-        with mpmath.workprec(precision):
-            tol = mpmath.mpf(RESIDUAL_TOLERANCE)
-            Smp = mpmath.matrix([[_to_mpf(x) for x in row] for row in S])
-            L = mpmath.cholesky(Smp)
-            R = L.T
-            Rinv = R ** -1
-            Tmp = mpmath.matrix([[_to_mpf(x) for x in row] for row in T])
-            Tp = R * Tmp * Rinv
-            Tp = (Tp + Tp.T) / 2
-            E, Q = mpmath.eigsy(Tp)
-            if min(E) <= 0:
-                continue
-            D = mpmath.diag([1 / mpmath.sqrt(E[i]) for i in range(w)])
-            Tinvhalf = Q * D * Q.T
-            Xmp = mpmath.matrix([[_to_mpf(x) for x in row] for row in X])
-            Jmp = Xmp * Rinv * Tinvhalf * R
-            r1 = _max_norm(Jmp * Jmp + mpmath.eye(w))
-            r2 = mpmath.mpf(0)
-            for m in mats:
-                Mmp = mpmath.matrix([[_to_mpf(x) for x in row] for row in m])
-                r2 = max(r2, _max_norm(Jmp * Mmp - Mmp * Jmp))
-            if r1 <= tol and r2 <= tol:
-                entries = tuple(tuple(Jmp[i, j] for j in range(w)) for i in range(w))
-                return ComplexStructure("approximate", entries, precision, r1, r2)
-    raise NumericalFailure(
-        f"no certified complex structure after {retries} attempts")
-
-
-def _to_mpf(x):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _max_norm(M):
-    return max(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
+        J = torus_from_omega(sample_omega(crys, hodge_types(crys)[0], seed)).J.entries
+    _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
+    _require(_commutes_with_all(J, gens), "J does not commute with the action")
+    return JSearchResult(ComplexStructure.of(J), ev)
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +349,22 @@ GAUSS = CycloField(4)
 
 @dataclass(frozen=True)
 class OmegaMatrix:
-    """A 2n x n complex matrix; rows are indexed by the lattice basis.
+    """A 2n x n complex matrix; rows are indexed by the lattice basis.  The
+    entries are Cyclo values of one cyclotomic field."""
 
-    Exact mode stores Gaussian rationals (elements of Q(i)); approximate
-    mode stores mpmath complex numbers tagged with their precision."""
-
-    mode: str
     rows: int
     cols: int
     entries: tuple
-    precision_bits: int = DEFAULT_PRECISION
 
     @staticmethod
     def exact(pairs):
-        rows = len(pairs)
-        cols = len(pairs[0])
+        """The Gaussian rational matrix of (re, im) pairs."""
         ent = tuple(tuple(GAUSS(F(re)) + GAUSS(F(im)) * GAUSS.zeta() for re, im in row)
                     for row in pairs)
-        return OmegaMatrix("exact", rows, cols, ent)
-
-    @staticmethod
-    def approximate(values, precision=DEFAULT_PRECISION):
-        rows = len(values)
-        cols = len(values[0])
-        with mpmath.workprec(precision):
-            ent = tuple(tuple(mpmath.mpc(v) for v in row) for row in values)
-        return OmegaMatrix("approximate", rows, cols, ent, precision)
+        return OmegaMatrix(len(pairs), len(pairs[0]), ent)
 
     def conjugate_entries(self):
-        if self.mode == "exact":
-            return [[z.conjugate() for z in row] for row in self.entries]
-        return [[mpmath.conj(z) for z in row] for row in self.entries]
+        return [[z.conjugate() for z in row] for row in self.entries]
 
 
 def _half_dim(omega: OmegaMatrix):
@@ -478,32 +373,69 @@ def _half_dim(omega: OmegaMatrix):
     return omega.cols
 
 
+def _i_power(n, field: CycloField):
+    """i^n in the smallest cyclotomic field containing `field` and i."""
+    big = CycloField(lcm(field.order, 4))
+    return big.zeta(n * (big.order // 4))
+
+
+def _pi_bounds(p):
+    """Rationals lo < pi < hi with hi - lo < p 2^(4 - p) for p >= 64, by
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239), each series
+    summed in integers scaled by 2^p.  Every floored term is off by less
+    than 1, and the alternating tail is below the first omitted term, itself
+    below 1."""
+    scale, total, err = 1 << p, 0, 0
+    for k, weight in ((5, 16), (239, -4)):
+        u, j = scale // k, 0
+        while u:
+            total += weight * (-1) ** j * (u // (2 * j + 1))
+            u, j = u // (k * k), j + 1
+        err += abs(weight) * (j + 1)
+    return F(total - err, scale), F(total + err, scale)
+
+
+def _real_sign(x):
+    """The sign of a nonzero real element x of Q(zeta_N): x is the sum over t
+    of c_t cos(2 pi t / N) / den.  Each cosine is enclosed by a Taylor sum at
+    a lower bound of its angle, with the first omitted term (the terms
+    decrease from the third on, since the angle is below 7) and the angle's
+    own uncertainty as radius; the precision doubles until the enclosure of
+    x excludes 0."""
+    N = x.field.order
+    p = 64
+    while True:
+        lo, hi = _pi_bounds(p)
+        mid = rad = F(0)
+        for t, c in enumerate(x.num):
+            if c:
+                a, b = 2 * t * lo / N, 2 * t * hi / N
+                term, total, k = F(1), F(0), 0
+                while k < 3 or abs(term) >= F(1, 1 << p):
+                    total += term
+                    k += 1
+                    term = -term * a * a / ((2 * k - 1) * (2 * k))
+                mid += c * total
+                rad += abs(c) * (abs(term) + b - a)
+        if abs(mid) > rad:
+            return 1 if mid > 0 else -1
+        p *= 2
+
+
 def omega_in_T(omega: OmegaMatrix) -> bool:
     """Sign test i^n det(Omega | conj Omega) > 0.
 
-    The quantity is automatically real; DegenerateOmega is raised when the
-    determinant vanishes (the columns and their conjugates fail to span)."""
+    The quantity is real by conjugation symmetry, and its sign is decided
+    exactly; DegenerateOmega is raised when the determinant vanishes (the
+    columns and their conjugates fail to span)."""
     n = _half_dim(omega)
-    if omega.mode == "exact":
-        M = fieldlin.hstack([list(r) for r in omega.entries],
-                            omega.conjugate_entries())
-        d = fieldlin.det(M)
-        if d == 0:
-            raise DegenerateOmega("det(Omega | conj Omega) = 0")
-        val = d.field.zeta(n * (d.field.order // 4)) * d
-        sign = val.rational_value()   # i^n det is real by conjugation symmetry
-        return sign > 0
-    with mpmath.workprec(omega.precision_bits):
-        M = mpmath.matrix([list(r) + [mpmath.conj(z) for z in r2]
-                           for r, r2 in zip(omega.entries, omega.entries)])
-        d = mpmath.det(M)
-        scale = max(mpmath.mpf(1), max(abs(z) for row in omega.entries for z in row)) ** (2 * n)
-        if abs(d) <= mpmath.mpf(RESIDUAL_TOLERANCE) * scale:
-            raise DegenerateOmega("det(Omega | conj Omega) is numerically zero")
-        val = mpmath.mpc(0, 1) ** n * d
-        if abs(val.imag) > abs(val) * mpmath.mpf("1e-20"):
-            raise ArithmeticError("i^n det failed to be real")
-        return val.real > 0
+    d = fieldlin.det(fieldlin.hstack([list(r) for r in omega.entries],
+                                     omega.conjugate_entries()))
+    if d == 0:
+        raise DegenerateOmega("det(Omega | conj Omega) = 0")
+    val = _i_power(n, d.field) * d
+    _require(val == val.conjugate(), "i^n det(Omega | conj Omega) is not real")
+    return _real_sign(val) > 0
 
 
 @dataclass(frozen=True)
@@ -513,46 +445,26 @@ class TorusModel:
 
     J: ComplexStructure
     projection: tuple     # top half of (Omega | conj Omega)^{-1}: V-coordinates
-    mode: str
+    oriented: bool        # Omega lies in T: J orients the lattice positively
 
 
 def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
+    """J = M diag(iI, -iI) M^-1 for M = (Omega | conj Omega): i on the
+    column span V and -i on conj V.  The bottom half of M^-1 is the
+    conjugate of its top half M1, so J = i Omega M1 + conj(i Omega M1).
+
+    Every Omega whose columns and their conjugates span gives a torus, in T
+    or not; DegenerateOmega is raised for any other."""
     n = _half_dim(omega)
-    if not omega_in_T(omega):
-        raise ValueError("omega is outside the oriented parameter space")
-    if omega.mode == "exact":
-        O = [list(r) for r in omega.entries]
-        M = fieldlin.hstack(O, omega.conjugate_entries())
-        Minv = fieldlin.inverse(M)
-        M1 = Minv[:n]
-        i_unit = GAUSS.zeta()
-        iOM1 = [[i_unit * x for x in row] for row in fieldlin.mat_mul(O, M1)]
-        J = [[(z + z.conjugate()).rational_value() for z in row] for row in iOM1]
-        JJ = fieldlin.mat_mul(J, J)
-        _require(_is_minus_identity(JJ), "J of the period matrix does not square to -I")
-        proj = tuple(tuple((F(z.num[0], z.den), F(z.num[1], z.den)) for z in row) for row in M1)
-        structure = ComplexStructure("exact", tuple(tuple(r) for r in J),
-                                     omega.precision_bits, F(0), F(0))
-        return TorusModel(structure, proj, "exact")
-    with mpmath.workprec(omega.precision_bits):
-        rows = 2 * n
-        M = mpmath.matrix([list(r) + [mpmath.conj(z) for z in r]
-                           for r in omega.entries])
-        Minv = M ** -1
-        O = mpmath.matrix([list(r) for r in omega.entries])
-        M1 = Minv[:n, :]
-        iOM1 = mpmath.mpc(0, 1) * (O * M1)
-        J = mpmath.matrix(rows, rows)
-        for i in range(rows):
-            for j in range(rows):
-                J[i, j] = 2 * iOM1[i, j].real
-        res = _max_norm(J * J + mpmath.eye(rows))
-        structure = ComplexStructure(
-            "approximate",
-            tuple(tuple(J[i, j] for j in range(rows)) for i in range(rows)),
-            omega.precision_bits, res, mpmath.mpf(0))
-        proj = tuple(tuple(M1[i, j] for j in range(2 * n)) for i in range(n))
-        return TorusModel(structure, proj, "approximate")
+    oriented = omega_in_T(omega)
+    O = [list(r) for r in omega.entries]
+    M1 = fieldlin.inverse(fieldlin.hstack(O, omega.conjugate_entries()))[:n]
+    i_unit = _i_power(1, O[0][0].field)
+    J = [[i_unit * z + (i_unit * z).conjugate() for z in row]
+         for row in fieldlin.mat_mul(O, M1)]
+    _require(_is_minus_identity(fieldlin.mat_mul(J, J)),
+             "J of the period matrix does not square to -I")
+    return TorusModel(ComplexStructure.of(J), tuple(tuple(r) for r in M1), oriented)
 
 
 def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
@@ -570,35 +482,11 @@ def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("matrix has non-integer entries")
     ginv = [[int(x) for x in row] for row in inv]
-    if omega.mode == "exact":
-        rows = []
-        for i in range(omega.rows):
-            row = []
-            for j in range(omega.cols):
-                acc = GAUSS(0)
-                for k in range(omega.rows):
-                    acc = acc + ginv[i][k] * omega.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return OmegaMatrix("exact", omega.rows, omega.cols, tuple(rows),
-                           omega.precision_bits)
-    with mpmath.workprec(omega.precision_bits):
-        rows = []
-        for i in range(omega.rows):
-            row = []
-            for j in range(omega.cols):
-                acc = mpmath.mpc(0)
-                for k in range(omega.rows):
-                    acc += ginv[i][k] * omega.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return OmegaMatrix("approximate", omega.rows, omega.cols, tuple(rows),
-                           omega.precision_bits)
+    rows = fieldlin.mat_mul(ginv, [list(r) for r in omega.entries])
+    return OmegaMatrix(omega.rows, omega.cols, tuple(tuple(r) for r in rows))
 
 
 def same_span(a: OmegaMatrix, b: OmegaMatrix) -> bool:
-    if a.mode != "exact" or b.mode != "exact":
-        raise ValueError("span comparison implemented for exact matrices")
     stacked = fieldlin.hstack([list(r) for r in a.entries],
                               [list(r) for r in b.entries])
     return fieldlin.rank(stacked) == a.cols
@@ -689,25 +577,104 @@ def _conj_cols(cols):
     return [[z.conjugate() for z in row] for row in cols]
 
 
-def _commutant_candidates(acts, w, seed):
-    """The pairing patterns, then seeded combinations of the commutant."""
-    yield from _standard_pairings(w)
-    yield from _candidates(_commutant_basis(acts, w), w, seed, 8, 3)
+def _negative_square(vs):
+    """A matrix X in the span of `vs` with XY + YX = b(X, Y) I for every Y
+    in the span and b(X, X) < 0, or None: Lagrange's diagonalization of the
+    form b, which the span must carry."""
+    def b(X, Y):   # the (0, 0) entry of XY + YX
+        return sum(X[0][k] * Y[k][0] + Y[0][k] * X[k][0] for k in range(len(X)))
+
+    def plus(X, s, Y):
+        return [[x + s * y for x, y in zip(r, q)] for r, q in zip(X, Y)]
+
+    while vs:
+        v = next((v for v in vs if b(v, v) != 0), None)
+        if v is None:
+            # all isotropic: u - w or u + w squares to -2|b(u, w)| I
+            u, w = next(((u, w) for u, w in itertools.combinations(vs, 2) if b(u, w) != 0),
+                        (None, None))
+            return None if u is None else plus(u, -1 if b(u, w) > 0 else 1, w)
+        if b(v, v) < 0:
+            return v
+        vs = [plus(u, -F(b(u, v), b(v, v)), v) for u in vs if u is not v]
+        vs = [u for u in vs if any(x != 0 for row in u for x in row)]
+    return None
+
+
+def _multiplicity_pairing(acts, w, seed):
+    """(X, c) with X^2 = -c I, c > 0 rational, X commuting with `acts`: a
+    rational pairing (c = 1), else a pairing from the trace-zero part of the
+    commutant, X - (tr X / w) I over its basis X.  On a multiplicity space
+    of dimension 2 over the block's division algebra, trace-zero X and Y
+    have XY + YX scalar (Cayley-Hamilton in M_2(Q); pure quaternions), and
+    the form has a negative direction."""
+    basis = []
+
+    def candidates():   # the pairing patterns, then seeded commutant combinations
+        yield from _standard_pairings(w)
+        basis.extend(_commutant_basis(acts, w))
+        yield from _candidates(basis, w, seed, 8, 3)
+
+    X = _rational_j(candidates(), acts)
+    if X is not None:
+        return X, F(1)
+    traceless = []
+    for X in basis:
+        t = F(sum(X[i][i] for i in range(w)), w)
+        traceless.append([[x - t if i == j else x for j, x in enumerate(row)]
+                          for i, row in enumerate(X)])
+    X = _negative_square(traceless)
+    c = None if X is None else _minus_square(X)
+    if c is None:
+        raise UnsupportedSample("no multiplicity-space pairing found")
+    return X, c
+
+
+def _sqrt_rational(c):
+    """A square root of the positive rational c in a cyclotomic field, as
+    sqrt(num den) / den.  Each prime p of odd exponent in num den contributes
+    sqrt 2 = zeta_8 + zeta_8^-1, or, for p odd, the quadratic Gauss sum
+    g = sum over a mod p of zeta_p^(a^2), with g^2 = p for p = 1 (mod 4) and
+    g^2 = -p for p = 3 (mod 4), where sqrt p = -i g."""
+    m, k, odd = c.numerator * c.denominator, 1, []
+    for p in itertools.count(2):
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        k *= p ** (e // 2)
+        if e % 2:
+            odd.append(p)
+    if m > 1:
+        odd.append(m)
+    K = CycloField(lcm(*(8 if q == 2 else 4 * q for q in odd)))
+    root = K(F(k, c.denominator))
+    for q in odd:
+        if q == 2:
+            z = K.zeta(K.order // 8)
+            root = root * (z + z.conjugate())
+        else:
+            g = K.from_exponents(Counter(K.order // q * a * a % K.order for a in range(q)))
+            root = root * (g if q % 4 == 1 else g * K.zeta(3 * K.order // 4))
+    return root
 
 
 def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     """An explicit invariant subspace of the given Hodge type.
 
     Returns a 2n x n matrix over a cyclotomic field (list of rows); columns
-    span V with V + conj V = C^2n.  Raises UnsupportedSample for the types
-    the sampler does not construct."""
+    span V with V + conj V = C^2n.  A real or quaternionic class contributes
+    the i sqrt(c)-eigenspace of a pairing X of its rational isotypic block,
+    X^2 = -c I, over a field that also holds sqrt(c).  Raises
+    UnsupportedSample for the types the sampler does not construct."""
     table = point_group_table(crys)
     gens = crys.group.generators
     field = _sample_field(table)
-    i_unit = field.zeta(field.order // 4)
     chars = {c.label: c for c in table.characters}
     w = crys.rank
     cols = []
+    blocks = None
 
     for s in t.splits:
         if s.fs_type == "complex":
@@ -738,21 +705,25 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
             if not all(v.is_rational() for v in chi.values):
                 raise UnsupportedSample(
                     "sampling of real or quaternionic classes needs rational characters")
-            R = isotypic_basis(crys.group, table, [chi])
+            # a rational character is its own Galois orbit
+            if blocks is None:
+                blocks = dict(rational_isotypic_projectors(crys.group, table))
+            R = blocks[(chi.label,)]
             width = len(R[0])
-            acts = _block_action(crys, R, gens)
-            X = _rational_j(_commutant_candidates(acts, width, seed), acts)
-            if X is None:
-                raise UnsupportedSample("no rational multiplicity-space pairing found")
-            shifted = [[field(X[i][j]) - (i_unit if i == j else field(0))
+            X, c = _multiplicity_pairing(_block_action(crys, R, gens), width, seed)
+            root = _sqrt_rational(c)
+            _require(root * root == c, "the square root of c does not square to c")
+            K = CycloField(lcm(field.order, root.field.order))
+            eigenvalue = _i_power(1, K) * root
+            shifted = [[K(X[i][j]) - (eigenvalue if i == j else 0)
                         for j in range(width)] for i in range(width)]
             ys = fieldlin.nullspace(shifted)
-            _require(len(ys) == width // 2, "i-eigenspace of the pairing has the wrong dimension")
-            Rf = [[field(x) for x in row] for row in R]
-            block = fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)])
-            cols.append(block)
+            _require(len(ys) == width // 2, "eigenspace of the pairing has the wrong dimension")
+            Rf = [[K(x) for x in row] for row in R]
+            cols.append(fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)]))
 
-    B = fieldlin.hstack(*cols)
+    K = CycloField(lcm(*(col[0][0].field.order for col in cols)))
+    B = fieldlin.hstack(*([[K(x) for x in row] for row in col] for col in cols))
     _require(len(B[0]) == crys.n, "sampled subspace does not have dimension n")
     _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w,
              "sampled subspace meets its conjugate")
@@ -780,29 +751,8 @@ def tangent_dimension(crys: CrystGroup, B) -> int:
     return len(fieldlin.nullspace(rows))
 
 
-def sample_omega(crys: CrystGroup, t: HodgeType, seed=0,
-                 precision=DEFAULT_PRECISION) -> OmegaMatrix:
-    """An OmegaMatrix at a sample point of the component; exact whenever the
-    entries are Gaussian rationals, else approximate at the precision."""
+def sample_omega(crys: CrystGroup, t: HodgeType, seed=0) -> OmegaMatrix:
+    """The OmegaMatrix of `sample_subspace`: an exact sample point of the
+    component."""
     B = sample_subspace(crys, t, seed)
-    field = B[0][0].field
-    pairs = []
-    exact = True
-    for row in B:
-        prow = []
-        for z in row:
-            re2 = z + z.conjugate()
-            im2 = (z - z.conjugate()) / field.zeta(field.order // 4)
-            if re2.is_rational() and im2.is_rational():
-                prow.append((re2.rational_value() / 2, im2.rational_value() / 2))
-            else:
-                exact = False
-                break
-        if not exact:
-            break
-        pairs.append(prow)
-    if exact:
-        return OmegaMatrix.exact(pairs)
-    with mpmath.workprec(precision):
-        values = [[z.complex_value(mpmath) for z in row] for row in B]
-    return OmegaMatrix.approximate(values, precision)
+    return OmegaMatrix(len(B), len(B[0]), tuple(tuple(row) for row in B))

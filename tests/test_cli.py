@@ -249,9 +249,8 @@ class TestBoundRange:
 
 
 class TestPrecisionRange:
-    """Below 64 bits the numeric J of c3_rank2 and c6_rank2 was certified
-    although false (0 and 1 bits) or failed as an internal error (20 to 63
-    bits); such a precision is now bad input."""
+    """The precision is the working precision of the decimals rendered for an
+    algebraic J, as on c3_rank2 and c6_rank2; below 64 bits is bad input."""
 
     @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
     @pytest.mark.parametrize("flags, options, where", [
@@ -277,6 +276,14 @@ class TestPrecisionRange:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["exists"] is True and result["precision_bits"] == 64
+        assert result["mode"] == "algebraic" and result["field_order"] == 12
+        assert result["j_squared_residual"] == result["commutator_residual"] == "0"
+        # the same exact J at any precision; only the rendered digits change
+        _, out128, _ = run(capsys, "jstruct", "--input", path, "--format", "json")
+        result128 = json.loads(out128)["result"]
+        assert result["zeta_coordinates"] == result128["zeta_coordinates"]
+        assert [len(x) for row in result["matrix"] for x in row] < \
+            [len(x) for row in result128["matrix"] for x in row]
 
 
 def test_realize_checks_the_cocycle_condition_once(capsys, tmp_path, monkeypatch):
@@ -324,3 +331,15 @@ class TestSamplerFailures:
         assert code != 0
         assert out == ""
         assert "synthetic fault" in err
+
+
+def test_jstruct_reports_an_unbuilt_j_as_unsupported(capsys, tmp_path, monkeypatch):
+    # an even group whose J neither the search nor the sampler builds: J
+    # exists, so the job succeeds and says it did not construct one
+    monkeypatch.setattr(hodge, "_action_j", lambda mats, gens, seed: None)
+    monkeypatch.setattr(hodge, "sample_subspace", TestSamplerFailures._raising(
+        hodge.UnsupportedSample("synthetic")))
+    path = corpus_path(tmp_path, "kummer4")
+    code, out, _ = run(capsys, "jstruct", "--input", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"exists": True, "mode": "unsupported", "even": True}

@@ -30,6 +30,13 @@ KUMMER = CrystData.make(4, [([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0
 
 
 class TestVerify:
+    def test_non_integer_linear_part_rejected(self):
+        # a Fraction(3, 2) entry used to be truncated, building the identity
+        with pytest.raises(ValueError, match="not an integer"):
+            CrystData.make(2, [([[F(3, 2), 0], [0, 1]], (0, 0))])
+        with pytest.raises(ValueError, match="not an integer"):
+            CrystData.make(2, [([[F(1, 2), 1.7], [0, 1]], (0, 0))])
+
     def test_minus_identity(self):
         g = verify_crystallographic(CrystData.make(2, [([[-1, 0], [0, -1]], (0, 0))]))
         assert g.order() == 2

@@ -55,6 +55,22 @@ def brute_force_torus_solutions(A: IntMatrix, b):
     return sorted(sols)
 
 
+class TestFromRows:
+    def test_non_integers_are_rejected_not_truncated(self):
+        # int() used to turn 1/2 into 0 and 1.7 into 1
+        for bad in (F(1, 2), 1.7):
+            with pytest.raises(ValueError, match="not an integer"):
+                IntMatrix.from_rows([[bad, 0], [0, 1]])
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix.from_rows([[F(1, 2), 1.7], [0, 1]])
+
+    def test_integral_fractions_are_accepted(self):
+        # normalize_action hands over rebased generators as integral Fractions
+        A = IntMatrix.from_rows([[F(2), F(-4, 2)], [0, 1]])
+        assert A.entries == (2, -2, 0, 1)
+        assert all(type(x) is int for x in A.entries)
+
+
 class TestHnf:
     def test_identity(self):
         A = IntMatrix.identity(2)

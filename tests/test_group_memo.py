@@ -3,8 +3,8 @@
 The conjugacy classes, the character table and the isotypic report live on
 the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
-each of them once, and nothing outside the group keeps it alive.  One J
-search likewise builds each action's skew-form system and Gram sum once.
+each of them once, and nothing outside the group keeps it alive.  A J
+search likewise builds the lattice's skew-form system and Gram sum once.
 """
 
 import gc
@@ -14,6 +14,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from jcheck import assert_invariant_j
 
 from crystorb import cli, crystal, exactla, groupcore, hodge, quotient
 from crystorb.cli import parse_cryst_data
@@ -83,41 +84,33 @@ def test_group_is_freed_after_analysis():
 
 
 def test_j_search_builds_each_skew_system_once(monkeypatch):
-    # c6wr_rank4: |G| = 72, |S| = 2, w = 4, and no rational J, so the top-level
-    # search and the approximate path run.  They share one skew system and one
-    # Gram sum; the one rational block is the lattice and is not searched again.
+    # c6wr_rank4: |G| = 72, |S| = 2, w = 4, and no rational J, so the search
+    # runs to its end and J is read off the sample point, exactly over
+    # Q(zeta_12).  The search builds one skew system and one Gram sum; the
+    # sampler, on complex classes only, builds neither.
     doc = family.scaling_family()["c6wr_rank4"][0]
     g = crystal.normalize_action(parse_cryst_data(doc)).group
-    where = ["top"]
     systems, grams = [], []
-    blockwise, kernel, gram = hodge._blockwise_exact_j, hodge.kernel_q, hodge._sum_gram
-
-    def in_blocks(*args):
-        where[0] = "block"
-        try:
-            return blockwise(*args)
-        finally:
-            where[0] = "top"
+    kernel, gram = hodge.kernel_q, hodge._sum_gram
 
     def counted_kernel(rows):
-        systems.append((where[0], len(rows), len(rows[0])))
+        systems.append((len(rows), len(rows[0])))
         return kernel(rows)
 
     def counted_gram(mats, w):
-        grams.append((where[0], len(mats)))
+        grams.append(len(mats))
         return gram(mats, w)
 
-    monkeypatch.setattr(hodge, "_blockwise_exact_j", in_blocks)
     monkeypatch.setattr(hodge, "kernel_q", counted_kernel)
     monkeypatch.setattr(hodge, "_sum_gram", counted_gram)
-    assert hodge.invariant_complex_structure(g).structure.mode == "approximate"
+    J = hodge.invariant_complex_structure(g).structure
+    assert J.mode == "algebraic" and J.field_order == 12
+    assert_invariant_j(J.entries, g.group)
 
     w, gens = g.rank, len(g.group.generators)
-    blocks = hodge.rational_isotypic_projectors(g.group, g.group.table)
-    assert (w, gens, g.order(), len(blocks)) == (4, 2, 72, 1)
+    assert (w, gens, g.order()) == (4, 2, 72)
+    assert {c.fs_type for c in g.group.isotypic.classes} == {"complex"}
     bound = w * (w + 1) // 2 + gens * w * w
     assert bound == 42
-    assert [(rows, cols) for at, rows, cols in systems if at == "top"] == [(42, 16)]
-    assert all(rows <= bound for _, rows, _ in systems)
-    assert grams == [("top", 72)]
-    assert all(at == "top" for at, _, _ in systems)
+    assert systems == [(42, 16)]
+    assert grams == [72]

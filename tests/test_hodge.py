@@ -1,15 +1,21 @@
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
+from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge
-from crystorb.crystal import CrystData, verify_crystallographic
+from crystorb.corpus import load_corpus
+from crystorb.crystal import CrystData, normalize_action, verify_crystallographic
+from crystorb.cyclo import CycloField
 from crystorb.exactla import IntMatrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import family  # noqa: E402
 
 F = Fraction
 
@@ -104,15 +110,16 @@ class TestInvariantComplexStructure:
                 mf = [[F(m.at(i, j)) for j in range(w)] for i in range(w)]
                 assert fieldlin.mat_mul(J, mf) == fieldlin.mat_mul(mf, J)
 
-    def test_hexagonal_needs_approximation(self):
+    def test_hexagonal_j_is_algebraic(self):
         # the commutant is Q(zeta_3), which contains no square root of -1:
-        # no rational J exists although the group is even
+        # no rational J exists although the group is even.  J comes from the
+        # sample point, exactly, with entries +-1/sqrt 3 and +-2/sqrt 3
         res = hodge.invariant_complex_structure(C3G)
-        assert res.structure.mode == "approximate"
-        tol = mpmath.mpf("1e-30")
-        assert res.structure.j_squared_residual <= tol
-        assert res.structure.commutator_residual <= tol
-        assert res.structure.precision_bits == 128
+        assert res.structure.mode == "algebraic"
+        assert res.structure.field_order == 12
+        assert_invariant_j(res.structure.entries, C3G.group)
+        third = [[x * x for x in row] for row in res.structure.entries]
+        assert third == [[F(1, 3), F(4, 3)], [F(4, 3), F(1, 3)]]
 
     def test_biconditional_on_sample(self):
         groups = [TRIV2, ROT4G, C3G, DIAG, KUMMER, S3R2, S3R4, Q8,
@@ -160,11 +167,46 @@ class TestOmega:
         tm = hodge.torus_from_omega(hodge.OmegaMatrix.exact([[(1, 0)], [(1, 2)]]))
         assert tm.J.entries == ((F(-1, 2), F(1, 2)), (F(-5, 2), F(1, 2)))
 
-    def test_torus_approximate(self):
-        om = hodge.OmegaMatrix.approximate([[1], [0.5 + 1.25j]])
+    def test_torus_over_a_cyclotomic_field(self):
+        # tau = zeta_3 = -1/2 + i sqrt(3)/2 in Q(zeta_3), a field without i:
+        # i det = sqrt 3 > 0, and J = [[1, 2], [-2, -1]] / sqrt 3 over Q(zeta_12)
+        K = CycloField(3)
+        om = hodge.OmegaMatrix(2, 1, ((K(1),), (K.zeta(),)))
+        assert hodge.omega_in_T(om)
         tm = hodge.torus_from_omega(om)
-        assert tm.J.mode == "approximate"
-        assert tm.J.j_squared_residual <= mpmath.mpf("1e-30")
+        assert tm.J.mode == "algebraic" and tm.J.field_order == 12
+        J = tm.J.entries
+        assert fieldlin.mat_mul(J, J) == [[-1, 0], [0, -1]]
+        assert all(x == x.conjugate() for row in J for x in row)
+        assert [[3 * x * x for x in row] for row in J] == [[1, 4], [4, 1]]
+        assert tm.oriented
+        # the conjugate line lies outside T and carries -J
+        conj = hodge.OmegaMatrix(2, 1, ((K(1),), (K.zeta(2),)))
+        assert not hodge.omega_in_T(conj)
+        tm = hodge.torus_from_omega(conj)
+        assert not tm.oriented
+        assert tm.J.entries == tuple(tuple(-x for x in row) for row in J)
+
+    def test_degenerate_torus_rejected(self):
+        om = hodge.OmegaMatrix.exact([[(1, 0)], [(2, 0)]])
+        with pytest.raises(hodge.DegenerateOmega):
+            hodge.torus_from_omega(om)
+
+    def test_sign_refines_past_the_first_precision(self):
+        # sqrt 2 - 1.414213562373095048801688 is about 7e-25, below the first
+        # enclosure at 2^-64; the sign of its negative is read off as well
+        K = CycloField(8)
+        root2 = K.zeta() + K.zeta(7)
+        close = root2 - F(1414213562373095048801688, 10 ** 24)
+        assert hodge._real_sign(close) == 1
+        assert hodge._real_sign(-close) == -1
+
+    @pytest.mark.parametrize("p", [64, 128, 512])
+    def test_pi_bounds(self, p):
+        lo, hi = hodge._pi_bounds(p)
+        digits = 314159265358979323846264338327950288419716939937510
+        assert lo < F(digits + 1, 10 ** 50) and F(digits, 10 ** 50) < hi
+        assert hi - lo < F(p * 16, 2 ** p)
 
     def test_right_action_identity_preserves_span(self):
         om = hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]])
@@ -260,21 +302,27 @@ class TestSamplesAndTangent:
             assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g)
 
     def test_sample_omega_exact_for_gaussian(self):
-        ts = hodge.hodge_types(ROT4G)
-        modes = {hodge.sample_omega(ROT4G, t).mode for t in ts}
-        assert modes == {"exact"}
+        for t in hodge.hodge_types(ROT4G):
+            om = hodge.sample_omega(ROT4G, t)
+            assert {z.field.order for row in om.entries for z in row} == {4}
+            J = hodge.torus_from_omega(om).J
+            assert J.mode == "exact"
+            assert_invariant_j(J.entries, ROT4G.group)
 
-    def test_sample_omega_approximate_for_hexagonal(self):
-        ts = hodge.hodge_types(C3G)
-        om = hodge.sample_omega(C3G, ts[0])
-        assert om.mode == "approximate"
+    def test_sample_omega_hexagonal_gives_algebraic_j(self):
+        for t in hodge.hodge_types(C3G):
+            om = hodge.sample_omega(C3G, t)
+            assert {z.field.order for row in om.entries for z in row} == {12}
+            J = hodge.torus_from_omega(om).J
+            assert J.mode == "algebraic" and J.field_order == 12
+            assert_invariant_j(J.entries, C3G.group)
 
     def test_sample_spans_are_invariant(self):
-        for t in hodge.hodge_types(KUMMER):
-            om = hodge.sample_omega(KUMMER, t)
-            if om.mode == "exact":
-                for gi in KUMMER.group.generator_indices:
-                    moved = hodge.right_action(om, KUMMER.linear(gi))
+        for g in (KUMMER, C3G, S3R4):
+            for t in hodge.hodge_types(g):
+                om = hodge.sample_omega(g, t)
+                for gi in g.group.generators:
+                    moved = hodge.right_action(om, g.linear(gi))
                     assert hodge.same_span(om, moved)
 
     def test_classification_constant_along_component(self):
@@ -360,3 +408,139 @@ def test_hodge_checks_survive_optimize():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "dimension" in run.stdout
+
+
+def _child(code, *flags):
+    """Run `code` in a child with src/, perfbench/ and tests/ importable."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *flags, "-c", code, str(root / "perfbench"),
+                           str(root / "tests")], env=env, capture_output=True, text=True,
+                          timeout=600)
+
+
+# every even corpus and family input at basis seeds 0-3, with mpmath unimportable:
+# J, the Hodge types, their sample points and tangent dimensions are all exact.
+# Prints the number of runs and which construction built each J.
+EVEN_RUNS = """
+import json, sys
+sys.modules["mpmath"] = None
+sys.path[:0] = sys.argv[1:3]
+from collections import Counter
+import family, workloads
+from jcheck import assert_invariant_j
+from crystorb import hodge
+from crystorb.corpus import load_corpus
+from crystorb.crystal import CrystData, normalize_action
+
+docs = {n: load_corpus(n) for n in workloads.CORPUS}
+docs.update((n, d) for n, (d, _) in family.scaling_family().items())
+search, root = hodge._action_j, hodge._sqrt_rational
+built = []
+
+def recorded_search(*args):
+    J = search(*args)
+    built.append("rational search" if J is not None else "sample point")
+    return J
+
+def recorded_root(c):
+    if c != 1:
+        built[-1] = "sample point with sqrt c"
+    return root(c)
+
+branches = Counter()
+for seed in range(4):
+    for name, doc in sorted(family.seeded_documents(docs, seed).items()):
+        data = CrystData.make(doc["rank"], [(g["linear"], g["translation"])
+                                            for g in doc["generators"]])
+        g = normalize_action(data).group
+        if not hodge.is_even(g).even:
+            continue
+        hodge._action_j, hodge._sqrt_rational = recorded_search, recorded_root
+        J = hodge.invariant_complex_structure(g).structure
+        hodge._action_j, hodge._sqrt_rational = search, root
+        branches[built.pop()] += 1
+        assert_invariant_j(J.entries, g.group)
+        for t in hodge.hodge_types(g):
+            B = hodge.sample_subspace(g, t)
+            assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g), name
+print(json.dumps({"runs": sum(branches.values()), "branches": branches}))
+"""
+
+
+def test_every_even_input_is_exact_without_mpmath():
+    run = _child(EVEN_RUNS)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    print(report)
+    assert report["runs"] == 80
+    assert set(report["branches"]) <= {"rational search", "sample point",
+                                       "sample point with sqrt c"}
+
+
+def _q8(basis_seed):
+    doc = family.seeded_documents({"q8": load_corpus("q8_rank4")}, basis_seed)["q8"]
+    return normalize_action(CrystData.make(
+        doc["rank"], [(x["linear"], x["translation"]) for x in doc["generators"]])).group
+
+
+@pytest.mark.parametrize("c, order", [(1, 1), (4, 1), (F(1, 4), 1), (2, 8), (3, 12),
+                                      (F(3, 4), 12), (5, 20), (6, 24), (F(7, 12), 84),
+                                      (12, 12), (F(49, 50), 8)])
+def test_square_roots_of_rationals(c, order):
+    root = hodge._sqrt_rational(F(c))
+    assert root * root == c
+    assert root.field.order == order
+
+
+def test_pairing_with_irrational_square_root(monkeypatch):
+    # with the rational searches off, the quaternionic block of Q8 in this
+    # basis gets the pairing X with X^2 = -5 I: V is the i sqrt 5-eigenspace
+    # of X, over Q(zeta_20), and J is exact there
+    g = _q8(4)
+    roots = []
+    sqrt = hodge._sqrt_rational
+    monkeypatch.setattr(hodge, "_scaled_root", lambda X: None)
+    monkeypatch.setattr(hodge, "_sqrt_rational", lambda c: roots.append(c) or sqrt(c))
+    J = hodge.invariant_complex_structure(g).structure
+    assert roots == [5]
+    assert J.mode == "algebraic" and J.field_order == 20
+    assert_invariant_j(J.entries, g.group)
+    (t,) = hodge.hodge_types(g)
+    B = hodge.sample_subspace(g, t)
+    assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g)
+
+
+# q8_rank4 in a basis where, with the rational searches off, the sampler
+# pairs the quaternionic block by X with X^2 = -2 I, so J needs sqrt 2.  A
+# forged square root must be refused with assert statements off.
+FORGED_ROOT = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import test_hodge
+from crystorb import hodge
+
+assert False, "assert statements must be off"
+g = test_hodge._q8(0)
+root, asked = hodge._sqrt_rational, []
+
+def forged(c):
+    asked.append(c)
+    return 2 * root(c)
+
+hodge._scaled_root = lambda X: None
+hodge._sqrt_rational = forged
+try:
+    hodge.invariant_complex_structure(g)
+except ArithmeticError as exc:
+    print(asked, exc)
+    sys.exit(0 if asked == [2] else 3)
+sys.exit(1)
+"""
+
+
+def test_forged_square_root_rejected_under_optimize():
+    run = _child(FORGED_ROOT, "-O")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "square root" in run.stdout

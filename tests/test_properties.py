@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-import mpmath
+from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge, quotient
 from crystorb.crystal import (
@@ -83,13 +83,11 @@ def test_determinant_counts_fixed_points():
 
 
 def test_structure_exists_iff_even():
-    tol = mpmath.mpf("1e-30")
     for i, g in enumerate(GROUPS):
         res = hodge.invariant_complex_structure(g, seed=i)
         assert (res.structure is not None) == hodge.is_even(g).even
-        if res.structure is not None and res.structure.mode == "approximate":
-            assert res.structure.j_squared_residual <= tol
-            assert res.structure.commutator_residual <= tol
+        if res.structure is not None:
+            assert_invariant_j(res.structure.entries, g.group)
 
 
 def test_tangent_oracle_on_random_types():
