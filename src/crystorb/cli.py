@@ -14,14 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
-
-import mpmath
 
 from . import crystal, hodge, orbpi, quotient
 from .crystal import CrystData, NotFinite
+from .cyclo import real_enclosure
 from .exactla import IntMatrix
-from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound
+from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, SingularGenerator
 
 F = Fraction
 
@@ -77,8 +77,7 @@ _TOP_KEYS = {"rank", "generators", "omega", "cocycle", "triple",
              "presentation", "loops", "multiplicities", "options"}
 _GEN_KEYS = {"linear", "translation"}
 _OPTION_KEYS = {"seed", "bound", "precision"}
-# precision is the working precision, in bits, of the decimals rendered for
-# an algebraic J; below 64 bits they would carry fewer than 17 digits
+# precision, in bits, sets the digits decimal_str prints: 17 at the floor of 64
 _FLOORS = {"bound": 1, "precision": 64}
 
 
@@ -179,7 +178,12 @@ def parse_omega(doc, path="input.omega"):
 
 def _build_group(data: CrystData, bound):
     """Verify, absorbing pure translations into the lattice if there are any."""
-    res = crystal.normalize_action(data, bound=bound)
+    try:
+        res = crystal.normalize_action(data, bound=bound)
+    except SingularGenerator as exc:
+        _fail(f"input.generators[{exc.index}].linear", "must be invertible")
+    except NotFinite as exc:
+        _fail("input.generators", str(exc))
     return res.group, res
 
 
@@ -198,15 +202,23 @@ def mat_str(rows):
     return [[frac_str(x) for x in row] for row in rows]
 
 
-def _decimals_for(precision_bits):
-    return max(6, int(precision_bits * 0.30103) - 2)
-
-
 def decimal_str(x, precision_bits):
-    """Decimals of the real cyclotomic number x, evaluated at the precision."""
-    with mpmath.workprec(precision_bits):
-        return mpmath.nstr(x.complex_value(mpmath).real, _decimals_for(precision_bits),
-                           strip_zeros=False)
+    """x, a real cyclotomic number, rounded half up to `digits` significant
+    digits from an enclosure refined until both ends round alike; fixed
+    notation for exponents in (-(digits // 3), digits), else d.ddde+N."""
+    digits = max(6, int(precision_bits * 0.30103) - 2)
+    context = Context(prec=digits, rounding=ROUND_HALF_UP)
+    p, lo, hi = precision_bits, 0, 1
+    while lo != hi:
+        lo, hi = (context.divide(r.numerator, r.denominator) for r in real_enclosure(x, p))
+        p *= 2
+    if not lo:
+        return "0.0"
+    e = lo.adjusted()
+    if not -(digits // 3) < e < digits:
+        return f"{lo:.{digits - 1}e}"
+    # with no decimals left, the point is still printed
+    return f"{lo:.{digits - 1 - e}f}" + "." * (e == digits - 1)
 
 
 def structure_report(structure, witness, precision_bits):
@@ -266,8 +278,7 @@ def group_report(group, normalization):
 # command handlers (each returns the result dict)
 
 def cmd_verify(doc, opts):
-    data = parse_cryst_data(doc)
-    group, normalization = _build_group(data, opts["bound"])
+    group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
     torsion = crystal.is_torsion_free(group)
     out = group_report(group, normalization)
     out["torsion_free"] = torsion.torsion_free
@@ -276,8 +287,7 @@ def cmd_verify(doc, opts):
 
 
 def cmd_realize(doc, opts):
-    data = parse_cryst_data(doc)
-    group, normalization = _build_group(data, opts["bound"])
+    group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
     vs = group.vector_system
     if "cocycle" in doc:
         f = _parse_cocycle(doc, group)
@@ -320,8 +330,7 @@ def _parse_cocycle(doc, group):
 
 
 def cmd_even(doc, opts):
-    data = parse_cryst_data(doc)
-    group, normalization = _build_group(data, opts["bound"])
+    group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
     ev = hodge.is_even(group)
     return {
         "even": ev.even,
@@ -333,8 +342,7 @@ def cmd_even(doc, opts):
 
 
 def cmd_jstruct(doc, opts):
-    data = parse_cryst_data(doc)
-    group, _ = _build_group(data, opts["bound"])
+    group, _ = _build_group(parse_cryst_data(doc), opts["bound"])
     try:
         res = hodge.invariant_complex_structure(group, seed=opts["seed"])
     except hodge.UnsupportedSample:
@@ -346,8 +354,7 @@ def cmd_jstruct(doc, opts):
 
 
 def cmd_action(doc, opts):
-    data = parse_cryst_data(doc)
-    group, _ = _build_group(data, opts["bound"])
+    group, _ = _build_group(parse_cryst_data(doc), opts["bound"])
     ev = hodge.is_even(group)
     if not ev.even:
         raise ValidationError(
@@ -383,8 +390,7 @@ def cmd_action(doc, opts):
 
 
 def cmd_teich(doc, opts):
-    data = parse_cryst_data(doc)
-    group, _ = _build_group(data, opts["bound"])
+    group, _ = _build_group(parse_cryst_data(doc), opts["bound"])
     ev = hodge.is_even(group)
     out = {"even": ev.even}
     if "omega" in doc:
@@ -452,7 +458,8 @@ def cmd_platonic(doc, opts):
             "finite": finite,
             "class": family,
             "quotient_order": order,
-            "enumeration_agrees": (order is not None) == finite,
+            # an enumeration that ran out of bound neither agrees nor disagrees
+            "enumeration_agrees": None if order is None else finite,
         }
     if "presentation" in doc:
         p = _parse_presentation(doc["presentation"])

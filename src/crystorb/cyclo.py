@@ -7,7 +7,7 @@ field have equal (num, den).  Phi_e is monic with integer coefficients: sums,
 differences and products are integer loops, and a product reduced modulo
 Phi_e stays integral.  The inverse is the product of the other Galois
 conjugates over the norm.  `coeffs` is a Fraction view for callers outside
-the arithmetic."""
+the arithmetic, and `real_enclosure` bounds the real part by rationals."""
 
 from __future__ import annotations
 
@@ -270,17 +270,55 @@ class Cyclo:
         return _make(big, big._combine((step * t, c) for t, c in enumerate(self.num)),
                      self.den)
 
-    def complex_value(self, mp):
-        """Numeric value at zeta = exp(2 pi i / e) using an mpmath context."""
-        e = self.field.order
-        total = mp.mpc(0)
-        for t, c in enumerate(self.coeffs):
-            if c != 0:
-                total += mp.mpf(c.numerator) / mp.mpf(c.denominator) * mp.expjpi(mp.mpf(2 * t) / e)
-        return total
-
     def __repr__(self):
         if self.is_rational():
             return str(self.rational_value())
         terms = " + ".join(f"{c}*z^{t}" for t, c in enumerate(self.coeffs) if c)
         return f"({terms} | z=zeta_{self.field.order})"
+
+
+def _pi_fixed(q):
+    """(A, E) with |pi 2^q - A| <= E < 8q, from pi = 16 arctan(1/5) -
+    4 arctan(1/239) in integers scaled by 2^q: each floored term is short by
+    less than 1, and each alternating tail is below its first omitted term."""
+    scale, total, err = 1 << q, 0, 0
+    for k, weight in ((5, 16), (239, -4)):
+        u, j = scale // k, 0
+        while u:
+            total += weight * (-1) ** j * (u // (2 * j + 1))
+            u, j = u // (k * k), j + 1
+        err += abs(weight) * (j + 1)
+    return total, err
+
+
+@lru_cache(maxsize=None)
+def _cosines(order, q):
+    """(c, r) with |cos(2 pi t / order) 2^q - c| <= r for each power-basis
+    index t, at w = q + 16 bits: the angle 2 pi min(t, order - t) / order <=
+    pi is off by at most E + 1, and each Taylor term is the last one times
+    angle^2 / ((2k - 1) 2k), floored, so the k-th is short by less than k (the
+    factor is below 1 from k = 2 on) and the tail is below the first term
+    that floors to 0."""
+    w = q + 16
+    pi, pi_err = _pi_fixed(w)
+    out = [(1 << q, 0)]
+    for t in range(1, CycloField(order).degree):
+        theta = 2 * min(t, order - t) * pi // order
+        square, term, total, k = theta * theta, 1 << w, 1 << w, 0
+        while term:
+            k += 1
+            term = term * square // ((2 * k - 1) * 2 * k << 2 * w)
+            total += -term if k % 2 else term
+        err = k * (k + 1) // 2 + pi_err + 1
+        out.append((total >> 16, (err >> 16) + 2))
+    return tuple(out)
+
+
+def real_enclosure(x, p):
+    """Rationals lo <= Re x <= hi, a small multiple of 2^-p times the sum of
+    |coordinates| apart, and equal for rational x (cos 0 is exact)."""
+    mid = rad = 0
+    for c, (m, r) in zip(x.num, _cosines(x.field.order, p)):
+        mid += c * m
+        rad += abs(c) * r
+    return Fraction(mid - rad, x.den << p), Fraction(mid + rad, x.den << p)

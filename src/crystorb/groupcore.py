@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from . import fieldlin
 from .cyclo import CycloField
@@ -35,6 +35,14 @@ DEFAULT_ORDER_BOUND = 512
 
 class ExceedsBound(Exception):
     """Closure or table computation passed the configured group-order bound."""
+
+
+class SingularGenerator(ValueError):
+    """Generator `index` has no left inverse in its finite closure."""
+
+    def __init__(self, index):
+        super().__init__(f"generator {index} is not invertible")
+        self.index = index
 
 
 def _require(cond, msg):
@@ -175,11 +183,7 @@ class MatrixGroup:
         return real_isotypic_dimensions(self, self.table)
 
     def exponent(self):
-        e = 1
-        for i in range(self.order()):
-            o = self.element_order(i)
-            e = e * o // gcd(e, o)
-        return e
+        return lcm(*(self.element_order(i) for i in range(self.order())))
 
     def subgroup(self, element_indices):
         """Subgroup from a closed set of element indices, parent order kept.
@@ -202,8 +206,8 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     """Close a generator list under multiplication.
 
     Raises ExceedsBound once more than `bound` distinct elements appear,
-    which is how non-finite inputs surface, and ValueError when the finite
-    closure holds no w with w*g = 1 for some generator g.  With no
+    which is how non-finite inputs surface, and SingularGenerator when the
+    finite closure holds no w with w*g = 1 for a generator g.  With no
     generators the rank must be supplied and the trivial group is returned.
     Every product w*g it forms is recorded by index, so the group it returns
     multiplies by lookup.
@@ -251,8 +255,9 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     right = [tuple(index[key] for key in row) for row in right]
     # a finite monoid whose generators have left inverses is a group, and an
     # integer matrix with an integer inverse has det +-1
-    if not all(0 in column for column in zip(*right)):
-        raise ValueError("generators must be invertible")
+    for k, column in enumerate(zip(*right)):
+        if 0 not in column:
+            raise SingularGenerator(k)
     return MatrixGroup(r, ordered, gen_indices, (gen_indices, right, words))
 
 

@@ -9,7 +9,7 @@ rational J, with invariance checked on the generators; when it finds none, J
 is read off the exact sample point of the first Hodge type: with M = (B |
 conj B) for a basis B of the sampled V, J = M diag(iI, -iI) M^-1, whose
 entries lie in a cyclotomic field.  One builder, `_matrix_equation`, writes
-every linear matrix equation.
+every linear matrix equation.  Signs are read off `cyclo.real_enclosure`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import gcd, isqrt, lcm
 
 from . import fieldlin
 from .crystal import CrystGroup
-from .cyclo import CycloField
+from .cyclo import CycloField, real_enclosure
 from .exactla import IntMatrix, kernel_q
 from .groupcore import CharacterTable, IsotypicReport, MatrixGroup, _require
 
@@ -363,9 +363,6 @@ class OmegaMatrix:
                     for row in pairs)
         return OmegaMatrix(len(pairs), len(pairs[0]), ent)
 
-    def conjugate_entries(self):
-        return [[z.conjugate() for z in row] for row in self.entries]
-
 
 def _half_dim(omega: OmegaMatrix):
     if omega.rows != 2 * omega.cols:
@@ -379,63 +376,23 @@ def _i_power(n, field: CycloField):
     return big.zeta(n * (big.order // 4))
 
 
-def _pi_bounds(p):
-    """Rationals lo < pi < hi with hi - lo < p 2^(4 - p) for p >= 64, by
-    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239), each series
-    summed in integers scaled by 2^p.  Every floored term is off by less
-    than 1, and the alternating tail is below the first omitted term, itself
-    below 1."""
-    scale, total, err = 1 << p, 0, 0
-    for k, weight in ((5, 16), (239, -4)):
-        u, j = scale // k, 0
-        while u:
-            total += weight * (-1) ** j * (u // (2 * j + 1))
-            u, j = u // (k * k), j + 1
-        err += abs(weight) * (j + 1)
-    return F(total - err, scale), F(total + err, scale)
-
-
-def _real_sign(x):
-    """The sign of a nonzero real element x of Q(zeta_N): x is the sum over t
-    of c_t cos(2 pi t / N) / den.  Each cosine is enclosed by a Taylor sum at
-    a lower bound of its angle, with the first omitted term (the terms
-    decrease from the third on, since the angle is below 7) and the angle's
-    own uncertainty as radius; the precision doubles until the enclosure of
-    x excludes 0."""
-    N = x.field.order
-    p = 64
-    while True:
-        lo, hi = _pi_bounds(p)
-        mid = rad = F(0)
-        for t, c in enumerate(x.num):
-            if c:
-                a, b = 2 * t * lo / N, 2 * t * hi / N
-                term, total, k = F(1), F(0), 0
-                while k < 3 or abs(term) >= F(1, 1 << p):
-                    total += term
-                    k += 1
-                    term = -term * a * a / ((2 * k - 1) * (2 * k))
-                mid += c * total
-                rad += abs(c) * (abs(term) + b - a)
-        if abs(mid) > rad:
-            return 1 if mid > 0 else -1
-        p *= 2
-
-
 def omega_in_T(omega: OmegaMatrix) -> bool:
     """Sign test i^n det(Omega | conj Omega) > 0.
 
-    The quantity is real by conjugation symmetry, and its sign is decided
-    exactly; DegenerateOmega is raised when the determinant vanishes (the
-    columns and their conjugates fail to span)."""
+    The quantity is real by conjugation symmetry; its rational enclosure is
+    refined until it excludes 0.  DegenerateOmega is raised when the
+    determinant vanishes (the columns and their conjugates fail to span)."""
     n = _half_dim(omega)
     d = fieldlin.det(fieldlin.hstack([list(r) for r in omega.entries],
-                                     omega.conjugate_entries()))
+                                     _conj_cols(omega.entries)))
     if d == 0:
         raise DegenerateOmega("det(Omega | conj Omega) = 0")
     val = _i_power(n, d.field) * d
     _require(val == val.conjugate(), "i^n det(Omega | conj Omega) is not real")
-    return _real_sign(val) > 0
+    p = 64
+    while (bounds := real_enclosure(val, p))[0] <= 0 <= bounds[1]:
+        p *= 2
+    return bounds[0] > 0
 
 
 @dataclass(frozen=True)
@@ -458,7 +415,7 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
     n = _half_dim(omega)
     oriented = omega_in_T(omega)
     O = [list(r) for r in omega.entries]
-    M1 = fieldlin.inverse(fieldlin.hstack(O, omega.conjugate_entries()))[:n]
+    M1 = fieldlin.inverse(fieldlin.hstack(O, _conj_cols(omega.entries)))[:n]
     i_unit = _i_power(1, O[0][0].field)
     J = [[i_unit * z + (i_unit * z).conjugate() for z in row]
          for row in fieldlin.mat_mul(O, M1)]
@@ -516,13 +473,8 @@ class HodgeType:
 
     @property
     def holomorphic_dim(self):
-        total = 0
-        for s in self.splits:
-            if s.fs_type == "complex":
-                total += s.multiplicity * s.degree
-            else:
-                total += (s.multiplicity // 2) * s.degree
-        return total
+        return sum((s.multiplicity if s.fs_type == "complex" else s.multiplicity // 2)
+                   * s.degree for s in self.splits)
 
     def describe(self):
         return tuple((s.labels, s.a, s.multiplicity - s.a) for s in self.splits)
@@ -568,9 +520,7 @@ def component_dimension(t: HodgeType, crys: CrystGroup) -> int:
 # exact sample points and the tangent-space oracle
 
 def _sample_field(table: CharacterTable) -> CycloField:
-    e = table.field.order
-    E = e * 4 // gcd(e, 4)
-    return CycloField(E)
+    return CycloField(lcm(table.field.order, 4))
 
 
 def _conj_cols(cols):

@@ -32,6 +32,19 @@ class TestBasics:
         assert report["result"]["class"] == "icosahedral family"
         assert report["result"]["quotient_order"] == 60
 
+    @pytest.mark.parametrize("bound, order, agrees", [(5, None, None), (10000, 14, True)])
+    def test_platonic_inconclusive_enumeration(self, capsys, tmp_path, bound, order, agrees):
+        # (2,2,7) is finite of order 14: an enumeration that runs out of
+        # bound neither agrees nor disagrees with that
+        path = write_doc(tmp_path, {"triple": [2, 2, 7]})
+        code, out, _ = run(capsys, "platonic", "--input", path, "--bound", str(bound),
+                           "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["finite"] is True
+        assert result["quotient_order"] == order
+        assert result["enumeration_agrees"] is agrees
+
     def test_platonic_presentation(self, capsys, tmp_path):
         doc = {"presentation": {"generators": ["a"], "relators": [[1, 1, 1]]}}
         path = write_doc(tmp_path, doc)
@@ -128,6 +141,16 @@ class TestExitCodes:
         path = write_doc(tmp_path, doc)
         code, _, err = run(capsys, "verify", "--input", path)
         assert code == 1
+        assert err.startswith("error: input.generators: ") and "not finite" in err
+
+    def test_singular_generator_located(self, capsys, tmp_path):
+        # the closure {I, g} of g = [[1, 1], [0, 0]] is finite, and g has no
+        # left inverse in it
+        doc = {"rank": 2, "generators": [{"linear": [[1, 0], [0, 1]]},
+                                         {"linear": [[1, 1], [0, 0]]}]}
+        code, out, err = run(capsys, "verify", "--input", write_doc(tmp_path, doc))
+        assert code == 1 and out == ""
+        assert err == "error: input.generators[1].linear: must be invertible\n"
 
     def test_internal_failure_exit_two(self, capsys, tmp_path, monkeypatch):
         def boom(doc, opts):
@@ -249,8 +272,8 @@ class TestBoundRange:
 
 
 class TestPrecisionRange:
-    """The precision is the working precision of the decimals rendered for an
-    algebraic J, as on c3_rank2 and c6_rank2; below 64 bits is bad input."""
+    """The precision sets how many digits the decimals of an algebraic J
+    carry, as on c3_rank2 and c6_rank2; below 64 bits is bad input."""
 
     @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
     @pytest.mark.parametrize("flags, options, where", [

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from crystorb.cyclo import Cyclo, CycloField, cyclotomic_polynomial
+from crystorb.cyclo import Cyclo, CycloField, cyclotomic_polynomial, real_enclosure
 
 F = Fraction
 
@@ -119,9 +119,23 @@ def test_galois_matches_oracle():
 
 
 def test_complex_value():
-    import mpmath
+    # the real part of 2 + 3i is 2 plus 3 cos(pi / 2), and the enclosure of
+    # cos(pi / 2) = 0 is not a point
+    v = CycloField(4)(2) + 3 * CycloField(4).zeta()
+    for p in (64, 128):
+        lo, hi = real_enclosure(v, p)
+        assert lo < 2 < hi and hi - lo < F(16, 2 ** p)
 
-    K = CycloField(4)
-    v = K(2) + 3 * K.zeta()
-    c = v.complex_value(mpmath.mp)
-    assert abs(c - mpmath.mpc(2, 3)) < mpmath.mpf("1e-30")
+
+@pytest.mark.parametrize("p", [64, 128, 256])
+def test_real_enclosure_contains_every_cosine(p):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(4 * p):
+        for N in range(1, 121):
+            K = CycloField(N)
+            for t in range(N):
+                lo, hi = real_enclosure(K.zeta(t), p)
+                cos = mpmath.cospi(mpmath.mpf(2 * t) / N)
+                man, exp = cos.man_exp
+                assert lo <= int(mpmath.sign(cos)) * F(man) * F(2) ** exp <= hi, (N, t)
+                assert hi - lo < F(4 * sum(map(abs, K.zeta(t).num)) + 1, 2 ** p)

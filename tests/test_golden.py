@@ -65,10 +65,12 @@ def test_output_matches_golden(case):
     assert (out if code == 0 else err) == golden_path(case, code).read_text()
 
 
+# every corpus case under `python -O`, with mpmath unimportable
 OPTIMIZED_PASS = """
 import json
 import sys
 
+sys.modules["mpmath"] = None
 sys.path.insert(0, sys.argv[1])
 import test_golden
 

@@ -11,7 +11,7 @@ from jcheck import assert_invariant_j
 from crystorb import fieldlin, hodge
 from crystorb.corpus import load_corpus
 from crystorb.crystal import CrystData, normalize_action, verify_crystallographic
-from crystorb.cyclo import CycloField
+from crystorb.cyclo import CycloField, _pi_fixed, real_enclosure
 from crystorb.exactla import IntMatrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -198,12 +198,15 @@ class TestOmega:
         K = CycloField(8)
         root2 = K.zeta() + K.zeta(7)
         close = root2 - F(1414213562373095048801688, 10 ** 24)
-        assert hodge._real_sign(close) == 1
-        assert hodge._real_sign(-close) == -1
+        lo, hi = real_enclosure(close, 64)
+        assert lo < 0 < hi
+        assert real_enclosure(close, 128)[0] > 0
+        assert real_enclosure(-close, 128)[1] < 0
 
     @pytest.mark.parametrize("p", [64, 128, 512])
     def test_pi_bounds(self, p):
-        lo, hi = hodge._pi_bounds(p)
+        pi, err = _pi_fixed(p)
+        lo, hi = F(pi - err, 2 ** p), F(pi + err, 2 ** p)
         digits = 314159265358979323846264338327950288419716939937510
         assert lo < F(digits + 1, 10 ** 50) and F(digits, 10 ** 50) < hi
         assert hi - lo < F(p * 16, 2 ** p)
