@@ -21,7 +21,7 @@ from . import crystal, hodge, orbpi, quotient
 from .crystal import CrystData, NotFinite
 from .cyclo import real_enclosure
 from .exactla import IntMatrix
-from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, SingularGenerator
+from .groupcore import DEFAULT_ORDER_BOUND, SingularGenerator
 
 F = Fraction
 
@@ -602,8 +602,7 @@ def main(argv=None):
         else:
             _render_text(report, sys.stdout)
         return 0
-    except (ValidationError, OSError, NotFinite, ExceedsBound, crystal.CocycleViolation,
-            ValueError) as exc:
+    except (ValidationError, OSError, crystal.CocycleViolation, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:   # internal failure

@@ -34,7 +34,7 @@ DEFAULT_ORDER_BOUND = 512
 
 
 class ExceedsBound(Exception):
-    """Closure or table computation passed the configured group-order bound."""
+    """The closure passed the configured group-order bound."""
 
 
 class SingularGenerator(ValueError):
@@ -60,13 +60,13 @@ class MatrixGroup:
 
     `generators` is the generating set S the products are taken over: the
     recorded `generator_indices` when they generate the group, and all of its
-    elements otherwise (subgroups and hand-built groups may record none, or a
-    list that does not generate).  Products are index lookups, not matrix
-    products.  `products` = (S, right, words) holds the index right[w][k] of
-    w*S[k] for every element w and every k, and a word over S for every
-    element; `closure` and `subgroup` pass it in, and otherwise it is built
-    here once with n*|S| matrix products.  The n x |S| table is public as
-    `right`.
+    elements otherwise (the trivial closure, subgroups and hand-built groups
+    may record none, and a hand-built list may not generate).  Products are
+    index lookups, not matrix products.  `products` = (S, right, words) holds
+    the index right[w][k] of w*S[k] for every element w and every k, and a
+    word over S for every element; `closure` and `subgroup` pass it in, and
+    otherwise it is built here once with n*|S| matrix products.  The n x |S|
+    table is public as `right`.
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
@@ -90,7 +90,7 @@ class MatrixGroup:
 
     def _right_products(self, gens):
         """(S, [w*s for s in S] per w, a word over S per element) for S = gens,
-        or None when gens do not generate the group."""
+        or None when gens are empty or do not generate the group."""
         gens = tuple(gens)
         mats = [self.elements[s] for s in gens]
         right = [tuple(self.index_of(w.mul(m)) for m in mats) for w in self.elements]
@@ -102,7 +102,7 @@ class MatrixGroup:
                 if words[x] is None:
                     words[x] = words[w] + (k,)
                     queue.append(x)
-        if len(queue) < len(self.elements):
+        if not gens or len(queue) < len(self.elements):
             return None
         return gens, right, words
 
@@ -174,7 +174,7 @@ class MatrixGroup:
 
     @cached_property
     def table(self):
-        """The exact character table, computed under the default bound."""
+        """The exact character table."""
         return character_table(self)
 
     @cached_property
@@ -360,15 +360,13 @@ def _root_of_unity(p, e):
 
 # ---------------------------------------------------------------------------
 
-def character_table(group: MatrixGroup, bound=DEFAULT_ORDER_BOUND) -> CharacterTable:
+def character_table(group: MatrixGroup) -> CharacterTable:
     """Exact complex character table with Frobenius-Schur indicators.
 
     The table is checked square and row-orthogonal, exactly, before
     returning; the column relations follow.
     """
     n = group.order()
-    if n > bound:
-        raise ExceedsBound(f"group order {n} exceeds bound {bound}")
     classes = group.classes
     class_of = group.class_index
     k = len(classes)

@@ -614,10 +614,14 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     """An explicit invariant subspace of the given Hodge type.
 
     Returns a 2n x n matrix over a cyclotomic field (list of rows); columns
-    span V with V + conj V = C^2n.  A real or quaternionic class contributes
-    the i sqrt(c)-eigenspace of a pairing X of its rational isotypic block,
-    X^2 = -c I, over a field that also holds sqrt(c).  Raises
-    UnsupportedSample for the types the sampler does not construct."""
+    span V with V + conj V = C^2n.  A complex pair (chi, conj chi) contributes
+    the first a d columns of a basis W of the isotypic part W_chi, then the
+    conjugates of its other (m - a) d columns: every L(g) is real, so conj
+    W_chi = W_conj chi, and those conjugates complement conj V inside it.  A
+    real or quaternionic class contributes the i sqrt(c)-eigenspace of a
+    pairing X of its rational isotypic block, X^2 = -c I, over a field that
+    also holds sqrt(c).  Raises UnsupportedSample for the types the sampler
+    does not construct."""
     table = point_group_table(crys)
     gens = crys.group.generators
     field = _sample_field(table)
@@ -632,24 +636,8 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
             if d > 1 and a not in (0, m):
                 raise UnsupportedSample(
                     "sampling of intermediate splits needs degree-1 constituents")
-            WA = isotypic_basis(crys.group, table, [chars[s.labels[0]]], field)
-            WB = isotypic_basis(crys.group, table, [chars[s.labels[1]]], field)
-            VA = fieldlin.columns(WA, range(a * d))
-            conjVA = _conj_cols(VA)
-            target = m * d
-            chosen = None
-            for combo in itertools.combinations(range(target), target - a * d):
-                cand = fieldlin.columns(WB, combo)
-                test = fieldlin.hstack(cand, conjVA) if a else cand
-                if fieldlin.rank(test) == target:
-                    chosen = cand
-                    break
-            if chosen is None:
-                raise ArithmeticError("no transversal complement found")
-            if a:
-                cols.append(VA)
-            if target - a * d:
-                cols.append(chosen)
+            W = isotypic_basis(crys.group, table, [chars[s.labels[0]]], field)
+            cols.append([row[:a * d] + [z.conjugate() for z in row[a * d:]] for row in W])
         else:
             chi = chars[s.labels[0]]
             if not all(v.is_rational() for v in chi.values):
@@ -685,19 +673,15 @@ def tangent_dimension(crys: CrystGroup, B) -> int:
     """Dimension of the invariant-subspace deformations at a sample point.
 
     Computed as the rank deficiency of the equivariance equations on maps
-    from the subspace to its complementary conjugate: a pure linear-algebra
-    computation, independent of the character-theoretic dimension formula."""
-    n = crys.n
-    C = _conj_cols(B)
-    M = fieldlin.hstack(B, C)
-    Minv = fieldlin.inverse(M)
-    identity = _identity(n, B[0][0].field(1))
+    Psi from the subspace to its complementary conjugate: with L(g) B = B rho_g
+    and L(g) real, L(g) conj B = conj B conj(rho_g), so Psi rho_g =
+    conj(rho_g) Psi for every generator.  A pure linear-algebra computation,
+    independent of the character-theoretic dimension formula."""
+    identity = _identity(crys.n, B[0][0].field(1))
     rows = []
-    gens = crys.group.generators or (0,)
-    for gi, rho in zip(gens, _block_action(crys, B, gens)):
-        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi).to_lists(), C))[n:]
-        # unknown Psi (n x n): Psi rho - Q Psi = 0
-        rows += _matrix_equation([(identity, rho), (_neg(Q), identity)])
+    for rho in _block_action(crys, B, crys.group.generators):
+        # unknown Psi (n x n): Psi rho - conj(rho) Psi = 0
+        rows += _matrix_equation([(identity, rho), (_neg(_conj_cols(rho)), identity)])
     return len(fieldlin.nullspace(rows))
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import family_documents
 
 from crystorb import cli, crystal, hodge
 from crystorb.corpus import corpus_names, load_corpus
@@ -269,6 +270,26 @@ class TestBoundRange:
         path = write_doc(tmp_path, {"rank": 2, "generators": [], "options": {"bound": 1}})
         code, _, _ = run(capsys, "verify", "--input", path, "--bound", "1")
         assert code == 0
+
+    def test_bound_is_the_closure_bound_only(self, capsys, tmp_path):
+        # B4 x C2 on Z^5, |G| = 768: the scaling family's B4 generators,
+        # extended by 1 on the fifth coordinate, and diag(1, 1, 1, 1, -1).
+        # The bound that admits the closure admits the character table too.
+        gens = [{"linear": [row + [0] for row in g["linear"]] + [[0, 0, 0, 0, 1]]}
+                for g in family_documents()["b4_rank4"]["generators"]]
+        gens.append({"linear": [[int(i == j) * (-1 if i == 4 else 1) for j in range(5)]
+                                for i in range(5)]})
+        path = write_doc(tmp_path, {"rank": 5, "generators": gens})
+        code, out, _ = run(capsys, "verify", "--input", path, "--bound", "1000",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["order"] == 768
+        code, out, err = run(capsys, "even", "--input", path, "--bound", "1000",
+                             "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["result"]["even"] is False
+        code, out, err = run(capsys, "even", "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: input.generators: ") and "not finite" in err
 
 
 class TestPrecisionRange:

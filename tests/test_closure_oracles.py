@@ -20,21 +20,18 @@ that loop is kept as an oracle for the breadth-first search that replaced it.
 
 import json
 import random
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
+import family
 import pytest
+from conftest import corpus_documents, family_documents
 
 from crystorb import cli, crystal, fieldlin, hodge, quotient
 from crystorb.cli import parse_cryst_data
-from crystorb.corpus import corpus_names, load_corpus
+from crystorb.corpus import load_corpus
 from crystorb.crystal import CrystData, KernelTooBig
 from crystorb.exactla import IntMatrix, mod1_vec
 from crystorb.groupcore import DEFAULT_ORDER_BOUND, closure
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +162,8 @@ HANDWRITTEN = {
 
 
 def _documents():
-    docs = {n: load_corpus(n) for n in corpus_names()}
-    generated = {n: d for n, (d, _) in family.scaling_family().items()}
+    docs = corpus_documents()
+    generated = family_documents()
     out = {f"{n}@none": d for n, d in {**docs, **generated}.items()}
     for seed in (1, 2, 3):
         out.update({f"{n}@{seed}": d
@@ -241,7 +238,7 @@ def test_mutants_hide_translations():
 
 def test_b4_verify_multiplies_each_element_by_each_generator_once(monkeypatch):
     # the parent closed the group twice: 2 * 384 * 3 = 2304 products
-    data = parse_cryst_data(family.scaling_family()["b4_rank4"][0])
+    data = parse_cryst_data(family_documents()["b4_rank4"])
     calls = [0]
     mul = IntMatrix.mul
 

@@ -19,17 +19,14 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import family
 import pytest
+from conftest import corpus_documents, crystal_group, family_documents
 
-from crystorb import crystal, fieldlin, groupcore
-from crystorb.cli import parse_cryst_data
-from crystorb.corpus import corpus_names, load_corpus
+from crystorb import fieldlin, groupcore
 from crystorb.cyclo import Cyclo, CycloField, cyclotomic_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import family  # noqa: E402
 
 F = Fraction
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 24, 36, 60)
@@ -267,8 +264,8 @@ def test_field_axioms_property():
 # character tables: the lift over element orders against the lift over e
 
 def _point_groups():
-    corpus = {n: load_corpus(n) for n in corpus_names()}
-    scaling = {n: doc for n, (doc, _) in family.scaling_family().items()}
+    corpus = corpus_documents()
+    scaling = family_documents()
     assert (len(corpus), len(scaling)) == (19, 7)
     cases = []
     for seed in (1, 2, 3):
@@ -280,7 +277,7 @@ def _point_groups():
 
 @pytest.mark.parametrize("doc", _point_groups())
 def test_character_table_lift_matches_exponent_sum(doc, monkeypatch):
-    group = crystal.normalize_action(parse_cryst_data(doc)).group.group
+    group = crystal_group(doc).group
     lifted = []
     lift = groupcore._lift
 

@@ -6,21 +6,15 @@ seeded random real cyclotomic numbers small and large enough to be printed
 in both notations."""
 
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
+import family
 import pytest
+from conftest import corpus_documents, crystal_group, family_documents
 
 from crystorb import hodge
 from crystorb.cli import decimal_str
-from crystorb.corpus import load_corpus
-from crystorb.crystal import CrystData, normalize_action
 from crystorb.cyclo import CycloField
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
-import workloads  # noqa: E402
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -48,14 +42,11 @@ def oracle(x, bits):
 def even_runs():
     """(runs, the J of every run where J is algebraic) over the even corpus
     and family inputs at basis seeds 0-3."""
-    docs = {n: load_corpus(n) for n in workloads.CORPUS}
-    docs.update((n, d) for n, (d, _) in family.scaling_family().items())
+    docs = {**corpus_documents(), **family_documents()}
     runs, algebraic = 0, []
     for seed in range(4):
         for name, doc in sorted(family.seeded_documents(docs, seed).items()):
-            data = CrystData.make(doc["rank"], [(g["linear"], g["translation"])
-                                                for g in doc["generators"]])
-            g = normalize_action(data).group
+            g = crystal_group(doc)
             if hodge.is_even(g).even:
                 runs += 1
                 J = hodge.invariant_complex_structure(g).structure

@@ -9,21 +9,16 @@ element.  They must agree on the 19 corpus groups and the 7 members of the
 benchmark's scaling family, unseeded and at basis seeds 1-3.
 """
 
-import sys
 from fractions import Fraction
-from pathlib import Path
 
+import family
 import pytest
+from conftest import corpus_documents, crystal_group, family_documents
 
 from crystorb import exactla, fieldlin, quotient
-from crystorb.cli import parse_cryst_data
-from crystorb.corpus import corpus_names, load_corpus
-from crystorb.crystal import is_torsion_free, normalize_action
+from crystorb.crystal import is_torsion_free
 from crystorb.exactla import IntMatrix, mod1_vec
 from crystorb.quotient import Subtorus
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
 
 F = Fraction
 SEEDS = (None, 1, 2, 3)
@@ -131,8 +126,8 @@ def oracle_descriptor(crys, sets):
 # the groups
 
 def _documents():
-    corpus = {n: load_corpus(n) for n in corpus_names()}
-    scaling = {n: doc for n, (doc, _) in family.scaling_family().items()}
+    corpus = corpus_documents()
+    scaling = family_documents()
     out = {}
     for seed in SEEDS:
         for docs in (corpus, scaling):
@@ -145,7 +140,7 @@ DOCUMENTS = _documents()
 
 
 def _group(case):
-    return normalize_action(parse_cryst_data(DOCUMENTS[case])).group
+    return crystal_group(DOCUMENTS[case])
 
 
 def _components(crys, sets):

@@ -9,19 +9,15 @@ search likewise builds the lattice's skew-form system and Gram sum once.
 
 import gc
 import json
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
+from conftest import crystal_group, family_documents
 from jcheck import assert_invariant_j
 
 from crystorb import cli, crystal, exactla, groupcore, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
 
 COUNTED = ((groupcore, "character_table"), (groupcore, "conjugacy_classes"),
            (groupcore, "real_isotypic_dimensions"), (exactla, "solve_mod_lattice"))
@@ -88,8 +84,7 @@ def test_j_search_builds_each_skew_system_once(monkeypatch):
     # runs to its end and J is read off the sample point, exactly over
     # Q(zeta_12).  The search builds one skew system and one Gram sum; the
     # sampler, on complex classes only, builds neither.
-    doc = family.scaling_family()["c6wr_rank4"][0]
-    g = crystal.normalize_action(parse_cryst_data(doc)).group
+    g = crystal_group(family_documents()["c6wr_rank4"])
     systems, grams = [], []
     kernel, gram = hodge.kernel_q, hodge._sum_gram
 

@@ -5,17 +5,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import family
 import pytest
+from conftest import corpus_documents, crystal_group
 from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge
-from crystorb.corpus import load_corpus
-from crystorb.crystal import CrystData, normalize_action, verify_crystallographic
+from crystorb.crystal import CrystData, verify_crystallographic
 from crystorb.cyclo import CycloField, _pi_fixed, real_enclosure
 from crystorb.exactla import IntMatrix
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
 
 F = Fraction
 
@@ -431,14 +429,12 @@ import json, sys
 sys.modules["mpmath"] = None
 sys.path[:0] = sys.argv[1:3]
 from collections import Counter
-import family, workloads
+import family
+from conftest import corpus_documents, crystal_group, family_documents
 from jcheck import assert_invariant_j
 from crystorb import hodge
-from crystorb.corpus import load_corpus
-from crystorb.crystal import CrystData, normalize_action
 
-docs = {n: load_corpus(n) for n in workloads.CORPUS}
-docs.update((n, d) for n, (d, _) in family.scaling_family().items())
+docs = {**corpus_documents(), **family_documents()}
 search, root = hodge._action_j, hodge._sqrt_rational
 built = []
 
@@ -455,9 +451,7 @@ def recorded_root(c):
 branches = Counter()
 for seed in range(4):
     for name, doc in sorted(family.seeded_documents(docs, seed).items()):
-        data = CrystData.make(doc["rank"], [(g["linear"], g["translation"])
-                                            for g in doc["generators"]])
-        g = normalize_action(data).group
+        g = crystal_group(doc)
         if not hodge.is_even(g).even:
             continue
         hodge._action_j, hodge._sqrt_rational = recorded_search, recorded_root
@@ -483,9 +477,8 @@ def test_every_even_input_is_exact_without_mpmath():
 
 
 def _q8(basis_seed):
-    doc = family.seeded_documents({"q8": load_corpus("q8_rank4")}, basis_seed)["q8"]
-    return normalize_action(CrystData.make(
-        doc["rank"], [(x["linear"], x["translation"]) for x in doc["generators"]])).group
+    q8 = corpus_documents()["q8_rank4"]
+    return crystal_group(family.seeded_documents({"q8": q8}, basis_seed)["q8"])
 
 
 @pytest.mark.parametrize("c, order", [(1, 1), (4, 1), (F(1, 4), 1), (2, 8), (3, 12),

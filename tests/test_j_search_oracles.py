@@ -15,20 +15,14 @@ tangent dimension.
 """
 
 import random
-import sys
 from fractions import Fraction as F
 from math import isqrt
-from pathlib import Path
 
 import pytest
+from conftest import corpus_documents, crystal_group, family_documents
 
-from crystorb import crystal, fieldlin, hodge
-from crystorb.cli import parse_cryst_data
-from crystorb.corpus import corpus_names, load_corpus
+from crystorb import fieldlin, hodge
 from crystorb.exactla import kernel_q
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
 
 GENERATED = ("c6wr_rank4", "c3wr_rank6", "b3diag_rank6", "s4double_rank8")
 
@@ -223,23 +217,23 @@ def oracle_tangent_dimension(crys, B):
 # ---------------------------------------------------------------------------
 
 def _groups():
-    docs = {name: load_corpus(name) for name in corpus_names()}
-    scaling = family.scaling_family()
-    docs.update({name: scaling[name][0] for name in GENERATED})
+    docs = corpus_documents()
+    scaling = family_documents()
+    docs.update({name: scaling[name] for name in GENERATED})
     return docs
 
 
 @pytest.fixture(scope="module", params=sorted(_groups()))
 def analysed(request):
-    crys = crystal.normalize_action(parse_cryst_data(_groups()[request.param])).group
+    crys = crystal_group(_groups()[request.param])
     mats = [_frac_rows(m) for m in crys.group.elements]
-    gens = [mats[s] for s in crys.group.generators or (0,)]
+    gens = [mats[s] for s in crys.group.generators]
     return crys, mats, gens
 
 
 def _blocks(crys):
     """(all block matrices, generator block matrices) per rational block."""
-    gens = crys.group.generators or (0,)
+    gens = crys.group.generators
     out = []
     for _, basis in hodge.rational_isotypic_projectors(crys.group, crys.group.table):
         acts = hodge._block_action(crys, basis, range(crys.order()))

@@ -12,26 +12,20 @@ of every rank.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import crystal_group, family_documents
 
-from crystorb import crystal
-from crystorb.cli import parse_cryst_data
 from crystorb.exactla import IntMatrix, hnf, snf
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
-
 
 def family_matrices():
     out = []
-    for name, (doc, _) in sorted(family.scaling_family().items()):
-        g = crystal.normalize_action(parse_cryst_data(doc)).group
+    for name, doc in sorted(family_documents().items()):
+        g = crystal_group(doc)
         identity = IntMatrix.identity(g.rank).neg()
         out += [g.linear(i).add(identity).to_lists() for i in range(g.order())]
     return out

@@ -13,19 +13,14 @@ ArithmeticError.
 """
 
 import dataclasses
-import sys
 from fractions import Fraction as F
 from math import gcd
-from pathlib import Path
 
 import pytest
+from conftest import corpus_documents, crystal_group, family_documents
 
-from crystorb import crystal, fieldlin, hodge
-from crystorb.cli import parse_cryst_data
-from crystorb.corpus import corpus_names, load_corpus
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import family  # noqa: E402
+from crystorb import fieldlin, hodge
+from crystorb.corpus import load_corpus
 
 GENERATED = ("c6wr_rank4", "c3wr_rank6")
 
@@ -126,21 +121,17 @@ def oracle_rational_isotypic_basis(crys, table, chi):
 
 # ---------------------------------------------------------------------------
 
-def _crystal(doc):
-    return crystal.normalize_action(parse_cryst_data(doc)).group
-
-
 def _groups():
-    docs = {name: load_corpus(name) for name in corpus_names()}
-    scaling = family.scaling_family()
-    docs.update({name: scaling[name][0] for name in GENERATED})
+    docs = corpus_documents()
+    scaling = family_documents()
+    docs.update({name: scaling[name] for name in GENERATED})
     return docs
 
 
 @pytest.fixture(scope="module", params=sorted(_groups()))
 def analysed(request):
     doc = _groups()[request.param]
-    crys = _crystal(doc)
+    crys = crystal_group(doc)
     return crys, hodge.point_group_table(crys)
 
 
@@ -175,13 +166,13 @@ def test_every_galois_orbit(analysed):
 
 def test_the_generated_groups_have_irrational_characters():
     for name in GENERATED:
-        crys = _crystal(_groups()[name])
+        crys = crystal_group(_groups()[name])
         table = hodge.point_group_table(crys)
         assert any(not v.is_rational() for chi in table.characters for v in chi.values)
 
 
 def test_irrational_character_over_q_is_a_value_error():
-    crys = _crystal(load_corpus("c3_rank2"))
+    crys = crystal_group(load_corpus("c3_rank2"))
     table = hodge.point_group_table(crys)
     chi = next(c for c in table.characters if not all(v.is_rational() for v in c.values))
     with pytest.raises(ValueError):
@@ -193,7 +184,7 @@ def test_irrational_character_over_q_is_a_value_error():
 def test_partial_galois_orbit_is_an_arithmetic_error():
     # a table holding one of two Galois-conjugate characters: its orbit sum
     # is not rational, which only an internal fault can produce
-    crys = _crystal(load_corpus("c3_rank2"))
+    crys = crystal_group(load_corpus("c3_rank2"))
     table = hodge.point_group_table(crys)
     chi = next(c for c in table.characters if not all(v.is_rational() for v in c.values))
     partial = dataclasses.replace(table, characters=(chi,))

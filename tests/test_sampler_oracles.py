@@ -1,0 +1,177 @@
+"""The sampler's complex pairs and the tangent equations of `hodge` against
+the code they replaced.
+
+`hodge.sample_subspace` used to build a complex pair's share of V from two
+isotypic bases, W_A of chi and W_B of conj chi: the first a d columns of
+W_A, then the first set of (m - a) d columns of W_B, in a search with one
+rank test per candidate, that is transversal to conj V_A.
+`hodge.tangent_dimension` read the action on conj B off M^-1 L(g) conj B,
+with the 2n x 2n matrix M = (B | conj B) inverted over the cyclotomic field.
+Every L(g) is real, so conj W_chi = W_conj chi and L(g) conj B = conj B
+conj(rho_g) when L(g) B = B rho_g: the sampler now conjugates the other
+columns of W_A, and the tangent equations read conj(rho_g) directly.  Both
+old routines are kept below as oracles.
+
+On every Hodge type of the even corpus and family inputs, unseeded and at
+basis seeds 0-3, the new B must be invariant under G with rank(B | conj B) =
+2n, and span the old V whenever every complex split is a = 0 or a = m; the
+tangent dimension must equal the oracle's at both sample points.  The
+sampler computes one isotypic basis over the sample field per complex
+class, and the tangent equations invert nothing.
+"""
+
+import itertools
+from math import lcm
+
+import family
+import pytest
+from conftest import corpus_documents, crystal_group, family_documents
+
+from crystorb import fieldlin, hodge
+from crystorb.cyclo import CycloField
+
+SEEDS = (None, 0, 1, 2, 3)
+
+
+def _conj(cols):
+    return [[z.conjugate() for z in row] for row in cols]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the transversal search and the M^-1 tangent formula
+
+def oracle_complex_columns(crys, table, chars, s, field):
+    """The old share of V of one complex split: V_A from W_A, then the first
+    columns of W_B transversal to conj V_A."""
+    m, d, a = s.multiplicity, s.degree, s.a
+    WA = hodge.isotypic_basis(crys.group, table, [chars[s.labels[0]]], field)
+    WB = hodge.isotypic_basis(crys.group, table, [chars[s.labels[1]]], field)
+    VA = fieldlin.columns(WA, range(a * d))
+    conjVA = _conj(VA)
+    target = m * d
+    for combo in itertools.combinations(range(target), target - a * d):
+        cand = fieldlin.columns(WB, combo)
+        test = fieldlin.hstack(cand, conjVA) if a else cand
+        if fieldlin.rank(test) == target:
+            return ([VA] if a else []) + ([cand] if target - a * d else [])
+    raise ArithmeticError("no transversal complement found")
+
+
+def oracle_sample_subspace(crys, t, seed=0):
+    table = hodge.point_group_table(crys)
+    gens = crys.group.generators
+    field = hodge._sample_field(table)
+    chars = {c.label: c for c in table.characters}
+    cols = []
+    blocks = None
+    for s in t.splits:
+        if s.fs_type == "complex":
+            if s.degree > 1 and s.a not in (0, s.multiplicity):
+                raise hodge.UnsupportedSample("intermediate split of degree > 1")
+            cols += oracle_complex_columns(crys, table, chars, s, field)
+            continue
+        chi = chars[s.labels[0]]
+        if not all(v.is_rational() for v in chi.values):
+            raise hodge.UnsupportedSample("irrational real or quaternionic character")
+        if blocks is None:
+            blocks = dict(hodge.rational_isotypic_projectors(crys.group, table))
+        R = blocks[(chi.label,)]
+        width = len(R[0])
+        X, c = hodge._multiplicity_pairing(hodge._block_action(crys, R, gens), width, seed)
+        root = hodge._sqrt_rational(c)
+        K = CycloField(lcm(field.order, root.field.order))
+        eigenvalue = hodge._i_power(1, K) * root
+        shifted = [[K(X[i][j]) - (eigenvalue if i == j else 0) for j in range(width)]
+                   for i in range(width)]
+        ys = fieldlin.nullspace(shifted)
+        Rf = [[K(x) for x in row] for row in R]
+        cols.append(fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)]))
+    K = CycloField(lcm(*(col[0][0].field.order for col in cols)))
+    return fieldlin.hstack(*([[K(x) for x in row] for row in col] for col in cols))
+
+
+def oracle_tangent_dimension(crys, B):
+    """Psi rho_g = Q_g Psi, with Q_g the bottom block of M^-1 L(g) conj B."""
+    n = crys.n
+    C = _conj(B)
+    Minv = fieldlin.inverse(fieldlin.hstack(B, C))
+    identity = hodge._identity(n, B[0][0].field(1))
+    rows = []
+    gens = crys.group.generators
+    for gi, rho in zip(gens, hodge._block_action(crys, B, gens)):
+        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi).to_lists(), C))[n:]
+        rows += hodge._matrix_equation([(identity, rho), (hodge._neg(Q), identity)])
+    return len(fieldlin.nullspace(rows))
+
+
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of isotypic bases over a sample field and of inverses."""
+    counts = {"isotypic_basis": 0, "inverse": 0}
+    basis, inverse = hodge.isotypic_basis, fieldlin.inverse
+
+    def counted_basis(group, table, chars, field=None):
+        counts["isotypic_basis"] += field is not None
+        return basis(group, table, chars, field)
+
+    def counted_inverse(A):
+        counts["inverse"] += 1
+        return inverse(A)
+
+    monkeypatch.setattr(hodge, "isotypic_basis", counted_basis)
+    monkeypatch.setattr(fieldlin, "inverse", counted_inverse)
+    return counts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_points_and_tangents_match_the_oracles(seed, counted):
+    docs = {**corpus_documents(), **family_documents()}
+    seeded = docs if seed is None else family.seeded_documents(docs, seed)
+    checked, moved = 0, 0
+    for name, doc in sorted(seeded.items()):
+        crys = crystal_group(doc)
+        if not hodge.is_even(crys).even:
+            continue
+        n = crys.n
+        for t in hodge.hodge_types(crys):
+            counted["isotypic_basis"] = 0
+            try:
+                B = hodge.sample_subspace(crys, t)
+            except hodge.UnsupportedSample:
+                with pytest.raises(hodge.UnsupportedSample):
+                    oracle_sample_subspace(crys, t)
+                continue
+            complex_splits = [s for s in t.splits if s.fs_type == "complex"]
+            assert counted["isotypic_basis"] == len(complex_splits), name
+            counted["inverse"] = 0
+            dim = hodge.tangent_dimension(crys, B)
+            assert counted["inverse"] == 0, name
+
+            old = oracle_sample_subspace(crys, t)
+            hodge._block_action(crys, B, range(crys.order()))   # raises unless invariant
+            assert fieldlin.rank(fieldlin.hstack(B, _conj(B))) == 2 * n, name
+            assert dim == oracle_tangent_dimension(crys, B), name
+            assert dim == oracle_tangent_dimension(crys, old), name
+            assert dim == hodge.component_dimension(t, crys), name
+            if all(s.a in (0, s.multiplicity) for s in complex_splits):
+                assert fieldlin.rank(fieldlin.hstack(old, B)) == n, name
+            else:
+                moved += 1
+            checked += 1
+    # 30 types over the 20 even inputs; rot4_sum_rank4's type (1, 1) splits
+    # its complex pair of multiplicity 2 between V and conj V
+    assert (checked, moved) == (30, 1)
+
+
+@pytest.mark.parametrize("name", ["trivial_rank2", "trivial_rank4", "trivial_rank6"])
+def test_commutant_of_the_trivial_group_is_every_matrix(name):
+    # a group recording no generators is generated by all of its elements,
+    # so the commutant equations are never an empty system
+    crys = crystal_group(corpus_documents()[name])
+    assert crys.group.generators == (0,)
+    (_, R), = hodge.rational_isotypic_projectors(crys.group, crys.group.table)
+    w = len(R[0])
+    acts = hodge._block_action(crys, R, crys.group.generators)
+    assert w == crys.rank and len(hodge._commutant_basis(acts, w)) == w * w
