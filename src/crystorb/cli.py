@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: verify | realize | even | jstruct | action | teich | platonic.
-Input is a JSON document (--input PATH or - for stdin); rationals travel as
-strings "p/q", complex numbers as ["re", "im"] pairs.  Reports are emitted
-as text or as canonical JSON (sorted keys), so identical input and seed
-produce byte-identical output.  Exit codes: 0 success, 1 invalid input,
-2 internal error.
+Commands: verify | realize | even | jstruct | action | teich | platonic,
+given before or after the options.  Input is a JSON document (--input PATH
+or - for stdin); rationals travel as strings "p/q", complex numbers as
+["re", "im"] pairs.  Reports are text or canonical JSON (sorted keys), so
+identical input and seed produce byte-identical output.  Exit codes: 0
+success, 1 invalid input or command line, 2 internal error.
 """
 
 from __future__ import annotations
@@ -571,17 +571,17 @@ def main(argv=None):
         prog="crystorb",
         description="exact computations with crystallographic groups and "
                     "finite group actions on complex tori")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True,
-                       help="path to a JSON input document, or - for stdin")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--precision", type=int, default=None)
-    args = parser.parse_args(argv)
-
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", required=True,
+                        help="path to a JSON input document, or - for stdin")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--bound", type=int)
+    parser.add_argument("--precision", type=int)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # a usage error is bad input; --help exits 0
+        return 1 if exc.code else 0
     try:
         if args.input == "-":
             raw = sys.stdin.read()
@@ -590,7 +590,7 @@ def main(argv=None):
                 raw = fh.read()
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
             raise ValidationError(f"input: invalid JSON ({exc})") from exc
         job = JobSpec.build(args.command, doc, args.format,
                             seed=args.seed, bound=args.bound,

@@ -9,7 +9,6 @@ otherwise; exhausting the bound never claims infiniteness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def free_reduce(word):

@@ -6,7 +6,6 @@ Run as:  pytest tests/test_acceptance.py -v -s
 import json
 from fractions import Fraction
 
-import pytest
 from jcheck import assert_invariant_j
 
 from crystorb import cli, crystal, fieldlin, hodge, quotient

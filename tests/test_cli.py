@@ -1,4 +1,8 @@
+import argparse
+import io
 import json
+from contextlib import redirect_stderr
+from unittest import mock
 
 import pytest
 from conftest import family_documents
@@ -111,6 +115,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "even", "--input", str(p))
         assert code == 1
         assert "invalid JSON" in err
+
+    def test_json_nested_too_deeply(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000)
+        code, _, err = run(capsys, "even", "--input", str(p))
+        assert code == 1
+        assert err.startswith("error: input: invalid JSON (maximum recursion depth")
 
     def test_unknown_field_located(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"rank": 2, "generators": [], "bogus": 1})
@@ -387,3 +398,153 @@ def test_jstruct_reports_an_unbuilt_j_as_unsupported(capsys, tmp_path, monkeypat
     code, out, _ = run(capsys, "jstruct", "--input", path, "--format", "json")
     assert code == 0
     assert json.loads(out)["result"] == {"exists": True, "mode": "unsupported", "even": True}
+
+
+class TestUsageErrors:
+    """A bad command line is bad input: exit 1, argparse's usage line and
+    message on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--input", "-"], "invalid choice: 'classify'"),
+        (["verify"], "the following arguments are required: --input"),
+        (["verify", "--input", "-", "--seed", "x"], "invalid int value: 'x'"),
+    ])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: crystorb ") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: crystorb ")
+
+
+def test_options_before_the_command(capsys, tmp_path):
+    path = corpus_path(tmp_path, "c3_rank2")
+    reports = {run(capsys, *argv)[1] for argv in (
+        ["jstruct", "--input", path, "--format", "json", "--precision", "64"],
+        ["--input", path, "--format", "json", "jstruct", "--precision", "64"],
+        ["--format", "json", "--precision", "64", "--input", path, "jstruct"],
+    )}
+    assert len(reports) == 1 and json.loads(reports.pop())["command"] == "jstruct"
+
+
+# ---------------------------------------------------------------------------
+# the parser oracle: the parser cli.main built before it declared the five
+# options once, a subparser per command that declares all five
+
+def subparser_oracle():
+    parser = argparse.ArgumentParser(
+        prog="crystorb",
+        description="exact computations with crystallographic groups and "
+                    "finite group actions on complex tori")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli.COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--input", required=True,
+                       help="path to a JSON input document, or - for stdin")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--bound", type=int, default=None)
+        p.add_argument("--precision", type=int, default=None)
+    return parser
+
+
+class _Parsed(Exception):
+    pass
+
+
+def oracle_fields(argv):
+    """The six fields the oracle parses argv into, or None if it refuses."""
+    with redirect_stderr(io.StringIO()):
+        try:
+            return vars(subparser_oracle().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            return None
+
+
+def main_fields(argv):
+    """The six fields cli.main parses argv into, or None for a usage error
+    (which must exit 1)."""
+    parse = argparse.ArgumentParser.parse_args
+
+    def stop_after_parsing(parser, args=None, namespace=None):
+        raise _Parsed(vars(parse(parser, args, namespace)))
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", stop_after_parsing), \
+            redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except _Parsed as parsed:
+            return parsed.args[0]
+    assert code == 1
+    return None
+
+
+# spellings of each option: the full name and abbreviations
+SPELLINGS = {
+    "input": ("--input", "--in", "--i", "--inp"),
+    "format": ("--format", "--f", "--form"),
+    "seed": ("--seed", "--s", "--se"),
+    "bound": ("--bound", "--b", "--bou"),
+    "precision": ("--precision", "--pre", "--p"),
+}
+# values each option accepts, then values it refuses or that look like flags
+INTEGERS = ("0", "7", "-3", "-1", "64", "x", "1.5", "", "--")
+VALUES = {
+    "input": ("-", "doc.json", "verify", "-5", "a b", "--", "", "--seed"),
+    "format": ("json", "text", "xml", "-"),
+    "seed": INTEGERS, "bound": INTEGERS, "precision": INTEGERS,
+}
+ACCEPTED = {"input": 5, "format": 2, "seed": 5, "bound": 5, "precision": 5}
+NOISE = ("--", "-", "-x", "--bogus", "--input", "--seed", "verify",
+         "teich", "7", "-1", "doc.json", "--format=json", "--in=-")
+
+
+def test_one_parser_matches_the_subparser_oracle():
+    """Wherever the oracle accepts an argv, cli.main's parser gives the same
+    command, input, format, seed, bound and precision; it also accepts the
+    same options with the command moved in among them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    accepted = []
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        command = draw(st.sampled_from(cli.COMMANDS))
+        groups = []
+        names = draw(st.lists(st.sampled_from(sorted(SPELLINGS)), max_size=5))
+        if draw(st.integers(0, 4)):
+            names.insert(draw(st.integers(0, len(names))), "input")
+        for name in names:
+            flag = draw(st.sampled_from(SPELLINGS[name]))
+            good = VALUES[name][:ACCEPTED[name]]
+            value = draw(st.sampled_from(good if draw(st.integers(0, 5)) else VALUES[name]))
+            groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+        place = draw(st.integers(0, len(groups)))
+        first = [command] + [a for g in groups for a in g]
+        moved = [a for g in groups[:place] for a in g] + [command] + \
+            [a for g in groups[place:] for a in g]
+        noisy = list(first)
+        for token in draw(st.lists(st.sampled_from(NOISE), max_size=2)):
+            noisy.insert(draw(st.integers(0, len(noisy))), token)
+        for argv in (first, noisy):
+            expected = oracle_fields(argv)
+            if expected is not None:
+                assert main_fields(argv) == expected, argv
+        # the options are whole flag-value groups, so the command may go
+        # between any two of them
+        expected = oracle_fields(first)
+        if expected is not None:
+            accepted.append(place)
+            assert main_fields(moved) == expected, moved
+
+    check()
+    assert len(accepted) >= 100 and sum(p > 0 for p in accepted) >= 50
+

@@ -31,13 +31,13 @@ def run_cli(name, command):
     return run_document(load_corpus(name), command)
 
 
-def run_document(doc, command):
+def run_document(doc, command, output_format="json"):
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main([command, "--input", "-", "--format", "json"])
+            code = cli.main([command, "--input", "-", "--format", output_format])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()

@@ -6,7 +6,6 @@ import pytest
 
 from crystorb import cli, fieldlin
 from crystorb.crystal import CrystData, NotFinite, verify_crystallographic
-from crystorb.cyclo import CycloField
 from crystorb.exactla import IntMatrix
 from crystorb.groupcore import (
     ExceedsBound,
