@@ -446,8 +446,14 @@ def cmd_platonic(doc, opts):
         if min(triple) < 2:
             _fail("input.triple", "multiplicities must be >= 2")
         finite = orbpi.platonic_check(*triple)
-        order = orbpi.coset_enumerate(
-            orbpi.central_line_quotient(*triple), bound=opts["bound"])
+        if max(triple) > opts["bound"]:
+            # c_i has order exactly m_i in the von Dyck group, so the group
+            # has more elements than the bound allows cosets: the table
+            # cannot close, and no relator c_i^m_i need be built
+            order = None
+        else:
+            order = orbpi.coset_enumerate(
+                orbpi.central_line_quotient(*triple), bound=opts["bound"])
         key = tuple(sorted(triple))
         if key[:2] == (2, 2):
             family = "dihedral family (2,2,n)"

@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import time
+import tracemalloc
 from contextlib import redirect_stderr
 from unittest import mock
 
@@ -49,6 +51,31 @@ class TestBasics:
         assert result["finite"] is True
         assert result["quotient_order"] == order
         assert result["enumeration_agrees"] is agrees
+
+    def test_platonic_multiplicity_beyond_bound(self, capsys, tmp_path):
+        # c3 has order 10^8 > bound, so the table cannot close; the relator
+        # c3^(10^8) must not be built
+        path = write_doc(tmp_path, {"triple": [2, 2, 100000000]})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "platonic", "--input", path, "--format", "json")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["finite"] is True
+        assert result["quotient_order"] is None
+        assert result["enumeration_agrees"] is None
+
+    def test_platonic_large_bound_allocates_nothing_up_front(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"triple": [2, 3, 5], "options": {"bound": 10 ** 12}})
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "platonic", "--input", path, "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["result"]["quotient_order"] == 60
+        assert peak < 2 ** 20
 
     def test_platonic_presentation(self, capsys, tmp_path):
         doc = {"presentation": {"generators": ["a"], "relators": [[1, 1, 1]]}}

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from crystorb import orbpi
 from crystorb.orbpi import (
     CoveringData,
     Presentation,
@@ -136,6 +142,61 @@ class TestFinitenessMatchesInequality:
                 for c in range(b, 7):
                     order = coset_enumerate(central_line_quotient(a, b, c), bound=10000)
                     assert (order is not None) == platonic_check(a, b, c), (a, b, c)
+
+
+def finished_table():
+    """The closed table of <a | a^6>: one 6-cycle of a."""
+    table = orbpi._hlt(Presentation.make(("a",), [(1,) * 6]), 100)
+    assert orbpi._check_table(table) == 6
+    return table
+
+
+def redirect_entry(table):
+    """Point 0.a^5.a at 0.a^3 instead of 0: a is no longer a permutation,
+    and the walk from 0 never comes back."""
+    a3 = table.get(table.get(table.get(0, 0), 0), 0)
+    table.cols[0][table.get(table.get(a3, 0), 0)] = a3
+
+
+def split_cycle(table):
+    """Keep a a permutation but split its 6-cycle into cycles of lengths 4
+    and 2 (0.a becomes 0.a^3, and 0.a^2.a becomes 0.a)."""
+    a1 = table.get(0, 0)
+    a2 = table.get(a1, 0)
+    a3 = table.get(a2, 0)
+    table.define(0, 0, a3)
+    table.define(a2, 0, a1)
+
+
+def open_hole(table):
+    table.cols[1][5] = None
+
+
+class TestTableCheck:
+    @pytest.mark.parametrize("damage", [redirect_entry, split_cycle, open_hole])
+    def test_damaged_table_fails(self, damage):
+        table = finished_table()
+        damage(table)
+        with pytest.raises(AssertionError):
+            orbpi._check_table(table)
+
+    def test_damaged_table_fails_under_optimize(self):
+        code = ("import test_orbpi, sys\n"
+                "from crystorb import orbpi\n"
+                "t = test_orbpi.finished_table()\n"
+                "test_orbpi.split_cycle(t)\n"
+                "try:\n"
+                "    orbpi._check_table(t)\n"
+                "except AssertionError:\n"
+                "    print(sys.flags.optimize, 'raised')\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "raised"]
 
 
 class TestCovering:
