@@ -79,6 +79,8 @@ _GEN_KEYS = {"linear", "translation"}
 _OPTION_KEYS = {"seed", "bound", "precision"}
 # precision, in bits, sets the digits decimal_str prints: 17 at the floor of 64
 _FLOORS = {"bound": 1, "precision": 64}
+# the largest lattice rank read: output alone grows as rank^2
+MAX_RANK = 128
 
 
 def _fail(path, message):
@@ -126,6 +128,8 @@ def parse_cryst_data(doc, path="input") -> CrystData:
     rank = doc["rank"]
     if not _is_int(rank) or rank < 1:
         _fail(f"{path}.rank", "must be a positive integer")
+    if rank > MAX_RANK:
+        _fail(f"{path}.rank", f"must be at most {MAX_RANK}")
     gens = doc.get("generators", [])
     if not isinstance(gens, list):
         _fail(f"{path}.generators", "must be a list")

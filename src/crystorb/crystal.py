@@ -112,14 +112,6 @@ def _numerators(vectors, den):
     return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors]
 
 
-def _rows(m: IntMatrix):
-    return [m.row(i) for i in range(m.rows)]
-
-
-def _apply(rows, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in rows]
-
-
 def _generator_products(group: MatrixGroup):
     """{s: [s*h for h in G]} for the generating set S = group.generators, so
     every element is a word in S."""
@@ -135,10 +127,10 @@ def _translations(group: MatrixGroup, gen_num, den):
     num[0] = (0,) * group.rank
     queue = [0]
     for w in queue:
-        lin = _rows(group.elements[w])
+        lin = group.elements[w]
         for uk, x in zip(gen_num, group.right[w]):
             if num[x] is None:
-                num[x] = tuple((a + b) % den for a, b in zip(_apply(lin, uk), num[w]))
+                num[x] = tuple((a + b) % den for a, b in zip(lin.mul_vec(uk), num[w]))
                 queue.append(x)
     return num
 
@@ -150,10 +142,10 @@ def _defects(group: MatrixGroup, num, gen_num, den):
     translation, and with Z^r the d generate the kernel of the map to the
     point group (Schreier's lemma)."""
     for w, row in enumerate(group.right):
-        lin = _rows(group.elements[w])
+        lin = group.elements[w]
         uw = num[w]
         for uk, x in zip(gen_num, row):
-            d = tuple((a + b - c) % den for a, b, c in zip(_apply(lin, uk), uw, num[x]))
+            d = tuple((a + b - c) % den for a, b, c in zip(lin.mul_vec(uk), uw, num[x]))
             if any(d):
                 yield d
 
@@ -329,14 +321,13 @@ class ExtensionCocycle:
         for i in range(n):
             if any(vals[(i, 0)]) or any(vals[(0, i)]):
                 raise CocycleViolation("cocycle is not normalized")
-        lins = [_rows(m) for m in g.elements]
         for b, b_row in _generator_products(g).items():
             for a in range(n):
-                la = lins[a]
+                la = g.elements[a]
                 ab = g.mul(a, b)
                 own = vals[(a, b)]
                 for c, bc in enumerate(b_row):
-                    lhs = _apply(la, vals[(b, c)])
+                    lhs = la.mul_vec(vals[(b, c)])
                     rest = vals[(a, bc)]
                     mid = vals[(ab, c)]
                     if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
@@ -351,10 +342,10 @@ def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
     num = _numerators(vs.translations, den)
     values = {}
     for i in range(n):
-        lin = _rows(g.elements[i])
+        lin = g.elements[i]
         ui = num[i]
         for j in range(n):
-            d = [x + a - b for x, a, b in zip(_apply(lin, num[j]), ui, num[g.mul(i, j)])]
+            d = [x + a - b for x, a, b in zip(lin.mul_vec(num[j]), ui, num[g.mul(i, j)])]
             if any(x % den for x in d):
                 raise CocycleViolation("vector system is not a valid realization")
             values[(i, j)] = tuple(x // den for x in d)
@@ -380,10 +371,10 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
             for i in range(n)]
     # exact realization identity against the input cocycle
     for s, row in _generator_products(linear).items():
-        lin = _rows(linear.elements[s])
+        lin = linear.elements[s]
         us = sums[s]
         for h, sh in enumerate(row):
-            lhs = [x + a - b for x, a, b in zip(_apply(lin, sums[h]), us, sums[sh])]
+            lhs = [x + a - b for x, a, b in zip(lin.mul_vec(sums[h]), us, sums[sh])]
             if lhs != [n * x for x in vals[(s, h)]]:
                 raise CocycleViolation("averaged system does not realize the cocycle")
     vs = VectorSystem(linear, tuple(mod1_vec(tuple(F(a, n) for a in u)) for u in sums))

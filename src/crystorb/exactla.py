@@ -37,7 +37,9 @@ def _integer(x):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major entries."""
+    """Dense integer matrix, row-major entries.  Its row and column tuples
+    are cut on first use and kept; equality and hashing read the fields
+    only."""
 
     rows: int
     cols: int
@@ -67,31 +69,37 @@ class IntMatrix:
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
+    @cached_property
+    def row_tuples(self):
+        """The rows as tuples, cut once per matrix."""
+        c = self.cols
+        return tuple(self.entries[i:i + c] for i in range(0, len(self.entries), c))
+
+    @cached_property
+    def col_tuples(self):
+        """The columns as tuples, cut once per matrix."""
+        return tuple(zip(*self.row_tuples))
+
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return self.row_tuples[i]
 
     def to_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self.row_tuples]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix(self.cols, self.rows, tuple(x for c in self.col_tuples for x in c))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a, b = self.to_lists(), other.to_lists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = other.col_tuples
+        return IntMatrix(self.rows, other.cols,
+                         tuple(sum(map(mul, r, c)) for r in self.row_tuples for c in cols))
 
     def mul_vec(self, v):
         if self.cols != len(v):
             raise ValueError("shape mismatch")
-        return tuple(sum(map(mul, self.row(i), v)) for i in range(self.rows))
+        return tuple(sum(map(mul, r, v)) for r in self.row_tuples)
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

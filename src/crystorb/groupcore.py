@@ -14,9 +14,11 @@ prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
 values by root-of-unity multiplicity recovery (J. D. Dixon, Numer. Math.
 10, 1967): for a class representative g of order o, a Fourier sum over
 s, t < o of chi(g^s) gives the multiplicity of each eigenvalue
-zeta_e^(t e/o).  The linear algebra over F_p (restriction, characteristic
-polynomial, eigenspaces) is `fieldlin`'s, on `fieldlin.GF` elements.  All
-published values are exact; F_p only ever appears internally.
+zeta_e^(t e/o).  The split works on plain ints mod p: each eigenspace is a
+reduced echelon basis, the class matrix restricted to it is read off the
+rows its pivots name, and the characteristic polynomials and eigenspaces
+are `fieldlin`'s with the prime given.  All published values are exact;
+F_p only ever appears internally.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from operator import mul
 
 from . import fieldlin
 from .cyclo import CycloField
@@ -216,7 +219,7 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     if not gens:
         if rank is None:
             raise ValueError("rank required for an empty generator list")
-        return MatrixGroup(rank, [IntMatrix.identity(rank)], ())
+        return MatrixGroup(rank, [IntMatrix.identity(rank)], (), ((0,), [(0,)], [()]))
     r = gens[0].rows
     for g in gens:
         if g.rows != g.cols or g.rows != r:
@@ -376,59 +379,14 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     z = _root_of_unity(p, e) if e > 1 else 1
     z_powers = [pow(z, t, p) for t in range(e)]
 
-    def class_matrix(j):
-        T = [[0] * k for _ in range(k)]
-        for x in classes[j].members:
-            for y in range(n):
-                T[class_of[y]][class_of[group.mul(x, y)]] += 1
-        for i in range(k):
-            for l in range(k):
-                q, rem = divmod(T[i][l], classes[l].size)
-                _require(rem == 0, "class structure constant is not integral")
-                T[i][l] = q % p
-        return T
-
-    # split the class algebra into common eigenlines over F_p
-    spaces = [[[1 if a == b else 0 for a in range(k)] for b in range(k)]]
-    j = 1
-    while j < k and any(len(sp) > 1 for sp in spaces):
-        Mj = class_matrix(j)
-        refined = []
-        for sp in spaces:
-            if len(sp) == 1:
-                refined.append(sp)
-                continue
-            w = len(sp)
-            B = [[sp[b][a] for b in range(w)] for a in range(k)]
-            # Mj B = B R: R is Mj on the span of sp, in the basis sp
-            R = fieldlin.solve_columns(
-                [[fieldlin.GF(x, p) for x in row] for row in B],
-                [[fieldlin.GF(sum(Mj[a][c] * B[c][b] for c in range(k)), p) for b in range(w)]
-                 for a in range(k)])
-            charpoly = [c.v for c in fieldlin.charpoly(R)]
-            for lam in range(p):
-                if _poly_at(charpoly, lam, p):
-                    continue
-                shifted = [[x - lam if i == j2 else x for j2, x in enumerate(row)]
-                           for i, row in enumerate(R)]
-                eigen = [[sum(B[a][b] * vec[b].v for b in range(w)) % p
-                          for a in range(k)]
-                         for vec in fieldlin.nullspace(shifted)]
-                if eigen:
-                    refined.append(eigen)
-        spaces = refined
-        j += 1
-    if len(spaces) != k or any(len(sp) != 1 for sp in spaces):
-        raise ArithmeticError("class algebra did not split into eigenlines")
-
+    spaces = _eigenlines(group, p)
     inv_class = [class_of[group.inv(c.representative)] for c in classes]
     size_inv = [pow(c.size, p - 2, p) for c in classes]
     pow_classes = [[class_of[x] for x in group._powers(c.representative)[:-1]]
                    for c in classes]
 
     rows = []
-    for sp in spaces:
-        v = sp[0]
+    for v in spaces:
         v0inv = pow(v[0], p - 2, p)
         v = [(x * v0inv) % p for x in v]
         s = 0
@@ -465,6 +423,55 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     return table
 
 
+def _eigenlines(group, p):
+    """The k common eigenlines over F_p of the class matrices M_1, M_2, ...,
+    each as one vector of ints mod p, k the number of classes.
+
+    Row a of M_j holds, for each class l, the number of pairs x in C_j,
+    y in C_a with xy in C_l, divided by |C_l|.  Each space is kept as a
+    reduced echelon basis with pivot columns P, so for its basis matrix B
+    (columns the basis) B restricted to the rows P is the identity, and the
+    R with M_j B = B R is (M_j B) restricted to the rows P: only the rows
+    of M_j that some pivot names are built, |C_a| |C_j| products each."""
+    classes = group.classes
+    class_of = group.class_index
+    k = len(classes)
+    spaces = [([[int(a == b) for a in range(k)] for b in range(k)], list(range(k)))]
+    j = 1
+    while j < k and any(len(sp) > 1 for sp, _ in spaces):
+        members = classes[j].members
+        rows = {}
+        for a in {a for sp, piv in spaces if len(sp) > 1 for a in piv}:
+            counts = [0] * k
+            for y in classes[a].members:
+                for x in members:
+                    counts[class_of[group.mul(x, y)]] += 1
+            _require(all(count % c.size == 0 for count, c in zip(counts, classes)),
+                     "class structure constant is not integral")
+            rows[a] = [count // c.size % p for count, c in zip(counts, classes)]
+        refined = []
+        for sp, piv in spaces:
+            if len(sp) == 1:
+                refined.append((sp, piv))
+                continue
+            R = [[sum(map(mul, rows[a], v)) % p for v in sp] for a in piv]
+            charpoly = fieldlin.charpoly(R, p)
+            for lam in range(p):
+                if _poly_at(charpoly, lam, p):
+                    continue
+                shifted = [[x - lam if i == b else x for b, x in enumerate(row)]
+                           for i, row in enumerate(R)]
+                eigen = [[sum(map(mul, col, y)) % p for col in zip(*sp)]
+                         for y in fieldlin.nullspace(shifted, p)]
+                if eigen:
+                    refined.append(fieldlin.rref(eigen, p))
+        spaces = refined
+        j += 1
+    if len(spaces) != k or any(len(sp) != 1 for sp, _ in spaces):
+        raise ArithmeticError("class algebra did not split into eigenlines")
+    return [sp[0] for sp, _ in spaces]
+
+
 def _lift(chi_mod, d, pow_classes, z_powers, p, field):
     """The exact class values of the degree-d character chi_mod (mod p),
     z_powers the powers of an element of order e in F_p, and pow_classes the
@@ -497,7 +504,10 @@ def _verify_orthogonality(table: CharacterTable):
     Character values are algebraic integers and 1, zeta, ..., zeta^(phi(e)-1)
     is a Z-basis of Z[zeta_e], so every coordinate must be an integer and each
     relation is an identity of integer polynomials modulo the monic Phi_e.
-    The column relations follow: for a square X with X diag(|C|) X* = |G| I,
+    Each value is packed into one integer, its polynomial at X = 2^shift
+    (Kronecker substitution), so a row relation is one sum of products,
+    unpacked into signed coefficients and reduced modulo Phi_e.  The
+    column relations follow: for a square X with X diag(|C|) X* = |G| I,
     X diag(|C|) is invertible with inverse X* / |G|, so X* X = |G|
     diag(|C|)^-1.
     """
@@ -506,33 +516,45 @@ def _verify_orthogonality(table: CharacterTable):
     _require(len(table.characters) == len(table.classes), "character table is not square")
     if any(v.den != 1 for chi in table.characters for v in chi.values):
         raise ArithmeticError("character value is not an algebraic integer")
-    sizes = [c.size for c in table.classes]
-    weighted = [[[(i, size * x) for i, x in _terms(v.num)]
-                 for size, v in zip(sizes, chi.values)] for chi in table.characters]
-    conjugates = [[_terms(field.galois_coords(v.num, -1)) for v in chi.values]
-                  for chi in table.characters]
+    coords = [[v.num for v in chi.values] for chi in table.characters]
+    conjugates = [[field.galois_coords(x, -1) for x in row] for row in coords]
+    top = max(abs(c) for rows in (coords, conjugates) for row in rows for x in row for c in x)
+    # a coefficient of sum over C of |C| chi_a conj chi_b, before reduction,
+    # is at most |G| deg(Phi_e) top^2 < 2^(shift - 1) in absolute value
+    shift = (2 * n * field.degree * top * top).bit_length()
+    weighted = [[c.size * _pack(x, shift) for c, x in zip(table.classes, row)]
+                for row in coords]
+    packed = [[_pack(y, shift) for y in row] for row in conjugates]
     # sum over classes of |C| chi_a conj chi_b = |G| delta_ab
     for a, x in enumerate(weighted):
-        for b, y in enumerate(conjugates):
+        for b, y in enumerate(packed):
             want = [n if a == b else 0] + [0] * (field.degree - 1)
-            if _reduced_sum(zip(x, y), field) != want:
+            total = _unpack(sum(map(mul, x, y)), shift, 2 * field.degree - 1)
+            if field.reduce(total) != want:
                 raise ArithmeticError("row orthogonality failed")
 
 
-def _terms(x):
-    """The nonzero (power, coefficient) pairs of a coordinate vector."""
-    return [(i, c) for i, c in enumerate(x) if c]
+def _pack(coords, shift):
+    """The integer polynomial with coefficients `coords` at X = 2^shift."""
+    acc = 0
+    for c in reversed(coords):
+        acc = (acc << shift) + c
+    return acc
 
 
-def _reduced_sum(pairs, field):
-    """Sum of x*y over pairs of integer polynomials given by their terms,
-    reduced modulo the field's cyclotomic polynomial."""
-    acc = [0] * (2 * field.degree - 1)
-    for x, y in pairs:
-        for i, a in x:
-            for j, b in y:
-                acc[i + j] += a * b
-    return field.reduce(acc)
+def _unpack(value, shift, count):
+    """The `count` signed coefficients, each of absolute value below
+    2^(shift - 1), of the polynomial whose value at X = 2^shift is `value`."""
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    coeffs = []
+    for _ in range(count):
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        value = (value - c) >> shift
+    _require(value == 0, "packed orthogonality sum exceeds its width")
+    return coeffs
 
 
 def _indicator(group, field, values):

@@ -191,32 +191,43 @@ def _standard_pairings(w):
     return [block, inter]
 
 
-def _minus_square(X):
-    """c when X^2 = -c I with c > 0, a rational; else None."""
-    w = len(X)
-    X2 = fieldlin.mat_mul(X, X)
-    c = -X2[0][0]
-    if c <= 0:
+def _over_integers(X):
+    """(N, d) with X = N / d: d the least common denominator of the
+    rational matrix X, N an IntMatrix."""
+    d = lcm(*(x.denominator for row in X for x in row))
+    return IntMatrix(len(X), len(X[0]),
+                     tuple(x.numerator * (d // x.denominator) for row in X for x in row)), d
+
+
+def _integer_minus_square(N):
+    """c > 0 with N^2 = -c I for the IntMatrix N, an integer; else None."""
+    entries = N.mul(N).entries
+    c = -entries[0]
+    if c <= 0 or entries != tuple(-c if i == j else 0
+                                  for i in range(N.rows) for j in range(N.cols)):
         return None
-    for i in range(w):
-        for j in range(w):
-            if X2[i][j] != (-c if i == j else 0):
-                return None
-    return F(c)
+    return c
+
+
+def _minus_square(X):
+    """c when X^2 = -c I with c > 0, a rational; else None.  With X = N / d,
+    N^2 = -c' I over the integers and c = c' / d^2."""
+    N, d = _over_integers(X)
+    c = _integer_minus_square(N)
+    return None if c is None else F(c, d * d)
 
 
 def _scaled_root(X):
-    """J = X / sqrt(c) when X^2 = -c I with c a square rational, c > 0;
-    else None.  c > 0 makes X invertible."""
-    c = _minus_square(X)
+    """J = X / sqrt(c) as (N, s), J = N / s over the integers, when X^2 = -c I
+    with c a rational square, c > 0; else None.  With X = N / d, N^2 = -c' I
+    and c = c' / d^2, so c is a rational square iff c' = s^2, and then
+    X / sqrt(c) = N / s.  c > 0 makes X invertible."""
+    N, _ = _over_integers(X)
+    c = _integer_minus_square(N)
     if c is None:
         return None
-    num, den = c.numerator, c.denominator
-    sn, sd = isqrt(num), isqrt(den)
-    if sn * sn != num or sd * sd != den:
-        return None
-    s = F(sn, sd)
-    return [[x / s for x in row] for row in X]
+    s = isqrt(c)
+    return (N, s) if s * s == c else None
 
 
 def _candidates(basis, w, seed, attempts, spread):
@@ -237,11 +248,17 @@ def _candidates(basis, w, seed, attempts, spread):
 
 def _rational_j(candidates, gens):
     """The first X / sqrt(c) over the candidates X with X^2 = -c I, c a
-    rational square, that commutes with every generator matrix; or None."""
+    rational square, that commutes with every generator matrix; or None.
+    Commutation is tested on integer numerators, of J and of each
+    generator."""
+    gens = [_over_integers(m)[0] for m in gens]
     for X in candidates:
-        J = _scaled_root(X)
-        if J is not None and _commutes_with_all(J, gens):
-            return J
+        root = _scaled_root(X)
+        if root is None:
+            continue
+        N, s = root
+        if all(N.mul(m) == m.mul(N) for m in gens):
+            return [[F(x, s) for x in row] for row in N.row_tuples]
     return None
 
 

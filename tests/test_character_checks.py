@@ -1,13 +1,22 @@
-"""The integer orthogonality check of character tables against an oracle.
+"""The integer orthogonality check and the split of the class algebra
+against oracles.
 
 `_verify_orthogonality` checks that the table is square and checks the row
-relations on the integer coordinates of the character values in Z[zeta_e];
-the column relations follow from those.  The oracle below is the direct check
-of both relations in Cyclo arithmetic.  Both accept every real table; the
-integer check rejects each kind of corrupted table, and the oracle rejects
-those that break orthogonality.  A table missing one character keeps its
-rows orthogonal: only the column relations, and so the squareness check,
-reject it.
+relations on the integer coordinates of the character values in Z[zeta_e],
+each value packed into one integer; the column relations follow from those.
+Two oracles check it: the direct check of both relations in Cyclo
+arithmetic, and the term-by-term integer loop it replaced.  All accept every
+real table; the integer checks reject each kind of corrupted table, and the
+Cyclo oracle rejects those that break orthogonality.  A table missing one
+character keeps its rows orthogonal: only the column relations, and so the
+squareness check, reject it.
+
+`_eigenlines` splits the class algebra over F_p on plain ints, building only
+the class-matrix rows that the pivots of its echelon bases name.  The split
+it replaced, over the `GF` element type with a linear solve per space, is
+kept below verbatim; with it in place of `_eigenlines` and the old
+orthogonality loop, `character_table` must build the identical table on the
+corpus, the scaling family at basis seeds 0-3 and the property pools.
 """
 
 import os
@@ -17,11 +26,166 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import family
 import pytest
+from conftest import family_documents
+from test_properties import GROUPS
 
-from crystorb import cli
+from crystorb import cli, fieldlin, groupcore
 from crystorb.corpus import corpus_names, load_corpus
-from crystorb.groupcore import _verify_orthogonality, character_table, closure
+from crystorb.groupcore import (
+    _pack,
+    _poly_at,
+    _require,
+    _unpack,
+    _verify_orthogonality,
+    character_table,
+    closure,
+)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the F_p element type, the split over it and the orthogonality
+# loop the package used to carry
+
+class GF:
+    """The residue v (mod p) in the prime field F_p.  Python ints mix in and
+    are read mod p; division by 0 raises ZeroDivisionError."""
+
+    __slots__ = ("v", "p")
+    __hash__ = None
+
+    def __init__(self, v, p):
+        self.v, self.p = v % p, p
+
+    def __add__(self, other):
+        return GF(self.v + (other.v if type(other) is GF else other), self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return GF(self.v - (other.v if type(other) is GF else other), self.p)
+
+    def __rsub__(self, other):
+        return GF(other - self.v, self.p)
+
+    def __mul__(self, other):
+        return GF(self.v * (other.v if type(other) is GF else other), self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        d = (other.v if type(other) is GF else other) % self.p
+        if d == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return GF(self.v * pow(d, -1, self.p), self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, (GF, int)):
+            return (self.v - (other.v if type(other) is GF else other)) % self.p == 0
+        return NotImplemented
+
+    def __repr__(self):
+        return f"GF({self.v}, {self.p})"
+
+
+def oracle_eigenlines(group, p):
+    """The split of the class algebra over GF, one class matrix M_j at a
+    time, each space restricted by a linear solve."""
+    n = group.order()
+    classes = group.classes
+    class_of = group.class_index
+    k = len(classes)
+
+    def class_matrix(j):
+        T = [[0] * k for _ in range(k)]
+        for x in classes[j].members:
+            for y in range(n):
+                T[class_of[y]][class_of[group.mul(x, y)]] += 1
+        for i in range(k):
+            for l in range(k):
+                q, rem = divmod(T[i][l], classes[l].size)
+                _require(rem == 0, "class structure constant is not integral")
+                T[i][l] = q % p
+        return T
+
+    # split the class algebra into common eigenlines over F_p
+    spaces = [[[1 if a == b else 0 for a in range(k)] for b in range(k)]]
+    j = 1
+    while j < k and any(len(sp) > 1 for sp in spaces):
+        Mj = class_matrix(j)
+        refined = []
+        for sp in spaces:
+            if len(sp) == 1:
+                refined.append(sp)
+                continue
+            w = len(sp)
+            B = [[sp[b][a] for b in range(w)] for a in range(k)]
+            # Mj B = B R: R is Mj on the span of sp, in the basis sp
+            R = fieldlin.solve_columns(
+                [[GF(x, p) for x in row] for row in B],
+                [[GF(sum(Mj[a][c] * B[c][b] for c in range(k)), p) for b in range(w)]
+                 for a in range(k)])
+            charpoly = [c.v for c in fieldlin.charpoly(R)]
+            for lam in range(p):
+                if _poly_at(charpoly, lam, p):
+                    continue
+                shifted = [[x - lam if i == j2 else x for j2, x in enumerate(row)]
+                           for i, row in enumerate(R)]
+                eigen = [[sum(B[a][b] * vec[b].v for b in range(w)) % p
+                          for a in range(k)]
+                         for vec in fieldlin.nullspace(shifted)]
+                if eigen:
+                    refined.append(eigen)
+        spaces = refined
+        j += 1
+    if len(spaces) != k or any(len(sp) != 1 for sp in spaces):
+        raise ArithmeticError("class algebra did not split into eigenlines")
+    return [sp[0] for sp in spaces]
+
+
+def _terms(x):
+    """The nonzero (power, coefficient) pairs of a coordinate vector."""
+    return [(i, c) for i, c in enumerate(x) if c]
+
+
+def _reduced_sum(pairs, field):
+    """Sum of x*y over pairs of integer polynomials given by their terms,
+    reduced modulo the field's cyclotomic polynomial."""
+    acc = [0] * (2 * field.degree - 1)
+    for x, y in pairs:
+        for i, a in x:
+            for j, b in y:
+                acc[i + j] += a * b
+    return field.reduce(acc)
+
+
+def oracle_terms_orthogonality(table):
+    """The row relations term by term, without packing."""
+    n = table.group.order()
+    field = table.field
+    _require(len(table.characters) == len(table.classes), "character table is not square")
+    if any(v.den != 1 for chi in table.characters for v in chi.values):
+        raise ArithmeticError("character value is not an algebraic integer")
+    sizes = [c.size for c in table.classes]
+    weighted = [[[(i, size * x) for i, x in _terms(v.num)]
+                 for size, v in zip(sizes, chi.values)] for chi in table.characters]
+    conjugates = [[_terms(field.galois_coords(v.num, -1)) for v in chi.values]
+                  for chi in table.characters]
+    # sum over classes of |C| chi_a conj chi_b = |G| delta_ab
+    for a, x in enumerate(weighted):
+        for b, y in enumerate(conjugates):
+            want = [n if a == b else 0] + [0] * (field.degree - 1)
+            if _reduced_sum(zip(x, y), field) != want:
+                raise ArithmeticError("row orthogonality failed")
+
+
+def oracle_character_table(group, monkeypatch):
+    """`character_table` with the GF split and the term-by-term check."""
+    with monkeypatch.context() as m:
+        m.setattr(groupcore, "_eigenlines", oracle_eigenlines)
+        m.setattr(groupcore, "_verify_orthogonality", oracle_terms_orthogonality)
+        return character_table(group)
 
 
 def oracle_verify_orthogonality(table):
@@ -42,6 +206,9 @@ def oracle_verify_orthogonality(table):
             want = field(Fraction(n, table.classes[i].size) if i == j else 0)
             if total != want:
                 raise ArithmeticError("column orthogonality failed")
+
+
+CHECKS = (_verify_orthogonality, oracle_terms_orthogonality)
 
 
 def rejects(check, table):
@@ -72,6 +239,8 @@ INLINE = {
     # B3 signed permutations acting diagonally on Z^3 + Z^3, |G| = 48
     "b3diag_rank6": [doubled(perm([1, 0, 2])), doubled(perm([1, 2, 0])),
                      doubled([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])],
+    # S5 permuting Z^5, |G| = 120 and exponent 60: 16 coordinates per value
+    "s5_rank5": [perm([1, 0, 2, 3, 4]), perm([1, 2, 3, 4, 0])],
 }
 
 
@@ -102,17 +271,28 @@ def swapped_values(table):
     return None
 
 
+def conjugated_value(table):
+    """Replace the first non-real value by its complex conjugate."""
+    for a, chi in enumerate(table.characters):
+        for i, v in enumerate(chi.values):
+            if v.conjugate() != v:
+                return with_value(table, a, i, v.conjugate())
+    return None
+
+
 @pytest.mark.parametrize("name", corpus_names() + sorted(INLINE))
 def test_integer_check_agrees_with_oracle(name):
     table = character_table(point_group(name))
-    _verify_orthogonality(table)
+    for check in CHECKS:
+        check(table)
     oracle_verify_orthogonality(table)
 
     # a non-integral coordinate: never a character value
     last = len(table.classes) - 1
     off = table.characters[-1].values[last] + Fraction(1, 2)
-    with pytest.raises(ArithmeticError, match="algebraic integer"):
-        _verify_orthogonality(with_value(table, len(table.characters) - 1, last, off))
+    for check in CHECKS:
+        with pytest.raises(ArithmeticError, match="algebraic integer"):
+            check(with_value(table, len(table.characters) - 1, last, off))
 
     if last == 0:
         return
@@ -120,12 +300,19 @@ def test_integer_check_agrees_with_oracle(name):
     # root of unity; rows b != 0 pin row 0 down to a multiple of itself
     assert all(v == 1 for v in table.characters[0].values)
     mutant = with_value(table, 0, last, table.field.zeta(1))
-    assert rejects(_verify_orthogonality, mutant)
+    assert all(rejects(check, mutant) for check in CHECKS)
     assert rejects(oracle_verify_orthogonality, mutant)
 
     mutant = swapped_values(table)
     if mutant is not None:
-        assert rejects(_verify_orthogonality, mutant)
+        assert all(rejects(check, mutant) for check in CHECKS)
+        assert rejects(oracle_verify_orthogonality, mutant)
+
+    # a non-real value replaced by its complex conjugate breaks the relation
+    # with the trivial character
+    mutant = conjugated_value(table)
+    if mutant is not None:
+        assert all(rejects(check, mutant) for check in CHECKS)
         assert rejects(oracle_verify_orthogonality, mutant)
 
 
@@ -137,8 +324,9 @@ def test_dropped_character_rejected(name):
     for a in (0, len(table.characters) - 1):
         chars = table.characters[:a] + table.characters[a + 1:]
         mutant = replace(table, characters=chars)
-        with pytest.raises(ArithmeticError, match="not square"):
-            _verify_orthogonality(mutant)
+        for check in CHECKS:
+            with pytest.raises(ArithmeticError, match="not square"):
+                check(mutant)
         with pytest.raises(ArithmeticError, match="column orthogonality"):
             oracle_verify_orthogonality(mutant)
 
@@ -179,3 +367,94 @@ def test_table_checks_survive_optimize():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "quaternionic" in run.stdout
+
+
+# ---------------------------------------------------------------------------
+# the split on plain ints against the GF split
+
+def _pooled_groups():
+    """(name, point group) for the corpus, the inline groups, the scaling
+    family at basis seeds 0-3 and the property pools."""
+    out = [(name, point_group(name)) for name in corpus_names() + sorted(INLINE)]
+    docs = family_documents()
+    for seed in range(4):
+        for name, doc in sorted(family.seeded_documents(docs, seed).items()):
+            group, _ = cli._build_group(cli.parse_cryst_data(doc), 512)
+            out.append((f"{name}@{seed}", group.group))
+    out.extend((f"pool{i}", g.group) for i, g in enumerate(GROUPS))
+    return out
+
+
+def test_split_builds_the_oracle_tables(monkeypatch):
+    exponents = set()
+    for name, group in _pooled_groups():
+        table = character_table(group)
+        assert table == oracle_character_table(group, monkeypatch), name
+        exponents.add(table.field.order)
+    assert 60 in exponents
+
+
+def test_eigenlines_are_the_oracle_lines():
+    # the same lines in the same order, each scaled to lead with 1
+    def normalized(lines, p):
+        return [[x * pow(v[0], -1, p) % p for x in v] for v in lines]
+
+    for name in corpus_names() + sorted(INLINE):
+        group = point_group(name)
+        p = groupcore._dixon_prime(group.order(), group.exponent())
+        assert normalized(groupcore._eigenlines(group, p), p) == \
+            normalized(oracle_eigenlines(group, p), p), name
+
+
+def test_packing_width():
+    # the widest coefficients that fit round-trip; one more carries into the
+    # next slot, and a carry out of the last slot trips the guard
+    for shift in (2, 5, 31, 64):
+        top = (1 << (shift - 1)) - 1
+        for coeffs in ([top, -top, 0, 1], [-top] * 7, [0, 0, top]):
+            assert _unpack(_pack(coeffs, shift), shift, len(coeffs)) == coeffs
+        assert _unpack(_pack([top + 1, 0], shift), shift, 2) == [-top - 1, 1]
+        for coeffs in ([top + 1], [1, 2]):
+            with pytest.raises(ArithmeticError, match="width"):
+                _unpack(_pack(coeffs, shift), shift, 1)
+
+
+MUTANTS = """
+import sys
+from dataclasses import replace
+from crystorb.groupcore import _verify_orthogonality, closure
+
+assert False, "assert statements must be off"
+# C4 rotating Z^2: two non-real characters, values +-i
+table = closure([[[0, -1], [1, 0]]]).table
+
+
+def with_value(a, l, value):
+    values = list(table.characters[a].values)
+    values[l] = value
+    chars = list(table.characters)
+    chars[a] = replace(chars[a], values=tuple(values))
+    return replace(table, characters=tuple(chars))
+
+
+a, l = next((a, l) for a, chi in enumerate(table.characters)
+            for l, v in enumerate(chi.values) if v.conjugate() != v)
+v = table.characters[a].values[l]
+for mutant in (with_value(a, l, v + 1), with_value(a, l, v.conjugate())):
+    try:
+        _verify_orthogonality(mutant)
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
+"""
+
+
+def test_corrupted_tables_rejected_under_optimize():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-O", "-c", MUTANTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("row orthogonality failed") == 2

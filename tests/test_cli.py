@@ -304,6 +304,16 @@ class TestBoundRange:
         assert out == ""
         assert f"{where}: must be at least 1" in err
 
+    def test_rank_limit(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"rank": cli.MAX_RANK, "generators": []})
+        code, out, _ = run(capsys, "verify", "--input", path, "--format", "json")
+        report = json.loads(out)["result"]
+        assert code == 0 and report["order"] == 1 and report["rank"] == cli.MAX_RANK
+        path = write_doc(tmp_path, {"rank": cli.MAX_RANK + 1, "generators": []})
+        code, out, err = run(capsys, "verify", "--input", path)
+        assert code == 1 and out == ""
+        assert f"input.rank: must be at most {cli.MAX_RANK}" in err
+
     def test_bound_one_accepted(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"rank": 2, "generators": [], "options": {"bound": 1}})
         code, _, _ = run(capsys, "verify", "--input", path, "--bound", "1")

@@ -8,8 +8,9 @@ and inconsistent systems.  So are the two determinants that `fieldlin.det`
 replaced by the constant term of `charpoly`: Bareiss elimination on integer
 matrices (`IntMatrix.det`) and the pivoting loop of the old `fieldlin.det`,
 over Q, F_p and Q(zeta_12).  `fieldlin.charpoly` is checked against
-det(x I - A), evaluated by that loop, over the same three fields, and
-`fieldlin.GF` against int arithmetic mod p.
+det(x I - A), evaluated by that loop (over F_p, by the old F_p determinant),
+over the same three fields.  Over F_p the `fieldlin` routines take plain
+ints and the prime as `p`.
 """
 
 import random
@@ -20,7 +21,6 @@ import pytest
 from crystorb import fieldlin
 from crystorb.cyclo import CycloField
 from crystorb.exactla import kernel_q, rank_rat
-from crystorb.fieldlin import GF
 
 PRIMES = (2, 3, 13, 73)
 
@@ -250,14 +250,6 @@ def rat_cases(count=60, seed=11):
         yield random_matrix(rng, n, m, rank, rational_entry)
 
 
-def to_gf(rows, p):
-    return [[GF(x, p) for x in row] for row in rows]
-
-
-def from_gf(rows):
-    return [[x.v for x in row] for row in rows]
-
-
 # ---------------------------------------------------------------------------
 # over Q
 
@@ -385,16 +377,15 @@ def test_fp_rref_matches_oracle(p):
     for A in fp_cases(p):
         rows = [r[:] for r in A]
         pivots = _oracle_rref_fp(rows, p)
-        red, got_pivots = fieldlin.rref(to_gf(A, p))
-        assert (from_gf(red), got_pivots) == (rows, pivots)
+        assert fieldlin.rref(A, p) == (rows, pivots)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_fp_nullspace_matches_oracle(p):
     nontrivial = 0
     for A in fp_cases(p):
-        got = fieldlin.nullspace(to_gf(A, p))
-        assert from_gf(got) == oracle_fp_nullspace(A, p)
+        got = fieldlin.nullspace(A, p)
+        assert got == oracle_fp_nullspace(A, p)
         nontrivial += bool(got)
     assert nontrivial >= 10
 
@@ -409,8 +400,8 @@ def test_fp_det_matches_oracle(p):
         A = [[x % p for x in row]
              for row in random_matrix(rng, n, n, rank, lambda rng: rng.randrange(p))]
         want = oracle_fp_det(A, p)
-        got = fieldlin.det(to_gf(A, p))
-        assert type(got) is GF and got.v == want == oracle_field_det(to_gf(A, p)).v
+        got = fieldlin.det(A, p)
+        assert type(got) is int and got == want
         zero += want == 0
         nonzero += want != 0
     assert zero and nonzero
@@ -442,11 +433,11 @@ def test_fp_solve_columns_matches_oracle(p):
             want = None
         if want is None:
             with pytest.raises(ArithmeticError):
-                fieldlin.solve_columns(to_gf(B, p), to_gf(Y, p))
-            full_rank = fieldlin.rank(to_gf(B, p)) == w
+                fieldlin.solve_columns(B, Y, p)
+            full_rank = len(fieldlin.rref(B, p)[1]) == w
             outcomes["inconsistent" if full_rank else "deficient"] += 1
         else:
-            assert from_gf(fieldlin.solve_columns(to_gf(B, p), to_gf(Y, p))) == want
+            assert fieldlin.solve_columns(B, Y, p) == want
             outcomes["solved"] += 1
     assert all(outcomes.values()), outcomes
 
@@ -487,12 +478,14 @@ def test_charpoly_over_fp(p):
     rng = random.Random(4000 + p)
     for _ in range(30):
         n = rng.randint(1, 7)
-        A = to_gf(random_matrix(rng, n, n, rng.choice([None, rng.randint(0, n)]),
-                                lambda rng: rng.randrange(p)), p)
-        c = fieldlin.charpoly(A)
+        A = random_matrix(rng, n, n, rng.choice([None, rng.randint(0, n)]),
+                          lambda rng: rng.randrange(p))
+        c = fieldlin.charpoly(A, p)
         assert len(c) == n + 1 and c[-1] == 1
+        assert all(type(x) is int and 0 <= x < p for x in c)
         for lam in range(min(p, 13)):
-            assert _charpoly_at(c, GF(lam, p)) == _det_shift(A, GF(lam, p), GF(1, p))
+            shifted = [[(lam if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+            assert _charpoly_at(c, lam) % p == oracle_fp_det(shifted, p)
 
 
 def test_charpoly_over_cyclotomic_field():
@@ -509,39 +502,3 @@ def test_charpoly_over_cyclotomic_field():
         assert len(c) == n + 1 and c[-1] == field(1)
         for x in (field(0), field(2), field.zeta(1), field.zeta(5) + 1):
             assert _charpoly_at(c, x) == _det_shift(A, x, field(1))
-
-
-# ---------------------------------------------------------------------------
-# the F_p element type
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_gf_matches_int_arithmetic(p):
-    rng = random.Random(p)
-    values = list(range(p)) if p < 20 else [rng.randrange(-3 * p, 3 * p) for _ in range(25)]
-    for a in values:
-        x = GF(a, p)
-        assert 0 <= x.v < p and x.v == a % p
-        assert x == a and x == a + p and not (x != a - 7 * p)
-        assert x != a + 1
-        for b in values:
-            y = GF(b, p)
-            for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b),
-                              (x + b, a + b), (b + x, a + b), (x - b, a - b),
-                              (b - x, b - a), (x * b, a * b), (b * x, a * b)):
-                assert type(got) is GF and got.v == want % p
-            assert (x == y) == ((a - b) % p == 0)
-            if b % p:
-                q = x / y
-                assert (q * b).v == a % p and (x / b).v == q.v
-            else:
-                with pytest.raises(ZeroDivisionError):
-                    x / y
-                with pytest.raises(ZeroDivisionError):
-                    x / b
-
-
-def test_gf_is_unhashable_and_compares_only_to_ints():
-    with pytest.raises(TypeError):
-        hash(GF(1, 5))
-    assert GF(1, 5) != Fraction(1)
-    assert GF(1, 5) != "1"

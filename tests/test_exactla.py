@@ -71,6 +71,51 @@ class TestFromRows:
         assert all(type(x) is int for x in A.entries)
 
 
+class TestProducts:
+    """mul and mul_vec read the cached row and column tuples."""
+
+    @staticmethod
+    def shapes(rng):
+        yield from ((1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 3), (4, 3, 1))
+        for _ in range(40):
+            yield rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+
+    def test_mul_matches_naive_loops(self):
+        rng = random.Random(17)
+        for n, k, m in self.shapes(rng):
+            A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+            B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+            want = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
+                    for i in range(n)]
+            got = IntMatrix.from_rows(A).mul(IntMatrix.from_rows(B))
+            assert (got.rows, got.cols) == (n, m) and got.to_lists() == want
+
+    def test_mul_vec_matches_naive_loops(self):
+        rng = random.Random(18)
+        for n, k, _ in self.shapes(rng):
+            A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+            v = [rng.randint(-9, 9) for _ in range(k)]
+            assert IntMatrix.from_rows(A).mul_vec(v) == mul_vec(A, v)
+
+    def test_shape_mismatch(self):
+        A = IntMatrix(2, 3, tuple(range(6)))
+        with pytest.raises(ValueError):
+            A.mul(A)
+        with pytest.raises(ValueError):
+            A.mul_vec((1, 2))
+
+    def test_cached_rows_keep_equality_and_hash(self):
+        rng = random.Random(19)
+        for n, k, _ in self.shapes(rng):
+            entries = tuple(rng.randint(-9, 9) for _ in range(n * k))
+            A, B = IntMatrix(n, k, entries), IntMatrix(n, k, entries)
+            A.mul_vec((1,) * k)
+            A.transpose()
+            assert A == B and hash(A) == hash(B) and {A: 1}[B] == 1
+            assert A.transpose() == B.transpose()
+            assert A.transpose().to_lists() == [list(c) for c in zip(*B.to_lists())]
+
+
 class TestHnf:
     def test_identity(self):
         A = IntMatrix.identity(2)

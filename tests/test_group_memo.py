@@ -5,6 +5,8 @@ the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
 each of them once, and nothing outside the group keeps it alive.  A J
 search likewise builds the lattice's skew-form system and Gram sum once.
+The character table splits its class algebra without a linear solve, and
+an integer matrix product copies neither operand into lists.
 """
 
 import gc
@@ -15,7 +17,7 @@ import pytest
 from conftest import crystal_group, family_documents
 from jcheck import assert_invariant_j
 
-from crystorb import cli, crystal, exactla, groupcore, hodge, quotient
+from crystorb import cli, crystal, exactla, fieldlin, groupcore, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
 
@@ -109,3 +111,38 @@ def test_j_search_builds_each_skew_system_once(monkeypatch):
     assert bound == 42
     assert systems == [(42, 16)]
     assert grams == [72]
+
+
+def test_character_table_solves_no_system(monkeypatch):
+    # c6c6_rank4: |G| = 36 and 36 classes, so every class matrix past the
+    # first is restricted to spaces of dimension > 1 by reading pivot rows
+    group = crystal_group(family_documents()["c6c6_rank4"]).group
+    solves, charpolys = [], []
+    solve, charpoly = fieldlin.solve_columns, fieldlin.charpoly
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_charpoly(*args, **kwargs):
+        charpolys.append(1)
+        return charpoly(*args, **kwargs)
+
+    monkeypatch.setattr(fieldlin, "solve_columns", counted_solve)
+    monkeypatch.setattr(fieldlin, "charpoly", counted_charpoly)
+    table = groupcore.character_table(group)
+    assert len(table.characters) == group.order() == 36
+    assert solves == [] and len(charpolys) >= 2
+
+
+def test_int_matrix_product_copies_nothing(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("to_lists called")
+
+    monkeypatch.setattr(exactla.IntMatrix, "to_lists", forbidden)
+    g = crystal_group(family_documents()["b4_rank4"]).group
+    for a in g.elements[:24]:
+        for b in g.elements[:24]:
+            assert a.mul(b) in g
+        assert a.mul_vec(tuple(range(g.rank))) == tuple(
+            sum(a.at(i, j) * j for j in range(g.rank)) for i in range(g.rank))

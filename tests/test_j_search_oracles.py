@@ -11,7 +11,10 @@ skew forms (m^T A m = A), the commutant (X m = m X) and the tangent equations
 group and on four generated groups, the new code, which checks invariance on
 the generators only, must give the same skew and commutant bases, the same J
 at the top level and on every block, the same sampler pairing and the same
-tangent dimension.
+tangent dimension.  The candidate test of `_rational_j` works on integer
+numerators; the Fraction test it replaced (`_minus_square` and the
+commutation test) must pick the same J from every candidate stream the
+corpus and the scaling family produce.
 """
 
 import random
@@ -92,6 +95,28 @@ def _scaled_root(X, w):
         return None
     s = F(sn, sd)
     return [[x / s for x in row] for row in X]
+
+
+def oracle_minus_square(X):
+    """c when X^2 = -c I with c > 0, in Fraction arithmetic; else None."""
+    w = len(X)
+    X2 = fieldlin.mat_mul(X, X)
+    c = -X2[0][0]
+    if c <= 0:
+        return None
+    for i in range(w):
+        for j in range(w):
+            if X2[i][j] != (-c if i == j else 0):
+                return None
+    return F(c)
+
+
+def oracle_rational_j(candidates, gens):
+    for X in candidates:
+        J = _scaled_root(X, len(X))
+        if J is not None and _commutes_with_all(J, gens):
+            return J
+    return None
 
 
 def _candidates(basis, w, seed, attempts, spread):
@@ -216,10 +241,11 @@ def oracle_tangent_dimension(crys, B):
 
 # ---------------------------------------------------------------------------
 
-def _groups():
+def _groups(every_member=False):
     docs = corpus_documents()
     scaling = family_documents()
-    docs.update({name: scaling[name] for name in GENERATED})
+    docs.update({name: scaling[name] for name in scaling
+                 if every_member or name in GENERATED})
     return docs
 
 
@@ -298,3 +324,32 @@ def test_sampler_pairing_and_tangent(analysed, monkeypatch):
             continue
         assert pairings == want
         assert hodge.tangent_dimension(crys, B) == oracle_tangent_dimension(crys, B)
+
+
+@pytest.mark.parametrize("name", sorted(_groups(every_member=True)))
+def test_integer_candidate_test_matches_fractions(name, monkeypatch):
+    crys = crystal_group(_groups(every_member=True)[name])
+    if not hodge.is_even(crys).even:
+        pytest.skip("no J to search for")
+    streams = []
+    search = hodge._rational_j
+
+    def recorded(candidates, gens):
+        candidates = list(candidates)
+        streams.append((candidates, gens))
+        return search(candidates, gens)
+
+    monkeypatch.setattr(hodge, "_rational_j", recorded)
+    hodge.invariant_complex_structure(crys)
+    for t in hodge.hodge_types(crys):
+        try:
+            hodge.sample_subspace(crys, t)
+        except hodge.UnsupportedSample:
+            pass
+    assert streams
+    for candidates, gens in streams:
+        J = search(candidates, gens)
+        assert J == oracle_rational_j(candidates, gens)
+        assert J is None or all(type(x) is F for row in J for x in row)
+        for X in candidates:
+            assert hodge._minus_square(X) == oracle_minus_square(X)
