@@ -292,16 +292,16 @@ def cmd_verify(doc, opts):
 
 def cmd_realize(doc, opts):
     group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
-    vs = group.vector_system
     if "cocycle" in doc:
         f = _parse_cocycle(doc, group)
     else:
-        f = crystal.cocycle_from_system(vs)
+        f = crystal.cocycle_from_system(group)
     averaged = crystal.affine_realization(group.group, f)
-    eq = crystal.realizations_equivalent(vs, averaged)
+    eq = crystal.realizations_equivalent(group, averaged)
+    elements = range(group.order())
     return {
-        "input_system": [vec_str(u) for u in vs.translations],
-        "averaged_system": [vec_str(u) for u in averaged.translations],
+        "input_system": [vec_str(group.u(i)) for i in elements],
+        "averaged_system": [vec_str(averaged.u(i)) for i in elements],
         "cocycle_consistent": True,     # affine_realization raised otherwise
         "equivalent": eq.equivalent,
         "shift_witness": vec_str(eq.shift) if eq.equivalent else None,
@@ -526,29 +526,6 @@ _HANDLERS = {
     "teich": cmd_teich,
     "platonic": cmd_platonic,
 }
-
-# minimal output schema: required keys per command, used by tests and
-# round-trip validation
-REPORT_KEYS = {
-    "verify": {"rank", "order", "elements", "torsion_free"},
-    "realize": {"input_system", "averaged_system", "equivalent"},
-    "even": {"even", "classes"},
-    "jstruct": {"exists"},
-    "action": {"classification", "divisor_classes", "stratum_summary"},
-    "teich": {"even", "types"},
-    "platonic": set(),
-}
-
-
-def validate_report(command, report):
-    if not isinstance(report, dict) or "command" not in report or "result" not in report:
-        raise ValueError("report must carry command and result")
-    if report["command"] != command:
-        raise ValueError("report command mismatch")
-    missing = REPORT_KEYS[command] - set(report["result"])
-    if missing:
-        raise ValueError(f"report missing keys: {sorted(missing)}")
-    return True
 
 
 def _render_text(report, out):

@@ -5,10 +5,11 @@ equivalence of realizations, and torsion testing.
 A group is presented by affine generators (integer linear part, rational
 translation).  Internally everything is reduced modulo the lattice Z^r, so a
 group element is a pair (linear part, translation in [0,1)^r) and the vector
-system is stored on all of the finite quotient G.  The group is closed once,
-on its linear parts; translations, the pure translations outside Z^r and the
-cocycle condition are all read off that closure's product table, in integer
-numerators over one common denominator.
+system is stored on all of the finite quotient G, once, as integer
+numerators over one denominator.  The group is closed once, on its linear
+parts; translations, the pure translations outside Z^r and the cocycle
+condition are all read off that closure's product table.  Fractions occur
+only in the parsed input, in a lattice basis change and in the `u(i)` view.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 from operator import mul
 
 from . import exactla, fieldlin
-from .exactla import IntMatrix, mod1_vec
+from .exactla import IntMatrix
 from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, MatrixGroup, _require, closure
 
 F = Fraction
@@ -33,14 +34,14 @@ class NotFinite(Exception):
 class KernelTooBig(Exception):
     """Pure translations outside the lattice appeared; the conjugation
     action has kernel strictly larger than Z^r.  Carries every distinct one
-    found, in scan order, as `translations` (`translation` is the first), so
+    found, in scan order, as integer `numerators` over `den`, so
     normalize_action can absorb them."""
 
-    def __init__(self, translations):
-        self.translations = tuple(tuple(t) for t in translations)
-        self.translation = self.translations[0]
+    def __init__(self, den, numerators):
+        self.den = den
+        self.numerators = tuple(numerators)
         super().__init__(
-            f"pure translation {self.translation} lies outside the lattice; "
+            f"pure translation {self.numerators[0]}/{den} lies outside the lattice; "
             f"use normalize_action to absorb it")
 
 
@@ -71,20 +72,16 @@ class CrystData:
 
 @dataclass(frozen=True)
 class VectorSystem:
-    """The map g -> u_g on all of G, translations reduced into [0,1)^r."""
+    """The map g -> u_g on all of G: u_g = numerators[g] / den, each
+    coordinate reduced into [0, den)."""
 
     group: MatrixGroup
-    translations: tuple
+    den: int
+    numerators: tuple
 
     def u(self, i):
-        return self.translations[i]
-
-    def cocycle_defect(self, i, j):
-        """L(g_i) u_j + u_i - u_{ij}; integral for a valid system."""
-        g = self.group
-        img = g.elements[i].mul_vec(self.translations[j])
-        return tuple(a + b - c for a, b, c in
-                     zip(img, self.translations[i], self.translations[g.mul(i, j)]))
+        """u_g for the element of index i, as Fractions in [0,1)^r."""
+        return tuple(F(x, self.den) for x in self.numerators[i])
 
     def is_consistent(self):
         """True iff L(g)u_h + u_g - u_{gh} lies in Z^r for all g, h in G.
@@ -94,22 +91,11 @@ class VectorSystem:
         L(g)d(h, s) - d(gh, s) + d(g, hs) - d(g, h) = 0, and with d(g, 1) =
         L(g)u_1 integrality extends to G x G by induction on the word of h.
         """
-        g = self.group
-        den = _common_denominator(self.translations)
-        num = _numerators(self.translations, den)
+        g, num, den = self.group, self.numerators, self.den
         if any(x % den for x in num[0]):
             return False
         gen_num = [num[s] for s in g.generators]
         return next(_defects(g, num, gen_num, den), None) is None
-
-
-def _common_denominator(vectors):
-    return lcm(*(x.denominator for v in vectors for x in v))
-
-
-def _numerators(vectors, den):
-    """Integer vectors N*v for rational vectors v with common denominator N."""
-    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vectors]
 
 
 def _generator_products(group: MatrixGroup):
@@ -150,31 +136,27 @@ def _defects(group: MatrixGroup, num, gen_num, den):
                 yield d
 
 
-class CrystGroup:
-    """A validated crystallographic group with lattice Z^r.
+@dataclass(frozen=True)
+class CrystGroup(VectorSystem):
+    """A validated crystallographic group with lattice Z^r: the point group
+    with its vector system.  The class fixed sets are cached, once per
+    group."""
 
-    The class fixed sets are cached, once per group; the u_g are also kept
-    as integer numerators over their common denominator."""
-
-    def __init__(self, rank, group: MatrixGroup, translations):
-        self.rank = rank
-        self.group = group
-        self.translations = tuple(mod1_vec(t) for t in translations)
-        if len(self.translations) != group.order():
+    def __post_init__(self):
+        if len(self.numerators) != self.group.order():
             raise ValueError("one translation per point-group element required")
-        if any(x != 0 for x in self.translations[0]):
+        if any(self.numerators[0]):
             raise ValueError("identity element must carry zero translation")
-        self.denominator = _common_denominator(self.translations)
-        self.numerators = _numerators(self.translations, self.denominator)
+
+    @property
+    def rank(self):
+        return self.group.rank
 
     def order(self):
         return self.group.order()
 
     def linear(self, i) -> IntMatrix:
         return self.group.elements[i]
-
-    def u(self, i):
-        return self.translations[i]
 
     @cached_property
     def fixed_sets(self):
@@ -193,14 +175,10 @@ class CrystGroup:
         g = self.group
         return self.fixed_sets[g.classes[g.class_index[i]].representative]
 
-    @property
-    def vector_system(self) -> VectorSystem:
-        return VectorSystem(self.group, self.translations)
-
     def affine_image(self, i, num, den):
         """Numerators over den of the torus image of the point num/den under
-        element i, reduced mod den; den is a multiple of self.denominator."""
-        q = den // self.denominator
+        element i, reduced mod den; den is a multiple of self.den."""
+        q = den // self.den
         return tuple((a + q * b) % den
                      for a, b in zip(self.linear(i).mul_vec(num), self.numerators[i]))
 
@@ -224,13 +202,13 @@ def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> Cryst
     except ExceedsBound as exc:
         raise NotFinite(str(exc)) from exc
     shifts = [t for _, t in data.generators]
-    den = _common_denominator(shifts)
-    gen_num = _numerators(shifts, den)
+    den = lcm(*(x.denominator for t in shifts for x in t))
+    gen_num = [tuple(x.numerator * (den // x.denominator) for x in t) for t in shifts]
     num = _translations(lin_group, gen_num, den)
     pure = dict.fromkeys(_defects(lin_group, num, gen_num, den))
     if pure:
-        raise KernelTooBig([tuple(F(x, den) for x in d) for d in pure])
-    return CrystGroup(data.rank, lin_group, [tuple(F(x, den) for x in u) for u in num])
+        raise KernelTooBig(den, pure)
+    return CrystGroup(lin_group, den, tuple(num))
 
 
 @dataclass(frozen=True)
@@ -239,7 +217,7 @@ class NormalizedAction:
 
     group: CrystGroup
     basis_change: tuple         # Fraction rows; columns: new basis, old coordinates
-    absorbed: tuple             # translations absorbed, old coordinates
+    absorbed: tuple             # Fraction translations absorbed, old coordinates
     changed: bool
 
 
@@ -259,8 +237,8 @@ def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAc
         identity = tuple(tuple(F(int(i == j)) for j in range(rank)) for i in range(rank))
         return NormalizedAction(group, identity, (), False)
     except KernelTooBig as exc:
-        pure = exc.translations
-    P = _lattice_with(rank, pure)
+        den, pure = exc.den, exc.numerators
+    P = _lattice_with(rank, den, pure)
     P_inv = fieldlin.inverse(P)
     new_gens = []
     for lin, trans in data.generators:
@@ -271,16 +249,17 @@ def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAc
     try:
         group = verify_crystallographic(CrystData.make(rank, new_gens), bound)
     except KernelTooBig as exc:
-        raise ArithmeticError(f"absorbed lattice still misses {exc.translation}") from exc
-    return NormalizedAction(group, P, pure, True)
+        raise ArithmeticError(
+            f"absorbed lattice still misses {exc.numerators[0]}/{exc.den}") from exc
+    absorbed = tuple(tuple(F(x, den) for x in v) for v in pure)
+    return NormalizedAction(group, P, absorbed, True)
 
 
-def _lattice_with(rank, vectors):
-    """Basis (as columns of Fraction rows) of Z^r + <vectors>, via HNF of
-    scaled generators."""
-    den = _common_denominator(vectors)
+def _lattice_with(rank, den, numerators):
+    """Basis (as columns of Fraction rows) of Z^r + <v/den for v in
+    numerators>, via HNF of the scaled generators."""
     rows = [[den if j == i else 0 for j in range(rank)] for i in range(rank)]
-    rows += _numerators(vectors, den)
+    rows += numerators
     H, _ = exactla.hnf(IntMatrix.from_rows(rows))
     _require(all(H.at(i, i) != 0 for i in range(rank)),
              "translations do not generate a rank-r lattice")
@@ -336,10 +315,8 @@ class ExtensionCocycle:
 
 def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
     """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh}."""
-    g = vs.group
+    g, num, den = vs.group, vs.numerators, vs.den
     n = g.order()
-    den = _common_denominator(vs.translations)
-    num = _numerators(vs.translations, den)
     values = {}
     for i in range(n):
         lin = g.elements[i]
@@ -377,7 +354,7 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
             lhs = [x + a - b for x, a, b in zip(lin.mul_vec(sums[h]), us, sums[sh])]
             if lhs != [n * x for x in vals[(s, h)]]:
                 raise CocycleViolation("averaged system does not realize the cocycle")
-    vs = VectorSystem(linear, tuple(mod1_vec(tuple(F(a, n) for a in u)) for u in sums))
+    vs = VectorSystem(linear, n, tuple(tuple(a % n for a in u) for u in sums))
     if not vs.is_consistent():
         raise CocycleViolation("averaged system fails the cocycle condition")
     return vs

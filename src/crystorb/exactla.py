@@ -130,10 +130,10 @@ class SmithDecomposition:
 class SolutionSet:
     """Solutions of A*v = b (mod Z^r) on the torus.
 
-    kind is one of "empty", "finite", "family".  For "finite", points holds
-    every representative.  For "family", points holds one representative per
+    kind is one of "empty", "finite", "family".  For "finite", the points
+    are every representative.  For "family", they are one representative per
     connected component and basis spans the continuous directions (primitive
-    integer vectors).  Points are listed on first use.
+    integer vectors).  Points are listed on first use, as `numerators`.
     """
 
     kind: str
@@ -150,27 +150,11 @@ class SolutionSet:
                                   for y in product(*choices)}))
 
     @property
-    def points(self):
-        den, nums = self.numerators
-        return tuple(tuple(Fraction(x, den) for x in p) for p in nums)
-
-    @property
     def dim(self):
         return len(self.basis)
 
-    @property
-    def cardinality(self):
-        if self.kind != "finite":
-            raise ValueError("cardinality only defined for finite solution sets")
-        return len(self.numerators[1])
-
     def is_empty(self):
         return self.kind == "empty"
-
-
-def mod1_vec(v):
-    """Reduce a rational vector into [0,1)^r."""
-    return tuple(Fraction(x) % 1 for x in v)
 
 
 def hnf(A: IntMatrix):

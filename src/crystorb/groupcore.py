@@ -313,13 +313,6 @@ class CharacterTable:
     field: CycloField
     characters: tuple
 
-    def inner_product(self, chi_a: Character, chi_b: Character):
-        """Exact <a, b> = (1/|G|) sum over G of a(g) * conj(b(g))."""
-        total = self.field(0)
-        for c, va, vb in zip(self.classes, chi_a.values, chi_b.values):
-            total = total + c.size * va * vb.conjugate()
-        return total * Fraction(1, self.group.order())
-
 
 # ---------------------------------------------------------------------------
 # prime-field helpers (internal to the table computation)
@@ -563,11 +556,6 @@ def _indicator(group, field, values):
     for c, v in zip(group.square_class_counts, values):
         total = total + c * v
     return (total * Fraction(1, group.order())).rational_value()
-
-
-def fs_indicator(chi: Character, table: CharacterTable):
-    """Frobenius-Schur indicator (1/|G|) sum over g of chi(g^2)."""
-    return int(_indicator(table.group, table.field, chi.values))
 
 
 @dataclass(frozen=True)

@@ -441,31 +441,6 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
     return TorusModel(ComplexStructure.of(J), tuple(tuple(r) for r in M1), oriented)
 
 
-def right_action(omega: OmegaMatrix, g: IntMatrix) -> OmegaMatrix:
-    """The parameter-space action of a point-group element.
-
-    Implemented on column spans: the subspace moves by the inverse linear
-    part, so acting by g then h equals acting by g*h (a right action) and
-    the fixed points are exactly the invariant subspaces."""
-    if g.rows != omega.rows or g.cols != omega.rows:
-        raise ValueError("group element has incompatible shape")
-    try:
-        inv = fieldlin.inverse([[F(x) for x in row] for row in g.to_lists()])
-    except ArithmeticError:
-        raise ValueError("matrix is singular") from None
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix has non-integer entries")
-    ginv = [[int(x) for x in row] for row in inv]
-    rows = fieldlin.mat_mul(ginv, [list(r) for r in omega.entries])
-    return OmegaMatrix(omega.rows, omega.cols, tuple(tuple(r) for r in rows))
-
-
-def same_span(a: OmegaMatrix, b: OmegaMatrix) -> bool:
-    stacked = fieldlin.hstack([list(r) for r in a.entries],
-                              [list(r) for r in b.entries])
-    return fieldlin.rank(stacked) == a.cols
-
-
 # ---------------------------------------------------------------------------
 # Hodge types
 
@@ -492,9 +467,6 @@ class HodgeType:
     def holomorphic_dim(self):
         return sum((s.multiplicity if s.fs_type == "complex" else s.multiplicity // 2)
                    * s.degree for s in self.splits)
-
-    def describe(self):
-        return tuple((s.labels, s.a, s.multiplicity - s.a) for s in self.splits)
 
 
 def hodge_types(crys: CrystGroup):

@@ -1,6 +1,6 @@
 """Orbifold fundamental-group utilities: presentation quotients by powers of
 loops, the three-concurrent-lines presentation, the Platonic-triple
-finiteness inequality, coset enumeration, and covering-data compatibility.
+finiteness inequality and coset enumeration.
 
 Coset enumeration is a semi-decision procedure: it reports a group order
 only when the table closes within the coset bound, and Unknown (None)
@@ -317,50 +317,3 @@ def coset_enumerate(p: Presentation, bound=10000):
         return 1
     table = _hlt(p, bound)
     return None if table is None else _check_table(table)
-
-
-# ---------------------------------------------------------------------------
-# orbifold coverings
-
-@dataclass(frozen=True)
-class CoveringData:
-    """Branch data of a candidate orbifold covering: source divisors with
-    multiplicities m_i, target divisors with multiplicities n_j, and for
-    each source divisor the target index and local degree a_i."""
-
-    source_multiplicities: tuple
-    target_multiplicities: tuple
-    assignment: tuple          # (target index, local degree) per source divisor
-
-    @staticmethod
-    def make(source_multiplicities, target_multiplicities, assignment):
-        return CoveringData(
-            tuple(int(m) for m in source_multiplicities),
-            tuple(int(n) for n in target_multiplicities),
-            tuple((int(j), int(a)) for j, a in assignment),
-        )
-
-
-@dataclass(frozen=True)
-class CompatibilityResult:
-    compatible: bool
-    violations: tuple       # source indices where n_j != a_i m_i
-    unhit_targets: tuple    # target indices no source divisor maps to
-
-
-def covering_compatible(c: CoveringData) -> CompatibilityResult:
-    """Check n_j = a_i m_i for every source divisor and that every target
-    divisor is hit."""
-    if len(c.assignment) != len(c.source_multiplicities):
-        raise ValueError("one assignment per source divisor required")
-    violations = []
-    hit = set()
-    for i, ((j, a), m) in enumerate(zip(c.assignment, c.source_multiplicities)):
-        if not 0 <= j < len(c.target_multiplicities):
-            raise ValueError(f"assignment {i} targets a missing divisor")
-        hit.add(j)
-        if c.target_multiplicities[j] != a * m:
-            violations.append(i)
-    unhit = tuple(j for j in range(len(c.target_multiplicities)) if j not in hit)
-    return CompatibilityResult(not violations and not unhit,
-                               tuple(violations), unhit)

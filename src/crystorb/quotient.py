@@ -56,13 +56,6 @@ class Subtorus:
     den: int
     basis: tuple
 
-    @staticmethod
-    def make(base, basis):
-        base = [F(x) for x in base]
-        den = lcm(*(x.denominator for x in base))
-        return Subtorus(tuple(x.numerator * (den // x.denominator) % den for x in base),
-                        den, tuple(tuple(int(x) for x in b) for b in basis))
-
     @property
     def base(self):
         return tuple(F(x, self.den) for x in self.num)
@@ -108,9 +101,8 @@ def subtori_equal(a: Subtorus, b: Subtorus) -> bool:
     return subtorus_key(a, lattices) == subtorus_key(b, lattices)
 
 
-def fixed_points(crys: CrystGroup, g) -> FixedLocus:
-    """Fixed locus of a nontrivial element (index or matrix)."""
-    gi = g if isinstance(g, int) else crys.group.index_of(g)
+def fixed_points(crys: CrystGroup, gi) -> FixedLocus:
+    """Fixed locus of the nontrivial element of index gi."""
     if gi == 0:
         raise ValueError("the identity fixes everything; pass a nontrivial element")
     sol = crys.fixed_set(gi)
@@ -235,7 +227,7 @@ class OrbifoldDescriptor:
 
 def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
     lin = crys.linear(h)
-    den = lcm(sub.den, crys.denominator)
+    den = lcm(sub.den, crys.den)
     num = crys.affine_image(h, [x * (den // sub.den) for x in sub.num], den)
     return Subtorus(num, den, tuple(lin.mul_vec(b) for b in sub.basis))
 
@@ -243,7 +235,7 @@ def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
 def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
     """Indices of elements fixing the subtorus pointwise, in integers mod the
     common denominator of the base point and the translations."""
-    den = lcm(sub.den, crys.denominator)
+    den = lcm(sub.den, crys.den)
     num = tuple(x * (den // sub.den) for x in sub.num)
     return tuple(h for h in range(crys.order())
                  if all(crys.linear(h).mul_vec(b) == b for b in sub.basis)

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr
 from unittest import mock
 
 import pytest
-from conftest import family_documents
+from conftest import family_documents, validate_report
 
 from crystorb import cli, crystal, hodge
 from crystorb.corpus import corpus_names, load_corpus
@@ -228,7 +228,7 @@ class TestDeterminism:
                                    "--format", "json")
                 assert code == 0
                 report = json.loads(out)
-                assert cli.validate_report(command, report)
+                assert validate_report(command, report)
 
     def test_seed_changes_are_isolated(self, capsys, tmp_path):
         # different seeds still certify; identical seeds reproduce bytes

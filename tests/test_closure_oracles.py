@@ -24,13 +24,19 @@ from fractions import Fraction as F
 
 import family
 import pytest
-from conftest import corpus_documents, family_documents
+from conftest import (
+    corpus_documents,
+    family_documents,
+    mod1_vec,
+    over_one_denominator,
+    translations,
+)
 
 from crystorb import cli, crystal, fieldlin, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
 from crystorb.crystal import CrystData, KernelTooBig
-from crystorb.exactla import IntMatrix, mod1_vec
+from crystorb.exactla import IntMatrix
 from crystorb.groupcore import DEFAULT_ORDER_BOUND, closure
 
 
@@ -99,7 +105,7 @@ def oracle_normalize(data):
         # the linear orbit, each vector once (the lattice it spans is the same)
         vectors = list(dict.fromkeys(m.mul_vec(t)
                                      for t in pure for m in lin_group.elements))
-        P = crystal._lattice_with(rank, vectors)
+        P = crystal._lattice_with(rank, *over_one_denominator(vectors))
         absorbed.extend(_mul_vec(P_total, t) for t in pure)
         P_inv = fieldlin.inverse(P)
         lins = [fieldlin.mat_mul(fieldlin.mat_mul(P_inv, lin.to_lists()), P)
@@ -214,20 +220,23 @@ def test_one_closure_agrees_with_affine_closure(label):
     if expected is None:
         with pytest.raises(KernelTooBig) as info:
             crystal.verify_crystallographic(data)
-        assert info.value.translation == info.value.translations[0]
+        den, pure = info.value.den, info.value.numerators
+        assert f"{pure[0]}/{den}" in str(info.value)
     else:
-        assert crystal.verify_crystallographic(data).translations == expected
+        assert translations(crystal.verify_crystallographic(data)) == expected
 
     P, absorbed, final = oracle_normalize(data)
     res = crystal.normalize_action(data)
     assert res.changed == (expected is None) == bool(absorbed)
     assert [list(row) for row in res.basis_change] == P
-    assert res.group.translations == final
+    assert translations(res.group) == final
     if expected is None:
-        assert res.absorbed == info.value.translations
+        assert res.absorbed == tuple(tuple(F(x, den) for x in v) for v in pure)
     # Z^r + <absorbed> is the same lattice on both sides
-    assert _in_lattice(res.absorbed, crystal._lattice_with(data.rank, absorbed))
-    assert _in_lattice(absorbed, crystal._lattice_with(data.rank, res.absorbed))
+    assert _in_lattice(res.absorbed,
+                       crystal._lattice_with(data.rank, *over_one_denominator(absorbed)))
+    assert _in_lattice(absorbed,
+                       crystal._lattice_with(data.rank, *over_one_denominator(res.absorbed)))
 
 
 def test_mutants_hide_translations():
@@ -271,7 +280,7 @@ def test_cli_verify_closes_once_per_lattice(monkeypatch, tmp_path, capsys):
 
 
 def test_unabsorbed_translation_is_an_internal_fault(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(crystal, "_lattice_with", lambda rank, vectors: _identity(rank))
+    monkeypatch.setattr(crystal, "_lattice_with", lambda rank, den, numerators: _identity(rank))
     path = tmp_path / "halftrans.json"
     path.write_text(json.dumps(load_corpus("halftrans_rank2")))
     assert cli.main(["verify", "--input", str(path), "--format", "json"]) == 2

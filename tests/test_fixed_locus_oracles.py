@@ -13,11 +13,18 @@ from fractions import Fraction
 
 import family
 import pytest
-from conftest import corpus_documents, crystal_group, family_documents
+from conftest import (
+    corpus_documents,
+    crystal_group,
+    family_documents,
+    mod1_vec,
+    over_one_denominator,
+    points,
+)
 
 from crystorb import exactla, fieldlin, quotient
 from crystorb.crystal import is_torsion_free
-from crystorb.exactla import IntMatrix, mod1_vec
+from crystorb.exactla import IntMatrix
 from crystorb.quotient import Subtorus
 
 F = Fraction
@@ -26,6 +33,12 @@ SEEDS = (None, 1, 2, 3)
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def make_subtorus(base, basis):
+    """The Subtorus through the rational point base, integer directions."""
+    den, (num,) = over_one_denominator([base])
+    return Subtorus(num, den, tuple(tuple(int(x) for x in b) for b in basis))
+
 
 def _span_key(sub):
     if not sub.basis:
@@ -67,7 +80,7 @@ def oracle_dedupe(comps):
 def oracle_transform(crys, h, sub):
     lin = crys.linear(h)
     base = mod1_vec(a + b for a, b in zip(lin.mul_vec(sub.base), crys.u(h)))
-    return Subtorus.make(base, [lin.mul_vec(b) for b in sub.basis])
+    return make_subtorus(base, [lin.mul_vec(b) for b in sub.basis])
 
 
 def oracle_orbit(crys, rep):
@@ -106,7 +119,7 @@ def oracle_descriptor(crys, sets):
         if sol.is_empty():
             continue
         locus = quotient.fixed_points(crys, i)
-        comps = [Subtorus.make(p, sol.basis) for p in sol.points]
+        comps = [make_subtorus(p, sol.basis) for p in points(sol)]
         (divisor if locus.complex_codim == 1 else deep).extend(comps)
     classes, unassigned = [], oracle_dedupe(divisor)
     while unassigned:
@@ -144,8 +157,8 @@ def _group(case):
 
 
 def _components(crys, sets):
-    return [Subtorus.make(p, sol.basis) for sol in sets.values()
-            if not sol.is_empty() for p in sol.points]
+    return [make_subtorus(p, sol.basis) for sol in sets.values()
+            if not sol.is_empty() for p in points(sol)]
 
 
 @pytest.mark.parametrize("case", sorted(DOCUMENTS, key=str), ids=str)
@@ -159,7 +172,7 @@ def test_fixed_locus_geometry_matches_oracles(case):
         assert locus.is_empty() == sol.is_empty()
         assert locus.real_dim == (None if sol.is_empty() else sol.dim)
         own = locus.solutions
-        assert (own.kind, own.basis, own.points) == (sol.kind, sol.basis, sol.points)
+        assert (own.kind, own.basis, points(own)) == (sol.kind, sol.basis, points(sol))
 
     comps = _components(crys, sets)
     lattices = {}
@@ -233,7 +246,7 @@ def _unimodular(rank, moves):
 
 def _apply(U, shift, sub):
     base = mod1_vec(a + b for a, b in zip(U.mul_vec(sub.base), shift))
-    return Subtorus.make(base, [U.mul_vec(b) for b in sub.basis])
+    return make_subtorus(base, [U.mul_vec(b) for b in sub.basis])
 
 
 def subtorus_pair(draw, st):
@@ -248,7 +261,7 @@ def subtorus_pair(draw, st):
     basis = [tuple(scale * frame.at(i, j) for i in range(rank)) for j in range(dim)]
     den = st.integers(1, 6)
     base = [F(draw(st.integers(0, 11)), draw(den)) for _ in range(rank)]
-    a = Subtorus.make(mod1_vec(base), basis)
+    a = make_subtorus(mod1_vec(base), basis)
     along = [F(draw(st.integers(-3, 3)), draw(den)) for _ in basis]
     lattice = [draw(st.integers(-2, 2)) for _ in range(rank)]
     miss = [F(draw(st.integers(0, 2)), draw(den)) if draw(st.booleans()) else 0
@@ -257,7 +270,7 @@ def subtorus_pair(draw, st):
              for i, (x, l, m) in enumerate(zip(base, lattice, miss))]
     W = _unimodular(max(dim, 1), draw(MOVES))
     rescale = draw(st.sampled_from((1, 1, 3)))
-    b = Subtorus.make(mod1_vec(other), [
+    b = make_subtorus(mod1_vec(other), [
         tuple(rescale * sum(W.at(j, i) * basis[i][c] for i in range(dim)) for c in range(rank))
         for j in range(dim)])
     U = _unimodular(rank, draw(MOVES))

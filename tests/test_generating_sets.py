@@ -8,6 +8,7 @@ answers on every way of building the same group.
 """
 
 import pytest
+from conftest import over_one_denominator
 
 from crystorb import hodge
 from crystorb.crystal import CrystGroup
@@ -33,7 +34,8 @@ def constructions(generators):
         "non_generating": MatrixGroup(rank, closed.elements, (n - 1,)),
         "subgroup": closed.subgroup(range(n)),
     }
-    return {name: CrystGroup(rank, g, [(0,) * rank] * n) for name, g in groups.items()}
+    zero = over_one_denominator([(0,) * rank] * n)
+    return {name: CrystGroup(g, *zero) for name, g in groups.items()}
 
 
 @pytest.mark.parametrize("generators", [[SWAP], S3_ON_Z4], ids=["swap", "s3"])

@@ -5,16 +5,19 @@ the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
 each of them once, and nothing outside the group keeps it alive.  A J
 search likewise builds the lattice's skew-form system and Gram sum once.
-The character table splits its class algebra without a linear solve, and
-an integer matrix product copies neither operand into lists.
+The character table splits its class algebra without a linear solve, an
+integer matrix product copies neither operand into lists, and the vector
+system is built, checked and averaged in integers, with no Fraction.
 """
 
 import gc
 import json
 import weakref
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
-from conftest import crystal_group, family_documents
+from conftest import corpus_documents, crystal_group, family_documents
 from jcheck import assert_invariant_j
 
 from crystorb import cli, crystal, exactla, fieldlin, groupcore, hodge, quotient
@@ -146,3 +149,48 @@ def test_int_matrix_product_copies_nothing(monkeypatch):
             assert a.mul(b) in g
         assert a.mul_vec(tuple(range(g.rank))) == tuple(
             sum(a.at(i, j) * j for j in range(g.rank)) for i in range(g.rank))
+
+
+@contextmanager
+def fractions_built():
+    """[n]: the number of Fractions built inside the block.  Fraction's own
+    __new__ is put back on exit."""
+    original = vars(Fraction)["__new__"]
+    built = [0]
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = original
+
+
+# halftrans_rank2 is the corpus input with a pure translation to absorb
+WITHOUT_NORMALIZATION = sorted(set(corpus_documents()) - {"halftrans_rank2"})
+SMALL_SCALING = ("c6c6_rank4", "c6wr_rank4", "b3diag_rank6", "c3wr_rank6", "s4double_rank8")
+
+
+@pytest.mark.parametrize("name", WITHOUT_NORMALIZATION + list(SMALL_SCALING))
+def test_vector_system_work_builds_no_fraction(name):
+    doc = {**corpus_documents(), **family_documents()}[name]
+    data = parse_cryst_data(doc)
+    with fractions_built() as built:
+        group = crystal.verify_crystallographic(data)
+        cocycle = crystal.cocycle_from_system(group)
+        averaged = crystal.affine_realization(group.group, cocycle)
+    assert built == [0]
+    assert name not in SMALL_SCALING or group.order() <= 100
+    assert averaged.is_consistent()
+    assert crystal.realizations_equivalent(group, averaged).equivalent
+
+
+def test_fraction_counter_counts_and_restores():
+    original = vars(Fraction)["__new__"]
+    with fractions_built() as built:
+        Fraction(1, 2) + Fraction(1, 3)
+    assert built[0] >= 3
+    assert vars(Fraction)["__new__"] is original

@@ -7,11 +7,9 @@ import pytest
 
 from crystorb import orbpi
 from crystorb.orbpi import (
-    CoveringData,
     Presentation,
     central_line_quotient,
     coset_enumerate,
-    covering_compatible,
     free_reduce,
     orbifold_quotient,
     platonic_check,
@@ -197,25 +195,3 @@ class TestTableCheck:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["1", "raised"]
-
-
-class TestCovering:
-    def test_simple_true(self):
-        c = CoveringData.make([1], [3], [(0, 3)])
-        assert covering_compatible(c).compatible
-
-    def test_doubling(self):
-        c = CoveringData.make([2], [4], [(0, 2)])
-        assert covering_compatible(c).compatible
-
-    def test_violation_located(self):
-        c = CoveringData.make([2], [5], [(0, 2)])
-        res = covering_compatible(c)
-        assert not res.compatible
-        assert res.violations == (0,)
-
-    def test_unhit_target(self):
-        c = CoveringData.make([1], [1, 2], [(0, 1)])
-        res = covering_compatible(c)
-        assert not res.compatible
-        assert res.unhit_targets == (1,)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from conftest import cardinality
 from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge, quotient
@@ -79,7 +80,7 @@ def test_determinant_counts_fixed_points():
                                 zip(g.linear(gi).entries, ident.entries)))
             d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
             if d != 0:
-                assert quotient.fixed_points(g, gi).solutions.cardinality == abs(d)
+                assert cardinality(quotient.fixed_points(g, gi).solutions) == abs(d)
 
 
 def test_structure_exists_iff_even():
