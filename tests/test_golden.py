@@ -4,9 +4,12 @@ tests/golden/<entry>.<command>.json holds the canonical JSON report of a
 successful run, <entry>.<command>.err the error message of a failed one, and
 exit_codes.json the exit code of every run.  One more pass runs every case
 in a `python -O` child, so the output cannot depend on an assert statement.
-After an intended change of output, rewrite them with
+tests/golden/scaling/<member>.action.json pins `action` on the five even
+members of the benchmark's scaling family at basis seed 1, seeded together
+as the benchmark seeds them.  After an intended change of output, rewrite
+them all with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src:perfbench python tests/test_golden.py
 """
 
 import io
@@ -17,7 +20,9 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import family
 import pytest
+from conftest import family_documents
 
 from crystorb import cli
 from crystorb.corpus import corpus_names, load_corpus
@@ -65,7 +70,7 @@ def test_output_matches_golden(case):
     assert (out if code == 0 else err) == golden_path(case, code).read_text()
 
 
-# every corpus case under `python -O`, with mpmath unimportable
+# every corpus and scaling case under `python -O`, with mpmath unimportable
 OPTIMIZED_PASS = """
 import json
 import sys
@@ -82,21 +87,29 @@ for case, expected in sorted(codes.items()):
     golden = test_golden.golden_path(case, code)
     if code != expected or not golden.exists() or text != golden.read_text():
         mismatched.append(case)
-print(json.dumps({"optimize": sys.flags.optimize, "cases": len(codes),
+docs = test_golden.scaling_documents()
+for name in test_golden.SCALING_ACTION:
+    code, out, _ = test_golden.run_document(docs[name], "action")
+    if code != 0 or out != test_golden.scaling_golden(name).read_text():
+        mismatched.append(f"scaling/{name}.action")
+print(json.dumps({"optimize": sys.flags.optimize,
+                  "cases": len(codes) + len(test_golden.SCALING_ACTION),
                   "mismatched": mismatched}))
 """
 
 
 def test_golden_matches_under_optimize():
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        (str(root / "src"), str(root / "perfbench"), env.get("PYTHONPATH", "")))
     run = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_PASS, str(Path(__file__).resolve().parent)],
         env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {
-        "optimize": 1, "cases": len(exit_codes()), "mismatched": []}
+        "optimize": 1, "cases": len(exit_codes()) + len(SCALING_ACTION),
+        "mismatched": []}
 
 
 def b4_doubled():
@@ -119,6 +132,27 @@ def test_b4_doubled_matches_golden(command):
     assert out == (GOLDEN / f"b4double_rank8.{command}.json").read_text()
 
 
+# the scaling members `action` accepts; b4_rank4 and s5_rank6 are not even
+SCALING_ACTION = ("b3diag_rank6", "c3wr_rank6", "c6c6_rank4", "c6wr_rank4",
+                  "s4double_rank8")
+
+
+def scaling_documents():
+    """The scaling family at basis seed 1, all members seeded together."""
+    return family.seeded_documents(family_documents(), 1)
+
+
+def scaling_golden(name):
+    return GOLDEN / "scaling" / f"{name}.action.json"
+
+
+@pytest.mark.parametrize("name", SCALING_ACTION)
+def test_scaling_action_matches_golden(name):
+    code, out, _ = run_document(scaling_documents()[name], "action")
+    assert code == 0
+    assert out == scaling_golden(name).read_text()
+
+
 def regenerate():
     codes = {}
     for name in corpus_names():
@@ -129,6 +163,11 @@ def regenerate():
             golden_path(case, code).write_text(out if code == 0 else err)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, sort_keys=True, indent=1) + "\n")
+    docs = scaling_documents()
+    for name in SCALING_ACTION:
+        code, out, _ = run_document(docs[name], "action")
+        assert code == 0, name
+        scaling_golden(name).write_text(out)
 
 
 if __name__ == "__main__":
