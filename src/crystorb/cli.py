@@ -365,14 +365,12 @@ def cmd_action(doc, opts):
             "input.generators: the action admits no invariant complex "
             f"structure (odd classes: {', '.join(ev.odd_witness)}); "
             "the complex classification is undefined")
-    cls = quotient.classify_action(group)
-    refl = quotient.pseudoreflections(group)
-    fact = quotient.factorization_report(group)
     desc = quotient.orbifold_descriptor(group)
+    cls, fact = desc.classification, desc.factorization
     return {
         "classification": cls.kind,
         "evidence": [list(e) for e in cls.evidence],
-        "pseudoreflections": list(refl),
+        "pseudoreflections": list(desc.pseudoreflections),
         "gpr_order": fact.gpr_order,
         "gpr_index": fact.index,
         "quasi_etale_certified": fact.quasi_etale,
@@ -484,8 +482,15 @@ def cmd_platonic(doc, opts):
                 if not (isinstance(w, list) and all(_is_int(x) for x in w)):
                     _fail(f"input.loops[{i}]", "words are lists of signed indices")
             for i, m in enumerate(mults):
-                if not _is_int(m):
-                    _fail(f"input.multiplicities[{i}]", "must be an integer")
+                if not (_is_int(m) and m >= 1):
+                    _fail(f"input.multiplicities[{i}]", "must be an integer >= 1")
+            if len(loops) != len(mults):
+                _fail("input.multiplicities", "one multiplicity per loop required")
+            # a loop of multiplicity 1 is forgotten, as orbifold_quotient does
+            for i, (w, m) in enumerate(zip(loops, mults)):
+                if m > 1 and any(x == 0 or abs(x) > len(p.generators)
+                                 for x in orbpi.free_reduce(tuple(w))):
+                    _fail(f"input.loops[{i}]", "letter out of range")
             p = orbpi.orbifold_quotient(p, [tuple(w) for w in loops], mults)
         order = orbpi.coset_enumerate(p, bound=opts["bound"])
         return {

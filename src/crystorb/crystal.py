@@ -168,7 +168,8 @@ class CrystGroup(VectorSystem):
     def solve_fixed(self, i):
         """The points the element i fixes: (L - I) v = -u (mod Z^r)."""
         L_minus_I = self.linear(i).add(IntMatrix.identity(self.rank).neg())
-        return exactla.solve_mod_lattice(L_minus_I, tuple(-x for x in self.u(i)))
+        return exactla.solve_mod_lattice(L_minus_I, self.den,
+                                         tuple(-x for x in self.numerators[i]))
 
     def fixed_set(self, i):
         """The fixed set of the smallest conjugate of element i != 1."""
@@ -370,29 +371,28 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     """Decide coboundary equivalence of two vector systems on the same group.
 
     True iff some w in Q^r has u_g - u'_g = (L(g) - I) w (mod Z^r) for all g;
-    the witness w is returned when it exists.
+    the witness w is returned when it exists.  The congruence is solved and
+    the witness checked in integer numerators.
     """
     if vs_a.group is not vs_b.group and vs_a.group.elements != vs_b.group.elements:
         raise ValueError("vector systems live on different groups")
     g = vs_a.group
+    den = lcm(vs_a.den, vs_b.den)
+    qa, qb = den // vs_a.den, den // vs_b.den
+    diffs = [tuple(a * qa - b * qb for a, b in zip(na, nb))
+             for na, nb in zip(vs_a.numerators, vs_b.numerators)]
     minus_identity = IntMatrix.identity(g.rank).neg()
-    blocks = []
-    rhs = []
-    for i in range(g.order()):
-        blocks.extend(g.elements[i].add(minus_identity).to_lists())
-        diff = tuple(a - b for a, b in zip(vs_a.u(i), vs_b.u(i)))
-        rhs.extend(diff)
-    M = IntMatrix.from_rows(blocks)
-    w = exactla.solve_affine_congruence(M, rhs)
-    if w is None:
+    M = IntMatrix.from_rows([row for lin in g.elements
+                             for row in lin.add(minus_identity).to_lists()])
+    solved = exactla.solve_affine_congruence(M, den, [x for d in diffs for x in d])
+    if solved is None:
         return EquivalenceWitness(False, ())
-    # confirm the witness
-    for i in range(g.order()):
-        img = g.elements[i].mul_vec(w)
-        for a, b, x, ww in zip(vs_a.u(i), vs_b.u(i), img, w):
-            if (a - b - (x - ww)).denominator != 1:
-                raise AssertionError("congruence witness failed verification")
-    return EquivalenceWitness(True, tuple(w))
+    wden, w = solved
+    q = wden // den     # confirm the witness over w's denominator
+    for lin, d in zip(g.elements, diffs):
+        if any((x * q - y + z) % wden for x, y, z in zip(d, lin.mul_vec(w), w)):
+            raise AssertionError("congruence witness failed verification")
+    return EquivalenceWitness(True, tuple(F(x, wden) for x in w))
 
 
 @dataclass(frozen=True)

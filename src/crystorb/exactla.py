@@ -285,9 +285,9 @@ def snf(A: IntMatrix, rhs=None) -> SmithDecomposition:
     return SmithDecomposition(D, IntMatrix.from_rows(U), IntMatrix.from_rows(V))
 
 
-def solve_mod_lattice(A: IntMatrix, b) -> SolutionSet:
-    """Describe {v in R^r/Z^r : A*v = b (mod Z^r)} for a square IntMatrix A
-    and a rational vector b.  The result is empty, a finite sorted list of
+def solve_mod_lattice(A: IntMatrix, den, b) -> SolutionSet:
+    """Describe {v in R^r/Z^r : A*v = b/den (mod Z^r)} for a square IntMatrix
+    A and an integer vector b.  The result is empty, a finite sorted list of
     representatives, or a finite union of affine subtori (component base
     points plus a common basis of continuous directions).
     """
@@ -296,10 +296,10 @@ def solve_mod_lattice(A: IntMatrix, b) -> SolutionSet:
     if A.rows != A.cols:
         raise ValueError("A must be square (size = lattice rank)")
     r = A.rows
-    solved = _smith_solve(A, b)
+    solved = _smith_solve(A, den, b)
     if solved is None:
         return SolutionSet("empty", ())
-    dec, d, c, den = solved
+    dec, d, c = solved
     free = [i for i in range(r) if d[i] == 0]
     # y_i = (c_i / den + k) / d_i for k < d_i, over one denominator den * step
     step = lcm(*(x for x in d if x))
@@ -329,36 +329,35 @@ def _primitive(v):
     return tuple(Fraction(x // g) for x in w)
 
 
-def solve_affine_congruence(M: IntMatrix, c):
-    """One rational w with M*w = c (mod Z^rows), or None if none exists.
+def solve_affine_congruence(M: IntMatrix, den, c):
+    """One rational w with M*w = c/den (mod Z^rows), as (a multiple of den,
+    w's integer numerators over it), or None if none exists.
 
-    M is an integer rows x cols matrix, c a rational vector of length rows.
-    Used for removing vector-system coboundaries and for subtorus membership
-    tests; the returned witness is a single representative, not the full set.
+    M is an integer rows x cols matrix, c an integer vector of length rows.
+    Used for removing vector-system coboundaries; the returned witness is a
+    single representative, not the full set.
     """
-    solved = _smith_solve(M, c)
+    solved = _smith_solve(M, den, c)
     if solved is None:
         return None
-    dec, diag, cu, den = solved
-    return dec.V.mul_vec([Fraction(cu[i], den * diag[i]) if diag[i] else Fraction(0)
-                          for i in range(M.cols)])
+    dec, diag, cu = solved
+    step = lcm(*(d for d in diag[:M.cols] if d))
+    return den * step, dec.V.mul_vec([cu[i] * (step // diag[i]) if diag[i] else 0
+                                      for i in range(M.cols)])
 
 
-def _smith_solve(M: IntMatrix, c):
-    """(U*M*V = D, diagonal of D zero-padded to max(rows, cols), U*c as
-    numerators over den, den), or None when M*w = c (mod Z^rows) has no
-    rational w: (U*c)_i fractional where d_i = 0.  The elimination carries
-    c's integer numerators over their lcm den in place of U, so the
-    decomposition's U is the column U*c."""
+def _smith_solve(M: IntMatrix, den, c):
+    """(U*M*V = D, diagonal of D zero-padded to max(rows, cols), U*c), or
+    None when M*w = c/den (mod Z^rows) has no rational w: (U*c)_i not a
+    multiple of den where d_i = 0.  The elimination carries the integer c
+    in place of U, so the decomposition's U is the column U*c."""
     if len(c) != M.rows:
         raise ValueError("right-hand side has wrong length")
-    c = [Fraction(x) for x in c]
-    den = lcm(*(x.denominator for x in c))
-    dec = snf(M, [x.numerator * (den // x.denominator) for x in c])
+    dec = snf(M, c)
     diag = dec.diagonal() + (0,) * abs(M.rows - M.cols)
     if any(d == 0 and x % den for d, x in zip(diag, dec.U.entries)):
         return None
-    return dec, diag, dec.U.entries, den
+    return dec, diag, dec.U.entries
 
 
 def rank_rat(rows):

@@ -63,13 +63,13 @@ class MatrixGroup:
 
     `generators` is the generating set S the products are taken over: the
     recorded `generator_indices` when they generate the group, and all of its
-    elements otherwise (the trivial closure, subgroups and hand-built groups
-    may record none, and a hand-built list may not generate).  Products are
-    index lookups, not matrix products.  `products` = (S, right, words) holds
-    the index right[w][k] of w*S[k] for every element w and every k, and a
-    word over S for every element; `closure` and `subgroup` pass it in, and
-    otherwise it is built here once with n*|S| matrix products.  The n x |S|
-    table is public as `right`.
+    elements otherwise (the trivial closure and hand-built groups may record
+    none, and a hand-built list may not generate).  Products are index
+    lookups, not matrix products.  `products` = (S, right, words) holds the
+    index right[w][k] of w*S[k] for every element w and every k, and a word
+    over S for every element; `closure` passes it in, and otherwise it is
+    built here once with n*|S| matrix products.  The n x |S| table is public
+    as `right`.
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
@@ -187,22 +187,6 @@ class MatrixGroup:
 
     def exponent(self):
         return lcm(*(self.element_order(i) for i in range(self.order())))
-
-    def subgroup(self, element_indices):
-        """Subgroup from a closed set of element indices, parent order kept.
-
-        Its generating set is all of its elements, and its products are read
-        off the parent's.
-        """
-        idx = sorted(set(element_indices) | {0})
-        pos = {g: i for i, g in enumerate(idx)}
-        try:
-            right = [tuple(pos[self.mul(i, j)] for j in idx) for i in idx]
-        except KeyError:
-            raise ValueError("element set is not closed under products") from None
-        words = [()] + [(i,) for i in range(1, len(idx))]
-        return MatrixGroup(self.rank, [self.elements[i] for i in idx], (),
-                           (tuple(range(len(idx))), right, words))
 
 
 def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):

@@ -418,7 +418,6 @@ class TorusModel:
     back from multiplication by i on the column span."""
 
     J: ComplexStructure
-    projection: tuple     # top half of (Omega | conj Omega)^{-1}: V-coordinates
     oriented: bool        # Omega lies in T: J orients the lattice positively
 
 
@@ -438,7 +437,7 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
          for row in fieldlin.mat_mul(O, M1)]
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)),
              "J of the period matrix does not square to -I")
-    return TorusModel(ComplexStructure.of(J), tuple(tuple(r) for r in M1), oriented)
+    return TorusModel(ComplexStructure.of(J), oriented)
 
 
 # ---------------------------------------------------------------------------

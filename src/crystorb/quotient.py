@@ -60,10 +60,6 @@ class Subtorus:
     def base(self):
         return tuple(F(x, self.den) for x in self.num)
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
 
 def _hnf_kernel(rows, r):
     """The HNF basis of {v in Z^r : row . v = 0 for every row}, from the rows
@@ -124,19 +120,10 @@ class ActionClassification:
     evidence: tuple        # (element index, complex codim) at the extremes
 
 
-def _require_even(crys):
-    ev = hodge.is_even(crys)
-    if not ev.even:
-        raise ValueError("the action admits no invariant complex structure; "
-                         "complex classification is undefined")
-    return ev
-
-
-def classify_action(crys: CrystGroup) -> ActionClassification:
+def classify_action(loci) -> ActionClassification:
     """free: no fixed points; quasi_free: all loci of complex codim >= 2;
     divisorial: some locus of complex codim 1."""
-    _require_even(crys)
-    nonempty = [l for l in all_fixed_loci(crys) if not l.is_empty()]
+    nonempty = [l for l in loci if not l.is_empty()]
     if not nonempty:
         return ActionClassification("free", ())
     _require(all(l.complex_codim is not None for l in nonempty),
@@ -148,29 +135,26 @@ def classify_action(crys: CrystGroup) -> ActionClassification:
     return ActionClassification(kind, evidence)
 
 
-def pseudoreflections(crys: CrystGroup):
+def pseudoreflections(loci):
     """Nontrivial elements whose complex linear part fixes a hyperplane
     (eigenvalue-1 eigenspace of complex dimension n-1) and which actually
     fix points on the torus."""
-    _require_even(crys)
-    return tuple(l.element_index for l in all_fixed_loci(crys) if l.complex_codim == 1)
+    return tuple(l.element_index for l in loci if l.complex_codim == 1)
 
 
-def gpr_subgroup(crys: CrystGroup) -> MatrixGroup:
-    """The subgroup generated by the pseudoreflections, searched breadth
-    first from the identity.  It is normal: h Fix(g) = Fix(h g h^-1), so the
-    pseudoreflections are closed under conjugation."""
-    refl = pseudoreflections(crys)
-    g = crys.group
+def gpr_subgroup(group: MatrixGroup, refl) -> tuple:
+    """The sorted indices of the subgroup the pseudoreflections generate,
+    searched breadth first from the identity.  It is normal: h Fix(g) =
+    Fix(h g h^-1), so the pseudoreflections are closed under conjugation."""
     members = {0}
     queue = [0]
     for a in queue:
         for s in refl:
-            p = g.mul(a, s)
+            p = group.mul(a, s)
             if p not in members:
                 members.add(p)
                 queue.append(p)
-    return g.subgroup(members)
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)
@@ -179,33 +163,17 @@ class FactorizationReport:
     of the second map."""
 
     gpr_order: int
-    gpr_indices: tuple
     index: int
-    first_map_trivial: bool     # G^pr = 1: first quotient is the identity
-    second_map_trivial: bool    # G^pr = G: second quotient is the identity
     audit: tuple                # (element, codim) for non-G^pr elements with loci
     quasi_etale: bool
 
 
-def factorization_report(crys: CrystGroup) -> FactorizationReport:
-    _require_even(crys)
-    g = crys.group
-    sub = gpr_subgroup(crys)
-    sub_entries = {m.entries for m in sub.elements}
-    indices = tuple(i for i in range(g.order())
-                    if g.elements[i].entries in sub_entries)
-    audit = [(l.element_index, l.complex_codim) for l in all_fixed_loci(crys)
-             if not l.is_empty() and l.element_index not in indices]
-    quasi_etale = all(codim >= 2 for _, codim in audit)
-    return FactorizationReport(
-        gpr_order=sub.order(),
-        gpr_indices=indices,
-        index=g.order() // sub.order(),
-        first_map_trivial=sub.order() == 1,
-        second_map_trivial=sub.order() == g.order(),
-        audit=tuple(audit),
-        quasi_etale=quasi_etale,
-    )
+def factorization_report(group: MatrixGroup, loci, refl) -> FactorizationReport:
+    members = set(gpr_subgroup(group, refl))
+    audit = tuple((l.element_index, l.complex_codim) for l in loci
+                  if not l.is_empty() and l.element_index not in members)
+    return FactorizationReport(len(members), group.order() // len(members), audit,
+                               all(codim >= 2 for _, codim in audit))
 
 
 @dataclass(frozen=True)
@@ -214,13 +182,14 @@ class DivisorClass:
 
     representative: Subtorus
     multiplicity: int        # order of the cyclic pointwise stabilizer
-    orbit_size: int
-    component_count: int     # components on the torus in this class
+    orbit_size: int          # components on the torus in this class
 
 
 @dataclass(frozen=True)
 class OrbifoldDescriptor:
-    kind: str
+    classification: ActionClassification
+    pseudoreflections: tuple
+    factorization: FactorizationReport
     divisor_classes: tuple
     stratum_summary: tuple   # ((complex codim, stabilizer order), count), sorted
 
@@ -259,8 +228,11 @@ def _orbit_keys(crys, sub: Subtorus, lattices):
 
 
 def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
-    """Branch-divisor classes with multiplicities plus the summary of the
-    deeper (complex codimension >= 2) singular strata.
+    """The classification, the pseudoreflections and the factorization
+    through G^pr, then branch-divisor classes with multiplicities plus the
+    summary of the deeper (complex codimension >= 2) singular strata, all
+    read off one pass over the fixed loci.  Raises ValueError for a group
+    that is not even.
 
     Divisor components are grouped into orbits of the full group action
     (classes live on the quotient); the multiplicity of a class is the
@@ -272,14 +244,17 @@ def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
     class, in element then point order, meet every orbit, and each one
     outside the orbits found so far is its orbit's first component over all
     of G.  Conjugate components have stabilizers of equal order."""
-    _require_even(crys)
-    classification = classify_action(crys)
+    if not hodge.is_even(crys).even:
+        raise ValueError("the action admits no invariant complex structure; "
+                         "complex classification is undefined")
+    loci = all_fixed_loci(crys)
+    classification, refl = classify_action(loci), pseudoreflections(loci)
     lattices = {}
     placed = set()
     classes = []
     histogram = {}
     for g in crys.fixed_sets:
-        locus = fixed_points(crys, g)
+        locus = loci[g - 1]
         for comp in locus.components():
             if subtorus_key(comp, lattices) in placed:
                 continue
@@ -293,9 +268,10 @@ def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
                          "divisor stabilizer is not cyclic")
                 _require(all(subtori_equal(_transform_subtorus(crys, h, comp), comp)
                              for h in stab), "a stabilizer element moves its divisor")
-                classes.append(DivisorClass(comp, m, len(orbit), len(orbit)))
+                classes.append(DivisorClass(comp, m, len(orbit)))
             else:
                 key = (locus.complex_codim, m)
                 histogram[key] = histogram.get(key, 0) + len(orbit)
-    return OrbifoldDescriptor(classification.kind, tuple(classes),
-                              tuple(sorted(histogram.items())))
+    return OrbifoldDescriptor(classification, refl,
+                              factorization_report(crys.group, loci, refl),
+                              tuple(classes), tuple(sorted(histogram.items())))

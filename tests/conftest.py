@@ -41,6 +41,13 @@ def over_one_denominator(vectors):
                       for v in vectors)
 
 
+def congruence_rhs(vector):
+    """(den, numerators) of one rational right-hand side of the torus
+    solvers, through over_one_denominator."""
+    den, (num,) = over_one_denominator([vector])
+    return den, num
+
+
 def translations(vs):
     """Every u_g of a vector system, as Fractions in [0,1)^r."""
     return tuple(vs.u(i) for i in range(vs.group.order()))

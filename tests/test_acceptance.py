@@ -96,7 +96,7 @@ def test_criterion_2_determinant_fixed_point_oracle():
     kummer = GROUPS["kummer4"]
     locus = quotient.fixed_points(kummer, 1)
     assert cardinality(locus.solutions) == 16
-    assert quotient.classify_action(kummer).kind == "quasi_free"
+    assert quotient.orbifold_descriptor(kummer).classification.kind == "quasi_free"
     announce(2, f"|fixed points| = |det(L-I)| exactly on {checked} corpus elements; "
                 "Kummer has 16 fixed points and is quasi-free")
 
@@ -104,13 +104,13 @@ def test_criterion_2_determinant_fixed_point_oracle():
 def test_criterion_3_free_action_certification():
     bdf = GROUPS["bdf_surface"]
     assert is_torsion_free(bdf).torsion_free
-    assert quotient.classify_action(bdf).kind == "free"
+    assert quotient.orbifold_descriptor(bdf).classification.kind == "free"
 
     agreements = 0
     for name, g in GROUPS.items():
         tf = is_torsion_free(g).torsion_free
         if hodge.is_even(g).even:
-            assert (quotient.classify_action(g).kind == "free") == tf, name
+            assert (quotient.orbifold_descriptor(g).classification.kind == "free") == tf, name
             agreements += 1
     announce(3, f"Bagnera-de Franchis entry certified free by both routes; "
                 f"torsion and classification answers agree on all {agreements} even entries")
@@ -207,13 +207,13 @@ def test_criterion_6_character_machinery():
 def test_criterion_7_orbifold_descriptor():
     prod = GROUPS["pseudoref_product"]
     desc = quotient.orbifold_descriptor(prod)
-    assert desc.kind == "divisorial"
-    assert sum(c.component_count for c in desc.divisor_classes) == 4
+    assert desc.classification.kind == "divisorial"
+    assert sum(c.orbit_size for c in desc.divisor_classes) == 4
     assert all(c.multiplicity == 2 for c in desc.divisor_classes)
-    assert quotient.gpr_subgroup(prod).order() == prod.order()
+    assert len(quotient.gpr_subgroup(prod.group, desc.pseudoreflections)) == prod.order()
 
     mixed = GROUPS["mixed_c2c2"]
-    fact = quotient.factorization_report(mixed)
+    fact = quotient.orbifold_descriptor(mixed).factorization
     assert fact.index == 2
     assert fact.quasi_etale
     assert fact.audit and all(codim >= 2 for _, codim in fact.audit)

@@ -290,6 +290,24 @@ class TestBooleansRejected:
         assert "integer" in err or "indices" in err
 
 
+class TestPlatonicLoopErrors:
+    """A bad loop or multiplicity exits 1 with the JSON path of the field."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**_CYCLIC3, "loops": [[1]], "multiplicities": [0]},
+         "input.multiplicities[0]: must be an integer >= 1"),
+        ({**_CYCLIC3, "loops": [[1], [1, 1]], "multiplicities": [2]},
+         "input.multiplicities: one multiplicity per loop required"),
+        ({**_CYCLIC3, "loops": [[2]], "multiplicities": [3]},
+         "input.loops[0]: letter out of range"),
+    ])
+    def test_error_names_the_path(self, capsys, tmp_path, doc, message):
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "platonic", "--input", path, "--format", "json")
+        assert (code, out) == (1, "")
+        assert message in err
+
+
 class TestBoundRange:
     @pytest.mark.parametrize("flags, options, where", [
         (["--bound", "-5"], {}, "--bound"),

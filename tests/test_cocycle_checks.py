@@ -191,7 +191,7 @@ class TestFailClosed:
     def test_subgroup_without_generators_checks_all_of_g(self):
         d4 = closure([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
         refl = d4.generator_indices[1]
-        sub = d4.subgroup([0, refl])
+        sub = MatrixGroup(2, [d4.elements[0], d4.elements[refl]], ())
         assert sub.generator_indices == ()
         # d(r, r) = (2/3, 0) for the reflection r = diag(1, -1)
         vs = system(sub, ((F(0), F(0)), (F(1, 3), F(0))))

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import cardinality, mod1_vec, points
+from conftest import cardinality, congruence_rhs, mod1_vec, points
 
 from crystorb import fieldlin
 from crystorb.exactla import (
@@ -228,37 +228,37 @@ class TestSolveModLattice:
     def test_half_lattice_points(self):
         # oracle: enumerate all (a1..a4)/2 with ai in {0,1}
         A = IntMatrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-        sol = solve_mod_lattice(A, [0, 0, 0, 0])
+        sol = solve_mod_lattice(A, *congruence_rhs([0, 0, 0, 0]))
         expected = sorted(tuple(F(a, 2) for a in bits) for bits in product((0, 1), repeat=4))
         assert sol.kind == "finite"
         assert list(points(sol)) == expected
         assert cardinality(sol) == 16 == abs(det(A))
 
     def test_invertible_over_z(self):
-        sol = solve_mod_lattice(IntMatrix.identity(2), [F(1, 3), 0])
+        sol = solve_mod_lattice(IntMatrix.identity(2), *congruence_rhs([F(1, 3), 0]))
         assert sol.kind == "finite"
         assert points(sol) == ((F(1, 3), F(0)),)
 
     def test_empty(self):
         # first coordinate forces 0 = 1/2 (mod 1): no solution
         A = IntMatrix.from_rows([[0, 0], [0, -2]])
-        sol = solve_mod_lattice(A, [F(1, 2), 0])
+        sol = solve_mod_lattice(A, *congruence_rhs([F(1, 2), 0]))
         assert sol.is_empty()
 
     def test_family_components(self):
         A = IntMatrix.from_rows([[0, 0], [0, 2]])
-        sol = solve_mod_lattice(A, [0, 0])
+        sol = solve_mod_lattice(A, *congruence_rhs([0, 0]))
         assert sol.kind == "family"
         assert sol.dim == 1
         assert len(points(sol)) == 2
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            solve_mod_lattice(IntMatrix.from_rows([[1, 0]]), [0])
+            solve_mod_lattice(IntMatrix.from_rows([[1, 0]]), *congruence_rhs([0]))
 
     def test_rejects_fractional_matrix(self):
         with pytest.raises(TypeError):
-            solve_mod_lattice([[F(1, 2), 0], [0, 1]], [0, 0])
+            solve_mod_lattice([[F(1, 2), 0], [0, 1]], *congruence_rhs([0, 0]))
 
     def test_cardinality_matches_brute_force(self):
         rng = random.Random(13)
@@ -271,7 +271,7 @@ class TestSolveModLattice:
                 continue
             checked += 1
             b = [F(rng.randint(0, 3), rng.choice([1, 2, 3])) for _ in range(r)]
-            sol = solve_mod_lattice(A, b)
+            sol = solve_mod_lattice(A, *congruence_rhs(b))
             oracle = brute_force_torus_solutions(A, b)
             assert sol.kind == "finite"
             assert list(points(sol)) == oracle
@@ -279,7 +279,7 @@ class TestSolveModLattice:
 
     def test_points_reduced_and_sorted(self):
         A = IntMatrix.from_rows([[3, 1], [0, 2]])
-        sol = solve_mod_lattice(A, [F(1, 2), F(1, 3)])
+        sol = solve_mod_lattice(A, *congruence_rhs([F(1, 2), F(1, 3)]))
         pts = list(points(sol))
         assert pts == sorted(pts)
         for p in pts:
@@ -313,21 +313,27 @@ class TestKernelQ:
             assert rank_rat(A) + len(basis) == m
 
 
+def witness(M, c):
+    """solve_affine_congruence's witness as Fractions, or None."""
+    solved = solve_affine_congruence(M, *congruence_rhs(c))
+    return solved and tuple(F(x, solved[0]) for x in solved[1])
+
+
 class TestAffineCongruence:
     def test_basic_witness(self):
         M = IntMatrix.from_rows([[0, 0], [0, -2]])
-        w = solve_affine_congruence(M, [0, F(1, 3)])
+        w = witness(M, [0, F(1, 3)])
         assert w is not None
         img = M.mul_vec(w)
         assert mod1_vec([img[0] - 0, img[1] - F(1, 3)]) == (F(0), F(0))
 
     def test_no_witness(self):
         M = IntMatrix.from_rows([[0, 0], [0, -2]])
-        assert solve_affine_congruence(M, [F(1, 2), 0]) is None
+        assert solve_affine_congruence(M, *congruence_rhs([F(1, 2), 0])) is None
 
     def test_tall_system(self):
         M = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        w = solve_affine_congruence(M, [F(1, 4), F(1, 4), F(1, 2)])
+        w = witness(M, [F(1, 4), F(1, 4), F(1, 2)])
         assert w is not None
         img = M.mul_vec(w)
         assert mod1_vec([img[0] - F(1, 4), img[1] - F(1, 4), img[2] - F(1, 2)]) == (0, 0, 0)

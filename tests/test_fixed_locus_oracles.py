@@ -14,6 +14,7 @@ from fractions import Fraction
 import family
 import pytest
 from conftest import (
+    congruence_rhs,
     corpus_documents,
     crystal_group,
     family_documents,
@@ -58,7 +59,7 @@ def _congruent(a, b):
     if not a.basis:
         return all(d.denominator == 1 for d in diff)
     M = IntMatrix.from_rows([[b_[i] for b_ in a.basis] for i in range(len(a.base))])
-    return exactla.solve_affine_congruence(M, diff) is not None
+    return exactla.solve_affine_congruence(M, *congruence_rhs(diff)) is not None
 
 
 def oracle_dedupe(comps):
@@ -106,7 +107,8 @@ def oracle_stabilizer(crys, sub):
 
 def oracle_fixed_sets(crys):
     """{g: fixed set of g} for every g != 1, each solved on its own."""
-    return {i: exactla.solve_mod_lattice(_minus_identity(crys, i), tuple(-x for x in crys.u(i)))
+    return {i: exactla.solve_mod_lattice(_minus_identity(crys, i),
+                                         *congruence_rhs([-x for x in crys.u(i)]))
             for i in range(1, crys.order())}
 
 
@@ -130,7 +132,7 @@ def oracle_descriptor(crys, sets):
         classes.append((rep.base, rep.basis, len(oracle_stabilizer(crys, rep)), len(orbit)))
     histogram = {}
     for comp in oracle_dedupe(deep):
-        key = (crys.n - comp.dim // 2, len(oracle_stabilizer(crys, comp)))
+        key = (crys.n - len(comp.basis) // 2, len(oracle_stabilizer(crys, comp)))
         histogram[key] = histogram.get(key, 0) + 1
     return classes, tuple(sorted(histogram.items()))
 

@@ -2,7 +2,7 @@
 
 `MatrixGroup.generators` is the recorded generator list when it generates the
 group and all elements otherwise, whereas `generator_indices` is empty for a
-subgroup or a hand-built group and need not generate.  The invariance loops
+hand-built group and need not generate.  The invariance loops
 of `hodge.sample_subspace` and `hodge.tangent_dimension` must give the same
 answers on every way of building the same group.
 """
@@ -24,15 +24,14 @@ S3_ON_Z4 = [  # S3 on two copies of the hexagonal lattice
 
 def constructions(generators):
     """The same crystallographic group (zero translations) built by closure,
-    by hand with no generators, by hand with a list that does not generate,
-    and as the subgroup of all of its elements."""
+    by hand with no generators, and by hand with a list that does not
+    generate."""
     closed = closure(generators)
     n, rank = closed.order(), closed.rank
     groups = {
         "closure": closed,
         "hand_built": MatrixGroup(rank, closed.elements, ()),
         "non_generating": MatrixGroup(rank, closed.elements, (n - 1,)),
-        "subgroup": closed.subgroup(range(n)),
     }
     zero = over_one_denominator([(0,) * rank] * n)
     return {name: CrystGroup(g, *zero) for name, g in groups.items()}

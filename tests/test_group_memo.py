@@ -28,10 +28,17 @@ COUNTED = ((groupcore, "character_table"), (groupcore, "conjugacy_classes"),
            (groupcore, "real_isotypic_dimensions"), (exactla, "solve_mod_lattice"))
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    counts = dict.fromkeys((name for _, name in COUNTED), 0)
-    for module, name in COUNTED:
+# the stages of an `action` report: each derived once per job from one pass
+# over the fixed loci
+ACTION_STAGES = ((hodge, "is_even"),) + tuple((quotient, name) for name in (
+    "all_fixed_loci", "classify_action", "pseudoreflections", "gpr_subgroup",
+    "factorization_report", "orbifold_descriptor"))
+
+
+def _counter(monkeypatch, functions):
+    """Call counts by name of the (module, name) functions, patched in place."""
+    counts = dict.fromkeys((name for _, name in functions), 0)
+    for module, name in functions:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -40,6 +47,11 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _counter(monkeypatch, COUNTED)
 
 
 def _group(name):
@@ -51,19 +63,40 @@ def _expected(nontrivial_classes):
             "real_isotypic_dimensions": 1, "solve_mod_lattice": nontrivial_classes}
 
 
-def test_action_job_computes_each_invariant_once(calls, capsys, tmp_path):
-    path = tmp_path / "mixed_c2c2.json"
-    path.write_text(json.dumps(load_corpus("mixed_c2c2")))
-    assert cli.main(["action", "--input", str(path), "--format", "json"]) == 0
-    capsys.readouterr()
-    assert calls == _expected(3)
+def test_action_job_computes_each_invariant_once(monkeypatch, capsys, tmp_path):
+    # every corpus entry: a job on an even group builds one table and one
+    # fixed set per nontrivial class, derives each answer once from one pass
+    # over the fixed loci, and reads evenness at most twice (the command's
+    # error message and the descriptor's check); a job on a group that is
+    # not even stops after the first evenness test
+    stages = {name: 1 for _, name in ACTION_STAGES[1:]}
+    even = []
+    for name, doc in corpus_documents().items():
+        classes = len(crystal_group(doc).group.classes)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        counts = _counter(monkeypatch, COUNTED + ACTION_STAGES)
+        code = cli.main(["action", "--input", str(path), "--format", "json"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        is_even = counts.pop("is_even")
+        if code == 0:
+            even.append(name)
+            assert 1 <= is_even <= 2, name
+            assert counts == {**_expected(classes - 1), **stages}, name
+        else:
+            assert (code, is_even) == (1, 1), name
+            assert all(counts[stage] == 0 for stage in stages), name
+    assert len(even) == 15 and "mixed_c2c2" in even
 
 
-def test_classification_and_descriptor_share_one_analysis(calls):
+def test_classification_and_descriptor_share_one_analysis(calls, monkeypatch):
     g = _group("c6_rank2")
-    quotient.classify_action(g)
-    quotient.orbifold_descriptor(g)
+    stages = _counter(monkeypatch, ACTION_STAGES)
+    desc = quotient.orbifold_descriptor(g)
+    assert desc.classification.kind == "divisorial"
     assert calls == _expected(len(g.group.classes) - 1)
+    assert stages == dict.fromkeys(stages, 1)
 
 
 def test_torsion_test_reads_the_fixed_sets(calls):
@@ -185,7 +218,12 @@ def test_vector_system_work_builds_no_fraction(name):
     assert built == [0]
     assert name not in SMALL_SCALING or group.order() <= 100
     assert averaged.is_consistent()
-    assert crystal.realizations_equivalent(group, averaged).equivalent
+    # the congruence is solved and checked in integers; only the printed
+    # witness, one coordinate per Fraction, leaves them
+    with fractions_built() as built:
+        witness = crystal.realizations_equivalent(group, averaged)
+    assert witness.equivalent
+    assert built[0] <= group.rank
 
 
 def test_fraction_counter_counts_and_restores():

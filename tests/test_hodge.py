@@ -370,9 +370,9 @@ class TestSamplesAndTangent:
         for om in omegas:
             assert hodge.omega_in_T(om)
             tm = hodge.torus_from_omega(om)
-            cls = quotient.classify_action(KUMMER)
+            cls = quotient.classify_action(quotient.all_fixed_loci(KUMMER))
             desc = quotient.orbifold_descriptor(KUMMER)
-            outcomes.add((cls.kind, desc.kind, desc.stratum_summary))
+            outcomes.add((cls.kind, desc.classification.kind, desc.stratum_summary))
         assert outcomes == {("quasi_free", "quasi_free", (((2, 2), 16),))}
 
 

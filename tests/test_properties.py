@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import cardinality
+from conftest import cardinality, congruence_rhs
 from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge, quotient
@@ -66,7 +66,7 @@ def test_torsion_matches_fixed_point_emptiness():
     for g in GROUPS:
         minus_identity = IntMatrix.identity(g.rank).neg()
         fixing = tuple(gi for gi in range(1, g.order()) if solve_affine_congruence(
-            g.linear(gi).add(minus_identity), [-x for x in g.u(gi)]) is not None)
+            g.linear(gi).add(minus_identity), *congruence_rhs([-x for x in g.u(gi)])) is not None)
         report = is_torsion_free(g)
         assert report.offenders == fixing and report.torsion_free == (not fixing)
 
@@ -95,7 +95,7 @@ def test_tangent_oracle_on_random_types():
     for i, g in enumerate(GROUPS):
         if not hodge.is_even(g).even:
             continue
-        assert (quotient.classify_action(g).kind == "free") == \
+        assert (quotient.orbifold_descriptor(g).classification.kind == "free") == \
             is_torsion_free(g).torsion_free
         for t in hodge.hodge_types(g):
             try:
@@ -110,5 +110,6 @@ def test_descriptor_flags_match_classification():
         if not hodge.is_even(g).even:
             continue
         desc = quotient.orbifold_descriptor(g)
-        assert desc.kind == quotient.classify_action(g).kind
+        assert desc.classification.kind == \
+            quotient.classify_action(quotient.all_fixed_loci(g)).kind
         assert all(c.multiplicity >= 2 for c in desc.divisor_classes)

@@ -35,6 +35,10 @@ def crys(data):
     return verify_crystallographic(data)
 
 
+def gpr_order(g):
+    return len(gpr_subgroup(g.group, pseudoreflections(all_fixed_loci(g))))
+
+
 class TestFixedPoints:
     def test_kummer_sixteen(self):
         # |det(-2 I_4)| = 16, cross-checked against half-lattice enumeration
@@ -96,46 +100,46 @@ class TestFixedPoints:
 
 class TestClassification:
     def test_kummer_quasi_free(self):
-        res = classify_action(crys(KUMMER))
+        res = classify_action(all_fixed_loci(crys(KUMMER)))
         assert res.kind == "quasi_free"
         assert res.evidence == ((1, 2),)
 
     def test_bdf_free(self):
-        assert classify_action(crys(BDF)).kind == "free"
+        assert classify_action(all_fixed_loci(crys(BDF))).kind == "free"
 
     def test_pseudoref_divisorial(self):
-        res = classify_action(crys(PSEUDOREF))
+        res = classify_action(all_fixed_loci(crys(PSEUDOREF)))
         assert res.kind == "divisorial"
 
     def test_minus1_rank2_divisorial(self):
         # isolated points on an elliptic curve are branch divisors
-        assert classify_action(crys(MINUS1_RANK2)).kind == "divisorial"
+        assert classify_action(all_fixed_loci(crys(MINUS1_RANK2))).kind == "divisorial"
 
     def test_agreement_with_torsion(self):
         for data in (KUMMER, BDF, PSEUDOREF, MIXED, MINUS1_RANK2):
             g = crys(data)
             tf = is_torsion_free(g).torsion_free
-            assert (classify_action(g).kind == "free") == tf
+            assert (classify_action(all_fixed_loci(g)).kind == "free") == tf
 
     def test_odd_group_rejected(self):
         g = crys(CrystData.make(2, [(D(1, -1), (0, 0))]))
         with pytest.raises(ValueError):
-            classify_action(g)
+            orbifold_descriptor(g)
 
 
 class TestPseudoreflections:
     def test_product_reflection(self):
         # complex eigenvalues (1, -1): fixed hyperplane
         g = crys(PSEUDOREF)
-        assert pseudoreflections(g) == (1,)
+        assert pseudoreflections(all_fixed_loci(g)) == (1,)
 
     def test_minus_identity_not_reflection_rank4(self):
         g = crys(KUMMER)
-        assert pseudoreflections(g) == ()
+        assert pseudoreflections(all_fixed_loci(g)) == ()
 
     def test_mixed_group(self):
         g = crys(MIXED)
-        refl = pseudoreflections(g)
+        refl = pseudoreflections(all_fixed_loci(g))
         assert len(refl) == 1
         lin = g.linear(refl[0])
         assert [lin.at(i, i) for i in range(4)] == [1, 1, -1, -1]
@@ -144,38 +148,39 @@ class TestPseudoreflections:
 class TestGpr:
     def test_trivial_when_no_reflections(self):
         g = crys(KUMMER)
-        assert gpr_subgroup(g).order() == 1
+        assert gpr_order(g) == 1
 
     def test_whole_group(self):
         g = crys(PSEUDOREF)
-        assert gpr_subgroup(g).order() == g.order()
+        assert gpr_order(g) == g.order()
 
     def test_mixed_index_two(self):
         g = crys(MIXED)
-        sub = gpr_subgroup(g)
-        assert sub.order() == 2
-        rep = factorization_report(g)
+        assert gpr_order(g) == 2
+        loci = all_fixed_loci(g)
+        rep = factorization_report(g.group, loci, pseudoreflections(loci))
+        assert rep == orbifold_descriptor(g).factorization
         assert rep.index == 2
         assert rep.quasi_etale
-        assert not rep.first_map_trivial
-        assert not rep.second_map_trivial
+        assert rep.gpr_order != 1
+        assert rep.index != 1
         # the elements outside G^pr with fixed points sit in codim >= 2
         assert rep.audit and all(c >= 2 for _, c in rep.audit)
 
     def test_kummer_factorization(self):
-        rep = factorization_report(crys(KUMMER))
-        assert rep.first_map_trivial
+        rep = orbifold_descriptor(crys(KUMMER)).factorization
+        assert rep.gpr_order == 1
         assert rep.quasi_etale
 
     def test_gpr_equals_group_second_map_identity(self):
-        rep = factorization_report(crys(PSEUDOREF))
-        assert rep.second_map_trivial
+        rep = orbifold_descriptor(crys(PSEUDOREF)).factorization
+        assert rep.index == 1
 
 
 class TestDescriptor:
     def test_free_descriptor(self):
         d = orbifold_descriptor(crys(BDF))
-        assert d.kind == "free"
+        assert d.classification.kind == "free"
         assert d.divisor_classes == ()
         assert d.stratum_summary == ()
 
@@ -183,20 +188,20 @@ class TestDescriptor:
         # 4 divisor components (E x 2-torsion points), each its own orbit,
         # multiplicity 2
         d = orbifold_descriptor(crys(PSEUDOREF))
-        assert d.kind == "divisorial"
-        assert sum(c.component_count for c in d.divisor_classes) == 4
+        assert d.classification.kind == "divisorial"
+        assert sum(c.orbit_size for c in d.divisor_classes) == 4
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
         assert d.stratum_summary == ()
 
     def test_kummer_descriptor(self):
         d = orbifold_descriptor(crys(KUMMER))
-        assert d.kind == "quasi_free"
+        assert d.classification.kind == "quasi_free"
         assert d.divisor_classes == ()
         assert d.stratum_summary == (((2, 2), 16),)
 
     def test_mixed_descriptor(self):
         d = orbifold_descriptor(crys(MIXED))
-        assert d.kind == "divisorial"
+        assert d.classification.kind == "divisorial"
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
         # the -I-with-shift element contributes 16 isolated codim-2 points
         assert (((2, 2), 16)) in d.stratum_summary
@@ -204,8 +209,8 @@ class TestDescriptor:
     def test_elliptic_involution_descriptor(self):
         # four 2-torsion branch points of multiplicity 2 on the quotient line
         d = orbifold_descriptor(crys(MINUS1_RANK2))
-        assert d.kind == "divisorial"
-        assert sum(c.component_count for c in d.divisor_classes) == 4
+        assert d.classification.kind == "divisorial"
+        assert sum(c.orbit_size for c in d.divisor_classes) == 4
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
 
     def test_stabilizers_cyclic(self):

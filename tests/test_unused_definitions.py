@@ -1,11 +1,14 @@
 """Every function, class and method defined in src/crystorb is referenced
 somewhere else in src/crystorb, so library code that only the tests call
 does not grow back; such code belongs in the test module that uses it.
+Likewise every field of a dataclass in src/crystorb is read somewhere in
+src/crystorb, so a result carries no value that nothing consumes.
 
 A definition counts as referenced when some module of the package reads its
-name, as a name or as an attribute, outside the definition's own body.  The
-scan matches names, not objects: two methods of one name share their
-references.  Dunder methods are called by the language and are exempt."""
+name, as a name or as an attribute, outside the definition's own body; a
+field counts as read when some module loads an attribute of its name.  The
+scans match names, not objects: two methods or fields of one name share
+their reads.  Dunder methods are called by the language and are exempt."""
 
 import ast
 from pathlib import Path
@@ -20,6 +23,13 @@ ALLOWED = {
     ("exactla", "rank_rat"): "perfbench/tracing.py traces it by name (ROADMAP item 1)",
 }
 
+# (module, class, field): why it stays with no reader in the package
+ALLOWED_FIELDS = {
+    ("hodge", "TorusModel", "oriented"):
+        "its omega_in_T test is the one corpus call of fieldlin.det, which "
+        "perfbench/tracing.py traces by name (ROADMAP item 1)",
+}
+
 
 def _names_read(node):
     """Every name read under `node`, once per occurrence."""
@@ -30,11 +40,15 @@ def _names_read(node):
             yield sub.attr
 
 
+def _modules(package):
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def unreferenced(package):
     """(module, name, line) of each definition in the modules of `package`
     whose name is read nowhere outside its own body."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
+    trees = _modules(package)
     reads = {}
     for tree in trees.values():
         for name in _names_read(tree):
@@ -53,6 +67,26 @@ def unreferenced(package):
     return found
 
 
+def unread_fields(package):
+    """(module, class, field, line) of each annotated field of a @dataclass
+    in the modules of `package` that no module loads as an attribute."""
+    trees = _modules(package)
+    loaded = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in _names_read(d) for d in node.decorator_list)):
+                continue
+            found.extend((module, node.name, stmt.target.id, stmt.lineno)
+                         for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)
+                         and stmt.target.id not in loaded)
+    return found
+
+
 def test_every_definition_is_referenced():
     found = {(module, name) for module, name, _ in unreferenced(PACKAGE)}
     assert found - set(ALLOWED) == set()
@@ -68,3 +102,17 @@ def test_scan_finds_an_unreferenced_definition(tmp_path):
     (tmp_path / "b.py").write_text("from a import Used\n\nUsed().method()\n\n"
                                    "def only_here():\n    pass\n")
     assert unreferenced(tmp_path) == [("a", "lonely", 8), ("b", "only_here", 5)]
+
+
+def test_every_dataclass_field_is_read():
+    found = {(module, cls, name) for module, cls, name, _ in unread_fields(PACKAGE)}
+    assert found == set(ALLOWED_FIELDS)
+
+
+def test_scan_finds_an_unread_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    kind: str\n    spare: int\n\n\n"
+        "class Plain:\n    unread: int\n\n\n"
+        "def show(r):\n    r.spare = 0\n    return Report(r.kind, spare=1)\n")
+    assert unread_fields(tmp_path) == [("a", "Report", "spare", 7)]
