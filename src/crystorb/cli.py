@@ -225,12 +225,10 @@ def decimal_str(x, precision_bits):
     return f"{lo:.{digits - 1 - e}f}" + "." * (e == digits - 1)
 
 
-def structure_report(structure, witness, precision_bits):
+def structure_report(structure, precision_bits):
     """An exact J as "p/q" strings; an algebraic J as the power-basis
     coordinates of its entries in Q(zeta_N), with decimals rendered from
     them.  Both residuals are exactly 0."""
-    if structure is None:
-        return {"exists": False, "witness": list(witness)}
     out = {"exists": True, "mode": structure.mode, "precision_bits": precision_bits,
            "j_squared_residual": "0", "commutator_residual": "0"}
     if structure.mode == "exact":
@@ -293,10 +291,12 @@ def cmd_verify(doc, opts):
 def cmd_realize(doc, opts):
     group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
     if "cocycle" in doc:
-        f = _parse_cocycle(doc, group)
+        try:
+            averaged = crystal.affine_realization(group.group, _parse_cocycle(doc, group))
+        except crystal.CocycleViolation as exc:
+            _fail("input.cocycle", str(exc))
     else:
-        f = crystal.cocycle_from_system(group)
-    averaged = crystal.affine_realization(group.group, f)
+        averaged = crystal.affine_realization(group.group, crystal.cocycle_from_system(group))
     eq = crystal.realizations_equivalent(group, averaged)
     elements = range(group.order())
     return {
@@ -347,14 +347,15 @@ def cmd_even(doc, opts):
 
 def cmd_jstruct(doc, opts):
     group, _ = _build_group(parse_cryst_data(doc), opts["bound"])
+    ev = hodge.is_even(group)
+    if not ev.even:
+        return {"exists": False, "witness": list(ev.odd_witness), "even": False}
     try:
-        res = hodge.invariant_complex_structure(group, seed=opts["seed"])
+        structure = hodge.invariant_complex_structure(group, ev, seed=opts["seed"])
     except hodge.UnsupportedSample:
-        # only even groups reach the sampler: J exists, but is not built
+        # J exists, but is not built
         return {"exists": True, "mode": "unsupported", "even": True}
-    out = structure_report(res.structure, res.evenness.odd_witness, opts["precision"])
-    out["even"] = res.evenness.even
-    return out
+    return {**structure_report(structure, opts["precision"]), "even": True}
 
 
 def cmd_action(doc, opts):
@@ -365,7 +366,7 @@ def cmd_action(doc, opts):
             "input.generators: the action admits no invariant complex "
             f"structure (odd classes: {', '.join(ev.odd_witness)}); "
             "the complex classification is undefined")
-    desc = quotient.orbifold_descriptor(group)
+    desc = quotient.orbifold_descriptor(group, ev)
     cls, fact = desc.classification, desc.factorization
     return {
         "classification": cls.kind,
@@ -408,7 +409,7 @@ def cmd_teich(doc, opts):
         out["types"] = []
         out["odd_witness"] = list(ev.odd_witness)
         return out
-    types = hodge.hodge_types(group)
+    types = hodge.hodge_types(ev)
     rows = []
     for t in types:
         entry = {
@@ -417,11 +418,11 @@ def cmd_teich(doc, opts):
                  "d_chi": s.dims[0], "d_chibar": s.dims[1]}
                 for s in t.splits
             ],
-            "dimension": hodge.component_dimension(t, group),
+            "dimension": hodge.component_dimension(t),
         }
         try:
-            B = hodge.sample_subspace(group, t, seed=opts["seed"])
-            entry["tangent_dimension"] = hodge.tangent_dimension(group, B)
+            _, action = hodge.sample_subspace(group, t, seed=opts["seed"])
+            entry["tangent_dimension"] = hodge.tangent_dimension(action)
             entry["tangent_agrees"] = entry["tangent_dimension"] == entry["dimension"]
         except hodge.UnsupportedSample:
             entry["tangent_dimension"] = None
@@ -486,10 +487,9 @@ def cmd_platonic(doc, opts):
                     _fail(f"input.multiplicities[{i}]", "must be an integer >= 1")
             if len(loops) != len(mults):
                 _fail("input.multiplicities", "one multiplicity per loop required")
-            # a loop of multiplicity 1 is forgotten, as orbifold_quotient does
-            for i, (w, m) in enumerate(zip(loops, mults)):
-                if m > 1 and any(x == 0 or abs(x) > len(p.generators)
-                                 for x in orbpi.free_reduce(tuple(w))):
+            for i, w in enumerate(loops):
+                if any(x == 0 or abs(x) > len(p.generators)
+                       for x in orbpi.free_reduce(tuple(w))):
                     _fail(f"input.loops[{i}]", "letter out of range")
             p = orbpi.orbifold_quotient(p, [tuple(w) for w in loops], mults)
         order = orbpi.coset_enumerate(p, bound=opts["bound"])
@@ -594,7 +594,7 @@ def main(argv=None):
         else:
             _render_text(report, sys.stdout)
         return 0
-    except (ValidationError, OSError, crystal.CocycleViolation, ValueError) as exc:
+    except (ValidationError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:   # internal failure

@@ -83,12 +83,6 @@ class ComplexStructure:
         return self.entries[0][0].field.order
 
 
-@dataclass(frozen=True)
-class JSearchResult:
-    structure: object         # ComplexStructure or None
-    evenness: EvennessReport
-
-
 # ---------------------------------------------------------------------------
 # exact search machinery
 
@@ -335,27 +329,29 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     return out
 
 
-def invariant_complex_structure(crys: CrystGroup, seed=0) -> JSearchResult:
+def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
+                                seed=0) -> ComplexStructure:
     """Construct a complex structure commuting with the point group.
 
-    Existence is decided by is_even alone.  For an even group one search
+    Existence is decided by the caller's evenness report `ev` alone:
+    ValueError when it is not even.  For an even group one search
     takes the first X with X^2 = -c I, c a rational square, whose X / sqrt(c)
     commutes with every generator: pairing patterns, group elements, then
     skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form).
     When it finds none, J is the complex structure of the sample point of
     the first Hodge type, exact over a cyclotomic field; UnsupportedSample
     when the sampler does not construct that type."""
-    ev = is_even(crys)
     if not ev.even:
-        return JSearchResult(None, ev)
+        raise ValueError("a group that is not even admits no invariant complex structure")
     mats = [m.to_lists() for m in crys.group.elements]
     gens = [mats[s] for s in crys.group.generators]
     J = _action_j(mats, gens, seed)
     if J is None:
-        J = torus_from_omega(sample_omega(crys, hodge_types(crys)[0], seed)).J.entries
+        B, _ = sample_subspace(crys, hodge_types(ev)[0], seed)
+        J = torus_from_omega(OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B)))).J.entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
     _require(_commutes_with_all(J, gens), "J does not commute with the action")
-    return JSearchResult(ComplexStructure.of(J), ev)
+    return ComplexStructure.of(J)
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +464,13 @@ class HodgeType:
                    * s.degree for s in self.splits)
 
 
-def hodge_types(crys: CrystGroup):
-    """All admissible splits d_chi + d_chibar across conjugate pairs.
+def hodge_types(ev: EvennessReport):
+    """All admissible splits d_chi + d_chibar across conjugate pairs, read
+    off the caller's evenness report `ev`.
 
     Complex-type pairs admit any split of their multiplicity; real and
     quaternionic classes are forced to the balanced split.  The total
     holomorphic dimension is n for every type."""
-    ev = is_even(crys)
     if not ev.even:
         raise ValueError("Hodge types exist only for even groups")
     classes = ev.report.classes
@@ -489,12 +485,13 @@ def hodge_types(crys: CrystGroup):
         splits = tuple(ClassSplit(c.labels, c.fs_type, c.degree, c.multiplicity, a)
                        for c, a in zip(classes, combo))
         t = HodgeType(splits)
-        _require(t.holomorphic_dim == crys.n, "Hodge type does not have dimension n")
+        _require(2 * t.holomorphic_dim == ev.report.rank,
+                 "Hodge type does not have dimension n")
         out.append(t)
     return out
 
 
-def component_dimension(t: HodgeType, crys: CrystGroup) -> int:
+def component_dimension(t: HodgeType) -> int:
     """Dimension of the fixed-locus component: a product of Grassmannians of
     multiplicity spaces, sum of a*(m-a) per constituent character."""
     total = 0
@@ -601,8 +598,10 @@ def _sqrt_rational(c):
 def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     """An explicit invariant subspace of the given Hodge type.
 
-    Returns a 2n x n matrix over a cyclotomic field (list of rows); columns
-    span V with V + conj V = C^2n.  A complex pair (chi, conj chi) contributes
+    Returns (B, action): B a 2n x n matrix over a cyclotomic field (list of
+    rows) whose columns span V with V + conj V = C^2n, and action the
+    matrices rho_g of the generators on it, L(g) B = B rho_g, which the
+    invariance check solves.  A complex pair (chi, conj chi) contributes
     the first a d columns of a basis W of the isotypic part W_chi, then the
     conjugates of its other (m - a) d columns: every L(g) is real, so conj
     W_chi = W_conj chi, and those conjugates complement conj V inside it.  A
@@ -653,28 +652,22 @@ def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
     _require(len(B[0]) == crys.n, "sampled subspace does not have dimension n")
     _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w,
              "sampled subspace meets its conjugate")
-    _block_action(crys, B, gens)   # raises if not invariant
-    return B
+    return B, _block_action(crys, B, gens)   # raises if not invariant
 
 
-def tangent_dimension(crys: CrystGroup, B) -> int:
+def tangent_dimension(action) -> int:
     """Dimension of the invariant-subspace deformations at a sample point.
 
     Computed as the rank deficiency of the equivariance equations on maps
     Psi from the subspace to its complementary conjugate: with L(g) B = B rho_g
     and L(g) real, L(g) conj B = conj B conj(rho_g), so Psi rho_g =
-    conj(rho_g) Psi for every generator.  A pure linear-algebra computation,
+    conj(rho_g) Psi for every generator, with `action` the rho_g that
+    `sample_subspace` returns.  A pure linear-algebra computation,
     independent of the character-theoretic dimension formula."""
-    identity = _identity(crys.n, B[0][0].field(1))
+    identity = _identity(len(action[0]), action[0][0][0].field(1))
     rows = []
-    for rho in _block_action(crys, B, crys.group.generators):
+    for rho in action:
         # unknown Psi (n x n): Psi rho - conj(rho) Psi = 0
         rows += _matrix_equation([(identity, rho), (_neg(_conj_cols(rho)), identity)])
     return len(fieldlin.nullspace(rows))
 
-
-def sample_omega(crys: CrystGroup, t: HodgeType, seed=0) -> OmegaMatrix:
-    """The OmegaMatrix of `sample_subspace`: an exact sample point of the
-    component."""
-    B = sample_subspace(crys, t, seed)
-    return OmegaMatrix(len(B), len(B[0]), tuple(tuple(row) for row in B))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from . import exactla, hodge
+from . import exactla
 from .crystal import CrystGroup
 from .exactla import IntMatrix, SolutionSet
 from .groupcore import MatrixGroup, _require
@@ -227,12 +227,12 @@ def _orbit_keys(crys, sub: Subtorus, lattices):
     return keys
 
 
-def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
+def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
     """The classification, the pseudoreflections and the factorization
     through G^pr, then branch-divisor classes with multiplicities plus the
     summary of the deeper (complex codimension >= 2) singular strata, all
-    read off one pass over the fixed loci.  Raises ValueError for a group
-    that is not even.
+    read off one pass over the fixed loci.  Raises ValueError when the
+    caller's evenness report `ev` (`hodge.is_even`) is not even.
 
     Divisor components are grouped into orbits of the full group action
     (classes live on the quotient); the multiplicity of a class is the
@@ -244,7 +244,7 @@ def orbifold_descriptor(crys: CrystGroup) -> OrbifoldDescriptor:
     class, in element then point order, meet every orbit, and each one
     outside the orbits found so far is its orbit's first component over all
     of G.  Conjugate components have stabilizers of equal order."""
-    if not hodge.is_even(crys).even:
+    if not ev.even:
         raise ValueError("the action admits no invariant complex structure; "
                          "complex classification is undefined")
     loci = all_fixed_loci(crys)

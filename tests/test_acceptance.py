@@ -96,7 +96,8 @@ def test_criterion_2_determinant_fixed_point_oracle():
     kummer = GROUPS["kummer4"]
     locus = quotient.fixed_points(kummer, 1)
     assert cardinality(locus.solutions) == 16
-    assert quotient.orbifold_descriptor(kummer).classification.kind == "quasi_free"
+    desc = quotient.orbifold_descriptor(kummer, hodge.is_even(kummer))
+    assert desc.classification.kind == "quasi_free"
     announce(2, f"|fixed points| = |det(L-I)| exactly on {checked} corpus elements; "
                 "Kummer has 16 fixed points and is quasi-free")
 
@@ -104,13 +105,15 @@ def test_criterion_2_determinant_fixed_point_oracle():
 def test_criterion_3_free_action_certification():
     bdf = GROUPS["bdf_surface"]
     assert is_torsion_free(bdf).torsion_free
-    assert quotient.orbifold_descriptor(bdf).classification.kind == "free"
+    assert quotient.orbifold_descriptor(bdf, hodge.is_even(bdf)).classification.kind == "free"
 
     agreements = 0
     for name, g in GROUPS.items():
         tf = is_torsion_free(g).torsion_free
-        if hodge.is_even(g).even:
-            assert (quotient.orbifold_descriptor(g).classification.kind == "free") == tf, name
+        ev = hodge.is_even(g)
+        if ev.even:
+            desc = quotient.orbifold_descriptor(g, ev)
+            assert (desc.classification.kind == "free") == tf, name
             agreements += 1
     announce(3, f"Bagnera-de Franchis entry certified free by both routes; "
                 f"torsion and classification answers agree on all {agreements} even entries")
@@ -129,12 +132,14 @@ def test_criterion_4_evenness_biconditional():
 
     exact_seen = algebraic_seen = 0
     for name, g in GROUPS.items():
-        res = hodge.invariant_complex_structure(g, seed=0)
-        even = hodge.is_even(g).even
-        assert (res.structure is not None) == even, name
-        if res.structure is None:
+        ev = hodge.is_even(g)
+        try:
+            s = hodge.invariant_complex_structure(g, ev, seed=0)
+        except ValueError:
+            s = None
+        assert (s is not None) == ev.even, name
+        if s is None:
             continue
-        s = res.structure
         if s.mode == "exact":
             exact_seen += 1
         else:
@@ -206,14 +211,14 @@ def test_criterion_6_character_machinery():
 
 def test_criterion_7_orbifold_descriptor():
     prod = GROUPS["pseudoref_product"]
-    desc = quotient.orbifold_descriptor(prod)
+    desc = quotient.orbifold_descriptor(prod, hodge.is_even(prod))
     assert desc.classification.kind == "divisorial"
     assert sum(c.orbit_size for c in desc.divisor_classes) == 4
     assert all(c.multiplicity == 2 for c in desc.divisor_classes)
     assert len(quotient.gpr_subgroup(prod.group, desc.pseudoreflections)) == prod.order()
 
     mixed = GROUPS["mixed_c2c2"]
-    fact = quotient.orbifold_descriptor(mixed).factorization
+    fact = quotient.orbifold_descriptor(mixed, hodge.is_even(mixed)).factorization
     assert fact.index == 2
     assert fact.quasi_etale
     assert fact.audit and all(codim >= 2 for _, codim in fact.audit)
@@ -224,23 +229,23 @@ def test_criterion_7_orbifold_descriptor():
 def test_criterion_8_teichmueller_components():
     for n in (1, 2, 3):
         g = GROUPS[f"trivial_rank{2 * n}"]
-        types = hodge.hodge_types(g)
+        types = hodge.hodge_types(hodge.is_even(g))
         assert len(types) == 1
-        assert hodge.component_dimension(types[0], g) == n * n
+        assert hodge.component_dimension(types[0]) == n * n
 
     rot4 = GROUPS["rot4_rank2"]
-    types = hodge.hodge_types(rot4)
+    types = hodge.hodge_types(hodge.is_even(rot4))
     assert len(types) == 2
-    assert [hodge.component_dimension(t, rot4) for t in types] == [0, 0]
+    assert [hodge.component_dimension(t) for t in types] == [0, 0]
 
     checked = 0
     for name, g in GROUPS.items():
         if not hodge.is_even(g).even:
             continue
-        for t in hodge.hodge_types(g):
-            B = hodge.sample_subspace(g, t, seed=0)
-            oracle = hodge.tangent_dimension(g, B)
-            assert oracle == hodge.component_dimension(t, g), (name, describe(t))
+        for t in hodge.hodge_types(hodge.is_even(g)):
+            _, action = hodge.sample_subspace(g, t, seed=0)
+            oracle = hodge.tangent_dimension(action)
+            assert oracle == hodge.component_dimension(t), (name, describe(t))
             checked += 1
     announce(8, f"trivial G gives one type of dimension n^2 for n in 1..3; the "
                 f"order-4 rotation gives two rigid types; the tangent oracle "

@@ -200,6 +200,29 @@ class TestExitCodes:
         assert code == 2
         assert "internal error" in err
 
+    def test_bad_document_cocycle_located(self, capsys, tmp_path):
+        doc = {"rank": 2, "generators": [{"linear": [[-1, 0], [0, -1]]}],
+               "cocycle": [[1, 1, [1, 0]]]}
+        code, out, err = run(capsys, "realize", "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: input.cocycle: cocycle identity fails at (1, 1, 1)\n"
+
+    def test_internal_cocycle_fault_exit_two(self, capsys, tmp_path, monkeypatch):
+        # the cocycle of a checked vector system is the program's own: a
+        # violation there is an internal fault, not bad input
+        build = crystal.cocycle_from_system
+
+        def broken(group):
+            values = {**build(group).values, (1, 1): (1, 0)}
+            return crystal.ExtensionCocycle(group.group, values)
+
+        monkeypatch.setattr(crystal, "cocycle_from_system", broken)
+        doc = {"rank": 2, "generators": [{"linear": [[-1, 0], [0, -1]]}]}
+        code, out, err = run(capsys, "realize", "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == ("internal error: CocycleViolation: "
+                       "cocycle identity fails at (1, 1, 1)\n")
+
 
 class TestDeterminism:
     COMMANDS_FOR = {
@@ -299,6 +322,9 @@ class TestPlatonicLoopErrors:
         ({**_CYCLIC3, "loops": [[1], [1, 1]], "multiplicities": [2]},
          "input.multiplicities: one multiplicity per loop required"),
         ({**_CYCLIC3, "loops": [[2]], "multiplicities": [3]},
+         "input.loops[0]: letter out of range"),
+        # a loop of multiplicity 1 adds no relator, but its letters are read
+        ({**_CYCLIC3, "loops": [[5, 0]], "multiplicities": [1]},
          "input.loops[0]: letter out of range"),
     ])
     def test_error_names_the_path(self, capsys, tmp_path, doc, message):

@@ -47,9 +47,10 @@ def even_runs():
     for seed in range(4):
         for name, doc in sorted(family.seeded_documents(docs, seed).items()):
             g = crystal_group(doc)
-            if hodge.is_even(g).even:
+            ev = hodge.is_even(g)
+            if ev.even:
                 runs += 1
-                J = hodge.invariant_complex_structure(g).structure
+                J = hodge.invariant_complex_structure(g, ev)
                 if J.mode == "algebraic":
                     algebraic.append((name, seed, J))
     return runs, algebraic

@@ -23,7 +23,7 @@ from conftest import (
     points,
 )
 
-from crystorb import exactla, fieldlin, quotient
+from crystorb import exactla, fieldlin, hodge, quotient
 from crystorb.crystal import is_torsion_free
 from crystorb.exactla import IntMatrix
 from crystorb.quotient import Subtorus
@@ -201,7 +201,7 @@ def test_fixed_locus_geometry_matches_oracles(case):
     ids=str)
 def test_descriptor_matches_oracle(case):
     crys = _group(case)
-    desc = quotient.orbifold_descriptor(crys)
+    desc = quotient.orbifold_descriptor(crys, hodge.is_even(crys))
     classes, summary = oracle_descriptor(crys, oracle_fixed_sets(crys))
     assert [(c.representative.base, c.representative.basis, c.multiplicity, c.orbit_size)
             for c in desc.divisor_classes] == classes
@@ -221,7 +221,7 @@ def test_descriptor_work_counts(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    desc = quotient.orbifold_descriptor(crys)
+    desc = quotient.orbifold_descriptor(crys, hodge.is_even(crys))
     monkeypatch.undo()
     sets = oracle_fixed_sets(crys)
     orbits = []

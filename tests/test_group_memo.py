@@ -3,7 +3,9 @@
 The conjugacy classes, the character table and the isotypic report live on
 the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
-each of them once, and nothing outside the group keeps it alive.  A J
+each of them once, and nothing outside the group keeps it alive.  Each
+command on the Hodge side decides evenness once and hands the report on,
+and the sampler's generator action serves the tangent count.  A J
 search likewise builds the lattice's skew-form system and Gram sum once.
 The character table splits its class algebra without a linear solve, an
 integer matrix product copies neither operand into lists, and the vector
@@ -66,9 +68,9 @@ def _expected(nontrivial_classes):
 def test_action_job_computes_each_invariant_once(monkeypatch, capsys, tmp_path):
     # every corpus entry: a job on an even group builds one table and one
     # fixed set per nontrivial class, derives each answer once from one pass
-    # over the fixed loci, and reads evenness at most twice (the command's
-    # error message and the descriptor's check); a job on a group that is
-    # not even stops after the first evenness test
+    # over the fixed loci, and decides evenness once, in the command, which
+    # hands the report to the descriptor; a job on a group that is not even
+    # stops after that test
     stages = {name: 1 for _, name in ACTION_STAGES[1:]}
     even = []
     for name, doc in corpus_documents().items():
@@ -82,7 +84,7 @@ def test_action_job_computes_each_invariant_once(monkeypatch, capsys, tmp_path):
         is_even = counts.pop("is_even")
         if code == 0:
             even.append(name)
-            assert 1 <= is_even <= 2, name
+            assert is_even == 1, name
             assert counts == {**_expected(classes - 1), **stages}, name
         else:
             assert (code, is_even) == (1, 1), name
@@ -90,10 +92,48 @@ def test_action_job_computes_each_invariant_once(monkeypatch, capsys, tmp_path):
     assert len(even) == 15 and "mixed_c2c2" in even
 
 
+def test_hodge_jobs_decide_evenness_once(monkeypatch, capsys, tmp_path):
+    # every corpus entry: `even`, `jstruct`, `teich` and `action` test
+    # evenness once, in the command, and the library reads that report; a
+    # `teich` job solves the generator action of each sampled B once, in
+    # the sampler's invariance check, and the tangent count reads it
+    sampled = blocks = 0
+    for name, doc in corpus_documents().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("even", "jstruct", "teich", "action"):
+            counts = _counter(monkeypatch, ((hodge, "is_even"),))
+            samples, solved = [], []
+            sample, block_action = hodge.sample_subspace, hodge._block_action
+
+            def recorded_sample(*args, **kwargs):
+                result = sample(*args, **kwargs)
+                samples.append(result[0])
+                return result
+
+            def recorded_action(crys, basis, indices):
+                solved.append(basis)
+                return block_action(crys, basis, indices)
+
+            monkeypatch.setattr(hodge, "sample_subspace", recorded_sample)
+            monkeypatch.setattr(hodge, "_block_action", recorded_action)
+            cli.main([command, "--input", str(path), "--format", "json"])
+            monkeypatch.undo()
+            capsys.readouterr()
+            assert counts == {"is_even": 1}, (name, command)
+            for B in samples:
+                assert sum(basis is B for basis in solved) == 1, (name, command)
+            sampled += len(samples)
+            blocks += sum(all(basis is not B for B in samples) for basis in solved)
+    # the rational blocks of real and quaternionic classes are solved too,
+    # and are told apart from the sampled Bs
+    assert (sampled, blocks) == (22, 14)
+
+
 def test_classification_and_descriptor_share_one_analysis(calls, monkeypatch):
     g = _group("c6_rank2")
     stages = _counter(monkeypatch, ACTION_STAGES)
-    desc = quotient.orbifold_descriptor(g)
+    desc = quotient.orbifold_descriptor(g, hodge.is_even(g))
     assert desc.classification.kind == "divisorial"
     assert calls == _expected(len(g.group.classes) - 1)
     assert stages == dict.fromkeys(stages, 1)
@@ -110,7 +150,7 @@ def test_torsion_test_reads_the_fixed_sets(calls):
 def test_group_is_freed_after_analysis():
     g = _group("c3_rank2")
     assert hodge.is_even(g).even
-    assert hodge.invariant_complex_structure(g).structure is not None
+    assert hodge.invariant_complex_structure(g, hodge.is_even(g)) is not None
     ref = weakref.ref(g.group)
     del g
     gc.collect()
@@ -136,7 +176,7 @@ def test_j_search_builds_each_skew_system_once(monkeypatch):
 
     monkeypatch.setattr(hodge, "kernel_q", counted_kernel)
     monkeypatch.setattr(hodge, "_sum_gram", counted_gram)
-    J = hodge.invariant_complex_structure(g).structure
+    J = hodge.invariant_complex_structure(g, hodge.is_even(g))
     assert J.mode == "algebraic" and J.field_order == 12
     assert_invariant_j(J.entries, g.group)
 

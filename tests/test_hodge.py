@@ -64,6 +64,16 @@ def crys(rank, *gens):
         CrystData.make(rank, [(g, (0,) * rank) for g in gens]))
 
 
+def jstruct(g, seed=0):
+    return hodge.invariant_complex_structure(g, hodge.is_even(g), seed)
+
+
+def sample_omega(g, t, seed=0):
+    """The OmegaMatrix of the sample point of the Hodge type t."""
+    B, _ = hodge.sample_subspace(g, t, seed)
+    return hodge.OmegaMatrix(len(B), len(B[0]), tuple(tuple(row) for row in B))
+
+
 TRIV2 = crys(2)
 ROT4G = crys(2, ROT4)
 C3G = crys(2, C3)
@@ -107,25 +117,26 @@ class TestIsEven:
 
 class TestInvariantComplexStructure:
     def test_trivial_standard(self):
-        res = hodge.invariant_complex_structure(TRIV2)
-        assert res.structure.mode == "exact"
-        assert res.structure.entries == ((F(0), F(-1)), (F(1), F(0)))
+        structure = jstruct(TRIV2)
+        assert structure.mode == "exact"
+        assert structure.entries == ((F(0), F(-1)), (F(1), F(0)))
 
     def test_rot4_is_its_own_structure(self):
-        res = hodge.invariant_complex_structure(ROT4G)
-        assert res.structure.mode == "exact"
-        assert res.structure.entries == ((F(0), F(-1)), (F(1), F(0)))
+        structure = jstruct(ROT4G)
+        assert structure.mode == "exact"
+        assert structure.entries == ((F(0), F(-1)), (F(1), F(0)))
 
     def test_diag_none_with_witness(self):
-        res = hodge.invariant_complex_structure(DIAG)
-        assert res.structure is None
-        assert len(res.evenness.odd_witness) == 2
+        ev = hodge.is_even(DIAG)
+        with pytest.raises(ValueError):
+            hodge.invariant_complex_structure(DIAG, ev)
+        assert len(ev.odd_witness) == 2
 
     def test_exact_residuals_zero(self):
         for g in (TRIV2, ROT4G, KUMMER, S3R4, Q8):
-            res = hodge.invariant_complex_structure(g)
-            assert res.structure.mode == "exact"
-            J = res.structure.entries
+            structure = jstruct(g)
+            assert structure.mode == "exact"
+            J = structure.entries
             JJ = fieldlin.mat_mul(J, J)
             w = len(J)
             assert all(JJ[i][j] == (F(-1) if i == j else 0)
@@ -138,24 +149,28 @@ class TestInvariantComplexStructure:
         # the commutant is Q(zeta_3), which contains no square root of -1:
         # no rational J exists although the group is even.  J comes from the
         # sample point, exactly, with entries +-1/sqrt 3 and +-2/sqrt 3
-        res = hodge.invariant_complex_structure(C3G)
-        assert res.structure.mode == "algebraic"
-        assert res.structure.field_order == 12
-        assert_invariant_j(res.structure.entries, C3G.group)
-        third = [[x * x for x in row] for row in res.structure.entries]
+        structure = jstruct(C3G)
+        assert structure.mode == "algebraic"
+        assert structure.field_order == 12
+        assert_invariant_j(structure.entries, C3G.group)
+        third = [[x * x for x in row] for row in structure.entries]
         assert third == [[F(1, 3), F(4, 3)], [F(4, 3), F(1, 3)]]
 
     def test_biconditional_on_sample(self):
         groups = [TRIV2, ROT4G, C3G, DIAG, KUMMER, S3R2, S3R4, Q8,
                   crys(2, C6), crys(2, D(-1, -1))]
         for g in groups:
-            res = hodge.invariant_complex_structure(g)
-            assert (res.structure is not None) == hodge.is_even(g).even
+            ev = hodge.is_even(g)
+            try:
+                structure = hodge.invariant_complex_structure(g, ev)
+            except ValueError:
+                structure = None
+            assert (structure is not None) == ev.even
 
     def test_seed_determinism(self):
-        a = hodge.invariant_complex_structure(C3G, seed=5)
-        b = hodge.invariant_complex_structure(C3G, seed=5)
-        assert a.structure.entries == b.structure.entries
+        a = jstruct(C3G, seed=5)
+        b = jstruct(C3G, seed=5)
+        assert a.entries == b.entries
 
 
 class TestOmega:
@@ -273,35 +288,35 @@ class TestHodgeTypes:
     def test_trivial_counts(self):
         for n in (1, 2, 3):
             g = crys(2 * n)
-            ts = hodge.hodge_types(g)
+            ts = hodge.hodge_types(hodge.is_even(g))
             assert len(ts) == 1
-            assert hodge.component_dimension(ts[0], g) == n * n
+            assert hodge.component_dimension(ts[0]) == n * n
 
     def test_rot4_two_rigid_types(self):
-        ts = hodge.hodge_types(ROT4G)
+        ts = hodge.hodge_types(hodge.is_even(ROT4G))
         assert len(ts) == 2
-        assert [hodge.component_dimension(t, ROT4G) for t in ts] == [0, 0]
+        assert [hodge.component_dimension(t) for t in ts] == [0, 0]
 
     def test_kummer_full_space(self):
-        ts = hodge.hodge_types(KUMMER)
+        ts = hodge.hodge_types(hodge.is_even(KUMMER))
         assert len(ts) == 1
-        assert hodge.component_dimension(ts[0], KUMMER) == 4
+        assert hodge.component_dimension(ts[0]) == 4
 
     def test_non_even_rejected(self):
         with pytest.raises(ValueError):
-            hodge.hodge_types(DIAG)
+            hodge.hodge_types(hodge.is_even(DIAG))
 
     def test_abelian_count_matches_split_enumeration(self):
         # for the doubled rotation the conjugate pair has multiplicity 2:
         # splits 0+2, 1+1, 2+0
         g = crys(4, blowup(ROT4))
-        ts = hodge.hodge_types(g)
+        ts = hodge.hodge_types(hodge.is_even(g))
         assert len(ts) == 3
-        assert sorted(hodge.component_dimension(t, g) for t in ts) == [0, 0, 2]
+        assert sorted(hodge.component_dimension(t) for t in ts) == [0, 0, 2]
 
     def test_split_dims_sum_to_n(self):
         for g in (TRIV2, ROT4G, C3G, KUMMER, S3R4, Q8):
-            for t in hodge.hodge_types(g):
+            for t in hodge.hodge_types(hodge.is_even(g)):
                 assert t.holomorphic_dim == g.n
 
 
@@ -312,33 +327,33 @@ class TestSamplesAndTangent:
     ])
     def test_tangent_matches_formula(self, group, expected):
         g = globals()[group]
-        ts = hodge.hodge_types(g)
+        ts = hodge.hodge_types(hodge.is_even(g))
         dims = []
         for t in ts:
-            B = hodge.sample_subspace(g, t)
-            oracle = hodge.tangent_dimension(g, B)
-            formula = hodge.component_dimension(t, g)
+            _, action = hodge.sample_subspace(g, t)
+            oracle = hodge.tangent_dimension(action)
+            formula = hodge.component_dimension(t)
             assert oracle == formula
             dims.append(formula)
         assert sorted(dims) == sorted(expected) or dims == expected
 
     def test_intermediate_split_tangent(self):
         g = crys(4, blowup(ROT4))
-        for t in hodge.hodge_types(g):
-            B = hodge.sample_subspace(g, t)
-            assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g)
+        for t in hodge.hodge_types(hodge.is_even(g)):
+            _, action = hodge.sample_subspace(g, t)
+            assert hodge.tangent_dimension(action) == hodge.component_dimension(t)
 
     def test_sample_omega_exact_for_gaussian(self):
-        for t in hodge.hodge_types(ROT4G):
-            om = hodge.sample_omega(ROT4G, t)
+        for t in hodge.hodge_types(hodge.is_even(ROT4G)):
+            om = sample_omega(ROT4G, t)
             assert {z.field.order for row in om.entries for z in row} == {4}
             J = hodge.torus_from_omega(om).J
             assert J.mode == "exact"
             assert_invariant_j(J.entries, ROT4G.group)
 
     def test_sample_omega_hexagonal_gives_algebraic_j(self):
-        for t in hodge.hodge_types(C3G):
-            om = hodge.sample_omega(C3G, t)
+        for t in hodge.hodge_types(hodge.is_even(C3G)):
+            om = sample_omega(C3G, t)
             assert {z.field.order for row in om.entries for z in row} == {12}
             J = hodge.torus_from_omega(om).J
             assert J.mode == "algebraic" and J.field_order == 12
@@ -346,8 +361,8 @@ class TestSamplesAndTangent:
 
     def test_sample_spans_are_invariant(self):
         for g in (KUMMER, C3G, S3R4):
-            for t in hodge.hodge_types(g):
-                om = hodge.sample_omega(g, t)
+            for t in hodge.hodge_types(hodge.is_even(g)):
+                om = sample_omega(g, t)
                 for gi in g.group.generators:
                     moved = right_action(om, g.linear(gi))
                     assert same_span(om, moved)
@@ -371,7 +386,7 @@ class TestSamplesAndTangent:
             assert hodge.omega_in_T(om)
             tm = hodge.torus_from_omega(om)
             cls = quotient.classify_action(quotient.all_fixed_loci(KUMMER))
-            desc = quotient.orbifold_descriptor(KUMMER)
+            desc = quotient.orbifold_descriptor(KUMMER, hodge.is_even(KUMMER))
             outcomes.add((cls.kind, desc.classification.kind, desc.stratum_summary))
         assert outcomes == {("quasi_free", "quasi_free", (((2, 2), 16),))}
 
@@ -396,13 +411,13 @@ class TestUnsupportedSamples:
 
     def test_real_class_with_irrational_character(self):
         # the two real characters of degree 2 take the values (-1 +- sqrt 5)/2
-        ts = hodge.hodge_types(D5_DOUBLE)
+        ts = hodge.hodge_types(hodge.is_even(D5_DOUBLE))
         assert [s.fs_type for t in ts for s in t.splits] == ["real", "real"]
         with pytest.raises(hodge.UnsupportedSample, match="rational characters"):
             hodge.sample_subspace(D5_DOUBLE, ts[0])
 
     def test_intermediate_split_of_degree_three_pair(self):
-        (middle,) = [t for t in hodge.hodge_types(C7C3_DOUBLE) if t.splits[0].a == 1]
+        (middle,) = [t for t in hodge.hodge_types(hodge.is_even(C7C3_DOUBLE)) if t.splits[0].a == 1]
         assert middle.splits[0].degree == 3
         with pytest.raises(hodge.UnsupportedSample, match="intermediate splits"):
             hodge.sample_subspace(C7C3_DOUBLE, middle)
@@ -419,7 +434,7 @@ g = verify_crystallographic(CrystData.make(4, [(minus, (0, 0, 0, 0))]))
 # a Hodge type whose holomorphic dimension is miscounted must be refused
 hodge.HodgeType.holomorphic_dim = property(lambda self: -1)
 try:
-    hodge.hodge_types(g)
+    hodge.hodge_types(hodge.is_even(g))
 except ArithmeticError as exc:
     print(exc)
     sys.exit(0)
@@ -481,13 +496,13 @@ for seed in range(4):
         if not hodge.is_even(g).even:
             continue
         hodge._action_j, hodge._sqrt_rational = recorded_search, recorded_root
-        J = hodge.invariant_complex_structure(g).structure
+        J = hodge.invariant_complex_structure(g, hodge.is_even(g))
         hodge._action_j, hodge._sqrt_rational = search, root
         branches[built.pop()] += 1
         assert_invariant_j(J.entries, g.group)
-        for t in hodge.hodge_types(g):
-            B = hodge.sample_subspace(g, t)
-            assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g), name
+        for t in hodge.hodge_types(hodge.is_even(g)):
+            _, action = hodge.sample_subspace(g, t)
+            assert hodge.tangent_dimension(action) == hodge.component_dimension(t), name
 print(json.dumps({"runs": sum(branches.values()), "branches": branches}))
 """
 
@@ -525,13 +540,13 @@ def test_pairing_with_irrational_square_root(monkeypatch):
     sqrt = hodge._sqrt_rational
     monkeypatch.setattr(hodge, "_scaled_root", lambda X: None)
     monkeypatch.setattr(hodge, "_sqrt_rational", lambda c: roots.append(c) or sqrt(c))
-    J = hodge.invariant_complex_structure(g).structure
+    J = jstruct(g)
     assert roots == [5]
     assert J.mode == "algebraic" and J.field_order == 20
     assert_invariant_j(J.entries, g.group)
-    (t,) = hodge.hodge_types(g)
-    B = hodge.sample_subspace(g, t)
-    assert hodge.tangent_dimension(g, B) == hodge.component_dimension(t, g)
+    (t,) = hodge.hodge_types(hodge.is_even(g))
+    _, action = hodge.sample_subspace(g, t)
+    assert hodge.tangent_dimension(action) == hodge.component_dimension(t)
 
 
 # q8_rank4 in a basis where, with the rational searches off, the sampler
@@ -554,7 +569,7 @@ def forged(c):
 hodge._scaled_root = lambda X: None
 hodge._sqrt_rational = forged
 try:
-    hodge.invariant_complex_structure(g)
+    hodge.invariant_complex_structure(g, hodge.is_even(g))
 except ArithmeticError as exc:
     print(asked, exc)
     sys.exit(0 if asked == [2] else 3)

@@ -305,7 +305,7 @@ def test_sampler_pairing_and_tangent(analysed, monkeypatch):
     table = crys.group.table
     chars = {c.label: c for c in table.characters}
     generators = set(crys.group.generators) | {0}
-    for t in hodge.hodge_types(crys):
+    for t in hodge.hodge_types(hodge.is_even(crys)):
         pairings.clear()
         want = []
         for s in t.splits:
@@ -316,14 +316,14 @@ def test_sampler_pairing_and_tangent(analysed, monkeypatch):
             acts = oracle_block_action(crys, R, generators)
             want.append(oracle_sqrt_minus_one_in_commutant(acts, len(R[0]), 0))
         try:
-            B = hodge.sample_subspace(crys, t)
+            B, action = hodge.sample_subspace(crys, t)
         except hodge.UnsupportedSample:
             B = None
         assert pairings == want[:len(pairings)]
         if B is None:
             continue
         assert pairings == want
-        assert hodge.tangent_dimension(crys, B) == oracle_tangent_dimension(crys, B)
+        assert hodge.tangent_dimension(action) == oracle_tangent_dimension(crys, B)
 
 
 @pytest.mark.parametrize("name", sorted(_groups(every_member=True)))
@@ -340,8 +340,8 @@ def test_integer_candidate_test_matches_fractions(name, monkeypatch):
         return search(candidates, gens)
 
     monkeypatch.setattr(hodge, "_rational_j", recorded)
-    hodge.invariant_complex_structure(crys)
-    for t in hodge.hodge_types(crys):
+    hodge.invariant_complex_structure(crys, hodge.is_even(crys))
+    for t in hodge.hodge_types(hodge.is_even(crys)):
         try:
             hodge.sample_subspace(crys, t)
         except hodge.UnsupportedSample:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import cardinality
 
-from crystorb import fieldlin
+from crystorb import fieldlin, hodge
 from crystorb.crystal import CrystData, is_torsion_free, verify_crystallographic
 from crystorb.exactla import IntMatrix
 from crystorb.quotient import (
@@ -33,6 +33,11 @@ MINUS1_RANK2 = CrystData.make(2, [(D(-1, -1), (0, 0))])
 
 def crys(data):
     return verify_crystallographic(data)
+
+
+def descriptor(data):
+    g = crys(data)
+    return orbifold_descriptor(g, hodge.is_even(g))
 
 
 def gpr_order(g):
@@ -124,7 +129,7 @@ class TestClassification:
     def test_odd_group_rejected(self):
         g = crys(CrystData.make(2, [(D(1, -1), (0, 0))]))
         with pytest.raises(ValueError):
-            orbifold_descriptor(g)
+            orbifold_descriptor(g, hodge.is_even(g))
 
 
 class TestPseudoreflections:
@@ -159,7 +164,7 @@ class TestGpr:
         assert gpr_order(g) == 2
         loci = all_fixed_loci(g)
         rep = factorization_report(g.group, loci, pseudoreflections(loci))
-        assert rep == orbifold_descriptor(g).factorization
+        assert rep == orbifold_descriptor(g, hodge.is_even(g)).factorization
         assert rep.index == 2
         assert rep.quasi_etale
         assert rep.gpr_order != 1
@@ -168,18 +173,18 @@ class TestGpr:
         assert rep.audit and all(c >= 2 for _, c in rep.audit)
 
     def test_kummer_factorization(self):
-        rep = orbifold_descriptor(crys(KUMMER)).factorization
+        rep = descriptor(KUMMER).factorization
         assert rep.gpr_order == 1
         assert rep.quasi_etale
 
     def test_gpr_equals_group_second_map_identity(self):
-        rep = orbifold_descriptor(crys(PSEUDOREF)).factorization
+        rep = descriptor(PSEUDOREF).factorization
         assert rep.index == 1
 
 
 class TestDescriptor:
     def test_free_descriptor(self):
-        d = orbifold_descriptor(crys(BDF))
+        d = descriptor(BDF)
         assert d.classification.kind == "free"
         assert d.divisor_classes == ()
         assert d.stratum_summary == ()
@@ -187,20 +192,20 @@ class TestDescriptor:
     def test_pseudoref_divisors(self):
         # 4 divisor components (E x 2-torsion points), each its own orbit,
         # multiplicity 2
-        d = orbifold_descriptor(crys(PSEUDOREF))
+        d = descriptor(PSEUDOREF)
         assert d.classification.kind == "divisorial"
         assert sum(c.orbit_size for c in d.divisor_classes) == 4
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
         assert d.stratum_summary == ()
 
     def test_kummer_descriptor(self):
-        d = orbifold_descriptor(crys(KUMMER))
+        d = descriptor(KUMMER)
         assert d.classification.kind == "quasi_free"
         assert d.divisor_classes == ()
         assert d.stratum_summary == (((2, 2), 16),)
 
     def test_mixed_descriptor(self):
-        d = orbifold_descriptor(crys(MIXED))
+        d = descriptor(MIXED)
         assert d.classification.kind == "divisorial"
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
         # the -I-with-shift element contributes 16 isolated codim-2 points
@@ -208,7 +213,7 @@ class TestDescriptor:
 
     def test_elliptic_involution_descriptor(self):
         # four 2-torsion branch points of multiplicity 2 on the quotient line
-        d = orbifold_descriptor(crys(MINUS1_RANK2))
+        d = descriptor(MINUS1_RANK2)
         assert d.classification.kind == "divisorial"
         assert sum(c.orbit_size for c in d.divisor_classes) == 4
         assert all(c.multiplicity == 2 for c in d.divisor_classes)
@@ -216,7 +221,7 @@ class TestDescriptor:
     def test_stabilizers_cyclic(self):
         for data in (PSEUDOREF, MIXED, MINUS1_RANK2):
             g = crys(data)
-            d = orbifold_descriptor(g)
+            d = orbifold_descriptor(g, hodge.is_even(g))
             for cls in d.divisor_classes:
                 stab = pointwise_stabilizer(g, cls.representative)
                 assert len(stab) == cls.multiplicity

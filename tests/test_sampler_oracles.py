@@ -135,10 +135,10 @@ def test_sample_points_and_tangents_match_the_oracles(seed, counted):
         if not hodge.is_even(crys).even:
             continue
         n = crys.n
-        for t in hodge.hodge_types(crys):
+        for t in hodge.hodge_types(hodge.is_even(crys)):
             counted["isotypic_basis"] = 0
             try:
-                B = hodge.sample_subspace(crys, t)
+                B, action = hodge.sample_subspace(crys, t)
             except hodge.UnsupportedSample:
                 with pytest.raises(hodge.UnsupportedSample):
                     oracle_sample_subspace(crys, t)
@@ -146,7 +146,7 @@ def test_sample_points_and_tangents_match_the_oracles(seed, counted):
             complex_splits = [s for s in t.splits if s.fs_type == "complex"]
             assert counted["isotypic_basis"] == len(complex_splits), name
             counted["inverse"] = 0
-            dim = hodge.tangent_dimension(crys, B)
+            dim = hodge.tangent_dimension(action)
             assert counted["inverse"] == 0, name
 
             old = oracle_sample_subspace(crys, t)
@@ -154,7 +154,7 @@ def test_sample_points_and_tangents_match_the_oracles(seed, counted):
             assert fieldlin.rank(fieldlin.hstack(B, _conj(B))) == 2 * n, name
             assert dim == oracle_tangent_dimension(crys, B), name
             assert dim == oracle_tangent_dimension(crys, old), name
-            assert dim == hodge.component_dimension(t, crys), name
+            assert dim == hodge.component_dimension(t), name
             if all(s.a in (0, s.multiplicity) for s in complex_splits):
                 assert fieldlin.rank(fieldlin.hstack(old, B)) == n, name
             else:

@@ -2,13 +2,17 @@
 somewhere else in src/crystorb, so library code that only the tests call
 does not grow back; such code belongs in the test module that uses it.
 Likewise every field of a dataclass in src/crystorb is read somewhere in
-src/crystorb, so a result carries no value that nothing consumes.
+src/crystorb, so a result carries no value that nothing consumes.  And
+every parameter of a function or method in src/crystorb is read in that
+function's body, so no caller passes a value that nothing uses.
 
 A definition counts as referenced when some module of the package reads its
 name, as a name or as an attribute, outside the definition's own body; a
 field counts as read when some module loads an attribute of its name.  The
 scans match names, not objects: two methods or fields of one name share
-their reads.  Dunder methods are called by the language and are exempt."""
+their reads.  Dunder methods are called by the language and are exempt, and
+so are the `self` and `cls` parameters.  A parameter counts as read when its
+name is loaded anywhere in the function's body, nested functions included."""
 
 import ast
 from pathlib import Path
@@ -87,6 +91,24 @@ def unread_fields(package):
     return found
 
 
+def unread_parameters(package):
+    """(module, function, parameter, line) of each parameter of a function
+    or method in the modules of `package` whose name the body never loads."""
+    found = []
+    for module, tree in _modules(package).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            loaded = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found.extend((module, node.name, p.arg, p.lineno) for p in params
+                         if p.arg not in ("self", "cls") and p.arg not in loaded)
+    return found
+
+
 def test_every_definition_is_referenced():
     found = {(module, name) for module, name, _ in unreferenced(PACKAGE)}
     assert found - set(ALLOWED) == set()
@@ -116,3 +138,18 @@ def test_scan_finds_an_unread_field(tmp_path):
         "class Plain:\n    unread: int\n\n\n"
         "def show(r):\n    r.spare = 0\n    return Report(r.kind, spare=1)\n")
     assert unread_fields(tmp_path) == [("a", "Report", "spare", 7)]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(PACKAGE) == []
+
+
+def test_scan_finds_an_unread_parameter(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n    def put(self, item, spare):\n        self.item = item\n\n"
+        "    @classmethod\n    def make(cls, *args, **kwargs):\n        return cls()\n\n\n"
+        "def outer(x, y, z):\n    def inner():\n        return x\n    y = 0\n"
+        "    return inner\n")
+    assert sorted(unread_parameters(tmp_path), key=lambda f: f[3]) == [
+        ("a", "put", "spare", 2), ("a", "make", "args", 6), ("a", "make", "kwargs", 6),
+        ("a", "outer", "y", 10), ("a", "outer", "z", 10)]
