@@ -575,14 +575,19 @@ def main(argv=None):
     except SystemExit as exc:   # a usage error is bad input; --help exits 0
         return 1 if exc.code else 0
     try:
-        if args.input == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                raw = fh.read()
         try:
+            if args.input == "-":
+                raw = sys.stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"input: not UTF-8 ({exc})") from exc
+        except OSError as exc:
+            raise ValidationError(f"--input: {exc}") from exc
+        try:   # malformed, nested too deeply, or an integer past the digit limit
             doc = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"input: invalid JSON ({exc})") from exc
         job = JobSpec.build(args.command, doc, args.format,
                             seed=args.seed, bound=args.bound,

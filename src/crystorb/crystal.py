@@ -166,7 +166,8 @@ class CrystGroup(VectorSystem):
                 for c in self.group.classes[1:]}
 
     def solve_fixed(self, i):
-        """The points the element i fixes: (L - I) v = -u (mod Z^r)."""
+        """The points the element i fixes: (L - I) v = -u (mod Z^r).  The
+        package solves only class representatives, through `fixed_sets`."""
         L_minus_I = self.linear(i).add(IntMatrix.identity(self.rank).neg())
         return exactla.solve_mod_lattice(L_minus_I, self.den,
                                          tuple(-x for x in self.numerators[i]))
@@ -274,9 +275,6 @@ class ExtensionCocycle:
 
     group: MatrixGroup
     values: dict
-
-    def f(self, i, j):
-        return self.values[(i, j)]
 
     def validate(self):
         """Raise CocycleViolation unless f is a normalized integer 2-cocycle.

@@ -69,10 +69,6 @@ class CycloField:
         num, den = value.as_integer_ratio()
         return _make(self, [num] + [0] * (self.degree - 1), den)
 
-    @property
-    def one(self):
-        return self(1)
-
     def zeta(self, power=1):
         """zeta_e^power as a field element."""
         return self.from_exponents({power: 1})

@@ -110,9 +110,6 @@ class IntMatrix:
     def neg(self):
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def is_identity(self):
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:

@@ -4,10 +4,11 @@ exact character tables, Frobenius-Schur indicators, isotypic dimensions.
 The closure computes no determinant: every generator must have a left
 inverse inside its finite closure, read off the product table.
 
-Group products are index lookups: each group records, for a generating set S,
-the index of every product w*s (an n x |S| table) and a word over S for every
-element, so a product g*h walks h's word through the table and no matrix is
-multiplied after the group is built.
+Every group comes from `closure`, and its generating set S, the images of
+the given generators, generates it.  Group products are index lookups: each
+group records the index of every product w*s (an n x |S| table) and a word
+over S for every element, so a product g*h walks h's word through the table
+and no matrix is multiplied after the group is built.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
@@ -57,19 +58,11 @@ def _require(cond, msg):
 class MatrixGroup:
     """A finite group of invertible integer matrices of fixed rank.
 
+    Built by `closure`, which passes the generating set S it closed, the
+    table right[w][k] = index of w*S[k] and a word over S for each element.
     Elements are stored in a deterministic order: breadth-first over
     generator words, ties within a word length broken lexicographically by
     matrix entries.  The identity is always element 0.
-
-    `generators` is the generating set S the products are taken over: the
-    recorded `generator_indices` when they generate the group, and all of its
-    elements otherwise (the trivial closure and hand-built groups may record
-    none, and a hand-built list may not generate).  Products are index
-    lookups, not matrix products.  `products` = (S, right, words) holds the
-    index right[w][k] of w*S[k] for every element w and every k, and a word
-    over S for every element; `closure` passes it in, and otherwise it is
-    built here once with n*|S| matrix products.  The n x |S| table is public
-    as `right`.
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
@@ -77,49 +70,15 @@ class MatrixGroup:
     inverses and its square-class counts.
     """
 
-    def __init__(self, rank, elements, generator_indices, products=None):
+    def __init__(self, rank, elements, generators, right, words):
         self.rank = rank
         self.elements = tuple(elements)
-        self.generator_indices = tuple(generator_indices)
-        self._index = {m.entries: i for i, m in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if not self.elements[0].is_identity():
-            raise ValueError("element 0 must be the identity")
-        if products is None:
-            products = (self._right_products(self.generator_indices)
-                        or self._right_products(range(len(self.elements))))
-        self.generators, self.right, self._words = products
-
-    def _right_products(self, gens):
-        """(S, [w*s for s in S] per w, a word over S per element) for S = gens,
-        or None when gens are empty or do not generate the group."""
-        gens = tuple(gens)
-        mats = [self.elements[s] for s in gens]
-        right = [tuple(self.index_of(w.mul(m)) for m in mats) for w in self.elements]
-        words = [None] * len(self.elements)
-        words[0] = ()
-        queue = [0]
-        for w in queue:
-            for k, x in enumerate(right[w]):
-                if words[x] is None:
-                    words[x] = words[w] + (k,)
-                    queue.append(x)
-        if not gens or len(queue) < len(self.elements):
-            return None
-        return gens, right, words
+        self.generators = generators
+        self.right = right
+        self._words = words
 
     def order(self):
         return len(self.elements)
-
-    def index_of(self, mat: IntMatrix):
-        try:
-            return self._index[mat.entries]
-        except KeyError:
-            raise ValueError("matrix is not an element of the group") from None
-
-    def __contains__(self, mat):
-        return isinstance(mat, IntMatrix) and mat.entries in self._index
 
     def mul(self, i, j):
         right = self.right
@@ -195,15 +154,15 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     Raises ExceedsBound once more than `bound` distinct elements appear,
     which is how non-finite inputs surface, and SingularGenerator when the
     finite closure holds no w with w*g = 1 for a generator g.  With no
-    generators the rank must be supplied and the trivial group is returned.
-    Every product w*g it forms is recorded by index, so the group it returns
-    multiplies by lookup.
+    generators the rank must be supplied and the trivial group is returned,
+    generated by its identity.  Every product w*g it forms is recorded by
+    index, so the group it returns multiplies by lookup.
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
     if not gens:
         if rank is None:
             raise ValueError("rank required for an empty generator list")
-        return MatrixGroup(rank, [IntMatrix.identity(rank)], (), ((0,), [(0,)], [()]))
+        return MatrixGroup(rank, [IntMatrix.identity(rank)], (0,), [(0,)], [()])
     r = gens[0].rows
     for g in gens:
         if g.rows != g.cols or g.rows != r:
@@ -245,7 +204,7 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     for k, column in enumerate(zip(*right)):
         if 0 not in column:
             raise SingularGenerator(k)
-    return MatrixGroup(r, ordered, gen_indices, (gen_indices, right, words))
+    return MatrixGroup(r, ordered, gen_indices, right, words)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Orbifold fundamental-group utilities: presentation quotients by powers of
-loops, the three-concurrent-lines presentation, the Platonic-triple
+loops, the von Dyck presentation of a triple, the Platonic-triple
 finiteness inequality and coset enumeration.
 
 Coset enumeration is a semi-decision procedure: it reports a group order
@@ -66,26 +66,18 @@ def orbifold_quotient(p: Presentation, loops, multiplicities) -> Presentation:
     return p.with_relators(extra)
 
 
-def three_lines_group(m1, m2, m3) -> Presentation:
-    """The fundamental group of the plane minus three concurrent lines,
-    marked with the given multiplicities: generators c0..c3, relators
-    [c0, ci], c0 c3^-1 c2^-1 c1^-1, and ci^mi."""
+def central_line_quotient(m1, m2, m3) -> Presentation:
+    """The von Dyck group <c1, c2, c3 | c3^-1 c2^-1 c1^-1, c1^m1, c2^m2,
+    c3^m3> that the finiteness test enumerates: the fundamental group of
+    the plane minus three concurrent lines, marked with the given
+    multiplicities, modulo its central loop."""
     for m in (m1, m2, m3):
         if int(m) < 2:
             raise ValueError("multiplicities must be >= 2")
-    relators = []
-    for i in (2, 3, 4):
-        relators.append((1, i, -1, -i))
-    relators.append((1, -4, -3, -2))
-    for i, m in zip((2, 3, 4), (m1, m2, m3)):
+    relators = [(-3, -2, -1)]
+    for i, m in zip((1, 2, 3), (m1, m2, m3)):
         relators.append((i,) * int(m))
-    return Presentation.make(("c0", "c1", "c2", "c3"), relators)
-
-
-def central_line_quotient(m1, m2, m3) -> Presentation:
-    """The three-lines group modulo its central loop c0 (a von Dyck-type
-    quotient used by the finiteness test)."""
-    return three_lines_group(m1, m2, m3).with_relators([(1,)])
+    return Presentation.make(("c1", "c2", "c3"), relators)
 
 
 def platonic_check(m1, m2, m3) -> bool:

@@ -5,9 +5,8 @@ and the subgroup they generate, and the quotient-orbifold descriptor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import exactla
@@ -20,31 +19,23 @@ F = Fraction
 
 @dataclass(frozen=True)
 class FixedLocus:
-    """The fixed set of g, (L(g) - I) v = -u_g on the torus, shaped like that
-    of the smallest member of g's class.  complex_dim / complex_codim are
+    """The shape of the fixed set of g, (L(g) - I) v = -u_g on the torus,
+    read off that of the smallest member of g's class.  complex_codim is
     filled when rank and locus dimension are even (always for an even group:
     the kernel of L(g) - I is invariant under any invariant J)."""
 
     element_index: int
     real_dim: object          # None when empty
-    complex_dim: object
     complex_codim: object
-    crys: CrystGroup = field(repr=False, compare=False)
 
     def is_empty(self):
         return self.real_dim is None
 
-    @cached_property
-    def solutions(self) -> SolutionSet:
-        """g's own fixed set, solved on first use unless g is smallest."""
-        sets = self.crys.fixed_sets
-        i = self.element_index
-        return sets[i] if i in sets else self.crys.solve_fixed(i)
 
-    def components(self):
-        """One Subtorus per connected component."""
-        den, nums = self.solutions.numerators
-        return tuple(Subtorus(p, den, self.solutions.basis) for p in nums)
+def components(sol: SolutionSet):
+    """One Subtorus per connected component of a fixed set."""
+    den, nums = sol.numerators
+    return tuple(Subtorus(p, den, sol.basis) for p in nums)
 
 
 @dataclass(frozen=True)
@@ -103,11 +94,11 @@ def fixed_points(crys: CrystGroup, gi) -> FixedLocus:
         raise ValueError("the identity fixes everything; pass a nontrivial element")
     sol = crys.fixed_set(gi)
     if sol.is_empty():
-        return FixedLocus(gi, None, None, None, crys)
+        return FixedLocus(gi, None, None)
     rdim = sol.dim
     if crys.rank % 2 or rdim % 2:
-        return FixedLocus(gi, rdim, None, None, crys)
-    return FixedLocus(gi, rdim, rdim // 2, (crys.rank - rdim) // 2, crys)
+        return FixedLocus(gi, rdim, None)
+    return FixedLocus(gi, rdim, (crys.rank - rdim) // 2)
 
 
 def all_fixed_loci(crys: CrystGroup):
@@ -253,9 +244,9 @@ def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
     placed = set()
     classes = []
     histogram = {}
-    for g in crys.fixed_sets:
+    for g, sol in crys.fixed_sets.items():
         locus = loci[g - 1]
-        for comp in locus.components():
+        for comp in components(sol):
             if subtorus_key(comp, lattices) in placed:
                 continue
             orbit = _orbit_keys(crys, comp, lattices)

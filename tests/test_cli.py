@@ -167,6 +167,21 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "even", "--input", "/nonexistent.json")
         assert code == 1
+        assert err.startswith("error: --input: [Errno 2]")
+
+    def test_integer_past_digit_limit_located(self, capsys, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"rank": ' + "1" * 5000 + "}")
+        code, _, err = run(capsys, "even", "--input", str(p))
+        assert code == 1
+        assert err.startswith("error: input: invalid JSON (Exceeds the limit")
+
+    def test_non_utf8_input_located(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"rank": 2, "note": "caf\u00e9"}'.encode("latin-1"))
+        code, _, err = run(capsys, "even", "--input", str(p))
+        assert code == 1
+        assert err.startswith("error: input: not UTF-8 ('utf-8' codec can't decode")
 
     def test_action_on_non_even_rejected(self, capsys, tmp_path):
         path = corpus_path(tmp_path, "s3_rank2")

@@ -118,7 +118,7 @@ def test_corpus_checks_agree_with_oracles(name):
         for b in range(1, n):
             for k in range(rank):
                 bad = with_value(f, (a, b), tuple(x + e for x, e in
-                                                  zip(f.f(a, b), unit(rank, k))))
+                                                  zip(f.values[(a, b)], unit(rank, k))))
                 assert rejects(ExtensionCocycle.validate, bad) == \
                     rejects(oracle_validate, bad)
 
@@ -141,7 +141,7 @@ def test_coboundary_twists_accepted_by_both(name):
         [tuple((3 * i + k) % 4 - 1 for k in range(rank)) for i in range(1, n)]
     twisted = ExtensionCocycle(g, {
         (a, b): tuple(x + y - z + p for x, y, z, p in
-                      zip(f.f(a, b), g.elements[a].mul_vec(phi[b]),
+                      zip(f.values[(a, b)], g.elements[a].mul_vec(phi[b]),
                           phi[g.mul(a, b)], phi[a]))
         for a in range(n) for b in range(n)})
     twisted.validate()
@@ -153,7 +153,7 @@ class TestNonGeneratorMutations:
         # c3_rank2 is generated by g (index 1); index 2 is g^2
         vs = corpus_group("c3_rank2")
         sq = vs.group.mul(1, 1)
-        assert sq not in vs.group.generator_indices and sq != 0
+        assert sq not in vs.group.generators and sq != 0
         bad = with_translation(vs, sq, (F(1, 3), F(0)))
         assert not bad.is_consistent()
         assert not oracle_is_consistent(bad)
@@ -161,7 +161,7 @@ class TestNonGeneratorMutations:
     def test_mixed_c2c2_product_translation(self):
         # the product of the two generators is the only other element
         vs = corpus_group("mixed_c2c2")
-        a, b = vs.group.generator_indices
+        a, b = vs.group.generators
         ab = vs.group.mul(a, b)
         assert ab not in (0, a, b)
         bad = with_translation(vs, ab, tuple(u + F(1, 2) for u in vs.u(ab)))
@@ -190,9 +190,9 @@ class TestFailClosed:
 
     def test_subgroup_without_generators_checks_all_of_g(self):
         d4 = closure([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
-        refl = d4.generator_indices[1]
-        sub = MatrixGroup(2, [d4.elements[0], d4.elements[refl]], ())
-        assert sub.generator_indices == ()
+        refl = d4.generators[1]
+        sub = closure([d4.elements[refl]])
+        assert sub.elements == (d4.elements[0], d4.elements[refl])
         # d(r, r) = (2/3, 0) for the reflection r = diag(1, -1)
         vs = system(sub, ((F(0), F(0)), (F(1, 3), F(0))))
         assert not vs.is_consistent()
@@ -203,21 +203,6 @@ class TestFailClosed:
                                    (1, 0): (0, 0), (1, 1): (1, 1)})
         with pytest.raises(CocycleViolation):
             f.validate()
-
-    def test_non_generating_generator_list_checks_all_of_g(self):
-        c4 = closure([[[0, -1], [1, 0]]])
-        r = c4.generator_indices[0]
-        sq = c4.mul(r, r)
-        # claims that -I generates C4, which it does not
-        bogus = MatrixGroup(2, c4.elements, (sq,))
-        vectors = [(F(0), F(0))] * 4
-        vectors[r] = (F(1, 3), F(0))
-        vectors[c4.mul(r, sq)] = (F(2, 3), F(0))
-        vs = system(bogus, vectors)
-        # integral on {-I} x G, yet d(r, r) = (1/3, 1/3)
-        assert all(x.denominator == 1 for h in range(4) for x in cocycle_defect(vs, sq, h))
-        assert not oracle_is_consistent(vs)
-        assert not vs.is_consistent()
 
 
 def signed_permutations_rank4():

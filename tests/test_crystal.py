@@ -47,7 +47,7 @@ class TestVerify:
         # composing the generator with itself gives translation by (1,0) in Z^2
         g = verify_crystallographic(KLEIN)
         assert g.order() == 2
-        i = g.group.index_of(IntMatrix.from_rows([[1, 0], [0, -1]]))
+        i = g.group.elements.index(IntMatrix.from_rows([[1, 0], [0, -1]]))
         assert g.u(i) == (F(1, 2), F(0))
 
     def test_pure_translation_rejected(self):

@@ -173,8 +173,10 @@ def test_fixed_locus_geometry_matches_oracles(case):
         locus = quotient.fixed_points(crys, i)
         assert locus.is_empty() == sol.is_empty()
         assert locus.real_dim == (None if sol.is_empty() else sol.dim)
-        own = locus.solutions
+        own = crys.solve_fixed(i)
         assert (own.kind, own.basis, points(own)) == (sol.kind, sol.basis, points(sol))
+        assert [(c.base, c.basis) for c in quotient.components(own)] == \
+            [(p, sol.basis) for p in points(sol)]
 
     comps = _components(crys, sets)
     lattices = {}

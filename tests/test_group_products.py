@@ -1,10 +1,11 @@
 """Group products by index lookup against products of matrices.
 
-MatrixGroup multiplies by walking the second factor's word over the
-generating set through a right-multiplication table.  The oracle forms the
-matrix product and looks its index up; mul, inv and element_order must agree
-with it on every pair, for groups from `closure` and built by hand, including
-a recorded generator list that does not generate.
+Every MatrixGroup comes from `closure` and multiplies by walking the second
+factor's word over its generating set through a right-multiplication table.
+The oracle forms the matrix product and looks its index up in its own
+{entries: index} map; mul, inv and element_order must agree with it on
+every pair, for the corpus groups and for closures of a redundant, an
+exhaustive and a reordered generator list.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from crystorb import cli
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.exactla import IntMatrix
-from crystorb.groupcore import MatrixGroup, character_table, closure
+from crystorb.groupcore import character_table, closure
 
 ROT4 = [[0, -1], [1, 0]]
 FLIP = [[1, 0], [0, -1]]
@@ -30,15 +31,22 @@ C6C6_GENS = [block(R6, IDENTITY2), block(IDENTITY2, R6)]
 
 def assert_matches_matrices(g):
     els = g.elements
+    index = {m.entries: i for i, m in enumerate(els)}
+    identity = IntMatrix.identity(g.rank)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
-            assert g.mul(i, j) == g.index_of(a.mul(b))
-        assert a.mul(els[g.inv(i)]).is_identity()
+            assert g.mul(i, j) == index[a.mul(b).entries]
+        assert a.mul(els[g.inv(i)]) == identity
         order, power = 1, a
-        while not power.is_identity():
+        while power != identity:
             power = power.mul(a)
             order += 1
         assert g.element_order(i) == order
+
+
+def generated(g, generators):
+    """The entries of every element of the closure of `generators`."""
+    return {m.entries for m in closure([g.elements[s] for s in generators]).elements}
 
 
 def point_group(name):
@@ -49,28 +57,27 @@ def point_group(name):
 @pytest.mark.parametrize("name", corpus_names())
 def test_corpus_groups(name):
     g = point_group(name)
-    # a group recording no generators (the trivial groups) is generated by
-    # all of its elements
-    assert g.generators == (g.generator_indices or (0,))
+    # the generating set generates: the trivial groups by their identity
+    assert g.generators and generated(g, g.generators) == {m.entries for m in g.elements}
     assert_matches_matrices(g)
 
 
 def test_hand_built_groups():
+    # closures of other generator lists: one with a redundant member, every
+    # element, and every element of D4 in an order that closing its two
+    # generators does not give
     c4 = closure([ROT4])
-    r = c4.generator_indices[0]
+    r = c4.generators[0]
     sq = c4.mul(r, r)
-    # the recorded list generates: it is the generating set
-    listed = MatrixGroup(2, c4.elements, (r,))
-    assert listed.generators == (r,)
-    # no list, or a list that does not generate: all elements generate
-    for recorded in ((), (sq,)):
-        g = MatrixGroup(2, c4.elements, recorded)
-        assert g.generators == tuple(range(4))
-    # elements in an order closure would not give
+    redundant = closure([c4.elements[r], c4.elements[sq]])
+    assert [redundant.elements[s] for s in redundant.generators] == [c4.elements[r],
+                                                                     c4.elements[sq]]
+    every = closure(c4.elements)
+    assert len(every.generators) == 4 and 0 in every.generators
     d4 = closure([ROT4, FLIP])
-    shuffled = MatrixGroup(2, d4.elements[:1] + d4.elements[:0:-1], (3, 5))
-    for g in (listed, MatrixGroup(2, c4.elements, ()), MatrixGroup(2, c4.elements, (sq,)),
-              shuffled):
+    reordered = closure(d4.elements[:1] + d4.elements[:0:-1])
+    assert reordered.elements != d4.elements
+    for g in (c4, redundant, every, d4, reordered):
         assert_matches_matrices(g)
 
 
@@ -94,10 +101,3 @@ def test_closure_forms_each_product_once(matrix_products):
     assert matrix_products[0] == n * s
     character_table(g)
     assert matrix_products[0] == n * s
-
-
-def test_other_constructions_form_products_once(matrix_products):
-    c6c6 = closure(C6C6_GENS)
-    matrix_products[0] = 0
-    MatrixGroup(4, c6c6.elements, c6c6.generator_indices)
-    assert matrix_products[0] == 36 * 2

@@ -13,7 +13,6 @@ from crystorb.orbpi import (
     free_reduce,
     orbifold_quotient,
     platonic_check,
-    three_lines_group,
 )
 
 
@@ -45,17 +44,13 @@ class TestOrbifoldQuotient:
         assert q.relators == ((1, 1, 1),)
         assert coset_enumerate(q) == 3
 
-    def test_counts_deterministic(self):
-        p = three_lines_group(2, 3, 4)
-        assert len(p.generators) == 4
-        assert len(p.relators) == 7
-
 
 class TestThreeLines:
     def test_generator_and_relator_count(self):
-        p = three_lines_group(2, 2, 2)
-        assert len(p.generators) == 4
-        assert len(p.relators) == 7
+        # von Dyck: c1 c2 c3 = 1 first, then the powers in triple order
+        p = central_line_quotient(2, 3, 4)
+        assert p.generators == ("c1", "c2", "c3")
+        assert p.relators == ((-3, -2, -1), (1, 1), (2, 2, 2), (3, 3, 3, 3))
 
     def test_tetrahedral_quotient(self):
         # von Dyck group of (2,3,3) has order 12
@@ -77,7 +72,7 @@ class TestThreeLines:
 
     def test_rejects_multiplicity_one(self):
         with pytest.raises(ValueError):
-            three_lines_group(1, 2, 2)
+            central_line_quotient(1, 2, 2)
 
 
 class TestPlatonic:

@@ -6,7 +6,10 @@ tests/golden/platonic/<label>.json holds the report of one document; all of
 them exit 0.  (2,3,7) is in both lists, so there are 17 files.  They were
 written by the enumerator that rescanned every relator from every coset, so
 they pin that the power-cycle skip and the cycle-length check change no
-order and no Unknown.  After an intended change of output, rewrite them with
+order and no Unknown.  triple_2_2_2500.json was rewritten when a triple's
+group became its von Dyck presentation: with the central loop gone from the
+generators, HLT closes that table under the default bound.  After an
+intended change of output, rewrite them with
 
     PYTHONPATH=src:perfbench python tests/test_platonic_golden.py
 """
@@ -33,10 +36,11 @@ def test_platonic_matches_golden(name):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-def test_dihedral_2500_stays_unknown():
-    # 5,000 elements need more cosets than HLT gets from the default bound
+def test_dihedral_2500_closes():
+    # the von Dyck presentation closes on 5,000 cosets within the default bound
     report = json.loads((GOLDEN / "triple_2_2_2500.json").read_text())
-    assert report["result"]["quotient_order"] is None
+    assert report["result"]["quotient_order"] == 5000
+    assert report["result"]["enumeration_agrees"] is True
 
 
 if __name__ == "__main__":

@@ -80,7 +80,8 @@ def test_determinant_counts_fixed_points():
                                 zip(g.linear(gi).entries, ident.entries)))
             d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
             if d != 0:
-                assert cardinality(quotient.fixed_points(g, gi).solutions) == abs(d)
+                assert quotient.fixed_points(g, gi).real_dim == 0
+                assert cardinality(g.solve_fixed(gi)) == abs(d)
 
 
 def test_structure_exists_iff_even():

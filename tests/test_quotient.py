@@ -8,6 +8,7 @@ from crystorb.crystal import CrystData, is_torsion_free, verify_crystallographic
 from crystorb.exactla import IntMatrix
 from crystorb.quotient import (
     classify_action,
+    components,
     factorization_report,
     fixed_points,
     gpr_subgroup,
@@ -49,7 +50,7 @@ class TestFixedPoints:
         # |det(-2 I_4)| = 16, cross-checked against half-lattice enumeration
         g = crys(KUMMER)
         locus = fixed_points(g, 1)
-        assert cardinality(locus.solutions) == 16
+        assert cardinality(g.solve_fixed(1)) == 16
         assert locus.real_dim == 0
         assert locus.complex_codim == 2
 
@@ -63,7 +64,7 @@ class TestFixedPoints:
         g = crys(PSEUDOREF)
         locus = fixed_points(g, 1)
         assert locus.real_dim == 2
-        assert len(locus.components()) == 4
+        assert len(components(g.solve_fixed(1))) == 4
         assert locus.complex_codim == 1
 
     def test_determinant_oracle(self):
@@ -77,8 +78,8 @@ class TestFixedPoints:
                 d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
                 if d == 0:
                     continue
-                locus = fixed_points(g, gi)
-                assert cardinality(locus.solutions) == abs(d)
+                assert fixed_points(g, gi).real_dim == 0
+                assert cardinality(g.solve_fixed(gi)) == abs(d)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -96,8 +97,8 @@ class TestFixedPoints:
                 assert a.is_empty() == b.is_empty()
                 if a.is_empty():
                     continue
-                images = [_transform_subtorus(g, h, c) for c in a.components()]
-                targets = list(b.components())
+                images = [_transform_subtorus(g, h, c) for c in components(g.solve_fixed(gi))]
+                targets = list(components(g.solve_fixed(conj)))
                 assert len(images) == len(targets)
                 for img in images:
                     assert any(subtori_equal(img, t) for t in targets)
@@ -229,8 +230,7 @@ class TestDescriptor:
 
     def test_union_of_loci_is_stable(self):
         g = crys(MIXED)
-        comps = [c for l in all_fixed_loci(g) if not l.is_empty()
-                 for c in l.components()]
+        comps = [c for gi in range(1, g.order()) for c in components(g.solve_fixed(gi))]
         for h in range(g.order()):
             for c in comps:
                 img = _transform_subtorus(g, h, c)

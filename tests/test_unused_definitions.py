@@ -7,12 +7,14 @@ every parameter of a function or method in src/crystorb is read in that
 function's body, so no caller passes a value that nothing uses.
 
 A definition counts as referenced when some module of the package reads its
-name, as a name or as an attribute, outside the definition's own body; a
-field counts as read when some module loads an attribute of its name.  The
-scans match names, not objects: two methods or fields of one name share
-their reads.  Dunder methods are called by the language and are exempt, and
-so are the `self` and `cls` parameters.  A parameter counts as read when its
-name is loaded anywhere in the function's body, nested functions included."""
+name outside the definition's own body: a function defined directly in a
+class body (a method or a property) only as an attribute, `x.name`, and
+any other definition as a name or as an attribute.  A field counts as read
+when some module loads an attribute of its name.  The scans match names,
+not objects: two methods or fields of one name share their reads.  Dunder
+methods are called by the language and are exempt, and so are the `self`
+and `cls` parameters.  A parameter counts as read when its name is loaded
+anywhere in the function's body, nested functions included."""
 
 import ast
 from pathlib import Path
@@ -35,10 +37,11 @@ ALLOWED_FIELDS = {
 }
 
 
-def _names_read(node):
-    """Every name read under `node`, once per occurrence."""
+def _names_read(node, attributes_only=False):
+    """Every name read under `node`, once per occurrence; with
+    `attributes_only`, only the names read as attributes."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
@@ -53,20 +56,25 @@ def unreferenced(package):
     """(module, name, line) of each definition in the modules of `package`
     whose name is read nowhere outside its own body."""
     trees = _modules(package)
-    reads = {}
+    reads = {False: {}, True: {}}      # attributes_only -> name -> count
     for tree in trees.values():
-        for name in _names_read(tree):
-            reads[name] = reads.get(name, 0) + 1
+        for attributes_only, counts in reads.items():
+            for name in _names_read(tree, attributes_only):
+                counts[name] = counts.get(name, 0) + 1
     found = []
     for module, tree in trees.items():
+        methods = {id(stmt) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for stmt in node.body
+                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            own = sum(1 for n in _names_read(node) if n == name)
-            if reads.get(name, 0) == own:
+            attributes_only = id(node) in methods
+            own = sum(1 for n in _names_read(node, attributes_only) if n == name)
+            if reads[attributes_only].get(name, 0) == own:
                 found.append((module, name, node.lineno))
     return found
 
@@ -124,6 +132,18 @@ def test_scan_finds_an_unreferenced_definition(tmp_path):
     (tmp_path / "b.py").write_text("from a import Used\n\nUsed().method()\n\n"
                                    "def only_here():\n    pass\n")
     assert unreferenced(tmp_path) == [("a", "lonely", 8), ("b", "only_here", 5)]
+
+
+def test_a_method_needs_an_attribute_read(tmp_path):
+    # the local `value` and the call `helper()` read the bare names only
+    (tmp_path / "a.py").write_text(
+        "class Box:\n    def value(self):\n        return 1\n\n"
+        "    def helper(self):\n        return 2\n\n"
+        "    @property\n    def size(self):\n        return 3\n\n\n"
+        "def helper():\n    value = Box().size\n    return value\n\n\n"
+        "def main():\n    def inner():\n        return helper()\n    return inner\n\n\n"
+        "main()\n")
+    assert unreferenced(tmp_path) == [("a", "value", 2), ("a", "helper", 5)]
 
 
 def test_every_dataclass_field_is_read():
