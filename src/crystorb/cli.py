@@ -97,9 +97,11 @@ def parse_rational(value, path):
         return F(value)
     if isinstance(value, str):
         try:
-            return F(value)
+            if "e" not in value and "E" not in value:   # Fraction expands 1e-5000 in full
+                return F(value)
         except (ValueError, ZeroDivisionError):
-            _fail(path, f"not a rational number: {value!r}")
+            pass
+        _fail(path, f"not a rational number: {value!r}")
     _fail(path, "rationals must be integers or 'p/q' strings")
 
 

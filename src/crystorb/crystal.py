@@ -35,14 +35,14 @@ class KernelTooBig(Exception):
     """Pure translations outside the lattice appeared; the conjugation
     action has kernel strictly larger than Z^r.  Carries every distinct one
     found, in scan order, as integer `numerators` over `den`, so
-    normalize_action can absorb them."""
+    normalize_action can absorb them.  The message names neither: `den` may
+    have more digits than Python converts to a string."""
 
     def __init__(self, den, numerators):
         self.den = den
         self.numerators = tuple(numerators)
-        super().__init__(
-            f"pure translation {self.numerators[0]}/{den} lies outside the lattice; "
-            f"use normalize_action to absorb it")
+        super().__init__("a pure translation lies outside the lattice; "
+                         "use normalize_action to absorb it")
 
 
 class CocycleViolation(Exception):

@@ -4,12 +4,13 @@ orientation test, Hodge types, and dimensions of the fixed-locus components
 of the torus parameter space.
 
 Everything here is exact; nothing is numeric.  Existence of J is decided by
-evenness of the isotypic data.  One search, `_rational_j`, finds every
-rational J, with invariance checked on the generators; when it finds none, J
-is read off the exact sample point of the first Hodge type: with M = (B |
-conj B) for a basis B of the sampled V, J = M diag(iI, -iI) M^-1, whose
-entries lie in a cyclotomic field.  One builder, `_matrix_equation`, writes
-every linear matrix equation.  Signs are read off `cyclo.real_enclosure`.
+evenness of the isotypic data.  The lattice J is the first pairing pattern or
+group element that `_rational_j` accepts, with invariance checked on the
+generators; when none is, J is read off the exact sample point of the first
+Hodge type: with M = (B | conj B) for a basis B of the sampled V, J = M
+diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  One builder,
+`_matrix_equation`, writes every linear matrix equation.  Signs are read off
+`cyclo.real_enclosure`.
 """
 
 from __future__ import annotations
@@ -132,43 +133,13 @@ def _matrix_equation(terms):
     return rows
 
 
-def _kernel_matrices(rows, w):
-    """The primitive integer kernel basis of `kernel_q`, as w x w matrices."""
-    return [[list(v[i * w:(i + 1) * w]) for i in range(w)]
-            for v in kernel_q(rows)]
-
-
-def _invariant_skew_basis(gens, w):
-    """Rational basis of {A skew : m^T A m = A for every generator m}."""
-    rows = []
-    for i in range(w):
-        for j in range(i, w):
-            row = [F(0)] * (w * w)
-            row[i * w + j] += 1
-            row[j * w + i] += 1
-            rows.append(row)
-    for m in gens:
-        rows += _matrix_equation([([list(c) for c in zip(*m)], m),
-                                  (_neg(_identity(w)), _identity(w))])
-    return _kernel_matrices(rows, w)
-
-
 def _commutant_basis(acts, w):
-    """Rational basis of matrices commuting with every action matrix."""
+    """Rational basis of matrices commuting with every action matrix: the
+    primitive integer kernel basis of `kernel_q`, as w x w matrices."""
     rows = []
     for m in acts:
         rows += _matrix_equation([(_identity(w), m), (_neg(m), _identity(w))])
-    return _kernel_matrices(rows, w)
-
-
-def _sum_gram(mats, w):
-    """Sum of m^T m over mats in the entries' own type, as Fractions."""
-    S = [[0] * w for _ in range(w)]
-    for m in mats:
-        for i in range(w):
-            for j in range(w):
-                S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
-    return [[F(x) for x in row] for row in S]
+    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in kernel_q(rows)]
 
 
 def _standard_pairings(w):
@@ -224,17 +195,17 @@ def _scaled_root(X):
     return (N, s) if s * s == c else None
 
 
-def _candidates(basis, w, seed, attempts, spread):
-    """The basis matrices, their pairwise sums and differences, then
-    `attempts` seeded combinations with coefficients in [-spread, spread]."""
+def _candidates(basis, w, seed):
+    """The basis matrices, their pairwise sums and differences, then eight
+    seeded combinations with coefficients in [-3, 3]."""
     out = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             out.append([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
             out.append([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
     rng = random.Random(seed)
-    for _ in range(attempts):
-        coeffs = [F(rng.randint(-spread, spread)) for _ in basis]
+    for _ in range(8):
+        coeffs = [F(rng.randint(-3, 3)) for _ in basis]
         out.append([[sum((c * b[i][j] for c, b in zip(coeffs, basis)), F(0))
                      for j in range(w)] for i in range(w)])
     return out
@@ -254,20 +225,6 @@ def _rational_j(candidates, gens):
         if all(N.mul(m) == m.mul(N) for m in gens):
             return [[F(x, s) for x in row] for row in N.row_tuples]
     return None
-
-
-def _action_j(mats, gens, seed):
-    """A rational J or None: the search over the pairing patterns, the
-    action matrices `mats`, then skew quotients S^-1 A, with S the Gram sum
-    over `mats` and A an invariant skew form."""
-    w = len(mats[0])
-    J = _rational_j(itertools.chain(_standard_pairings(w), mats), gens)
-    if J is not None:
-        return J
-    Sinv = fieldlin.inverse(_sum_gram(mats, w))
-    skew = _invariant_skew_basis(gens, w)
-    quotients = (fieldlin.mat_mul(Sinv, A) for A in _candidates(skew, w, seed, 8, 4))
-    return _rational_j(quotients, gens)
 
 
 def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None):
@@ -334,21 +291,20 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
     """Construct a complex structure commuting with the point group.
 
     Existence is decided by the caller's evenness report `ev` alone:
-    ValueError when it is not even.  For an even group one search
-    takes the first X with X^2 = -c I, c a rational square, whose X / sqrt(c)
-    commutes with every generator: pairing patterns, group elements, then
-    skew quotients S^-1 A (S the Gram sum over G, A an invariant skew form).
-    When it finds none, J is the complex structure of the sample point of
-    the first Hodge type, exact over a cyclotomic field; UnsupportedSample
-    when the sampler does not construct that type."""
+    ValueError when it is not even.  For an even group J is X / sqrt(c) for
+    the first pairing pattern, then group element, X with X^2 = -c I, c a
+    rational square, that commutes with every generator.  When there is
+    none, J is the complex structure of the sample point of the first Hodge
+    type, exact over a cyclotomic field; UnsupportedSample when the sampler
+    does not construct that type."""
     if not ev.even:
         raise ValueError("a group that is not even admits no invariant complex structure")
     mats = [m.to_lists() for m in crys.group.elements]
     gens = [mats[s] for s in crys.group.generators]
-    J = _action_j(mats, gens, seed)
+    J = _rational_j(itertools.chain(_standard_pairings(crys.rank), mats), gens)
     if J is None:
         B, _ = sample_subspace(crys, hodge_types(ev)[0], seed)
-        J = torus_from_omega(OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B)))).J.entries
+        J = torus_from_omega(OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B)))).entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
     _require(_commutes_with_all(J, gens), "J does not commute with the action")
     return ComplexStructure.of(J)
@@ -389,17 +345,24 @@ def _i_power(n, field: CycloField):
     return big.zeta(n * (big.order // 4))
 
 
+def _split_det(omega: OmegaMatrix):
+    """det(Omega | conj Omega); DegenerateOmega when it vanishes (the
+    columns and their conjugates fail to span)."""
+    d = fieldlin.det(fieldlin.hstack([list(r) for r in omega.entries],
+                                     _conj_cols(omega.entries)))
+    if d == 0:
+        raise DegenerateOmega("det(Omega | conj Omega) = 0")
+    return d
+
+
 def omega_in_T(omega: OmegaMatrix) -> bool:
     """Sign test i^n det(Omega | conj Omega) > 0.
 
     The quantity is real by conjugation symmetry; its rational enclosure is
     refined until it excludes 0.  DegenerateOmega is raised when the
-    determinant vanishes (the columns and their conjugates fail to span)."""
+    determinant vanishes."""
     n = _half_dim(omega)
-    d = fieldlin.det(fieldlin.hstack([list(r) for r in omega.entries],
-                                     _conj_cols(omega.entries)))
-    if d == 0:
-        raise DegenerateOmega("det(Omega | conj Omega) = 0")
+    d = _split_det(omega)
     val = _i_power(n, d.field) * d
     _require(val == val.conjugate(), "i^n det(Omega | conj Omega) is not real")
     p = 64
@@ -408,24 +371,17 @@ def omega_in_T(omega: OmegaMatrix) -> bool:
     return bounds[0] > 0
 
 
-@dataclass(frozen=True)
-class TorusModel:
-    """The torus (lattice tensor R)/Z^2n with the complex structure pulled
-    back from multiplication by i on the column span."""
-
-    J: ComplexStructure
-    oriented: bool        # Omega lies in T: J orients the lattice positively
-
-
-def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
-    """J = M diag(iI, -iI) M^-1 for M = (Omega | conj Omega): i on the
-    column span V and -i on conj V.  The bottom half of M^-1 is the
-    conjugate of its top half M1, so J = i Omega M1 + conj(i Omega M1).
+def torus_from_omega(omega: OmegaMatrix) -> ComplexStructure:
+    """The complex structure of the torus (lattice tensor R)/Z^2n pulled
+    back from multiplication by i on the column span V: J = M diag(iI, -iI)
+    M^-1 for M = (Omega | conj Omega), i on V and -i on conj V.  The bottom
+    half of M^-1 is the conjugate of its top half M1, so J = i Omega M1 +
+    conj(i Omega M1).
 
     Every Omega whose columns and their conjugates span gives a torus, in T
     or not; DegenerateOmega is raised for any other."""
     n = _half_dim(omega)
-    oriented = omega_in_T(omega)
+    _split_det(omega)
     O = [list(r) for r in omega.entries]
     M1 = fieldlin.inverse(fieldlin.hstack(O, _conj_cols(omega.entries)))[:n]
     i_unit = _i_power(1, O[0][0].field)
@@ -433,7 +389,7 @@ def torus_from_omega(omega: OmegaMatrix) -> TorusModel:
          for row in fieldlin.mat_mul(O, M1)]
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)),
              "J of the period matrix does not square to -I")
-    return TorusModel(ComplexStructure.of(J), oriented)
+    return ComplexStructure.of(J)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +504,7 @@ def _multiplicity_pairing(acts, w, seed):
     def candidates():   # the pairing patterns, then seeded commutant combinations
         yield from _standard_pairings(w)
         basis.extend(_commutant_basis(acts, w))
-        yield from _candidates(basis, w, seed, 8, 3)
+        yield from _candidates(basis, w, seed)
 
     X = _rational_j(candidates(), acts)
     if X is not None:

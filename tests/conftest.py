@@ -1,5 +1,6 @@
 """The inputs the suite shares: the 19 corpus documents, the 7 documents of
-the benchmark's scaling family, and the crystallographic group a document
+the benchmark's scaling family, ten cyclotomic lattice groups with known
+characters, and the crystallographic group a document
 normalizes to; and the Fraction check helpers several modules read vector
 systems with.  Test modules import these by name (`from conftest import
 ...`); seed the two document sets with `family.seeded_documents` exactly as
@@ -24,6 +25,58 @@ def corpus_documents():
 def family_documents():
     """The scaling-family documents by name."""
     return {name: doc for name, (doc, _) in family.scaling_family().items()}
+
+
+def _cyclotomic_polynomial(n):
+    """The coefficients of Phi_n, constant term first: x^n - 1 divided by
+    Phi_d for every proper divisor d of n, each monic."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            q = _cyclotomic_polynomial(d)
+            rest, poly = poly, []
+            for k in range(len(rest) - len(q), -1, -1):
+                c = rest[k + len(q) - 1]
+                poly.insert(0, c)
+                for i, a in enumerate(q):
+                    rest[k + i] -= c * a
+            assert not any(rest)
+    return poly
+
+
+def _zeta_powers(n):
+    """The coordinates of zeta_n^k, k = 0, ..., n - 1, in the basis 1, zeta,
+    ..., zeta^(phi(n) - 1) of Z[zeta_n]."""
+    phi = _cyclotomic_polynomial(n)
+    out, v = [], [1] + [0] * (len(phi) - 2)
+    for _ in range(n):
+        out.append(v)
+        v = [x - v[-1] * c for x, c in zip([0] + v[:-1], phi)]
+    return out
+
+
+def cyclotomic_documents():
+    """<zeta_n> semidirect H acting on Z[zeta_n]^2, H generated by the Galois
+    maps zeta -> zeta^u: order n |H|, rank 2 phi(n).  The dihedral D5 and
+    D9, C9 : C3, F21 and F42, C12 : C2 three ways, C8 : (Z/8)^x and
+    C12 : (Z/12)^x.  They have real characters with irrational values and
+    complex pairs of degree 3."""
+    cases = [(5, (4,)), (7, (2,)), (9, (8,)), (9, (4,)), (12, (5,)), (12, (7,)),
+             (12, (11,)), (7, (3,)), (8, (3, 5)), (12, (5, 7))]
+    docs = {}
+    for n, units in cases:
+        powers = _zeta_powers(n)
+        r = len(powers[0])
+
+        def doubled(images):   # the map zeta^k -> zeta^images[k] on both copies
+            m = [[powers[images[j] % n][i] for j in range(r)] for i in range(r)]
+            return [row + [0] * r for row in m] + [[0] * r + row for row in m]
+
+        maps = [doubled(range(1, r + 1))] + [doubled([u * k for k in range(r)]) for u in units]
+        docs[f"cyc{n}_u{'_'.join(map(str, units))}"] = {
+            "rank": 2 * r, "generators": [{"linear": m, "translation": [0] * (2 * r)}
+                                          for m in maps]}
+    return docs
 
 
 def crystal_group(doc):

@@ -183,6 +183,38 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: input: not UTF-8 ('utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("command", ["verify", "realize", "even", "jstruct",
+                                         "action", "teich"])
+    def test_pure_translation_past_digit_limit_absorbed(self, capsys, tmp_path, command):
+        # translations 1/p and 1/q, p and q coprime with 2,201 digits: the
+        # pure translation found first has the 4,401-digit denominator p q,
+        # more digits than Python converts to a string
+        p, q = 10 ** 2200 + 1, 10 ** 2200 + 3
+        doc = {"rank": 2, "generators": [
+            {"linear": [[-1, 0], [0, -1]], "translation": [f"1/{p}", "0"]},
+            {"linear": [[1, 0], [0, 1]], "translation": ["0", f"1/{q}"]}]}
+        code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == command
+
+    @pytest.mark.parametrize("key, bad, where", [
+        ("translation", "1e-5000", "input.generators[0].translation[0]"),
+        ("omega", "2E3", "input.omega[1][0]"),
+    ])
+    def test_exponent_notation_located(self, capsys, tmp_path, key, bad, where):
+        # Fraction would read 1e-5000 as an integer of 5,001 digits
+        doc = {"rank": 2, "generators": [{"linear": [[-1, 0], [0, -1]],
+                                          "translation": ["0", "0"]}],
+               "omega": [[["1", "0"]], [["0", "1"]]]}
+        if key == "omega":
+            doc["omega"][1][0][0] = bad
+        else:
+            doc["generators"][0]["translation"][0] = bad
+        code, out, err = run(capsys, "teich", "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: {where}: not a rational number: {bad!r}\n"
+
     def test_action_on_non_even_rejected(self, capsys, tmp_path):
         path = corpus_path(tmp_path, "s3_rank2")
         code, _, err = run(capsys, "action", "--input", path)
@@ -487,7 +519,7 @@ class TestSamplerFailures:
 def test_jstruct_reports_an_unbuilt_j_as_unsupported(capsys, tmp_path, monkeypatch):
     # an even group whose J neither the search nor the sampler builds: J
     # exists, so the job succeeds and says it did not construct one
-    monkeypatch.setattr(hodge, "_action_j", lambda mats, gens, seed: None)
+    monkeypatch.setattr(hodge, "_rational_j", lambda candidates, gens: None)
     monkeypatch.setattr(hodge, "sample_subspace", TestSamplerFailures._raising(
         hodge.UnsupportedSample("synthetic")))
     path = corpus_path(tmp_path, "kummer4")

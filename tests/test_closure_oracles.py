@@ -221,7 +221,8 @@ def test_one_closure_agrees_with_affine_closure(label):
         with pytest.raises(KernelTooBig) as info:
             crystal.verify_crystallographic(data)
         den, pure = info.value.den, info.value.numerators
-        assert f"{pure[0]}/{den}" in str(info.value)
+        # the message prints no number: den may pass Python's digit limit
+        assert not any(c.isdigit() for c in str(info.value))
     else:
         assert translations(crystal.verify_crystallographic(data)) == expected
 

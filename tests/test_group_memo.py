@@ -5,8 +5,8 @@ the MatrixGroup, and the fixed sets of the conjugacy classes on the
 CrystGroup, as cached properties.  A whole `action` job therefore computes
 each of them once, and nothing outside the group keeps it alive.  Each
 command on the Hodge side decides evenness once and hands the report on,
-and the sampler's generator action serves the tangent count.  A J
-search likewise builds the lattice's skew-form system and Gram sum once.
+and the sampler's generator action serves the tangent count.  A J read
+off a sample point solves one determinant and no linear system.
 The character table splits its class algebra without a linear solve, an
 integer matrix product copies neither operand into lists, and the vector
 system is built, checked and averaged in integers, with no Fraction.
@@ -157,36 +157,24 @@ def test_group_is_freed_after_analysis():
     assert ref() is None
 
 
-def test_j_search_builds_each_skew_system_once(monkeypatch):
-    # c6wr_rank4: |G| = 72, |S| = 2, w = 4, and no rational J, so the search
-    # runs to its end and J is read off the sample point, exactly over
-    # Q(zeta_12).  The search builds one skew system and one Gram sum; the
-    # sampler, on complex classes only, builds neither.
-    g = crystal_group(family_documents()["c6wr_rank4"])
-    systems, grams = [], []
-    kernel, gram = hodge.kernel_q, hodge._sum_gram
-
-    def counted_kernel(rows):
-        systems.append((len(rows), len(rows[0])))
-        return kernel(rows)
-
-    def counted_gram(mats, w):
-        grams.append(len(mats))
-        return gram(mats, w)
-
-    monkeypatch.setattr(hodge, "kernel_q", counted_kernel)
-    monkeypatch.setattr(hodge, "_sum_gram", counted_gram)
-    J = hodge.invariant_complex_structure(g, hodge.is_even(g))
-    assert J.mode == "algebraic" and J.field_order == 12
-    assert_invariant_j(J.entries, g.group)
-
-    w, gens = g.rank, len(g.group.generators)
-    assert (w, gens, g.order()) == (4, 2, 72)
-    assert {c.fs_type for c in g.group.isotypic.classes} == {"complex"}
-    bound = w * (w + 1) // 2 + gens * w * w
-    assert bound == 42
-    assert systems == [(42, 16)]
-    assert grams == [72]
+def test_sample_point_j_costs_one_determinant(monkeypatch):
+    # c3_rank2 and c6wr_rank4 (|G| = 72) have no rational J among the
+    # pairing patterns and the group elements, so J is read off the sample
+    # point, exactly over Q(zeta_12).  Reading it costs one determinant, the
+    # degeneracy test of (B | conj B), and neither an orientation sign nor a
+    # kernel: the sampler meets complex classes only.
+    counts = _counter(monkeypatch, ((hodge, "real_enclosure"), (fieldlin, "det"),
+                                    (hodge, "kernel_q")))
+    docs = {**corpus_documents(), **family_documents()}
+    for name in ("c3_rank2", "c6wr_rank4"):
+        g = crystal_group(docs[name])
+        ev = hodge.is_even(g)
+        assert {c.fs_type for c in ev.report.classes} == {"complex"}
+        counts.update(dict.fromkeys(counts, 0))
+        J = hodge.invariant_complex_structure(g, ev)
+        assert counts == {"real_enclosure": 0, "det": 1, "kernel_q": 0}, name
+        assert J.mode == "algebraic" and J.field_order == 12
+        assert_invariant_j(J.entries, g.group)
 
 
 def test_character_table_solves_no_system(monkeypatch):

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import family
 import pytest
-from conftest import corpus_documents, crystal_group
+from conftest import corpus_documents, crystal_group, cyclotomic_documents
 from jcheck import assert_invariant_j
 
-from crystorb import fieldlin, hodge
+from crystorb import cli, fieldlin, hodge
 from crystorb.crystal import CrystData, verify_crystallographic
 from crystorb.cyclo import CycloField, _pi_fixed, real_enclosure
 from crystorb.exactla import IntMatrix
@@ -198,13 +198,13 @@ class TestOmega:
         assert hodge.omega_in_T(flipped)
 
     def test_torus_standard(self):
-        tm = hodge.torus_from_omega(hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]]))
-        assert tm.J.entries == ((F(0), F(1)), (F(-1), F(0)))
+        J = hodge.torus_from_omega(hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]]))
+        assert J.entries == ((F(0), F(1)), (F(-1), F(0)))
 
     def test_torus_generic_tau(self):
         # tau = x + iy: J = [[-x/y, 1/y], [-(x^2+y^2)/y, x/y]], J^2 = -I
-        tm = hodge.torus_from_omega(hodge.OmegaMatrix.exact([[(1, 0)], [(1, 2)]]))
-        assert tm.J.entries == ((F(-1, 2), F(1, 2)), (F(-5, 2), F(1, 2)))
+        J = hodge.torus_from_omega(hodge.OmegaMatrix.exact([[(1, 0)], [(1, 2)]]))
+        assert J.entries == ((F(-1, 2), F(1, 2)), (F(-5, 2), F(1, 2)))
 
     def test_torus_over_a_cyclotomic_field(self):
         # tau = zeta_3 = -1/2 + i sqrt(3)/2 in Q(zeta_3), a field without i:
@@ -212,19 +212,17 @@ class TestOmega:
         K = CycloField(3)
         om = hodge.OmegaMatrix(2, 1, ((K(1),), (K.zeta(),)))
         assert hodge.omega_in_T(om)
-        tm = hodge.torus_from_omega(om)
-        assert tm.J.mode == "algebraic" and tm.J.field_order == 12
-        J = tm.J.entries
+        tj = hodge.torus_from_omega(om)
+        assert tj.mode == "algebraic" and tj.field_order == 12
+        J = tj.entries
         assert fieldlin.mat_mul(J, J) == [[-1, 0], [0, -1]]
         assert all(x == x.conjugate() for row in J for x in row)
         assert [[3 * x * x for x in row] for row in J] == [[1, 4], [4, 1]]
-        assert tm.oriented
         # the conjugate line lies outside T and carries -J
         conj = hodge.OmegaMatrix(2, 1, ((K(1),), (K.zeta(2),)))
         assert not hodge.omega_in_T(conj)
-        tm = hodge.torus_from_omega(conj)
-        assert not tm.oriented
-        assert tm.J.entries == tuple(tuple(-x for x in row) for row in J)
+        minus = tuple(tuple(-x for x in row) for row in J)
+        assert hodge.torus_from_omega(conj).entries == minus
 
     def test_degenerate_torus_rejected(self):
         om = hodge.OmegaMatrix.exact([[(1, 0)], [(2, 0)]])
@@ -277,9 +275,9 @@ class TestOmega:
 
     def test_invariant_omega_gives_commuting_j(self):
         om = hodge.OmegaMatrix.exact([[(1, 0)], [(0, 1)]])
-        tm = hodge.torus_from_omega(om)
-        assert tm.J.mode == "exact"
-        J = tm.J.entries
+        tj = hodge.torus_from_omega(om)
+        assert tj.mode == "exact"
+        J = tj.entries
         R = [[F(x) for x in row] for row in ROT4]
         assert fieldlin.mat_mul(J, R) == fieldlin.mat_mul(R, J)
 
@@ -347,7 +345,7 @@ class TestSamplesAndTangent:
         for t in hodge.hodge_types(hodge.is_even(ROT4G)):
             om = sample_omega(ROT4G, t)
             assert {z.field.order for row in om.entries for z in row} == {4}
-            J = hodge.torus_from_omega(om).J
+            J = hodge.torus_from_omega(om)
             assert J.mode == "exact"
             assert_invariant_j(J.entries, ROT4G.group)
 
@@ -355,7 +353,7 @@ class TestSamplesAndTangent:
         for t in hodge.hodge_types(hodge.is_even(C3G)):
             om = sample_omega(C3G, t)
             assert {z.field.order for row in om.entries for z in row} == {12}
-            J = hodge.torus_from_omega(om).J
+            J = hodge.torus_from_omega(om)
             assert J.mode == "algebraic" and J.field_order == 12
             assert_invariant_j(J.entries, C3G.group)
 
@@ -384,7 +382,7 @@ class TestSamplesAndTangent:
         outcomes = set()
         for om in omegas:
             assert hodge.omega_in_T(om)
-            tm = hodge.torus_from_omega(om)
+            hodge.torus_from_omega(om)
             cls = quotient.classify_action(quotient.all_fixed_loci(KUMMER))
             desc = quotient.orbifold_descriptor(KUMMER, hodge.is_even(KUMMER))
             outcomes.add((cls.kind, desc.classification.kind, desc.stratum_summary))
@@ -421,6 +419,26 @@ class TestUnsupportedSamples:
         assert middle.splits[0].degree == 3
         with pytest.raises(hodge.UnsupportedSample, match="intermediate splits"):
             hodge.sample_subspace(C7C3_DOUBLE, middle)
+
+
+@pytest.mark.parametrize("name", sorted(cyclotomic_documents()))
+def test_cyclotomic_groups_have_exact_j_and_consistent_tangents(name, tmp_path, capsys):
+    # real classes with irrational characters and complex pairs of degree 3:
+    # J is exact and invariant, and every type the sampler constructs has
+    # the tangent dimension of the formula (the others report null)
+    doc = cyclotomic_documents()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    reports = {}
+    for command in ("jstruct", "teich"):
+        assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
+        reports[command] = json.loads(capsys.readouterr().out)["result"]
+    assert reports["jstruct"]["mode"] == "exact"
+    assert all(t["tangent_agrees"] is not False for t in reports["teich"]["types"])
+    g = crystal_group(doc)
+    J = hodge.invariant_complex_structure(g, hodge.is_even(g))
+    assert J.mode == "exact"
+    assert_invariant_j(J.entries, g.group)
 
 
 MISCOUNTED_TYPE = """
@@ -476,13 +494,13 @@ from jcheck import assert_invariant_j
 from crystorb import hodge
 
 docs = {**corpus_documents(), **family_documents()}
-search, root = hodge._action_j, hodge._sqrt_rational
+torus, root = hodge.torus_from_omega, hodge._sqrt_rational
 built = []
 
-def recorded_search(*args):
-    J = search(*args)
-    built.append("rational search" if J is not None else "sample point")
-    return J
+def recorded_torus(omega):
+    if built[-1] == "rational search":
+        built[-1] = "sample point"
+    return torus(omega)
 
 def recorded_root(c):
     if c != 1:
@@ -495,9 +513,10 @@ for seed in range(4):
         g = crystal_group(doc)
         if not hodge.is_even(g).even:
             continue
-        hodge._action_j, hodge._sqrt_rational = recorded_search, recorded_root
+        built.append("rational search")
+        hodge.torus_from_omega, hodge._sqrt_rational = recorded_torus, recorded_root
         J = hodge.invariant_complex_structure(g, hodge.is_even(g))
-        hodge._action_j, hodge._sqrt_rational = search, root
+        hodge.torus_from_omega, hodge._sqrt_rational = torus, root
         branches[built.pop()] += 1
         assert_invariant_j(J.entries, g.group)
         for t in hodge.hodge_types(hodge.is_even(g)):

@@ -5,16 +5,17 @@ the code they replaced.
 the lattice action and its rational isotypic blocks (`_exact_j_for_action`)
 and once in the sampler's multiplicity spaces
 (`_sqrt_minus_one_in_commutant`).  Both tested invariance against every
-element of G, and three loop nests wrote the matrix equations: the invariant
-skew forms (m^T A m = A), the commutant (X m = m X) and the tangent equations
-(Psi rho = Q Psi).  Those routines are kept below as oracles.  On every corpus
-group and on four generated groups, the new code, which checks invariance on
-the generators only, must give the same skew and commutant bases, the same J
-at the top level and on every block, the same sampler pairing and the same
-tangent dimension.  The candidate test of `_rational_j` works on integer
-numerators; the Fraction test it replaced (`_minus_square` and the
-commutation test) must pick the same J from every candidate stream the
-corpus and the scaling family produce.
+element of G, and two loop nests wrote the matrix equations: the commutant
+(X m = m X) and the tangent equations (Psi rho = Q Psi).  Those routines are
+kept below as oracles.  On every corpus group and on four generated groups,
+the new code, which checks invariance on the generators only, must give the
+same commutant bases, the same top-level J (the first pairing pattern or
+group element the oracle accepts, else the J of the first Hodge type's
+sample point), the same sampler pairing and the same tangent dimension.  The
+candidate test of `_rational_j` works on integer numerators; the Fraction
+test it replaced (`_minus_square` and the commutation test) must pick the
+same J from every candidate stream the corpus and the scaling family
+produce.
 """
 
 import random
@@ -57,27 +58,6 @@ def _standard_pairings(w):
         inter[i][i + 1] = F(-1)
         inter[i + 1][i] = F(1)
     return [block, inter]
-
-
-def oracle_invariant_skew_basis(mats, w):
-    rows = []
-    for i in range(w):
-        for j in range(i, w):
-            row = [F(0)] * (w * w)
-            row[i * w + j] += 1
-            row[j * w + i] += 1
-            rows.append(row)
-    for m in mats:
-        for i in range(w):
-            for j in range(w):
-                row = [F(0)] * (w * w)
-                for a in range(w):
-                    for b in range(w):
-                        row[a * w + b] += m[a][i] * m[b][j]
-                row[i * w + j] -= 1
-                rows.append(row)
-    basis = kernel_q(rows)
-    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
 
 
 def _scaled_root(X, w):
@@ -133,43 +113,12 @@ def _candidates(basis, w, seed, attempts, spread):
     return out
 
 
-def _sum_gram(mats, w):
-    S = [[F(0)] * w for _ in range(w)]
-    for m in mats:
-        for i in range(w):
-            for j in range(w):
-                S[i][j] += sum(m[a][i] * m[a][j] for a in range(w))
-    return S
-
-
-def oracle_exact_j_for_action(mats, seed, attempts=8, skew=None):
-    """`skew`, when given, is oracle_invariant_skew_basis(mats, w)."""
-    w = len(mats[0])
-    if w % 2 != 0:
-        return None
-
-    def ok(J):
-        return (_is_minus_identity(fieldlin.mat_mul(J, J))
-                and _commutes_with_all(J, mats))
-
-    for cand in _standard_pairings(w):
-        if ok(cand):
+def oracle_exact_j_for_action(mats):
+    """The first pairing pattern, then element of `mats`, that squares to -I
+    and commutes with every element; or None."""
+    for cand in _standard_pairings(len(mats[0])) + mats:
+        if _is_minus_identity(fieldlin.mat_mul(cand, cand)) and _commutes_with_all(cand, mats):
             return cand
-    for m in mats:
-        if _is_minus_identity(fieldlin.mat_mul(m, m)) and _commutes_with_all(m, mats):
-            return [list(r) for r in m]
-
-    S = _sum_gram(mats, w)
-    Sinv = fieldlin.inverse(S)
-    if skew is None:
-        skew = oracle_invariant_skew_basis(mats, w)
-    for A in _candidates(skew, w, seed, attempts, 4):
-        if fieldlin.det(A) == 0:
-            continue
-        X = fieldlin.mat_mul(Sinv, A)
-        J = _scaled_root(X, w)
-        if J is not None and ok(J):
-            return J
     return None
 
 
@@ -252,9 +201,7 @@ def _groups(every_member=False):
 @pytest.fixture(scope="module", params=sorted(_groups()))
 def analysed(request):
     crys = crystal_group(_groups()[request.param])
-    mats = [_frac_rows(m) for m in crys.group.elements]
-    gens = [mats[s] for s in crys.group.generators]
-    return crys, mats, gens
+    return crys, [_frac_rows(m) for m in crys.group.elements]
 
 
 def _blocks(crys):
@@ -269,28 +216,31 @@ def _blocks(crys):
 
 
 def test_skew_basis_and_top_level_j(analysed):
-    crys, mats, gens = analysed
-    skew = oracle_invariant_skew_basis(mats, crys.rank)
-    assert hodge._invariant_skew_basis(gens, crys.rank) == skew
-    if hodge.is_even(crys).even:
-        assert hodge._action_j(mats, gens, 0) == \
-            oracle_exact_j_for_action(mats, 0, skew=skew)
+    crys, mats = analysed
+    ev = hodge.is_even(crys)
+    if not ev.even:
+        with pytest.raises(ValueError, match="not even"):
+            hodge.invariant_complex_structure(crys, ev)
+        return
+    J = oracle_exact_j_for_action(mats)
+    if J is None:
+        B, _ = hodge.sample_subspace(crys, hodge.hodge_types(ev)[0])
+        J = hodge.torus_from_omega(hodge.OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B))))
+        J = J.entries
+    assert hodge.invariant_complex_structure(crys, ev) == hodge.ComplexStructure.of(J)
 
 
 def test_block_j_and_commutant(analysed):
-    crys, mats, _ = analysed
+    crys, _ = analysed
     if not hodge.is_even(crys).even:
         pytest.skip("no J to search for")
     for acts, gen_acts in _blocks(crys):
         k = len(acts[0])
         assert hodge._commutant_basis(gen_acts, k) == oracle_commutant_basis(acts, k)
-        if acts != mats:   # a block on the lattice basis is the top-level search
-            assert hodge._action_j(acts, gen_acts, 0) == \
-                oracle_exact_j_for_action(acts, 0)
 
 
 def test_sampler_pairing_and_tangent(analysed, monkeypatch):
-    crys, _, _ = analysed
+    crys, _ = analysed
     if not hodge.is_even(crys).even:
         pytest.skip("no Hodge types")
     pairings = []

@@ -30,11 +30,7 @@ ALLOWED = {
 }
 
 # (module, class, field): why it stays with no reader in the package
-ALLOWED_FIELDS = {
-    ("hodge", "TorusModel", "oriented"):
-        "its omega_in_T test is the one corpus call of fieldlin.det, which "
-        "perfbench/tracing.py traces by name (ROADMAP item 1)",
-}
+ALLOWED_FIELDS = {}
 
 
 def _names_read(node, attributes_only=False):
