@@ -271,8 +271,12 @@ def group_report(group, normalization):
         out["normalized"] = True
         out["notice"] = ("pure translations outside the lattice were absorbed; "
                          "coordinates were rebased")
-        out["basis_change"] = mat_str(normalization.basis_change)
-        out["absorbed_translations"] = [vec_str(t) for t in normalization.absorbed]
+        try:   # str() of an integer past Python's digit limit raises ValueError
+            out["basis_change"] = mat_str(normalization.basis_change)
+            out["absorbed_translations"] = [vec_str(t) for t in normalization.absorbed]
+        except ValueError:
+            _fail("input.generators", "the absorbed translation lattice has "
+                                      "entries too long to print")
     else:
         out["normalized"] = False
     return out

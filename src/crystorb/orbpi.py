@@ -6,8 +6,10 @@ Coset enumeration is a semi-decision procedure: it reports a group order
 only when the table closes within the coset bound, and Unknown (None)
 otherwise; exhausting the bound never claims infiniteness.  It is HLT,
 minus the scans of a power relator root^m on root-cycles where it is known
-to close, and its finished table is checked in linear time by the lengths
-of those cycles (see `coset_enumerate`)."""
+to close, with the coincidence routine of Holt, Eick and O'Brien, which
+keeps every table entry naming a live coset; neither changes the table
+plain HLT builds.  Its finished table is checked in linear time by the
+lengths of those cycles (see `coset_enumerate`)."""
 
 from __future__ import annotations
 
@@ -112,10 +114,12 @@ class _Relator:
 
 
 class _CosetTable:
-    """Cosets 0, 1, ... of the trivial subgroup of p, with one flat list
-    per column (2i for generator i + 1, 2i + 1 for its inverse; None while
-    undefined), union-find labels for coincidences, and the relators with
-    their marks, which grow with the table."""
+    """Cosets 0, 1, ... of the trivial subgroup of p: one list per column
+    (2i for generator i + 1, 2i + 1 for its inverse; None while undefined),
+    union-find labels for coincidences, and the relators with their marks.
+    Columns and marks grow in chunks, doubling up to the bound.  Outside
+    `unify`, every entry of a live coset names a live coset, and
+    c.x = d exactly when d.x^-1 = c."""
 
     def __init__(self, p: Presentation, bound):
         self.cols = [[] for _ in range(2 * len(p.generators))]
@@ -129,10 +133,12 @@ class _CosetTable:
         if c >= self.bound:
             raise _Exceeded
         self.labels.append(c)
-        for col in self.cols:
-            col.append(None)
-        for marks in self.marks:
-            marks.append(0)
+        if c == len(self.cols[0]):
+            extra = max(1, min(c, self.bound - c))
+            for col in self.cols:
+                col.extend([None] * extra)
+            for marks in self.marks:
+                marks.extend(bytes(extra))
         return c
 
     def find(self, c):
@@ -143,116 +149,107 @@ class _CosetTable:
             self.labels[c], c = root, self.labels[c]
         return root
 
-    def get(self, c, col):
-        labels = self.labels
-        t = self.cols[col][c if labels[c] == c else self.find(c)]
-        return t if t is None or labels[t] == t else self.find(t)
-
-    def define(self, c, col, d):
-        """Set c.x = d and d.x^-1 = c for the letter x of column col."""
-        self.cols[col][c] = d
-        self.cols[col ^ 1][d] = c
-
     def unify(self, c1, c2):
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = self.find(a), self.find(b)
-            if a == b:
-                continue
-            a, b = min(a, b), max(a, b)
-            self.labels[b] = a
-            # a relator that closes at b closes at a once the rows merge
-            for marks in self.marks:
-                if marks[b]:
-                    marks[a] = 1
-            for col in self.cols:
-                nb = col[b]
-                if nb is None:
+        """COINCIDENCE (Holt, Eick and O'Brien, section 5.1): merge c1 and
+        c2 and every pair of cosets that merging forces, the least coset of
+        each class staying live.  Each dead coset's row moves onto its live
+        label, and every entry that named it is redefined through the
+        inverse column."""
+        cols, labels, find, all_marks = self.cols, self.labels, self.find, self.marks
+        dead = []
+
+        def merge(a, b):
+            a, b = find(a), find(b)
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                labels[b] = a
+                dead.append(b)
+                # a relator that closes at b closes at a once the rows merge
+                for marks in all_marks:
+                    if marks[b]:
+                        marks[a] = 1
+
+        merge(c1, c2)
+        for g in dead:
+            for x, col in enumerate(cols):
+                d = col[g]
+                if d is None:
                     continue
-                na = col[a]
-                if na is None:
-                    col[a] = nb
+                inv = cols[x ^ 1]
+                inv[d] = None
+                a = find(g)
+                b = d if labels[d] == d else find(d)
+                if col[a] is not None:
+                    merge(b, col[a])
+                elif inv[b] is not None:
+                    merge(a, inv[b])
                 else:
-                    stack.append((na, nb))
+                    col[a], inv[b] = b, a
 
 
 def _col(letter):
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
-def _scan_and_fill(table: _CosetTable, start, r: _Relator):
-    """Scan r from the live coset start, defining cosets to fill the gap
-    until the relator closes there.  f and b stay live (nothing merges
-    before the scan returns), so only the entries read need resolving."""
-    cols, labels, find = table.cols, table.labels, table.find
-    word = r.cols
-    f, i = start, 0
-    b, j = start, len(word) - 1
-    while True:
-        while i <= j:
-            t = cols[word[i]][f]
-            if t is None:
-                break
-            f, i = t if labels[t] == t else find(t), i + 1
-        if i > j:
-            if f != b:
-                table.unify(f, b)
-            return
-        while j >= i:
-            t = cols[word[j] ^ 1][b]
-            if t is None:
-                break
-            b, j = t if labels[t] == t else find(t), j - 1
-        if j < i:
-            if f != b:
-                table.unify(f, b)
-            return
-        if i == j:
-            # both slots are open: record the deduction
-            table.define(f, word[i], b)
-            return
-        n = table.new()
-        table.define(f, word[i], n)
-        f, i = n, i + 1
-
-
-def _mark_cycle(table: _CosetTable, start, r: _Relator):
-    """Mark every coset on the root-cycle of `start`, where r has just
-    closed: start.root^j.root^m = start.root^j for every j."""
-    c = table.find(start)
-    for _ in range(r.power):
-        r.marks[c] = 1
-        for col in r.root:
-            c = table.get(c, col)
-
-
 def _hlt(p: Presentation, bound):
     """The finished HLT coset table of p over the trivial subgroup, or None
     when it needs more than `bound` cosets."""
     table = _CosetTable(p, bound)
+    cols, labels, new, find, unify = (table.cols, table.labels, table.new,
+                                      table.find, table.unify)
+    # each relator's letters and root as the columns they read, and the
+    # inverse columns its backward scan reads
+    relators = [([cols[x] for x in r.cols], [cols[x ^ 1] for x in r.cols],
+                 len(r.cols) - 1, [cols[x] for x in r.root], r.power, r.marks)
+                for r in table.relators]
     try:
-        table.new()
+        new()
         alpha = 0
-        labels = table.labels
         while alpha < len(labels):
-            if labels[alpha] != alpha:
-                alpha += 1
-                continue
-            for r in table.relators:
+            for word, inverse, last, root, power, marks in relators:
                 if labels[alpha] != alpha:
                     break
-                if r.marks is None:
-                    _scan_and_fill(table, alpha, r)
-                elif not r.marks[alpha]:
+                if marks is not None and marks[alpha]:
                     # a scan at a marked coset would define nothing and
                     # find no coincidence
-                    _scan_and_fill(table, alpha, r)
-                    _mark_cycle(table, alpha, r)
+                    continue
+                # scan from alpha, defining cosets to fill the gap until
+                # the relator closes there; f and b stay live until then
+                f, i, b, j = alpha, 0, alpha, last
+                while True:
+                    while i <= j:
+                        t = word[i][f]
+                        if t is None:
+                            break
+                        f, i = t, i + 1
+                    while j >= i:
+                        t = inverse[j][b]
+                        if t is None:
+                            break
+                        b, j = t, j - 1
+                    if j < i:
+                        if f != b:
+                            unify(f, b)
+                        break
+                    if i == j:
+                        # both slots are open: record the deduction
+                        word[i][f], inverse[i][b] = b, f
+                        break
+                    n = new()
+                    word[i][f], inverse[i][n] = n, f
+                    f, i = n, i + 1
+                if marks is not None:
+                    # root^m closes at alpha, so on its whole root-cycle
+                    c = find(alpha)
+                    for _ in range(power):
+                        marks[c] = 1
+                        for col in root:
+                            c = col[c]
             if labels[alpha] == alpha:
-                for col, entries in enumerate(table.cols):
-                    if entries[alpha] is None:
-                        table.define(alpha, col, table.new())
+                for x, col in enumerate(cols):
+                    if col[alpha] is None:
+                        n = new()
+                        col[alpha], cols[x ^ 1][n] = n, alpha
             alpha += 1
     except _Exceeded:
         return None
@@ -261,17 +258,21 @@ def _hlt(p: Presentation, bound):
 
 def _check_table(table: _CosetTable):
     """Number of live cosets of a finished table.  Raises AssertionError
-    (also under python -O) unless every live coset has every column filled
-    and c.w = c for every live coset c and relator w = root^m.  The latter
-    walks each orbit of c -> c.root once: every orbit must be a cycle whose
-    length divides m."""
-    labels = table.labels
+    (also under python -O) unless every column of every live coset names a
+    live coset and c.w = c for every live coset c and relator w = root^m.
+    The latter walks each orbit of c -> c.root once: every orbit must be a
+    cycle whose length divides m."""
+    labels, cols = table.labels, table.cols
     live = [c for c in range(len(labels)) if labels[c] == c]
-    for col in table.cols:
+    for col in cols:
         for c in live:
-            if col[c] is None:
+            t = col[c]
+            if t is None:
                 raise AssertionError("coset table closed with holes")
+            if labels[t] != t:
+                raise AssertionError("coset table names a dead coset")
     for r in table.relators:
+        root = [cols[x] for x in r.root]
         seen = bytearray(len(labels))
         for start in live:
             if seen[start]:
@@ -279,8 +280,8 @@ def _check_table(table: _CosetTable):
             seen[start] = 1
             c, length = start, 0
             while True:
-                for col in r.root:
-                    c = table.get(c, col)
+                for col in root:
+                    c = col[c]
                 length += 1
                 if c == start:
                     break
@@ -298,13 +299,19 @@ def coset_enumerate(p: Presentation, bound=10000):
 
     HLT (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
     ch. 5): scan every relator from each live coset in turn, defining cosets
-    to fill the gaps, then fill the coset's empty columns.  Once a relator
+    to fill the gaps, then fill the coset's empty columns.  A coincidence
+    runs their COINCIDENCE routine (section 5.1): each dead coset's row
+    moves onto its live label, the least coset of its class, and every
+    entry that named it is redefined through the inverse column.  So
+    between coincidences every entry of a live coset names a live coset,
+    and scans read the table with no lookup of labels.  Once a relator
     root^m closes at a coset, it closes on that coset's whole root-cycle,
     so it is not scanned there again: such a scan would define nothing and
-    find no coincidence, and the table grows exactly as in plain HLT.  That
-    keeps the power relator c3^n of the triple (2,2,n) linear in n.  The
-    finished table is checked in linear time, also under python -O: every
-    column is filled, and every cycle of c -> c.root has length dividing m."""
+    find no coincidence.  That keeps the power relator c3^n of the triple
+    (2,2,n) linear in n.  Neither changes the table HLT builds: the same
+    cosets are defined in the same order.  The finished table is checked in
+    linear time, also under python -O: every column is filled and names a
+    live coset, and every cycle of c -> c.root has length dividing m."""
     if not p.generators:
         return 1
     table = _hlt(p, bound)

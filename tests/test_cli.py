@@ -198,6 +198,36 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["command"] == command
 
+    # translation 1/p on the first generator and 1/q on the second, p and q
+    # coprime with 3,001 digits: the pure translations they make span a
+    # lattice whose basis change has entries past the 4,300-digit limit of
+    # int -> str, and only verify prints that basis change
+    QUARTER_TURN = ([[0, -1], [1, 0]], [[-1, 0], [0, -1]])
+    SWAP = ([[-1, 0], [0, -1]], [[0, 1], [1, 0]])
+
+    @staticmethod
+    def absorbed_past_digit_limit(first, second):
+        p, q = 10 ** 3000 + 1, 10 ** 3000 + 3
+        return {"rank": 2, "generators": [
+            {"linear": first, "translation": [f"1/{p}", "0"]},
+            {"linear": second, "translation": ["0", f"1/{q}"]}]}
+
+    @pytest.mark.parametrize("linear", [QUARTER_TURN, SWAP])
+    def test_absorbed_lattice_past_digit_limit_located(self, capsys, tmp_path, linear):
+        doc = self.absorbed_past_digit_limit(*linear)
+        code, out, err = run(capsys, "verify", "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == ("error: input.generators: the absorbed translation lattice "
+                       "has entries too long to print\n")
+
+    @pytest.mark.parametrize("command", ["realize", "even", "jstruct", "action", "teich"])
+    def test_absorbed_lattice_past_digit_limit_unprinted(self, capsys, tmp_path, command):
+        doc = self.absorbed_past_digit_limit(*self.QUARTER_TURN)
+        code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == command
+
     @pytest.mark.parametrize("key, bad, where", [
         ("translation", "1e-5000", "input.generators[0].translation[0]"),
         ("omega", "2E3", "input.omega[1][0]"),

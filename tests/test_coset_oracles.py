@@ -4,12 +4,14 @@
 then walk every relator from every coset of the finished table again; on a
 power relator x^n of a group of order about n both cost O(n^2).  It now skips
 the scans that a closed power cycle already proves and checks the finished
-table by cycle lengths.  Neither change may alter the table HLT builds, so
-both enumerators must give the same order, or the same Unknown (None), on
-every input below: the Platonic triples with entries up to 8 at three
-bounds, the dihedral triples (2,2,n), the Coxeter presentations of S3-S6 and
-seeded random presentations made of powers of short words.  The old
-enumerator is kept below, as it stood in `orbpi`.
+table by cycle lengths, and its coincidences move each dead coset's entries
+onto its live label, so that table entries never name dead cosets.  None of
+these changes may alter the table HLT builds, so both enumerators must give
+the same order, or the same Unknown (None), on every input below: the
+Platonic triples with entries up to 8 at three bounds, the dihedral triples
+(2,2,n), the Coxeter presentations of S3-S6 and seeded random presentations
+made of powers of short words.  The old enumerator is kept below, as it
+stood in `orbpi`.
 """
 
 import random
@@ -231,3 +233,69 @@ def test_same_cosets_defined():
                if coset_enumerate(p, bound=500) is not None]
     for p in finite:
         assert len(orbpi._hlt(p, 10000).labels) == cosets_defined(p, 10000), p
+
+
+def _coxeter(n):
+    doc = workloads._coxeter_sn(n)["presentation"]
+    return Presentation.make(doc["generators"], doc["relators"])
+
+
+# the number of cosets HLT defines on each input of the `presentations`
+# benchmark, as the enumerator above defines them; None when the bound is
+# exhausted
+BENCHMARK_COSETS = [
+    ("triple_2_2_10", central_line_quotient(2, 2, 10), 10000, 28),
+    ("triple_2_2_100", central_line_quotient(2, 2, 100), 10000, 298),
+    ("triple_2_2_250", central_line_quotient(2, 2, 250), 10000, 748),
+    ("triple_2_2_500", central_line_quotient(2, 2, 500), 10000, 1498),
+    ("triple_2_2_1000", central_line_quotient(2, 2, 1000), 10000, 2998),
+    ("coxeter_s5", _coxeter(5), 10000, 239),
+    ("coxeter_s6", _coxeter(6), 10000, 1606),
+    ("coxeter_s7", _coxeter(7), 20000, 12643),
+    ("triple_2_2_2500", central_line_quotient(2, 2, 2500), 10000, 7498),
+    ("triple_2_3_7", central_line_quotient(2, 3, 7), 10000, None),
+    ("triple_3_3_3", central_line_quotient(3, 3, 3), 10000, None),
+    ("triple_2_4_5", central_line_quotient(2, 4, 5), 10000, None),
+]
+
+
+@pytest.mark.parametrize("p, bound, defined", [
+    pytest.param(p, bound, defined, id=name) for name, p, bound, defined in BENCHMARK_COSETS])
+def test_cosets_defined_on_benchmark_presentations(p, bound, defined):
+    table = orbpi._hlt(p, bound)
+    assert (None if table is None else len(table.labels)) == defined
+
+
+def assert_live_and_consistent(table):
+    """Every entry of a live coset is undefined or names a live coset, and
+    c.x = d exactly when d.x^-1 = c."""
+    labels, cols = table.labels, table.cols
+    for c in range(len(labels)):
+        if labels[c] != c:
+            continue
+        for x, col in enumerate(cols):
+            d = col[c]
+            if d is not None:
+                assert labels[d] == d, (c, x, d)
+                assert cols[x ^ 1][d] == c, (c, x, d)
+
+
+def test_entries_name_live_cosets(monkeypatch):
+    # checked after every coincidence, and on every finished table
+    unify = orbpi._CosetTable.unify
+
+    def checked_unify(table, c1, c2):
+        unify(table, c1, c2)
+        assert_live_and_consistent(table)
+
+    monkeypatch.setattr(orbpi._CosetTable, "unify", checked_unify)
+    inputs = [(central_line_quotient(*t), 300) for t in TRIPLES]
+    inputs += [(_coxeter(n), 10000) for n in (3, 4, 5, 6)]
+    inputs += [(p, 500) for p in random_presentations(300, seed=1)]
+    finished = 0
+    for p, bound in inputs:
+        table = orbpi._hlt(p, bound)
+        if table is not None:
+            assert_live_and_consistent(table)
+            finished += 1
+    assert finished > 100

@@ -147,26 +147,36 @@ def finished_table():
 def redirect_entry(table):
     """Point 0.a^5.a at 0.a^3 instead of 0: a is no longer a permutation,
     and the walk from 0 never comes back."""
-    a3 = table.get(table.get(table.get(0, 0), 0), 0)
-    table.cols[0][table.get(table.get(a3, 0), 0)] = a3
+    a = table.cols[0]
+    a3 = a[a[a[0]]]
+    a[a[a[a3]]] = a3
 
 
 def split_cycle(table):
     """Keep a a permutation but split its 6-cycle into cycles of lengths 4
     and 2 (0.a becomes 0.a^3, and 0.a^2.a becomes 0.a)."""
-    a1 = table.get(0, 0)
-    a2 = table.get(a1, 0)
-    a3 = table.get(a2, 0)
-    table.define(0, 0, a3)
-    table.define(a2, 0, a1)
+    a, a_inv = table.cols[0], table.cols[1]
+    a1 = a[0]
+    a2 = a[a1]
+    a3 = a[a2]
+    a[0], a_inv[a3] = a3, 0
+    a[a2], a_inv[a1] = a1, a2
 
 
 def open_hole(table):
     table.cols[1][5] = None
 
 
+def name_dead_coset(table):
+    """Declare coset 5 dead, merged into 0, while 4.a and 0.a^-1 still name
+    it: walked through its row the a-cycle of 0 still closes after six
+    steps, but only five cosets are live."""
+    table.labels[5] = 0
+
+
 class TestTableCheck:
-    @pytest.mark.parametrize("damage", [redirect_entry, split_cycle, open_hole])
+    @pytest.mark.parametrize("damage", [redirect_entry, split_cycle, open_hole,
+                                        name_dead_coset])
     def test_damaged_table_fails(self, damage):
         table = finished_table()
         damage(table)
