@@ -4,8 +4,11 @@ Commands: verify | realize | even | jstruct | action | teich | platonic,
 given before or after the options.  Input is a JSON document (--input PATH
 or - for stdin); rationals travel as strings "p/q", complex numbers as
 ["re", "im"] pairs.  Reports are text or canonical JSON (sorted keys), so
-identical input and seed produce byte-identical output.  Exit codes: 0
-success, 1 invalid input or command line, 2 internal error.
+identical input and seed produce byte-identical output.  This module is
+the one place a document is validated: a bad field raises ValidationError
+naming its JSON path or flag, and the library does not check it again.
+Exit codes: 0 success; 1 a ValidationError, an OSError or a usage error;
+2 any other exception, ValueError included, as an internal error.
 """
 
 from __future__ import annotations
@@ -258,27 +261,32 @@ def isotypic_report(report):
     ]
 
 
+def _printable(what, numbers):
+    try:   # str() of an integer past Python's digit limit raises ValueError
+        str(max(map(abs, numbers)))
+    except ValueError:
+        _fail("input.generators", f"{what} has entries too long to print")
+
+
 def group_report(group, normalization):
+    elements = group.group.elements
+    # each u_g entry is a fraction in [0, 1) over a divisor of den
+    _printable("the group", [group.den] + [x for g in elements for x in g.entries])
     out = {
         "rank": group.rank,
         "order": group.order(),
-        "elements": [
-            {"linear": group.linear(i).to_lists(), "translation": vec_str(group.u(i))}
-            for i in range(group.order())
-        ],
+        "elements": [{"linear": g.to_lists(), "translation": vec_str(group.u(i))}
+                     for i, g in enumerate(elements)],
+        "normalized": normalization.changed,
     }
     if normalization.changed:
-        out["normalized"] = True
         out["notice"] = ("pure translations outside the lattice were absorbed; "
                          "coordinates were rebased")
-        try:   # str() of an integer past Python's digit limit raises ValueError
-            out["basis_change"] = mat_str(normalization.basis_change)
-            out["absorbed_translations"] = [vec_str(t) for t in normalization.absorbed]
-        except ValueError:
-            _fail("input.generators", "the absorbed translation lattice has "
-                                      "entries too long to print")
-    else:
-        out["normalized"] = False
+        rows = normalization.basis_change + normalization.absorbed
+        _printable("the absorbed translation lattice",
+                   [y for row in rows for x in row for y in (x.numerator, x.denominator)])
+        out["basis_change"] = mat_str(normalization.basis_change)
+        out["absorbed_translations"] = [vec_str(t) for t in normalization.absorbed]
     return out
 
 
@@ -296,6 +304,7 @@ def cmd_verify(doc, opts):
 
 def cmd_realize(doc, opts):
     group, normalization = _build_group(parse_cryst_data(doc), opts["bound"])
+    _printable("the vector system", [group.den])
     if "cocycle" in doc:
         try:
             averaged = crystal.affine_realization(group.group, _parse_cocycle(doc, group))
@@ -485,19 +494,14 @@ def cmd_platonic(doc, opts):
                 _fail("input.loops", "must be a list of words")
             if not isinstance(mults, list):
                 _fail("input.multiplicities", "must be a list of integers")
-            for i, w in enumerate(loops):
-                if not (isinstance(w, list) and all(_is_int(x) for x in w)):
-                    _fail(f"input.loops[{i}]", "words are lists of signed indices")
             for i, m in enumerate(mults):
                 if not (_is_int(m) and m >= 1):
                     _fail(f"input.multiplicities[{i}]", "must be an integer >= 1")
             if len(loops) != len(mults):
                 _fail("input.multiplicities", "one multiplicity per loop required")
-            for i, w in enumerate(loops):
-                if any(x == 0 or abs(x) > len(p.generators)
-                       for x in orbpi.free_reduce(tuple(w))):
-                    _fail(f"input.loops[{i}]", "letter out of range")
-            p = orbpi.orbifold_quotient(p, [tuple(w) for w in loops], mults)
+            loops = [_word(w, len(p.generators), f"input.loops[{i}]")
+                     for i, w in enumerate(loops)]
+            p = orbpi.orbifold_quotient(p, loops, mults)
         order = orbpi.coset_enumerate(p, bound=opts["bound"])
         return {
             "generators": list(p.generators),
@@ -517,15 +521,19 @@ def _parse_presentation(raw, path="input.presentation"):
         _fail(f"{path}.generators", "must be a list of names")
     if not isinstance(rels, list):
         _fail(f"{path}.relators", "must be a list of words")
-    words = []
-    for i, w in enumerate(rels):
-        if not (isinstance(w, list) and all(_is_int(x) for x in w)):
-            _fail(f"{path}.relators[{i}]", "words are lists of signed indices")
-        words.append(tuple(w))
-    try:
-        return orbpi.Presentation.make(gens, words)
-    except ValueError as exc:
-        _fail(f"{path}.relators", str(exc))
+    words = [_word(w, len(gens), f"{path}.relators[{i}]") for i, w in enumerate(rels)]
+    return orbpi.Presentation.make(gens, words)
+
+
+def _word(w, ngens, path):
+    """A relator or loop: signed generator indices, freely reduced before
+    the letters are read, so a cancelling pair such as [2, -2] is dropped."""
+    if not (isinstance(w, list) and all(_is_int(x) for x in w)):
+        _fail(path, "words are lists of signed indices")
+    w = orbpi.free_reduce(w)
+    if any(x == 0 or abs(x) > ngens for x in w):
+        _fail(path, "letter out of range")
+    return w
 
 
 _HANDLERS = {
@@ -605,10 +613,10 @@ def main(argv=None):
         else:
             _render_text(report, sys.stdout)
         return 0
-    except (ValidationError, OSError, ValueError) as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except Exception as exc:   # internal failure
+    except Exception as exc:   # internal failure, a ValueError included
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 2
 

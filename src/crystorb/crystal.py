@@ -58,16 +58,9 @@ class CrystData:
 
     @staticmethod
     def make(rank, generators):
-        gens = []
-        for lin, trans in generators:
-            lin = lin if isinstance(lin, IntMatrix) else IntMatrix.from_rows(lin)
-            if lin.rows != rank or lin.cols != rank:
-                raise ValueError("generator linear part has wrong shape")
-            trans = tuple(F(t) for t in trans)
-            if len(trans) != rank:
-                raise ValueError("generator translation has wrong length")
-            gens.append((lin, trans))
-        return CrystData(rank, tuple(gens))
+        return CrystData(rank, tuple(
+            (lin if isinstance(lin, IntMatrix) else IntMatrix.from_rows(lin),
+             tuple(F(t) for t in trans)) for lin, trans in generators))
 
 
 @dataclass(frozen=True)
@@ -277,25 +270,16 @@ class ExtensionCocycle:
     values: dict
 
     def validate(self):
-        """Raise CocycleViolation unless f is a normalized integer 2-cocycle.
-
-        Values and normalization are checked on G x G, the identity
-        f(a,b) + f(ab,c) = L(a)f(b,c) + f(a,bc) for b in a generating set S
+        """Raise CocycleViolation unless f, an integer vector of lattice rank
+        on each pair of G x G, is a normalized 2-cocycle: normalization
+        f(g,1) = f(1,g) = 0 is checked for every g, the identity f(a,b) +
+        f(ab,c) = L(a)f(b,c) + f(a,bc) on G x S x G for a generating set S
         only.  This is Light's associativity test on Z^r x_f G: the elements
         that associate in the middle position are closed under products and
-        include Z^r and the lifts of S, which generate the extension.
-        """
+        include Z^r and the lifts of S, which generate the extension."""
         g = self.group
         n = g.order()
-        rank = g.rank
         vals = self.values
-        for i in range(n):
-            for j in range(n):
-                v = vals.get((i, j))
-                if v is None or len(v) != rank:
-                    raise CocycleViolation(f"missing or malformed value at {(i, j)}")
-                if any(not isinstance(x, int) for x in v):
-                    raise CocycleViolation("cocycle values must be integer vectors")
         for i in range(n):
             if any(vals[(i, 0)]) or any(vals[(0, i)]):
                 raise CocycleViolation("cocycle is not normalized")
@@ -329,7 +313,8 @@ def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
 
 
 def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> VectorSystem:
-    """Vector system of the extension: u_g = (1/|G|) sum over h of f(g, h).
+    """Vector system of the extension: u_g = (1/|G|) sum over h of f(g, h),
+    for a cocycle f on the group `linear`.
 
     The averaged system satisfies L(g)u_h + u_g - u_{gh} = f(g,h) exactly,
     hence the cocycle condition modulo Z^r; both are checked before
@@ -337,8 +322,6 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
     difference of its two sides is a normalized 2-cocycle, which vanishes on
     G x G once it vanishes on S x G, by induction on word length.
     """
-    if cocycle.group is not linear and cocycle.group.elements != linear.elements:
-        raise CocycleViolation("cocycle is defined on a different group")
     cocycle.validate()
     n = linear.order()
     vals = cocycle.values
@@ -372,8 +355,6 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     the witness w is returned when it exists.  The congruence is solved and
     the witness checked in integer numerators.
     """
-    if vs_a.group is not vs_b.group and vs_a.group.elements != vs_b.group.elements:
-        raise ValueError("vector systems live on different groups")
     g = vs_a.group
     den = lcm(vs_a.den, vs_b.den)
     qa, qb = den // vs_a.den, den // vs_b.den

@@ -288,10 +288,6 @@ def solve_mod_lattice(A: IntMatrix, den, b) -> SolutionSet:
     representatives, or a finite union of affine subtori (component base
     points plus a common basis of continuous directions).
     """
-    if not isinstance(A, IntMatrix):
-        raise TypeError("A must be an IntMatrix")
-    if A.rows != A.cols:
-        raise ValueError("A must be square (size = lattice rank)")
     r = A.rows
     solved = _smith_solve(A, den, b)
     if solved is None:
@@ -348,8 +344,6 @@ def _smith_solve(M: IntMatrix, den, c):
     None when M*w = c/den (mod Z^rows) has no rational w: (U*c)_i not a
     multiple of den where d_i = 0.  The elimination carries the integer c
     in place of U, so the decomposition's U is the column U*c."""
-    if len(c) != M.rows:
-        raise ValueError("right-hand side has wrong length")
     dec = snf(M, c)
     diag = dec.diagonal() + (0,) * abs(M.rows - M.cols)
     if any(d == 0 and x % den for d, x in zip(diag, dec.U.entries)):

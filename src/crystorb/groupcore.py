@@ -153,23 +153,15 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
 
     Raises ExceedsBound once more than `bound` distinct elements appear,
     which is how non-finite inputs surface, and SingularGenerator when the
-    finite closure holds no w with w*g = 1 for a generator g.  With no
-    generators the rank must be supplied and the trivial group is returned,
+    finite closure holds no w with w*g = 1 for a generator g, all square
+    of one rank.  With none it returns the trivial group of rank `rank`,
     generated by its identity.  Every product w*g it forms is recorded by
     index, so the group it returns multiplies by lookup.
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
     if not gens:
-        if rank is None:
-            raise ValueError("rank required for an empty generator list")
         return MatrixGroup(rank, [IntMatrix.identity(rank)], (0,), [(0,)], [()])
     r = gens[0].rows
-    for g in gens:
-        if g.rows != g.cols or g.rows != r:
-            raise ValueError("generators must be square of equal rank")
-    if rank is not None and rank != r:
-        raise ValueError("declared rank does not match generators")
-
     ident = IntMatrix.identity(r)
     index = {ident.entries: 0}
     ordered = [ident]
@@ -533,10 +525,8 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
     reports the complex dimension of its isotypic piece of (lattice tensor C)
     and whether that piece admits an invariant complex structure.  For a
     class of real type this requires even multiplicity; complex and
-    quaternionic classes always qualify.
+    quaternionic classes always qualify.  `table` is rho's character table.
     """
-    if table.group is not rho and table.group.elements != rho.elements:
-        raise ValueError("character table does not belong to the representation")
     field = table.field
     k = len(table.classes)
     traces = [sum(rho.elements[c.representative].at(i, i) for i in range(rho.rank))

@@ -232,8 +232,8 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
     (sum over chi in chars of chi(1) conj chi(g)) L(g), the isotypic part of
     the characters `chars` in the lattice representation.
 
-    The entries lie in Q when `field` is None, and raise ValueError when a
-    coefficient is not rational; otherwise in the cyclotomic `field`, which
+    The entries lie in Q when `field` is None, and a coefficient that is not
+    rational is a ValueError; otherwise in the cyclotomic `field`, which
     must contain the table's field."""
     n = group.order()
     w = group.rank
@@ -333,12 +333,6 @@ class OmegaMatrix:
         return OmegaMatrix(len(pairs), len(pairs[0]), ent)
 
 
-def _half_dim(omega: OmegaMatrix):
-    if omega.rows != 2 * omega.cols:
-        raise ValueError("omega must have shape 2n x n")
-    return omega.cols
-
-
 def _i_power(n, field: CycloField):
     """i^n in the smallest cyclotomic field containing `field` and i."""
     big = CycloField(lcm(field.order, 4))
@@ -361,9 +355,8 @@ def omega_in_T(omega: OmegaMatrix) -> bool:
     The quantity is real by conjugation symmetry; its rational enclosure is
     refined until it excludes 0.  DegenerateOmega is raised when the
     determinant vanishes."""
-    n = _half_dim(omega)
     d = _split_det(omega)
-    val = _i_power(n, d.field) * d
+    val = _i_power(omega.cols, d.field) * d
     _require(val == val.conjugate(), "i^n det(Omega | conj Omega) is not real")
     p = 64
     while (bounds := real_enclosure(val, p))[0] <= 0 <= bounds[1]:
@@ -380,10 +373,9 @@ def torus_from_omega(omega: OmegaMatrix) -> ComplexStructure:
 
     Every Omega whose columns and their conjugates span gives a torus, in T
     or not; DegenerateOmega is raised for any other."""
-    n = _half_dim(omega)
     _split_det(omega)
     O = [list(r) for r in omega.entries]
-    M1 = fieldlin.inverse(fieldlin.hstack(O, _conj_cols(omega.entries)))[:n]
+    M1 = fieldlin.inverse(fieldlin.hstack(O, _conj_cols(omega.entries)))[:omega.cols]
     i_unit = _i_power(1, O[0][0].field)
     J = [[i_unit * z + (i_unit * z).conjugate() for z in row]
          for row in fieldlin.mat_mul(O, M1)]

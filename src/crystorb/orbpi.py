@@ -28,66 +28,37 @@ def free_reduce(word):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators by name; relators as freely reduced words of signed
-    1-based generator indices."""
+    """Generators by name; relators as nonempty freely reduced words of
+    signed 1-based generator indices, their letters checked by the caller."""
 
     generators: tuple
     relators: tuple
 
     @staticmethod
     def make(generators, relators):
-        gens = tuple(str(g) for g in generators)
-        reduced = []
-        for w in relators:
-            w = free_reduce(tuple(int(x) for x in w))
-            for x in w:
-                if x == 0 or abs(x) > len(gens):
-                    raise ValueError("relator letter out of range")
-            if w:
-                reduced.append(w)
-        return Presentation(gens, tuple(reduced))
-
-    def with_relators(self, extra):
-        return Presentation.make(self.generators, list(self.relators) + list(extra))
+        reduced = (free_reduce(w) for w in relators)
+        return Presentation(tuple(generators), tuple(w for w in reduced if w))
 
 
 def orbifold_quotient(p: Presentation, loops, multiplicities) -> Presentation:
-    """Append loop^m for every marked loop; marks of multiplicity one are
-    forgotten (they impose no relation)."""
-    if len(loops) != len(multiplicities):
-        raise ValueError("one multiplicity per loop required")
-    extra = []
-    for loop, m in zip(loops, multiplicities):
-        m = int(m)
-        if m < 1:
-            raise ValueError("multiplicities must be >= 1")
-        if m == 1:
-            continue
-        word = free_reduce(tuple(int(x) for x in loop))
-        extra.append(word * m)
-    return p.with_relators(extra)
+    """Append loop^m for each checked loop and multiplicity m >= 1, one per
+    loop; a mark of multiplicity one imposes no relation and is forgotten."""
+    extra = (loop * m for loop, m in zip(loops, multiplicities) if m > 1)
+    return Presentation.make(p.generators, p.relators + tuple(extra))
 
 
 def central_line_quotient(m1, m2, m3) -> Presentation:
     """The von Dyck group <c1, c2, c3 | c3^-1 c2^-1 c1^-1, c1^m1, c2^m2,
     c3^m3> that the finiteness test enumerates: the fundamental group of
-    the plane minus three concurrent lines, marked with the given
-    multiplicities, modulo its central loop."""
-    for m in (m1, m2, m3):
-        if int(m) < 2:
-            raise ValueError("multiplicities must be >= 2")
-    relators = [(-3, -2, -1)]
-    for i, m in zip((1, 2, 3), (m1, m2, m3)):
-        relators.append((i,) * int(m))
+    the plane minus three concurrent lines, marked with the checked
+    multiplicities m_i >= 2, modulo its central loop."""
+    relators = [(-3, -2, -1)] + [(i,) * m for i, m in zip((1, 2, 3), (m1, m2, m3))]
     return Presentation.make(("c1", "c2", "c3"), relators)
 
 
 def platonic_check(m1, m2, m3) -> bool:
-    """1/m1 + 1/m2 + 1/m3 > 1, exactly; the solutions are the triples
-    (2,2,n) and (2,3,3), (2,3,4), (2,3,5) up to order."""
-    m1, m2, m3 = int(m1), int(m2), int(m3)
-    if min(m1, m2, m3) < 2:
-        raise ValueError("multiplicities must be >= 2")
+    """1/m1 + 1/m2 + 1/m3 > 1, exactly, for checked integers m_i >= 2; the
+    solutions are (2,2,n) and (2,3,3), (2,3,4), (2,3,5) up to order."""
     return m2 * m3 + m1 * m3 + m1 * m2 > m1 * m2 * m3
 
 
@@ -259,18 +230,21 @@ def _hlt(p: Presentation, bound):
 def _check_table(table: _CosetTable):
     """Number of live cosets of a finished table.  Raises AssertionError
     (also under python -O) unless every column of every live coset names a
-    live coset and c.w = c for every live coset c and relator w = root^m.
-    The latter walks each orbit of c -> c.root once: every orbit must be a
-    cycle whose length divides m."""
+    live coset, d.x^-1 = c when c.x = d, and c.w = c for every live coset c
+    and relator w = root^m.  The last walks each orbit of c -> c.root once:
+    every orbit must be a cycle whose length divides m."""
     labels, cols = table.labels, table.cols
     live = [c for c in range(len(labels)) if labels[c] == c]
-    for col in cols:
+    for x, col in enumerate(cols):
+        inverse = cols[x ^ 1]
         for c in live:
             t = col[c]
             if t is None:
                 raise AssertionError("coset table closed with holes")
             if labels[t] != t:
                 raise AssertionError("coset table names a dead coset")
+            if inverse[t] != c:
+                raise AssertionError("inverse column does not invert its column")
     for r in table.relators:
         root = [cols[x] for x in r.root]
         seen = bytearray(len(labels))
@@ -311,7 +285,8 @@ def coset_enumerate(p: Presentation, bound=10000):
     (2,2,n) linear in n.  Neither changes the table HLT builds: the same
     cosets are defined in the same order.  The finished table is checked in
     linear time, also under python -O: every column is filled and names a
-    live coset, and every cycle of c -> c.root has length dividing m."""
+    live coset, the x^-1 column inverts the x column, and every cycle of
+    c -> c.root has length dividing m."""
     if not p.generators:
         return 1
     table = _hlt(p, bound)

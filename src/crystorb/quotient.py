@@ -90,8 +90,6 @@ def subtori_equal(a: Subtorus, b: Subtorus) -> bool:
 
 def fixed_points(crys: CrystGroup, gi) -> FixedLocus:
     """Fixed locus of the nontrivial element of index gi."""
-    if gi == 0:
-        raise ValueError("the identity fixes everything; pass a nontrivial element")
     sol = crys.fixed_set(gi)
     if sol.is_empty():
         return FixedLocus(gi, None, None)

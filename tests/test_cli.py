@@ -228,6 +228,44 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["command"] == command
 
+    # D4 = <F, T> on Z^2, F = diag(1, -1) with translation (0, 1/q) and the
+    # swap T with (1/p, -1/p), p and q coprime with 2,201 digits, has no
+    # pure translation, but F T carries (1/p, 1/p + 1/q), over the
+    # 4,401-digit p q.  With F and T conjugated by [[1, N], [0, 1]],
+    # N = 10^2150, the generators' largest entry N^2 - 1 has 4,300 digits,
+    # and F T's N^2 + 1 has one more.
+    P, Q, N = 10 ** 2200 + 1, 10 ** 2200 + 3, 10 ** 2150
+    PAST_DIGIT_LIMIT = {
+        "translation": [{"linear": [[1, 0], [0, -1]], "translation": ["0", f"1/{Q}"]},
+                        {"linear": [[0, 1], [1, 0]], "translation": [f"1/{P}", f"-1/{P}"]}],
+        "linear": [{"linear": [[1, -2 * N], [0, -1]]},
+                   {"linear": [[N, 1 - N * N], [1, -N]]}],
+    }
+
+    @pytest.mark.parametrize("kind, command, message", [
+        ("translation", "verify", "the group"),
+        ("translation", "realize", "the vector system"),
+        ("linear", "verify", "the group"),
+    ])
+    def test_report_past_digit_limit_located(self, capsys, tmp_path, kind, command,
+                                             message):
+        doc = {"rank": 2, "generators": self.PAST_DIGIT_LIMIT[kind]}
+        code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: input.generators: {message} has entries too long to print\n"
+
+    @pytest.mark.parametrize("kind, command", [
+        ("translation", "even"), ("translation", "jstruct"), ("translation", "teich"),
+        ("linear", "realize"), ("linear", "even"), ("linear", "jstruct"),
+        ("linear", "teich"),
+    ])
+    def test_report_past_digit_limit_unprinted(self, capsys, tmp_path, kind, command):
+        doc = {"rank": 2, "generators": self.PAST_DIGIT_LIMIT[kind]}
+        code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == command
+
     @pytest.mark.parametrize("key, bad, where", [
         ("translation", "1e-5000", "input.generators[0].translation[0]"),
         ("omega", "2E3", "input.omega[1][0]"),
@@ -268,14 +306,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: input.generators[1].linear: must be invertible\n"
 
-    def test_internal_failure_exit_two(self, capsys, tmp_path, monkeypatch):
+    # a ValueError inside a handler is the program's fault, not bad input
+    @pytest.mark.parametrize("exc", [RuntimeError("synthetic"), ValueError("synthetic")],
+                             ids=["RuntimeError", "ValueError"])
+    def test_internal_failure_exit_two(self, capsys, tmp_path, monkeypatch, exc):
         def boom(doc, opts):
-            raise RuntimeError("synthetic")
+            raise exc
         monkeypatch.setitem(cli._HANDLERS, "even", boom)
         path = write_doc(tmp_path, {"rank": 2, "generators": []})
-        code, _, err = run(capsys, "even", "--input", path)
-        assert code == 2
-        assert "internal error" in err
+        code, out, err = run(capsys, "even", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == f"internal error: {type(exc).__name__}: synthetic\n"
 
     def test_bad_document_cocycle_located(self, capsys, tmp_path):
         doc = {"rank": 2, "generators": [{"linear": [[-1, 0], [0, -1]]}],
@@ -403,12 +444,23 @@ class TestPlatonicLoopErrors:
         # a loop of multiplicity 1 adds no relator, but its letters are read
         ({**_CYCLIC3, "loops": [[5, 0]], "multiplicities": [1]},
          "input.loops[0]: letter out of range"),
+        ({"presentation": {"generators": ["a"], "relators": [[1, 1, 1], [2]]}},
+         "input.presentation.relators[1]: letter out of range"),
     ])
     def test_error_names_the_path(self, capsys, tmp_path, doc, message):
         path = write_doc(tmp_path, doc)
         code, out, err = run(capsys, "platonic", "--input", path, "--format", "json")
         assert (code, out) == (1, "")
         assert message in err
+
+    def test_cancelling_relator_letters_accepted(self, capsys, tmp_path):
+        # [2, -2] reduces to the empty word, so its letters are never read
+        doc = {"presentation": {"generators": ["a"], "relators": [[2, -2], [1, 1, 1]]}}
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run(capsys, "platonic", "--input", path, "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["relators"], result["order"]) == ([[1, 1, 1]], 3)
 
 
 class TestBoundRange:
@@ -541,7 +593,7 @@ class TestSamplerFailures:
                             self._raising(ValueError("synthetic fault")))
         path = corpus_path(tmp_path, "c3_rank2")
         code, out, err = run(capsys, "teich", "--input", path, "--format", "json")
-        assert code != 0
+        assert code == 2
         assert out == ""
         assert "synthetic fault" in err
 

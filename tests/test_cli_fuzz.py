@@ -1,5 +1,6 @@
 """Front-end fuzz: every command on generated documents exits 0 (a report)
-or 1 (bad input), never 2 (an internal failure).
+or 1 (bad input, located by its JSON path or flag), never 2 (an internal
+failure).
 
 Three kinds of document: crystal-shaped ones (rank <= 4, linear entries in
 {-1, 0, 1} and now and then a non-integer, small rational translations,
@@ -98,5 +99,8 @@ def test_no_document_exits_two(documents):
         for command in cli.COMMANDS:
             code, _, err = run_document(doc, command, output_format)
             assert code in (0, 1), (command, doc, err)
+            # exit 1 is bad input only, and names its JSON path or flag
+            assert code == 0 or err.startswith(("error: input", "error: --")), \
+                (command, doc, err)
 
     check()

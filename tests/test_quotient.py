@@ -81,10 +81,6 @@ class TestFixedPoints:
                 assert fixed_points(g, gi).real_dim == 0
                 assert cardinality(g.solve_fixed(gi)) == abs(d)
 
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_points(crys(KUMMER), 0)
-
     def test_conjugation_equivariance(self):
         g = crys(MIXED)
         for h in range(g.order()):
