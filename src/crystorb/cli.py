@@ -84,6 +84,9 @@ _OPTION_KEYS = {"seed", "bound", "precision"}
 _FLOORS = {"bound": 1, "precision": 64}
 # the largest lattice rank read: output alone grows as rank^2
 MAX_RANK = 128
+# the most letters a platonic job's relators may total: every relator is
+# built in full before the enumeration, and the report prints every letter
+MAX_LETTERS = 10 ** 6
 
 
 def _fail(path, message):
@@ -470,6 +473,8 @@ def cmd_platonic(doc, opts):
             # cannot close, and no relator c_i^m_i need be built
             order = None
         else:
+            if 3 + sum(triple) > MAX_LETTERS:
+                _fail("input.triple", f"the relators would pass {MAX_LETTERS} letters")
             order = orbpi.coset_enumerate(
                 orbpi.central_line_quotient(*triple), bound=opts["bound"])
         key = tuple(sorted(triple))
@@ -501,6 +506,12 @@ def cmd_platonic(doc, opts):
                 _fail("input.multiplicities", "one multiplicity per loop required")
             loops = [_word(w, len(p.generators), f"input.loops[{i}]")
                      for i, w in enumerate(loops)]
+            letters = sum(map(len, p.relators))
+            for i, (loop, m) in enumerate(zip(loops, mults)):
+                letters += len(loop) * m if m > 1 else 0
+                if letters > MAX_LETTERS:
+                    _fail(f"input.multiplicities[{i}]",
+                          f"the relators would pass {MAX_LETTERS} letters")
             p = orbpi.orbifold_quotient(p, loops, mults)
         order = orbpi.coset_enumerate(p, bound=opts["bound"])
         return {

@@ -3,7 +3,8 @@ forms, congruences modulo Z^r, primitive integer kernels.
 
 Matrices here are integer (`IntMatrix`).  Everything over a field, such as
 inverse, rank, determinant and the rational kernel, is `fieldlin`'s; a
-rational matrix is a list of Fraction rows.
+rational matrix is a list of Fraction rows.  `kernel_q` scales that kernel
+to primitive vectors of ints.
 
 Everything here is arbitrary-precision and deterministic; no floating point.
 Conventions fixed for reproducibility:
@@ -304,7 +305,7 @@ def solve_mod_lattice(A: IntMatrix, den, b) -> SolutionSet:
 
 def kernel_q(rows):
     """Basis of the rational kernel of the matrix `rows`, as primitive
-    integer vectors.
+    integer vectors: tuples of int.
 
     Each basis vector is scaled to integer entries with positive leading
     coordinate and content 1; the list order follows the free columns of the
@@ -314,12 +315,13 @@ def kernel_q(rows):
 
 
 def _primitive(v):
+    """The rational vector v scaled to ints of content 1, leading entry > 0."""
     den = lcm(*(x.denominator for x in v))
-    w = [int(x * den) for x in v]
+    w = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*w) or 1
     if next((x for x in w if x != 0), 0) < 0:
         g = -g
-    return tuple(Fraction(x // g) for x in w)
+    return tuple(x // g for x in w)
 
 
 def solve_affine_congruence(M: IntMatrix, den, c):

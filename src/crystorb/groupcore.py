@@ -527,31 +527,21 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
     class of real type this requires even multiplicity; complex and
     quaternionic classes always qualify.  `table` is rho's character table.
     """
-    field = table.field
-    k = len(table.classes)
-    traces = [sum(rho.elements[c.representative].at(i, i) for i in range(rho.rank))
-              for c in table.classes]
-
-    conj_rows = [tuple(v.conjugate() for v in chi.values) for chi in table.characters]
-
+    # |C| tr L(g) per class; the values are integer coordinates over den 1,
+    # which _verify_orthogonality requires of the table
+    weights = [c.size * sum(rho.elements[c.representative].at(i, i) for i in range(rho.rank))
+               for c in table.classes]
     mults = []
-    for conj_values in conj_rows:
-        total = field(0)
-        for l in range(k):
-            total = total + table.classes[l].size * traces[l] * conj_values[l]
-        m = (total * Fraction(1, rho.order())).rational_value()
-        if m.denominator != 1 or m < 0:
+    for chi in table.characters:
+        # the multiplicity is real, so summing chi in place of conj chi gives it
+        total = [sum(map(mul, weights, coords)) for coords in zip(*(v.num for v in chi.values))]
+        m, r = divmod(total[0], rho.order())
+        if r or m < 0 or any(total[1:]):
             raise ArithmeticError("multiplicity is not a nonnegative integer")
-        mults.append(int(m))
-
-    conj_index = {}
-    for i, conj_values in enumerate(conj_rows):
-        for j, other in enumerate(table.characters):
-            if other.values == conj_values:
-                conj_index[i] = j
-                break
-        else:
-            raise ArithmeticError("conjugate character missing from table")
+        mults.append(m)
+    # conj chi(g) = chi(g^-1): the conjugate row is the row read at inverse classes
+    index = {tuple(v.num for v in chi.values): i for i, chi in enumerate(table.characters)}
+    inverse_class = [rho.class_index[rho.inv(c.representative)] for c in table.classes]
 
     out = []
     used = set()
@@ -572,7 +562,9 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
             _require(m % 2 == 0, "odd multiplicity of a quaternionic constituent")
             out.append(IsotypicClass((chi.label,), "quaternionic", d, m, m * d, True))
         else:
-            j = conj_index[i]
+            j = index.get(tuple(chi.values[l].num for l in inverse_class))
+            if j is None:
+                raise ArithmeticError("conjugate character missing from table")
             used.update((i, j))
             if m == 0 and mults[j] == 0:
                 continue

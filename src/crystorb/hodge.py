@@ -5,7 +5,7 @@ of the torus parameter space.
 
 Everything here is exact; nothing is numeric.  Existence of J is decided by
 evenness of the isotypic data.  The lattice J is the first pairing pattern or
-group element that `_rational_j` accepts, with invariance checked on the
+group element that `_rational_j` accepts, an IntMatrix checked on the
 generators; when none is, J is read off the exact sample point of the first
 Hodge type: with M = (B | conj B) for a basis B of the sampled V, J = M
 diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  One builder,
@@ -20,7 +20,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import fieldlin
 from .crystal import CrystGroup
@@ -92,11 +94,7 @@ def _is_minus_identity(A):
     return all(A[i][j] == (F(-1) if i == j else 0) for i in range(w) for j in range(w))
 
 
-def _commutes_with_all(J, mats):
-    return all(fieldlin.mat_mul(J, m) == fieldlin.mat_mul(m, J) for m in mats)
-
-
-def _identity(w, one=F(1)):
+def _identity(w, one=1):
     zero = one - one
     return [[one if i == j else zero for j in range(w)] for i in range(w)]
 
@@ -108,7 +106,7 @@ def _neg(M):
 def _block_action(crys: CrystGroup, basis, indices):
     """The matrices of the elements `indices` on the span of the columns of
     `basis`, in those coordinates; ArithmeticError if it is not invariant."""
-    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(crys.linear(g).to_lists(), basis))
+    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(crys.linear(g).row_tuples, basis))
             for g in indices]
 
 
@@ -134,26 +132,24 @@ def _matrix_equation(terms):
 
 
 def _commutant_basis(acts, w):
-    """Rational basis of matrices commuting with every action matrix: the
-    primitive integer kernel basis of `kernel_q`, as w x w matrices."""
+    """Basis of the matrices commuting with every action matrix (rows): the
+    primitive kernel basis of `kernel_q`, as w x w IntMatrix values."""
     rows = []
     for m in acts:
         rows += _matrix_equation([(_identity(w), m), (_neg(m), _identity(w))])
-    return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in kernel_q(rows)]
+    return [IntMatrix(w, w, v) for v in kernel_q(rows)]
 
 
 def _standard_pairings(w):
     """Two fixed pairings of coordinates; both square to -I iff w is even."""
     n = w // 2
-    block = [[F(0)] * w for _ in range(w)]
-    for i in range(n):
-        block[i][n + i] = F(-1)
-        block[n + i][i] = F(1)
-    inter = [[F(0)] * w for _ in range(w)]
-    for i in range(0, w - 1, 2):
-        inter[i][i + 1] = F(-1)
-        inter[i + 1][i] = F(1)
-    return [block, inter]
+    out = []
+    for pairs in (((i, n + i) for i in range(n)), ((i, i + 1) for i in range(0, w - 1, 2))):
+        rows = [[0] * w for _ in range(w)]
+        for i, j in pairs:
+            rows[i][j], rows[j][i] = -1, 1
+        out.append(IntMatrix.from_rows(rows))
+    return out
 
 
 def _over_integers(X):
@@ -164,65 +160,40 @@ def _over_integers(X):
                      tuple(x.numerator * (d // x.denominator) for row in X for x in row)), d
 
 
-def _integer_minus_square(N):
+def _minus_square(N):
     """c > 0 with N^2 = -c I for the IntMatrix N, an integer; else None."""
-    entries = N.mul(N).entries
-    c = -entries[0]
-    if c <= 0 or entries != tuple(-c if i == j else 0
-                                  for i in range(N.rows) for j in range(N.cols)):
-        return None
-    return c
-
-
-def _minus_square(X):
-    """c when X^2 = -c I with c > 0, a rational; else None.  With X = N / d,
-    N^2 = -c' I over the integers and c = c' / d^2."""
-    N, d = _over_integers(X)
-    c = _integer_minus_square(N)
-    return None if c is None else F(c, d * d)
-
-
-def _scaled_root(X):
-    """J = X / sqrt(c) as (N, s), J = N / s over the integers, when X^2 = -c I
-    with c a rational square, c > 0; else None.  With X = N / d, N^2 = -c' I
-    and c = c' / d^2, so c is a rational square iff c' = s^2, and then
-    X / sqrt(c) = N / s.  c > 0 makes X invertible."""
-    N, _ = _over_integers(X)
-    c = _integer_minus_square(N)
-    if c is None:
-        return None
-    s = isqrt(c)
-    return (N, s) if s * s == c else None
+    square = N.mul(N).entries
+    c = -square[0]
+    minus_c = tuple(-c * x for x in IntMatrix.identity(N.rows).entries)
+    return c if c > 0 and square == minus_c else None
 
 
 def _candidates(basis, w, seed):
-    """The basis matrices, their pairwise sums and differences, then eight
-    seeded combinations with coefficients in [-3, 3]."""
+    """The IntMatrix basis matrices, their pairwise sums and differences,
+    then eight seeded combinations with coefficients in [-3, 3]."""
     out = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            out.append([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
-            out.append([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(basis[i], basis[j])])
+            out.append(basis[i].add(basis[j]))
+            out.append(basis[i].add(basis[j].neg()))
     rng = random.Random(seed)
     for _ in range(8):
-        coeffs = [F(rng.randint(-3, 3)) for _ in basis]
-        out.append([[sum((c * b[i][j] for c, b in zip(coeffs, basis)), F(0))
-                     for j in range(w)] for i in range(w)])
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        out.append(IntMatrix(w, w, tuple(sum(map(mul, coeffs, column))
+                                         for column in zip(*(b.entries for b in basis)))))
     return out
 
 
 def _rational_j(candidates, gens):
-    """The first X / sqrt(c) over the candidates X with X^2 = -c I, c a
-    rational square, that commutes with every generator matrix; or None.
-    Commutation is tested on integer numerators, of J and of each
-    generator."""
-    gens = [_over_integers(m)[0] for m in gens]
-    for X in candidates:
-        root = _scaled_root(X)
-        if root is None:
+    """The first N / sqrt(c) over the IntMatrix candidates N with N^2 = -c I,
+    c a square, that commutes with every generator IntMatrix; or None.  c > 0
+    makes N invertible."""
+    for N in candidates:
+        c = _minus_square(N)
+        if c is None:
             continue
-        N, s = root
-        if all(N.mul(m) == m.mul(N) for m in gens):
+        s = isqrt(c)
+        if s * s == c and all(N.mul(m) == m.mul(N) for m in gens):
             return [[F(x, s) for x in row] for row in N.row_tuples]
     return None
 
@@ -299,14 +270,15 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
     does not construct that type."""
     if not ev.even:
         raise ValueError("a group that is not even admits no invariant complex structure")
-    mats = [m.to_lists() for m in crys.group.elements]
-    gens = [mats[s] for s in crys.group.generators]
-    J = _rational_j(itertools.chain(_standard_pairings(crys.rank), mats), gens)
+    elements = crys.group.elements
+    gens = [elements[s] for s in crys.group.generators]
+    J = _rational_j(itertools.chain(_standard_pairings(crys.rank), elements), gens)
     if J is None:
         B, _ = sample_subspace(crys, hodge_types(ev)[0], seed)
         J = torus_from_omega(OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B)))).entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
-    _require(_commutes_with_all(J, gens), "J does not commute with the action")
+    _require(all(fieldlin.mat_mul(J, m.row_tuples) == fieldlin.mat_mul(m.row_tuples, J)
+                 for m in gens), "J does not commute with the action")
     return ComplexStructure.of(J)
 
 
@@ -490,27 +462,29 @@ def _multiplicity_pairing(acts, w, seed):
     commutant, X - (tr X / w) I over its basis X.  On a multiplicity space
     of dimension 2 over the block's division algebra, trace-zero X and Y
     have XY + YX scalar (Cayley-Hamilton in M_2(Q); pure quaternions), and
-    the form has a negative direction."""
-    basis = []
+    the form has a negative direction.  `acts` are scaled to integers once."""
+    gens = [_over_integers(m)[0] for m in acts]
+    commutant = cache(lambda: _commutant_basis([m.row_tuples for m in gens], w))
 
     def candidates():   # the pairing patterns, then seeded commutant combinations
         yield from _standard_pairings(w)
-        basis.extend(_commutant_basis(acts, w))
-        yield from _candidates(basis, w, seed)
+        yield from _candidates(commutant(), w, seed)
 
-    X = _rational_j(candidates(), acts)
+    X = _rational_j(candidates(), gens)
     if X is not None:
         return X, F(1)
     traceless = []
-    for X in basis:
-        t = F(sum(X[i][i] for i in range(w)), w)
+    for N in commutant():
+        t = F(sum(N.at(i, i) for i in range(w)), w)
         traceless.append([[x - t if i == j else x for j, x in enumerate(row)]
-                          for i, row in enumerate(X)])
+                          for i, row in enumerate(N.row_tuples)])
     X = _negative_square(traceless)
-    c = None if X is None else _minus_square(X)
-    if c is None:
-        raise UnsupportedSample("no multiplicity-space pairing found")
-    return X, c
+    if X is not None:
+        N, d = _over_integers(X)
+        c = _minus_square(N)
+        if c is not None:
+            return X, F(c, d * d)
+    raise UnsupportedSample("no multiplicity-space pairing found")
 
 
 def _sqrt_rational(c):

@@ -1,9 +1,13 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,6 +31,16 @@ def write_doc(tmp_path, doc, name="in.json"):
 
 def corpus_path(tmp_path, name):
     return write_doc(tmp_path, load_corpus(name), f"{name}.json")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# runs cli.main on the document at argv[1] in an address space of 10^9 bytes
+LETTER_LIMIT_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+from crystorb import cli
+sys.exit(cli.main(["platonic", "--input", sys.argv[1], "--format", "json"]))
+"""
 
 
 class TestBasics:
@@ -64,6 +78,22 @@ class TestBasics:
         assert result["finite"] is True
         assert result["quotient_order"] is None
         assert result["enumeration_agrees"] is None
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"presentation": {"generators": ["a"], "relators": []}, "loops": [[1]],
+          "multiplicities": [10 ** 8]}, "input.multiplicities[0]"),
+        ({"triple": [2, 2, 10 ** 8], "options": {"bound": 10 ** 9}}, "input.triple"),
+    ], ids=["loop", "triple"])
+    def test_platonic_relators_past_letter_limit(self, tmp_path, doc, path):
+        # relators of 10^8 letters are refused before any is built; the
+        # child's address space is capped so that building one fails fast
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join((str(SRC), env.get("PYTHONPATH", "")))
+        run = subprocess.run([sys.executable, "-c", LETTER_LIMIT_CHILD, write_doc(tmp_path, doc)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout) == (1, ""), run.stderr
+        assert run.stderr == (f"error: {path}: the relators would pass "
+                              f"{cli.MAX_LETTERS} letters\n")
 
     def test_platonic_large_bound_allocates_nothing_up_front(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"triple": [2, 3, 5], "options": {"bound": 10 ** 12}})

@@ -9,7 +9,9 @@ and the sampler's generator action serves the tangent count.  A J read
 off a sample point solves one determinant and no linear system.
 The character table splits its class algebra without a linear solve, an
 integer matrix product copies neither operand into lists, and the vector
-system is built, checked and averaged in integers, with no Fraction.
+system is built, checked and averaged in integers, with no Fraction.  The
+lattice J search copies no group element into lists, and the isotypic
+multiplicities conjugate no character value.
 """
 
 import gc
@@ -25,6 +27,7 @@ from jcheck import assert_invariant_j
 from crystorb import cli, crystal, exactla, fieldlin, groupcore, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
+from crystorb.cyclo import Cyclo
 
 COUNTED = ((groupcore, "character_table"), (groupcore, "conjugacy_classes"),
            (groupcore, "real_isotypic_dimensions"), (exactla, "solve_mod_lattice"))
@@ -211,6 +214,50 @@ def test_int_matrix_product_copies_nothing(monkeypatch):
             assert a.mul(b).entries in members
         assert a.mul_vec(tuple(range(g.rank))) == tuple(
             sum(a.at(i, j) * j for j in range(g.rank)) for i in range(g.rank))
+
+
+def test_lattice_j_copies_only_the_generators(monkeypatch):
+    # every corpus and scaling group whose J is a pairing pattern or a group
+    # element: the search tests IntMatrix candidates, so J costs at most one
+    # list copy per generator, not one per element of G
+    counts = _counter(monkeypatch, ((exactla.IntMatrix, "to_lists"),))
+    found = []
+    search = hodge._rational_j
+
+    def recorded(candidates, gens):
+        J = search(candidates, gens)
+        found.append(J is not None)
+        return J
+
+    monkeypatch.setattr(hodge, "_rational_j", recorded)
+    lattice = 0
+    for name, doc in sorted({**corpus_documents(), **family_documents()}.items()):
+        g = crystal_group(doc)
+        ev = hodge.is_even(g)
+        if not ev.even:
+            continue
+        found.clear()
+        counts["to_lists"] = 0
+        hodge.invariant_complex_structure(g, ev)
+        if found[0]:
+            lattice += 1
+            assert counts["to_lists"] <= len(g.group.generators), name
+    assert lattice == 15
+
+
+def test_isotypic_multiplicities_conjugate_nothing(monkeypatch):
+    # the multiplicities are summed on integer coordinates and each complex
+    # character's conjugate is the row read at the inverse classes
+    counts = _counter(monkeypatch, ((Cyclo, "conjugate"),))
+    complex_pairs = 0
+    for name, doc in sorted({**corpus_documents(), **family_documents()}.items()):
+        group = crystal_group(doc).group
+        table = group.table
+        counts["conjugate"] = 0
+        report = groupcore.real_isotypic_dimensions(group, table)
+        assert report == group.isotypic and counts["conjugate"] == 0, name
+        complex_pairs += sum(c.fs_type == "complex" for c in report.classes)
+    assert complex_pairs == 8
 
 
 @contextmanager

@@ -557,7 +557,7 @@ def test_pairing_with_irrational_square_root(monkeypatch):
     g = _q8(4)
     roots = []
     sqrt = hodge._sqrt_rational
-    monkeypatch.setattr(hodge, "_scaled_root", lambda X: None)
+    monkeypatch.setattr(hodge, "_rational_j", lambda candidates, gens: None)
     monkeypatch.setattr(hodge, "_sqrt_rational", lambda c: roots.append(c) or sqrt(c))
     J = jstruct(g)
     assert roots == [5]
@@ -585,7 +585,7 @@ def forged(c):
     asked.append(c)
     return 2 * root(c)
 
-hodge._scaled_root = lambda X: None
+hodge._rational_j = lambda candidates, gens: None
 hodge._sqrt_rational = forged
 try:
     hodge.invariant_complex_structure(g, hodge.is_even(g))

@@ -12,10 +12,11 @@ the new code, which checks invariance on the generators only, must give the
 same commutant bases, the same top-level J (the first pairing pattern or
 group element the oracle accepts, else the J of the first Hodge type's
 sample point), the same sampler pairing and the same tangent dimension.  The
-candidate test of `_rational_j` works on integer numerators; the Fraction
-test it replaced (`_minus_square` and the commutation test) must pick the
-same J from every candidate stream the corpus and the scaling family
-produce.
+commutant basis and the candidates of `_rational_j` are IntMatrix values,
+and the search tests them in integer arithmetic; read back as Fraction rows,
+the Fraction test it replaced (the square test and the commutation test)
+must pick the same J from every candidate stream the corpus and the scaling
+family produce.
 """
 
 import random
@@ -236,7 +237,8 @@ def test_block_j_and_commutant(analysed):
         pytest.skip("no J to search for")
     for acts, gen_acts in _blocks(crys):
         k = len(acts[0])
-        assert hodge._commutant_basis(gen_acts, k) == oracle_commutant_basis(acts, k)
+        got = hodge._commutant_basis(gen_acts, k)
+        assert [N.to_lists() for N in got] == oracle_commutant_basis(acts, k)
 
 
 def test_sampler_pairing_and_tangent(analysed, monkeypatch):
@@ -299,7 +301,8 @@ def test_integer_candidate_test_matches_fractions(name, monkeypatch):
     assert streams
     for candidates, gens in streams:
         J = search(candidates, gens)
-        assert J == oracle_rational_j(candidates, gens)
+        rows = [_frac_rows(X) for X in candidates]
+        assert J == oracle_rational_j(rows, [_frac_rows(m) for m in gens])
         assert J is None or all(type(x) is F for row in J for x in row)
-        for X in candidates:
-            assert hodge._minus_square(X) == oracle_minus_square(X)
+        for X, X_rows in zip(candidates, rows):
+            assert hodge._minus_square(X) == oracle_minus_square(X_rows)
