@@ -1,20 +1,23 @@
 """Command-line front end.
 
 Commands: verify | realize | even | jstruct | action | teich | platonic,
-given before or after the options.  Input is a JSON document (--input PATH
-or - for stdin); rationals travel as strings "p/q", complex numbers as
-["re", "im"] pairs.  Reports are text or canonical JSON (sorted keys), so
-identical input and seed produce byte-identical output.  This module is
-the one place a document is validated: a bad field raises ValidationError
-naming its JSON path or flag, and the library does not check it again.
+given before, between or after the options.  Input is a JSON document
+(--input PATH or - for stdin); rationals travel as strings "p/q", complex
+numbers as ["re", "im"] pairs.  Reports are text or canonical JSON (sorted
+keys), so identical input and seed produce byte-identical output.  This
+module is the one place a document is validated: a bad field raises
+ValidationError naming its JSON path or flag, and the library does not
+check it again.  `parse_args` reads the command line with argparse's
+grammar for these options; a usage error prints the fixed USAGE line and
+`crystorb: error: <message>`.
 Exit codes: 0 success; 1 a ValidationError, an OSError or a usage error;
 2 any other exception, ValueError included, as an internal error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context
@@ -583,28 +586,147 @@ def _render_text(report, out):
     walk(report["result"], 1)
 
 
+# ---------------------------------------------------------------------------
+# the command line
+
+USAGE = ("usage: crystorb [-h] {" + ",".join(COMMANDS) + "} --input INPUT "
+         "[--format {text,json}] [--seed SEED] [--bound BOUND] [--precision PRECISION]")
+HELP = USAGE + """
+
+exact computations with crystallographic groups and finite group actions on
+complex tori; the command may come before, between or after the options
+
+options:
+  -h, --help             show this help message and exit
+  --input INPUT          path to a JSON input document, or - for stdin
+  --format {text,json}   report format (default: text)
+  --seed SEED            sampler seed (default: the document's, else 0)
+  --bound BOUND          closure or coset-enumeration bound (default: the document's)
+  --precision PRECISION  bits of the printed decimals (default: the document's, else 128)
+"""
+# a unique prefix of a long option names it, and -h may run into further
+# h's (-hh); every option but the help takes one value
+_INT_OPTIONS = ("--seed", "--bound", "--precision")
+_LONG = ("--help", "--input", "--format") + _INT_OPTIONS
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class UsageError(Exception):
+    """A bad command line; the message follows `crystorb: error: `."""
+
+
+def _option(token):
+    """How argparse reads a token before `--`: None for a positional, else
+    (option, the value given after "=" or None), option "" when unknown."""
+    if not token.startswith("-") or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    if token in _LONG or token == "-h":
+        return token, None
+    if eq and (head in _LONG or head == "-h"):
+        return head, value
+    if token.startswith("--"):
+        names = [name for name in _LONG if name.startswith(head)]
+        if len(names) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(names)}")
+        if names:
+            return names[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _command(token):
+    if token not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {token!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    return token
+
+
+def parse_args(argv):
+    """The fields command, input, format, seed, bound and precision of a
+    command line, or None when it asks for help; UsageError if it is bad.
+
+    The grammar is argparse's for one positional command and the options
+    of USAGE: the command may stand before, between or after the options;
+    a value follows its option or an "="; a token that reads as an option
+    is no value, while a negative number or "-" is; "--" ends the options;
+    a repeated option keeps its last value.  An ambiguous option (--=x)
+    is reported first; then tokens are read left to right and the first
+    fault found is reported, then a missing command or --input, then
+    unrecognized tokens.  One departure: after "=" a "--" is
+    the value "--", where argparse before 3.13 stores an empty list."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [_option(token) for token in argv[:end]]
+    fields = {"command": None, "input": None, "format": "text",
+              "seed": None, "bound": None, "precision": None}
+    extras = []
+    last = max((i for i, o in enumerate(options) if o is not None), default=-1)
+    i = 0
+    while i <= last:
+        if options[i] is None:   # a positional: the command once, then unrecognized
+            if fields["command"] is None:
+                fields["command"] = _command(argv[i])
+            else:
+                extras.append(argv[i])
+            i += 1
+            continue
+        (name, value), i = options[i], i + 1
+        if not name:
+            extras.append(argv[i - 1])
+        elif name in ("-h", "--help"):
+            if name == "-h" and value:
+                value = value.lstrip("h") or None   # -hh is -h -h
+            if value is None:
+                return None
+            raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            if value is None:
+                if i == end or options[i] is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+                value, i = argv[i], i + 1
+            if name in _INT_OPTIONS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {name}: invalid int value: {value!r}") from None
+            elif name == "--format" and value not in ("text", "json"):
+                raise UsageError(f"argument --format: invalid choice: {value!r} "
+                                 "(choose from 'text', 'json')")
+            fields[name[2:]] = value
+    if fields["command"] is None:
+        # the command, with a "--" just before or after it
+        i += i == end
+        if i < len(argv):
+            fields["command"] = _command(argv[i])
+            i += 1 + (i + 1 == end)
+    extras += argv[i:]
+    missing = [name for name in ("command", "--input") if fields[name.lstrip("-")] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return fields
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="crystorb",
-        description="exact computations with crystallographic groups and "
-                    "finite group actions on complex tori")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", required=True,
-                        help="path to a JSON input document, or - for stdin")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--bound", type=int)
-    parser.add_argument("--precision", type=int)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:   # a usage error is bad input; --help exits 0
-        return 1 if exc.code else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:   # a usage error is bad input
+        sys.stderr.write(f"{USAGE}\ncrystorb: error: {exc}\n")
+        return 1
+    if args is None:
+        sys.stdout.write(HELP)
+        return 0
     try:
         try:
-            if args.input == "-":
+            if args["input"] == "-":
                 raw = sys.stdin.read()
             else:
-                with open(args.input, "r", encoding="utf-8") as fh:
+                with open(args["input"], "r", encoding="utf-8") as fh:
                     raw = fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"input: not UTF-8 ({exc})") from exc
@@ -614,9 +736,9 @@ def main(argv=None):
             doc = json.loads(raw)
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"input: invalid JSON ({exc})") from exc
-        job = JobSpec.build(args.command, doc, args.format,
-                            seed=args.seed, bound=args.bound,
-                            precision=args.precision)
+        job = JobSpec.build(args["command"], doc, args["format"],
+                            seed=args["seed"], bound=args["bound"],
+                            precision=args["precision"])
         report = job.run()
         if job.output_format == "json":
             sys.stdout.write(json.dumps(report, sort_keys=True,

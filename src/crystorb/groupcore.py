@@ -342,7 +342,7 @@ def character_table(group: MatrixGroup) -> CharacterTable:
 
     characters = []
     for label_i, (d, values) in enumerate(rows):
-        fs = _indicator(group, field, values)
+        fs = _indicator(group, values)
         _require(fs in (-1, 0, 1), "Frobenius-Schur indicator out of range")
         characters.append(Character(f"chi{label_i}", d, tuple(values), int(fs)))
 
@@ -485,12 +485,13 @@ def _unpack(value, shift, count):
     return coeffs
 
 
-def _indicator(group, field, values):
-    """(1/|G|) sum over g of chi(g^2) for the class values of chi."""
-    total = field(0)
-    for c, v in zip(group.square_class_counts, values):
-        total = total + c * v
-    return (total * Fraction(1, group.order())).rational_value()
+def _indicator(group, values):
+    """(1/|G|) sum over g of chi(g^2) for the class values of chi, summed on
+    their integer coordinates (den 1, as _lift builds them)."""
+    counts = group.square_class_counts
+    total = [sum(map(mul, counts, coords)) for coords in zip(*(v.num for v in values))]
+    _require(not any(total[1:]), "Frobenius-Schur indicator is not rational")
+    return Fraction(total[0], group.order())
 
 
 @dataclass(frozen=True)

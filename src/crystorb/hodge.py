@@ -210,10 +210,12 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
     w = group.rank
     zero = F(0) if field is None else field(0)
     coeffs = []
-    for ci in range(len(table.classes)):
+    # conj chi(g) = chi(g^-1): the values at the inverse classes
+    for cls in table.classes:
+        ci = group.class_index[group.inv(cls.representative)]
         total = table.field(0)
         for chi in chars:
-            total = total + chi.degree * chi.values[ci].conjugate()
+            total = total + chi.degree * chi.values[ci]
         c = total.rational_value() if field is None else total.lift(field.order)
         coeffs.append(c * F(1, n))
     proj = [[zero] * w for _ in range(w)]
@@ -237,7 +239,11 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     image), one per Galois orbit of characters; zero components are
     dropped."""
     e = table.field.order
-    units = [a for a in range(1, e + 1) if gcd(a, e) == 1]
+    # chi^(a)(g) = chi(g^a), and e is the group's exponent: the image of a
+    # row under zeta -> zeta^a is the row read at the classes of a-th powers
+    powers = [group._powers(c.representative)[:-1] for c in table.classes]
+    images = {tuple(group.class_index[p[a % len(p)]] for p in powers)
+              for a in range(1, e + 1) if gcd(a, e) == 1}
     chars = table.characters
     index = {chi.values: i for i, chi in enumerate(chars)}
     out = []
@@ -245,8 +251,8 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     for i, chi in enumerate(chars):
         if i in seen:
             continue
-        images = (tuple(v.galois(a) for v in chi.values) for a in units)
-        orbit = sorted({index[values] for values in images if values in index})
+        rows = (tuple(chi.values[ci] for ci in image) for image in images)
+        orbit = sorted({index[values] for values in rows if values in index})
         seen.update(orbit)
         try:
             basis = isotypic_basis(group, table, [chars[oi] for oi in orbit])

@@ -10,8 +10,9 @@ off a sample point solves one determinant and no linear system.
 The character table splits its class algebra without a linear solve, an
 integer matrix product copies neither operand into lists, and the vector
 system is built, checked and averaged in integers, with no Fraction.  The
-lattice J search copies no group element into lists, and the isotypic
-multiplicities conjugate no character value.
+lattice J search copies no group element into lists, the isotypic
+multiplicities conjugate no character value, and the rational isotypic
+projectors apply no Galois map to one.
 """
 
 import gc
@@ -258,6 +259,21 @@ def test_isotypic_multiplicities_conjugate_nothing(monkeypatch):
         assert report == group.isotypic and counts["conjugate"] == 0, name
         complex_pairs += sum(c.fs_type == "complex" for c in report.classes)
     assert complex_pairs == 8
+
+
+def test_rational_projectors_apply_no_galois_map(monkeypatch):
+    # each Galois image of a row is the row read at the classes of a-th
+    # powers, and each conjugate the row read at the inverse classes
+    counts = _counter(monkeypatch, ((Cyclo, "galois"), (Cyclo, "conjugate")))
+    orbits = 0
+    for name, doc in sorted({**corpus_documents(), **family_documents()}.items()):
+        group = crystal_group(doc).group
+        table = group.table
+        counts.update(galois=0, conjugate=0)
+        blocks = hodge.rational_isotypic_projectors(group, table)
+        assert counts == {"galois": 0, "conjugate": 0}, name
+        orbits += sum(len(labels) > 1 for labels, _ in blocks)
+    assert orbits == 8
 
 
 @contextmanager
