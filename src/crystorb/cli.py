@@ -347,6 +347,8 @@ def _parse_cocycle(doc, group):
         if not (isinstance(vec, list) and len(vec) == group.rank
                 and all(_is_int(x) for x in vec)):
             _fail(ipath, "cocycle values are integer vectors of lattice rank")
+        if (g, h) in values:
+            _fail(ipath, f"repeats the pair {(g, h)}")
         values[(g, h)] = tuple(vec)
     for g in range(n):
         for h in range(n):

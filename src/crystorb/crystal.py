@@ -8,8 +8,12 @@ group element is a pair (linear part, translation in [0,1)^r) and the vector
 system is stored on all of the finite quotient G, once, as integer
 numerators over one denominator.  The group is closed once, on its linear
 parts; translations, the pure translations outside Z^r and the cocycle
-condition are all read off that closure's product table.  Fractions occur
-only in the parsed input, in a lattice basis change and in the `u(i)` view.
+condition are all read off that closure's product table, the translations
+along its Schreier tree.  The 2-cocycle of a vector system is built by
+coordinate rows over all of G along Cayley rows of that tree, and Light's
+test checks it as one packed integer equation per generator s and element
+c.  Fractions occur only in the parsed input, in a lattice basis change and
+in the `u(i)` view.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import lcm
-from operator import mul
+from operator import add, floordiv, mod, mul, sub
 
 from . import exactla, fieldlin
 from .exactla import IntMatrix
@@ -91,26 +96,14 @@ class VectorSystem:
         return next(_defects(g, num, gen_num, den), None) is None
 
 
-def _generator_products(group: MatrixGroup):
-    """{s: [s*h for h in G]} for the generating set S = group.generators, so
-    every element is a word in S."""
-    n = group.order()
-    return {s: [group.mul(s, h) for h in range(n)] for s in group.generators}
-
-
 def _translations(group: MatrixGroup, gen_num, den):
     """Numerators over den of the u_g with u_1 = 0 and u_{w*s_k} = L(w)u_k +
-    u_w (mod den) where the product table, walked breadth first, first
-    reaches w*s_k; gen_num[k] are the numerators of u_k."""
-    num = [None] * group.order()
-    num[0] = (0,) * group.rank
-    queue = [0]
-    for w in queue:
-        lin = group.elements[w]
-        for uk, x in zip(gen_num, group.right[w]):
-            if num[x] is None:
-                num[x] = tuple((a + b) % den for a, b in zip(lin.mul_vec(uk), num[w]))
-                queue.append(x)
+    u_w (mod den) along each edge (w*s_k, w, k) of the group's Schreier
+    tree; gen_num[k] are the numerators of u_k."""
+    num = [(0,) * group.rank] * group.order()
+    for x, w, k in group.tree:
+        num[x] = tuple((a + b) % den for a, b in
+                       zip(group.elements[w].mul_vec(gen_num[k]), num[w]))
     return num
 
 
@@ -276,39 +269,98 @@ class ExtensionCocycle:
         f(ab,c) = L(a)f(b,c) + f(a,bc) on G x S x G for a generating set S
         only.  This is Light's associativity test on Z^r x_f G: the elements
         that associate in the middle position are closed under products and
-        include Z^r and the lifts of S, which generate the extension."""
+        include Z^r and the lifts of S, which generate the extension.
+
+        Each (s, c) is one integer equation over all a: F(h) stacks the
+        f(a, h), F_s(c) the f(as, c) and L_k the k-th columns of the L(a),
+        each vector packed by Kronecker substitution in fields wider than
+        the entries' bound lets any sum reach, and F(s) + F_s(c) = sum over
+        k of f(s,c)_k L_k + F(sc) holds iff it holds field by field.  The
+        first s failing is rescanned triple by triple, so the error names
+        the first failing triple in the order (s, a, c)."""
         g = self.group
-        n = g.order()
+        n, r = g.order(), g.rank
         vals = self.values
         for i in range(n):
             if any(vals[(i, 0)]) or any(vals[(0, i)]):
                 raise CocycleViolation("cocycle is not normalized")
-        for b, b_row in _generator_products(g).items():
-            for a in range(n):
-                la = g.elements[a]
-                ab = g.mul(a, b)
-                own = vals[(a, b)]
-                for c, bc in enumerate(b_row):
-                    lhs = la.mul_vec(vals[(b, c)])
-                    rest = vals[(a, bc)]
-                    mid = vals[(ab, c)]
-                    if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
-                        raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
+        top = max(map(abs, chain.from_iterable(vals.values())))
+        ltop = max(abs(x) for m in g.elements for x in m.entries)
+        # a field of F(s) + F_s(c) - sum f(s,c)_k L_k - F(sc) is below
+        # (3 + r ltop) top in absolute value; every field lies below half
+        bound = max((3 + r * ltop) * top, ltop)
+        width = bound.bit_length() // 8 + 1
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * (n * r), "little")
+
+        def packed(ints):
+            """The bytes of ints + half, `width` bytes each."""
+            return b"".join(map(int.to_bytes, map(add, ints, repeat(half)),
+                                repeat(width), repeat("little")))
+
+        def stacked(data):
+            return int.from_bytes(data, "little") - bias
+
+        size = r * width        # data[h] holds f(a, h) for a in G, `size` bytes each
+        data = [packed(chain.from_iterable(map(vals.__getitem__, zip(range(n), repeat(h)))))
+                for h in range(n)]
+        cols = [stacked(d) for d in data]
+        lin_cols = [stacked(packed(chain.from_iterable(m.col_tuples[k] for m in g.elements)))
+                    for k in range(r)]
+        gens = [(s, [row[k] for row in g.right], g.cayley_row(s))   # a -> a*s, c -> s*c
+                for s, k in {s: k for k, s in enumerate(g.generators)}.items()]
+        failing = set()
+        for c, col in enumerate(data):
+            chunks = [col[i:i + size] for i in range(0, len(col), size)]
+            for s, at_s, s_row in gens:
+                shifted = stacked(b"".join(map(chunks.__getitem__, at_s)))
+                if cols[s] + shifted != sum(map(mul, vals[(s, c)], lin_cols)) + cols[s_row[c]]:
+                    failing.add(s)
+        for s, at_s, s_row in gens:
+            if s in failing:
+                self._rescan(s, at_s, s_row)
+
+    def _rescan(self, b, at_b, b_row):
+        """Raise CocycleViolation at the first triple (a, b, c), in the
+        order a, c, that fails the cocycle identity; at_b[a] = a*b and
+        b_row[c] = b*c.  Finding none is an internal fault."""
+        vals = self.values
+        for a, ab in enumerate(at_b):
+            la = self.group.elements[a]
+            own = vals[(a, b)]
+            for c, bc in enumerate(b_row):
+                lhs = la.mul_vec(vals[(b, c)])
+                rest = vals[(a, bc)]
+                mid = vals[(ab, c)]
+                if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
+                    raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
+        _require(False, "packed cocycle identity fails at no triple")
 
 
 def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
-    """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh}."""
+    """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh}.
+
+    Coordinate a of f(g, .) is built on all h at once: row a of L(g) times
+    the coordinate rows of u, plus u_g's a-th coordinate, minus the a-th
+    coordinate row read along g's Cayley row, checked divisible by den as a
+    whole."""
     g, num, den = vs.group, vs.numerators, vs.den
     n = g.order()
+    coords = list(zip(*num))        # coords[a][h] = a-th numerator of u_h
     values = {}
     for i in range(n):
-        lin = g.elements[i]
-        ui = num[i]
-        for j in range(n):
-            d = [x + a - b for x, a, b in zip(lin.mul_vec(num[j]), ui, num[g.mul(i, j)])]
-            if any(x % den for x in d):
+        gh = g.cayley_row(i)
+        rows = []
+        for lrow, ui, ca in zip(g.elements[i].row_tuples, num[i], coords):
+            acc = map(sub, repeat(ui), map(ca.__getitem__, gh))
+            for x, cb in zip(lrow, coords):
+                if x:
+                    acc = map(add, acc, map(mul, cb, repeat(x)))
+            acc = list(acc)
+            if any(map(mod, acc, repeat(den))):
                 raise CocycleViolation("vector system is not a valid realization")
-            values[(i, j)] = tuple(x // den for x in d)
+            rows.append(map(floordiv, acc, repeat(den)))
+        values.update(zip(zip(repeat(i), range(n)), zip(*rows)))
     return ExtensionCocycle(g, values)
 
 
@@ -326,13 +378,13 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
     n = linear.order()
     vals = cocycle.values
     # sums[g] = n u_g, an integer vector
-    sums = [[sum(col) for col in zip(*(vals[(i, j)] for j in range(n)))]
+    sums = [list(map(sum, zip(*map(vals.__getitem__, zip(repeat(i), range(n))))))
             for i in range(n)]
     # exact realization identity against the input cocycle
-    for s, row in _generator_products(linear).items():
+    for s in dict.fromkeys(linear.generators):
         lin = linear.elements[s]
         us = sums[s]
-        for h, sh in enumerate(row):
+        for h, sh in enumerate(linear.cayley_row(s)):
             lhs = [x + a - b for x, a, b in zip(lin.mul_vec(sums[h]), us, sums[sh])]
             if lhs != [n * x for x in vals[(s, h)]]:
                 raise CocycleViolation("averaged system does not realize the cocycle")

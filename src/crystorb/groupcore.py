@@ -8,7 +8,10 @@ Every group comes from `closure`, and its generating set S, the images of
 the given generators, generates it.  Group products are index lookups: each
 group records the index of every product w*s (an n x |S| table) and a word
 over S for every element, so a product g*h walks h's word through the table
-and no matrix is multiplied after the group is built.
+and no matrix is multiplied after the group is built.  A whole row g*G is one
+walk of the Schreier tree (`MatrixGroup.tree`), one lookup per element; the
+same walk carries any value defined along the generators, such as the
+translations of a crystallographic group, to all of G.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
@@ -79,6 +82,29 @@ class MatrixGroup:
 
     def order(self):
         return len(self.elements)
+
+    @cached_property
+    def tree(self):
+        """The Schreier tree of S: an edge (x, w, k), x = w*S[k], for each x
+        other than 1, reached first as `right` is scanned breadth first from
+        1.  Parents come first: one pass carries a value to all of G."""
+        seen = [True] + [False] * (self.order() - 1)
+        queue, edges = [0], []
+        for w in queue:
+            for k, x in enumerate(self.right[w]):
+                if not seen[x]:
+                    seen[x] = True
+                    queue.append(x)
+                    edges.append((x, w, k))
+        return tuple(edges)
+
+    def cayley_row(self, i):
+        """[i*g for g in G]: i*(w*s) = (i*w)*s along each tree edge."""
+        row = [i] * self.order()
+        right = self.right
+        for x, w, k in self.tree:
+            row[x] = right[row[w]][k]
+        return row
 
     def mul(self, i, j):
         right = self.right

@@ -205,11 +205,13 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
 
     The entries lie in Q when `field` is None, and a coefficient that is not
     rational is a ValueError; otherwise in the cyclotomic `field`, which
-    must contain the table's field."""
+    must contain the table's field.  The coefficient is constant on each
+    class, so the integer L(g) are summed per class first: one product per
+    class and entry."""
     n = group.order()
     w = group.rank
     zero = F(0) if field is None else field(0)
-    coeffs = []
+    proj = [[zero] * w for _ in range(w)]
     # conj chi(g) = chi(g^-1): the values at the inverse classes
     for cls in table.classes:
         ci = group.class_index[group.inv(cls.representative)]
@@ -217,17 +219,14 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
         for chi in chars:
             total = total + chi.degree * chi.values[ci]
         c = total.rational_value() if field is None else total.lift(field.order)
-        coeffs.append(c * F(1, n))
-    proj = [[zero] * w for _ in range(w)]
-    for g, ci in enumerate(group.class_index):
-        c = coeffs[ci]
+        c = c * F(1, n)
         if c == 0:
             continue
-        mat = group.elements[g]
+        class_sum = list(map(sum, zip(*(group.elements[g].entries for g in cls.members))))
         for i in range(w):
             for j in range(w):
-                if mat.at(i, j):
-                    proj[i][j] = proj[i][j] + c * mat.at(i, j)
+                if class_sum[i * w + j]:
+                    proj[i][j] = proj[i][j] + c * class_sum[i * w + j]
     red, pivots = fieldlin.rref(proj)
     return fieldlin.columns(proj, pivots)
 

@@ -354,6 +354,15 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: input.cocycle: cocycle identity fails at (1, 1, 1)\n"
 
+    def test_repeated_cocycle_pair_refused(self, capsys, tmp_path):
+        # a later entry used to overwrite an earlier one: with the refused
+        # value f(1, 1) = (1, 1) first, the document exited 0
+        doc = {"rank": 2, "generators": [{"linear": [[-1, 0], [0, -1]]}],
+               "cocycle": [[1, 1, [1, 1]], [0, 1, [0, 0]], [1, 1, [0, 0]]]}
+        code, out, err = run(capsys, "realize", "--input", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: input.cocycle[2]: repeats the pair (1, 1)\n"
+
     def test_internal_cocycle_fault_exit_two(self, capsys, tmp_path, monkeypatch):
         # the cocycle of a checked vector system is the program's own: a
         # violation there is an internal fault, not bad input

@@ -4,6 +4,12 @@ VectorSystem.is_consistent checks the cocycle condition on G x S and
 ExtensionCocycle.validate the cocycle identity on G x S x G, for a generating
 set S.  The oracles below are the direct checks on G x G and G x G x G in
 Fraction arithmetic; on every input both must give the same answer.
+
+`validate` checks each (s, c) as one packed integer equation and
+`cocycle_from_system` builds f by coordinate rows.  The triple loop and the
+pair loop they replaced are kept below as references: the same values, and
+the same verdict and message on every mutant, including entries past 64 bits
+and cocycles failing at several triples.
 """
 
 import json
@@ -15,9 +21,16 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from conftest import cocycle_defect, over_one_denominator, translations
+import family
+from conftest import (
+    cocycle_defect,
+    corpus_documents,
+    family_documents,
+    over_one_denominator,
+    translations,
+)
 
-from crystorb import cli
+from crystorb import cli, crystal
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import (
     CocycleViolation,
@@ -65,6 +78,53 @@ def oracle_validate(f):
                     raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
 
 
+def loop_validate(f):
+    """ExtensionCocycle.validate as the triple loop over G x S x G."""
+    g = f.group
+    n = g.order()
+    vals = f.values
+    for i in range(n):
+        if any(vals[(i, 0)]) or any(vals[(0, i)]):
+            raise CocycleViolation("cocycle is not normalized")
+    for b in dict.fromkeys(g.generators):
+        b_row = [g.mul(b, h) for h in range(n)]
+        for a in range(n):
+            la = g.elements[a]
+            ab = g.mul(a, b)
+            own = vals[(a, b)]
+            for c, bc in enumerate(b_row):
+                lhs = la.mul_vec(vals[(b, c)])
+                rest = vals[(a, bc)]
+                mid = vals[(ab, c)]
+                if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
+                    raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
+
+
+def loop_cocycle_from_system(vs):
+    """cocycle_from_system as the pair loop over G x G."""
+    g, num, den = vs.group, vs.numerators, vs.den
+    n = g.order()
+    values = {}
+    for i in range(n):
+        lin = g.elements[i]
+        ui = num[i]
+        for j in range(n):
+            d = [x + a - b for x, a, b in zip(lin.mul_vec(num[j]), ui, num[g.mul(i, j)])]
+            if any(x % den for x in d):
+                raise CocycleViolation("vector system is not a valid realization")
+            values[(i, j)] = tuple(x // den for x in d)
+    return ExtensionCocycle(g, values)
+
+
+def verdict(check, f):
+    """None when `check` accepts f, else its CocycleViolation message."""
+    try:
+        check(f)
+    except CocycleViolation as exc:
+        return str(exc)
+    return None
+
+
 def rejects(check, f):
     try:
         check(f)
@@ -73,9 +133,13 @@ def rejects(check, f):
     return False
 
 
-def corpus_group(name):
-    group, _ = cli._build_group(cli.parse_cryst_data(load_corpus(name)), 512)
+def document_group(doc):
+    group, _ = cli._build_group(cli.parse_cryst_data(doc), 512)
     return group
+
+
+def corpus_group(name):
+    return document_group(load_corpus(name))
 
 
 def system(group, vectors):
@@ -113,6 +177,7 @@ def test_corpus_checks_agree_with_oracles(name):
             t = tuple(u + F(1, den) * e for u, e in zip(vs.u(i), unit(rank, i % rank)))
             bad = with_translation(vs, i, t)
             assert bad.is_consistent() == oracle_is_consistent(bad)
+            assert verdict(cocycle_from_system, bad) == verdict(loop_cocycle_from_system, bad)
     # every single-value cocycle change off the normalized border
     for a in range(1, n):
         for b in range(1, n):
@@ -213,7 +278,8 @@ def signed_permutations_rank4():
     return CrystData.make(4, [(m, (0, 0, 0, 0)) for m in (cycle, swap, flip)])
 
 
-def test_verify_work_is_linear_in_group_order(monkeypatch):
+def counted_products(monkeypatch):
+    """A one-element list counting the MatrixGroup.mul calls from now on."""
     calls = [0]
     mul = MatrixGroup.mul
 
@@ -222,6 +288,11 @@ def test_verify_work_is_linear_in_group_order(monkeypatch):
         return mul(self, i, j)
 
     monkeypatch.setattr(MatrixGroup, "mul", counting_mul)
+    return calls
+
+
+def test_verify_work_is_linear_in_group_order(monkeypatch):
+    calls = counted_products(monkeypatch)
     data = signed_permutations_rank4()
     group = verify_crystallographic(data)
     assert group.order() == 384
@@ -247,3 +318,148 @@ def test_realize_checks_survive_optimize(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert bad.returncode == 1
     assert "cocycle identity fails" in bad.stderr
+
+
+def twisted(f, phi):
+    """f + d(phi): again a normalized cocycle for phi: G -> Z^r, phi(1) = 0."""
+    g = f.group
+    n = g.order()
+    return ExtensionCocycle(g, {
+        (a, b): tuple(x + y - z + p for x, y, z, p in
+                      zip(f.values[(a, b)], g.elements[a].mul_vec(phi[b]),
+                          phi[g.mul(a, b)], phi[a]))
+        for a in range(n) for b in range(n)})
+
+
+def kernel_documents():
+    """The corpus, the scaling family at basis seeds 0-3, and B4 with a half
+    translation on the transposition, by name."""
+    docs = corpus_documents()
+    for seed in range(4):
+        docs.update((f"{name}@{seed}", doc) for name, doc in
+                    family.seeded_documents(family_documents(), seed).items())
+    docs["b4_half"] = {"rank": 4, "generators": [
+        {"linear": lin.to_lists(), "translation": ["1/2" if k == 1 else "0", "0", "0", "0"]}
+        for k, (lin, _) in enumerate(signed_permutations_rank4().generators)]}
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(kernel_documents()))
+def test_kernels_match_the_loops(name):
+    # the same values, and the same verdicts on mutants; on B4's 384
+    # elements the triple loop runs on the mutants only, which fail at a =
+    # 1 or 2, as it takes 1.5 s on a valid cocycle
+    vs = document_group(kernel_documents()[name])
+    f = cocycle_from_system(vs)
+    assert f.values == loop_cocycle_from_system(vs).values
+    assert verdict(ExtensionCocycle.validate, f) is None
+    if vs.order() < 384:
+        assert verdict(loop_validate, f) is None
+    s = vs.group.generators[-1]
+    for key in ((1, s), (2, 1)) if vs.order() > 2 else ():
+        for delta in (1, -BIG):
+            bad = with_value(f, key, tuple(x + delta * e for x, e in
+                                           zip(f.values[key], unit(vs.rank, vs.rank - 1))))
+            assert verdict(ExtensionCocycle.validate, bad) == verdict(loop_validate, bad)
+
+
+# phi with entries of both signs; BIG makes them past 64 bits
+BIG = 2 ** 70
+
+
+def phi_of(group, scale):
+    rank = group.rank
+    return [(0,) * rank] + [tuple(scale * ((3 * i + k) % 5 - 2) for k in range(rank))
+                            for i in range(1, group.order())]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+@pytest.mark.parametrize("scale", [1, -7, BIG, -BIG],
+                         ids=["small", "negative", "big", "minus_big"])
+def test_kernel_messages_match_the_loop(name, scale):
+    # every single-value change of a twisted cocycle, by a unit, by -1 and
+    # by 2^70 (0 modulo 2^64): the same verdict and the same message
+    vs = corpus_group(name)
+    n, rank = vs.order(), vs.rank
+    f = twisted(cocycle_from_system(vs), phi_of(vs.group, scale))
+    assert verdict(ExtensionCocycle.validate, f) is None
+    rejected = 0
+    for a in range(1, n):
+        for b in range(1, n):
+            for k in range(rank):
+                for delta in (1, -1, BIG):
+                    bad = with_value(f, (a, b), tuple(x + delta * e for x, e in
+                                                      zip(f.values[(a, b)], unit(rank, k))))
+                    want = verdict(loop_validate, bad)
+                    rejected += want is not None
+                    assert verdict(ExtensionCocycle.validate, bad) == want, (a, b, k, delta)
+    assert rejected or n == 1
+
+
+def test_twists_reach_past_64_bits():
+    # the valid cocycles above carry entries of both signs past 2^70 where
+    # G has nonzero coboundaries (on Z/2 acting by -1 every one vanishes)
+    for scale in (BIG, -BIG):
+        vs = corpus_group("d4_rank2")
+        entries = [x for v in twisted(cocycle_from_system(vs),
+                                      phi_of(vs.group, scale)).values.values() for x in v]
+        assert min(entries) <= -BIG and max(entries) >= BIG
+
+
+def failing_triples(f):
+    """Every (a, s, c) failing the identity, s in S, in the loop's order."""
+    g = f.group
+    n = g.order()
+    out = []
+    for s in dict.fromkeys(g.generators):
+        for a in range(n):
+            for c in range(n):
+                lhs = g.elements[a].mul_vec(f.values[(s, c)])
+                if any(x - y + z - w for x, y, z, w in
+                       zip(lhs, f.values[(g.mul(a, s), c)], f.values[(a, g.mul(s, c))],
+                           f.values[(a, s)])):
+                    out.append((a, s, c))
+    return out
+
+
+def test_first_failing_triple_is_the_loops():
+    # cocycles failing at two triples (a1, s, c1) and (a2, s, c2) with
+    # a1 < a2 and c2 < c1: the error names (a1, s, c1), as the loop does,
+    # though the equation of (s, c2) fails first
+    vs = corpus_group("d4_rank2")
+    n = vs.order()
+    f = cocycle_from_system(vs)
+    found = 0
+    for a in range(1, n):
+        for b in range(1, n):
+            bad = with_value(f, (a, b), tuple(x + e for x, e in
+                                              zip(f.values[(a, b)], unit(2))))
+            fails = failing_triples(bad)
+            first = fails[0]
+            found += any(s == first[1] and c < first[2] for _, s, c in fails)
+            assert verdict(ExtensionCocycle.validate, bad) == \
+                f"cocycle identity fails at {first}" == verdict(loop_validate, bad)
+    assert found
+
+
+def test_rescan_without_a_failing_triple_is_an_internal_fault():
+    # the packed equations and the triples disagree only through a fault
+    # of the kernel: exit 2 through ArithmeticError, which -O keeps
+    vs = corpus_group("d4_rank2")
+    g = vs.group
+    f = cocycle_from_system(vs)
+    s = g.generators[0]
+    with pytest.raises(ArithmeticError, match="packed cocycle identity fails at no triple"):
+        f._rescan(s, [g.mul(a, s) for a in range(g.order())],
+                  [g.mul(s, c) for c in range(g.order())])
+
+
+def test_realize_work_is_linear_in_group_order(monkeypatch):
+    # the pair loop over G x G and the triple loop over G x S x G made
+    # about |G|^2 + 2|S||G| = 5,472 products here
+    doc = family_documents()["c6wr_rank4"]
+    vs = document_group(doc)
+    calls = counted_products(monkeypatch)
+    crystal.affine_realization(vs.group, cocycle_from_system(vs))
+    assert vs.order() == 72
+    assert calls[0] <= (len(vs.group.generators) + 1) * vs.order()

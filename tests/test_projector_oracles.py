@@ -17,6 +17,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+import family
 from conftest import corpus_documents, crystal_group, family_documents
 
 from crystorb import fieldlin, hodge
@@ -119,6 +120,34 @@ def oracle_rational_isotypic_basis(crys, table, chi):
     return fieldlin.columns(proj, pivots)
 
 
+def oracle_entrywise_basis(group, table, chars, field=None):
+    """hodge.isotypic_basis as it summed before class sums: c(class of g)
+    L(g) over all g, entry by entry, one product per nonzero entry."""
+    n = group.order()
+    w = group.rank
+    zero = F(0) if field is None else field(0)
+    coeffs = []
+    for cls in table.classes:
+        ci = group.class_index[group.inv(cls.representative)]
+        total = table.field(0)
+        for chi in chars:
+            total = total + chi.degree * chi.values[ci]
+        c = total.rational_value() if field is None else total.lift(field.order)
+        coeffs.append(c * F(1, n))
+    proj = [[zero] * w for _ in range(w)]
+    for g, ci in enumerate(group.class_index):
+        c = coeffs[ci]
+        if c == 0:
+            continue
+        mat = group.elements[g]
+        for i in range(w):
+            for j in range(w):
+                if mat.at(i, j):
+                    proj[i][j] = proj[i][j] + c * mat.at(i, j)
+    red, pivots = fieldlin.rref(proj)
+    return fieldlin.columns(proj, pivots)
+
+
 # ---------------------------------------------------------------------------
 
 def _groups():
@@ -192,3 +221,33 @@ def test_partial_galois_orbit_is_an_arithmetic_error():
         oracle_rational_isotypic_projectors(crys.group, partial)
     with pytest.raises(ArithmeticError):
         hodge.rational_isotypic_projectors(crys.group, partial)
+
+
+def _class_sum_inputs():
+    """The corpus and the scaling family at basis seeds 0-3."""
+    docs = sorted(corpus_documents().items())
+    for seed in range(4):
+        docs += sorted((f"{name}@{seed}", doc) for name, doc in
+                       family.seeded_documents(family_documents(), seed).items())
+    return docs
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=name)
+                                 for name, doc in _class_sum_inputs()])
+def test_class_sums_match_the_entrywise_sum(doc):
+    # each character over Q and over the sampler's field, and each Galois
+    # orbit over Q, as rational_isotypic_projectors passes them
+    crys = crystal_group(doc)
+    group, table = crys.group, hodge.point_group_table(crys)
+    field = hodge._sample_field(table)
+    for chi in table.characters:
+        assert (hodge.isotypic_basis(group, table, [chi], field)
+                == oracle_entrywise_basis(group, table, [chi], field)), chi.label
+        if all(v.is_rational() for v in chi.values):
+            assert (hodge.isotypic_basis(group, table, [chi])
+                    == oracle_entrywise_basis(group, table, [chi])), chi.label
+    labels = {chi.label: chi for chi in table.characters}
+    for orbit, _ in hodge.rational_isotypic_projectors(group, table):
+        chars = [labels[label] for label in orbit]
+        assert (hodge.isotypic_basis(group, table, chars)
+                == oracle_entrywise_basis(group, table, chars)), orbit
