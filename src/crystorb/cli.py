@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 
@@ -39,21 +38,20 @@ class ValidationError(Exception):
     """Bad input; the message carries the JSON path of the offense."""
 
 
-@dataclass(frozen=True)
 class JobSpec:
     """One validated CLI job: command, parsed document, output format, and
     the effective seed/bound/precision (flags override document options)."""
 
-    command: str
-    document: dict
-    output_format: str
-    seed: int
-    bound: int
-    precision: int
+    def __init__(self, command, document, output_format, seed, bound, precision):
+        self.command = command
+        self.document = document
+        self.output_format = output_format
+        self.seed = seed
+        self.bound = bound
+        self.precision = precision
 
     @staticmethod
-    def build(command, document, output_format, seed=None, bound=None,
-              precision=None):
+    def build(command, document, output_format, seed=None, bound=None, precision=None):
         _check_document(document)
         for name, value in (("bound", bound), ("precision", precision)):
             if value is not None and value < _FLOORS[name]:

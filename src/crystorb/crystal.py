@@ -18,7 +18,6 @@ in the `u(i)` view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -54,12 +53,12 @@ class CocycleViolation(Exception):
     """A claimed 2-cocycle fails normalization or the cocycle identity."""
 
 
-@dataclass(frozen=True)
 class CrystData:
     """Raw input: declared lattice rank plus affine generators."""
 
-    rank: int
-    generators: tuple
+    def __init__(self, rank, generators):
+        self.rank = rank
+        self.generators = generators
 
     @staticmethod
     def make(rank, generators):
@@ -68,14 +67,14 @@ class CrystData:
              tuple(F(t) for t in trans)) for lin, trans in generators))
 
 
-@dataclass(frozen=True)
 class VectorSystem:
     """The map g -> u_g on all of G: u_g = numerators[g] / den, each
     coordinate reduced into [0, den)."""
 
-    group: MatrixGroup
-    den: int
-    numerators: tuple
+    def __init__(self, group, den, numerators):
+        self.group = group
+        self.den = den
+        self.numerators = numerators
 
     def u(self, i):
         """u_g for the element of index i, as Fractions in [0,1)^r."""
@@ -122,17 +121,17 @@ def _defects(group: MatrixGroup, num, gen_num, den):
                 yield d
 
 
-@dataclass(frozen=True)
 class CrystGroup(VectorSystem):
     """A validated crystallographic group with lattice Z^r: the point group
     with its vector system.  The class fixed sets are cached, once per
     group."""
 
-    def __post_init__(self):
-        if len(self.numerators) != self.group.order():
+    def __init__(self, group, den, numerators):
+        if len(numerators) != group.order():
             raise ValueError("one translation per point-group element required")
-        if any(self.numerators[0]):
+        if any(numerators[0]):
             raise ValueError("identity element must carry zero translation")
+        super().__init__(group, den, numerators)
 
     @property
     def rank(self):
@@ -199,14 +198,14 @@ def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> Cryst
     return CrystGroup(lin_group, den, tuple(num))
 
 
-@dataclass(frozen=True)
 class NormalizedAction:
     """Result of absorbing pure translations into the lattice."""
 
-    group: CrystGroup
-    basis_change: tuple         # Fraction rows; columns: new basis, old coordinates
-    absorbed: tuple             # Fraction translations absorbed, old coordinates
-    changed: bool
+    def __init__(self, group, basis_change, absorbed, changed):
+        self.group = group
+        self.basis_change = basis_change    # Fraction rows; columns: new basis, old coordinates
+        self.absorbed = absorbed            # Fraction translations absorbed, old coordinates
+        self.changed = changed
 
 
 def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAction:
@@ -255,12 +254,12 @@ def _lattice_with(rank, den, numerators):
     return tuple(tuple(F(H.at(j, i), den) for j in range(rank)) for i in range(rank))
 
 
-@dataclass(frozen=True)
 class ExtensionCocycle:
     """A normalized integer 2-cocycle f: G x G -> Z^r."""
 
-    group: MatrixGroup
-    values: dict
+    def __init__(self, group, values):
+        self.group = group
+        self.values = values
 
     def validate(self):
         """Raise CocycleViolation unless f, an integer vector of lattice rank
@@ -394,10 +393,10 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
     return vs
 
 
-@dataclass(frozen=True)
 class EquivalenceWitness:
-    equivalent: bool
-    shift: tuple    # w with u_g - u'_g = (L(g) - I) w (mod Z^r), or ()
+    def __init__(self, equivalent, shift):
+        self.equivalent = equivalent
+        self.shift = shift      # w with u_g - u'_g = (L(g) - I) w (mod Z^r), or ()
 
 
 def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> EquivalenceWitness:
@@ -426,10 +425,10 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     return EquivalenceWitness(True, tuple(F(x, wden) for x in w))
 
 
-@dataclass(frozen=True)
 class TorsionReport:
-    torsion_free: bool
-    offenders: tuple    # indices of nontrivial elements with fixed points
+    def __init__(self, torsion_free, offenders):
+        self.torsion_free = torsion_free
+        self.offenders = offenders      # indices of nontrivial elements with fixed points
 
 
 def is_torsion_free(group: CrystGroup) -> TorsionReport:

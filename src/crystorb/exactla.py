@@ -18,7 +18,6 @@ Conventions fixed for reproducibility:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -36,21 +35,26 @@ def _integer(x):
     raise ValueError(f"matrix entry {x!r} is not an integer")
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major entries.  Its row and column tuples
     are cut on first use and kept; equality and hashing read the fields
     only."""
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows, cols, entries):
+        if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        return type(other) is IntMatrix and (self.cols, self.entries) == (
+            other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows):
@@ -112,19 +116,18 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
-    D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    def __init__(self, D, U, V):
+        self.D = D
+        self.U = U
+        self.V = V
 
     def diagonal(self):
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
 
 
-@dataclass(frozen=True)
 class SolutionSet:
     """Solutions of A*v = b (mod Z^r) on the torus.
 
@@ -134,9 +137,10 @@ class SolutionSet:
     integer vectors).  Points are listed on first use, as `numerators`.
     """
 
-    kind: str
-    basis: tuple
-    cosets: tuple = ()      # (V, choices, den): the points are V*y/den mod 1
+    def __init__(self, kind, basis, cosets=()):
+        self.kind = kind
+        self.basis = basis
+        self.cosets = cosets    # (V, choices, den): the points are V*y/den mod 1
 
     @cached_property
     def numerators(self):

@@ -27,7 +27,6 @@ F_p only ever appears internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
@@ -225,11 +224,11 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     return MatrixGroup(r, ordered, gen_indices, right, words)
 
 
-@dataclass(frozen=True)
 class ConjugacyClass:
-    representative: int
-    members: tuple
-    size: int
+    def __init__(self, representative, members, size):
+        self.representative = representative
+        self.members = members
+        self.size = size
 
 
 def conjugacy_classes(group: MatrixGroup):
@@ -259,20 +258,26 @@ def conjugacy_classes(group: MatrixGroup):
     return classes
 
 
-@dataclass(frozen=True)
 class Character:
-    label: str
-    degree: int
-    values: tuple          # one Cyclo per conjugacy class
-    fs_indicator: int
+    def __init__(self, label, degree, values, fs_indicator):
+        self.label = label
+        self.degree = degree
+        self.values = values            # one Cyclo per conjugacy class
+        self.fs_indicator = fs_indicator
+
+    def __eq__(self, other):
+        return type(other) is Character and vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group: MatrixGroup
-    classes: tuple
-    field: CycloField
-    characters: tuple
+    def __init__(self, group, classes, field, characters):
+        self.group = group
+        self.classes = classes
+        self.field = field
+        self.characters = characters
+
+    def __eq__(self, other):
+        return type(other) is CharacterTable and vars(self) == vars(other)
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +525,29 @@ def _indicator(group, values):
     return Fraction(total[0], group.order())
 
 
-@dataclass(frozen=True)
 class IsotypicClass:
     """One real-irreducible class of the lattice representation."""
 
-    labels: tuple          # constituent complex-character labels
-    fs_type: str           # "real" | "complex" | "quaternionic"
-    degree: int            # degree of one complex constituent
-    multiplicity: int      # multiplicity of one complex constituent
-    complex_dim: int       # dim of the full class inside lattice tensor C
-    admits_complex_structure: bool
+    def __init__(self, labels, fs_type, degree, multiplicity, complex_dim,
+                 admits_complex_structure):
+        self.labels = labels                # constituent complex-character labels
+        self.fs_type = fs_type              # "real" | "complex" | "quaternionic"
+        self.degree = degree                # degree of one complex constituent
+        self.multiplicity = multiplicity    # multiplicity of one complex constituent
+        self.complex_dim = complex_dim      # dim of the full class inside lattice tensor C
+        self.admits_complex_structure = admits_complex_structure
+
+    def __eq__(self, other):
+        return type(other) is IsotypicClass and vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class IsotypicReport:
-    rank: int
-    classes: tuple
+    def __init__(self, rank, classes):
+        self.rank = rank
+        self.classes = classes
+
+    def __eq__(self, other):
+        return type(other) is IsotypicReport and vars(self) == vars(other)
 
     @property
     def total_dim(self):

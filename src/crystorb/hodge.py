@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
@@ -28,7 +27,7 @@ from . import fieldlin
 from .crystal import CrystGroup
 from .cyclo import CycloField, real_enclosure
 from .exactla import IntMatrix, kernel_q
-from .groupcore import CharacterTable, IsotypicReport, MatrixGroup, _require
+from .groupcore import CharacterTable, MatrixGroup, _require
 
 F = Fraction
 
@@ -45,11 +44,11 @@ def point_group_table(crys: CrystGroup) -> CharacterTable:
     return crys.group.table
 
 
-@dataclass(frozen=True)
 class EvennessReport:
-    even: bool
-    report: IsotypicReport
-    odd_witness: tuple    # offending class labels, or ("odd_rank",)
+    def __init__(self, even, report, odd_witness):
+        self.even = even
+        self.report = report
+        self.odd_witness = odd_witness      # offending class labels, or ("odd_rank",)
 
 
 def is_even(crys: CrystGroup) -> EvennessReport:
@@ -64,12 +63,15 @@ def is_even(crys: CrystGroup) -> EvennessReport:
     return EvennessReport(not witness, report, tuple(witness))
 
 
-@dataclass(frozen=True)
 class ComplexStructure:
     """An exact J: Fractions when every entry is rational ("exact"), else
     Cyclo values of one field Q(zeta_N) ("algebraic")."""
 
-    entries: tuple
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __eq__(self, other):
+        return type(other) is ComplexStructure and vars(self) == vars(other)
 
     @staticmethod
     def of(J):
@@ -293,14 +295,14 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
 GAUSS = CycloField(4)
 
 
-@dataclass(frozen=True)
 class OmegaMatrix:
     """A 2n x n complex matrix; rows are indexed by the lattice basis.  The
     entries are Cyclo values of one cyclotomic field."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    def __init__(self, rows, cols, entries):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @staticmethod
     def exact(pairs):
@@ -364,24 +366,24 @@ def torus_from_omega(omega: OmegaMatrix) -> ComplexStructure:
 # ---------------------------------------------------------------------------
 # Hodge types
 
-@dataclass(frozen=True)
 class ClassSplit:
     """Dimension split of one real-irreducible class between V and conj V."""
 
-    labels: tuple
-    fs_type: str
-    degree: int
-    multiplicity: int     # complex multiplicity of one constituent
-    a: int                # sub-multiplicity assigned to labels[0] inside V
+    def __init__(self, labels, fs_type, degree, multiplicity, a):
+        self.labels = labels
+        self.fs_type = fs_type
+        self.degree = degree
+        self.multiplicity = multiplicity    # complex multiplicity of one constituent
+        self.a = a                          # sub-multiplicity assigned to labels[0] inside V
 
     @property
     def dims(self):
         return (self.a * self.degree, (self.multiplicity - self.a) * self.degree)
 
 
-@dataclass(frozen=True)
 class HodgeType:
-    splits: tuple
+    def __init__(self, splits):
+        self.splits = splits
 
     @property
     def holomorphic_dim(self):

@@ -13,7 +13,6 @@ lengths of those cycles (see `coset_enumerate`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 
 def free_reduce(word):
@@ -26,13 +25,16 @@ def free_reduce(word):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators by name; relators as nonempty freely reduced words of
     signed 1-based generator indices, their letters checked by the caller."""
 
-    generators: tuple
-    relators: tuple
+    def __init__(self, generators, relators):
+        self.generators = generators
+        self.relators = relators
+
+    def __eq__(self, other):
+        return type(other) is Presentation and vars(self) == vars(other)
 
     @staticmethod
     def make(generators, relators):

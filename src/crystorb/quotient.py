@@ -5,7 +5,6 @@ and the subgroup they generate, and the quotient-orbifold descriptor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,16 +16,16 @@ from .groupcore import MatrixGroup, _require
 F = Fraction
 
 
-@dataclass(frozen=True)
 class FixedLocus:
     """The shape of the fixed set of g, (L(g) - I) v = -u_g on the torus,
     read off that of the smallest member of g's class.  complex_codim is
     filled when rank and locus dimension are even (always for an even group:
     the kernel of L(g) - I is invariant under any invariant J)."""
 
-    element_index: int
-    real_dim: object          # None when empty
-    complex_codim: object
+    def __init__(self, element_index, real_dim, complex_codim):
+        self.element_index = element_index
+        self.real_dim = real_dim            # None when empty
+        self.complex_codim = complex_codim
 
     def is_empty(self):
         return self.real_dim is None
@@ -38,14 +37,14 @@ def components(sol: SolutionSet):
     return tuple(Subtorus(p, den, sol.basis) for p in nums)
 
 
-@dataclass(frozen=True)
 class Subtorus:
     """An affine subtorus: base point num/den in [0,1)^r, num reduced mod
     den, plus integral directions."""
 
-    num: tuple
-    den: int
-    basis: tuple
+    def __init__(self, num, den, basis):
+        self.num = num
+        self.den = den
+        self.basis = basis
 
     @property
     def base(self):
@@ -103,10 +102,10 @@ def all_fixed_loci(crys: CrystGroup):
     return tuple(fixed_points(crys, gi) for gi in range(1, crys.order()))
 
 
-@dataclass(frozen=True)
 class ActionClassification:
-    kind: str              # "free" | "quasi_free" | "divisorial"
-    evidence: tuple        # (element index, complex codim) at the extremes
+    def __init__(self, kind, evidence):
+        self.kind = kind            # "free" | "quasi_free" | "divisorial"
+        self.evidence = evidence    # (element index, complex codim) at the extremes
 
 
 def classify_action(loci) -> ActionClassification:
@@ -146,15 +145,18 @@ def gpr_subgroup(group: MatrixGroup, refl) -> tuple:
     return tuple(sorted(members))
 
 
-@dataclass(frozen=True)
 class FactorizationReport:
     """The chain torus -> torus/G^pr -> torus/G with the quasi-etale audit
     of the second map."""
 
-    gpr_order: int
-    index: int
-    audit: tuple                # (element, codim) for non-G^pr elements with loci
-    quasi_etale: bool
+    def __init__(self, gpr_order, index, audit, quasi_etale):
+        self.gpr_order = gpr_order
+        self.index = index
+        self.audit = audit          # (element, codim) for non-G^pr elements with loci
+        self.quasi_etale = quasi_etale
+
+    def __eq__(self, other):
+        return type(other) is FactorizationReport and vars(self) == vars(other)
 
 
 def factorization_report(group: MatrixGroup, loci, refl) -> FactorizationReport:
@@ -165,22 +167,23 @@ def factorization_report(group: MatrixGroup, loci, refl) -> FactorizationReport:
                                all(codim >= 2 for _, codim in audit))
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """A G-orbit of complex-codimension-1 fixed components on the torus."""
 
-    representative: Subtorus
-    multiplicity: int        # order of the cyclic pointwise stabilizer
-    orbit_size: int          # components on the torus in this class
+    def __init__(self, representative, multiplicity, orbit_size):
+        self.representative = representative
+        self.multiplicity = multiplicity    # order of the cyclic pointwise stabilizer
+        self.orbit_size = orbit_size        # components on the torus in this class
 
 
-@dataclass(frozen=True)
 class OrbifoldDescriptor:
-    classification: ActionClassification
-    pseudoreflections: tuple
-    factorization: FactorizationReport
-    divisor_classes: tuple
-    stratum_summary: tuple   # ((complex codim, stabilizer order), count), sorted
+    def __init__(self, classification, pseudoreflections, factorization, divisor_classes,
+                 stratum_summary):
+        self.classification = classification
+        self.pseudoreflections = pseudoreflections
+        self.factorization = factorization
+        self.divisor_classes = divisor_classes
+        self.stratum_summary = stratum_summary  # ((codim, stabilizer order), count), sorted
 
 
 def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:

@@ -22,7 +22,6 @@ corpus, the scaling family at basis seeds 0-3 and the property pools.
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +33,8 @@ from test_properties import GROUPS
 from crystorb import cli, fieldlin, groupcore
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.groupcore import (
+    Character,
+    CharacterTable,
     _pack,
     _poly_at,
     _require,
@@ -255,8 +256,9 @@ def with_value(table, a, l, value):
     chars = list(table.characters)
     values = list(chars[a].values)
     values[l] = value
-    chars[a] = replace(chars[a], values=tuple(values))
-    return replace(table, characters=tuple(chars))
+    chi = chars[a]
+    chars[a] = Character(chi.label, chi.degree, tuple(values), chi.fs_indicator)
+    return CharacterTable(table.group, table.classes, table.field, tuple(chars))
 
 
 def swapped_values(table):
@@ -323,7 +325,7 @@ def test_dropped_character_rejected(name):
         return
     for a in (0, len(table.characters) - 1):
         chars = table.characters[:a] + table.characters[a + 1:]
-        mutant = replace(table, characters=chars)
+        mutant = CharacterTable(table.group, table.classes, table.field, chars)
         for check in CHECKS:
             with pytest.raises(ArithmeticError, match="not square"):
                 check(mutant)
@@ -340,8 +342,8 @@ def test_swap_mutants_exist(name):
 
 FORGED = """
 import sys
-from dataclasses import replace
-from crystorb.groupcore import character_table, closure, real_isotypic_dimensions
+from crystorb.groupcore import (Character, CharacterTable, character_table, closure,
+                                real_isotypic_dimensions)
 
 assert False, "assert statements must be off"
 group = closure([[[-1]]])
@@ -349,7 +351,8 @@ table = character_table(group)
 sign = table.characters[1]
 # the sign character of C2 passed off as quaternionic: it occurs once in the
 # rank-1 lattice, and a quaternionic constituent must occur evenly
-forged = replace(table, characters=(table.characters[0], replace(sign, fs_indicator=-1)))
+forged = CharacterTable(table.group, table.classes, table.field, (
+    table.characters[0], Character(sign.label, sign.degree, sign.values, -1)))
 try:
     real_isotypic_dimensions(group, forged)
 except ArithmeticError as exc:
@@ -421,8 +424,7 @@ def test_packing_width():
 
 MUTANTS = """
 import sys
-from dataclasses import replace
-from crystorb.groupcore import _verify_orthogonality, closure
+from crystorb.groupcore import Character, CharacterTable, _verify_orthogonality, closure
 
 assert False, "assert statements must be off"
 # C4 rotating Z^2: two non-real characters, values +-i
@@ -433,8 +435,9 @@ def with_value(a, l, value):
     values = list(table.characters[a].values)
     values[l] = value
     chars = list(table.characters)
-    chars[a] = replace(chars[a], values=tuple(values))
-    return replace(table, characters=tuple(chars))
+    chi = chars[a]
+    chars[a] = Character(chi.label, chi.degree, tuple(values), chi.fs_indicator)
+    return CharacterTable(table.group, table.classes, table.field, tuple(chars))
 
 
 a, l = next((a, l) for a, chi in enumerate(table.characters)

@@ -683,9 +683,9 @@ class TestUsageErrors:
 
 def test_module_entry_point():
     """`python -m crystorb.cli` reads its options from sys.argv and prints
-    the golden report, and the job imports neither argparse nor locale:
-    -X importtime logs every module the child imports, so one it never
-    names is not in sys.modules after the job."""
+    the golden report, and the job imports none of argparse, locale,
+    dataclasses and inspect: -X importtime logs every module the child
+    imports, so one it never names is not in sys.modules after the job."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((str(SRC), env.get("PYTHONPATH", "")))
     document = SRC / "crystorb" / "corpus" / "kummer4.json"
@@ -699,7 +699,7 @@ def test_module_entry_point():
     imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "crystorb.hodge" in imported
-    assert not imported & {"argparse", "locale"}
+    assert not imported & {"argparse", "locale", "dataclasses", "inspect"}
 
 
 def test_options_before_the_command(capsys, tmp_path):

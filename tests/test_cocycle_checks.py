@@ -442,6 +442,25 @@ def test_first_failing_triple_is_the_loops():
     assert found
 
 
+@pytest.mark.parametrize("width", [1, 2, 9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_product_term_widens_the_fields(width, sign):
+    # Z/2 acting on Z^3 by L, with f(L, L) = v: the one equation that can
+    # fail, (s, c) = (L, L), has the field v - Lv = sign (2B, -2, 0) at a = L
+    # for B = 2^(8 width).  Its L(a)f(s,c) field carries into its neighbour
+    # in fields of `width` bytes, the width that 3 max|f| and max|L| alone
+    # set, so only the r max|L| max|f| term of the bound rejects f
+    group = closure([[[-1, 0, 32], [0, -1, 0], [0, 0, 1]]])
+    v = (0, -sign, -sign << 8 * width - 4)
+    f = ExtensionCocycle(group, {(a, b): v if a == b == 1 else (0, 0, 0)
+                                 for a in range(2) for b in range(2)})
+    d = [x - y for x, y in zip(v, group.elements[1].mul_vec(v))]
+    assert d == [2 * sign << 8 * width, -2 * sign, 0]
+    assert max(3 * abs(v[2]), 32).bit_length() // 8 + 1 == width
+    assert verdict(ExtensionCocycle.validate, f) == "cocycle identity fails at (1, 1, 1)" \
+        == verdict(loop_validate, f)
+
+
 def test_rescan_without_a_failing_triple_is_an_internal_fault():
     # the packed equations and the triples disagree only through a fault
     # of the kernel: exit 2 through ArithmeticError, which -O keeps

@@ -1,7 +1,8 @@
 """Every function, class and method defined in src/crystorb is referenced
 somewhere else in src/crystorb, so library code that only the tests call
 does not grow back; such code belongs in the test module that uses it.
-Likewise every field of a dataclass in src/crystorb is read somewhere in
+Likewise every field of a class in src/crystorb, each attribute its
+`__init__` assigns on `self` from its parameters, is read somewhere in
 src/crystorb, so a result carries no value that nothing consumes.  And
 every parameter of a function or method in src/crystorb is read in that
 function's body, so no caller passes a value that nothing uses.
@@ -75,23 +76,34 @@ def unreferenced(package):
     return found
 
 
+def _fields(init):
+    """(attribute, line) of each `self.attribute = value` statement in the
+    body of `init`, an `__init__`, whose value reads one of its parameters."""
+    a = init.args
+    this, *params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    for stmt in init.body:
+        if isinstance(stmt, ast.Assign) and set(params) & set(_names_read(stmt.value)):
+            yield from ((t.attr, stmt.lineno) for t in stmt.targets
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == this)
+
+
 def unread_fields(package):
-    """(module, class, field, line) of each annotated field of a @dataclass
-    in the modules of `package` that no module loads as an attribute."""
+    """(module, class, field, line) of each field of a class in the modules
+    of `package`, as `_fields` finds them in its `__init__`, that no module
+    loads as an attribute."""
     trees = _modules(package)
     loaded = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
               if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     found = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in _names_read(d) for d in node.decorator_list)):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            found.extend((module, node.name, stmt.target.id, stmt.lineno)
-                         for stmt in node.body
-                         if isinstance(stmt, ast.AnnAssign)
-                         and isinstance(stmt.target, ast.Name)
-                         and stmt.target.id not in loaded)
+            found.extend((module, node.name, name, line)
+                         for init in node.body
+                         if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                         for name, line in _fields(init) if name not in loaded)
     return found
 
 
@@ -142,18 +154,22 @@ def test_a_method_needs_an_attribute_read(tmp_path):
     assert unreferenced(tmp_path) == [("a", "value", 2), ("a", "helper", 5)]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_field_is_read():
     found = {(module, cls, name) for module, cls, name, _ in unread_fields(PACKAGE)}
     assert found == set(ALLOWED_FIELDS)
 
 
 def test_scan_finds_an_unread_field(tmp_path):
+    # only `spare` is a field nothing loads: `cached` is not set from a
+    # parameter, `later` is set outside __init__, and `r.spare = 0` stores
     (tmp_path / "a.py").write_text(
-        "from dataclasses import dataclass\n\n\n"
-        "@dataclass(frozen=True)\nclass Report:\n    kind: str\n    spare: int\n\n\n"
+        "class Report:\n    def __init__(self, kind, spare):\n"
+        "        self.kind = kind\n        self.spare = spare\n"
+        "        self.cached = {}\n\n"
+        "    def extend(self, later):\n        self.later = later\n\n\n"
         "class Plain:\n    unread: int\n\n\n"
         "def show(r):\n    r.spare = 0\n    return Report(r.kind, spare=1)\n")
-    assert unread_fields(tmp_path) == [("a", "Report", "spare", 7)]
+    assert unread_fields(tmp_path) == [("a", "Report", "spare", 4)]
 
 
 def test_every_parameter_is_read():
