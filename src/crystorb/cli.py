@@ -21,6 +21,7 @@ import re
 import sys
 from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
+from math import gcd
 
 from . import crystal, hodge, orbpi, quotient
 from .crystal import CrystData, NotFinite
@@ -211,6 +212,20 @@ def vec_str(v):
     return [frac_str(x) for x in v]
 
 
+def system_str(vs):
+    """Each u_g of a vector system, as frac_str prints it: its integer
+    numerators over vs.den, reduced by one gcd."""
+    den = vs.den
+    out = []
+    for num in vs.numerators:
+        row = []
+        for x in num:
+            d = gcd(x, den)
+            row.append(str(x // d) if d == den else f"{x // d}/{den // d}")
+        out.append(row)
+    return out
+
+
 def mat_str(rows):
     return [[frac_str(x) for x in row] for row in rows]
 
@@ -279,8 +294,8 @@ def group_report(group, normalization):
     out = {
         "rank": group.rank,
         "order": group.order(),
-        "elements": [{"linear": g.to_lists(), "translation": vec_str(group.u(i))}
-                     for i, g in enumerate(elements)],
+        "elements": [{"linear": g.to_lists(), "translation": t}
+                     for g, t in zip(elements, system_str(group))],
         "normalized": normalization.changed,
     }
     if normalization.changed:
@@ -317,10 +332,9 @@ def cmd_realize(doc, opts):
     else:
         averaged = crystal.affine_realization(group.group, crystal.cocycle_from_system(group))
     eq = crystal.realizations_equivalent(group, averaged)
-    elements = range(group.order())
     return {
-        "input_system": [vec_str(group.u(i)) for i in elements],
-        "averaged_system": [vec_str(averaged.u(i)) for i in elements],
+        "input_system": system_str(group),
+        "averaged_system": system_str(averaged),
         "cocycle_consistent": True,     # affine_realization raised otherwise
         "equivalent": eq.equivalent,
         "shift_witness": vec_str(eq.shift) if eq.equivalent else None,

@@ -12,8 +12,9 @@ condition are all read off that closure's product table, the translations
 along its Schreier tree.  The 2-cocycle of a vector system is built by
 coordinate rows over all of G along Cayley rows of that tree, and Light's
 test checks it as one packed integer equation per generator s and element
-c.  Fractions occur only in the parsed input, in a lattice basis change and
-in the `u(i)` view.
+c.  Every loop that applies all of G to one vector, the translations and the
+defects among them, reads `MatrixGroup.images`.  Fractions occur only in the
+parsed input, in a lattice basis change and in the equivalence witness.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ class VectorSystem:
         self.den = den
         self.numerators = numerators
 
-    def u(self, i):
-        """u_g for the element of index i, as Fractions in [0,1)^r."""
-        return tuple(F(x, self.den) for x in self.numerators[i])
-
     def is_consistent(self):
         """True iff L(g)u_h + u_g - u_{gh} lies in Z^r for all g, h in G.
 
@@ -91,32 +88,30 @@ class VectorSystem:
         g, num, den = self.group, self.numerators, self.den
         if any(x % den for x in num[0]):
             return False
-        gen_num = [num[s] for s in g.generators]
-        return next(_defects(g, num, gen_num, den), None) is None
+        moved = [g.images(num[s]) for s in g.generators]
+        return next(_defects(g, num, moved, den), None) is None
 
 
-def _translations(group: MatrixGroup, gen_num, den):
+def _translations(group: MatrixGroup, moved, den):
     """Numerators over den of the u_g with u_1 = 0 and u_{w*s_k} = L(w)u_k +
     u_w (mod den) along each edge (w*s_k, w, k) of the group's Schreier
-    tree; gen_num[k] are the numerators of u_k."""
+    tree; moved[k] = group.images(numerators of u_k)."""
     num = [(0,) * group.rank] * group.order()
     for x, w, k in group.tree:
-        num[x] = tuple((a + b) % den for a, b in
-                       zip(group.elements[w].mul_vec(gen_num[k]), num[w]))
+        num[x] = tuple(map(mod, map(add, moved[k][w], num[w]), repeat(den)))
     return num
 
 
-def _defects(group: MatrixGroup, num, gen_num, den):
+def _defects(group: MatrixGroup, num, moved, den):
     """Yield each nonzero d = L(w)u_k + u_w - u_{w*s_k} (mod den), for w in
-    element order and every generator s_k; num[w] and gen_num[k] are the
-    numerators of u_w and u_k.  With u_w from _translations, each d is a pure
-    translation, and with Z^r the d generate the kernel of the map to the
-    point group (Schreier's lemma)."""
+    element order and every generator s_k; num[w] are the numerators of u_w
+    and moved[k] = group.images(numerators of u_k).  With u_w from
+    _translations, each d is a pure translation, and with Z^r the d generate
+    the kernel of the map to the point group (Schreier's lemma)."""
     for w, row in enumerate(group.right):
-        lin = group.elements[w]
         uw = num[w]
-        for uk, x in zip(gen_num, row):
-            d = tuple((a + b - c) % den for a, b, c in zip(lin.mul_vec(uk), uw, num[x]))
+        for images, x in zip(moved, row):
+            d = tuple(map(mod, map(sub, map(add, images[w], uw), num[x]), repeat(den)))
             if any(d):
                 yield d
 
@@ -190,9 +185,10 @@ def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> Cryst
         raise NotFinite(str(exc)) from exc
     shifts = [t for _, t in data.generators]
     den = lcm(*(x.denominator for t in shifts for x in t))
-    gen_num = [tuple(x.numerator * (den // x.denominator) for x in t) for t in shifts]
-    num = _translations(lin_group, gen_num, den)
-    pure = dict.fromkeys(_defects(lin_group, num, gen_num, den))
+    moved = [lin_group.images([x.numerator * (den // x.denominator) for x in t])
+             for t in shifts]
+    num = _translations(lin_group, moved, den)
+    pure = dict.fromkeys(_defects(lin_group, num, moved, den))
     if pure:
         raise KernelTooBig(den, pure)
     return CrystGroup(lin_group, den, tuple(num))
@@ -419,8 +415,8 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
         return EquivalenceWitness(False, ())
     wden, w = solved
     q = wden // den     # confirm the witness over w's denominator
-    for lin, d in zip(g.elements, diffs):
-        if any((x * q - y + z) % wden for x, y, z in zip(d, lin.mul_vec(w), w)):
+    for d, image in zip(diffs, g.images(w)):
+        if any((x * q - y + z) % wden for x, y, z in zip(d, image, w)):
             raise AssertionError("congruence witness failed verification")
     return EquivalenceWitness(True, tuple(F(x, wden) for x in w))
 

@@ -106,6 +106,12 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(map(mul, r, v)) for r in self.row_tuples)
 
+    def vec_mul(self, v):
+        """The row vector v times the matrix."""
+        if self.rows != len(v):
+            raise ValueError("shape mismatch")
+        return tuple([sum(map(mul, v, c)) for c in self.col_tuples])
+
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")

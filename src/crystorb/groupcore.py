@@ -5,13 +5,19 @@ The closure computes no determinant: every generator must have a left
 inverse inside its finite closure, read off the product table.
 
 Every group comes from `closure`, and its generating set S, the images of
-the given generators, generates it.  Group products are index lookups: each
+the given generators, generates it.  No matrix is multiplied, before or
+after the group is built.  The closure first forms the orbit O of the unit
+rows under v -> v*s for s in S, |O|*|S| row products; O is the set of rows
+of all elements, so |O| <= r|G|, and each generator permutes it.  An element
+is the tuple of the orbit indices of its rows, and w*s is read off by r
+lookups in the permutation of s.  Group products are index lookups too: each
 group records the index of every product w*s (an n x |S| table) and a word
-over S for every element, so a product g*h walks h's word through the table
-and no matrix is multiplied after the group is built.  A whole row g*G is one
-walk of the Schreier tree (`MatrixGroup.tree`), one lookup per element; the
-same walk carries any value defined along the generators, such as the
-translations of a crystallographic group, to all of G.
+over S for every element, so a product g*h walks h's word through the table.
+A whole row g*G is one walk of the Schreier tree (`MatrixGroup.tree`), one
+lookup per element; the same walk carries any value defined along the
+generators, such as the translations of a crystallographic group, to all of
+G.  `MatrixGroup.images` carries one vector v to every L(g)v: one dot
+product per orbit row, then r lookups per element.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import isqrt, lcm
 from operator import mul
 
@@ -61,10 +68,11 @@ class MatrixGroup:
     """A finite group of invertible integer matrices of fixed rank.
 
     Built by `closure`, which passes the generating set S it closed, the
-    table right[w][k] = index of w*S[k] and a word over S for each element.
-    Elements are stored in a deterministic order: breadth-first over
-    generator words, ties within a word length broken lexicographically by
-    matrix entries.  The identity is always element 0.
+    table right[w][k] = index of w*S[k], a word over S for each element, the
+    orbit of the unit rows and, for each element, the orbit indices of its
+    rows.  Elements are stored in a deterministic order: breadth-first
+    over generator words, ties within a word length broken lexicographically
+    by matrix entries.  The identity is always element 0.
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
@@ -72,15 +80,25 @@ class MatrixGroup:
     inverses and its square-class counts.
     """
 
-    def __init__(self, rank, elements, generators, right, words):
+    def __init__(self, rank, elements, generators, right, words, orbit, row_keys):
         self.rank = rank
         self.elements = tuple(elements)
         self.generators = generators
         self.right = right
         self._words = words
+        self.orbit = orbit
+        self.row_keys = row_keys
 
     def order(self):
         return len(self.elements)
+
+    def images(self, v):
+        """[L(g)v for g in G]: one dot product per orbit row, then each
+        element's rows looked up."""
+        if len(v) != self.rank:
+            raise ValueError("shape mismatch")
+        dots = [sum(map(mul, row, v)) for row in self.orbit]
+        return [tuple(map(dots.__getitem__, key)) for key in self.row_keys]
 
     @cached_property
     def tree(self):
@@ -173,55 +191,95 @@ class MatrixGroup:
         return lcm(*(self.element_order(i) for i in range(self.order())))
 
 
+def _exceeds(bound):
+    return ExceedsBound(f"closure exceeded {bound} elements; group is not finite "
+                        f"or the bound is too small")
+
+
+def _unit_row_orbit(gens, r, bound):
+    """The orbit O of the r unit rows under v -> v*s for s in gens, sorted,
+    with acts[k][i] = the index of O[i]*gens[k] and the indices of the unit
+    rows.  O holds the rows of every product of generators, so a finite
+    closure of n elements has |O| <= r*n: ExceedsBound once |O| > r*bound."""
+    zero = (0,) * r
+    rows = [zero[:i] + (1,) + zero[i + 1:] for i in range(r)]
+    index = {v: i for i, v in enumerate(rows)}
+    acts = [[] for _ in gens]
+    row_times = [g.vec_mul for g in gens]
+    limit = r * bound
+    for v in rows:      # grows while it is scanned: breadth first
+        for times, act in zip(row_times, acts):
+            w = times(v)
+            i = index.get(w)
+            if i is None:
+                i = index[w] = len(rows)
+                rows.append(w)
+                if i >= limit:
+                    raise _exceeds(bound)
+            act.append(i)
+    # renumber in sorted row order: comparing index tuples then compares
+    # matrices by their entries
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    pos = [0] * len(rows)
+    for new, old in enumerate(order):
+        pos[old] = new
+    return ([rows[i] for i in order], [[pos[act[i]] for i in order] for act in acts],
+            tuple(pos[:r]))
+
+
 def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     """Close a generator list under multiplication.
 
-    Raises ExceedsBound once more than `bound` distinct elements appear,
-    which is how non-finite inputs surface, and SingularGenerator when the
-    finite closure holds no w with w*g = 1 for a generator g, all square
-    of one rank.  With none it returns the trivial group of rank `rank`,
-    generated by its identity.  Every product w*g it forms is recorded by
-    index, so the group it returns multiplies by lookup.
+    Every element is a tuple of indices into the orbit O of the unit rows
+    (see `_unit_row_orbit`), and w*s is r lookups in the map of O that s
+    induces; no matrix product is formed.  Raises ExceedsBound once |O|
+    passes r*bound or more than `bound` distinct elements appear, which is
+    how non-finite inputs surface, and SingularGenerator when the finite
+    closure holds no w with w*g = 1 for a generator g, all square of one
+    rank.  With none it returns the trivial group of rank `rank`, generated
+    by its identity.  Every product w*g it forms is recorded by index, so
+    the group it returns multiplies by lookup.
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
     if not gens:
-        return MatrixGroup(rank, [IntMatrix.identity(rank)], (0,), [(0,)], [()])
+        ident = IntMatrix.identity(rank)
+        return MatrixGroup(rank, [ident], (0,), [(0,)], [()], ident.row_tuples,
+                           [tuple(range(rank))])
     r = gens[0].rows
-    ident = IntMatrix.identity(r)
-    index = {ident.entries: 0}
-    ordered = [ident]
+    orbit, acts, unit = _unit_row_orbit(gens, r, bound)
+    index = {unit: 0}
+    keys = [unit]
     words = [()]
-    right = []          # entries of ordered[w] * gens[k], made indices below
+    right = []          # keys of keys[w] * gens[k], made indices below
     start = 0
-    while start < len(ordered):
+    while start < len(keys):
         level = {}
-        for w in range(start, len(ordered)):
+        for w in range(start, len(keys)):
             row = []
-            for k, g in enumerate(gens):
-                nxt = ordered[w].mul(g)
-                key = nxt.entries
+            key_w = keys[w]
+            for k, act in enumerate(acts):
+                key = tuple(map(act.__getitem__, key_w))
                 if key not in index and key not in level:
-                    level[key] = (nxt, words[w] + (k,))
+                    level[key] = words[w] + (k,)
                     if len(index) + len(level) > bound:
-                        raise ExceedsBound(
-                            f"closure exceeded {bound} elements; group is not finite "
-                            f"or the bound is too small")
+                        raise _exceeds(bound)
                 row.append(key)
             right.append(row)
-        start = len(ordered)
+        start = len(keys)
         for key in sorted(level):
-            index[key] = len(ordered)
-            ordered.append(level[key][0])
-            words.append(level[key][1])
+            index[key] = len(keys)
+            keys.append(key)
+            words.append(level[key])
 
-    gen_indices = tuple(index[g.entries] for g in gens)
-    right = [tuple(index[key] for key in row) for row in right]
+    right = [tuple(map(index.__getitem__, row)) for row in right]
     # a finite monoid whose generators have left inverses is a group, and an
     # integer matrix with an integer inverse has det +-1
     for k, column in enumerate(zip(*right)):
         if 0 not in column:
             raise SingularGenerator(k)
-    return MatrixGroup(r, ordered, gen_indices, right, words)
+    elements = [IntMatrix(r, r, tuple(chain.from_iterable(map(orbit.__getitem__, key))))
+                for key in keys]
+    return MatrixGroup(r, elements, right[0], right, words, orbit, keys)
 
 
 class ConjugacyClass:

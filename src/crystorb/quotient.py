@@ -197,10 +197,13 @@ def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
     """Indices of elements fixing the subtorus pointwise, in integers mod the
     common denominator of the base point and the translations."""
     den = lcm(sub.den, crys.den)
+    q = den // crys.den
     num = tuple(x * (den // sub.den) for x in sub.num)
-    return tuple(h for h in range(crys.order())
-                 if all(crys.linear(h).mul_vec(b) == b for b in sub.basis)
-                 and crys.affine_image(h, num, den) == num)
+    moved = [crys.group.images(b) for b in sub.basis]
+    base = crys.group.images(num)
+    return tuple(h for h, (image, u) in enumerate(zip(base, crys.numerators))
+                 if all(m[h] == b for m, b in zip(moved, sub.basis))
+                 and tuple((a + q * t) % den for a, t in zip(image, u)) == num)
 
 
 def _orbit_keys(crys, sub: Subtorus, lattices):

@@ -11,10 +11,12 @@ from fractions import Fraction
 from math import lcm
 
 import family
+import pytest
 
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import normalize_action
+from crystorb.exactla import IntMatrix
 
 
 def corpus_documents():
@@ -101,9 +103,15 @@ def congruence_rhs(vector):
     return den, num
 
 
+def translation(vs, i):
+    """u_g of a vector system for the element of index i, as Fractions in
+    [0,1)^r."""
+    return tuple(Fraction(x, vs.den) for x in vs.numerators[i])
+
+
 def translations(vs):
     """Every u_g of a vector system, as Fractions in [0,1)^r."""
-    return tuple(vs.u(i) for i in range(vs.group.order()))
+    return tuple(translation(vs, i) for i in range(vs.group.order()))
 
 
 def mod1_vec(v):
@@ -114,8 +122,9 @@ def mod1_vec(v):
 def cocycle_defect(vs, i, j):
     """L(g_i) u_j + u_i - u_{ij}; integral for a valid system."""
     g = vs.group
-    img = g.elements[i].mul_vec(vs.u(j))
-    return tuple(a + b - c for a, b, c in zip(img, vs.u(i), vs.u(g.mul(i, j))))
+    img = g.elements[i].mul_vec(translation(vs, j))
+    return tuple(a + b - c for a, b, c in
+                 zip(img, translation(vs, i), translation(vs, g.mul(i, j))))
 
 
 def points(sol):
@@ -129,6 +138,19 @@ def cardinality(sol):
     if sol.kind != "finite":
         raise ValueError("cardinality only defined for finite solution sets")
     return len(sol.numerators[1])
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of IntMatrix.mul (matrix) and IntMatrix.vec_mul (row)
+    products formed while the test runs."""
+    calls = {"mul": 0, "vec_mul": 0}
+    for name in calls:
+        def counted(self, other, name=name, real=getattr(IntMatrix, name)):
+            calls[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(IntMatrix, name, counted)
+    return calls
 
 
 def inner_product(table, chi_a, chi_b):

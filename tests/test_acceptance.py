@@ -11,6 +11,7 @@ from conftest import (
     cocycle_defect,
     inner_product,
     over_one_denominator,
+    translation,
     validate_report,
 )
 from jcheck import assert_invariant_j
@@ -164,7 +165,7 @@ def test_criterion_5_affine_realization():
         assert realizations_equivalent(g, averaged).equivalent, name
 
     klein = GROUPS["klein_rank2"]
-    assert klein.u(1) == (F(1, 2), F(0))
+    assert translation(klein, 1) == (F(1, 2), F(0))
     zero = VectorSystem(klein.group, *over_one_denominator([(F(0),) * 2] * 2))
     assert not realizations_equivalent(klein, zero).equivalent
     announce(5, "averaged vector systems satisfy the cocycle condition exactly and "

@@ -246,20 +246,51 @@ def test_mutants_hide_translations():
     assert any(len(crystal.normalize_action(d).absorbed) > 1 for d in mutants)
 
 
-def test_b4_verify_multiplies_each_element_by_each_generator_once(monkeypatch):
-    # the parent closed the group twice: 2 * 384 * 3 = 2304 products
+def test_b4_verify_forms_each_orbit_row_product_once(products):
+    # one product of each orbit row +-e_i with each generator closes the
+    # group, and no matrix product is formed
     data = parse_cryst_data(family_documents()["b4_rank4"])
-    calls = [0]
-    mul = IntMatrix.mul
-
-    def counted(self, other):
-        calls[0] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(IntMatrix, "mul", counted)
     group = crystal.verify_crystallographic(data)
-    assert (group.order(), len(data.generators)) == (384, 3)
-    assert calls[0] == 384 * 3
+    assert (group.order(), len(data.generators), len(group.group.orbit)) == (384, 3, 8)
+    assert products == {"mul": 0, "vec_mul": 8 * 3}
+
+
+NOT_FINITE = ("error: input.generators: closure exceeded {} elements; "
+              "group is not finite or the bound is too small\n")
+
+
+def _verify(tmp_path, capsys, rank, linears, *flags):
+    """(exit code, stdout, stderr) of `verify` on zero translations."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"rank": rank, "generators": [
+        {"linear": m, "translation": [0] * rank} for m in linears]}))
+    code = cli.main(["verify", "--input", str(path), "--format", "json", *flags])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shear_stops_after_r_bound_plus_one_orbit_rows(products, tmp_path, capsys):
+    assert _verify(tmp_path, capsys, 2, [[[1, 1], [0, 1]]]) == (
+        1, "", NOT_FINITE.format(DEFAULT_ORDER_BOUND))
+    # one generator: one row product per orbit row scanned
+    assert products["mul"] == 0 and products["vec_mul"] <= 2 * DEFAULT_ORDER_BOUND + 1
+
+
+def test_bound_equal_to_the_order_closes(tmp_path, capsys):
+    linears = [g.to_lists() for g, _ in parse_cryst_data(family_documents()["b4_rank4"]).generators]
+    code, out, _ = _verify(tmp_path, capsys, 4, linears, "--bound", "384")
+    assert code == 0 and json.loads(out)["result"]["order"] == 384
+    assert _verify(tmp_path, capsys, 4, linears, "--bound", "383") == (
+        1, "", NOT_FINITE.format(383))
+
+
+def test_doubling_is_not_finite(tmp_path, capsys):
+    assert _verify(tmp_path, capsys, 1, [[[2]]]) == (1, "", NOT_FINITE.format(DEFAULT_ORDER_BOUND))
+
+
+def test_idempotent_generator_is_located(tmp_path, capsys):
+    assert _verify(tmp_path, capsys, 2, [[[0, -1], [1, 0]], [[1, 0], [0, 0]]]) == (
+        1, "", "error: input.generators[1].linear: must be invertible\n")
 
 
 def test_cli_verify_closes_once_per_lattice(monkeypatch, tmp_path, capsys):

@@ -27,6 +27,7 @@ from conftest import (
     corpus_documents,
     family_documents,
     over_one_denominator,
+    translation,
     translations,
 )
 
@@ -174,7 +175,8 @@ def test_corpus_checks_agree_with_oracles(name):
     # every single-element translation change, agreeing verdicts
     for i in range(n):
         for den in (2, 3):
-            t = tuple(u + F(1, den) * e for u, e in zip(vs.u(i), unit(rank, i % rank)))
+            t = tuple(u + F(1, den) * e
+                      for u, e in zip(translation(vs, i), unit(rank, i % rank)))
             bad = with_translation(vs, i, t)
             assert bad.is_consistent() == oracle_is_consistent(bad)
             assert verdict(cocycle_from_system, bad) == verdict(loop_cocycle_from_system, bad)
@@ -198,7 +200,7 @@ def test_coboundary_twists_accepted_by_both(name):
     w = tuple(F(k + 1, 5) for k in range(rank))
     shifted = system(g, [
         tuple(u + x - y for u, x, y in
-              zip(group.u(i), g.elements[i].mul_vec(w), w))
+              zip(translation(group, i), g.elements[i].mul_vec(w), w))
         for i in range(n)])
     assert shifted.is_consistent() and oracle_is_consistent(shifted)
     f = cocycle_from_system(shifted)
@@ -229,7 +231,7 @@ class TestNonGeneratorMutations:
         a, b = vs.group.generators
         ab = vs.group.mul(a, b)
         assert ab not in (0, a, b)
-        bad = with_translation(vs, ab, tuple(u + F(1, 2) for u in vs.u(ab)))
+        bad = with_translation(vs, ab, tuple(u + F(1, 2) for u in translation(vs, ab)))
         assert not bad.is_consistent()
         assert not oracle_is_consistent(bad)
 

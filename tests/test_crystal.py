@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import mod1_vec, over_one_denominator, translations
+from conftest import mod1_vec, over_one_denominator, translation, translations
 
 from crystorb.crystal import (
     CocycleViolation,
@@ -48,7 +48,7 @@ class TestVerify:
         g = verify_crystallographic(KLEIN)
         assert g.order() == 2
         i = g.group.elements.index(IntMatrix.from_rows([[1, 0], [0, -1]]))
-        assert g.u(i) == (F(1, 2), F(0))
+        assert translation(g, i) == (F(1, 2), F(0))
 
     def test_pure_translation_rejected(self):
         data = CrystData.make(2, [([[1, 0], [0, 1]], (F(1, 2), 0))])
@@ -100,7 +100,7 @@ class TestNormalize:
         data = CrystData.make(2, [([[-1, 0], [0, -1]], (F(1, 2), F(1, 2)))])
         res = normalize_action(data)
         assert not res.changed
-        assert res.group.u(1) == (F(1, 2), F(1, 2))
+        assert translation(res.group, 1) == (F(1, 2), F(1, 2))
 
     def test_rebased_action_stays_crystallographic(self):
         data = CrystData.make(2, [([[1, 0], [0, 1]], (0, F(1, 3))),
@@ -126,7 +126,7 @@ class TestAffineRealization:
         # by hand: u_g = (1/2) f(g,g) = (1/2, 0)
         group, f = c2_cocycle([[1, 0], [0, -1]], (1, 0))
         vs = affine_realization(group, f)
-        assert vs.u(1) == (F(1, 2), F(0))
+        assert translation(vs, 1) == (F(1, 2), F(0))
 
     def test_removable_system_is_split(self):
         # u_g = (1/2,1/2) for -I is a coboundary: w = (1/4,1/4) removes it,
@@ -171,7 +171,7 @@ class TestAffineRealization:
             avg = affine_realization(g.group, cocycle_from_system(g))
             rebuilt_data = CrystData.make(
                 g.rank,
-                [(g.group.elements[i], avg.u(i)) for i in range(g.order())])
+                [(g.group.elements[i], translation(avg, i)) for i in range(g.order())])
             rebuilt = verify_crystallographic(rebuilt_data)
             assert rebuilt.order() == g.order()
 
@@ -192,7 +192,7 @@ class TestEquivalence:
         assert res.equivalent
         w = res.shift
         img = group.elements[1].mul_vec(w)
-        diff = tuple(a - b for a, b in zip(u.u(1), up.u(1)))
+        diff = tuple(a - b for a, b in zip(translation(u, 1), translation(up, 1)))
         assert mod1_vec(tuple(d - (i - ww) for d, i, ww in zip(diff, img, w))) == (0, 0)
 
     def test_essential_translation(self):

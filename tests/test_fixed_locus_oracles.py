@@ -21,6 +21,7 @@ from conftest import (
     mod1_vec,
     over_one_denominator,
     points,
+    translation,
 )
 
 from crystorb import exactla, fieldlin, hodge, quotient
@@ -80,7 +81,7 @@ def oracle_dedupe(comps):
 
 def oracle_transform(crys, h, sub):
     lin = crys.linear(h)
-    base = mod1_vec(a + b for a, b in zip(lin.mul_vec(sub.base), crys.u(h)))
+    base = mod1_vec(a + b for a, b in zip(lin.mul_vec(sub.base), translation(crys, h)))
     return make_subtorus(base, [lin.mul_vec(b) for b in sub.basis])
 
 
@@ -100,7 +101,7 @@ def oracle_stabilizer(crys, sub):
         if any(any(x != 0 for x in A.mul_vec(b)) for b in sub.basis):
             continue
         img = A.mul_vec(sub.base)
-        if all((a + b).denominator == 1 for a, b in zip(img, crys.u(h))):
+        if all((a + b).denominator == 1 for a, b in zip(img, translation(crys, h))):
             out.append(h)
     return tuple(out)
 
@@ -108,7 +109,7 @@ def oracle_stabilizer(crys, sub):
 def oracle_fixed_sets(crys):
     """{g: fixed set of g} for every g != 1, each solved on its own."""
     return {i: exactla.solve_mod_lattice(_minus_identity(crys, i),
-                                         *congruence_rhs([-x for x in crys.u(i)]))
+                                         *congruence_rhs([-x for x in translation(crys, i)]))
             for i in range(1, crys.order())}
 
 

@@ -6,9 +6,20 @@ The oracle forms the matrix product and looks its index up in its own
 {entries: index} map; mul, inv and element_order must agree with it on
 every pair, for the corpus groups and for closures of a redundant, an
 exhaustive and a reordered generator list.
+
+`closure` used to form every product w*s as a matrix; it now reads it off
+the orbit of the unit rows.  The matrix-product closure is kept below as
+the reference: both must give the same elements, words, generating set,
+product table and Schreier tree on the corpus, the scaling family and the
+cyclotomic groups (unseeded and at basis seeds 0-3) and on the hand-built
+groups, and `images(v)` must equal every L(g)v formed as a product.
 """
 
+import random
+
+import family
 import pytest
+from conftest import corpus_documents, cyclotomic_documents, family_documents
 
 from crystorb import cli
 from crystorb.corpus import corpus_names, load_corpus
@@ -81,23 +92,111 @@ def test_hand_built_groups():
         assert_matches_matrices(g)
 
 
-@pytest.fixture
-def matrix_products(monkeypatch):
-    calls = [0]
-    mul = IntMatrix.mul
+# ---------------------------------------------------------------------------
+# reference: the closure that formed every product w*s as a matrix
 
-    def counting_mul(self, other):
-        calls[0] += 1
-        return mul(self, other)
+def reference_closure(generators):
+    """(elements, words, generators, right) of the closure of `generators`:
+    breadth first over words, each level sorted by entries, every w*s a
+    matrix product."""
+    gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
+    ident = IntMatrix.identity(gens[0].rows)
+    index = {ident.entries: 0}
+    ordered, words, right = [ident], [()], []
+    start = 0
+    while start < len(ordered):
+        level = {}
+        for w in range(start, len(ordered)):
+            row = []
+            for k, g in enumerate(gens):
+                nxt = ordered[w].mul(g)
+                if nxt.entries not in index and nxt.entries not in level:
+                    level[nxt.entries] = (nxt, words[w] + (k,))
+                row.append(nxt.entries)
+            right.append(row)
+        start = len(ordered)
+        for key in sorted(level):
+            index[key] = len(ordered)
+            ordered.append(level[key][0])
+            words.append(level[key][1])
+    right = [tuple(index[key] for key in row) for row in right]
+    return ordered, words, tuple(index[g.entries] for g in gens), right
 
-    monkeypatch.setattr(IntMatrix, "mul", counting_mul)
-    return calls
+
+def reference_tree(right):
+    """The edges (x, w, k), x = w*S[k], reached first breadth first from 1."""
+    seen, queue, edges = {0}, [0], []
+    for w in queue:
+        for k, x in enumerate(right[w]):
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+                edges.append((x, w, k))
+    return tuple(edges)
 
 
-def test_closure_forms_each_product_once(matrix_products):
-    g = closure(C6C6_GENS)
-    n, s = g.order(), len(C6C6_GENS)
-    assert n == 36
-    assert matrix_products[0] == n * s
+def linear_parts(doc):
+    return [g for g, _ in cli.parse_cryst_data(doc).generators]
+
+
+def _oracle_inputs():
+    """name -> (rank, generator list): the corpus, and the scaling family
+    and the cyclotomic groups unseeded and at basis seeds 0-3."""
+    out = {f"{n}@none": d for n, d in corpus_documents().items()}
+    for docs in (family_documents(), cyclotomic_documents()):
+        out.update({f"{n}@none": d for n, d in docs.items()})
+        for seed in range(4):
+            out.update({f"{n}@{seed}": d
+                        for n, d in family.seeded_documents(docs, seed).items()})
+    out = {n: (d["rank"], linear_parts(d)) for n, d in out.items()}
+    d4 = closure([ROT4, FLIP])
+    out.update({
+        "hand:c4": (2, [ROT4]),
+        "hand:redundant": (2, [ROT4, [[-1, 0], [0, -1]]]),
+        "hand:every_c4": (2, list(closure([ROT4]).elements)),
+        "hand:d4": (2, [ROT4, FLIP]),
+        "hand:d4_reordered": (2, list(d4.elements[:1] + d4.elements[:0:-1])),
+        "hand:c6c6": (4, C6C6_GENS),
+    })
+    return out
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_closure_matches_matrix_products(name):
+    rank, gens = ORACLE_INPUTS[name]
+    g = closure(gens, rank=rank)
+    if gens:
+        elements, words, generators, right = reference_closure(gens)
+    else:       # the trivial corpus groups, generated by their identity
+        elements, words, generators, right = [IntMatrix.identity(rank)], [()], (0,), [(0,)]
+    assert g.elements == tuple(elements)
+    assert g._words == words
+    assert g.generators == generators
+    assert g.right == right
+    assert g.tree == reference_tree(right)
+    # the orbit is exactly the rows of the elements
+    assert set(g.orbit) == {row for m in elements for row in m.row_tuples}
+    assert len(g.orbit) <= g.rank * g.order()
+    rng = random.Random(name)
+    for _ in range(3):
+        v = [rng.randint(-9, 9) for _ in range(g.rank)]
+        assert g.images(v) == [m.mul_vec(v) for m in elements]
+
+
+@pytest.mark.parametrize("gens, orbit", [
+    (C6C6_GENS, 12),
+    (linear_parts(family_documents()["c6c6_rank4"]), 12),
+    (linear_parts(family_documents()["b4_rank4"]), 8),
+    (linear_parts(family.seeded_documents(family_documents(), 1)["b4_rank4"]), 32),
+], ids=["c6c6", "c6c6_rank4", "b4_rank4", "b4_rank4@1"])
+def test_closure_multiplies_rows_not_matrices(products, gens, orbit):
+    # one row product per orbit row and generator, no matrix product in the
+    # closure or the character table
+    g = closure(gens)
+    assert len(g.orbit) == orbit
+    assert products == {"mul": 0, "vec_mul": orbit * len(gens)}
     character_table(g)
-    assert matrix_products[0] == n * s
+    assert products == {"mul": 0, "vec_mul": orbit * len(gens)}

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import cardinality, congruence_rhs
+from conftest import cardinality, congruence_rhs, translation
 from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge, quotient
@@ -66,7 +66,8 @@ def test_torsion_matches_fixed_point_emptiness():
     for g in GROUPS:
         minus_identity = IntMatrix.identity(g.rank).neg()
         fixing = tuple(gi for gi in range(1, g.order()) if solve_affine_congruence(
-            g.linear(gi).add(minus_identity), *congruence_rhs([-x for x in g.u(gi)])) is not None)
+            g.linear(gi).add(minus_identity),
+            *congruence_rhs([-x for x in translation(g, gi)])) is not None)
         report = is_torsion_free(g)
         assert report.offenders == fixing and report.torsion_free == (not fixing)
 
