@@ -7,28 +7,31 @@ inverse inside its finite closure, read off the product table.
 Every group comes from `closure`, and its generating set S, the images of
 the given generators, generates it.  No matrix is multiplied, before or
 after the group is built.  The closure first forms the orbit O of the unit
-rows under v -> v*s for s in S, |O|*|S| row products; O is the set of rows
-of all elements, so |O| <= r|G|, and each generator permutes it.  An element
-is the tuple of the orbit indices of its rows, and w*s is read off by r
-lookups in the permutation of s.  Group products are index lookups too: each
-group records the index of every product w*s (an n x |S| table) and a word
-over S for every element, so a product g*h walks h's word through the table.
-A whole row g*G is one walk of the Schreier tree (`MatrixGroup.tree`), one
-lookup per element; the same walk carries any value defined along the
-generators, such as the translations of a crystallographic group, to all of
-G.  `MatrixGroup.images` carries one vector v to every L(g)v: one dot
-product per orbit row, then r lookups per element.
+rows under v -> v*s for s in S, (|O| - r)*|S| row products, since e_i*s is
+row i of s; O is the set of rows of all elements, so |O| <= r|G|, and each
+generator permutes it.  An element is the tuple of the orbit indices of its
+rows, and w*s is read off by r lookups in the permutation of s.  Group
+products are index lookups too: each group records the index of every
+product w*s (an n x |S| table) and a word over S for every element, so a
+product g*h walks h's word through the table.  A whole row g*G is one walk
+of the Schreier tree (`MatrixGroup.tree`), one lookup per element; the same
+walk carries any value defined along the generators, such as the
+translations of a crystallographic group, to all of G.  `MatrixGroup.images`
+carries one vector v to every L(g)v: one dot product per orbit row, then r
+lookups per element.
 
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
 values by root-of-unity multiplicity recovery (J. D. Dixon, Numer. Math.
 10, 1967): for a class representative g of order o, a Fourier sum over
 s, t < o of chi(g^s) gives the multiplicity of each eigenvalue
-zeta_e^(t e/o).  The split works on plain ints mod p: each eigenspace is a
-reduced echelon basis, the class matrix restricted to it is read off the
-rows its pivots name, and the characteristic polynomials and eigenspaces
-are `fieldlin`'s with the prime given.  All published values are exact;
-F_p only ever appears internally.
+zeta_e^(t e/o).  The sum runs once per Galois class, the classes whose
+elements generate conjugate cyclic subgroups: the others read the same
+multiplicities off the power map.  The split works on plain ints mod p: each
+eigenspace is a reduced echelon basis, the class matrix restricted to it is
+read off the rows its pivots name, in class coordinates, and the
+characteristic polynomials and eigenspaces are `fieldlin`'s with the prime
+given.  All published values are exact; F_p only ever appears internally.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import fieldlin
@@ -200,16 +203,17 @@ def _unit_row_orbit(gens, r, bound):
     """The orbit O of the r unit rows under v -> v*s for s in gens, sorted,
     with acts[k][i] = the index of O[i]*gens[k] and the indices of the unit
     rows.  O holds the rows of every product of generators, so a finite
-    closure of n elements has |O| <= r*n: ExceedsBound once |O| > r*bound."""
+    closure of n elements has |O| <= r*n: ExceedsBound once |O| > r*bound.
+    e_i*s is row i of s, so only the other |O| - r rows are multiplied."""
     zero = (0,) * r
     rows = [zero[:i] + (1,) + zero[i + 1:] for i in range(r)]
     index = {v: i for i, v in enumerate(rows)}
     acts = [[] for _ in gens]
     row_times = [g.vec_mul for g in gens]
     limit = r * bound
-    for v in rows:      # grows while it is scanned: breadth first
-        for times, act in zip(row_times, acts):
-            w = times(v)
+    for j, v in enumerate(rows):        # grows while it is scanned: breadth first
+        images = [g.row_tuples[j] for g in gens] if j < r else [times(v) for times in row_times]
+        for w, act in zip(images, acts):
             i = index.get(w)
             if i is None:
                 i = index[w] = len(rows)
@@ -383,8 +387,11 @@ def _root_of_unity(p, e):
 def character_table(group: MatrixGroup) -> CharacterTable:
     """Exact complex character table with Frobenius-Schur indicators.
 
-    The table is checked square and row-orthogonal, exactly, before
-    returning; the column relations follow.
+    Each character is lifted by one Fourier sum per Galois class of
+    elements (see `_galois_bases` and `_lift`), so its value at g^-1 is the
+    complex conjugate of its value at g by construction.  The table is
+    checked square and row-orthogonal, exactly, before returning; the
+    column relations follow.
     """
     n = group.order()
     classes = group.classes
@@ -401,6 +408,7 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     size_inv = [pow(c.size, p - 2, p) for c in classes]
     pow_classes = [[class_of[x] for x in group._powers(c.representative)[:-1]]
                    for c in classes]
+    bases = _galois_bases(pow_classes)
 
     rows = []
     for v in spaces:
@@ -415,7 +423,7 @@ def character_table(group: MatrixGroup) -> CharacterTable:
             raise ArithmeticError("degree recovery failed")
         chi_mod = [(d * v[i] * size_inv[i]) % p for i in range(k)]
 
-        values = _lift(chi_mod, d, pow_classes, z_powers, p, field)
+        values = _lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
         _require(values[0].rational_value() == d, "character degree mismatch")
         rows.append((d, values))
 
@@ -446,10 +454,17 @@ def _eigenlines(group, p):
 
     Row a of M_j holds, for each class l, the number of pairs x in C_j,
     y in C_a with xy in C_l, divided by |C_l|.  Each space is kept as a
-    reduced echelon basis with pivot columns P, so for its basis matrix B
-    (columns the basis) B restricted to the rows P is the identity, and the
-    R with M_j B = B R is (M_j B) restricted to the rows P: only the rows
-    of M_j that some pivot names are built, |C_a| |C_j| products each."""
+    reduced echelon basis v_1, v_2, ... with pivot columns P, so for its
+    basis matrix B (columns the basis) B restricted to the rows P is the
+    identity, and the R with M_j B = B R is (M_j B) restricted to the rows
+    P: only the rows of M_j that some pivot names are built, |C_a| |C_j|
+    products each.  R is read in class coordinates: v_l is 1 at P_l and 0
+    at the other pivots, so R[i][l] = M_j[P_i][P_l] + sum over the free
+    columns m of M_j[P_i][m] v_l[m], and an eigenvector y of R is the
+    vector with y_l at P_l and sum_l y_l v_l[m] at each free m.  The first
+    space, all of F_p^k, has no free column and takes no product; the
+    eigenspace is reduced in the coordinates y, whose echelon form maps to
+    the echelon form over the classes with pivots P_q for the pivots q."""
     classes = group.classes
     class_of = group.class_index
     k = len(classes)
@@ -471,17 +486,33 @@ def _eigenlines(group, p):
             if len(sp) == 1:
                 refined.append((sp, piv))
                 continue
-            R = [[sum(map(mul, rows[a], v)) % p for v in sp] for a in piv]
+            pivots = set(piv)
+            free = [m for m in range(k) if m not in pivots]
+            cols = [[v[m] for v in sp] for m in free]       # the basis at the free columns
+            R = [[rows[a][q] for q in piv] for a in piv]
+            if free:
+                tails = list(zip(*cols))                    # v_l at the free columns
+                R = [[(x + sum(map(mul, heads, tail))) % p for x, tail in zip(r, tails)]
+                     for r, heads in zip(R, ([rows[a][m] for m in free] for a in piv))]
             charpoly = fieldlin.charpoly(R, p)
             for lam in range(p):
                 if _poly_at(charpoly, lam, p):
                     continue
                 shifted = [[x - lam if i == b else x for b, x in enumerate(row)]
                            for i, row in enumerate(R)]
-                eigen = [[sum(map(mul, col, y)) % p for col in zip(*sp)]
-                         for y in fieldlin.nullspace(shifted, p)]
-                if eigen:
-                    refined.append(fieldlin.rref(eigen, p))
+                eigen = fieldlin.nullspace(shifted, p)
+                if not eigen:
+                    continue
+                ys, qs = fieldlin.rref(eigen, p)
+                basis = []
+                for y in ys:
+                    v = [0] * k
+                    for q, x in zip(piv, y):
+                        v[q] = x
+                    for m, col in zip(free, cols):
+                        v[m] = sum(map(mul, y, col)) % p
+                    basis.append(v)
+                refined.append((basis, [piv[q] for q in qs]))
         spaces = refined
         j += 1
     if len(spaces) != k or any(len(sp) != 1 for sp, _ in spaces):
@@ -489,22 +520,53 @@ def _eigenlines(group, p):
     return [sp[0] for sp, _ in spaces]
 
 
-def _lift(chi_mod, d, pow_classes, z_powers, p, field):
+def _galois_bases(pow_classes):
+    """For each class c, (b, s): b the first class whose representative h
+    has h^s in c for some s coprime to the order o of h, and the least such
+    s.  pow_classes holds the classes of h^0, ..., h^(o-1) for each
+    representative h.  Classes that generate conjugate cyclic subgroups share
+    their b, the first of them, which is its own base with s = 1."""
+    bases = [None] * len(pow_classes)
+    for b, pow_class in enumerate(pow_classes):
+        if bases[b] is None:
+            o = len(pow_class)
+            bases[b] = (b, 1)
+            for s in range(2, o):
+                if gcd(s, o) == 1 and bases[pow_class[s]] is None:
+                    bases[pow_class[s]] = (b, s)
+    return bases
+
+
+def _lift(chi_mod, d, pow_classes, bases, z_powers, p, field):
     """The exact class values of the degree-d character chi_mod (mod p),
-    z_powers the powers of an element of order e in F_p, and pow_classes the
-    classes of g^0, ..., g^(o-1) for each class representative g."""
+    z_powers the powers of an element of order e in F_p, pow_classes the
+    classes of g^0, ..., g^(o-1) for each class representative g, and bases
+    from `_galois_bases`.
+
+    A Fourier sum runs at each base class only: it gives the multiplicity
+    m_t of each eigenvalue zeta_e^t of its representative h.  A class with
+    base (b, s) holds h^s, whose eigenvalues are those of h to the s, so its
+    value is sum m_t zeta_e^(t s).  Its own Fourier sum would give the same
+    numbers, permuted: the power classes of h^s are those of h with each
+    exponent times s, so m'_t = m_(t s^-1), and the bound m_t <= d checks
+    them all."""
     e = field.order
     values = []
-    for pow_class in pow_classes:
+    exps_at = {}
+    for c, (b, s) in enumerate(bases):
+        if b != c:
+            values.append(field.from_exponents({t * s % e: m for t, m in exps_at[b].items()}))
+            continue
+        pow_class = pow_classes[c]
         o = len(pow_class)
         step = e // o
-        chis = [chi_mod[c] for c in pow_class]
+        chis = [chi_mod[x] for x in pow_class]
         o_inv = pow(o, p - 2, p)
-        exps = {}
+        exps = exps_at[c] = {}
         for t in range(o):
             m_t = 0
-            for s, x in enumerate(chis):
-                m_t += x * z_powers[(-s * t * step) % e]
+            for u, x in enumerate(chis):
+                m_t += x * z_powers[(-u * t * step) % e]
             m_t = (m_t * o_inv) % p
             if m_t > d:
                 raise ArithmeticError("root-of-unity multiplicity out of range")
@@ -523,30 +585,38 @@ def _verify_orthogonality(table: CharacterTable):
     relation is an identity of integer polynomials modulo the monic Phi_e.
     Each value is packed into one integer, its polynomial at X = 2^shift
     (Kronecker substitution), so a row relation is one sum of products,
-    unpacked into signed coefficients and reduced modulo Phi_e.  The
-    column relations follow: for a square X with X diag(|C|) X* = |G| I,
-    X diag(|C|) is invertible with inverse X* / |G|, so X* X = |G|
-    diag(|C|)^-1.
+    unpacked into signed coefficients and reduced modulo Phi_e.
+
+    The conjugate of chi(g) is read as chi(g^-1), at the inverse class: for
+    a table from `character_table` the two are equal entry by entry, both
+    built from the same base exponents by `_lift`.  The relation checked,
+    S_ab = sum over C of |C| chi_a(C) chi_b(C^-1) = |G| delta_ab, is
+    symmetric in a and b (C -> C^-1 keeps |C|), so only the k(k+1)/2 pairs
+    a <= b are summed.  The column relations follow: with X the table, W =
+    diag(|C|) and P the inversion of classes, X W P X^T = |G| I makes X
+    invertible and gives X^T X = |G| P W^-1, i.e. sum over chi of chi(C)
+    chi(D^-1) = |G| / |C| delta_CD.
     """
-    n = table.group.order()
+    group = table.group
+    n = group.order()
     field = table.field
-    _require(len(table.characters) == len(table.classes), "character table is not square")
+    k = len(table.classes)
+    _require(len(table.characters) == k, "character table is not square")
     if any(v.den != 1 for chi in table.characters for v in chi.values):
         raise ArithmeticError("character value is not an algebraic integer")
     coords = [[v.num for v in chi.values] for chi in table.characters]
-    conjugates = [[field.galois_coords(x, -1) for x in row] for row in coords]
-    top = max(abs(c) for rows in (coords, conjugates) for row in rows for x in row for c in x)
-    # a coefficient of sum over C of |C| chi_a conj chi_b, before reduction,
-    # is at most |G| deg(Phi_e) top^2 < 2^(shift - 1) in absolute value
+    top = max(abs(c) for row in coords for x in row for c in x)
+    # a coefficient of sum over C of |C| chi_a(C) chi_b(C^-1), before
+    # reduction, is at most |G| deg(Phi_e) top^2 < 2^(shift - 1) in absolute value
     shift = (2 * n * field.degree * top * top).bit_length()
-    weighted = [[c.size * _pack(x, shift) for c, x in zip(table.classes, row)]
-                for row in coords]
-    packed = [[_pack(y, shift) for y in row] for row in conjugates]
-    # sum over classes of |C| chi_a conj chi_b = |G| delta_ab
+    packed = [[_pack(x, shift) for x in row] for row in coords]
+    weighted = [[c.size * x for c, x in zip(table.classes, row)] for row in packed]
+    inverse = [group.class_index[group.inv(c.representative)] for c in table.classes]
+    at_inverse = [list(map(row.__getitem__, inverse)) for row in packed]
     for a, x in enumerate(weighted):
-        for b, y in enumerate(packed):
+        for b in range(a, k):
             want = [n if a == b else 0] + [0] * (field.degree - 1)
-            total = _unpack(sum(map(mul, x, y)), shift, 2 * field.degree - 1)
+            total = _unpack(sum(map(mul, x, at_inverse[b])), shift, 2 * field.degree - 1)
             if field.reduce(total) != want:
                 raise ArithmeticError("row orthogonality failed")
 

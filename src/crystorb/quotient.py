@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import exactla
 from .crystal import CrystGroup
@@ -65,19 +66,23 @@ def _hnf_kernel(rows, r):
 
 
 def subtorus_key(sub: Subtorus, lattices: dict):
-    """Equal exactly for equal subsets of the torus: the HNF of the saturated
-    direction lattice D, then Y*base mod 1 as numerators over their least
-    denominator, Y the HNF basis of the integer forms vanishing on D.  Rows
-    of Y extend to a unimodular matrix, so Y*v is integral iff v lies in
-    span(D) + Z^r.  `lattices` keeps (D, Y) per direction basis met."""
-    lattice = lattices.get(sub.basis)
-    if lattice is None:
-        forms = _hnf_kernel(sub.basis, len(sub.num))
-        lattice = lattices[sub.basis] = (_hnf_kernel(forms, len(sub.num)), forms)
-    directions, forms = lattice
-    y = [sum(a * b for a, b in zip(row, sub.num)) % sub.den for row in forms]
-    g = gcd(sub.den, *y)
-    return directions, sub.den // g, tuple(x // g for x in y)
+    """Equal exactly for equal subsets of the torus: Y, the HNF basis of the
+    integer forms vanishing on the direction lattice D, then Y*base mod 1 as
+    numerators over their least denominator.  Y alone fixes the saturated D,
+    the integer vectors it vanishes on, and rows of Y extend to a unimodular
+    matrix, so Y*v is integral iff v lies in span(D) + Z^r.  `lattices`
+    keeps Y per direction basis met."""
+    forms = lattices.get(sub.basis)
+    if forms is None:
+        forms = lattices[sub.basis] = _hnf_kernel(sub.basis, len(sub.num))
+    return _key(forms, sub.num, sub.den)
+
+
+def _key(forms, num, den):
+    """The key of the subtorus through num/den whose forms are `forms`."""
+    y = [sum(map(mul, row, num)) % den for row in forms]
+    g = gcd(den, *y)
+    return forms, den // g, tuple(x // g for x in y)
 
 
 def subtori_equal(a: Subtorus, b: Subtorus) -> bool:
@@ -209,16 +214,28 @@ def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
 def _orbit_keys(crys, sub: Subtorus, lattices):
     """The keys of the G-orbit of `sub`, breadth first over the generators S:
     |orbit|*|S| transforms (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, 4.1).  Members keep their canonical directions."""
-    keys = {subtorus_key(sub, lattices)}
-    queue = [sub]
-    for member in queue:
-        for s in crys.group.generators:
-            image = _transform_subtorus(crys, s, member)
-            key = subtorus_key(image, lattices)
+    Group Theory, 2005, 4.1).  Members are carried as (forms, num, den): the
+    forms vanishing on s*D are those vanishing on D times L(s^-1), so the
+    forms of s*C are the HNF of Y L(s^-1), one `hnf` per forms Y and
+    generator s, kept in `lattices` across the orbits of one descriptor."""
+    group = crys.group
+    steps = [(s, crys.linear(group.inv(s))) for s in group.generators]
+    first = subtorus_key(sub, lattices)
+    keys = {first}
+    queue = [(first[0], sub.num, sub.den)]
+    for forms, num, den in queue:
+        common = lcm(den, crys.den)
+        num = [x * (common // den) for x in num]
+        for s, s_inv in steps:
+            moved = lattices.get((forms, s))
+            if moved is None:
+                moved = lattices[forms, s] = forms and exactla.hnf(
+                    IntMatrix.from_rows(forms).mul(s_inv))[0].row_tuples
+            image = crys.affine_image(s, num, common)
+            key = _key(moved, image, common)
             if key not in keys:
                 keys.add(key)
-                queue.append(Subtorus(image.num, image.den, key[0]))
+                queue.append((moved, image, common))
     return keys
 
 

@@ -17,21 +17,34 @@ it replaced, over the `GF` element type with a linear solve per space, is
 kept below verbatim; with it in place of `_eigenlines` and the old
 orthogonality loop, `character_table` must build the identical table on the
 corpus, the scaling family at basis seeds 0-3 and the property pools.
+
+The lift runs one Fourier sum per Galois class: its base classes must be as
+many as the conjugacy classes of cyclic subgroups, counted by brute force,
+and every table must read the conjugate of each value at the inverse class,
+which is where `_verify_orthogonality` reads it, once per pair a <= b.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import family
 import pytest
-from conftest import family_documents, inner_product
+from conftest import (
+    corpus_documents,
+    crystal_group,
+    cyclotomic_documents,
+    family_documents,
+    inner_product,
+)
 from test_properties import GROUPS
 
 from crystorb import cli, fieldlin, groupcore
 from crystorb.corpus import corpus_names, load_corpus
+from crystorb.cyclo import CycloField
 from crystorb.groupcore import (
     Character,
     CharacterTable,
@@ -296,6 +309,18 @@ def test_integer_check_agrees_with_oracle(name):
         with pytest.raises(ArithmeticError, match="algebraic integer"):
             check(with_value(table, len(table.characters) - 1, last, off))
 
+    # a row doubled keeps every relation with another row: only its own
+    # norm, the pair a = b, rejects it
+    chi = table.characters[-1]
+    doubled_row = Character(chi.label, chi.degree, tuple(2 * v for v in chi.values),
+                            chi.fs_indicator)
+    mutant = CharacterTable(table.group, table.classes, table.field,
+                            table.characters[:-1] + (doubled_row,))
+    for check in CHECKS:
+        with pytest.raises(ArithmeticError, match="row orthogonality"):
+            check(mutant)
+    assert rejects(oracle_verify_orthogonality, mutant)
+
     if last == 0:
         return
     # the trivial character's 1 at the last class becomes zeta_e, another
@@ -402,11 +427,14 @@ def test_eigenlines_are_the_oracle_lines():
     def normalized(lines, p):
         return [[x * pow(v[0], -1, p) % p for x in v] for v in lines]
 
-    for name in corpus_names() + sorted(INLINE):
-        group = point_group(name)
+    widest = 0
+    for name, group in _pooled_groups():
         p = groupcore._dixon_prime(group.order(), group.exponent())
         assert normalized(groupcore._eigenlines(group, p), p) == \
             normalized(oracle_eigenlines(group, p), p), name
+        widest = max(widest, len(group.classes))
+    # the first space is all of F_p^k: c6c6_rank4 splits one of dimension 36
+    assert widest == 36
 
 
 def test_packing_width():
@@ -424,14 +452,17 @@ def test_packing_width():
 
 MUTANTS = """
 import sys
+import family
+from crystorb import cli
 from crystorb.groupcore import Character, CharacterTable, _verify_orthogonality, closure
 
 assert False, "assert statements must be off"
-# C4 rotating Z^2: two non-real characters, values +-i
-table = closure([[[0, -1], [1, 0]]]).table
+# C4 rotating Z^2: two non-real characters, values +-i; and c6c6_rank4, 36
+# classes, where the conjugate is read at the inverse class
+c6c6, _ = cli._build_group(cli.parse_cryst_data(family.scaling_family()["c6c6_rank4"][0]), 512)
 
 
-def with_value(a, l, value):
+def with_value(table, a, l, value):
     values = list(table.characters[a].values)
     values[l] = value
     chars = list(table.characters)
@@ -440,24 +471,153 @@ def with_value(a, l, value):
     return CharacterTable(table.group, table.classes, table.field, tuple(chars))
 
 
-a, l = next((a, l) for a, chi in enumerate(table.characters)
-            for l, v in enumerate(chi.values) if v.conjugate() != v)
-v = table.characters[a].values[l]
-for mutant in (with_value(a, l, v + 1), with_value(a, l, v.conjugate())):
-    try:
-        _verify_orthogonality(mutant)
-    except ArithmeticError as exc:
-        print(exc)
-    else:
-        sys.exit(1)
+for table in (closure([[[0, -1], [1, 0]]]).table, c6c6.group.table):
+    a, l = next((a, l) for a, chi in enumerate(table.characters)
+                for l, v in enumerate(chi.values) if v.conjugate() != v)
+    v = table.characters[a].values[l]
+    for mutant in (with_value(table, a, l, v + 1), with_value(table, a, l, v.conjugate())):
+        try:
+            _verify_orthogonality(mutant)
+        except ArithmeticError as exc:
+            print(exc)
+        else:
+            sys.exit(1)
 """
 
 
 def test_corrupted_tables_rejected_under_optimize():
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench"), env.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-O", "-c", MUTANTS], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.count("row orthogonality failed") == 2
+    assert run.stdout.count("row orthogonality failed") == 4
+
+
+# ---------------------------------------------------------------------------
+# one Fourier sum per Galois class, conjugates at inverse classes, each
+# pair of characters checked once
+
+def _seeded_groups():
+    """(name, point group) for the corpus, the scaling family and the
+    cyclotomic groups at basis seeds 0-3."""
+    out = []
+    for docs in (corpus_documents(), family_documents(), cyclotomic_documents()):
+        for seed in range(4):
+            for name, doc in sorted(family.seeded_documents(docs, seed).items()):
+                out.append((f"{name}@{seed}", crystal_group(doc).group))
+    return out
+
+
+SEEDED = _seeded_groups()
+
+
+def cyclic_subgroup_classes(group):
+    """The number of conjugacy classes of cyclic subgroups, by conjugating
+    a generator of each cyclic subgroup with every element."""
+    n = group.order()
+    table = [group.cayley_row(x) for x in range(n)]
+
+    def cyclic(g):
+        powers, cur = {0}, g
+        while cur:
+            powers.add(cur)
+            cur = table[cur][g]
+        return frozenset(powers)
+
+    seen, count = set(), 0
+    for g in range(n):
+        if cyclic(g) in seen:
+            continue
+        count += 1
+        seen.update(cyclic(table[table[x][g]][group.inv(x)]) for x in range(n))
+    return count
+
+
+def power_classes(group):
+    return [[group.class_index[x] for x in group._powers(c.representative)[:-1]]
+            for c in group.classes]
+
+
+class CountedReads(list):
+    """A list that counts the items read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_one_fourier_sum_per_galois_class(monkeypatch):
+    pins = {}
+    lift = groupcore._lift
+    reads = []
+
+    def counted(chi_mod, d, pow_classes, bases, z_powers, p, field):
+        chi_mod = CountedReads(chi_mod)
+        values = lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
+        reads.append(chi_mod.reads)
+        return values
+
+    monkeypatch.setattr(groupcore, "_lift", counted)
+    for name, group in SEEDED:
+        pow_classes = power_classes(group)
+        bases = groupcore._galois_bases(pow_classes)
+        base_classes = [c for c, (b, _) in enumerate(bases) if b == c]
+        for c, (b, s) in enumerate(bases):
+            # c holds h^s for the representative h of b, s a unit mod o(h)
+            o = len(pow_classes[b])
+            assert b <= c and gcd(s, o) == 1 and pow_classes[b][s % o] == c, name
+        assert len(base_classes) == cyclic_subgroup_classes(group), name
+        reads.clear()
+        table = character_table(group)
+        # the Fourier sums read chi_mod at the power classes of bases only
+        assert reads == [sum(len(pow_classes[b]) for b in base_classes)] * len(reads), name
+        pins[name.split("@")[0]] = (len(base_classes), len(group.classes))
+
+        inverse = [group.class_index[group.inv(c.representative)] for c in group.classes]
+        for chi in table.characters:
+            assert [chi.values[l] for l in inverse] == [v.conjugate() for v in chi.values]
+    assert pins["c6c6_rank4"] == (20, 36)
+    assert pins["c6wr_rank4"] == (17, 27)
+    assert pins["c3wr_rank6"] == (9, 17)
+
+
+def test_each_pair_checked_once(monkeypatch):
+    calls = {"galois_coords": 0, "_unpack": 0}
+    galois_coords, unpack = CycloField.galois_coords, groupcore._unpack
+
+    def counted_galois(*args):
+        calls["galois_coords"] += 1
+        return galois_coords(*args)
+
+    def counted_unpack(*args):
+        calls["_unpack"] += 1
+        return unpack(*args)
+
+    tables = [(name, character_table(group)) for name, group in SEEDED]
+    monkeypatch.setattr(CycloField, "galois_coords", counted_galois)
+    monkeypatch.setattr(groupcore, "_unpack", counted_unpack)
+    for name, table in tables:
+        calls.update(galois_coords=0, _unpack=0)
+        _verify_orthogonality(table)
+        k = len(table.classes)
+        assert calls == {"galois_coords": 0, "_unpack": k * (k + 1) // 2}, name
+
+
+def test_conjugated_entry_rejected_on_c6c6():
+    table = character_table(dict(SEEDED)["c6c6_rank4@1"])
+    mutant = conjugated_value(table)
+    a, l = next((a, l) for a, (x, y) in enumerate(zip(table.characters, mutant.characters))
+                for l in range(len(table.classes)) if x.values[l] != y.values[l])
+    inverse = table.group.class_index[table.group.inv(table.classes[l].representative)]
+    assert inverse != l
+    for check in CHECKS:
+        with pytest.raises(ArithmeticError, match="row orthogonality"):
+            check(mutant)
+    assert rejects(oracle_verify_orthogonality, mutant)

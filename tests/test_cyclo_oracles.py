@@ -281,8 +281,8 @@ def test_character_table_lift_matches_exponent_sum(doc, monkeypatch):
     lifted = []
     lift = groupcore._lift
 
-    def recorded(chi_mod, d, pow_classes, z_powers, p, field):
-        values = lift(chi_mod, d, pow_classes, z_powers, p, field)
+    def recorded(chi_mod, d, pow_classes, bases, z_powers, p, field):
+        values = lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
         lifted.append((chi_mod, d, z_powers, p, values))
         return values
 

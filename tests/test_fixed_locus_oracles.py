@@ -235,6 +235,25 @@ def test_descriptor_work_counts(monkeypatch):
     assert counts == {"solve_affine_congruence": 0, "pointwise_stabilizer": len(orbits)}
 
 
+@pytest.mark.parametrize("case, calls", [(("b3diag_rank6", 1), 99),
+                                         (("s4double_rank8", 1), 40)], ids=str)
+def test_descriptor_hnf_counts(case, calls, monkeypatch):
+    # keys on forms alone: one HNF kernel per direction basis met and one
+    # hnf per forms and generator, across the orbits of one descriptor
+    crys = _group(case)
+    ev = hodge.is_even(crys)
+    count = [0]
+    hnf = exactla.hnf
+
+    def counted(*args):
+        count[0] += 1
+        return hnf(*args)
+
+    monkeypatch.setattr(exactla, "hnf", counted)
+    quotient.orbifold_descriptor(crys, ev)
+    assert count[0] == calls
+
+
 # ---------------------------------------------------------------------------
 # canonical keys against the SNF equality test
 

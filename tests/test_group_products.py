@@ -193,10 +193,11 @@ def test_closure_matches_matrix_products(name):
     (linear_parts(family.seeded_documents(family_documents(), 1)["b4_rank4"]), 32),
 ], ids=["c6c6", "c6c6_rank4", "b4_rank4", "b4_rank4@1"])
 def test_closure_multiplies_rows_not_matrices(products, gens, orbit):
-    # one row product per orbit row and generator, no matrix product in the
-    # closure or the character table
+    # one row product per orbit row past the r unit rows, whose images are
+    # the generators' rows, and generator; no matrix product in the closure
+    # or the character table
     g = closure(gens)
     assert len(g.orbit) == orbit
-    assert products == {"mul": 0, "vec_mul": orbit * len(gens)}
+    assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
     character_table(g)
-    assert products == {"mul": 0, "vec_mul": orbit * len(gens)}
+    assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
