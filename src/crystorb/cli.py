@@ -282,7 +282,7 @@ def isotypic_report(report):
 
 def _printable(what, numbers):
     try:   # str() of an integer past Python's digit limit raises ValueError
-        str(max(map(abs, numbers)))
+        str(max(map(abs, numbers), default=0))
     except ValueError:
         _fail("input.generators", f"{what} has entries too long to print")
 
@@ -332,6 +332,7 @@ def cmd_realize(doc, opts):
     else:
         averaged = crystal.affine_realization(group.group, crystal.cocycle_from_system(group))
     eq = crystal.realizations_equivalent(group, averaged)
+    _printable("the shift witness", [y for x in eq.shift for y in (x.numerator, x.denominator)])
     return {
         "input_system": system_str(group),
         "averaged_system": system_str(averaged),
@@ -402,6 +403,9 @@ def cmd_action(doc, opts):
             f"structure (odd classes: {', '.join(ev.odd_witness)}); "
             "the complex classification is undefined")
     desc = quotient.orbifold_descriptor(group, ev)
+    _printable("a divisor base point", [y for c in desc.divisor_classes
+                                        for x in c.representative.base
+                                        for y in (x.numerator, x.denominator)])
     cls, fact = desc.classification, desc.factorization
     return {
         "classification": cls.kind,

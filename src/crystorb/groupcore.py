@@ -20,6 +20,11 @@ translations of a crystallographic group, to all of G.  `MatrixGroup.images`
 carries one vector v to every L(g)v: one dot product per orbit row, then r
 lookups per element.
 
+Every power question is read off the power map `MatrixGroup.power_classes`,
+one walk of the powers of each class representative: an element's order,
+its inverse class, its square class, the exponent and the Galois images of
+a character row.
+
 Character tables are computed by the class-sum eigenvector method over a
 prime field F_p with p = 1 (mod exponent), then lifted to exact cyclotomic
 values by root-of-unity multiplicity recovery (J. D. Dixon, Numer. Math.
@@ -79,8 +84,8 @@ class MatrixGroup:
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
-    class of every element, its character table and isotypic report, its
-    inverses and its square-class counts.
+    class of every element, its power map, its character table and its
+    isotypic report.
     """
 
     def __init__(self, rank, elements, generators, right, words, orbit, row_keys):
@@ -133,10 +138,12 @@ class MatrixGroup:
         return i
 
     def inv(self, i):
-        return self.inverses[i]
+        """The inverse of i, its last power before 1: one walk of its powers.
+        Classes read their inverse class off `power_classes` instead."""
+        return self._powers(i)[-2]
 
     def element_order(self, i):
-        return len(self._powers(i)) - 1
+        return len(self.power_classes[self.class_index[i]])
 
     def _powers(self, a):
         """[a^0, a^1, ..., a^o] with a^o the identity, o the order of a."""
@@ -144,19 +151,6 @@ class MatrixGroup:
         while powers[-1] != 0:
             powers.append(self.mul(powers[-1], a))
         return powers
-
-    @cached_property
-    def inverses(self):
-        # a^k and a^(o-k) are inverse: one pass over the powers of a settles
-        # every power of a
-        inv = [None] * self.order()
-        for a in range(self.order()):
-            if inv[a] is None:
-                powers = self._powers(a)
-                o = len(powers) - 1
-                for k in range(o):
-                    inv[powers[k]] = powers[o - k]
-        return tuple(inv)
 
     @cached_property
     def classes(self):
@@ -173,12 +167,14 @@ class MatrixGroup:
         return tuple(index)
 
     @cached_property
-    def square_class_counts(self):
-        """The number of g with g^2 in each class, in class order."""
-        counts = [0] * len(self.classes)
-        for g in range(self.order()):
-            counts[self.class_index[self.mul(g, g)]] += 1
-        return tuple(counts)
+    def power_classes(self):
+        """The power map: for each class, the classes of h^0, ..., h^(o-1)
+        for its representative h of order o, the same for every member.  An
+        entry's length is the order, its last member the inverse class and
+        its member at 2 mod o the square class."""
+        class_of = self.class_index
+        return tuple(tuple(class_of[x] for x in self._powers(c.representative)[:-1])
+                     for c in self.classes)
 
     @cached_property
     def table(self):
@@ -191,7 +187,7 @@ class MatrixGroup:
         return real_isotypic_dimensions(self, self.table)
 
     def exponent(self):
-        return lcm(*(self.element_order(i) for i in range(self.order())))
+        return lcm(*map(len, self.power_classes))
 
 
 def _exceeds(bound):
@@ -276,8 +272,8 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
             words.append(level[key])
 
     right = [tuple(map(index.__getitem__, row)) for row in right]
-    # a finite monoid whose generators have left inverses is a group, and an
-    # integer matrix with an integer inverse has det +-1
+    # a finite monoid in which each generator has a left inverse is a group,
+    # and an integer matrix with an integer inverse has det +-1
     for k, column in enumerate(zip(*right)):
         if 0 not in column:
             raise SingularGenerator(k)
@@ -395,7 +391,6 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     """
     n = group.order()
     classes = group.classes
-    class_of = group.class_index
     k = len(classes)
     e = group.exponent()
     field = CycloField(e)
@@ -404,10 +399,9 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     z_powers = [pow(z, t, p) for t in range(e)]
 
     spaces = _eigenlines(group, p)
-    inv_class = [class_of[group.inv(c.representative)] for c in classes]
+    pow_classes = group.power_classes
+    inv_class = [pc[-1] for pc in pow_classes]
     size_inv = [pow(c.size, p - 2, p) for c in classes]
-    pow_classes = [[class_of[x] for x in group._powers(c.representative)[:-1]]
-                   for c in classes]
     bases = _galois_bases(pow_classes)
 
     rows = []
@@ -523,9 +517,9 @@ def _eigenlines(group, p):
 def _galois_bases(pow_classes):
     """For each class c, (b, s): b the first class whose representative h
     has h^s in c for some s coprime to the order o of h, and the least such
-    s.  pow_classes holds the classes of h^0, ..., h^(o-1) for each
-    representative h.  Classes that generate conjugate cyclic subgroups share
-    their b, the first of them, which is its own base with s = 1."""
+    s, from the power map `pow_classes`.  Classes that generate conjugate
+    cyclic subgroups share their b, the first of them, which is its own base
+    with s = 1."""
     bases = [None] * len(pow_classes)
     for b, pow_class in enumerate(pow_classes):
         if bases[b] is None:
@@ -540,8 +534,7 @@ def _galois_bases(pow_classes):
 def _lift(chi_mod, d, pow_classes, bases, z_powers, p, field):
     """The exact class values of the degree-d character chi_mod (mod p),
     z_powers the powers of an element of order e in F_p, pow_classes the
-    classes of g^0, ..., g^(o-1) for each class representative g, and bases
-    from `_galois_bases`.
+    power map (`MatrixGroup.power_classes`), bases from `_galois_bases`.
 
     A Fourier sum runs at each base class only: it gives the multiplicity
     m_t of each eigenvalue zeta_e^t of its representative h.  A class with
@@ -611,7 +604,7 @@ def _verify_orthogonality(table: CharacterTable):
     shift = (2 * n * field.degree * top * top).bit_length()
     packed = [[_pack(x, shift) for x in row] for row in coords]
     weighted = [[c.size * x for c, x in zip(table.classes, row)] for row in packed]
-    inverse = [group.class_index[group.inv(c.representative)] for c in table.classes]
+    inverse = [pc[-1] for pc in group.power_classes]
     at_inverse = [list(map(row.__getitem__, inverse)) for row in packed]
     for a, x in enumerate(weighted):
         for b in range(a, k):
@@ -645,10 +638,11 @@ def _unpack(value, shift, count):
 
 
 def _indicator(group, values):
-    """(1/|G|) sum over g of chi(g^2) for the class values of chi, summed on
-    their integer coordinates (den 1, as _lift builds them)."""
-    counts = group.square_class_counts
-    total = [sum(map(mul, counts, coords)) for coords in zip(*(v.num for v in values))]
+    """(1/|G|) sum over classes C of |C| chi(C^2) for the class values of chi,
+    summed on their integer coordinates (den 1, as _lift builds them)."""
+    sizes = [c.size for c in group.classes]
+    squares = [values[pc[2 % len(pc)]].num for pc in group.power_classes]
+    total = [sum(map(mul, sizes, coords)) for coords in zip(*squares)]
     _require(not any(total[1:]), "Frobenius-Schur indicator is not rational")
     return Fraction(total[0], group.order())
 
@@ -708,7 +702,7 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
         mults.append(m)
     # conj chi(g) = chi(g^-1): the conjugate row is the row read at inverse classes
     index = {tuple(v.num for v in chi.values): i for i, chi in enumerate(table.characters)}
-    inverse_class = [rho.class_index[rho.inv(c.representative)] for c in table.classes]
+    inverse_class = [pc[-1] for pc in rho.power_classes]
 
     out = []
     used = set()

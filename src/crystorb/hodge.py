@@ -215,11 +215,10 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
     zero = F(0) if field is None else field(0)
     proj = [[zero] * w for _ in range(w)]
     # conj chi(g) = chi(g^-1): the values at the inverse classes
-    for cls in table.classes:
-        ci = group.class_index[group.inv(cls.representative)]
+    for cls, powers in zip(table.classes, group.power_classes):
         total = table.field(0)
         for chi in chars:
-            total = total + chi.degree * chi.values[ci]
+            total = total + chi.degree * chi.values[powers[-1]]
         c = total.rational_value() if field is None else total.lift(field.order)
         c = c * F(1, n)
         if c == 0:
@@ -242,8 +241,7 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     e = table.field.order
     # chi^(a)(g) = chi(g^a), and e is the group's exponent: the image of a
     # row under zeta -> zeta^a is the row read at the classes of a-th powers
-    powers = [group._powers(c.representative)[:-1] for c in table.classes]
-    images = {tuple(group.class_index[p[a % len(p)]] for p in powers)
+    images = {tuple(pc[a % len(pc)] for pc in group.power_classes)
               for a in range(1, e + 1) if gcd(a, e) == 1}
     chars = table.characters
     index = {chi.values: i for i, chi in enumerate(chars)}

@@ -211,15 +211,14 @@ def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
                  and tuple((a + q * t) % den for a, t in zip(image, u)) == num)
 
 
-def _orbit_keys(crys, sub: Subtorus, lattices):
+def _orbit_keys(crys, sub: Subtorus, lattices, steps):
     """The keys of the G-orbit of `sub`, breadth first over the generators S:
     |orbit|*|S| transforms (Holt, Eick and O'Brien, Handbook of Computational
     Group Theory, 2005, 4.1).  Members are carried as (forms, num, den): the
     forms vanishing on s*D are those vanishing on D times L(s^-1), so the
     forms of s*C are the HNF of Y L(s^-1), one `hnf` per forms Y and
-    generator s, kept in `lattices` across the orbits of one descriptor."""
-    group = crys.group
-    steps = [(s, crys.linear(group.inv(s))) for s in group.generators]
+    generator s, kept in `lattices` across the orbits of one descriptor, as
+    are the `steps` (s, L(s^-1)), one inverse per generator."""
     first = subtorus_key(sub, lattices)
     keys = {first}
     queue = [(first[0], sub.num, sub.den)]
@@ -262,6 +261,7 @@ def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
     loci = all_fixed_loci(crys)
     classification, refl = classify_action(loci), pseudoreflections(loci)
     lattices = {}
+    steps = [(s, crys.linear(crys.group.inv(s))) for s in crys.group.generators]
     placed = set()
     classes = []
     histogram = {}
@@ -270,7 +270,7 @@ def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
         for comp in components(sol):
             if subtorus_key(comp, lattices) in placed:
                 continue
-            orbit = _orbit_keys(crys, comp, lattices)
+            orbit = _orbit_keys(crys, comp, lattices, steps)
             placed |= orbit
             stab = pointwise_stabilizer(crys, comp)
             m = len(stab)

@@ -262,9 +262,13 @@ class TestExitCodes:
     # pure translation, but F T carries (1/p, 1/p + 1/q), over the
     # 4,401-digit p q.  With F and T conjugated by [[1, N], [0, 1]],
     # N = 10^2150, the generators' largest entry N^2 - 1 has 4,300 digits,
-    # and F T's N^2 + 1 has one more.
-    P, Q, N = 10 ** 2200 + 1, 10 ** 2200 + 3, 10 ** 2150
+    # and F T's N^2 + 1 has one more.  -1 with translation 1/B, B = 6*10^4299
+    # + 1 of 4,300 digits, prints, but its shift witness and its divisor
+    # base points lie over 2B, one digit past the limit, in ranks 1 and 2.
+    P, Q, N, B = 10 ** 2200 + 1, 10 ** 2200 + 3, 10 ** 2150, 6 * 10 ** 4299 + 1
     PAST_DIGIT_LIMIT = {
+        "derived": [{"linear": [[-1, 0], [0, -1]], "translation": [f"1/{B}", "0"]}],
+        "derived_rank1": [{"linear": [[-1]], "translation": [f"1/{B}"]}],
         "translation": [{"linear": [[1, 0], [0, -1]], "translation": ["0", f"1/{Q}"]},
                         {"linear": [[0, 1], [1, 0]], "translation": [f"1/{P}", f"-1/{P}"]}],
         "linear": [{"linear": [[1, -2 * N], [0, -1]]},
@@ -275,10 +279,14 @@ class TestExitCodes:
         ("translation", "verify", "the group"),
         ("translation", "realize", "the vector system"),
         ("linear", "verify", "the group"),
+        ("derived", "realize", "the shift witness"),
+        ("derived_rank1", "realize", "the shift witness"),
+        ("derived", "action", "a divisor base point"),
     ])
     def test_report_past_digit_limit_located(self, capsys, tmp_path, kind, command,
                                              message):
-        doc = {"rank": 2, "generators": self.PAST_DIGIT_LIMIT[kind]}
+        gens = self.PAST_DIGIT_LIMIT[kind]
+        doc = {"rank": len(gens[0]["linear"]), "generators": gens}
         code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc))
         assert (code, out) == (1, "")
         assert err == f"error: input.generators: {message} has entries too long to print\n"
@@ -286,10 +294,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind, command", [
         ("translation", "even"), ("translation", "jstruct"), ("translation", "teich"),
         ("linear", "realize"), ("linear", "even"), ("linear", "jstruct"),
-        ("linear", "teich"),
+        ("linear", "teich"), ("derived", "verify"), ("derived", "even"),
+        ("derived", "jstruct"), ("derived", "teich"),
     ])
     def test_report_past_digit_limit_unprinted(self, capsys, tmp_path, kind, command):
-        doc = {"rank": 2, "generators": self.PAST_DIGIT_LIMIT[kind]}
+        gens = self.PAST_DIGIT_LIMIT[kind]
+        doc = {"rank": len(gens[0]["linear"]), "generators": gens}
         code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc),
                              "--format", "json")
         assert (code, err) == (0, "")

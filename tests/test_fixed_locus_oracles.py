@@ -188,10 +188,11 @@ def test_fixed_locus_geometry_matches_oracles(case):
     assert list(keyed.values()) == unique
 
     placed = set()
+    steps = [(s, crys.linear(crys.group.inv(s))) for s in crys.group.generators]
     for c in unique:
         if quotient.subtorus_key(c, lattices) in placed:
             continue
-        orbit = quotient._orbit_keys(crys, c, lattices)
+        orbit = quotient._orbit_keys(crys, c, lattices, steps)
         placed |= orbit
         assert orbit == {quotient.subtorus_key(o, lattices) for o in oracle_orbit(crys, c)}
         assert quotient.pointwise_stabilizer(crys, c) == oracle_stabilizer(crys, c)

@@ -12,7 +12,9 @@ integer matrix product copies neither operand into lists, and the vector
 system is built, checked and averaged in integers, with no Fraction.  The
 lattice J search copies no group element into lists, the isotypic
 multiplicities conjugate no character value, and the rational isotypic
-projectors apply no Galois map to one.
+projectors apply no Galois map to one.  Every order, inverse class, square
+class, exponent and Galois image is read off one power map, one walk of
+the powers of each class representative.
 """
 
 import gc
@@ -21,6 +23,7 @@ import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
+import family
 import pytest
 from conftest import corpus_documents, crystal_group, family_documents
 from jcheck import assert_invariant_j
@@ -179,6 +182,33 @@ def test_sample_point_j_costs_one_determinant(monkeypatch):
         assert counts == {"real_enclosure": 0, "det": 1, "kernel_q": 0}, name
         assert J.mode == "algebraic" and J.field_order == 12
         assert_invariant_j(J.entries, g.group)
+
+
+def test_power_questions_read_one_power_map(monkeypatch):
+    # each scaling member at basis seed 1: once the classes are built, which
+    # invert each generator once, evenness and the rational projectors walk
+    # the powers of each class representative once, for the power map, and
+    # no other element's.  Walking every element's powers and square as well
+    # made 13,644 group products here.  The descriptor inverts each
+    # generator once more.
+    counts = _counter(monkeypatch, ((groupcore.MatrixGroup, "_powers"),
+                                    (groupcore.MatrixGroup, "mul")))
+    products = 0
+    for name, doc in sorted(family.seeded_documents(family_documents(), 1).items()):
+        crys = crystal_group(doc)
+        k, gens = len(crys.group.classes), len(crys.group.generators)
+        counts.update(_powers=0, mul=0)
+        hodge.is_even(crys)
+        hodge.rational_isotypic_projectors(crys.group, crys.group.table)
+        assert counts["_powers"] == k, name
+        products += counts["mul"]
+        crys = crystal_group(doc)
+        counts["_powers"] = 0
+        ev = hodge.is_even(crys)
+        if ev.even:
+            quotient.orbifold_descriptor(crys, ev)
+        assert counts["_powers"] <= k + 2 * gens, name
+    assert products < 13644
 
 
 def test_character_table_solves_no_system(monkeypatch):

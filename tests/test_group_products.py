@@ -13,9 +13,15 @@ the reference: both must give the same elements, words, generating set,
 product table and Schreier tree on the corpus, the scaling family and the
 cyclotomic groups (unseeded and at basis seeds 0-3) and on the hand-built
 groups, and `images(v)` must equal every L(g)v formed as a product.
+
+Every power question is read off the power map `power_classes`, one walk
+per class representative; on the same inputs it must give each element's
+order, inverse class and square class as a walk of that element's own
+powers does, and the exponent as the lcm of all their orders.
 """
 
 import random
+from math import lcm
 
 import family
 import pytest
@@ -201,3 +207,28 @@ def test_closure_multiplies_rows_not_matrices(products, gens, orbit):
     assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
     character_table(g)
     assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_power_map_matches_element_walks(name):
+    rank, gens = ORACLE_INPUTS[name]
+    g = closure(gens, rank=rank)
+    class_of = g.class_index
+    orders, squares = [], [0] * len(g.classes)
+    for i in range(g.order()):
+        powers = [0, i]
+        while powers[-1]:
+            powers.append(g.mul(powers[-1], i))
+        orders.append(len(powers) - 1)
+        entry = g.power_classes[class_of[i]]
+        # conjugate elements have conjugate powers: i's own walk gives the
+        # entry of its class, whose last member is the class of i^-1
+        assert entry == tuple(class_of[x] for x in powers[:-1])
+        assert g.element_order(i) == len(entry) == orders[-1]
+        assert g.mul(i, g.inv(i)) == 0 and class_of[g.inv(i)] == entry[-1]
+        squares[class_of[g.mul(i, i)]] += 1
+    assert g.exponent() == lcm(*orders)
+    by_class = [0] * len(g.classes)
+    for c, entry in zip(g.classes, g.power_classes):
+        by_class[entry[2 % len(entry)]] += c.size
+    assert squares == by_class
