@@ -1,10 +1,10 @@
 """Exact integer linear algebra for lattices: Hermite and Smith normal
-forms, congruences modulo Z^r, primitive integer kernels.
+forms, congruences modulo Z^r, saturated integer kernels.
 
 Matrices here are integer (`IntMatrix`).  Everything over a field, such as
 inverse, rank, determinant and the rational kernel, is `fieldlin`'s; a
-rational matrix is a list of Fraction rows.  `kernel_q` scales that kernel
-to primitive vectors of ints.
+rational matrix is a list of Fraction rows.  `kernel_q` reads the integer
+kernel off `hnf` and its transform, with no elimination over Q.
 
 Everything here is arbitrary-precision and deterministic; no floating point.
 Conventions fixed for reproducibility:
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from . import fieldlin
@@ -84,9 +84,6 @@ class IntMatrix:
     def col_tuples(self):
         """The columns as tuples, cut once per matrix."""
         return tuple(zip(*self.row_tuples))
-
-    def row(self, i):
-        return self.row_tuples[i]
 
     def to_lists(self):
         return [list(r) for r in self.row_tuples]
@@ -313,25 +310,19 @@ def solve_mod_lattice(A: IntMatrix, den, b) -> SolutionSet:
     return SolutionSet("family" if free else "finite", basis, (dec.V, choices, den * step))
 
 
-def kernel_q(rows):
-    """Basis of the rational kernel of the matrix `rows`, as primitive
-    integer vectors: tuples of int.
-
-    Each basis vector is scaled to integer entries with positive leading
-    coordinate and content 1; the list order follows the free columns of the
-    reduced echelon form.
-    """
-    return [_primitive(v) for v in fieldlin.nullspace(rows)]
-
-
-def _primitive(v):
-    """The rational vector v scaled to ints of content 1, leading entry > 0."""
-    den = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*w) or 1
-    if next((x for x in w if x != 0), 0) < 0:
-        g = -g
-    return tuple(x // g for x in w)
+def kernel_q(rows, cols):
+    """The HNF basis of the saturated kernel {v in Z^cols : row . v = 0 for
+    every row} of the integer `rows`, as a list of int tuples: the rows of
+    the HNF transform of the transposed matrix past its rank, brought to
+    Hermite form.  Those rows extend to a unimodular matrix, so every
+    integer vector of the kernel is an integer combination of the basis."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(cols)) for i in range(cols)]
+    H, U = hnf(IntMatrix.from_rows(rows).transpose())
+    rank = sum(map(any, H.row_tuples))
+    if rank == cols:
+        return []
+    return list(hnf(IntMatrix.from_rows(U.row_tuples[rank:]))[0].row_tuples)
 
 
 def solve_affine_congruence(M: IntMatrix, den, c):

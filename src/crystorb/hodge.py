@@ -134,12 +134,12 @@ def _matrix_equation(terms):
 
 
 def _commutant_basis(acts, w):
-    """Basis of the matrices commuting with every action matrix (rows): the
-    primitive kernel basis of `kernel_q`, as w x w IntMatrix values."""
+    """Basis of the integer matrices commuting with every action matrix
+    (rows): the HNF kernel basis of `kernel_q`, as w x w IntMatrix values."""
     rows = []
     for m in acts:
         rows += _matrix_equation([(_identity(w), m), (_neg(m), _identity(w))])
-    return [IntMatrix(w, w, v) for v in kernel_q(rows)]
+    return [IntMatrix(w, w, v) for v in kernel_q(rows, w * w)]
 
 
 def _standard_pairings(w):

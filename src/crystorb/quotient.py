@@ -1,7 +1,9 @@
 """Analysis of the finite group action on the torus: fixed loci of the
 affine elements, free/quasi-free/divisorial classification, pseudoreflections
 and the subgroup they generate, and the quotient-orbifold descriptor
-(branch divisors with multiplicities plus the deeper-stratum summary)."""
+(branch divisors with multiplicities plus the deeper-stratum summary).
+Fixed subtori are told apart by the integer forms vanishing on them,
+`exactla.kernel_q`'s HNF basis."""
 
 from __future__ import annotations
 
@@ -52,19 +54,6 @@ class Subtorus:
         return tuple(F(x, self.den) for x in self.num)
 
 
-def _hnf_kernel(rows, r):
-    """The HNF basis of {v in Z^r : row . v = 0 for every row}, from the rows
-    of the HNF transform of the transposed matrix past its rank."""
-    if not rows:
-        return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    H, U = exactla.hnf(IntMatrix.from_rows(rows).transpose())
-    rank = sum(1 for i in range(H.rows) if any(H.row(i)))
-    if rank == r:
-        return ()
-    K, _ = exactla.hnf(IntMatrix.from_rows([U.row(i) for i in range(rank, r)]))
-    return tuple(K.row(i) for i in range(K.rows))
-
-
 def subtorus_key(sub: Subtorus, lattices: dict):
     """Equal exactly for equal subsets of the torus: Y, the HNF basis of the
     integer forms vanishing on the direction lattice D, then Y*base mod 1 as
@@ -74,7 +63,7 @@ def subtorus_key(sub: Subtorus, lattices: dict):
     keeps Y per direction basis met."""
     forms = lattices.get(sub.basis)
     if forms is None:
-        forms = lattices[sub.basis] = _hnf_kernel(sub.basis, len(sub.num))
+        forms = lattices[sub.basis] = tuple(exactla.kernel_q(sub.basis, len(sub.num)))
     return _key(forms, sub.num, sub.den)
 
 

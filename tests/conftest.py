@@ -2,7 +2,7 @@
 the benchmark's scaling family, ten cyclotomic lattice groups with known
 characters, and the crystallographic group a document
 normalizes to; and the Fraction check helpers several modules read vector
-systems with.  Test modules import these by name (`from conftest import
+systems and integer kernels with.  Test modules import these by name (`from conftest import
 ...`); seed the two document sets with `family.seeded_documents` exactly as
 each test did, since a seed's basis changes depend on which documents are
 seeded together."""
@@ -17,6 +17,9 @@ from crystorb.cli import parse_cryst_data
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import normalize_action
 from crystorb.exactla import IntMatrix
+
+# jcheck is no test module: rewritten, its asserts still run under python -O
+pytest.register_assert_rewrite("jcheck")
 
 
 def corpus_documents():
@@ -101,6 +104,12 @@ def congruence_rhs(vector):
     solvers, through over_one_denominator."""
     den, (num,) = over_one_denominator([vector])
     return den, num
+
+
+def integer_rows(A):
+    """Each row of the rational matrix A times the lcm of its denominators:
+    integer rows with the kernel of A, as `exactla.kernel_q` takes them."""
+    return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in A]
 
 
 def translation(vs, i):

@@ -10,13 +10,17 @@ matrices (`IntMatrix.det`) and the pivoting loop of the old `fieldlin.det`,
 over Q, F_p and Q(zeta_12).  `fieldlin.charpoly` is checked against
 det(x I - A), evaluated by that loop (over F_p, by the old F_p determinant),
 over the same three fields.  Over F_p the `fieldlin` routines take plain
-ints and the prime as `p`.
+ints and the prime as `p`.  `kernel_q` now reads the integer kernel off
+`hnf`: against the kernel of the rref oracle it must span the same space,
+be in Hermite form and contain each primitive oracle vector over Z.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from conftest import integer_rows
 
 from crystorb import fieldlin
 from crystorb.cyclo import CycloField
@@ -67,8 +71,17 @@ def _oracle_rref_q(rows, n, m):
     return pivots
 
 
+def oracle_primitive(v):
+    """The rational vector v scaled to coprime ints, first nonzero entry > 0."""
+    den = lcm(*(x.denominator for x in v))
+    w = [int(x * den) for x in v]
+    g = gcd(*w)
+    if next(x for x in w if x) < 0:
+        g = -g
+    return tuple(x // g for x in w)
+
+
 def oracle_kernel_q(A):
-    from crystorb.exactla import _primitive
     rows = [list(r) for r in A]
     m = len(A[0])
     pivots = _oracle_rref_q(rows, len(A), m)
@@ -78,8 +91,28 @@ def oracle_kernel_q(A):
         v[fc] = Fraction(1)
         for k, pc in enumerate(pivots):
             v[pc] = -rows[k][fc]
-        basis.append(_primitive(v))
+        basis.append(oracle_primitive(v))
     return basis
+
+
+def assert_hnf_kernel(got, oracle):
+    """`got` is in row Hermite form and spans what the oracle's basis spans,
+    and each primitive oracle vector is an integer combination of its rows:
+    the back-substitution along the pivots divides exactly and ends at 0."""
+    assert len(got) == len(oracle)
+    pivots = []
+    for i, row in enumerate(got):
+        p = next(j for j, x in enumerate(row) if x)
+        assert row[p] > 0 and (not pivots or p > pivots[-1])
+        assert all(0 <= got[k][p] < row[p] for k in range(i))
+        pivots.append(p)
+    for v in oracle:
+        rest = list(v)
+        for row, p in zip(got, pivots):
+            q, r = divmod(rest[p], row[p])
+            assert r == 0
+            rest = [a - q * b for a, b in zip(rest, row)]
+        assert not any(rest)
 
 
 def oracle_rank_rat(A):
@@ -284,8 +317,8 @@ def test_rref_matches_oracle():
 def test_kernel_q_matches_oracle():
     nontrivial = 0
     for A in rat_cases():
-        got = kernel_q(A)
-        assert got == oracle_kernel_q(A)
+        got = kernel_q(integer_rows(A), len(A[0]))
+        assert_hnf_kernel(got, oracle_kernel_q(A))
         nontrivial += bool(got)
         for v in got:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
@@ -325,7 +358,7 @@ def test_int_rows_are_eliminated_over_q():
         exact = [[Fraction(x) for x in r] for r in rows]
         d = fieldlin.det(rows)
         assert not isinstance(d, float) and d == oracle_bareiss(rows)
-        assert kernel_q(rows) == oracle_kernel_q(exact)
+        assert_hnf_kernel(kernel_q(rows, n), oracle_kernel_q(exact))
         assert rank_rat(rows) == oracle_rank_rat(exact)
         assert fieldlin.rref(rows) == fieldlin.rref(exact)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import cardinality, congruence_rhs, mod1_vec, points
+from conftest import cardinality, congruence_rhs, integer_rows, mod1_vec, points
 
 from crystorb import fieldlin
 from crystorb.exactla import (
@@ -280,15 +280,18 @@ class TestSolveModLattice:
 
 class TestKernelQ:
     def test_identity_empty(self):
-        assert kernel_q(rat(IntMatrix.identity(3))) == []
+        assert kernel_q(rat(IntMatrix.identity(3)), 3) == []
 
     def test_zero_full(self):
-        basis = kernel_q([[F(0), F(0)], [F(0), F(0)]])
+        basis = kernel_q([[F(0), F(0)], [F(0), F(0)]], 2)
         assert len(basis) == 2
+
+    def test_no_rows_full(self):
+        assert kernel_q([], 2) == [(1, 0), (0, 1)]
 
     def test_rank_one(self):
         # Gaussian elimination by hand: kernel spanned by (1, -1)
-        basis = kernel_q([[F(1), F(1)], [F(2), F(2)]])
+        basis = kernel_q([[F(1), F(1)], [F(2), F(2)]], 2)
         assert basis == [(F(1), F(-1))]
 
     def test_kernel_property(self):
@@ -298,7 +301,7 @@ class TestKernelQ:
             m = rng.randint(1, 4)
             A = [[F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(m)]
                  for _ in range(n)]
-            basis = kernel_q(A)
+            basis = kernel_q(integer_rows(A), m)
             for v in basis:
                 assert all(x == 0 for x in mul_vec(A, v))
             # maximality: rank + nullity = cols

@@ -14,10 +14,12 @@ lattice J search copies no group element into lists, the isotypic
 multiplicities conjugate no character value, and the rational isotypic
 projectors apply no Galois map to one.  Every order, inverse class, square
 class, exponent and Galois image is read off one power map, one walk of
-the powers of each class representative.
+the powers of each class representative.  The commutant basis of the J
+search is an integer kernel, with no elimination over Q.
 """
 
 import gc
+import itertools
 import json
 import weakref
 from contextlib import contextmanager
@@ -182,6 +184,34 @@ def test_sample_point_j_costs_one_determinant(monkeypatch):
         assert counts == {"real_enclosure": 0, "det": 1, "kernel_q": 0}, name
         assert J.mode == "algebraic" and J.field_order == 12
         assert_invariant_j(J.entries, g.group)
+
+
+def test_commutant_basis_eliminates_nothing_over_q(monkeypatch, capsys, tmp_path):
+    # the corpus and scaling groups at basis seed 1 whose J search reaches
+    # the commutant, under `jstruct` and `teich` (five of these eight jobs
+    # are in the benchmark): its basis is the integer kernel read off `hnf`
+    # and its transform, so neither `fieldlin.rref` nor `fieldlin.nullspace`
+    # runs inside `_commutant_basis`
+    docs = {**family.seeded_documents(corpus_documents(), 1),
+            **family.seeded_documents(family_documents(), 1)}
+    counts = _counter(monkeypatch, ((fieldlin, "rref"), (fieldlin, "nullspace")))
+    commutant, inside = hodge._commutant_basis, []
+
+    def recorded(acts, w):
+        before = dict(counts)
+        basis = commutant(acts, w)
+        inside.append({name: counts[name] - before[name] for name in counts})
+        return basis
+
+    monkeypatch.setattr(hodge, "_commutant_basis", recorded)
+    for name, command in itertools.product(
+            ("b3diag_rank6", "q8_rank4", "s3_rank4", "s4double_rank8"), ("jstruct", "teich")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(docs[name]))
+        inside.clear()
+        assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert inside == [{"rref": 0, "nullspace": 0}], (name, command)
 
 
 def test_power_questions_read_one_power_map(monkeypatch):

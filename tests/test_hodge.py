@@ -7,7 +7,7 @@ from pathlib import Path
 
 import family
 import pytest
-from conftest import corpus_documents, crystal_group, cyclotomic_documents
+from conftest import corpus_documents, crystal_group, cyclotomic_documents, family_documents
 from jcheck import assert_invariant_j
 
 from crystorb import cli, fieldlin, hodge
@@ -441,6 +441,29 @@ def test_cyclotomic_groups_have_exact_j_and_consistent_tangents(name, tmp_path, 
     assert_invariant_j(J.entries, g.group)
 
 
+# the groups whose J changed when the commutant basis became the HNF
+# kernel, each document set seeded on its own: (set, name, basis seed)
+REPICKED_J = [("corpus", "q8_rank4", s) for s in (0, 1, 3)] + \
+    [("corpus", "s3_rank4", s) for s in range(4)] + \
+    [("scaling", "s4double_rank8", s) for s in (0, 1, 3)] + \
+    [("scaling", "b3diag_rank6", s) for s in (1, 2, 3)] + \
+    [("cyclotomic", "cyc12_u5_7", s) for s in (1, 3)] + [("cyclotomic", "cyc8_u3_5", 2)]
+
+
+@pytest.mark.parametrize("documents, name, basis_seed", REPICKED_J)
+def test_repicked_j_is_invariant(documents, name, basis_seed):
+    # at sampler seeds 0 and 1 each J is real, squares to -I and commutes
+    # with every element; only s4double_rank8 at basis seed 0 is algebraic
+    docs = {"corpus": corpus_documents, "scaling": family_documents,
+            "cyclotomic": cyclotomic_documents}[documents]()
+    g = crystal_group(family.seeded_documents(docs, basis_seed)[name])
+    ev = hodge.is_even(g)
+    for seed in (0, 1):
+        J = hodge.invariant_complex_structure(g, ev, seed)
+        assert J.mode == ("algebraic" if (name, basis_seed) == ("s4double_rank8", 0) else "exact")
+        assert_invariant_j(J.entries, g.group)
+
+
 MISCOUNTED_TYPE = """
 import sys
 from crystorb import hodge
@@ -554,7 +577,7 @@ def test_pairing_with_irrational_square_root(monkeypatch):
     # with the rational searches off, the quaternionic block of Q8 in this
     # basis gets the pairing X with X^2 = -5 I: V is the i sqrt 5-eigenspace
     # of X, over Q(zeta_20), and J is exact there
-    g = _q8(4)
+    g = _q8(13)
     roots = []
     sqrt = hodge._sqrt_rational
     monkeypatch.setattr(hodge, "_rational_j", lambda candidates, gens: None)
@@ -578,7 +601,7 @@ import test_hodge
 from crystorb import hodge
 
 assert False, "assert statements must be off"
-g = test_hodge._q8(0)
+g = test_hodge._q8(1)
 root, asked = hodge._sqrt_rational, []
 
 def forged(c):

@@ -139,7 +139,7 @@ def oracle_commutant_basis(acts, w):
                         if coeff:
                             row[a * w + b] += coeff
                 rows.append(row)
-    basis = kernel_q(rows)
+    basis = kernel_q(rows, w * w)
     return [[list(v[i * w:(i + 1) * w]) for i in range(w)] for v in basis]
 
 
