@@ -9,19 +9,20 @@ system is stored on all of the finite quotient G, once, as integer
 numerators over one denominator.  The group is closed once, on its linear
 parts; translations, the pure translations outside Z^r and the cocycle
 condition are all read off that closure's product table, the translations
-along its Schreier tree.  The 2-cocycle of a vector system is built by
-coordinate rows over all of G along Cayley rows of that tree, and Light's
-test checks it as one packed integer equation per generator s and element
-c.  Every loop that applies all of G to one vector, the translations and the
-defects among them, reads `MatrixGroup.images`.  Fractions occur only in the
-parsed input, in a lattice basis change and in the equivalence witness.
+along its Schreier tree.  One kernel reads a coboundary L(g)u_h + u_g - u_gh
+by coordinate rows over all h along g's Cayley row: it builds the 2-cocycle
+of a vector system, and checks a cocycle f as |G| f = dU for its row sums
+U_g = sum over h of f(g, h).  Every loop that applies all of G to one
+vector, the translations and the defects among them, reads
+`MatrixGroup.images`.  Fractions occur only in the parsed input, in a
+lattice basis change and in the equivalence witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, floordiv, mod, mul, sub
 
@@ -259,103 +260,77 @@ class ExtensionCocycle:
 
     def validate(self):
         """Raise CocycleViolation unless f, an integer vector of lattice rank
-        on each pair of G x G, is a normalized 2-cocycle: normalization
-        f(g,1) = f(1,g) = 0 is checked for every g, the identity f(a,b) +
-        f(ab,c) = L(a)f(b,c) + f(a,bc) on G x S x G for a generating set S
-        only.  This is Light's associativity test on Z^r x_f G: the elements
-        that associate in the middle position are closed under products and
-        include Z^r and the lifts of S, which generate the extension.
+        on each pair of G x G, is a normalized 2-cocycle; return its row sums
+        U_g = sum over h of f(g, h).
 
-        Each (s, c) is one integer equation over all a: F(h) stacks the
-        f(a, h), F_s(c) the f(as, c) and L_k the k-th columns of the L(a),
-        each vector packed by Kronecker substitution in fields wider than
-        the entries' bound lets any sum reach, and F(s) + F_s(c) = sum over
-        k of f(s,c)_k L_k + F(sc) holds iff it holds field by field.  The
-        first s failing is rescanned triple by triple, so the error names
-        the first failing triple in the order (s, a, c)."""
+        Normalization f(g,1) = f(1,g) = 0 is checked for every g, then
+        |G| f(g,h) = L(g)U_h + U_g - U_gh on G x G, row by row: summing the
+        identity f(a,b) + f(ab,c) = L(a)f(b,c) + f(a,bc) over c gives it, and
+        a coboundary is a cocycle.  A failing f fails the identity at some
+        (a, s, c) with s a generator (Light's associativity test); a rescan
+        of the generators names the first such triple in the order (s, a, c)."""
         g = self.group
-        n, r = g.order(), g.rank
+        n = g.order()
         vals = self.values
         for i in range(n):
             if any(vals[(i, 0)]) or any(vals[(0, i)]):
                 raise CocycleViolation("cocycle is not normalized")
-        top = max(map(abs, chain.from_iterable(vals.values())))
-        ltop = max(abs(x) for m in g.elements for x in m.entries)
-        # a field of F(s) + F_s(c) - sum f(s,c)_k L_k - F(sc) is below
-        # (3 + r ltop) top in absolute value; every field lies below half
-        bound = max((3 + r * ltop) * top, ltop)
-        width = bound.bit_length() // 8 + 1
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * (n * r), "little")
+        # rows[i][a][h] = f(i, h)_a
+        rows = [list(zip(*map(vals.__getitem__, zip(repeat(i), range(n))))) for i in range(n)]
+        sums = [tuple(map(sum, r)) for r in rows]
+        for f_rows, d_rows in zip(rows, _coboundaries(g, sums)):
+            if any(list(map(mul, fa, repeat(n))) != da for fa, da in zip(f_rows, d_rows)):
+                for k in range(len(g.generators)):
+                    self._rescan(k)
+                raise ArithmeticError("cocycle fails as a coboundary at no triple")
+        return sums
 
-        def packed(ints):
-            """The bytes of ints + half, `width` bytes each."""
-            return b"".join(map(int.to_bytes, map(add, ints, repeat(half)),
-                                repeat(width), repeat("little")))
-
-        def stacked(data):
-            return int.from_bytes(data, "little") - bias
-
-        size = r * width        # data[h] holds f(a, h) for a in G, `size` bytes each
-        data = [packed(chain.from_iterable(map(vals.__getitem__, zip(range(n), repeat(h)))))
-                for h in range(n)]
-        cols = [stacked(d) for d in data]
-        lin_cols = [stacked(packed(chain.from_iterable(m.col_tuples[k] for m in g.elements)))
-                    for k in range(r)]
-        gens = [(s, [row[k] for row in g.right], g.cayley_row(s))   # a -> a*s, c -> s*c
-                for s, k in {s: k for k, s in enumerate(g.generators)}.items()]
-        failing = set()
-        for c, col in enumerate(data):
-            chunks = [col[i:i + size] for i in range(0, len(col), size)]
-            for s, at_s, s_row in gens:
-                shifted = stacked(b"".join(map(chunks.__getitem__, at_s)))
-                if cols[s] + shifted != sum(map(mul, vals[(s, c)], lin_cols)) + cols[s_row[c]]:
-                    failing.add(s)
-        for s, at_s, s_row in gens:
-            if s in failing:
-                self._rescan(s, at_s, s_row)
-
-    def _rescan(self, b, at_b, b_row):
-        """Raise CocycleViolation at the first triple (a, b, c), in the
-        order a, c, that fails the cocycle identity; at_b[a] = a*b and
-        b_row[c] = b*c.  Finding none is an internal fault."""
-        vals = self.values
-        for a, ab in enumerate(at_b):
-            la = self.group.elements[a]
-            own = vals[(a, b)]
-            for c, bc in enumerate(b_row):
-                lhs = la.mul_vec(vals[(b, c)])
-                rest = vals[(a, bc)]
-                mid = vals[(ab, c)]
+    def _rescan(self, k):
+        """Raise CocycleViolation at the first triple (a, s, c), in the order
+        a, c, that fails the cocycle identity, for the k-th generator s."""
+        g, vals = self.group, self.values
+        s = g.generators[k]
+        s_row = g.cayley_row(s)
+        for a, row in enumerate(g.right):
+            la = g.elements[a]
+            own = vals[(a, s)]
+            for c, sc in enumerate(s_row):
+                lhs = la.mul_vec(vals[(s, c)])
+                rest = vals[(a, sc)]
+                mid = vals[(row[k], c)]
                 if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
-                    raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
-        _require(False, "packed cocycle identity fails at no triple")
+                    raise CocycleViolation(f"cocycle identity fails at {(a, s, c)}")
 
 
-def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
-    """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh}.
-
-    Coordinate a of f(g, .) is built on all h at once: row a of L(g) times
-    the coordinate rows of u, plus u_g's a-th coordinate, minus the a-th
-    coordinate row read along g's Cayley row, checked divisible by den as a
-    whole."""
-    g, num, den = vs.group, vs.numerators, vs.den
-    n = g.order()
+def _coboundaries(group, num):
+    """For each i in G in order, the coordinate rows over h in G of
+    L(i)u_h + u_i - u_{ih}, num[h] the numerators of u_h: row a of L(i)
+    times the coordinate rows of u, plus u_i's a-th coordinate, minus the
+    a-th coordinate row read along i's Cayley row."""
     coords = list(zip(*num))        # coords[a][h] = a-th numerator of u_h
-    values = {}
-    for i in range(n):
-        gh = g.cayley_row(i)
+    for i, ui in enumerate(num):
+        ih = group.cayley_row(i)
         rows = []
-        for lrow, ui, ca in zip(g.elements[i].row_tuples, num[i], coords):
-            acc = map(sub, repeat(ui), map(ca.__getitem__, gh))
+        for lrow, x0, ca in zip(group.elements[i].row_tuples, ui, coords):
+            acc = map(sub, repeat(x0), map(ca.__getitem__, ih))
             for x, cb in zip(lrow, coords):
                 if x:
                     acc = map(add, acc, map(mul, cb, repeat(x)))
-            acc = list(acc)
-            if any(map(mod, acc, repeat(den))):
-                raise CocycleViolation("vector system is not a valid realization")
-            rows.append(map(floordiv, acc, repeat(den)))
-        values.update(zip(zip(repeat(i), range(n)), zip(*rows)))
+            rows.append(list(acc))
+        yield rows
+
+
+def cocycle_from_system(vs: VectorSystem) -> ExtensionCocycle:
+    """The integer 2-cocycle of a vector system: f(g,h) = L(g)u_h + u_g - u_{gh},
+    each coordinate row of f(g, .) checked divisible by den as a whole."""
+    g, den = vs.group, vs.den
+    n = g.order()
+    values = {}
+    for i, rows in enumerate(_coboundaries(g, vs.numerators)):
+        if any(any(map(mod, row, repeat(den))) for row in rows):
+            raise CocycleViolation("vector system is not a valid realization")
+        values.update(zip(zip(repeat(i), range(n)),
+                          zip(*(map(floordiv, row, repeat(den)) for row in rows))))
     return ExtensionCocycle(g, values)
 
 
@@ -363,26 +338,11 @@ def affine_realization(linear: MatrixGroup, cocycle: ExtensionCocycle) -> Vector
     """Vector system of the extension: u_g = (1/|G|) sum over h of f(g, h),
     for a cocycle f on the group `linear`.
 
-    The averaged system satisfies L(g)u_h + u_g - u_{gh} = f(g,h) exactly,
-    hence the cocycle condition modulo Z^r; both are checked before
-    returning.  The first is checked on S x G for a generating set S: the
-    difference of its two sides is a normalized 2-cocycle, which vanishes on
-    G x G once it vanishes on S x G, by induction on word length.
-    """
-    cocycle.validate()
+    `validate` checks |G| f = L(g)U_h + U_g - U_gh for U = |G| u, so the
+    averaged system realizes f exactly; it is checked consistent before
+    returning."""
     n = linear.order()
-    vals = cocycle.values
-    # sums[g] = n u_g, an integer vector
-    sums = [list(map(sum, zip(*map(vals.__getitem__, zip(repeat(i), range(n))))))
-            for i in range(n)]
-    # exact realization identity against the input cocycle
-    for s in dict.fromkeys(linear.generators):
-        lin = linear.elements[s]
-        us = sums[s]
-        for h, sh in enumerate(linear.cayley_row(s)):
-            lhs = [x + a - b for x, a, b in zip(lin.mul_vec(sums[h]), us, sums[sh])]
-            if lhs != [n * x for x in vals[(s, h)]]:
-                raise CocycleViolation("averaged system does not realize the cocycle")
+    sums = cocycle.validate()
     vs = VectorSystem(linear, n, tuple(tuple(a % n for a in u) for u in sums))
     if not vs.is_consistent():
         raise CocycleViolation("averaged system fails the cocycle condition")
@@ -399,8 +359,10 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     """Decide coboundary equivalence of two vector systems on the same group.
 
     True iff some w in Q^r has u_g - u'_g = (L(g) - I) w (mod Z^r) for all g;
-    the witness w is returned when it exists.  The congruence is solved and
-    the witness checked in integer numerators.
+    the witness w is returned when it exists.  For consistent systems both
+    sides are 1-cocycles modulo Z^r, so the congruence is solved on the
+    generators only; the witness is checked on every g.  Both steps run in
+    integer numerators.
     """
     g = vs_a.group
     den = lcm(vs_a.den, vs_b.den)
@@ -408,9 +370,10 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     diffs = [tuple(a * qa - b * qb for a, b in zip(na, nb))
              for na, nb in zip(vs_a.numerators, vs_b.numerators)]
     minus_identity = IntMatrix.identity(g.rank).neg()
-    M = IntMatrix.from_rows([row for lin in g.elements
-                             for row in lin.add(minus_identity).to_lists()])
-    solved = exactla.solve_affine_congruence(M, den, [x for d in diffs for x in d])
+    gens = dict.fromkeys(g.generators)
+    M = IntMatrix.from_rows([row for s in gens
+                             for row in g.elements[s].add(minus_identity).to_lists()])
+    solved = exactla.solve_affine_congruence(M, den, [x for s in gens for x in diffs[s]])
     if solved is None:
         return EquivalenceWitness(False, ())
     wden, w = solved

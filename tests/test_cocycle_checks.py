@@ -1,15 +1,19 @@
 """The generator-based cocycle checks against all-pairs and all-triples oracles.
 
-VectorSystem.is_consistent checks the cocycle condition on G x S and
-ExtensionCocycle.validate the cocycle identity on G x S x G, for a generating
-set S.  The oracles below are the direct checks on G x G and G x G x G in
-Fraction arithmetic; on every input both must give the same answer.
+VectorSystem.is_consistent checks the cocycle condition on G x S, for a
+generating set S, and ExtensionCocycle.validate the cocycle identity, naming
+its first failing triple on G x S x G.  The oracles below are the direct
+checks on G x G and G x G x G in Fraction arithmetic; on every input both
+must give the same answer.
 
-`validate` checks each (s, c) as one packed integer equation and
-`cocycle_from_system` builds f by coordinate rows.  The triple loop and the
-pair loop they replaced are kept below as references: the same values, and
-the same verdict and message on every mutant, including entries past 64 bits
-and cocycles failing at several triples.
+`validate` checks f as the coboundary of its own row sums, and
+`cocycle_from_system` builds f, both by coordinate rows along Cayley rows.
+The triple loop and the pair loop they replaced are kept below as
+references: the same values, and the same verdict and message on every
+mutant, including entries past 64 bits and cocycles failing at several
+triples.  `realizations_equivalent` solves its congruence on the generators;
+the solve over every g of G is kept as its reference, with the same verdict
+and witness.
 """
 
 import json
@@ -18,6 +22,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -31,7 +36,7 @@ from conftest import (
     translations,
 )
 
-from crystorb import cli, crystal
+from crystorb import cli, crystal, exactla
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import (
     CocycleViolation,
@@ -41,6 +46,7 @@ from crystorb.crystal import (
     cocycle_from_system,
     verify_crystallographic,
 )
+from crystorb.exactla import IntMatrix
 from crystorb.groupcore import MatrixGroup, closure
 
 F = Fraction
@@ -365,6 +371,52 @@ def test_kernels_match_the_loops(name):
             assert verdict(ExtensionCocycle.validate, bad) == verdict(loop_validate, bad)
 
 
+def all_rows_equivalent(vs_a, vs_b):
+    """realizations_equivalent with (L(g) - I) w = u_g - u'_g (mod Z^r)
+    stacked for every g in G: (equivalent, shift)."""
+    g = vs_a.group
+    den = lcm(vs_a.den, vs_b.den)
+    qa, qb = den // vs_a.den, den // vs_b.den
+    diffs = [tuple(a * qa - b * qb for a, b in zip(na, nb))
+             for na, nb in zip(vs_a.numerators, vs_b.numerators)]
+    minus_identity = IntMatrix.identity(g.rank).neg()
+    M = IntMatrix.from_rows([row for lin in g.elements
+                             for row in lin.add(minus_identity).to_lists()])
+    solved = exactla.solve_affine_congruence(M, den, [x for d in diffs for x in d])
+    if solved is None:
+        return False, ()
+    wden, w = solved
+    return True, tuple(F(x, wden) for x in w)
+
+
+def equivalence_documents():
+    """The corpus and the scaling family, unseeded and at basis seeds 0-3,
+    each set seeded on its own."""
+    docs = {}
+    for named in (corpus_documents(), family_documents()):
+        docs.update(named)
+        for seed in range(4):
+            docs.update((f"{name}@{seed}", doc) for name, doc in
+                        family.seeded_documents(named, seed).items())
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(equivalence_documents()))
+def test_equivalence_on_generators_matches_all_rows(name):
+    # the input system against its average (as `realize` compares them),
+    # against the zero system and against its double: the same verdict and
+    # the same witness as the solve over every g
+    vs = document_group(equivalence_documents()[name])
+    g, n = vs.group, vs.order()
+    zero = VectorSystem(g, 1, ((0,) * vs.rank,) * n)
+    double = VectorSystem(g, vs.den, tuple(tuple(2 * x % vs.den for x in u)
+                                           for u in vs.numerators))
+    averaged = crystal.affine_realization(g, cocycle_from_system(vs))
+    for other in (averaged, zero, double):
+        eq = crystal.realizations_equivalent(vs, other)
+        assert (eq.equivalent, eq.shift) == all_rows_equivalent(vs, other)
+
+
 # phi with entries of both signs; BIG makes them past 64 bits
 BIG = 2 ** 70
 
@@ -396,6 +448,20 @@ def test_kernel_messages_match_the_loop(name, scale):
                     rejected += want is not None
                     assert verdict(ExtensionCocycle.validate, bad) == want, (a, b, k, delta)
     assert rejected or n == 1
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_unnormalized_coboundary_refused(name):
+    # f + d(phi) with phi(1) != 0 satisfies the cocycle identity on every
+    # triple, and |G| f = dU with it, but f(1, h) = phi(1) for every h:
+    # only the normalization check refuses it
+    vs = corpus_group(name)
+    phi = phi_of(vs.group, 1)
+    phi[0] = unit(vs.rank)
+    f = twisted(cocycle_from_system(vs), phi)
+    assert all(f.values[(0, h)] == phi[0] for h in range(vs.order()))
+    assert verdict(ExtensionCocycle.validate, f) == "cocycle is not normalized" \
+        == verdict(oracle_validate, f)
 
 
 def test_twists_reach_past_64_bits():
@@ -447,11 +513,11 @@ def test_first_failing_triple_is_the_loops():
 @pytest.mark.parametrize("width", [1, 2, 9])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_the_product_term_widens_the_fields(width, sign):
-    # Z/2 acting on Z^3 by L, with f(L, L) = v: the one equation that can
-    # fail, (s, c) = (L, L), has the field v - Lv = sign (2B, -2, 0) at a = L
-    # for B = 2^(8 width).  Its L(a)f(s,c) field carries into its neighbour
-    # in fields of `width` bytes, the width that 3 max|f| and max|L| alone
-    # set, so only the r max|L| max|f| term of the bound rejects f
+    # Z/2 acting on Z^3 by L, with f(L, L) = v: the identity fails only at
+    # (L, L, L), by v - Lv = sign (2B, -2, 0) for B = 2^(8 width), a large
+    # entry from L's off-diagonal 32 beside a small one of the other sign.
+    # `width` sized the fields of an earlier packed check; at every width
+    # the input must be rejected at that triple
     group = closure([[[-1, 0, 32], [0, -1, 0], [0, 0, 1]]])
     v = (0, -sign, -sign << 8 * width - 4)
     f = ExtensionCocycle(group, {(a, b): v if a == b == 1 else (0, 0, 0)
@@ -463,16 +529,31 @@ def test_the_product_term_widens_the_fields(width, sign):
         == verdict(loop_validate, f)
 
 
-def test_rescan_without_a_failing_triple_is_an_internal_fault():
-    # the packed equations and the triples disagree only through a fault
+def test_rescan_without_a_failing_triple_is_an_internal_fault(monkeypatch):
+    # a coboundary check that rejects a cocycle no triple fails is a fault
     # of the kernel: exit 2 through ArithmeticError, which -O keeps
     vs = corpus_group("d4_rank2")
-    g = vs.group
     f = cocycle_from_system(vs)
-    s = g.generators[0]
-    with pytest.raises(ArithmeticError, match="packed cocycle identity fails at no triple"):
-        f._rescan(s, [g.mul(a, s) for a in range(g.order())],
-                  [g.mul(s, c) for c in range(g.order())])
+    coboundaries = crystal._coboundaries
+
+    def shifted(group, num):
+        for rows in coboundaries(group, num):
+            yield [[x + 1 for x in row] for row in rows]
+
+    monkeypatch.setattr(crystal, "_coboundaries", shifted)
+    with pytest.raises(ArithmeticError, match="cocycle fails as a coboundary at no triple"):
+        f.validate()
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_validate_returns_the_row_sums(name):
+    # U_g = sum over h of f(g, h), on a twisted cocycle with entries of
+    # both signs
+    vs = corpus_group(name)
+    f = twisted(cocycle_from_system(vs), phi_of(vs.group, -7))
+    n = vs.order()
+    assert f.validate() == [tuple(sum(f.values[(g, h)][a] for h in range(n))
+                                  for a in range(vs.rank)) for g in range(n)]
 
 
 def test_realize_work_is_linear_in_group_order(monkeypatch):

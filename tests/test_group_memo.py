@@ -15,7 +15,9 @@ multiplicities conjugate no character value, and the rational isotypic
 projectors apply no Galois map to one.  Every order, inverse class, square
 class, exponent and Galois image is read off one power map, one walk of
 the powers of each class representative.  The commutant basis of the J
-search is an integer kernel, with no elimination over Q.
+search is an integer kernel, with no elimination over Q.  A cocycle is
+checked and averaged with no matrix-vector product, and the equivalence of
+two vector systems is solved on the generators.
 """
 
 import gc
@@ -212,6 +214,29 @@ def test_commutant_basis_eliminates_nothing_over_q(monkeypatch, capsys, tmp_path
         assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
         capsys.readouterr()
         assert inside == [{"rref": 0, "nullspace": 0}], (name, command)
+
+
+def test_realize_multiplies_no_vector_and_solves_on_the_generators(monkeypatch):
+    # c6wr_rank4, |G| = 72 at rank 4: a valid cocycle is checked as the
+    # coboundary of its row sums and averaged with no L(g)v product, and
+    # the equivalence congruence stacks L(s) - I for the distinct
+    # generators s only.  Checking the averaged system on S x G made 144
+    # products, and stacking every g handed `snf` 288 rows.
+    group = crystal_group(family_documents()["c6wr_rank4"])
+    cocycle = crystal.cocycle_from_system(group)
+    counts = _counter(monkeypatch, ((exactla.IntMatrix, "mul_vec"),))
+    averaged = crystal.affine_realization(group.group, cocycle)
+    assert counts == {"mul_vec": 0}
+    rows, snf = [], exactla.snf
+
+    def recorded(A, rhs=None):
+        rows.append(A.rows)
+        return snf(A, rhs)
+
+    monkeypatch.setattr(exactla, "snf", recorded)
+    assert crystal.realizations_equivalent(group, averaged).equivalent
+    assert group.order() == 72
+    assert rows == [len(set(group.group.generators)) * group.rank]
 
 
 def test_power_questions_read_one_power_map(monkeypatch):

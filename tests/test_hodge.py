@@ -503,7 +503,8 @@ def _child(code, *flags):
                           timeout=600)
 
 
-# every even corpus and family input at basis seeds 0-3, with mpmath unimportable:
+# every even corpus and family input at basis seeds 0-3, each set seeded on its
+# own as the benchmark seeds it, with mpmath unimportable:
 # J, the Hodge types, their sample points and tangent dimensions are all exact.
 # Prints the number of runs and which construction built each J.
 EVEN_RUNS = """
@@ -516,7 +517,6 @@ from conftest import corpus_documents, crystal_group, family_documents
 from jcheck import assert_invariant_j
 from crystorb import hodge
 
-docs = {**corpus_documents(), **family_documents()}
 torus, root = hodge.torus_from_omega, hodge._sqrt_rational
 built = []
 
@@ -532,7 +532,9 @@ def recorded_root(c):
 
 branches = Counter()
 for seed in range(4):
-    for name, doc in sorted(family.seeded_documents(docs, seed).items()):
+    docs = {**family.seeded_documents(corpus_documents(), seed),
+            **family.seeded_documents(family_documents(), seed)}
+    for name, doc in sorted(docs.items()):
         g = crystal_group(doc)
         if not hodge.is_even(g).even:
             continue
