@@ -488,16 +488,19 @@ def cmd_platonic(doc, opts):
         if min(triple) < 2:
             _fail("input.triple", "multiplicities must be >= 2")
         finite = orbpi.platonic_check(*triple)
-        if max(triple) > opts["bound"]:
-            # c_i has order exactly m_i in the von Dyck group, so the group
-            # has more elements than the bound allows cosets: the table
-            # cannot close, and no relator c_i^m_i need be built
-            order = None
-        else:
+        # the table can close only for a finite triple with every m_i
+        # within the bound: c_i has order exactly m_i in the von Dyck group,
+        # and a triple that fails the inequality presents a Euclidean or
+        # hyperbolic triangle group, which is infinite.  Otherwise no
+        # relator c_i^m_i is built or enumerated.  The letter limit is
+        # checked first, so that its exit code does not depend on `finite`
+        order = None
+        if max(triple) <= opts["bound"]:
             if 3 + sum(triple) > MAX_LETTERS:
                 _fail("input.triple", f"the relators would pass {MAX_LETTERS} letters")
-            order = orbpi.coset_enumerate(
-                orbpi.central_line_quotient(*triple), bound=opts["bound"])
+            if finite:
+                order = orbpi.coset_enumerate(
+                    orbpi.central_line_quotient(*triple), bound=opts["bound"])
         key = tuple(sorted(triple))
         if key[:2] == (2, 2):
             family = "dihedral family (2,2,n)"

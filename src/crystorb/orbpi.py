@@ -96,6 +96,8 @@ class _CosetTable:
 
     def __init__(self, p: Presentation, bound):
         self.cols = [[] for _ in range(2 * len(p.generators))]
+        # each column with its inverse column, in column order
+        self.pairs = [(col, self.cols[x ^ 1]) for x, col in enumerate(self.cols)]
         self.labels = []
         self.relators = [_Relator(w) for w in p.relators]
         self.marks = [r.marks for r in self.relators if r.marks is not None]
@@ -127,37 +129,41 @@ class _CosetTable:
         c2 and every pair of cosets that merging forces, the least coset of
         each class staying live.  Each dead coset's row moves onto its live
         label, and every entry that named it is redefined through the
-        inverse column."""
-        cols, labels, find, all_marks = self.cols, self.labels, self.find, self.marks
-        dead = []
-
-        def merge(a, b):
-            a, b = find(a), find(b)
-            if a != b:
-                a, b = min(a, b), max(a, b)
-                labels[b] = a
-                dead.append(b)
-                # a relator that closes at b closes at a once the rows merge
-                for marks in all_marks:
-                    if marks[b]:
-                        marks[a] = 1
-
-        merge(c1, c2)
+        inverse column.  A dead coset's marks pass to its live label when
+        its row moves: a relator that closes at a coset closes at every
+        coset merged with it."""
+        labels, find = self.labels, self.find
+        a, b = sorted((find(c1), find(c2)))
+        if a == b:
+            return
+        labels[b] = a
+        dead = [b]
         for g in dead:
-            for x, col in enumerate(cols):
+            a = find(g)
+            for marks in self.marks:
+                if marks[g]:
+                    marks[a] = 1
+            for col, inv in self.pairs:
                 d = col[g]
                 if d is None:
                     continue
-                inv = cols[x ^ 1]
                 inv[d] = None
                 a = find(g)
                 b = d if labels[d] == d else find(d)
                 if col[a] is not None:
-                    merge(b, col[a])
+                    a, b = b, col[a]
                 elif inv[b] is not None:
-                    merge(a, inv[b])
+                    b = inv[b]
                 else:
                     col[a], inv[b] = b, a
+                    continue
+                # the rows of a and b must merge
+                a, b = find(a), find(b)
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    labels[b] = a
+                    dead.append(b)
 
 
 def _col(letter):
@@ -168,8 +174,8 @@ def _hlt(p: Presentation, bound):
     """The finished HLT coset table of p over the trivial subgroup, or None
     when it needs more than `bound` cosets."""
     table = _CosetTable(p, bound)
-    cols, labels, new, find, unify = (table.cols, table.labels, table.new,
-                                      table.find, table.unify)
+    cols, pairs, labels, new, find, unify = (table.cols, table.pairs, table.labels,
+                                             table.new, table.find, table.unify)
     # each relator's letters and root as the columns they read, and the
     # inverse columns its backward scan reads
     relators = [([cols[x] for x in r.cols], [cols[x ^ 1] for x in r.cols],
@@ -213,16 +219,16 @@ def _hlt(p: Presentation, bound):
                     f, i = n, i + 1
                 if marks is not None:
                     # root^m closes at alpha, so on its whole root-cycle
-                    c = find(alpha)
+                    c = alpha if labels[alpha] == alpha else find(alpha)
                     for _ in range(power):
                         marks[c] = 1
                         for col in root:
                             c = col[c]
             if labels[alpha] == alpha:
-                for x, col in enumerate(cols):
+                for col, inv in pairs:
                     if col[alpha] is None:
                         n = new()
-                        col[alpha], cols[x ^ 1][n] = n, alpha
+                        col[alpha], inv[n] = n, alpha
             alpha += 1
     except _Exceeded:
         return None
@@ -237,8 +243,7 @@ def _check_table(table: _CosetTable):
     every orbit must be a cycle whose length divides m."""
     labels, cols = table.labels, table.cols
     live = [c for c in range(len(labels)) if labels[c] == c]
-    for x, col in enumerate(cols):
-        inverse = cols[x ^ 1]
+    for col, inverse in table.pairs:
         for c in live:
             t = col[c]
             if t is None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import family_documents, validate_report
 
-from crystorb import cli, crystal, hodge
+from crystorb import cli, crystal, hodge, orbpi
 from crystorb.corpus import corpus_names, load_corpus
 
 
@@ -78,11 +78,51 @@ class TestBasics:
         assert result["quotient_order"] is None
         assert result["enumeration_agrees"] is None
 
+    def test_platonic_enumerates_only_triples_that_can_close(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # every triple with entries 2-8 reports what a direct enumeration
+        # gives; the enumeration runs only for a finite triple within the
+        # bound, since an infinite von Dyck group's table cannot close.
+        # `finite` is read off the enumeration at the largest bound, where
+        # every finite triple up to 8 closes
+        triples = [(a, b, c) for a in range(2, 9) for b in range(a, 9) for c in range(b, 9)]
+        bounds = (5, 300, 10000)
+        direct = {(t, bound): orbpi.coset_enumerate(orbpi.central_line_quotient(*t), bound)
+                  for t in triples for bound in bounds}
+        worked = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                worked.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(orbpi, "coset_enumerate", counted(orbpi.coset_enumerate))
+        monkeypatch.setattr(orbpi, "central_line_quotient", counted(orbpi.central_line_quotient))
+        for bound in bounds:
+            for t in triples:
+                path = write_doc(tmp_path, {"triple": list(t)})
+                worked.clear()
+                code, out, _ = run(capsys, "platonic", "--input", path, "--bound", str(bound),
+                                   "--format", "json")
+                assert code == 0
+                result = json.loads(out)["result"]
+                order, finite = direct[t, bound], direct[t, 10000] is not None
+                assert result["finite"] is finite, (t, bound)
+                assert result["quotient_order"] == order, (t, bound)
+                assert result["enumeration_agrees"] is (None if order is None else finite)
+                expected = (["central_line_quotient", "coset_enumerate"]
+                            if finite and max(t) <= bound else [])
+                assert worked == expected, (t, bound)
+
     @pytest.mark.parametrize("doc, path", [
         ({"presentation": {"generators": ["a"], "relators": []}, "loops": [[1]],
           "multiplicities": [10 ** 8]}, "input.multiplicities[0]"),
         ({"triple": [2, 2, 10 ** 8], "options": {"bound": 10 ** 9}}, "input.triple"),
-    ], ids=["loop", "triple"])
+        # an infinite triple is refused at the letter limit too: the limit
+        # is checked before finiteness, so the exit code does not depend on it
+        ({"triple": [2, 3, 10 ** 8], "options": {"bound": 10 ** 9}}, "input.triple"),
+    ], ids=["loop", "triple", "infinite_triple"])
     def test_platonic_relators_past_letter_limit(self, tmp_path, doc, path):
         # relators of 10^8 letters are refused before any is built; the
         # child's address space is capped so that building one fails fast
