@@ -24,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import crystal, hodge, orbpi, quotient
-from .crystal import CrystData, NotFinite
+from .crystal import CrystData
 from .cyclo import real_enclosure
 from .exactla import IntMatrix
-from .groupcore import DEFAULT_ORDER_BOUND, SingularGenerator
+from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, SingularGenerator
 
 F = Fraction
 
@@ -55,8 +55,8 @@ class JobSpec:
     def build(command, document, output_format, seed=None, bound=None, precision=None):
         _check_document(document)
         for name, value in (("bound", bound), ("precision", precision)):
-            if value is not None and value < _FLOORS[name]:
-                _fail(f"--{name}", f"must be at least {_FLOORS[name]}")
+            if value is not None:
+                _check_range(name, value, f"--{name}")
         options = document.get("options", {})
         default_bound = 10000 if command == "platonic" else DEFAULT_ORDER_BOUND
         return JobSpec(
@@ -86,6 +86,8 @@ _OPTION_KEYS = {"seed", "bound", "precision"}
 _FLOORS = {"bound": 1, "precision": 64}
 # the largest lattice rank read: output alone grows as rank^2
 MAX_RANK = 128
+# the most bits of precision: an enclosure's cost grows faster than its bits
+MAX_PRECISION = 16384
 # the most letters a platonic job's relators may total: every relator is
 # built in full before the enumeration, and the report prints every letter
 MAX_LETTERS = 10 ** 6
@@ -93,6 +95,13 @@ MAX_LETTERS = 10 ** 6
 
 def _fail(path, message):
     raise ValidationError(f"{path}: {message}")
+
+
+def _check_range(name, value, path):
+    if value < _FLOORS[name]:
+        _fail(path, f"must be at least {_FLOORS[name]}")
+    if name == "precision" and value > MAX_PRECISION:
+        _fail(path, f"must be at most {MAX_PRECISION}")
 
 
 def _is_int(x):
@@ -127,9 +136,9 @@ def _check_document(doc, path="input"):
             _fail(f"{path}.options.{key}", "unknown option")
         if not _is_int(options[key]):
             _fail(f"{path}.options.{key}", "must be an integer")
-    for key, floor in _FLOORS.items():
-        if options.get(key, floor) < floor:
-            _fail(f"{path}.options.{key}", f"must be at least {floor}")
+    for key in _FLOORS:
+        if key in options:
+            _check_range(key, options[key], f"{path}.options.{key}")
 
 
 def parse_cryst_data(doc, path="input") -> CrystData:
@@ -169,25 +178,27 @@ def parse_cryst_data(doc, path="input") -> CrystData:
 
 
 def parse_omega(doc, path="input.omega"):
+    """The period matrix: a tuple of 2n rows of n Gaussian rationals."""
     om = doc["omega"]
     if not (isinstance(om, list) and om and all(isinstance(r, list) for r in om)):
         _fail(path, "must be a nonempty list of rows")
-    rows = len(om)
     cols = len(om[0])
-    if rows != 2 * cols:
-        _fail(path, f"must have shape 2n x n, got {rows}x{cols}")
-    pairs = []
+    if len(om) != 2 * cols:
+        _fail(path, f"must have shape 2n x n, got {len(om)}x{cols}")
+    gauss, i_unit = hodge.GAUSS, hodge.GAUSS.zeta()
+    rows = []
     for i, row in enumerate(om):
         if len(row) != cols:
             _fail(f"{path}[{i}]", "ragged row")
-        prow = []
+        entries = []
         for j, z in enumerate(row):
             zpath = f"{path}[{i}][{j}]"
             if not (isinstance(z, list) and len(z) == 2):
                 _fail(zpath, "complex entries are [re, im] pairs")
-            prow.append((parse_rational(z[0], zpath), parse_rational(z[1], zpath)))
-        pairs.append(prow)
-    return hodge.OmegaMatrix.exact(pairs)
+            entries.append(gauss(parse_rational(z[0], zpath))
+                           + gauss(parse_rational(z[1], zpath)) * i_unit)
+        rows.append(tuple(entries))
+    return tuple(rows)
 
 
 def _build_group(data: CrystData, bound):
@@ -196,7 +207,7 @@ def _build_group(data: CrystData, bound):
         res = crystal.normalize_action(data, bound=bound)
     except SingularGenerator as exc:
         _fail(f"input.generators[{exc.index}].linear", "must be invertible")
-    except NotFinite as exc:
+    except ExceedsBound as exc:
         _fail("input.generators", str(exc))
     return res.group, res
 
@@ -437,7 +448,7 @@ def cmd_teich(doc, opts):
     out = {"even": ev.even}
     if "omega" in doc:
         om = parse_omega(doc)
-        if om.rows != group.rank:
+        if len(om) != group.rank:
             _fail("input.omega", f"row count must equal the rank {group.rank}")
         try:
             out["omega_in_parameter_space"] = hodge.omega_in_T(om)

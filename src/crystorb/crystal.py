@@ -28,13 +28,9 @@ from operator import add, floordiv, mod, mul, sub
 
 from . import exactla, fieldlin
 from .exactla import IntMatrix
-from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, MatrixGroup, _require, closure
+from .groupcore import DEFAULT_ORDER_BOUND, MatrixGroup, _require, closure
 
 F = Fraction
-
-
-class NotFinite(Exception):
-    """The point group closure exceeded its bound."""
 
 
 class KernelTooBig(Exception):
@@ -175,15 +171,13 @@ class CrystGroup(VectorSystem):
 def verify_crystallographic(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> CrystGroup:
     """Validate the crystallographic axioms and return the finished group.
 
-    One closure of the linear parts: the point group must be finite.  The
-    u_g, integer numerators over the lcm N of the generators' denominators,
-    are read off its product table.  Nothing outside the lattice Z^r may act
-    trivially: KernelTooBig carries the nonzero defects on G x S.  With none,
-    the vector system is a cocycle (see VectorSystem.is_consistent)."""
-    try:
-        lin_group = closure([g for g, _ in data.generators], bound=bound, rank=data.rank)
-    except ExceedsBound as exc:
-        raise NotFinite(str(exc)) from exc
+    One closure of the linear parts: the point group must be finite, else
+    ExceedsBound propagates.  The u_g, integer numerators over the lcm N of
+    the generators' denominators, are read off its product table.  Nothing
+    outside the lattice Z^r may act trivially: KernelTooBig carries the
+    nonzero defects on G x S.  With none, the vector system is a cocycle
+    (see VectorSystem.is_consistent)."""
+    lin_group = closure([g for g, _ in data.generators], bound=bound, rank=data.rank)
     shifts = [t for _, t in data.generators]
     den = lcm(*(x.denominator for t in shifts for x in t))
     moved = [lin_group.images([x.numerator * (den // x.denominator) for x in t])

@@ -8,9 +8,10 @@ evenness of the isotypic data.  The lattice J is the first pairing pattern or
 group element that `_rational_j` accepts, an IntMatrix checked on the
 generators; when none is, J is read off the exact sample point of the first
 Hodge type: with M = (B | conj B) for a basis B of the sampled V, J = M
-diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  One builder,
-`_matrix_equation`, writes every linear matrix equation.  Signs are read off
-`cyclo.real_enclosure`.
+diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  A period
+matrix is its 2n rows of n Cyclo entries of one field.  One builder,
+`_sylvester_rows`, writes the equations X A = B X of both the commutant and
+the tangent space.  Signs are read off `cyclo.real_enclosure`.
 """
 
 from __future__ import annotations
@@ -96,15 +97,6 @@ def _is_minus_identity(A):
     return all(A[i][j] == (F(-1) if i == j else 0) for i in range(w) for j in range(w))
 
 
-def _identity(w, one=1):
-    zero = one - one
-    return [[one if i == j else zero for j in range(w)] for i in range(w)]
-
-
-def _neg(M):
-    return [[-x for x in row] for row in M]
-
-
 def _block_action(crys: CrystGroup, basis, indices):
     """The matrices of the elements `indices` on the span of the columns of
     `basis`, in those coordinates; ArithmeticError if it is not invariant."""
@@ -112,23 +104,20 @@ def _block_action(crys: CrystGroup, basis, indices):
             for g in indices]
 
 
-def _matrix_equation(terms):
-    """The linear equations sum over (P, Q) in `terms` of P X Q = 0 in the
-    row-major entries of X: row (i, j), column (a, b) holds the sum of
-    P[i][a] Q[b][j].  Exact over any field."""
-    P0, Q0 = terms[0]
-    inner = len(Q0)
-    zero = P0[0][0] - P0[0][0]
+def _sylvester_rows(A, B):
+    """The linear equations X A - B X = 0 in the row-major entries of the
+    len(B) x len(A) matrix X: row (i, j) holds A[b][j] at column (i, b) and
+    -B[i][a] at column (a, j).  Exact over any field."""
+    p, q = len(B), len(A)
+    zero = A[0][0] - A[0][0]
     rows = []
-    for i in range(len(P0)):
-        for j in range(len(Q0[0])):
-            row = [zero] * (len(P0[0]) * inner)
-            for P, Q in terms:
-                for a, x in enumerate(P[i]):
-                    if x != 0:
-                        for b in range(inner):
-                            if Q[b][j] != 0:
-                                row[a * inner + b] += x * Q[b][j]
+    for i in range(p):
+        for j in range(q):
+            row = [zero] * (p * q)
+            for b in range(q):
+                row[i * q + b] += A[b][j]
+            for a in range(p):
+                row[a * q + j] -= B[i][a]
             rows.append(row)
     return rows
 
@@ -136,9 +125,7 @@ def _matrix_equation(terms):
 def _commutant_basis(acts, w):
     """Basis of the integer matrices commuting with every action matrix
     (rows): the HNF kernel basis of `kernel_q`, as w x w IntMatrix values."""
-    rows = []
-    for m in acts:
-        rows += _matrix_equation([(_identity(w), m), (_neg(m), _identity(w))])
+    rows = [row for m in acts for row in _sylvester_rows(m, m)]
     return [IntMatrix(w, w, v) for v in kernel_q(rows, w * w)]
 
 
@@ -280,7 +267,7 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
     J = _rational_j(itertools.chain(_standard_pairings(crys.rank), elements), gens)
     if J is None:
         B, _ = sample_subspace(crys, hodge_types(ev)[0], seed)
-        J = torus_from_omega(OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B)))).entries
+        J = torus_from_omega(B).entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
     _require(all(fieldlin.mat_mul(J, m.row_tuples) == fieldlin.mat_mul(m.row_tuples, J)
                  for m in gens), "J does not commute with the action")
@@ -288,26 +275,9 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
 
 
 # ---------------------------------------------------------------------------
-# Omega matrices
+# period matrices, rows indexed by the lattice basis
 
 GAUSS = CycloField(4)
-
-
-class OmegaMatrix:
-    """A 2n x n complex matrix; rows are indexed by the lattice basis.  The
-    entries are Cyclo values of one cyclotomic field."""
-
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @staticmethod
-    def exact(pairs):
-        """The Gaussian rational matrix of (re, im) pairs."""
-        ent = tuple(tuple(GAUSS(F(re)) + GAUSS(F(im)) * GAUSS.zeta() for re, im in row)
-                    for row in pairs)
-        return OmegaMatrix(len(pairs), len(pairs[0]), ent)
 
 
 def _i_power(n, field: CycloField):
@@ -316,24 +286,23 @@ def _i_power(n, field: CycloField):
     return big.zeta(n * (big.order // 4))
 
 
-def _split_det(omega: OmegaMatrix):
+def _split_det(omega):
     """det(Omega | conj Omega); DegenerateOmega when it vanishes (the
     columns and their conjugates fail to span)."""
-    d = fieldlin.det(fieldlin.hstack([list(r) for r in omega.entries],
-                                     _conj_cols(omega.entries)))
+    d = fieldlin.det(fieldlin.hstack(omega, _conj_cols(omega)))
     if d == 0:
         raise DegenerateOmega("det(Omega | conj Omega) = 0")
     return d
 
 
-def omega_in_T(omega: OmegaMatrix) -> bool:
+def omega_in_T(omega) -> bool:
     """Sign test i^n det(Omega | conj Omega) > 0.
 
     The quantity is real by conjugation symmetry; its rational enclosure is
     refined until it excludes 0.  DegenerateOmega is raised when the
     determinant vanishes."""
     d = _split_det(omega)
-    val = _i_power(omega.cols, d.field) * d
+    val = _i_power(len(omega[0]), d.field) * d
     _require(val == val.conjugate(), "i^n det(Omega | conj Omega) is not real")
     p = 64
     while (bounds := real_enclosure(val, p))[0] <= 0 <= bounds[1]:
@@ -341,7 +310,7 @@ def omega_in_T(omega: OmegaMatrix) -> bool:
     return bounds[0] > 0
 
 
-def torus_from_omega(omega: OmegaMatrix) -> ComplexStructure:
+def torus_from_omega(omega) -> ComplexStructure:
     """The complex structure of the torus (lattice tensor R)/Z^2n pulled
     back from multiplication by i on the column span V: J = M diag(iI, -iI)
     M^-1 for M = (Omega | conj Omega), i on V and -i on conj V.  The bottom
@@ -351,11 +320,10 @@ def torus_from_omega(omega: OmegaMatrix) -> ComplexStructure:
     Every Omega whose columns and their conjugates span gives a torus, in T
     or not; DegenerateOmega is raised for any other."""
     _split_det(omega)
-    O = [list(r) for r in omega.entries]
-    M1 = fieldlin.inverse(fieldlin.hstack(O, _conj_cols(omega.entries)))[:omega.cols]
-    i_unit = _i_power(1, O[0][0].field)
+    M1 = fieldlin.inverse(fieldlin.hstack(omega, _conj_cols(omega)))[:len(omega[0])]
+    i_unit = _i_power(1, omega[0][0].field)
     J = [[i_unit * z + (i_unit * z).conjugate() for z in row]
-         for row in fieldlin.mat_mul(O, M1)]
+         for row in fieldlin.mat_mul(omega, M1)]
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)),
              "J of the period matrix does not square to -I")
     return ComplexStructure.of(J)
@@ -591,10 +559,6 @@ def tangent_dimension(action) -> int:
     conj(rho_g) Psi for every generator, with `action` the rho_g that
     `sample_subspace` returns.  A pure linear-algebra computation,
     independent of the character-theoretic dimension formula."""
-    identity = _identity(len(action[0]), action[0][0][0].field(1))
-    rows = []
-    for rho in action:
-        # unknown Psi (n x n): Psi rho - conj(rho) Psi = 0
-        rows += _matrix_equation([(identity, rho), (_neg(_conj_cols(rho)), identity)])
+    rows = [row for rho in action for row in _sylvester_rows(rho, _conj_cols(rho))]
     return len(fieldlin.nullspace(rows))
 

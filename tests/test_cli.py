@@ -9,8 +9,9 @@ import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import family
 import pytest
-from conftest import family_documents, validate_report
+from conftest import cyclotomic_documents, family_documents, validate_report
 
 from crystorb import cli, crystal, hodge, orbpi
 from crystorb.corpus import corpus_names, load_corpus
@@ -196,6 +197,39 @@ class TestBasics:
         code, out, _ = run(capsys, "teich", "--input", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["result"]["omega_in_parameter_space"] is True
+
+    # Omega in T: (1, i) for n = 1, the sum of two such blocks for n = 2
+    IN_T = {"minus1_rank2": [[["1", "0"]], [["0", "1"]]],
+            "kummer4": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                        [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "-1"]]]}
+
+    @staticmethod
+    def _conjugated(omega, columns):
+        return [[[re, str(-int(im))] if j in columns else [re, im]
+                 for j, (re, im) in enumerate(row)] for row in omega]
+
+    @pytest.mark.parametrize("name", ["minus1_rank2", "kummer4"])
+    def test_teich_omega_outcomes(self, capsys, tmp_path, name):
+        # i^n det(Omega | conj Omega) > 0: conjugating one column swaps two
+        # columns of the determinant and leaves T; conjugating all n swaps
+        # n pairs, so conj Omega lies in T exactly when n is even
+        omega = self.IN_T[name]
+        n = len(omega[0])
+        degenerate = [[[str(i + j), "0"] for j in range(n)] for i in range(2 * n)]
+        cases = [(omega, True), (self._conjugated(omega, {0}), False),
+                 (self._conjugated(omega, set(range(n))), n % 2 == 0), (degenerate, None)]
+        for om, member in cases:
+            path = write_doc(tmp_path, {**load_corpus(name), "omega": om})
+            code, out, _ = run(capsys, "teich", "--input", path, "--format", "json")
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["omega_in_parameter_space"] is member
+            assert result.get("omega_degenerate", False) is (member is None)
+        wrong = [[["1", "0"]] * (n + 1)] * (2 * n + 2)
+        path = write_doc(tmp_path, {**load_corpus(name), "omega": wrong})
+        code, out, err = run(capsys, "teich", "--input", path, "--format", "json")
+        assert code == 1 and out == ""
+        assert f"input.omega: row count must equal the rank {2 * n}" in err
 
     def test_text_format(self, capsys, tmp_path):
         path = corpus_path(tmp_path, "klein_rank2")
@@ -622,6 +656,28 @@ class TestPrecisionRange:
         assert f"{where}: must be at least 64" in err
 
     @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
+    @pytest.mark.parametrize("flags, options, where", [
+        (["--precision", "16385"], {}, "--precision"),
+        ([], {"precision": 16385}, "input.options.precision"),
+    ])
+    def test_precision_above_ceiling_rejected(self, capsys, tmp_path, name, flags, options,
+                                              where):
+        path = write_doc(tmp_path, {**load_corpus(name), "options": options})
+        code, out, err = run(capsys, "jstruct", "--input", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert f"{where}: must be at most 16384" in err
+
+    def test_precision_ceiling_accepted(self):
+        # the enclosure at 16384 bits takes seconds, so the job is built, not run
+        doc = load_corpus("c3_rank2")
+        assert cli.MAX_PRECISION == 16384
+        job = cli.JobSpec.build("jstruct", doc, "json", precision=16384)
+        assert job.precision == 16384
+        job = cli.JobSpec.build("jstruct", {**doc, "options": {"precision": 16384}}, "json")
+        assert job.precision == 16384
+
+    @pytest.mark.parametrize("name", ["c3_rank2", "c6_rank2"])
     def test_precision_64_accepted(self, capsys, tmp_path, name):
         path = corpus_path(tmp_path, name)
         code, out, _ = run(capsys, "jstruct", "--input", path, "--precision", "64",
@@ -684,6 +740,16 @@ class TestSamplerFailures:
         assert code == 2
         assert out == ""
         assert "synthetic fault" in err
+
+
+@pytest.mark.parametrize("name", ["cyc5_u4", "cyc9_u8", "cyc12_u11"])
+def test_jstruct_unsupported_on_cyclotomic_groups(capsys, tmp_path, name):
+    # at basis seed 1 neither the search nor the sampler builds J for these
+    # even groups, with no monkeypatching
+    doc = family.seeded_documents(cyclotomic_documents(), 1)[name]
+    code, out, _ = run(capsys, "jstruct", "--input", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"exists": True, "mode": "unsupported", "even": True}
 
 
 def test_jstruct_reports_an_unbuilt_j_as_unsupported(capsys, tmp_path, monkeypatch):

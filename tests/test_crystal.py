@@ -9,7 +9,6 @@ from crystorb.crystal import (
     CrystData,
     ExtensionCocycle,
     KernelTooBig,
-    NotFinite,
     VectorSystem,
     affine_realization,
     cocycle_from_system,
@@ -19,7 +18,7 @@ from crystorb.crystal import (
     verify_crystallographic,
 )
 from crystorb.exactla import IntMatrix
-from crystorb.groupcore import closure
+from crystorb.groupcore import ExceedsBound, closure
 
 F = Fraction
 
@@ -58,7 +57,7 @@ class TestVerify:
 
     def test_infinite_group_rejected(self):
         data = CrystData.make(2, [([[1, 1], [0, 1]], (0, 0))])
-        with pytest.raises(NotFinite):
+        with pytest.raises(ExceedsBound):
             verify_crystallographic(data, bound=500)
 
     def test_trivial_group(self):

@@ -6,7 +6,7 @@ import pytest
 from conftest import inner_product
 
 from crystorb import cli, fieldlin
-from crystorb.crystal import CrystData, NotFinite, verify_crystallographic
+from crystorb.crystal import CrystData, verify_crystallographic
 from crystorb.exactla import IntMatrix
 from crystorb.groupcore import (
     ExceedsBound,
@@ -86,7 +86,7 @@ class TestClosure:
         assert "invertible" in capsys.readouterr().err
 
     def test_determinant_two_is_not_finite(self, tmp_path, capsys):
-        with pytest.raises(NotFinite):
+        with pytest.raises(ExceedsBound):
             verify_crystallographic(CrystData.make(2, [([[2, 0], [0, 1]], (0, 0))]))
         assert verify_exit(tmp_path, [[2, 0], [0, 1]]) == 1
         assert "not finite" in capsys.readouterr().err

@@ -226,8 +226,7 @@ def test_skew_basis_and_top_level_j(analysed):
     J = oracle_exact_j_for_action(mats)
     if J is None:
         B, _ = hodge.sample_subspace(crys, hodge.hodge_types(ev)[0])
-        J = hodge.torus_from_omega(hodge.OmegaMatrix(len(B), len(B[0]), tuple(map(tuple, B))))
-        J = J.entries
+        J = hodge.torus_from_omega(B).entries
     assert hodge.invariant_complex_structure(crys, ev) == hodge.ComplexStructure.of(J)
 
 

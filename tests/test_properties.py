@@ -10,7 +10,6 @@ from crystorb import fieldlin, hodge, quotient
 from crystorb.crystal import (
     CrystData,
     KernelTooBig,
-    NotFinite,
     is_torsion_free,
     normalize_action,
     verify_crystallographic,
@@ -52,7 +51,7 @@ def random_groups(seed, trials, rank):
                 gens.append((lin, tr))
         try:
             out.append(build(CrystData.make(rank, gens), bound=128))
-        except (NotFinite, ExceedsBound, KernelTooBig):
+        except (ExceedsBound, KernelTooBig):
             continue
     return out
 

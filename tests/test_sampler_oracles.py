@@ -18,9 +18,14 @@ basis seeds 0-3, the new B must be invariant under G with rank(B | conj B) =
 tangent dimension must equal the oracle's at both sample points.  The
 sampler computes one isotypic basis over the sample field per complex
 class, and the tangent equations invert nothing.
+
+Both the oracle and `hodge.tangent_dimension` write their equations with
+`hodge._sylvester_rows`, so that builder is checked on its own below:
+applied to the entries of random X, its rows give those of X A - B X.
 """
 
 import itertools
+import random
 from math import lcm
 
 import family
@@ -95,12 +100,11 @@ def oracle_tangent_dimension(crys, B):
     n = crys.n
     C = _conj(B)
     Minv = fieldlin.inverse(fieldlin.hstack(B, C))
-    identity = hodge._identity(n, B[0][0].field(1))
     rows = []
     gens = crys.group.generators
     for gi, rho in zip(gens, hodge._block_action(crys, B, gens)):
         Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi).to_lists(), C))[n:]
-        rows += hodge._matrix_equation([(identity, rho), (hodge._neg(Q), identity)])
+        rows += hodge._sylvester_rows(rho, Q)
     return len(fieldlin.nullspace(rows))
 
 
@@ -175,3 +179,28 @@ def test_commutant_of_the_trivial_group_is_every_matrix(name):
     w = len(R[0])
     acts = hodge._block_action(crys, R, crys.group.generators)
     assert w == crys.rank and len(hodge._commutant_basis(acts, w)) == w * w
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sylvester_rows_apply_as_x_a_minus_b_x(seed):
+    # integer matrices at even seeds, Q(zeta_12) ones at odd seeds; X is
+    # p x q with p, q in 1-4, and about half the entries are zero
+    rng = random.Random(seed)
+    K = CycloField(12)
+
+    def entry():
+        if seed % 2 == 0:
+            return rng.choice((0, rng.randint(-5, 5)))
+        return sum((rng.choice((0, rng.randint(-3, 3))) * K.zeta(k) for k in range(4)), K(0))
+
+    p, q = rng.randint(1, 4), rng.randint(1, 4)
+    A = [[entry() for _ in range(q)] for _ in range(q)]
+    B = [[entry() for _ in range(p)] for _ in range(p)]
+    X = [[entry() for _ in range(q)] for _ in range(p)]
+    rows = hodge._sylvester_rows(A, B)
+    assert len(rows) == p * q and all(len(row) == p * q for row in rows)
+    flat = [x for row in X for x in row]
+    applied = [sum(c * x for c, x in zip(row, flat)) for row in rows]
+    direct = [sum(X[i][k] * A[k][j] for k in range(q)) - sum(B[i][k] * X[k][j] for k in range(p))
+              for i in range(p) for j in range(q)]
+    assert applied == direct
