@@ -4,7 +4,7 @@ Commands: verify | realize | even | jstruct | action | teich | platonic,
 given before, between or after the options.  Input is a JSON document
 (--input PATH or - for stdin); rationals travel as strings "p/q", complex
 numbers as ["re", "im"] pairs.  Reports are text or canonical JSON (sorted
-keys), so identical input and seed produce byte-identical output.  This
+keys), so identical input produces byte-identical output.  This
 module is the one place a document is validated: a bad field raises
 ValidationError naming its JSON path or flag, and the library does not
 check it again.  `parse_args` reads the command line with argparse's
@@ -41,18 +41,17 @@ class ValidationError(Exception):
 
 class JobSpec:
     """One validated CLI job: command, parsed document, output format, and
-    the effective seed/bound/precision (flags override document options)."""
+    the effective bound and precision (flags override document options)."""
 
-    def __init__(self, command, document, output_format, seed, bound, precision):
+    def __init__(self, command, document, output_format, bound, precision):
         self.command = command
         self.document = document
         self.output_format = output_format
-        self.seed = seed
         self.bound = bound
         self.precision = precision
 
     @staticmethod
-    def build(command, document, output_format, seed=None, bound=None, precision=None):
+    def build(command, document, output_format, bound=None, precision=None):
         _check_document(document)
         for name, value in (("bound", bound), ("precision", precision)):
             if value is not None:
@@ -63,14 +62,13 @@ class JobSpec:
             command=command,
             document=document,
             output_format=output_format,
-            seed=seed if seed is not None else options.get("seed", 0),
             bound=bound if bound is not None else options.get("bound", default_bound),
             precision=precision if precision is not None
                       else options.get("precision", DEFAULT_PRECISION),
         )
 
     def run(self):
-        opts = {"seed": self.seed, "bound": self.bound, "precision": self.precision}
+        opts = {"bound": self.bound, "precision": self.precision}
         result = _HANDLERS[self.command](self.document, opts)
         return {"command": self.command, "options": opts, "result": result}
 
@@ -81,7 +79,7 @@ class JobSpec:
 _TOP_KEYS = {"rank", "generators", "omega", "cocycle", "triple",
              "presentation", "loops", "multiplicities", "options"}
 _GEN_KEYS = {"linear", "translation"}
-_OPTION_KEYS = {"seed", "bound", "precision"}
+_OPTION_KEYS = {"bound", "precision"}
 # precision, in bits, sets the digits decimal_str prints: 17 at the floor of 64
 _FLOORS = {"bound": 1, "precision": 64}
 # the largest lattice rank read: output alone grows as rank^2
@@ -91,6 +89,8 @@ MAX_PRECISION = 16384
 # the most letters a platonic job's relators may total: every relator is
 # built in full before the enumeration, and the report prints every letter
 MAX_LETTERS = 10 ** 6
+# the most fixed points and subtorus components `action` lists (-I on Z^2n: 2^2n)
+MAX_COMPONENTS = 10 ** 5
 
 
 def _fail(path, message):
@@ -398,7 +398,7 @@ def cmd_jstruct(doc, opts):
     if not ev.even:
         return {"exists": False, "witness": list(ev.odd_witness), "even": False}
     try:
-        structure = hodge.invariant_complex_structure(group, ev, seed=opts["seed"])
+        structure = hodge.invariant_complex_structure(group, ev)
     except hodge.UnsupportedSample:
         # J exists, but is not built
         return {"exists": True, "mode": "unsupported", "even": True}
@@ -413,6 +413,10 @@ def cmd_action(doc, opts):
             "input.generators: the action admits no invariant complex "
             f"structure (odd classes: {', '.join(ev.odd_witness)}); "
             "the complex classification is undefined")
+    components = sum(sol.count for sol in group.fixed_sets.values())
+    if components > MAX_COMPONENTS:
+        _fail("input.generators", f"the class representatives fix {components} points "
+              f"and subtorus components, more than {MAX_COMPONENTS} to list")
     desc = quotient.orbifold_descriptor(group, ev)
     _printable("a divisor base point", [y for c in desc.divisor_classes
                                         for x in c.representative.base
@@ -471,7 +475,7 @@ def cmd_teich(doc, opts):
             "dimension": hodge.component_dimension(t),
         }
         try:
-            _, action = hodge.sample_subspace(group, t, seed=opts["seed"])
+            _, action = hodge.sample_subspace(group, t)
             entry["tangent_dimension"] = hodge.tangent_dimension(action)
             entry["tangent_agrees"] = entry["tangent_dimension"] == entry["dimension"]
         except hodge.UnsupportedSample:
@@ -622,7 +626,7 @@ def _render_text(report, out):
 # the command line
 
 USAGE = ("usage: crystorb [-h] {" + ",".join(COMMANDS) + "} --input INPUT "
-         "[--format {text,json}] [--seed SEED] [--bound BOUND] [--precision PRECISION]")
+         "[--format {text,json}] [--bound BOUND] [--precision PRECISION]")
 HELP = USAGE + """
 
 exact computations with crystallographic groups and finite group actions on
@@ -632,13 +636,12 @@ options:
   -h, --help             show this help message and exit
   --input INPUT          path to a JSON input document, or - for stdin
   --format {text,json}   report format (default: text)
-  --seed SEED            sampler seed (default: the document's, else 0)
   --bound BOUND          closure or coset-enumeration bound (default: the document's)
   --precision PRECISION  bits of the printed decimals (default: the document's, else 128)
 """
 # a unique prefix of a long option names it, and -h may run into further
 # h's (-hh); every option but the help takes one value
-_INT_OPTIONS = ("--seed", "--bound", "--precision")
+_INT_OPTIONS = ("--bound", "--precision")
 _LONG = ("--help", "--input", "--format") + _INT_OPTIONS
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -678,7 +681,7 @@ def _command(token):
 
 
 def parse_args(argv):
-    """The fields command, input, format, seed, bound and precision of a
+    """The fields command, input, format, bound and precision of a
     command line, or None when it asks for help; UsageError if it is bad.
 
     The grammar is argparse's for one positional command and the options
@@ -694,7 +697,7 @@ def parse_args(argv):
     end = argv.index("--") if "--" in argv else len(argv)
     options = [_option(token) for token in argv[:end]]
     fields = {"command": None, "input": None, "format": "text",
-              "seed": None, "bound": None, "precision": None}
+              "bound": None, "precision": None}
     extras = []
     last = max((i for i, o in enumerate(options) if o is not None), default=-1)
     i = 0
@@ -769,8 +772,7 @@ def main(argv=None):
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"input: invalid JSON ({exc})") from exc
         job = JobSpec.build(args["command"], doc, args["format"],
-                            seed=args["seed"], bound=args["bound"],
-                            precision=args["precision"])
+                            bound=args["bound"], precision=args["precision"])
         report = job.run()
         if job.output_format == "json":
             sys.stdout.write(json.dumps(report, sort_keys=True,

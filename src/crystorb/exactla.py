@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from . import fieldlin
@@ -137,13 +137,19 @@ class SolutionSet:
     kind is one of "empty", "finite", "family".  For "finite", the points
     are every representative.  For "family", they are one representative per
     connected component and basis spans the continuous directions (primitive
-    integer vectors).  Points are listed on first use, as `numerators`.
+    integer vectors).  Points are listed on first use, as `numerators`;
+    `count`, the product of the Smith choices, is known before.
     """
 
     def __init__(self, kind, basis, cosets=()):
         self.kind = kind
         self.basis = basis
         self.cosets = cosets    # (V, choices, den): the points are V*y/den mod 1
+
+    @property
+    def count(self):
+        """The number of points (components of a family) `numerators` lists."""
+        return prod(map(len, self.cosets[1])) if self.cosets else 0
 
     @cached_property
     def numerators(self):

@@ -8,26 +8,27 @@ evenness of the isotypic data.  The lattice J is the first pairing pattern or
 group element that `_rational_j` accepts, an IntMatrix checked on the
 generators; when none is, J is read off the exact sample point of the first
 Hodge type: with M = (B | conj B) for a basis B of the sampled V, J = M
-diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  A period
-matrix is its 2n rows of n Cyclo entries of one field.  One builder,
-`_sylvester_rows`, writes the equations X A = B X of both the commutant and
-the tangent space.  Signs are read off `cyclo.real_enclosure`.
+diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  The sample
+point is built by linear algebra alone, with no search: over the sample
+field K the isotypic part is W_chi = U (x) K^m (Serre, Linear
+Representations of Finite Groups, 2.6), a joint eigenspace of commuting
+elements cut down to dimension m is u0 (x) K^m, and G-spans of its vectors
+give every split.  A period matrix is its 2n rows of n Cyclo entries of one
+field.  `_sylvester_rows` writes the tangent equations X A = B X.  Signs are
+read off `cyclo.real_enclosure`.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, lcm
 
 from . import fieldlin
 from .crystal import CrystGroup
 from .cyclo import CycloField, real_enclosure
-from .exactla import IntMatrix, kernel_q
+from .exactla import IntMatrix
 from .groupcore import CharacterTable, MatrixGroup, _require
 
 F = Fraction
@@ -122,13 +123,6 @@ def _sylvester_rows(A, B):
     return rows
 
 
-def _commutant_basis(acts, w):
-    """Basis of the integer matrices commuting with every action matrix
-    (rows): the HNF kernel basis of `kernel_q`, as w x w IntMatrix values."""
-    rows = [row for m in acts for row in _sylvester_rows(m, m)]
-    return [IntMatrix(w, w, v) for v in kernel_q(rows, w * w)]
-
-
 def _standard_pairings(w):
     """Two fixed pairings of coordinates; both square to -I iff w is even."""
     n = w // 2
@@ -141,49 +135,14 @@ def _standard_pairings(w):
     return out
 
 
-def _over_integers(X):
-    """(N, d) with X = N / d: d the least common denominator of the
-    rational matrix X, N an IntMatrix."""
-    d = lcm(*(x.denominator for row in X for x in row))
-    return IntMatrix(len(X), len(X[0]),
-                     tuple(x.numerator * (d // x.denominator) for row in X for x in row)), d
-
-
-def _minus_square(N):
-    """c > 0 with N^2 = -c I for the IntMatrix N, an integer; else None."""
-    square = N.mul(N).entries
-    c = -square[0]
-    minus_c = tuple(-c * x for x in IntMatrix.identity(N.rows).entries)
-    return c if c > 0 and square == minus_c else None
-
-
-def _candidates(basis, w, seed):
-    """The IntMatrix basis matrices, their pairwise sums and differences,
-    then eight seeded combinations with coefficients in [-3, 3]."""
-    out = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            out.append(basis[i].add(basis[j]))
-            out.append(basis[i].add(basis[j].neg()))
-    rng = random.Random(seed)
-    for _ in range(8):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        out.append(IntMatrix(w, w, tuple(sum(map(mul, coeffs, column))
-                                         for column in zip(*(b.entries for b in basis)))))
-    return out
-
-
 def _rational_j(candidates, gens):
-    """The first N / sqrt(c) over the IntMatrix candidates N with N^2 = -c I,
-    c a square, that commutes with every generator IntMatrix; or None.  c > 0
-    makes N invertible."""
+    """The first IntMatrix candidate N with N^2 = -I that commutes with every
+    generator IntMatrix, as Fraction rows; or None.  A pairing pattern or an
+    element of finite order squares to -c I only for c = 1."""
+    minus_identity = IntMatrix.identity(gens[0].rows).neg()
     for N in candidates:
-        c = _minus_square(N)
-        if c is None:
-            continue
-        s = isqrt(c)
-        if s * s == c and all(N.mul(m) == m.mul(N) for m in gens):
-            return [[F(x, s) for x in row] for row in N.row_tuples]
+        if N.mul(N) == minus_identity and all(N.mul(m) == m.mul(N) for m in gens):
+            return [[F(x) for x in row] for row in N.row_tuples]
     return None
 
 
@@ -249,15 +208,13 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     return out
 
 
-def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
-                                seed=0) -> ComplexStructure:
+def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport) -> ComplexStructure:
     """Construct a complex structure commuting with the point group.
 
     Existence is decided by the caller's evenness report `ev` alone:
-    ValueError when it is not even.  For an even group J is X / sqrt(c) for
-    the first pairing pattern, then group element, X with X^2 = -c I, c a
-    rational square, that commutes with every generator.  When there is
-    none, J is the complex structure of the sample point of the first Hodge
+    ValueError when it is not even.  For an even group J is the first
+    pairing pattern, then group element, that squares to -I and commutes
+    with every generator.  When there is none, J is the complex structure of the sample point of the first Hodge
     type, exact over a cyclotomic field; UnsupportedSample when the sampler
     does not construct that type."""
     if not ev.even:
@@ -266,7 +223,7 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport,
     gens = [elements[s] for s in crys.group.generators]
     J = _rational_j(itertools.chain(_standard_pairings(crys.rank), elements), gens)
     if J is None:
-        B, _ = sample_subspace(crys, hodge_types(ev)[0], seed)
+        B, _ = sample_subspace(crys, hodge_types(ev)[0])
         J = torus_from_omega(B).entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
     _require(all(fieldlin.mat_mul(J, m.row_tuples) == fieldlin.mat_mul(m.row_tuples, J)
@@ -405,149 +362,133 @@ def _conj_cols(cols):
     return [[z.conjugate() for z in row] for row in cols]
 
 
-def _negative_square(vs):
-    """A matrix X in the span of `vs` with XY + YX = b(X, Y) I for every Y
-    in the span and b(X, X) < 0, or None: Lagrange's diagonalization of the
-    form b, which the span must carry."""
-    def b(X, Y):   # the (0, 0) entry of XY + YX
-        return sum(X[0][k] * Y[k][0] + Y[0][k] * X[k][0] for k in range(len(X)))
+def _joint_eigenvectors(crys: CrystGroup, table: CharacterTable, chi, W, m, field):
+    """m vectors y_j = u0 (x) s_j spanning a joint eigenspace of commuting
+    elements in W_chi = U (x) K^m, the columns of W, or None.  One pass runs
+    over the eigenvalues zeta_q^t, t prime to q, of the elements g != 1, by q
+    and then by g, whose multiplicity on U, (1/o) sum over j of chi(g^j)
+    zeta_q^(-jt) for g of order o, lies strictly between 0 and chi(1).  A g
+    that commutes with those used and cuts the eigenspace Y properly
+    replaces Y by the kernel of L(g) - zeta_q^t on it.  A rational W stays
+    in Fractions while the eigenvalue is +-1."""
+    group, K, e = crys.group, table.field, table.field.order
 
-    def plus(X, s, Y):
-        return [[x + s * y for x, y in zip(r, q)] for r, q in zip(X, Y)]
+    @cache
+    def multiplicity(c, q, t):
+        powers = group.power_classes[c]
+        return sum((chi.values[pc] * K.zeta(-j * t * (e // q) % e)
+                    for j, pc in enumerate(powers)), K(0)).rational_value() / len(powers)
 
-    while vs:
-        v = next((v for v in vs if b(v, v) != 0), None)
-        if v is None:
-            # all isotropic: u - w or u + w squares to -2|b(u, w)| I
-            u, w = next(((u, w) for u, w in itertools.combinations(vs, 2) if b(u, w) != 0),
-                        (None, None))
-            return None if u is None else plus(u, -1 if b(u, w) > 0 else 1, w)
-        if b(v, v) < 0:
-            return v
-        vs = [plus(u, -F(b(u, v), b(v, v)), v) for u in vs if u is not v]
-        vs = [u for u in vs if any(x != 0 for row in u for x in row)]
-    return None
-
-
-def _multiplicity_pairing(acts, w, seed):
-    """(X, c) with X^2 = -c I, c > 0 rational, X commuting with `acts`: a
-    rational pairing (c = 1), else a pairing from the trace-zero part of the
-    commutant, X - (tr X / w) I over its basis X.  On a multiplicity space
-    of dimension 2 over the block's division algebra, trace-zero X and Y
-    have XY + YX scalar (Cayley-Hamilton in M_2(Q); pure quaternions), and
-    the form has a negative direction.  `acts` are scaled to integers once."""
-    gens = [_over_integers(m)[0] for m in acts]
-    commutant = cache(lambda: _commutant_basis([m.row_tuples for m in gens], w))
-
-    def candidates():   # the pairing patterns, then seeded commutant combinations
-        yield from _standard_pairings(w)
-        yield from _candidates(commutant(), w, seed)
-
-    X = _rational_j(candidates(), gens)
-    if X is not None:
-        return X, F(1)
-    traceless = []
-    for N in commutant():
-        t = F(sum(N.at(i, i) for i in range(w)), w)
-        traceless.append([[x - t if i == j else x for j, x in enumerate(row)]
-                          for i, row in enumerate(N.row_tuples)])
-    X = _negative_square(traceless)
-    if X is not None:
-        N, d = _over_integers(X)
-        c = _minus_square(N)
-        if c is not None:
-            return X, F(c, d * d)
-    raise UnsupportedSample("no multiplicity-space pairing found")
-
-
-def _sqrt_rational(c):
-    """A square root of the positive rational c in a cyclotomic field, as
-    sqrt(num den) / den.  Each prime p of odd exponent in num den contributes
-    sqrt 2 = zeta_8 + zeta_8^-1, or, for p odd, the quadratic Gauss sum
-    g = sum over a mod p of zeta_p^(a^2), with g^2 = p for p = 1 (mod 4) and
-    g^2 = -p for p = 3 (mod 4), where sqrt p = -i g."""
-    m, k, odd = c.numerator * c.denominator, 1, []
-    for p in itertools.count(2):
-        if p * p > m:
+    eigenvalues = ((g, q, t) for q in range(1, e + 1) if e % q == 0
+                   for g in range(1, group.order())
+                   if len(group.power_classes[group.class_index[g]]) % q == 0
+                   for t in range(q)
+                   if gcd(t, q) == 1 and 0 < multiplicity(group.class_index[g], q, t) < chi.degree)
+    Y, used = W, []
+    for g, q, t in eigenvalues:
+        if len(Y[0]) == m:
             break
-        e = 0
-        while m % p == 0:
-            m, e = m // p, e + 1
-        k *= p ** (e // 2)
-        if e % 2:
-            odd.append(p)
-    if m > 1:
-        odd.append(m)
-    K = CycloField(lcm(*(8 if q == 2 else 4 * q for q in odd)))
-    root = K(F(k, c.denominator))
-    for q in odd:
-        if q == 2:
-            z = K.zeta(K.order // 8)
-            root = root * (z + z.conjugate())
+        if any(group.mul(g, h) != group.mul(h, g) for h in used):
+            continue
+        Y = [[field(x) for x in row] for row in Y] if q > 2 else Y
+        lam = field.zeta(t * (field.order // q)) if q > 2 else (-1) ** t
+        LY = fieldlin.mat_mul(crys.linear(g).row_tuples, Y)
+        N = fieldlin.nullspace([[x - lam * y for x, y in zip(r, z)] for r, z in zip(LY, Y)])
+        if 0 < len(N) < len(Y[0]):
+            Y = fieldlin.mat_mul(Y, [list(c) for c in zip(*N)])
+            used.append(g)
+    return [[field(x) for x in y] for y in zip(*Y)] if len(Y[0]) == m else None
+
+
+def _g_span(mats, vectors, echelon):
+    """Extends the echelon rows [(pivot, row)], each 1 at its pivot and 0 at
+    the pivots before it, by the span of `vectors` under the generator
+    matrices `mats`; returns the rows added."""
+    start, vectors = len(echelon), list(vectors)
+    while vectors:
+        v = vectors.pop()
+        for p, row in echelon:
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((j for j, x in enumerate(v) if x != 0), None)
+        if p is not None:
+            inv = 1 / v[p]
+            v = [x * inv for x in v]
+            echelon.append((p, v))
+            vectors += [[sum(a * x for a, x in zip(r, v)) for r in m] for m in mats]
+    return [row for _, row in echelon[start:]]
+
+
+def _half_span(mats, ys, i_unit):
+    """A basis of the G-span A of m/2 combinations of the joint eigenvectors
+    of a real or quaternionic class: from each pair y_p, y_q the first of
+    y_p + i y_q, y_p + y_q, y_p, y_q that keeps rank(A | conj A) = 2 dim A;
+    None when a pair gives none."""
+    echelon = []
+    for p, q in zip(ys[::2], ys[1::2]):
+        for c in ([x + i_unit * y for x, y in zip(p, q)], [x + y for x, y in zip(p, q)], p, q):
+            trial = list(echelon)
+            rows = [row for _, row in trial] if _g_span(mats, [c], trial) else []
+            if rows and len(_g_span((), _conj_cols(rows), list(trial))) == len(rows):
+                echelon = trial
+                break
         else:
-            g = K.from_exponents(Counter(K.order // q * a * a % K.order for a in range(q)))
-            root = root * (g if q % 4 == 1 else g * K.zeta(3 * K.order // 4))
-    return root
+            return None
+    return [row for _, row in echelon]
 
 
-def sample_subspace(crys: CrystGroup, t: HodgeType, seed=0):
+def sample_subspace(crys: CrystGroup, t: HodgeType):
     """An explicit invariant subspace of the given Hodge type.
 
-    Returns (B, action): B a 2n x n matrix over a cyclotomic field (list of
-    rows) whose columns span V with V + conj V = C^2n, and action the
-    matrices rho_g of the generators on it, L(g) B = B rho_g, which the
-    invariance check solves.  A complex pair (chi, conj chi) contributes
-    the first a d columns of a basis W of the isotypic part W_chi, then the
-    conjugates of its other (m - a) d columns: every L(g) is real, so conj
-    W_chi = W_conj chi, and those conjugates complement conj V inside it.  A
-    real or quaternionic class contributes the i sqrt(c)-eigenspace of a
-    pairing X of its rational isotypic block, X^2 = -c I, over a field that
-    also holds sqrt(c).  Raises UnsupportedSample for the types the sampler
-    does not construct."""
+    Returns (B, action): B a 2n x n matrix over the sample field K (list of
+    rows) whose columns span V with V + conj V = C^2n, and the generators'
+    matrices rho_g on it, L(g) B = B rho_g, which the invariance check
+    solves.  As every L(g) is real, conj W_chi = W_conj chi: a complex pair
+    of degree 1, or split a in {0, m}, contributes the first a d columns of
+    a basis of W_chi and the conjugates of the others.  A real class of
+    degree 1 contributes w_2j + i w_2j+1 over its block's columns w; any
+    other class, G-spans of its joint eigenvectors, the first a and the
+    conjugates of the others for a complex pair, `_half_span` for a real or
+    quaternionic class.  UnsupportedSample when none are found."""
     table = point_group_table(crys)
-    gens = crys.group.generators
+    group = crys.group
     field = _sample_field(table)
+    i_unit = _i_power(1, field)
+    mats = [crys.linear(s).row_tuples for s in group.generators]
     chars = {c.label: c for c in table.characters}
-    w = crys.rank
-    cols = []
     blocks = None
-
+    cols = []
     for s in t.splits:
-        if s.fs_type == "complex":
-            m, d, a = s.multiplicity, s.degree, s.a
-            if d > 1 and a not in (0, m):
-                raise UnsupportedSample(
-                    "sampling of intermediate splits needs degree-1 constituents")
-            W = isotypic_basis(crys.group, table, [chars[s.labels[0]]], field)
-            cols.append([row[:a * d] + [z.conjugate() for z in row[a * d:]] for row in W])
-        else:
-            chi = chars[s.labels[0]]
-            if not all(v.is_rational() for v in chi.values):
-                raise UnsupportedSample(
-                    "sampling of real or quaternionic classes needs rational characters")
+        chi = chars[s.labels[0]]
+        m, d, a = s.multiplicity, s.degree, s.a
+        if s.fs_type != "complex" and all(v.is_rational() for v in chi.values):
             # a rational character is its own Galois orbit
-            if blocks is None:
-                blocks = dict(rational_isotypic_projectors(crys.group, table))
-            R = blocks[(chi.label,)]
-            width = len(R[0])
-            X, c = _multiplicity_pairing(_block_action(crys, R, gens), width, seed)
-            root = _sqrt_rational(c)
-            _require(root * root == c, "the square root of c does not square to c")
-            K = CycloField(lcm(field.order, root.field.order))
-            eigenvalue = _i_power(1, K) * root
-            shifted = [[K(X[i][j]) - (eigenvalue if i == j else 0)
-                        for j in range(width)] for i in range(width)]
-            ys = fieldlin.nullspace(shifted)
-            _require(len(ys) == width // 2, "eigenspace of the pairing has the wrong dimension")
-            Rf = [[K(x) for x in row] for row in R]
-            cols.append(fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)]))
+            blocks = blocks or dict(rational_isotypic_projectors(group, table))
+            W = blocks[(chi.label,)]
+        else:
+            W = isotypic_basis(group, table, [chi], field)
+        if s.fs_type == "complex" and (d == 1 or a in (0, m)):
+            cols.append([row[:a * d] + [z.conjugate() for z in row[a * d:]] for row in W])
+            continue
+        if d == 1:   # L(g) is +-1 on the block
+            w = list(zip(*W))
+            vectors = [[x + i_unit * y for x, y in zip(p, q)] for p, q in zip(w[::2], w[1::2])]
+        elif (ys := _joint_eigenvectors(crys, table, chi, W, m, field)) is None:
+            vectors = None
+        elif s.fs_type == "complex":
+            vectors = _g_span(mats, ys[:a], []) + _conj_cols(_g_span(mats, ys[a:], []))
+        else:
+            vectors = _half_span(mats, ys, i_unit)
+        if vectors is None:
+            raise UnsupportedSample(f"no joint eigenspace or combination for {chi.label}")
+        cols.append([list(row) for row in zip(*vectors)])
 
-    K = CycloField(lcm(*(col[0][0].field.order for col in cols)))
-    B = fieldlin.hstack(*([[K(x) for x in row] for row in col] for col in cols))
+    B = fieldlin.hstack(*cols)
     _require(len(B[0]) == crys.n, "sampled subspace does not have dimension n")
-    _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == w,
+    _require(fieldlin.rank(fieldlin.hstack(B, _conj_cols(B))) == crys.rank,
              "sampled subspace meets its conjugate")
-    return B, _block_action(crys, B, gens)   # raises if not invariant
+    return B, _block_action(crys, B, group.generators)   # raises if not invariant
 
 
 def tangent_dimension(action) -> int:

@@ -1,6 +1,7 @@
 """The inputs the suite shares: the 19 corpus documents, the 7 documents of
 the benchmark's scaling family, ten cyclotomic lattice groups with known
-characters, and the crystallographic group a document
+characters, the doubled extraspecial group of order 32, and the
+crystallographic group a document
 normalizes to; and the Fraction check helpers several modules read vector
 systems and integer kernels with.  Test modules import these by name (`from conftest import
 ...`); seed the two document sets with `family.seeded_documents` exactly as
@@ -82,6 +83,27 @@ def cyclotomic_documents():
             "rank": 2 * r, "generators": [{"linear": m, "translation": [0] * (2 * r)}
                                           for m in maps]}
     return docs
+
+
+def extraspecial_documents():
+    """The extraspecial group 2^(1+4)_+ of order 32 on Z^8, generated by
+    r (x) I, s (x) I, I (x) r and I (x) s for r = [[0, -1], [1, 0]] and
+    s = diag(1, -1), each taken as diag(M, M).  Its one real class has
+    degree 4 and multiplicity 2, and no element has an eigenvalue of
+    multiplicity 1 on the constituent: one element's eigenspace is never a
+    joint eigenspace of dimension 2."""
+    r, s, one = [[0, -1], [1, 0]], [[1, 0], [0, -1]], [[1, 0], [0, 1]]
+
+    def kron(A, B):
+        return [[a * b for a in row_a for b in row_b] for row_a in A for row_b in B]
+
+    def doubled(M):
+        return [row + [0] * 4 for row in M] + [[0] * 4 + row for row in M]
+
+    maps = [doubled(kron(r, one)), doubled(kron(s, one)),
+            doubled(kron(one, r)), doubled(kron(one, s))]
+    return {"extraspecial32_rank8": {
+        "rank": 8, "generators": [{"linear": m, "translation": [0] * 8} for m in maps]}}
 
 
 def crystal_group(doc):

@@ -7,11 +7,13 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr
+from fractions import Fraction
 from pathlib import Path
 
 import family
 import pytest
-from conftest import cyclotomic_documents, family_documents, validate_report
+from conftest import crystal_group, cyclotomic_documents, family_documents, validate_report
+from jcheck import assert_invariant_j
 
 from crystorb import cli, crystal, hodge, orbpi
 from crystorb.corpus import corpus_names, load_corpus
@@ -477,9 +479,9 @@ class TestDeterminism:
             path = corpus_path(tmp_path, name)
             for command in ("verify", "even", "jstruct"):
                 code1, out1, _ = run(capsys, command, "--input", path,
-                                     "--format", "json", "--seed", "0")
+                                     "--format", "json", "--precision", "128")
                 code2, out2, _ = run(capsys, command, "--input", path,
-                                     "--format", "json", "--seed", "0")
+                                     "--format", "json", "--precision", "128")
                 assert code1 == code2 == 0
                 assert out1 == out2
 
@@ -493,13 +495,14 @@ class TestDeterminism:
                 report = json.loads(out)
                 assert validate_report(command, report)
 
-    def test_seed_changes_are_isolated(self, capsys, tmp_path):
-        # different seeds still certify; identical seeds reproduce bytes
+    def test_precision_changes_are_isolated(self, capsys, tmp_path):
+        # a precision other than the default still certifies; identical
+        # options reproduce the bytes
         path = corpus_path(tmp_path, "c3_rank2")
         _, out_a, _ = run(capsys, "jstruct", "--input", path,
-                          "--format", "json", "--seed", "7")
+                          "--format", "json", "--precision", "64")
         _, out_b, _ = run(capsys, "jstruct", "--input", path,
-                          "--format", "json", "--seed", "7")
+                          "--format", "json", "--precision", "64")
         assert out_a == out_b
 
 
@@ -528,8 +531,8 @@ class TestBooleansRejected:
         ("verify", {"rank": 2, "generators": [
             {"linear": [[1, 0], [0, 1]], "translation": [False, "0"]}]},
          "input.generators[0].translation[0]"),
-        ("verify", {"rank": 2, "generators": [], "options": {"seed": False}},
-         "input.options.seed"),
+        ("verify", {"rank": 2, "generators": [], "options": {"bound": False}},
+         "input.options.bound"),
         ("realize", {"rank": 2, "generators": [_MINUS1],
                      "cocycle": [[True, 1, [0, 0]]]}, "input.cocycle[0]"),
         ("realize", {"rank": 2, "generators": [_MINUS1],
@@ -608,6 +611,34 @@ class TestBoundRange:
         code, out, err = run(capsys, "verify", "--input", path)
         assert code == 1 and out == ""
         assert f"input.rank: must be at most {cli.MAX_RANK}" in err
+
+    def test_action_component_limit(self, capsys, tmp_path):
+        # -I on Z^2n fixes 2^2n points, each listed by `action`: rank 16
+        # (65,536) is counted within the limit without listing one, and
+        # rank 18 (262,144) is refused before any is listed
+        def minus_identity(r):
+            return {"rank": r, "generators": [
+                {"linear": [[-int(i == j) for j in range(r)] for i in range(r)]}]}
+
+        fixed = crystal_group(minus_identity(16)).fixed_sets.values()
+        assert sum(sol.count for sol in fixed) == 2 ** 16 <= cli.MAX_COMPONENTS
+        path = write_doc(tmp_path, minus_identity(18))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "action", "--input", path, "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: input.generators: ") and "262144" in err
+
+    def test_seed_is_no_option(self, capsys, tmp_path):
+        # the sampler has no seed: the option and the flag are refused
+        path = write_doc(tmp_path, {**load_corpus("c3_rank2"), "options": {"seed": 0}})
+        code, out, err = run(capsys, "jstruct", "--input", path)
+        assert code == 1 and out == ""
+        assert err == "error: input.options.seed: unknown option\n"
+        code, out, err = run(capsys, "jstruct", "--input", corpus_path(tmp_path, "c3_rank2"),
+                             "--seed", "0")
+        assert code == 1 and out == ""
+        assert err.endswith("crystorb: error: unrecognized arguments: --seed 0\n")
 
     def test_bound_one_accepted(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"rank": 2, "generators": [], "options": {"bound": 1}})
@@ -744,12 +775,19 @@ class TestSamplerFailures:
 
 @pytest.mark.parametrize("name", ["cyc5_u4", "cyc9_u8", "cyc12_u11"])
 def test_jstruct_unsupported_on_cyclotomic_groups(capsys, tmp_path, name):
-    # at basis seed 1 neither the search nor the sampler builds J for these
-    # even groups, with no monkeypatching
-    doc = family.seeded_documents(cyclotomic_documents(), 1)[name]
-    code, out, _ = run(capsys, "jstruct", "--input", write_doc(tmp_path, doc), "--format", "json")
-    assert code == 0
-    assert json.loads(out)["result"] == {"exists": True, "mode": "unsupported", "even": True}
+    # the even groups on which `jstruct` once answered "unsupported": the
+    # pairing search found no J in their seeded bases.  At basis seeds 0-3
+    # the sampler builds J from their joint eigenspaces, exactly, with no
+    # monkeypatching
+    for seed in range(4):
+        doc = family.seeded_documents(cyclotomic_documents(), seed)[name]
+        code, out, _ = run(capsys, "jstruct", "--input", write_doc(tmp_path, doc),
+                           "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["mode"] == "exact", (name, seed)
+        J = tuple(tuple(Fraction(x) for x in row) for row in result["matrix"])
+        assert_invariant_j(J, crystal_group(doc).group)
 
 
 def test_jstruct_reports_an_unbuilt_j_as_unsupported(capsys, tmp_path, monkeypatch):
@@ -771,13 +809,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--input", "-"], "invalid choice: 'classify'"),
         (["verify"], "the following arguments are required: --input"),
-        (["verify", "--input", "-", "--seed", "x"], "invalid int value: 'x'"),
+        (["verify", "--input", "-", "--bound", "x"], "invalid int value: 'x'"),
         (["verify", "--input"], "argument --input: expected one argument"),
-        (["verify", "--seed", "--input", "-"], "argument --seed: expected one argument"),
+        (["verify", "--bound", "--input", "-"], "argument --bound: expected one argument"),
         (["verify", "--input", "-", "teich", "-x"], "unrecognized arguments: teich -x"),
         (["verify", "--input", "-", "--format", "xml"], "invalid choice: 'xml'"),
         # argparse before 3.13 stores [] for a "--" given after "="
-        (["verify", "--input", "-", "--seed=--"], "invalid int value: '--'"),
+        (["verify", "--input", "-", "--bound=--"], "invalid int value: '--'"),
     ])
     def test_usage_error_exits_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -829,8 +867,8 @@ def test_options_before_the_command(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the parser oracle: the parser cli.main built before it declared the five
-# options once, a subparser per command that declares all five
+# the parser oracle: the parser cli.main built before it declared the four
+# options once, a subparser per command that declares all four
 
 def subparser_oracle():
     parser = argparse.ArgumentParser(
@@ -843,17 +881,16 @@ def subparser_oracle():
         p.add_argument("--input", required=True,
                        help="path to a JSON input document, or - for stdin")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--precision", type=int, default=None)
     return parser
 
 
 def oracle_fields(argv):
-    """The six fields the oracle parses argv into, or None if it refuses.
+    """The five fields the oracle parses argv into, or None if it refuses.
 
     Before Python 3.13 argparse drops a "--" given after "=" and stores an
-    empty list (`--seed=--` sets seed to []); 3.13 keeps the "--".  The
+    empty list (`--bound=--` sets bound to []); 3.13 keeps the "--".  The
     oracle has no one answer there, so it gives none."""
     with redirect_stderr(io.StringIO()):
         try:
@@ -865,7 +902,7 @@ def oracle_fields(argv):
 
 
 def main_fields(argv):
-    """The six fields cli.parse_args reads argv into, or None for a usage
+    """The five fields cli.parse_args reads argv into, or None for a usage
     error."""
     try:
         return cli.parse_args(argv)
@@ -877,25 +914,24 @@ def main_fields(argv):
 SPELLINGS = {
     "input": ("--input", "--in", "--i", "--inp"),
     "format": ("--format", "--f", "--form"),
-    "seed": ("--seed", "--s", "--se"),
     "bound": ("--bound", "--b", "--bou"),
     "precision": ("--precision", "--pre", "--p"),
 }
 # values each option accepts, then values it refuses or that look like flags
 INTEGERS = ("0", "7", "-3", "-1", "64", "x", "1.5", "", "--")
 VALUES = {
-    "input": ("-", "doc.json", "verify", "-5", "a b", "--", "", "--seed"),
+    "input": ("-", "doc.json", "verify", "-5", "a b", "--", "", "--bound"),
     "format": ("json", "text", "xml", "-"),
-    "seed": INTEGERS, "bound": INTEGERS, "precision": INTEGERS,
+    "bound": INTEGERS, "precision": INTEGERS,
 }
-ACCEPTED = {"input": 5, "format": 2, "seed": 5, "bound": 5, "precision": 5}
-NOISE = ("--", "-", "-x", "--bogus", "--input", "--seed", "verify",
+ACCEPTED = {"input": 5, "format": 2, "bound": 5, "precision": 5}
+NOISE = ("--", "-", "-x", "--bogus", "--input", "--bound", "verify",
          "teich", "7", "-1", "doc.json", "--format=json", "--in=-")
 
 
 def test_one_parser_matches_the_subparser_oracle():
     """Wherever the oracle accepts an argv, cli.main's parser gives the same
-    command, input, format, seed, bound and precision; it also accepts the
+    command, input, format, bound and precision; it also accepts the
     same options with the command moved in among them."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

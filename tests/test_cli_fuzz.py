@@ -58,7 +58,7 @@ def crystal_documents(draw):
                           for _ in range(draw(st.integers(0, 4)))]
     doc["options"] = draw(st.fixed_dictionaries(
         {"bound": st.integers(1, 64)},
-        optional={"seed": st.integers(-2, 5), "precision": st.integers(60, 200)}))
+        optional={"precision": st.integers(60, 200)}))
     return doc
 
 

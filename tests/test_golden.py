@@ -163,6 +163,10 @@ def regenerate():
             golden_path(case, code).write_text(out if code == 0 else err)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, sort_keys=True, indent=1) + "\n")
+    for command in ("verify", "action"):
+        code, out, _ = run_document(b4_doubled(), command)
+        assert code == 0, command
+        (GOLDEN / f"b4double_rank8.{command}.json").write_text(out)
     docs = scaling_documents()
     for name in SCALING_ACTION:
         code, out, _ = run_document(docs[name], "action")

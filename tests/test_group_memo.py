@@ -21,7 +21,6 @@ two vector systems is solved on the generators.
 """
 
 import gc
-import itertools
 import json
 import weakref
 from contextlib import contextmanager
@@ -136,9 +135,10 @@ def test_hodge_jobs_decide_evenness_once(monkeypatch, capsys, tmp_path):
                 assert sum(basis is B for basis in solved) == 1, (name, command)
             sampled += len(samples)
             blocks += sum(all(basis is not B for B in samples) for basis in solved)
-    # the rational blocks of real and quaternionic classes are solved too,
-    # and are told apart from the sampled Bs
-    assert (sampled, blocks) == (22, 14)
+    # nothing else is solved: the sampler cuts its joint eigenspaces in
+    # lattice coordinates and solves no action on a rational block (the
+    # pairing search it replaced solved 14)
+    assert (sampled, blocks) == (22, 0)
 
 
 def test_classification_and_descriptor_share_one_analysis(calls, monkeypatch):
@@ -172,10 +172,8 @@ def test_sample_point_j_costs_one_determinant(monkeypatch):
     # c3_rank2 and c6wr_rank4 (|G| = 72) have no rational J among the
     # pairing patterns and the group elements, so J is read off the sample
     # point, exactly over Q(zeta_12).  Reading it costs one determinant, the
-    # degeneracy test of (B | conj B), and neither an orientation sign nor a
-    # kernel: the sampler meets complex classes only.
-    counts = _counter(monkeypatch, ((hodge, "real_enclosure"), (fieldlin, "det"),
-                                    (hodge, "kernel_q")))
+    # degeneracy test of (B | conj B), and no orientation sign.
+    counts = _counter(monkeypatch, ((hodge, "real_enclosure"), (fieldlin, "det")))
     docs = {**corpus_documents(), **family_documents()}
     for name in ("c3_rank2", "c6wr_rank4"):
         g = crystal_group(docs[name])
@@ -183,37 +181,9 @@ def test_sample_point_j_costs_one_determinant(monkeypatch):
         assert {c.fs_type for c in ev.report.classes} == {"complex"}
         counts.update(dict.fromkeys(counts, 0))
         J = hodge.invariant_complex_structure(g, ev)
-        assert counts == {"real_enclosure": 0, "det": 1, "kernel_q": 0}, name
+        assert counts == {"real_enclosure": 0, "det": 1}, name
         assert J.mode == "algebraic" and J.field_order == 12
         assert_invariant_j(J.entries, g.group)
-
-
-def test_commutant_basis_eliminates_nothing_over_q(monkeypatch, capsys, tmp_path):
-    # the corpus and scaling groups at basis seed 1 whose J search reaches
-    # the commutant, under `jstruct` and `teich` (five of these eight jobs
-    # are in the benchmark): its basis is the integer kernel read off `hnf`
-    # and its transform, so neither `fieldlin.rref` nor `fieldlin.nullspace`
-    # runs inside `_commutant_basis`
-    docs = {**family.seeded_documents(corpus_documents(), 1),
-            **family.seeded_documents(family_documents(), 1)}
-    counts = _counter(monkeypatch, ((fieldlin, "rref"), (fieldlin, "nullspace")))
-    commutant, inside = hodge._commutant_basis, []
-
-    def recorded(acts, w):
-        before = dict(counts)
-        basis = commutant(acts, w)
-        inside.append({name: counts[name] - before[name] for name in counts})
-        return basis
-
-    monkeypatch.setattr(hodge, "_commutant_basis", recorded)
-    for name, command in itertools.product(
-            ("b3diag_rank6", "q8_rank4", "s3_rank4", "s4double_rank8"), ("jstruct", "teich")):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(docs[name]))
-        inside.clear()
-        assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
-        capsys.readouterr()
-        assert inside == [{"rref": 0, "nullspace": 0}], (name, command)
 
 
 def test_realize_multiplies_no_vector_and_solves_on_the_generators(monkeypatch):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import family
 import pytest
-from conftest import corpus_documents, crystal_group, cyclotomic_documents, family_documents
+from conftest import (corpus_documents, crystal_group, cyclotomic_documents,
+                      extraspecial_documents, family_documents)
 from jcheck import assert_invariant_j
 
 from crystorb import cli, fieldlin, hodge
@@ -70,13 +71,13 @@ def crys(rank, *gens):
         CrystData.make(rank, [(g, (0,) * rank) for g in gens]))
 
 
-def jstruct(g, seed=0):
-    return hodge.invariant_complex_structure(g, hodge.is_even(g), seed)
+def jstruct(g):
+    return hodge.invariant_complex_structure(g, hodge.is_even(g))
 
 
-def sample_omega(g, t, seed=0):
+def sample_omega(g, t):
     """The period matrix of the sample point of the Hodge type t."""
-    B, _ = hodge.sample_subspace(g, t, seed)
+    B, _ = hodge.sample_subspace(g, t)
     return tuple(tuple(row) for row in B)
 
 
@@ -173,10 +174,9 @@ class TestInvariantComplexStructure:
                 structure = None
             assert (structure is not None) == ev.even
 
-    def test_seed_determinism(self):
-        a = jstruct(C3G, seed=5)
-        b = jstruct(C3G, seed=5)
-        assert a.entries == b.entries
+    def test_repeated_runs_give_one_j(self):
+        # the sampler has no seed: J is a function of the group
+        assert jstruct(C3G).entries == jstruct(C3G).entries
 
 
 class TestOmega:
@@ -410,28 +410,28 @@ C7C3_DOUBLE = crys(12, blowup(_lattice_matrix([1, 2, 3, 4, 5, 6], 6)),
 
 
 class TestUnsupportedSamples:
-    """The types sample_subspace does not construct raise UnsupportedSample,
-    which `teich` reports as tangent_agrees: null."""
+    """The types the pairing search did not construct, which `teich` used to
+    report as tangent_agrees: null: the joint eigenspaces sample them."""
 
     def test_real_class_with_irrational_character(self):
         # the two real characters of degree 2 take the values (-1 +- sqrt 5)/2
         ts = hodge.hodge_types(hodge.is_even(D5_DOUBLE))
         assert [s.fs_type for t in ts for s in t.splits] == ["real", "real"]
-        with pytest.raises(hodge.UnsupportedSample, match="rational characters"):
-            hodge.sample_subspace(D5_DOUBLE, ts[0])
+        _, action = hodge.sample_subspace(D5_DOUBLE, ts[0])
+        assert hodge.tangent_dimension(action) == hodge.component_dimension(ts[0]) == 2
 
     def test_intermediate_split_of_degree_three_pair(self):
         (middle,) = [t for t in hodge.hodge_types(hodge.is_even(C7C3_DOUBLE)) if t.splits[0].a == 1]
         assert middle.splits[0].degree == 3
-        with pytest.raises(hodge.UnsupportedSample, match="intermediate splits"):
-            hodge.sample_subspace(C7C3_DOUBLE, middle)
+        _, action = hodge.sample_subspace(C7C3_DOUBLE, middle)
+        assert hodge.tangent_dimension(action) == hodge.component_dimension(middle) == 2
 
 
 @pytest.mark.parametrize("name", sorted(cyclotomic_documents()))
 def test_cyclotomic_groups_have_exact_j_and_consistent_tangents(name, tmp_path, capsys):
     # real classes with irrational characters and complex pairs of degree 3:
-    # J is exact and invariant, and every type the sampler constructs has
-    # the tangent dimension of the formula (the others report null)
+    # J is exact and invariant, and every type has the tangent dimension of
+    # the formula
     doc = cyclotomic_documents()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
@@ -440,11 +440,55 @@ def test_cyclotomic_groups_have_exact_j_and_consistent_tangents(name, tmp_path, 
         assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
         reports[command] = json.loads(capsys.readouterr().out)["result"]
     assert reports["jstruct"]["mode"] == "exact"
-    assert all(t["tangent_agrees"] is not False for t in reports["teich"]["types"])
+    assert all(t["tangent_agrees"] is True for t in reports["teich"]["types"])
     g = crystal_group(doc)
     J = hodge.invariant_complex_structure(g, hodge.is_even(g))
     assert J.mode == "exact"
     assert_invariant_j(J.entries, g.group)
+
+
+def test_half_span_skips_combinations_that_meet_their_conjugates():
+    # y0 + i y1 = (1 + i)(1, 1) and y0 + y1 = (2, 0) span real lines, so the
+    # first combination kept is y0 itself, whose line misses its conjugate
+    K = CycloField(4)
+    i = K.zeta()
+    y0, y1 = [K(1), i], [K(1), -i]
+    (row,) = hodge._half_span([((1, 0), (0, 1))], [y0, y1], i)
+    assert fieldlin.rank([row, [z.conjugate() for z in row]]) == 2
+    assert fieldlin.rank([row, y0]) == 1
+
+
+def test_extraspecial_group_has_no_simple_eigenvalue():
+    # every eigenvalue of every element has multiplicity 0, 2 or 4 on the
+    # constituent of degree 4, so 0, 4 or 8 on the lattice: the sampler
+    # needs the eigenspaces of two commuting elements
+    g = crystal_group(extraspecial_documents()["extraspecial32_rank8"])
+    (c,) = hodge.is_even(g).report.classes
+    assert (g.order(), c.fs_type, c.degree, c.multiplicity) == (32, "real", 4, 2)
+    K = CycloField(4)
+    for m in g.group.elements:
+        for lam in (K(1), K(-1), K.zeta(), K.zeta(3)):
+            shifted = [[x - (lam if i == j else 0) for j, x in enumerate(row)]
+                       for i, row in enumerate(m.to_lists())]
+            assert len(fieldlin.nullspace(shifted)) in (0, 4, 8)
+
+
+@pytest.mark.parametrize("basis_seed", [None, 0, 1, 2, 3])
+def test_extraspecial_group_samples_and_builds_exact_j(basis_seed, tmp_path, capsys):
+    docs = extraspecial_documents()
+    if basis_seed is not None:
+        docs = family.seeded_documents(docs, basis_seed)
+    doc = docs["extraspecial32_rank8"]
+    path = tmp_path / "extraspecial.json"
+    path.write_text(json.dumps(doc))
+    reports = {}
+    for command in ("jstruct", "teich"):
+        assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
+        reports[command] = json.loads(capsys.readouterr().out)["result"]
+    assert [t["tangent_agrees"] for t in reports["teich"]["types"]] == [True]
+    assert reports["jstruct"]["mode"] == "exact"
+    J = tuple(tuple(F(x) for x in row) for row in reports["jstruct"]["matrix"])
+    assert_invariant_j(J, crystal_group(doc).group)
 
 
 # the groups whose J changed when the commutant basis became the HNF
@@ -458,16 +502,16 @@ REPICKED_J = [("corpus", "q8_rank4", s) for s in (0, 1, 3)] + \
 
 @pytest.mark.parametrize("documents, name, basis_seed", REPICKED_J)
 def test_repicked_j_is_invariant(documents, name, basis_seed):
-    # at sampler seeds 0 and 1 each J is real, squares to -I and commutes
-    # with every element; only s4double_rank8 at basis seed 0 is algebraic
+    # each J is exact, real, squares to -I and commutes with every element.
+    # s4double_rank8 at basis seed 0 reaches the sampler: its real class of
+    # degree 3 is cut for the eigenvalue 1 of commuting elements, in
+    # Fractions, so V is defined over Q(i).  The pairing's J was algebraic
     docs = {"corpus": corpus_documents, "scaling": family_documents,
             "cyclotomic": cyclotomic_documents}[documents]()
     g = crystal_group(family.seeded_documents(docs, basis_seed)[name])
-    ev = hodge.is_even(g)
-    for seed in (0, 1):
-        J = hodge.invariant_complex_structure(g, ev, seed)
-        assert J.mode == ("algebraic" if (name, basis_seed) == ("s4double_rank8", 0) else "exact")
-        assert_invariant_j(J.entries, g.group)
+    J = hodge.invariant_complex_structure(g, hodge.is_even(g))
+    assert J.mode == "exact"
+    assert_invariant_j(J.entries, g.group)
 
 
 MISCOUNTED_TYPE = """
@@ -523,18 +567,12 @@ from conftest import corpus_documents, crystal_group, family_documents
 from jcheck import assert_invariant_j
 from crystorb import hodge
 
-torus, root = hodge.torus_from_omega, hodge._sqrt_rational
+torus = hodge.torus_from_omega
 built = []
 
 def recorded_torus(omega):
-    if built[-1] == "rational search":
-        built[-1] = "sample point"
+    built[-1] = "sample point"
     return torus(omega)
-
-def recorded_root(c):
-    if c != 1:
-        built[-1] = "sample point with sqrt c"
-    return root(c)
 
 branches = Counter()
 for seed in range(4):
@@ -545,9 +583,9 @@ for seed in range(4):
         if not hodge.is_even(g).even:
             continue
         built.append("rational search")
-        hodge.torus_from_omega, hodge._sqrt_rational = recorded_torus, recorded_root
+        hodge.torus_from_omega = recorded_torus
         J = hodge.invariant_complex_structure(g, hodge.is_even(g))
-        hodge.torus_from_omega, hodge._sqrt_rational = torus, root
+        hodge.torus_from_omega = torus
         branches[built.pop()] += 1
         assert_invariant_j(J.entries, g.group)
         for t in hodge.hodge_types(hodge.is_even(g)):
@@ -563,71 +601,4 @@ def test_every_even_input_is_exact_without_mpmath():
     report = json.loads(run.stdout)
     print(report)
     assert report["runs"] == 80
-    assert set(report["branches"]) <= {"rational search", "sample point",
-                                       "sample point with sqrt c"}
-
-
-def _q8(basis_seed):
-    q8 = corpus_documents()["q8_rank4"]
-    return crystal_group(family.seeded_documents({"q8": q8}, basis_seed)["q8"])
-
-
-@pytest.mark.parametrize("c, order", [(1, 1), (4, 1), (F(1, 4), 1), (2, 8), (3, 12),
-                                      (F(3, 4), 12), (5, 20), (6, 24), (F(7, 12), 84),
-                                      (12, 12), (F(49, 50), 8)])
-def test_square_roots_of_rationals(c, order):
-    root = hodge._sqrt_rational(F(c))
-    assert root * root == c
-    assert root.field.order == order
-
-
-def test_pairing_with_irrational_square_root(monkeypatch):
-    # with the rational searches off, the quaternionic block of Q8 in this
-    # basis gets the pairing X with X^2 = -5 I: V is the i sqrt 5-eigenspace
-    # of X, over Q(zeta_20), and J is exact there
-    g = _q8(13)
-    roots = []
-    sqrt = hodge._sqrt_rational
-    monkeypatch.setattr(hodge, "_rational_j", lambda candidates, gens: None)
-    monkeypatch.setattr(hodge, "_sqrt_rational", lambda c: roots.append(c) or sqrt(c))
-    J = jstruct(g)
-    assert roots == [5]
-    assert J.mode == "algebraic" and J.field_order == 20
-    assert_invariant_j(J.entries, g.group)
-    (t,) = hodge.hodge_types(hodge.is_even(g))
-    _, action = hodge.sample_subspace(g, t)
-    assert hodge.tangent_dimension(action) == hodge.component_dimension(t)
-
-
-# q8_rank4 in a basis where, with the rational searches off, the sampler
-# pairs the quaternionic block by X with X^2 = -2 I, so J needs sqrt 2.  A
-# forged square root must be refused with assert statements off.
-FORGED_ROOT = """
-import sys
-sys.path[:0] = sys.argv[1:3]
-import test_hodge
-from crystorb import hodge
-
-assert False, "assert statements must be off"
-g = test_hodge._q8(1)
-root, asked = hodge._sqrt_rational, []
-
-def forged(c):
-    asked.append(c)
-    return 2 * root(c)
-
-hodge._rational_j = lambda candidates, gens: None
-hodge._sqrt_rational = forged
-try:
-    hodge.invariant_complex_structure(g, hodge.is_even(g))
-except ArithmeticError as exc:
-    print(asked, exc)
-    sys.exit(0 if asked == [2] else 3)
-sys.exit(1)
-"""
-
-
-def test_forged_square_root_rejected_under_optimize():
-    run = _child(FORGED_ROOT, "-O")
-    assert run.returncode == 0, run.stdout + run.stderr
-    assert "square root" in run.stdout
+    assert set(report["branches"]) <= {"rational search", "sample point"}

@@ -12,12 +12,16 @@ conj(rho_g) when L(g) B = B rho_g: the sampler now conjugates the other
 columns of W_A, and the tangent equations read conj(rho_g) directly.  Both
 old routines are kept below as oracles.
 
-On every Hodge type of the even corpus and family inputs, unseeded and at
-basis seeds 0-3, the new B must be invariant under G with rank(B | conj B) =
-2n, and span the old V whenever every complex split is a = 0 or a = m; the
-tangent dimension must equal the oracle's at both sample points.  The
-sampler computes one isotypic basis over the sample field per complex
-class, and the tangent equations invert nothing.
+On every Hodge type of the even corpus, family and cyclotomic inputs,
+unseeded and at basis seeds 0-3, the new B must be invariant under G with
+rank(B | conj B) = 2n, and its tangent dimension must equal the oracle's.
+Where every split is complex, of degree 1 or with a = 0 or a = m, the old
+search applies: its V has the same tangent dimension, and the new B spans
+it whenever every split is a = 0 or a = m.  Real and quaternionic classes,
+and intermediate splits of degree > 1, have no oracle here: the sampler
+builds them from joint eigenspaces.  The sampler computes one isotypic
+basis over the sample field per complex class or irrational character, and
+the tangent equations invert nothing.
 
 Both the oracle and `hodge.tangent_dimension` write their equations with
 `hodge._sylvester_rows`, so that builder is checked on its own below:
@@ -26,14 +30,14 @@ applied to the entries of random X, its rows give those of X A - B X.
 
 import itertools
 import random
-from math import lcm
 
 import family
 import pytest
-from conftest import corpus_documents, crystal_group, family_documents
+from conftest import corpus_documents, crystal_group, cyclotomic_documents, family_documents
 
 from crystorb import fieldlin, hodge
 from crystorb.cyclo import CycloField
+from crystorb.exactla import kernel_q
 
 SEEDS = (None, 0, 1, 2, 3)
 
@@ -62,37 +66,16 @@ def oracle_complex_columns(crys, table, chars, s, field):
     raise ArithmeticError("no transversal complement found")
 
 
-def oracle_sample_subspace(crys, t, seed=0):
+def oracle_sample_subspace(crys, t):
+    """The old V of a type whose splits are all complex, each of degree 1
+    or with a = 0 or a = m."""
     table = hodge.point_group_table(crys)
-    gens = crys.group.generators
     field = hodge._sample_field(table)
     chars = {c.label: c for c in table.characters}
     cols = []
-    blocks = None
     for s in t.splits:
-        if s.fs_type == "complex":
-            if s.degree > 1 and s.a not in (0, s.multiplicity):
-                raise hodge.UnsupportedSample("intermediate split of degree > 1")
-            cols += oracle_complex_columns(crys, table, chars, s, field)
-            continue
-        chi = chars[s.labels[0]]
-        if not all(v.is_rational() for v in chi.values):
-            raise hodge.UnsupportedSample("irrational real or quaternionic character")
-        if blocks is None:
-            blocks = dict(hodge.rational_isotypic_projectors(crys.group, table))
-        R = blocks[(chi.label,)]
-        width = len(R[0])
-        X, c = hodge._multiplicity_pairing(hodge._block_action(crys, R, gens), width, seed)
-        root = hodge._sqrt_rational(c)
-        K = CycloField(lcm(field.order, root.field.order))
-        eigenvalue = hodge._i_power(1, K) * root
-        shifted = [[K(X[i][j]) - (eigenvalue if i == j else 0) for j in range(width)]
-                   for i in range(width)]
-        ys = fieldlin.nullspace(shifted)
-        Rf = [[K(x) for x in row] for row in R]
-        cols.append(fieldlin.mat_mul(Rf, [[y[k] for y in ys] for k in range(width)]))
-    K = CycloField(lcm(*(col[0][0].field.order for col in cols)))
-    return fieldlin.hstack(*([[K(x) for x in row] for row in col] for col in cols))
+        cols += oracle_complex_columns(crys, table, chars, s, field)
+    return fieldlin.hstack(*cols)
 
 
 def oracle_tangent_dimension(crys, B):
@@ -129,56 +112,65 @@ def counted(monkeypatch):
     return counts
 
 
+def _oracle_applies(s):
+    return s.fs_type == "complex" and (s.degree == 1 or s.a in (0, s.multiplicity))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sample_points_and_tangents_match_the_oracles(seed, counted):
     docs = {**corpus_documents(), **family_documents()}
-    seeded = docs if seed is None else family.seeded_documents(docs, seed)
-    checked, moved = 0, 0
+    cyclotomic = cyclotomic_documents()
+    seeded = {**docs, **cyclotomic} if seed is None else \
+        {**family.seeded_documents(docs, seed), **family.seeded_documents(cyclotomic, seed)}
+    checked, compared, moved = 0, 0, 0
     for name, doc in sorted(seeded.items()):
         crys = crystal_group(doc)
         if not hodge.is_even(crys).even:
             continue
         n = crys.n
+        chars = {c.label: c for c in crys.group.table.characters}
         for t in hodge.hodge_types(hodge.is_even(crys)):
             counted["isotypic_basis"] = 0
-            try:
-                B, action = hodge.sample_subspace(crys, t)
-            except hodge.UnsupportedSample:
-                with pytest.raises(hodge.UnsupportedSample):
-                    oracle_sample_subspace(crys, t)
-                continue
-            complex_splits = [s for s in t.splits if s.fs_type == "complex"]
-            assert counted["isotypic_basis"] == len(complex_splits), name
+            B, action = hodge.sample_subspace(crys, t)
+            over_k = [s for s in t.splits if s.fs_type == "complex"
+                      or not all(v.is_rational() for v in chars[s.labels[0]].values)]
+            assert counted["isotypic_basis"] == len(over_k), name
             counted["inverse"] = 0
             dim = hodge.tangent_dimension(action)
             assert counted["inverse"] == 0, name
 
-            old = oracle_sample_subspace(crys, t)
             hodge._block_action(crys, B, range(crys.order()))   # raises unless invariant
             assert fieldlin.rank(fieldlin.hstack(B, _conj(B))) == 2 * n, name
             assert dim == oracle_tangent_dimension(crys, B), name
-            assert dim == oracle_tangent_dimension(crys, old), name
             assert dim == hodge.component_dimension(t), name
-            if all(s.a in (0, s.multiplicity) for s in complex_splits):
+            checked += 1
+            if not all(_oracle_applies(s) for s in t.splits):
+                continue
+            old = oracle_sample_subspace(crys, t)
+            assert dim == oracle_tangent_dimension(crys, old), name
+            if all(s.a in (0, s.multiplicity) for s in t.splits):
                 assert fieldlin.rank(fieldlin.hstack(old, B)) == n, name
             else:
                 moved += 1
-            checked += 1
-    # 30 types over the 20 even inputs; rot4_sum_rank4's type (1, 1) splits
-    # its complex pair of multiplicity 2 between V and conj V
-    assert (checked, moved) == (30, 1)
+            compared += 1
+    # 48 types over the 30 even inputs, 25 of them with only complex splits
+    # the old search builds; rot4_sum_rank4's type (1, 1) splits its complex
+    # pair of multiplicity 2 between V and conj V
+    assert (checked, compared, moved) == (48, 25, 1)
 
 
 @pytest.mark.parametrize("name", ["trivial_rank2", "trivial_rank4", "trivial_rank6"])
 def test_commutant_of_the_trivial_group_is_every_matrix(name):
     # a group recording no generators is generated by all of its elements,
-    # so the commutant equations are never an empty system
+    # so the equations on its generators are never an empty system: the
+    # Sylvester rows of X m = m X have every matrix as their kernel
     crys = crystal_group(corpus_documents()[name])
     assert crys.group.generators == (0,)
     (_, R), = hodge.rational_isotypic_projectors(crys.group, crys.group.table)
     w = len(R[0])
-    acts = hodge._block_action(crys, R, crys.group.generators)
-    assert w == crys.rank and len(hodge._commutant_basis(acts, w)) == w * w
+    (act,) = hodge._block_action(crys, R, crys.group.generators)
+    rows = [[int(x) for x in row] for row in hodge._sylvester_rows(act, act)]
+    assert w == crys.rank and len(rows) == w * w and len(kernel_q(rows, w * w)) == w * w
 
 
 @pytest.mark.parametrize("seed", range(40))
