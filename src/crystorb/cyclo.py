@@ -73,9 +73,10 @@ class CycloField:
         """zeta_e^power as a field element."""
         return self.from_exponents({power: 1})
 
-    def from_exponents(self, exps):
-        """Element sum_t c_t * zeta^t from a map t -> integer c_t."""
-        return _make(self, self._combine(exps.items()))
+    def from_exponents(self, exps, den=1):
+        """Element (sum_t c_t * zeta^t) / den from a map t -> integer c_t,
+        den > 0."""
+        return _make(self, self._combine(exps.items()), den)
 
     def galois_coords(self, coords, a):
         """The image of integer coordinates `coords` under zeta -> zeta^a, a

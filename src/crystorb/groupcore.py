@@ -32,11 +32,14 @@ values by root-of-unity multiplicity recovery (J. D. Dixon, Numer. Math.
 s, t < o of chi(g^s) gives the multiplicity of each eigenvalue
 zeta_e^(t e/o).  The sum runs once per Galois class, the classes whose
 elements generate conjugate cyclic subgroups: the others read the same
-multiplicities off the power map.  The split works on plain ints mod p: each
-eigenspace is a reduced echelon basis, the class matrix restricted to it is
-read off the rows its pivots name, in class coordinates, and the
-characteristic polynomials and eigenspaces are `fieldlin`'s with the prime
-given.  All published values are exact; F_p only ever appears internally.
+multiplicities off the power map.  Only one character per Galois class of
+characters is lifted (G. J. A. Schneider, J. Symbolic Comput. 9, 1990): a
+conjugate chi^(a) is chi read along the power map, chi^(a)(g) = chi(g^a).
+The split works on plain ints mod p: each eigenspace is a basis that is the
+identity on its pivot columns, the class matrix restricted to it is read
+off the rows its pivots name, in class coordinates, and each eigenvalue
+costs one `fieldlin.rref` with the prime given.  All published values are
+exact; F_p only ever appears internally.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class MatrixGroup:
 
     Each group computes its invariants once, on first use, and keeps them as
     cached properties, freed with the group: its conjugacy classes and the
-    class of every element, its power map, its character table and its
-    isotypic report.
+    class of every element, its power map and Galois class maps, its
+    character table and its isotypic report.
     """
 
     def __init__(self, rank, elements, generators, right, words, orbit, row_keys):
@@ -175,6 +178,15 @@ class MatrixGroup:
         class_of = self.class_index
         return tuple(tuple(class_of[x] for x in self._powers(c.representative)[:-1])
                      for c in self.classes)
+
+    @cached_property
+    def galois_maps(self):
+        """The class maps g -> g^a for the units a mod the exponent, distinct,
+        identity first: the image of a character row under zeta -> zeta^a is
+        the row read through one, chi^(a)(g) = chi(g^a)."""
+        e = self.exponent()
+        return tuple(dict.fromkeys(tuple(pc[a % len(pc)] for pc in self.power_classes)
+                                   for a in range(1, e + 1) if gcd(a, e) == 1))
 
     @cached_property
     def table(self):
@@ -383,11 +395,14 @@ def _root_of_unity(p, e):
 def character_table(group: MatrixGroup) -> CharacterTable:
     """Exact complex character table with Frobenius-Schur indicators.
 
-    Each character is lifted by one Fourier sum per Galois class of
-    elements (see `_galois_bases` and `_lift`), so its value at g^-1 is the
-    complex conjugate of its value at g by construction.  The table is
-    checked square and row-orthogonal, exactly, before returning; the
-    column relations follow.
+    Each eigenline of `_eigenlines` is one character mod p.  One character
+    per Galois class of characters is lifted, by one Fourier sum per Galois
+    class of elements (see `_galois_bases` and `_lift`), so its value at
+    g^-1 is the complex conjugate of its value at g by construction.  Each
+    conjugate chi^(a), a a unit mod the exponent, is read along the power
+    map, chi^(a)(g) = chi(g^a), and must be another eigenline's character
+    mod p.  The table is checked square and row-orthogonal, exactly, before
+    returning; the column relations follow.
     """
     n = group.order()
     classes = group.classes
@@ -396,16 +411,19 @@ def character_table(group: MatrixGroup) -> CharacterTable:
     field = CycloField(e)
     p = _dixon_prime(n, e)
     z = _root_of_unity(p, e) if e > 1 else 1
-    z_powers = [pow(z, t, p) for t in range(e)]
-
-    spaces = _eigenlines(group, p)
     pow_classes = group.power_classes
     inv_class = [pc[-1] for pc in pow_classes]
     size_inv = [pow(c.size, p - 2, p) for c in classes]
     bases = _galois_bases(pow_classes)
-
-    rows = []
-    for v in spaces:
+    z_powers = [pow(z, t, p) for t in range(e)]
+    # for each element order o, row t holds z^(-u t e/o) / o for u < o
+    fourier = {}
+    for o in set(map(len, pow_classes)):
+        o_inv, step = pow(o, p - 2, p), e // o
+        fourier[o] = [[z_powers[-u * t * step % e] * o_inv % p for u in range(o)]
+                      for t in range(o)]
+    degrees, chis = [], []
+    for v in _eigenlines(group, p):
         v0inv = pow(v[0], p - 2, p)
         v = [(x * v0inv) % p for x in v]
         s = 0
@@ -415,11 +433,24 @@ def character_table(group: MatrixGroup) -> CharacterTable:
         d = next((x for x in range(1, p) if (x * x) % p == d2 and x <= isqrt(n)), None)
         if d is None:
             raise ArithmeticError("degree recovery failed")
-        chi_mod = [(d * v[i] * size_inv[i]) % p for i in range(k)]
+        degrees.append(d)
+        chis.append(tuple((d * v[i] * size_inv[i]) % p for i in range(k)))
 
-        values = _lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
-        _require(values[0].rational_value() == d, "character degree mismatch")
-        rows.append((d, values))
+    index = {chi_mod: i for i, chi_mod in enumerate(chis)}
+    lifted = [None] * k
+    for i, chi_mod in enumerate(chis):
+        if lifted[i] is not None:
+            continue
+        values = _lift(chi_mod, degrees[i], pow_classes, bases, fourier, p, field)
+        _require(values[0].rational_value() == degrees[i], "character degree mismatch")
+        lifted[i] = values
+        for image in group.galois_maps:
+            j = index.get(tuple(map(chi_mod.__getitem__, image)))
+            if j is None:
+                raise ArithmeticError("Galois conjugate of a character is not an eigenline")
+            if lifted[j] is None:
+                lifted[j] = [values[c] for c in image]
+    rows = list(zip(degrees, lifted))
 
     _require(sum(d * d for d, _ in rows) == n, "squared degrees do not sum to |G|")
 
@@ -448,17 +479,18 @@ def _eigenlines(group, p):
 
     Row a of M_j holds, for each class l, the number of pairs x in C_j,
     y in C_a with xy in C_l, divided by |C_l|.  Each space is kept as a
-    reduced echelon basis v_1, v_2, ... with pivot columns P, so for its
-    basis matrix B (columns the basis) B restricted to the rows P is the
-    identity, and the R with M_j B = B R is (M_j B) restricted to the rows
-    P: only the rows of M_j that some pivot names are built, |C_a| |C_j|
-    products each.  R is read in class coordinates: v_l is 1 at P_l and 0
-    at the other pivots, so R[i][l] = M_j[P_i][P_l] + sum over the free
-    columns m of M_j[P_i][m] v_l[m], and an eigenvector y of R is the
-    vector with y_l at P_l and sum_l y_l v_l[m] at each free m.  The first
-    space, all of F_p^k, has no free column and takes no product; the
-    eigenspace is reduced in the coordinates y, whose echelon form maps to
-    the echelon form over the classes with pivots P_q for the pivots q."""
+    basis v_1, v_2, ... with pivot columns P, v_l 1 at P_l and 0 at the
+    other pivots, so for its basis matrix B (columns the basis) B restricted
+    to the rows P is the identity, and the R with M_j B = B R is (M_j B)
+    restricted to the rows P: only the rows of M_j that some pivot names
+    are built, |C_a| |C_j| products each.  R is read in class coordinates:
+    R[i][l] = M_j[P_i][P_l] + sum over the free columns m of M_j[P_i][m]
+    v_l[m], and an eigenvector y of R is the vector with y_l at P_l and
+    sum_l y_l v_l[m] at each free m.  The first space, all of F_p^k, has no
+    free column and takes no product.  Each eigenvalue lambda costs one
+    reduction of R - lambda I: its kernel basis, free variables set to one,
+    is 1 at its own free column and 0 at the other free columns, so the
+    free columns q, as P_q, are the pivots of the eigenspace."""
     classes = group.classes
     class_of = group.class_index
     k = len(classes)
@@ -494,19 +526,21 @@ def _eigenlines(group, p):
                     continue
                 shifted = [[x - lam if i == b else x for b, x in enumerate(row)]
                            for i, row in enumerate(R)]
-                eigen = fieldlin.nullspace(shifted, p)
-                if not eigen:
-                    continue
-                ys, qs = fieldlin.rref(eigen, p)
+                red, qs = fieldlin.rref(shifted, p)
+                kernel = [q for q in range(len(piv)) if q not in qs]
                 basis = []
-                for y in ys:
+                for q in kernel:
+                    y = [0] * len(piv)
+                    y[q] = 1
+                    for r, pc in zip(red, qs):
+                        y[pc] = -r[q] % p
                     v = [0] * k
-                    for q, x in zip(piv, y):
-                        v[q] = x
+                    for pq, x in zip(piv, y):
+                        v[pq] = x
                     for m, col in zip(free, cols):
                         v[m] = sum(map(mul, y, col)) % p
                     basis.append(v)
-                refined.append((basis, [piv[q] for q in qs]))
+                refined.append((basis, [piv[q] for q in kernel]))
         spaces = refined
         j += 1
     if len(spaces) != k or any(len(sp) != 1 for sp, _ in spaces):
@@ -531,18 +565,20 @@ def _galois_bases(pow_classes):
     return bases
 
 
-def _lift(chi_mod, d, pow_classes, bases, z_powers, p, field):
+def _lift(chi_mod, d, pow_classes, bases, fourier, p, field):
     """The exact class values of the degree-d character chi_mod (mod p),
-    z_powers the powers of an element of order e in F_p, pow_classes the
-    power map (`MatrixGroup.power_classes`), bases from `_galois_bases`.
+    pow_classes the power map (`MatrixGroup.power_classes`), bases from
+    `_galois_bases`, and fourier[o], for each element order o, the rows
+    z^(-u t e/o) / o (u < o) of the Fourier sum over F_p, z an element of
+    order e in F_p: rows built once per table.
 
-    A Fourier sum runs at each base class only: it gives the multiplicity
-    m_t of each eigenvalue zeta_e^t of its representative h.  A class with
-    base (b, s) holds h^s, whose eigenvalues are those of h to the s, so its
-    value is sum m_t zeta_e^(t s).  Its own Fourier sum would give the same
-    numbers, permuted: the power classes of h^s are those of h with each
-    exponent times s, so m'_t = m_(t s^-1), and the bound m_t <= d checks
-    them all."""
+    A Fourier sum runs at each base class only, one dot product per row: it
+    gives the multiplicity m_t of each eigenvalue zeta_e^t of its
+    representative h.  A class with base (b, s) holds h^s, whose eigenvalues
+    are those of h to the s, so its value is sum m_t zeta_e^(t s).  Its own
+    Fourier sum would give the same numbers, permuted: the power classes of
+    h^s are those of h with each exponent times s, so m'_t = m_(t s^-1),
+    and the bound m_t <= d checks them all."""
     e = field.order
     values = []
     exps_at = {}
@@ -551,16 +587,11 @@ def _lift(chi_mod, d, pow_classes, bases, z_powers, p, field):
             values.append(field.from_exponents({t * s % e: m for t, m in exps_at[b].items()}))
             continue
         pow_class = pow_classes[c]
-        o = len(pow_class)
-        step = e // o
+        step = e // len(pow_class)
         chis = [chi_mod[x] for x in pow_class]
-        o_inv = pow(o, p - 2, p)
         exps = exps_at[c] = {}
-        for t in range(o):
-            m_t = 0
-            for u, x in enumerate(chis):
-                m_t += x * z_powers[(-u * t * step) % e]
-            m_t = (m_t * o_inv) % p
+        for t, row in enumerate(fourier[len(pow_class)]):
+            m_t = sum(map(mul, chis, row)) % p
             if m_t > d:
                 raise ArithmeticError("root-of-unity multiplicity out of range")
             if m_t:

@@ -154,26 +154,41 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
     The entries lie in Q when `field` is None, and a coefficient that is not
     rational is a ValueError; otherwise in the cyclotomic `field`, which
     must contain the table's field.  The coefficient is constant on each
-    class, so the integer L(g) are summed per class first: one product per
-    class and entry."""
+    class, and |G| times it is an algebraic integer: its integer coordinates
+    over the table's field are one sum over `chars`.  The integer L(g) are
+    summed per class, each entry of |G| P is summed on integer coordinates,
+    and one element of `field`, or one Fraction, is made per entry over the
+    denominator |G|: no cyclotomic product is taken."""
     n = group.order()
     w = group.rank
-    zero = F(0) if field is None else field(0)
-    proj = [[zero] * w for _ in range(w)]
-    # conj chi(g) = chi(g^-1): the values at the inverse classes
+    e = table.field.order
+    if field is not None and field.order % e:
+        raise ValueError("the field does not contain the table's field")
+    acc = [[0] * table.field.degree for _ in range(w * w)]
     for cls, powers in zip(table.classes, group.power_classes):
-        total = table.field(0)
+        # conj chi(g) = chi(g^-1): the values at the inverse classes, integer
+        # coordinates over den 1 (_verify_orthogonality requires it)
+        coords = [0] * table.field.degree
         for chi in chars:
-            total = total + chi.degree * chi.values[powers[-1]]
-        c = total.rational_value() if field is None else total.lift(field.order)
-        c = c * F(1, n)
-        if c == 0:
+            for t, x in enumerate(chi.values[powers[-1]].num):
+                coords[t] += chi.degree * x
+        if field is None and any(coords[1:]):
+            raise ValueError("class coefficient is not rational")
+        terms = [(t, x) for t, x in enumerate(coords) if x]
+        if not terms:
             continue
-        class_sum = list(map(sum, zip(*(group.elements[g].entries for g in cls.members))))
-        for i in range(w):
-            for j in range(w):
-                if class_sum[i * w + j]:
-                    proj[i][j] = proj[i][j] + c * class_sum[i * w + j]
+        class_sum = map(sum, zip(*(group.elements[g].entries for g in cls.members)))
+        for entry, c in zip(acc, class_sum):
+            if c:
+                for t, x in terms:
+                    entry[t] += c * x
+    if field is None:
+        entries = [F(entry[0], n) for entry in acc]
+    else:
+        step = field.order // e
+        entries = [field.from_exponents({t * step: x for t, x in enumerate(entry)}, n)
+                   for entry in acc]
+    proj = [entries[i * w:(i + 1) * w] for i in range(w)]
     red, pivots = fieldlin.rref(proj)
     return fieldlin.columns(proj, pivots)
 
@@ -184,11 +199,6 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     Returns a list of (labels, rational column basis of the projector's
     image), one per Galois orbit of characters; zero components are
     dropped."""
-    e = table.field.order
-    # chi^(a)(g) = chi(g^a), and e is the group's exponent: the image of a
-    # row under zeta -> zeta^a is the row read at the classes of a-th powers
-    images = {tuple(pc[a % len(pc)] for pc in group.power_classes)
-              for a in range(1, e + 1) if gcd(a, e) == 1}
     chars = table.characters
     index = {chi.values: i for i, chi in enumerate(chars)}
     out = []
@@ -196,7 +206,7 @@ def rational_isotypic_projectors(group: MatrixGroup, table: CharacterTable):
     for i, chi in enumerate(chars):
         if i in seen:
             continue
-        rows = (tuple(chi.values[ci] for ci in image) for image in images)
+        rows = (tuple(chi.values[ci] for ci in image) for image in group.galois_maps)
         orbit = sorted({index[values] for values in rows if values in index})
         seen.update(orbit)
         try:

@@ -59,19 +59,28 @@ def subtorus_key(sub: Subtorus, lattices: dict):
     integer forms vanishing on the direction lattice D, then Y*base mod 1 as
     numerators over their least denominator.  Y alone fixes the saturated D,
     the integer vectors it vanishes on, and rows of Y extend to a unimodular
-    matrix, so Y*v is integral iff v lies in span(D) + Z^r.  `lattices`
-    keeps Y per direction basis met."""
-    forms = lattices.get(sub.basis)
-    if forms is None:
-        forms = lattices[sub.basis] = tuple(exactla.kernel_q(sub.basis, len(sub.num)))
-    return _key(forms, sub.num, sub.den)
+    matrix, so Y*v is integral iff v lies in span(D) + Z^r.  The key names Y
+    by a small index, so that it hashes no r x r tuple: keys compare only
+    within one `lattices`, which keeps (index, Y) per direction basis met
+    and per distinct Y (`_intern`)."""
+    entry = lattices.get(sub.basis)
+    if entry is None:
+        entry = lattices[sub.basis] = _intern(
+            lattices, tuple(exactla.kernel_q(sub.basis, len(sub.num))))
+    return _key(entry, sub.num, sub.den)
 
 
-def _key(forms, num, den):
-    """The key of the subtorus through num/den whose forms are `forms`."""
+def _intern(lattices, forms):
+    """(index, forms), the index unique to `forms` within `lattices`."""
+    return lattices.setdefault(("forms", forms), (len(lattices), forms))
+
+
+def _key(entry, num, den):
+    """The key of the subtorus through num/den whose forms are `entry`."""
+    index, forms = entry
     y = [sum(map(mul, row, num)) % den for row in forms]
     g = gcd(den, *y)
-    return forms, den // g, tuple(x // g for x in y)
+    return index, den // g, tuple(x // g for x in y)
 
 
 def subtori_equal(a: Subtorus, b: Subtorus) -> bool:
@@ -187,38 +196,44 @@ def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
     return Subtorus(num, den, tuple(lin.mul_vec(b) for b in sub.basis))
 
 
-def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus):
+def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus, fixers=None):
     """Indices of elements fixing the subtorus pointwise, in integers mod the
-    common denominator of the base point and the translations."""
+    common denominator of the base point and the translations.  Only the
+    elements whose linear part fixes every direction, found through
+    `MatrixGroup.images`, are tested on the base point; `fixers` keeps them
+    per direction basis across the calls that share it."""
+    if fixers is None:
+        fixers = {}
+    candidates = fixers.get(sub.basis)
+    if candidates is None:
+        moved = [crys.group.images(b) for b in sub.basis]
+        candidates = fixers[sub.basis] = tuple(
+            h for h in range(crys.order()) if all(m[h] == b for m, b in zip(moved, sub.basis)))
     den = lcm(sub.den, crys.den)
-    q = den // crys.den
     num = tuple(x * (den // sub.den) for x in sub.num)
-    moved = [crys.group.images(b) for b in sub.basis]
-    base = crys.group.images(num)
-    return tuple(h for h, (image, u) in enumerate(zip(base, crys.numerators))
-                 if all(m[h] == b for m, b in zip(moved, sub.basis))
-                 and tuple((a + q * t) % den for a, t in zip(image, u)) == num)
+    return tuple(h for h in candidates if crys.affine_image(h, num, den) == num)
 
 
 def _orbit_keys(crys, sub: Subtorus, lattices, steps):
     """The keys of the G-orbit of `sub`, breadth first over the generators S:
     |orbit|*|S| transforms (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, 4.1).  Members are carried as (forms, num, den): the
-    forms vanishing on s*D are those vanishing on D times L(s^-1), so the
-    forms of s*C are the HNF of Y L(s^-1), one `hnf` per forms Y and
-    generator s, kept in `lattices` across the orbits of one descriptor, as
-    are the `steps` (s, L(s^-1)), one inverse per generator."""
-    first = subtorus_key(sub, lattices)
-    keys = {first}
-    queue = [(first[0], sub.num, sub.den)]
-    for forms, num, den in queue:
+    Group Theory, 2005, 4.1).  Members are carried as ((index, Y), num, den):
+    the forms vanishing on s*D are those vanishing on D times L(s^-1), so
+    the forms of s*C are the HNF of Y L(s^-1), one `hnf` per forms Y and
+    generator s, kept in `lattices` under (index of Y, s) across the orbits
+    of one descriptor, as are the `steps` (s, L(s^-1)), one inverse per
+    generator."""
+    keys = {subtorus_key(sub, lattices)}
+    queue = [(lattices[sub.basis], sub.num, sub.den)]
+    for entry, num, den in queue:
         common = lcm(den, crys.den)
         num = [x * (common // den) for x in num]
+        index, forms = entry
         for s, s_inv in steps:
-            moved = lattices.get((forms, s))
+            moved = lattices.get((index, s))
             if moved is None:
-                moved = lattices[forms, s] = forms and exactla.hnf(
-                    IntMatrix.from_rows(forms).mul(s_inv))[0].row_tuples
+                moved = lattices[index, s] = _intern(lattices, forms and exactla.hnf(
+                    IntMatrix.from_rows(forms).mul(s_inv))[0].row_tuples)
             image = crys.affine_image(s, num, common)
             key = _key(moved, image, common)
             if key not in keys:
@@ -243,13 +258,19 @@ def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
     Fix(h g h^-1) = h Fix(g): the components of the smallest member of each
     class, in element then point order, meet every orbit, and each one
     outside the orbits found so far is its orbit's first component over all
-    of G.  Conjugate components have stabilizers of equal order."""
+    of G.  Conjugate components have stabilizers of equal order.
+
+    A point is fixed pointwise by whatever fixes it as a set, so a point
+    stratum of complex codimension >= 2 has stabilizer order |G| / |orbit|,
+    with no group scan.  Every other component of one Fix(g) shares its
+    directions `sol.basis`: the elements fixing them are found once, and
+    only those are tested on each base point."""
     if not ev.even:
         raise ValueError("the action admits no invariant complex structure; "
                          "complex classification is undefined")
     loci = all_fixed_loci(crys)
     classification, refl = classify_action(loci), pseudoreflections(loci)
-    lattices = {}
+    lattices, fixers = {}, {}
     steps = [(s, crys.linear(crys.group.inv(s))) for s in crys.group.generators]
     placed = set()
     classes = []
@@ -261,8 +282,12 @@ def orbifold_descriptor(crys: CrystGroup, ev) -> OrbifoldDescriptor:
                 continue
             orbit = _orbit_keys(crys, comp, lattices, steps)
             placed |= orbit
-            stab = pointwise_stabilizer(crys, comp)
-            m = len(stab)
+            if locus.complex_codim >= 2 and not sol.basis:
+                m, r = divmod(crys.order(), len(orbit))
+                _require(r == 0, "orbit size does not divide |G|")
+            else:
+                stab = pointwise_stabilizer(crys, comp, fixers)
+                m = len(stab)
             if locus.complex_codim == 1:
                 _require(m >= 2, "divisor component with trivial stabilizer")
                 _require(any(crys.group.element_order(h) == m for h in stab),

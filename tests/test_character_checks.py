@@ -12,16 +12,19 @@ character keeps its rows orthogonal: only the column relations, and so the
 squareness check, reject it.
 
 `_eigenlines` splits the class algebra over F_p on plain ints, building only
-the class-matrix rows that the pivots of its echelon bases name.  The split
-it replaced, over the `GF` element type with a linear solve per space, is
-kept below verbatim; with it in place of `_eigenlines` and the old
-orthogonality loop, `character_table` must build the identical table on the
-corpus, the scaling family at basis seeds 0-3 and the property pools.
+the class-matrix rows that the pivots of its bases name, with one reduction
+per eigenvalue.  The split it replaced, over the `GF` element type with a
+linear solve per space, is kept below verbatim; with it in place of
+`_eigenlines` and the old orthogonality loop, `character_table` must build
+the identical table on the corpus, the scaling family at basis seeds 0-3
+and the property pools.
 
 The lift runs one Fourier sum per Galois class: its base classes must be as
-many as the conjugacy classes of cyclic subgroups, counted by brute force,
-and every table must read the conjugate of each value at the inverse class,
-which is where `_verify_orthogonality` reads it, once per pair a <= b.
+many as the conjugacy classes of cyclic subgroups, counted by brute force.
+One character per Galois class of characters is lifted, as many as the base
+classes, and every table must read the conjugate of each value at the
+inverse class, which is where `_verify_orthogonality` reads it, once per
+pair a <= b.
 """
 
 import os
@@ -558,9 +561,9 @@ def test_one_fourier_sum_per_galois_class(monkeypatch):
     lift = groupcore._lift
     reads = []
 
-    def counted(chi_mod, d, pow_classes, bases, z_powers, p, field):
+    def counted(chi_mod, d, pow_classes, bases, fourier, p, field):
         chi_mod = CountedReads(chi_mod)
-        values = lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
+        values = lift(chi_mod, d, pow_classes, bases, fourier, p, field)
         reads.append(chi_mod.reads)
         return values
 
@@ -578,6 +581,14 @@ def test_one_fourier_sum_per_galois_class(monkeypatch):
         table = character_table(group)
         # the Fourier sums read chi_mod at the power classes of bases only
         assert reads == [sum(len(pow_classes[b]) for b in base_classes)] * len(reads), name
+        # one lift per Galois class of characters, chi^(a)(g) = chi(g^a)
+        e = group.exponent()
+        rows = {chi.values for chi in table.characters}
+        orbits = {frozenset(tuple(chi.values[pc[a % len(pc)]] for pc in pow_classes)
+                            for a in range(1, e + 1) if gcd(a, e) == 1)
+                  for chi in table.characters}
+        assert all(orbit <= rows for orbit in orbits), name
+        assert len(reads) == len(orbits) == len(base_classes), name
         pins[name.split("@")[0]] = (len(base_classes), len(group.classes))
 
         inverse = [group.class_index[group.inv(c.representative)] for c in group.classes]
@@ -586,6 +597,28 @@ def test_one_fourier_sum_per_galois_class(monkeypatch):
     assert pins["c6c6_rank4"] == (20, 36)
     assert pins["c6wr_rank4"] == (17, 27)
     assert pins["c3wr_rank6"] == (9, 17)
+
+
+def test_one_elimination_per_eigenvalue(monkeypatch):
+    # the kernel basis of R - lambda I is the identity on its free columns,
+    # which become the eigenspace's pivots: no second reduction
+    counts = [0]
+    rref = fieldlin.rref
+
+    def counted(*args):
+        counts[0] += 1
+        return rref(*args)
+
+    monkeypatch.setattr(fieldlin, "rref", counted)
+    docs = family_documents()
+    pins = {}
+    for name in ("c6c6_rank4", "c6wr_rank4", "c3wr_rank6", "b3diag_rank6", "s4double_rank8"):
+        group = crystal_group(docs[name]).group
+        counts[0] = 0
+        character_table(group)
+        pins[name] = counts[0]
+    assert pins == {"c6c6_rank4": 42, "c6wr_rank4": 31, "c3wr_rank6": 29,
+                    "b3diag_rank6": 18, "s4double_rank8": 5}
 
 
 def test_each_pair_checked_once(monkeypatch):

@@ -277,25 +277,44 @@ def _point_groups():
 
 @pytest.mark.parametrize("doc", _point_groups())
 def test_character_table_lift_matches_exponent_sum(doc, monkeypatch):
+    # one lift per Galois class of characters; each conjugate chi^(a), read
+    # along the power map, is the oracle's lift of chi_mod read the same way
     group = crystal_group(doc).group
     lifted = []
     lift = groupcore._lift
 
-    def recorded(chi_mod, d, pow_classes, bases, z_powers, p, field):
-        values = lift(chi_mod, d, pow_classes, bases, z_powers, p, field)
-        lifted.append((chi_mod, d, z_powers, p, values))
+    def recorded(chi_mod, d, pow_classes, bases, fourier, p, field):
+        values = lift(chi_mod, d, pow_classes, bases, fourier, p, field)
+        lifted.append((chi_mod, d, p, values))
         return values
 
     monkeypatch.setattr(groupcore, "_lift", recorded)
     table = groupcore.character_table(group)
     e = group.exponent()
     assert table.field is CycloField(e)
-    assert len(lifted) == len(table.characters)
-    for chi_mod, d, z_powers, p, values in lifted:
-        expected = oracle_lift(group, chi_mod, d, z_powers, p, e)
-        assert [v.coeffs for v in values] == [tuple(x.coeffs) for x in expected]
-    assert sorted(tuple(v.num for v in chi.values) for chi in table.characters) == \
-        sorted(tuple(v.num for v in values) for *_, values in lifted)
+    p = groupcore._dixon_prime(group.order(), e)
+    z = groupcore._root_of_unity(p, e) if e > 1 else 1
+    z_powers = [pow(z, t, p) for t in range(e)]
+
+    def power_class(h, a):
+        x = 0
+        for _ in range(a):
+            x = group.mul(x, h)
+        return group.class_index[x]
+
+    images = {tuple(power_class(c.representative, a) for c in group.classes)
+              for a in range(1, e + 1) if gcd(a, e) == 1}
+    rows = {tuple(v.num for v in chi.values) for chi in table.characters}
+    conjugates = set()
+    for chi_mod, d, lift_p, values in lifted:
+        assert lift_p == p
+        for image in images:
+            conj_mod = [chi_mod[c] for c in image]
+            conj = [values[c] for c in image]
+            expected = oracle_lift(group, conj_mod, d, z_powers, p, e)
+            assert [v.coeffs for v in conj] == [tuple(x.coeffs) for x in expected]
+            conjugates.add(tuple(v.num for v in conj))
+    assert conjugates == rows and len(rows) == len(table.characters)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,24 @@ and of two generated groups with irrational characters, c6wr_rank4 and
 c3wr_rank6.  The error split stays: a character that is not rational-valued
 raises ValueError over Q, and a Galois-orbit sum that is not rational raises
 ArithmeticError.
+
+`isotypic_basis` sums |G| P on integer coordinates and makes one element
+per entry.  The class-sum accumulation it replaced, one cyclotomic product
+and sum per class and entry, is kept below as an oracle for P itself.
 """
 
 from fractions import Fraction as F
 from math import gcd
 
+import json
+import sys
+
 import pytest
 import family
-from conftest import corpus_documents, crystal_group, family_documents
+from conftest import corpus_documents, crystal_group, cyclotomic_documents, family_documents
 
-from crystorb import fieldlin, hodge
+from crystorb import cli, fieldlin, hodge
+from crystorb.cyclo import Cyclo
 from crystorb.corpus import load_corpus
 from crystorb.groupcore import CharacterTable
 
@@ -148,6 +156,29 @@ def oracle_entrywise_basis(group, table, chars, field=None):
     return fieldlin.columns(proj, pivots)
 
 
+def oracle_class_sum_projector(group, table, chars, field=None):
+    """P as hodge.isotypic_basis summed it before integer accumulation: the
+    class coefficient as one element, times each class-summed entry."""
+    n = group.order()
+    w = group.rank
+    zero = F(0) if field is None else field(0)
+    proj = [[zero] * w for _ in range(w)]
+    for cls, powers in zip(table.classes, group.power_classes):
+        total = table.field(0)
+        for chi in chars:
+            total = total + chi.degree * chi.values[powers[-1]]
+        c = total.rational_value() if field is None else total.lift(field.order)
+        c = c * F(1, n)
+        if c == 0:
+            continue
+        class_sum = list(map(sum, zip(*(group.elements[g].entries for g in cls.members))))
+        for i in range(w):
+            for j in range(w):
+                if class_sum[i * w + j]:
+                    proj[i][j] = proj[i][j] + c * class_sum[i * w + j]
+    return proj
+
+
 # ---------------------------------------------------------------------------
 
 def _groups():
@@ -251,3 +282,85 @@ def test_class_sums_match_the_entrywise_sum(doc):
         chars = [labels[label] for label in orbit]
         assert (hodge.isotypic_basis(group, table, chars)
                 == oracle_entrywise_basis(group, table, chars)), orbit
+
+
+def _projector(group, table, chars, field=None):
+    """The matrix P that hodge.isotypic_basis hands to its one rref."""
+    seen = []
+    rref = fieldlin.rref
+
+    def recorded(rows, p=None):
+        seen.append([list(row) for row in rows])
+        return rref(rows, p)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fieldlin, "rref", recorded)
+        hodge.isotypic_basis(group, table, chars, field)
+    (proj,) = seen
+    return proj
+
+
+def _accumulation_inputs():
+    """The corpus, the scaling family and the cyclotomic groups, unseeded and
+    at basis seeds 0-3."""
+    out = []
+    for docs in (corpus_documents(), family_documents(), cyclotomic_documents()):
+        out += sorted(docs.items())
+        for seed in range(4):
+            out += sorted((f"{name}@{seed}", doc) for name, doc in
+                          family.seeded_documents(docs, seed).items())
+    return out
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=name)
+                                 for name, doc in _accumulation_inputs()])
+def test_integer_accumulation_matches_the_class_sums(doc):
+    # P for each character over the sampler's field and, when rational, over
+    # Q, and for each Galois orbit over Q
+    crys = crystal_group(doc)
+    group, table = crys.group, hodge.point_group_table(crys)
+    field = hodge._sample_field(table)
+    cases = [([chi], field) for chi in table.characters]
+    cases += [([chi], None) for chi in table.characters
+              if all(v.is_rational() for v in chi.values)]
+    labels = {chi.label: chi for chi in table.characters}
+    cases += [([labels[label] for label in orbit], None)
+              for orbit, _ in hodge.rational_isotypic_projectors(group, table)]
+    for chars, over in cases:
+        assert (_projector(group, table, chars, over)
+                == oracle_class_sum_projector(group, table, chars, over)), \
+            ([chi.label for chi in chars], over)
+
+
+def test_accumulation_makes_no_cyclotomic_operation(monkeypatch, capsys, tmp_path):
+    # the 7 scaling documents at basis seed 1 through the four Hodge
+    # commands: no Cyclo product or sum is called from isotypic_basis (the
+    # class-sum accumulation made 3,330 __mul__, 742 __rmul__ and 3,580
+    # __add__ calls there)
+    counts = {"__mul__": 0, "__add__": 0}
+    for name in counts:
+        original = getattr(Cyclo, name)
+
+        def counted(self, other, _name=name, _original=original):
+            if sys._getframe(1).f_code.co_name == "isotypic_basis":
+                counts[_name] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Cyclo, name, counted)
+        monkeypatch.setattr(Cyclo, name.replace("__", "__r", 1), counted)
+    calls = [0]
+    basis = hodge.isotypic_basis
+
+    def recorded(*args):
+        calls[0] += 1
+        return basis(*args)
+
+    monkeypatch.setattr(hodge, "isotypic_basis", recorded)
+    for name, doc in sorted(family.seeded_documents(family_documents(), 1).items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("even", "jstruct", "action", "teich"):
+            cli.main([command, "--input", str(path), "--format", "json"])
+            capsys.readouterr()
+    assert calls[0] > 0
+    assert counts == {"__mul__": 0, "__add__": 0}
