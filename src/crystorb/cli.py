@@ -26,7 +26,6 @@ from math import gcd
 from . import crystal, hodge, orbpi, quotient
 from .crystal import CrystData
 from .cyclo import real_enclosure
-from .exactla import IntMatrix
 from .groupcore import DEFAULT_ORDER_BOUND, ExceedsBound, SingularGenerator
 
 F = Fraction
@@ -173,7 +172,7 @@ def parse_cryst_data(doc, path="input") -> CrystData:
             _fail(f"{gpath}.translation", f"must have {rank} entries")
         tvec = tuple(parse_rational(x, f"{gpath}.translation[{i}]")
                      for i, x in enumerate(trans))
-        parsed.append((IntMatrix.from_rows(lin), tvec))
+        parsed.append((lin, tvec))
     return CrystData.make(rank, parsed)
 
 
@@ -301,11 +300,11 @@ def _printable(what, numbers):
 def group_report(group, normalization):
     elements = group.group.elements
     # each u_g entry is a fraction in [0, 1) over a divisor of den
-    _printable("the group", [group.den] + [x for g in elements for x in g.entries])
+    _printable("the group", [group.den] + [x for g in elements for row in g for x in row])
     out = {
         "rank": group.rank,
         "order": group.order(),
-        "elements": [{"linear": g.to_lists(), "translation": t}
+        "elements": [{"linear": [list(row) for row in g], "translation": t}
                      for g, t in zip(elements, system_str(group))],
         "normalized": normalization.changed,
     }

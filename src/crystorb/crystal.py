@@ -27,7 +27,6 @@ from math import lcm
 from operator import add, floordiv, mod, mul, sub
 
 from . import exactla, fieldlin
-from .exactla import IntMatrix
 from .groupcore import DEFAULT_ORDER_BOUND, MatrixGroup, _require, closure
 
 F = Fraction
@@ -60,9 +59,8 @@ class CrystData:
 
     @staticmethod
     def make(rank, generators):
-        return CrystData(rank, tuple(
-            (lin if isinstance(lin, IntMatrix) else IntMatrix.from_rows(lin),
-             tuple(F(t) for t in trans)) for lin, trans in generators))
+        return CrystData(rank, tuple((tuple(map(tuple, lin)), tuple(F(t) for t in trans))
+                                     for lin, trans in generators))
 
 
 class VectorSystem:
@@ -132,7 +130,7 @@ class CrystGroup(VectorSystem):
     def order(self):
         return self.group.order()
 
-    def linear(self, i) -> IntMatrix:
+    def linear(self, i):
         return self.group.elements[i]
 
     @cached_property
@@ -145,7 +143,8 @@ class CrystGroup(VectorSystem):
     def solve_fixed(self, i):
         """The points the element i fixes: (L - I) v = -u (mod Z^r).  The
         package solves only class representatives, through `fixed_sets`."""
-        L_minus_I = self.linear(i).add(IntMatrix.identity(self.rank).neg())
+        L_minus_I = [[x - (j == k) for k, x in enumerate(row)]
+                     for j, row in enumerate(self.linear(i))]
         return exactla.solve_mod_lattice(L_minus_I, self.den,
                                          tuple(-x for x in self.numerators[i]))
 
@@ -159,7 +158,7 @@ class CrystGroup(VectorSystem):
         element i, reduced mod den; den is a multiple of self.den."""
         q = den // self.den
         return tuple((a + q * b) % den
-                     for a, b in zip(self.linear(i).mul_vec(num), self.numerators[i]))
+                     for a, b in zip(exactla.mul_vec(self.linear(i), num), self.numerators[i]))
 
     @property
     def n(self):
@@ -220,10 +219,11 @@ def normalize_action(data: CrystData, bound=DEFAULT_ORDER_BOUND) -> NormalizedAc
     P_inv = fieldlin.inverse(P)
     new_gens = []
     for lin, trans in data.generators:
-        new_lin = fieldlin.mat_mul(P_inv, fieldlin.mat_mul(lin.to_lists(), P))
+        new_lin = fieldlin.mat_mul(P_inv, fieldlin.mat_mul(lin, P))
         _require(all(x.denominator == 1 for row in new_lin for x in row),
                  "enlarged lattice is not stable under the action")
-        new_gens.append((new_lin, [sum(map(mul, row, trans)) for row in P_inv]))
+        new_gens.append(([[x.numerator for x in row] for row in new_lin],
+                         [sum(map(mul, row, trans)) for row in P_inv]))
     try:
         group = verify_crystallographic(CrystData.make(rank, new_gens), bound)
     except KernelTooBig as exc:
@@ -238,11 +238,11 @@ def _lattice_with(rank, den, numerators):
     numerators>, via HNF of the scaled generators."""
     rows = [[den if j == i else 0 for j in range(rank)] for i in range(rank)]
     rows += numerators
-    H, _ = exactla.hnf(IntMatrix.from_rows(rows))
-    _require(all(H.at(i, i) != 0 for i in range(rank)),
+    H = exactla.hnf(rows)
+    _require(all(H[i][i] != 0 for i in range(rank)),
              "translations do not generate a rank-r lattice")
     # column j of P is the j-th HNF basis row, rescaled
-    return tuple(tuple(F(H.at(j, i), den) for j in range(rank)) for i in range(rank))
+    return tuple(tuple(F(H[j][i], den) for j in range(rank)) for i in range(rank))
 
 
 class ExtensionCocycle:
@@ -289,7 +289,7 @@ class ExtensionCocycle:
             la = g.elements[a]
             own = vals[(a, s)]
             for c, sc in enumerate(s_row):
-                lhs = la.mul_vec(vals[(s, c)])
+                lhs = exactla.mul_vec(la, vals[(s, c)])
                 rest = vals[(a, sc)]
                 mid = vals[(row[k], c)]
                 if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
@@ -305,7 +305,7 @@ def _coboundaries(group, num):
     for i, ui in enumerate(num):
         ih = group.cayley_row(i)
         rows = []
-        for lrow, x0, ca in zip(group.elements[i].row_tuples, ui, coords):
+        for lrow, x0, ca in zip(group.elements[i], ui, coords):
             acc = map(sub, repeat(x0), map(ca.__getitem__, ih))
             for x, cb in zip(lrow, coords):
                 if x:
@@ -363,10 +363,9 @@ def realizations_equivalent(vs_a: VectorSystem, vs_b: VectorSystem) -> Equivalen
     qa, qb = den // vs_a.den, den // vs_b.den
     diffs = [tuple(a * qa - b * qb for a, b in zip(na, nb))
              for na, nb in zip(vs_a.numerators, vs_b.numerators)]
-    minus_identity = IntMatrix.identity(g.rank).neg()
     gens = dict.fromkeys(g.generators)
-    M = IntMatrix.from_rows([row for s in gens
-                             for row in g.elements[s].add(minus_identity).to_lists()])
+    M = [[x - (i == j) for j, x in enumerate(row)]
+         for s in gens for i, row in enumerate(g.elements[s])]
     solved = exactla.solve_affine_congruence(M, den, [x for s in gens for x in diffs[s]])
     if solved is None:
         return EquivalenceWitness(False, ())

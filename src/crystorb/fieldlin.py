@@ -14,6 +14,7 @@ is read off its constant term.  Nothing here is numeric."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def _zero_one(rows, p=None):
@@ -165,9 +166,12 @@ def det(rows, p=None):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(1, k)),
-                 A[i][0] * B[0][j]) for j in range(m)] for i in range(n)]
+    cols = [(c[0], c[1:]) for c in zip(*B)]
+    out = []
+    for row in A:
+        first, rest = row[0], row[1:]
+        out.append([sum(map(mul, rest, tail), first * head) for head, tail in cols])
+    return out
 
 
 def hstack(*mats):

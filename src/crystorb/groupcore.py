@@ -9,8 +9,9 @@ the given generators, generates it.  No matrix is multiplied, before or
 after the group is built.  The closure first forms the orbit O of the unit
 rows under v -> v*s for s in S, (|O| - r)*|S| row products, since e_i*s is
 row i of s; O is the set of rows of all elements, so |O| <= r|G|, and each
-generator permutes it.  An element is the tuple of the orbit indices of its
-rows, and w*s is read off by r lookups in the permutation of s.  Group
+generator permutes it.  An element is keyed by the tuple of the orbit
+indices of its rows, and w*s is read off by r lookups in the permutation of
+s; the element itself is the tuple of those rows, shared with O.  Group
 products are index lookups too: each group records the index of every
 product w*s (an n x |S| table) and a word over S for every element, so a
 product g*h walks h's word through the table.  A whole row g*G is one walk
@@ -46,13 +47,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from . import fieldlin
+from . import exactla, fieldlin
 from .cyclo import CycloField
-from .exactla import IntMatrix
 
 DEFAULT_ORDER_BOUND = 512
 
@@ -76,7 +75,8 @@ def _require(cond, msg):
 
 
 class MatrixGroup:
-    """A finite group of invertible integer matrices of fixed rank.
+    """A finite group of invertible integer matrices of fixed rank, each
+    element a tuple of int row tuples.
 
     Built by `closure`, which passes the generating set S it closed, the
     table right[w][k] = index of w*S[k], a word over S for each element, the
@@ -217,10 +217,11 @@ def _unit_row_orbit(gens, r, bound):
     rows = [zero[:i] + (1,) + zero[i + 1:] for i in range(r)]
     index = {v: i for i, v in enumerate(rows)}
     acts = [[] for _ in gens]
-    row_times = [g.vec_mul for g in gens]
+    cols = [tuple(zip(*g)) for g in gens]
+    times = exactla.mul_vec
     limit = r * bound
     for j, v in enumerate(rows):        # grows while it is scanned: breadth first
-        images = [g.row_tuples[j] for g in gens] if j < r else [times(v) for times in row_times]
+        images = [g[j] for g in gens] if j < r else [times(c, v) for c in cols]
         for w, act in zip(images, acts):
             i = index.get(w)
             if i is None:
@@ -240,10 +241,11 @@ def _unit_row_orbit(gens, r, bound):
 
 
 def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
-    """Close a generator list under multiplication.
+    """Close a list of integer generator matrices (rows) under
+    multiplication.
 
-    Every element is a tuple of indices into the orbit O of the unit rows
-    (see `_unit_row_orbit`), and w*s is r lookups in the map of O that s
+    Every element is found as a tuple of indices into the orbit O of the unit
+    rows (see `_unit_row_orbit`), and w*s is r lookups in the map of O that s
     induces; no matrix product is formed.  Raises ExceedsBound once |O|
     passes r*bound or more than `bound` distinct elements appear, which is
     how non-finite inputs surface, and SingularGenerator when the finite
@@ -252,12 +254,11 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     by its identity.  Every product w*g it forms is recorded by index, so
     the group it returns multiplies by lookup.
     """
-    gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
+    gens = [tuple(map(tuple, g)) for g in generators]
     if not gens:
-        ident = IntMatrix.identity(rank)
-        return MatrixGroup(rank, [ident], (0,), [(0,)], [()], ident.row_tuples,
-                           [tuple(range(rank))])
-    r = gens[0].rows
+        ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        return MatrixGroup(rank, [ident], (0,), [(0,)], [()], ident, [tuple(range(rank))])
+    r = len(gens[0])
     orbit, acts, unit = _unit_row_orbit(gens, r, bound)
     index = {unit: 0}
     keys = [unit]
@@ -289,8 +290,7 @@ def closure(generators, bound=DEFAULT_ORDER_BOUND, rank=None):
     for k, column in enumerate(zip(*right)):
         if 0 not in column:
             raise SingularGenerator(k)
-    elements = [IntMatrix(r, r, tuple(chain.from_iterable(map(orbit.__getitem__, key))))
-                for key in keys]
+    elements = [tuple(map(orbit.__getitem__, key)) for key in keys]
     return MatrixGroup(r, elements, right[0], right, words, orbit, keys)
 
 
@@ -721,7 +721,7 @@ def real_isotypic_dimensions(rho: MatrixGroup, table: CharacterTable) -> Isotypi
     """
     # |C| tr L(g) per class; the values are integer coordinates over den 1,
     # which _verify_orthogonality requires of the table
-    weights = [c.size * sum(rho.elements[c.representative].at(i, i) for i in range(rho.rank))
+    weights = [c.size * sum(row[i] for i, row in enumerate(rho.elements[c.representative]))
                for c in table.classes]
     mults = []
     for chi in table.characters:

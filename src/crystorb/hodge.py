@@ -5,7 +5,7 @@ of the torus parameter space.
 
 Everything here is exact; nothing is numeric.  Existence of J is decided by
 evenness of the isotypic data.  The lattice J is the first pairing pattern or
-group element that `_rational_j` accepts, an IntMatrix checked on the
+group element that `_rational_j` accepts, integer rows checked on the
 generators; when none is, J is read off the exact sample point of the first
 Hodge type: with M = (B | conj B) for a basis B of the sampled V, J = M
 diag(iI, -iI) M^-1, whose entries lie in a cyclotomic field.  The sample
@@ -28,7 +28,6 @@ from math import gcd, lcm
 from . import fieldlin
 from .crystal import CrystGroup
 from .cyclo import CycloField, real_enclosure
-from .exactla import IntMatrix
 from .groupcore import CharacterTable, MatrixGroup, _require
 
 F = Fraction
@@ -101,7 +100,7 @@ def _is_minus_identity(A):
 def _block_action(crys: CrystGroup, basis, indices):
     """The matrices of the elements `indices` on the span of the columns of
     `basis`, in those coordinates; ArithmeticError if it is not invariant."""
-    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(crys.linear(g).row_tuples, basis))
+    return [fieldlin.solve_columns(basis, fieldlin.mat_mul(crys.linear(g), basis))
             for g in indices]
 
 
@@ -131,18 +130,20 @@ def _standard_pairings(w):
         rows = [[0] * w for _ in range(w)]
         for i, j in pairs:
             rows[i][j], rows[j][i] = -1, 1
-        out.append(IntMatrix.from_rows(rows))
+        out.append(rows)
     return out
 
 
 def _rational_j(candidates, gens):
-    """The first IntMatrix candidate N with N^2 = -I that commutes with every
-    generator IntMatrix, as Fraction rows; or None.  A pairing pattern or an
+    """The first integer candidate N with N^2 = -I that commutes with every
+    integer generator, as Fraction rows; or None.  A pairing pattern or an
     element of finite order squares to -c I only for c = 1."""
-    minus_identity = IntMatrix.identity(gens[0].rows).neg()
+    w = len(gens[0])
+    minus_identity = [[-int(i == j) for j in range(w)] for i in range(w)]
+    mat_mul = fieldlin.mat_mul
     for N in candidates:
-        if N.mul(N) == minus_identity and all(N.mul(m) == m.mul(N) for m in gens):
-            return [[F(x) for x in row] for row in N.row_tuples]
+        if mat_mul(N, N) == minus_identity and all(mat_mul(N, m) == mat_mul(m, N) for m in gens):
+            return [[F(x) for x in row] for row in N]
     return None
 
 
@@ -177,7 +178,8 @@ def isotypic_basis(group: MatrixGroup, table: CharacterTable, chars, field=None)
         terms = [(t, x) for t, x in enumerate(coords) if x]
         if not terms:
             continue
-        class_sum = map(sum, zip(*(group.elements[g].entries for g in cls.members)))
+        class_sum = map(sum, zip(*(itertools.chain.from_iterable(group.elements[g])
+                                   for g in cls.members)))
         for entry, c in zip(acc, class_sum):
             if c:
                 for t, x in terms:
@@ -236,7 +238,7 @@ def invariant_complex_structure(crys: CrystGroup, ev: EvennessReport) -> Complex
         B, _ = sample_subspace(crys, hodge_types(ev)[0])
         J = torus_from_omega(B).entries
     _require(_is_minus_identity(fieldlin.mat_mul(J, J)), "J does not square to -I")
-    _require(all(fieldlin.mat_mul(J, m.row_tuples) == fieldlin.mat_mul(m.row_tuples, J)
+    _require(all(fieldlin.mat_mul(J, m) == fieldlin.mat_mul(m, J)
                  for m in gens), "J does not commute with the action")
     return ComplexStructure.of(J)
 
@@ -402,7 +404,7 @@ def _joint_eigenvectors(crys: CrystGroup, table: CharacterTable, chi, W, m, fiel
             continue
         Y = [[field(x) for x in row] for row in Y] if q > 2 else Y
         lam = field.zeta(t * (field.order // q)) if q > 2 else (-1) ** t
-        LY = fieldlin.mat_mul(crys.linear(g).row_tuples, Y)
+        LY = fieldlin.mat_mul(crys.linear(g), Y)
         N = fieldlin.nullspace([[x - lam * y for x, y in zip(r, z)] for r, z in zip(LY, Y)])
         if 0 < len(N) < len(Y[0]):
             Y = fieldlin.mat_mul(Y, [list(c) for c in zip(*N)])
@@ -465,7 +467,7 @@ def sample_subspace(crys: CrystGroup, t: HodgeType):
     group = crys.group
     field = _sample_field(table)
     i_unit = _i_power(1, field)
-    mats = [crys.linear(s).row_tuples for s in group.generators]
+    mats = [crys.linear(s) for s in group.generators]
     chars = {c.label: c for c in table.characters}
     blocks = None
     cols = []

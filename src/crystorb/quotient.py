@@ -11,9 +11,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from . import exactla
+from . import exactla, fieldlin
 from .crystal import CrystGroup
-from .exactla import IntMatrix, SolutionSet
+from .exactla import SolutionSet
 from .groupcore import MatrixGroup, _require
 
 F = Fraction
@@ -193,7 +193,7 @@ def _transform_subtorus(crys, h, sub: Subtorus) -> Subtorus:
     lin = crys.linear(h)
     den = lcm(sub.den, crys.den)
     num = crys.affine_image(h, [x * (den // sub.den) for x in sub.num], den)
-    return Subtorus(num, den, tuple(lin.mul_vec(b) for b in sub.basis))
+    return Subtorus(num, den, tuple(exactla.mul_vec(lin, b) for b in sub.basis))
 
 
 def pointwise_stabilizer(crys: CrystGroup, sub: Subtorus, fixers=None):
@@ -232,8 +232,8 @@ def _orbit_keys(crys, sub: Subtorus, lattices, steps):
         for s, s_inv in steps:
             moved = lattices.get((index, s))
             if moved is None:
-                moved = lattices[index, s] = _intern(lattices, forms and exactla.hnf(
-                    IntMatrix.from_rows(forms).mul(s_inv))[0].row_tuples)
+                moved = lattices[index, s] = _intern(
+                    lattices, forms and exactla.hnf(fieldlin.mat_mul(forms, s_inv)))
             image = crys.affine_image(s, num, common)
             key = _key(moved, image, common)
             if key not in keys:

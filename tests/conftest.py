@@ -10,14 +10,15 @@ seeded together."""
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import family
 import pytest
 
+from crystorb import exactla, fieldlin
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import corpus_names, load_corpus
 from crystorb.crystal import normalize_action
-from crystorb.exactla import IntMatrix
 
 # jcheck is no test module: rewritten, its asserts still run under python -O
 pytest.register_assert_rewrite("jcheck")
@@ -106,6 +107,21 @@ def extraspecial_documents():
         "rank": 8, "generators": [{"linear": m, "translation": [0] * 8} for m in maps]}}
 
 
+def identity(rank):
+    """The identity matrix, as a tuple of int rows."""
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+
+
+def mat_product(A, B):
+    """The product of two matrices, as a tuple of row tuples."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*B)) for row in A)
+
+
+def l_minus_i(L):
+    """L - I, as lists of int rows."""
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(L)]
+
+
 def crystal_group(doc):
     """The crystallographic group of a CLI document, pure translations
     absorbed into the lattice."""
@@ -153,7 +169,7 @@ def mod1_vec(v):
 def cocycle_defect(vs, i, j):
     """L(g_i) u_j + u_i - u_{ij}; integral for a valid system."""
     g = vs.group
-    img = g.elements[i].mul_vec(translation(vs, j))
+    img = exactla.mul_vec(g.elements[i], translation(vs, j))
     return tuple(a + b - c for a, b, c in
                  zip(img, translation(vs, i), translation(vs, g.mul(i, j))))
 
@@ -173,14 +189,14 @@ def cardinality(sol):
 
 @pytest.fixture
 def products(monkeypatch):
-    """The number of IntMatrix.mul (matrix) and IntMatrix.vec_mul (row)
-    products formed while the test runs."""
-    calls = {"mul": 0, "vec_mul": 0}
-    for name in calls:
-        def counted(self, other, name=name, real=getattr(IntMatrix, name)):
+    """The number of `fieldlin.mat_mul` (matrix) and `exactla.mul_vec`
+    (matrix times vector) products formed while the test runs."""
+    calls = {"mat_mul": 0, "mul_vec": 0}
+    for module, name in ((fieldlin, "mat_mul"), (exactla, "mul_vec")):
+        def counted(a, b, name=name, real=getattr(module, name)):
             calls[name] += 1
-            return real(self, other)
-        monkeypatch.setattr(IntMatrix, name, counted)
+            return real(a, b)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -19,5 +19,4 @@ def assert_invariant_j(J, group):
     assert all(type(x) is Fraction or x == x.conjugate() for row in J for x in row)
     assert _mul(J, J) == [[-1 if i == j else 0 for j in range(w)] for i in range(w)]
     for m in group.elements:
-        M = m.to_lists()
-        assert _mul(J, M) == _mul(M, J)
+        assert _mul(J, m) == _mul(m, J)

@@ -10,6 +10,7 @@ from conftest import (
     cardinality,
     cocycle_defect,
     inner_product,
+    l_minus_i,
     over_one_denominator,
     translation,
     validate_report,
@@ -28,7 +29,6 @@ from crystorb.crystal import (
     realizations_equivalent,
     verify_crystallographic,
 )
-from crystorb.exactla import IntMatrix
 from crystorb.groupcore import character_table, closure, real_isotypic_dimensions
 from crystorb.orbpi import central_line_quotient, coset_enumerate, platonic_check
 
@@ -81,12 +81,8 @@ def test_criterion_1_platonic_classification():
 def test_criterion_2_determinant_fixed_point_oracle():
     checked = 0
     for name, g in GROUPS.items():
-        ident = IntMatrix.identity(g.rank)
         for gi in range(1, g.order()):
-            lin = g.linear(gi)
-            A = IntMatrix(g.rank, g.rank,
-                          tuple(a - b for a, b in zip(lin.entries, ident.entries)))
-            d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
+            d = fieldlin.det([[F(x) for x in row] for row in l_minus_i(g.linear(gi))])
             if d == 0:
                 continue
             assert quotient.fixed_points(g, gi).real_dim == 0, (name, gi)
@@ -121,12 +117,10 @@ def test_criterion_3_free_action_certification():
 
 def test_criterion_4_evenness_biconditional():
     assert len(GROUPS) >= 12
-    linear_shapes = {name: tuple(m.entries for m in g.group.elements)
-                     for name, g in GROUPS.items()}
-    assert any(g.rank == 2 and any(m.entries == (1, 0, 0, -1)
-                                   for m in g.group.elements)
+    linear_shapes = {name: g.group.elements for name, g in GROUPS.items()}
+    assert any(g.rank == 2 and ((1, 0), (0, -1)) in g.group.elements
                for g in GROUPS.values()), "diag(1,-1) negative case required"
-    assert any(any(m.entries == (0, -1, 1, 0) for m in g.group.elements)
+    assert any(((0, -1), (1, 0)) in g.group.elements
                and g.rank == 2 for g in GROUPS.values()), "order-4 rotation required"
     del linear_shapes
 

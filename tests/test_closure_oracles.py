@@ -27,6 +27,8 @@ import pytest
 from conftest import (
     corpus_documents,
     family_documents,
+    identity,
+    mat_product,
     mod1_vec,
     over_one_denominator,
     translations,
@@ -36,7 +38,7 @@ from crystorb import cli, crystal, fieldlin, hodge, quotient
 from crystorb.cli import parse_cryst_data
 from crystorb.corpus import load_corpus
 from crystorb.crystal import CrystData, KernelTooBig
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import mul_vec
 from crystorb.groupcore import DEFAULT_ORDER_BOUND, closure
 
 
@@ -45,27 +47,26 @@ from crystorb.groupcore import DEFAULT_ORDER_BOUND, closure
 # carry, and the normal-closure loop of gpr_subgroup
 
 def oracle_affine_closure(data, bound=DEFAULT_ORDER_BOUND):
-    """({linear entries: (linear part, translation)}, pure translations)."""
+    """({linear part: (linear part, translation)}, pure translations)."""
     rank = data.rank
-    ident = IntMatrix.identity(rank)
+    ident = identity(rank)
     zero = tuple(F(0) for _ in range(rank))
-    table = {ident.entries: (ident, zero)}
+    table = {ident: (ident, zero)}
     pure = {}
     frontier = [(ident, zero)]
     while frontier:
         new = []
         for lin, trans in frontier:
             for glin, gtrans in data.generators:
-                nl = lin.mul(glin)
+                nl = mat_product(lin, glin)
                 nt = mod1_vec(tuple(a + b for a, b in
-                                    zip(lin.mul_vec(gtrans), trans)))
-                key = nl.entries
-                if key in table:
-                    old = table[key][1]
+                                    zip(mul_vec(lin, gtrans), trans)))
+                if nl in table:
+                    old = table[nl][1]
                     if old != nt:
                         pure[mod1_vec(tuple(a - b for a, b in zip(nt, old)))] = True
                     continue
-                table[key] = (nl, nt)
+                table[nl] = (nl, nt)
                 new.append((nl, nt))
         frontier = new
         assert len(table) <= bound
@@ -80,7 +81,7 @@ def oracle_translations(data):
     if pure:
         return None
     assert len(table) == lin_group.order()
-    return tuple(table[m.entries][1] for m in lin_group.elements)
+    return tuple(table[m][1] for m in lin_group.elements)
 
 
 def _identity(rank):
@@ -103,14 +104,15 @@ def oracle_normalize(data):
         if not pure:
             return P_total, tuple(absorbed), oracle_translations(current)
         # the linear orbit, each vector once (the lattice it spans is the same)
-        vectors = list(dict.fromkeys(m.mul_vec(t)
+        vectors = list(dict.fromkeys(mul_vec(m, t)
                                      for t in pure for m in lin_group.elements))
         P = crystal._lattice_with(rank, *over_one_denominator(vectors))
         absorbed.extend(_mul_vec(P_total, t) for t in pure)
         P_inv = fieldlin.inverse(P)
-        lins = [fieldlin.mat_mul(fieldlin.mat_mul(P_inv, lin.to_lists()), P)
+        lins = [fieldlin.mat_mul(fieldlin.mat_mul(P_inv, lin), P)
                 for lin, _ in current.generators]
         assert all(x.denominator == 1 for m in lins for row in m for x in row)
+        lins = [[[x.numerator for x in row] for row in m] for m in lins]
         current = CrystData.make(rank, [(m, _mul_vec(P_inv, trans))
                                         for m, (_, trans) in zip(lins, current.generators)])
         P_total = fieldlin.mat_mul(P_total, P)
@@ -253,7 +255,7 @@ def test_b4_verify_forms_each_orbit_row_product_once(products):
     data = parse_cryst_data(family_documents()["b4_rank4"])
     group = crystal.verify_crystallographic(data)
     assert (group.order(), len(data.generators), len(group.group.orbit)) == (384, 3, 8)
-    assert products == {"mul": 0, "vec_mul": (8 - 4) * 3}
+    assert products == {"mat_mul": 0, "mul_vec": (8 - 4) * 3}
 
 
 NOT_FINITE = ("error: input.generators: closure exceeded {} elements; "
@@ -274,11 +276,11 @@ def test_shear_stops_after_r_bound_plus_one_orbit_rows(products, tmp_path, capsy
     assert _verify(tmp_path, capsys, 2, [[[1, 1], [0, 1]]]) == (
         1, "", NOT_FINITE.format(DEFAULT_ORDER_BOUND))
     # one generator: one row product per orbit row scanned
-    assert products["mul"] == 0 and products["vec_mul"] <= 2 * DEFAULT_ORDER_BOUND + 1
+    assert products["mat_mul"] == 0 and products["mul_vec"] <= 2 * DEFAULT_ORDER_BOUND + 1
 
 
 def test_bound_equal_to_the_order_closes(tmp_path, capsys):
-    linears = [g.to_lists() for g, _ in parse_cryst_data(family_documents()["b4_rank4"]).generators]
+    linears = [g for g, _ in parse_cryst_data(family_documents()["b4_rank4"]).generators]
     code, out, _ = _verify(tmp_path, capsys, 4, linears, "--bound", "384")
     assert code == 0 and json.loads(out)["result"]["order"] == 384
     assert _verify(tmp_path, capsys, 4, linears, "--bound", "383") == (

@@ -31,6 +31,7 @@ from conftest import (
     cocycle_defect,
     corpus_documents,
     family_documents,
+    l_minus_i,
     over_one_denominator,
     translation,
     translations,
@@ -46,7 +47,7 @@ from crystorb.crystal import (
     cocycle_from_system,
     verify_crystallographic,
 )
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import mul_vec
 from crystorb.groupcore import MatrixGroup, closure
 
 F = Fraction
@@ -79,7 +80,7 @@ def oracle_validate(f):
             ab = g.mul(a, b)
             for c in range(n):
                 bc = g.mul(b, c)
-                lhs = la.mul_vec(f.values[(b, c)])
+                lhs = mul_vec(la, f.values[(b, c)])
                 if any(x - y + z - w for x, y, z, w in
                        zip(lhs, f.values[(ab, c)], f.values[(a, bc)], f.values[(a, b)])):
                     raise CocycleViolation(f"cocycle identity fails at {(a, b, c)}")
@@ -100,7 +101,7 @@ def loop_validate(f):
             ab = g.mul(a, b)
             own = vals[(a, b)]
             for c, bc in enumerate(b_row):
-                lhs = la.mul_vec(vals[(b, c)])
+                lhs = mul_vec(la, vals[(b, c)])
                 rest = vals[(a, bc)]
                 mid = vals[(ab, c)]
                 if any(x - y + z - w for x, y, z, w in zip(lhs, mid, rest, own)):
@@ -116,7 +117,7 @@ def loop_cocycle_from_system(vs):
         lin = g.elements[i]
         ui = num[i]
         for j in range(n):
-            d = [x + a - b for x, a, b in zip(lin.mul_vec(num[j]), ui, num[g.mul(i, j)])]
+            d = [x + a - b for x, a, b in zip(mul_vec(lin, num[j]), ui, num[g.mul(i, j)])]
             if any(x % den for x in d):
                 raise CocycleViolation("vector system is not a valid realization")
             values[(i, j)] = tuple(x // den for x in d)
@@ -206,7 +207,7 @@ def test_coboundary_twists_accepted_by_both(name):
     w = tuple(F(k + 1, 5) for k in range(rank))
     shifted = system(g, [
         tuple(u + x - y for u, x, y in
-              zip(translation(group, i), g.elements[i].mul_vec(w), w))
+              zip(translation(group, i), mul_vec(g.elements[i], w), w))
         for i in range(n)])
     assert shifted.is_consistent() and oracle_is_consistent(shifted)
     f = cocycle_from_system(shifted)
@@ -214,7 +215,7 @@ def test_coboundary_twists_accepted_by_both(name):
         [tuple((3 * i + k) % 4 - 1 for k in range(rank)) for i in range(1, n)]
     twisted = ExtensionCocycle(g, {
         (a, b): tuple(x + y - z + p for x, y, z, p in
-                      zip(f.values[(a, b)], g.elements[a].mul_vec(phi[b]),
+                      zip(f.values[(a, b)], mul_vec(g.elements[a], phi[b]),
                           phi[g.mul(a, b)], phi[a]))
         for a in range(n) for b in range(n)})
     twisted.validate()
@@ -334,7 +335,7 @@ def twisted(f, phi):
     n = g.order()
     return ExtensionCocycle(g, {
         (a, b): tuple(x + y - z + p for x, y, z, p in
-                      zip(f.values[(a, b)], g.elements[a].mul_vec(phi[b]),
+                      zip(f.values[(a, b)], mul_vec(g.elements[a], phi[b]),
                           phi[g.mul(a, b)], phi[a]))
         for a in range(n) for b in range(n)})
 
@@ -347,7 +348,7 @@ def kernel_documents():
         docs.update((f"{name}@{seed}", doc) for name, doc in
                     family.seeded_documents(family_documents(), seed).items())
     docs["b4_half"] = {"rank": 4, "generators": [
-        {"linear": lin.to_lists(), "translation": ["1/2" if k == 1 else "0", "0", "0", "0"]}
+        {"linear": list(map(list, lin)), "translation": ["1/2" if k == 1 else "0", "0", "0", "0"]}
         for k, (lin, _) in enumerate(signed_permutations_rank4().generators)]}
     return docs
 
@@ -379,9 +380,7 @@ def all_rows_equivalent(vs_a, vs_b):
     qa, qb = den // vs_a.den, den // vs_b.den
     diffs = [tuple(a * qa - b * qb for a, b in zip(na, nb))
              for na, nb in zip(vs_a.numerators, vs_b.numerators)]
-    minus_identity = IntMatrix.identity(g.rank).neg()
-    M = IntMatrix.from_rows([row for lin in g.elements
-                             for row in lin.add(minus_identity).to_lists()])
+    M = [row for lin in g.elements for row in l_minus_i(lin)]
     solved = exactla.solve_affine_congruence(M, den, [x for d in diffs for x in d])
     if solved is None:
         return False, ()
@@ -482,7 +481,7 @@ def failing_triples(f):
     for s in dict.fromkeys(g.generators):
         for a in range(n):
             for c in range(n):
-                lhs = g.elements[a].mul_vec(f.values[(s, c)])
+                lhs = mul_vec(g.elements[a], f.values[(s, c)])
                 if any(x - y + z - w for x, y, z, w in
                        zip(lhs, f.values[(g.mul(a, s), c)], f.values[(a, g.mul(s, c))],
                            f.values[(a, s)])):
@@ -522,7 +521,7 @@ def test_the_product_term_widens_the_fields(width, sign):
     v = (0, -sign, -sign << 8 * width - 4)
     f = ExtensionCocycle(group, {(a, b): v if a == b == 1 else (0, 0, 0)
                                  for a in range(2) for b in range(2)})
-    d = [x - y for x, y in zip(v, group.elements[1].mul_vec(v))]
+    d = [x - y for x, y in zip(v, mul_vec(group.elements[1], v))]
     assert d == [2 * sign << 8 * width, -2 * sign, 0]
     assert max(3 * abs(v[2]), 32).bit_length() // 8 + 1 == width
     assert verdict(ExtensionCocycle.validate, f) == "cocycle identity fails at (1, 1, 1)" \

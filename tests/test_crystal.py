@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from conftest import mod1_vec, over_one_denominator, translation, translations
 
+from crystorb.cli import ValidationError, parse_cryst_data
 from crystorb.crystal import (
     CocycleViolation,
     CrystData,
@@ -17,7 +18,7 @@ from crystorb.crystal import (
     realizations_equivalent,
     verify_crystallographic,
 )
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import mul_vec
 from crystorb.groupcore import ExceedsBound, closure
 
 F = Fraction
@@ -31,11 +32,15 @@ KUMMER = CrystData.make(4, [([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0
 
 class TestVerify:
     def test_non_integer_linear_part_rejected(self):
-        # a Fraction(3, 2) entry used to be truncated, building the identity
-        with pytest.raises(ValueError, match="not an integer"):
-            CrystData.make(2, [([[F(3, 2), 0], [0, 1]], (0, 0))])
-        with pytest.raises(ValueError, match="not an integer"):
-            CrystData.make(2, [([[F(1, 2), 1.7], [0, 1]], (0, 0))])
+        # a Fraction(3, 2) entry used to be truncated, building the identity;
+        # the document parser rejects every entry that is no JSON integer at
+        # its path, and the library keeps the entries it is given
+        for bad in ("3/2", "1", 1.7, 1.0):
+            with pytest.raises(ValidationError, match=r"^input\.generators\[0\]\.linear"
+                                                      r"\[0\]\[1\]: must be an integer$"):
+                parse_cryst_data({"rank": 2, "generators": [{"linear": [[1, bad], [0, 1]]}]})
+        data = CrystData.make(2, [([[F(3, 2), 0], [0, 1]], (0, 0))])
+        assert data.generators[0][0] == ((F(3, 2), 0), (0, 1))
 
     def test_minus_identity(self):
         g = verify_crystallographic(CrystData.make(2, [([[-1, 0], [0, -1]], (0, 0))]))
@@ -46,7 +51,7 @@ class TestVerify:
         # composing the generator with itself gives translation by (1,0) in Z^2
         g = verify_crystallographic(KLEIN)
         assert g.order() == 2
-        i = g.group.elements.index(IntMatrix.from_rows([[1, 0], [0, -1]]))
+        i = g.group.elements.index(((1, 0), (0, -1)))
         assert translation(g, i) == (F(1, 2), F(0))
 
     def test_pure_translation_rejected(self):
@@ -107,6 +112,9 @@ class TestNormalize:
         res = normalize_action(data)
         assert res.changed
         assert res.group.is_consistent()
+        # the rebased generators are integral Fractions, handed on as their
+        # numerators: every element is int rows
+        assert all(type(x) is int for m in res.group.group.elements for row in m for x in row)
 
 
 def c2_cocycle(linear_gen, f_gg):
@@ -190,7 +198,7 @@ class TestEquivalence:
         res = realizations_equivalent(u, up)
         assert res.equivalent
         w = res.shift
-        img = group.elements[1].mul_vec(w)
+        img = mul_vec(group.elements[1], w)
         diff = tuple(a - b for a, b in zip(translation(u, 1), translation(up, 1)))
         assert mod1_vec(tuple(d - (i - ww) for d, i, ww in zip(diff, img, w))) == (0, 0)
 

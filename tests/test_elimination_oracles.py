@@ -6,13 +6,14 @@ det on ints mod p).  Those six loops are kept below as oracles and compared
 with the `fieldlin` paths on seeded random matrices, including rank-deficient
 and inconsistent systems.  So are the two determinants that `fieldlin.det`
 replaced by the constant term of `charpoly`: Bareiss elimination on integer
-matrices (`IntMatrix.det`) and the pivoting loop of the old `fieldlin.det`,
-over Q, F_p and Q(zeta_12).  `fieldlin.charpoly` is checked against
+matrices (the former `IntMatrix.det`) and the pivoting loop of the old
+`fieldlin.det`, over Q, F_p and Q(zeta_12).  `fieldlin.charpoly` is checked against
 det(x I - A), evaluated by that loop (over F_p, by the old F_p determinant),
 over the same three fields.  Over F_p the `fieldlin` routines take plain
-ints and the prime as `p`.  `kernel_q` now reads the integer kernel off
-`hnf`: against the kernel of the rref oracle it must span the same space,
-be in Hermite form and contain each primitive oracle vector over Z.
+ints and the prime as `p`.  `kernel_q` reads the integer kernel off one
+`hnf`, of (A^T | I): against the kernel of the rref oracle it must span
+the same space, be in Hermite form and contain each primitive oracle
+vector over Z.
 """
 
 import random

@@ -2,12 +2,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from conftest import cardinality, congruence_rhs, integer_rows, mod1_vec, points
 
-from crystorb import fieldlin
+from crystorb import exactla, fieldlin
+from crystorb.groupcore import closure
 from crystorb.exactla import (
-    IntMatrix,
     hnf,
     kernel_q,
     rank_rat,
@@ -19,31 +18,39 @@ from crystorb.exactla import (
 F = Fraction
 
 
-def rat(A: IntMatrix):
-    return [[F(x) for x in row] for row in A.to_lists()]
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def det(A: IntMatrix):
+def rat(A):
+    return [[F(x) for x in row] for row in A]
+
+
+def det(A):
     return fieldlin.det(rat(A))
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def mul_vec(rows, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
 
 
-def brute_force_torus_solutions(A: IntMatrix, b):
+def brute_force_torus_solutions(A, b):
     """Independent oracle: enumerate A^{-1}(b + Z^r)/Z^r for nonsingular A.
 
     Walks every integer vector k inside the bounding box of A*[0,1)^r - b and
     keeps v = A^{-1}(b + k) that lands in [0,1)^r.
     """
-    r = A.rows
+    r = len(A)
     Ainv = fieldlin.inverse(rat(A))
     b = [F(x) for x in b]
     los, his = [], []
     for i in range(r):
-        neg = sum(min(A.at(i, j), 0) for j in range(r))
-        pos = sum(max(A.at(i, j), 0) for j in range(r))
+        neg = sum(min(x, 0) for x in A[i])
+        pos = sum(max(x, 0) for x in A[i])
         los.append(neg - int(b[i]) - 2)
         his.append(pos - int(b[i]) + 2)
     sols = set()
@@ -55,24 +62,9 @@ def brute_force_torus_solutions(A: IntMatrix, b):
     return sorted(sols)
 
 
-class TestFromRows:
-    def test_non_integers_are_rejected_not_truncated(self):
-        # int() used to turn 1/2 into 0 and 1.7 into 1
-        for bad in (F(1, 2), 1.7):
-            with pytest.raises(ValueError, match="not an integer"):
-                IntMatrix.from_rows([[bad, 0], [0, 1]])
-        with pytest.raises(ValueError, match="not an integer"):
-            IntMatrix.from_rows([[F(1, 2), 1.7], [0, 1]])
-
-    def test_integral_fractions_are_accepted(self):
-        # normalize_action hands over rebased generators as integral Fractions
-        A = IntMatrix.from_rows([[F(2), F(-4, 2)], [0, 1]])
-        assert A.entries == (2, -2, 0, 1)
-        assert all(type(x) is int for x in A.entries)
-
-
 class TestProducts:
-    """mul and mul_vec read the cached row and column tuples."""
+    """Integer matrix products: `fieldlin.mat_mul` on int rows, and
+    `exactla.mul_vec`."""
 
     @staticmethod
     def shapes(rng):
@@ -87,114 +79,93 @@ class TestProducts:
             B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
             want = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
                     for i in range(n)]
-            got = IntMatrix.from_rows(A).mul(IntMatrix.from_rows(B))
-            assert (got.rows, got.cols) == (n, m) and got.to_lists() == want
+            got = fieldlin.mat_mul(tuple(map(tuple, A)), tuple(map(tuple, B)))
+            assert got == want and all(type(x) is int for row in got for x in row)
 
     def test_mul_vec_matches_naive_loops(self):
         rng = random.Random(18)
         for n, k, _ in self.shapes(rng):
             A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
             v = [rng.randint(-9, 9) for _ in range(k)]
-            assert IntMatrix.from_rows(A).mul_vec(v) == mul_vec(A, v)
-
-    def test_shape_mismatch(self):
-        A = IntMatrix(2, 3, tuple(range(6)))
-        with pytest.raises(ValueError):
-            A.mul(A)
-        with pytest.raises(ValueError):
-            A.mul_vec((1, 2))
+            assert exactla.mul_vec(A, v) == mul_vec(A, v)
 
     def test_cached_rows_keep_equality_and_hash(self):
-        rng = random.Random(19)
-        for n, k, _ in self.shapes(rng):
-            entries = tuple(rng.randint(-9, 9) for _ in range(n * k))
-            A, B = IntMatrix(n, k, entries), IntMatrix(n, k, entries)
-            A.mul_vec((1,) * k)
-            A.transpose()
-            assert A == B and hash(A) == hash(B) and {A: 1}[B] == 1
-            assert A.transpose() == B.transpose()
-            assert A.transpose().to_lists() == [list(c) for c in zip(*B.to_lists())]
+        # an element is made of the rows of the unit-row orbit, shared
+        # between elements; it equals and hashes as a fresh copy of its rows
+        g = closure([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
+        for m in g.elements:
+            fresh = tuple(tuple(list(row)) for row in m)
+            assert m == fresh and hash(m) == hash(fresh) and {m: 1}[fresh] == 1
+        assert len(set(g.elements)) == g.order() == 8
 
 
 class TestHnf:
     def test_identity(self):
-        A = IntMatrix.identity(2)
-        H, U = hnf(A)
-        assert H == A
-        assert U == IntMatrix.identity(2)
+        assert hnf(identity(2)) == identity(2)
 
     def test_example_2x2(self):
         # oracle: exhaustive integer row reduction by hand; |det H| = |det A| = 8
-        A = IntMatrix.from_rows([[2, 4], [6, 8]])
-        H, U = hnf(A)
-        assert H.to_lists() == [[2, 0], [0, 4]]
-        assert abs(det(U)) == 1
-        assert U.mul(A) == H
+        A = ((2, 4), (6, 8))
+        H = hnf(A)
+        assert H == ((2, 0), (0, 4))
         assert abs(det(H)) == abs(det(A)) == 8
 
     def test_zero_matrix(self):
-        A = IntMatrix(2, 2, (0,) * 4)
-        H, U = hnf(A)
-        assert H == A
-        assert abs(det(U)) == 1
+        assert hnf([[0, 0], [0, 0]]) == ((0, 0), (0, 0))
 
     def test_idempotent_and_transform(self):
+        # H = U*A for a unimodular U: the rows of H span the lattice of A's
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randint(1, 4)
             m = rng.randint(1, 4)
-            A = IntMatrix(n, m, tuple(rng.randint(-9, 9) for _ in range(n * m)))
-            H, U = hnf(A)
-            assert abs(det(U)) == 1
-            assert U.mul(A) == H
-            H2, _ = hnf(H)
-            assert H2 == H
+            A = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+            H = hnf(A)
+            assert all(type(x) is int for row in H for x in row)
+            assert hnf(H) == H
+            assert hnf(list(H) + A) == H + ((0,) * m,) * n
 
     def test_pivot_convention(self):
         rng = random.Random(11)
         for _ in range(25):
             n = rng.randint(2, 4)
-            A = IntMatrix(n, n, tuple(rng.randint(-6, 6) for _ in range(n * n)))
-            H, _ = hnf(A)
+            H = hnf([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
             pr = 0
             for pc in range(n):
-                col = [H.at(i, pc) for i in range(n)]
+                col = [H[i][pc] for i in range(n)]
                 if any(col[pr:]):
                     # matrix of full column steps: pivot positive, reduced above
                     piv_row = next(i for i in range(pr, n) if col[i] != 0)
-                    p = H.at(piv_row, pc)
+                    p = H[piv_row][pc]
                     assert p > 0
-                    assert all(H.at(i, pc) == 0 for i in range(piv_row + 1, n))
-                    assert all(0 <= H.at(i, pc) < p for i in range(piv_row))
+                    assert all(H[i][pc] == 0 for i in range(piv_row + 1, n))
+                    assert all(0 <= H[i][pc] < p for i in range(piv_row))
                     pr = piv_row + 1
 
 
 class TestSnf:
     def test_identity(self):
-        dec = snf(IntMatrix.identity(3))
-        assert dec.D == IntMatrix.identity(3)
+        assert snf(identity(3))[0] == (1, 1, 1)
 
     def test_example_2x2(self):
         # gcd of 1x1 minors is 2 and |det| = 8, hence diag(2, 4)
-        dec = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-        assert dec.diagonal() == (2, 4)
+        assert snf([[2, 4], [6, 8]])[0] == (2, 4)
 
     def test_diag_6_4(self):
         # d1 = gcd(6,4) = 2, d1*d2 = 24
-        dec = snf(IntMatrix.from_rows([[6, 0], [0, 4]]))
-        assert dec.diagonal() == (2, 12)
+        assert snf([[6, 0], [0, 4]])[0] == (2, 12)
 
     def test_transform_identity_and_chain(self):
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rng.randint(1, 4)
-            A = IntMatrix(n, m, tuple(rng.randint(-8, 8) for _ in range(n * m)))
-            dec = snf(A)
-            assert abs(det(dec.U)) == 1
-            assert abs(det(dec.V)) == 1
-            assert dec.U.mul(A).mul(dec.V) == dec.D
-            diag = dec.diagonal()
+            A = [[rng.randint(-8, 8) for _ in range(m)] for _ in range(n)]
+            diag, U, V = snf(A)
+            assert abs(det(U)) == 1
+            assert abs(det(V)) == 1
+            assert mat_mul(mat_mul(U, A), V) == [
+                [diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
             assert all(x >= 0 for x in diag)
             for a, b in zip(diag, diag[1:]):
                 if b != 0:
@@ -202,22 +173,18 @@ class TestSnf:
                 # zeros only at the end
                 if a == 0:
                     assert b == 0
-            for i in range(dec.D.rows):
-                for j in range(dec.D.cols):
-                    if i != j:
-                        assert dec.D.at(i, j) == 0
 
     def test_det_product(self):
         rng = random.Random(5)
         count = 0
         while count < 30:
             n = rng.randint(1, 4)
-            A = IntMatrix(n, n, tuple(rng.randint(-5, 5) for _ in range(n * n)))
+            A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             d = det(A)
             if d == 0:
                 continue
             count += 1
-            diag = snf(A).diagonal()
+            diag = snf(A)[0]
             prod = 1
             for x in diag:
                 prod *= x
@@ -227,7 +194,7 @@ class TestSnf:
 class TestSolveModLattice:
     def test_half_lattice_points(self):
         # oracle: enumerate all (a1..a4)/2 with ai in {0,1}
-        A = IntMatrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        A = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
         sol = solve_mod_lattice(A, *congruence_rhs([0, 0, 0, 0]))
         expected = sorted(tuple(F(a, 2) for a in bits) for bits in product((0, 1), repeat=4))
         assert sol.kind == "finite"
@@ -235,18 +202,18 @@ class TestSolveModLattice:
         assert cardinality(sol) == 16 == abs(det(A))
 
     def test_invertible_over_z(self):
-        sol = solve_mod_lattice(IntMatrix.identity(2), *congruence_rhs([F(1, 3), 0]))
+        sol = solve_mod_lattice(identity(2), *congruence_rhs([F(1, 3), 0]))
         assert sol.kind == "finite"
         assert points(sol) == ((F(1, 3), F(0)),)
 
     def test_empty(self):
         # first coordinate forces 0 = 1/2 (mod 1): no solution
-        A = IntMatrix.from_rows([[0, 0], [0, -2]])
+        A = [[0, 0], [0, -2]]
         sol = solve_mod_lattice(A, *congruence_rhs([F(1, 2), 0]))
         assert sol.is_empty()
 
     def test_family_components(self):
-        A = IntMatrix.from_rows([[0, 0], [0, 2]])
+        A = [[0, 0], [0, 2]]
         sol = solve_mod_lattice(A, *congruence_rhs([0, 0]))
         assert sol.kind == "family"
         assert sol.dim == 1
@@ -257,7 +224,7 @@ class TestSolveModLattice:
         checked = 0
         while checked < 25:
             r = rng.randint(1, 3)
-            A = IntMatrix(r, r, tuple(rng.randint(-3, 3) for _ in range(r * r)))
+            A = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
             d = det(A)
             if d == 0 or abs(d) > 64:
                 continue
@@ -270,7 +237,7 @@ class TestSolveModLattice:
             assert cardinality(sol) == abs(d)
 
     def test_points_reduced_and_sorted(self):
-        A = IntMatrix.from_rows([[3, 1], [0, 2]])
+        A = [[3, 1], [0, 2]]
         sol = solve_mod_lattice(A, *congruence_rhs([F(1, 2), F(1, 3)]))
         pts = list(points(sol))
         assert pts == sorted(pts)
@@ -280,19 +247,17 @@ class TestSolveModLattice:
 
 class TestKernelQ:
     def test_identity_empty(self):
-        assert kernel_q(rat(IntMatrix.identity(3)), 3) == []
+        assert kernel_q(identity(3), 3) == []
 
     def test_zero_full(self):
-        basis = kernel_q([[F(0), F(0)], [F(0), F(0)]], 2)
-        assert len(basis) == 2
+        assert kernel_q([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
 
     def test_no_rows_full(self):
         assert kernel_q([], 2) == [(1, 0), (0, 1)]
 
     def test_rank_one(self):
         # Gaussian elimination by hand: kernel spanned by (1, -1)
-        basis = kernel_q([[F(1), F(1)], [F(2), F(2)]], 2)
-        assert basis == [(F(1), F(-1))]
+        assert kernel_q([[1, 1], [2, 2]], 2) == [(1, -1)]
 
     def test_kernel_property(self):
         rng = random.Random(17)
@@ -316,19 +281,19 @@ def witness(M, c):
 
 class TestAffineCongruence:
     def test_basic_witness(self):
-        M = IntMatrix.from_rows([[0, 0], [0, -2]])
+        M = [[0, 0], [0, -2]]
         w = witness(M, [0, F(1, 3)])
         assert w is not None
-        img = M.mul_vec(w)
+        img = mul_vec(M, w)
         assert mod1_vec([img[0] - 0, img[1] - F(1, 3)]) == (F(0), F(0))
 
     def test_no_witness(self):
-        M = IntMatrix.from_rows([[0, 0], [0, -2]])
+        M = [[0, 0], [0, -2]]
         assert solve_affine_congruence(M, *congruence_rhs([F(1, 2), 0])) is None
 
     def test_tall_system(self):
-        M = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+        M = [[1, 0], [0, 1], [1, 1]]
         w = witness(M, [F(1, 4), F(1, 4), F(1, 2)])
         assert w is not None
-        img = M.mul_vec(w)
+        img = mul_vec(M, w)
         assert mod1_vec([img[0] - F(1, 4), img[1] - F(1, 4), img[2] - F(1, 2)]) == (0, 0, 0)

@@ -18,6 +18,7 @@ from conftest import (
     corpus_documents,
     crystal_group,
     family_documents,
+    l_minus_i,
     mod1_vec,
     over_one_denominator,
     points,
@@ -26,7 +27,7 @@ from conftest import (
 
 from crystorb import exactla, fieldlin, hodge, quotient
 from crystorb.crystal import is_torsion_free
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import mul_vec
 from crystorb.quotient import Subtorus
 
 F = Fraction
@@ -59,7 +60,7 @@ def _congruent(a, b):
     diff = tuple(x - y for x, y in zip(a.base, b.base))
     if not a.basis:
         return all(d.denominator == 1 for d in diff)
-    M = IntMatrix.from_rows([[b_[i] for b_ in a.basis] for i in range(len(a.base))])
+    M = [[b_[i] for b_ in a.basis] for i in range(len(a.base))]
     return exactla.solve_affine_congruence(M, *congruence_rhs(diff)) is not None
 
 
@@ -81,8 +82,8 @@ def oracle_dedupe(comps):
 
 def oracle_transform(crys, h, sub):
     lin = crys.linear(h)
-    base = mod1_vec(a + b for a, b in zip(lin.mul_vec(sub.base), translation(crys, h)))
-    return make_subtorus(base, [lin.mul_vec(b) for b in sub.basis])
+    base = mod1_vec(a + b for a, b in zip(mul_vec(lin, sub.base), translation(crys, h)))
+    return make_subtorus(base, [mul_vec(lin, b) for b in sub.basis])
 
 
 def oracle_orbit(crys, rep):
@@ -90,17 +91,13 @@ def oracle_orbit(crys, rep):
     return oracle_dedupe([oracle_transform(crys, h, rep) for h in range(crys.order())])
 
 
-def _minus_identity(crys, h):
-    return crys.linear(h).add(IntMatrix.identity(crys.rank).neg())
-
-
 def oracle_stabilizer(crys, sub):
     out = []
     for h in range(crys.order()):
-        A = _minus_identity(crys, h)
-        if any(any(x != 0 for x in A.mul_vec(b)) for b in sub.basis):
+        A = l_minus_i(crys.linear(h))
+        if any(any(x != 0 for x in mul_vec(A, b)) for b in sub.basis):
             continue
-        img = A.mul_vec(sub.base)
+        img = mul_vec(A, sub.base)
         if all((a + b).denominator == 1 for a, b in zip(img, translation(crys, h))):
             out.append(h)
     return tuple(out)
@@ -108,7 +105,7 @@ def oracle_stabilizer(crys, sub):
 
 def oracle_fixed_sets(crys):
     """{g: fixed set of g} for every g != 1, each solved on its own."""
-    return {i: exactla.solve_mod_lattice(_minus_identity(crys, i),
+    return {i: exactla.solve_mod_lattice(l_minus_i(crys.linear(i)),
                                          *congruence_rhs([-x for x in translation(crys, i)]))
             for i in range(1, crys.order())}
 
@@ -242,11 +239,13 @@ def test_descriptor_work_counts(monkeypatch):
     assert counts == {"solve_affine_congruence": 0, "pointwise_stabilizer": len(scanned)}
 
 
-@pytest.mark.parametrize("case, calls", [(("b3diag_rank6", 1), 99),
-                                         (("s4double_rank8", 1), 40)], ids=str)
+@pytest.mark.parametrize("case, calls", [(("b3diag_rank6", 1), 84),
+                                         (("s4double_rank8", 1), 34)], ids=str)
 def test_descriptor_hnf_counts(case, calls, monkeypatch):
     # keys on forms alone: one HNF kernel per direction basis met and one
-    # hnf per forms and generator, across the orbits of one descriptor
+    # hnf per forms and generator, across the orbits of one descriptor.  A
+    # kernel is one hnf, none for an empty basis; two per nonempty basis
+    # made these 99 and 40
     crys = _group(case)
     ev = hodge.is_even(crys)
     count = [0]
@@ -272,12 +271,12 @@ def _unimodular(rank, moves):
         if i != j:
             m = [[m[a][b] + (s * m[j][b] if a == i else 0) for b in range(rank)]
                  for a in range(rank)]
-    return IntMatrix.from_rows(m)
+    return m
 
 
 def _apply(U, shift, sub):
-    base = mod1_vec(a + b for a, b in zip(U.mul_vec(sub.base), shift))
-    return make_subtorus(base, [U.mul_vec(b) for b in sub.basis])
+    base = mod1_vec(a + b for a, b in zip(mul_vec(U, sub.base), shift))
+    return make_subtorus(base, [mul_vec(U, b) for b in sub.basis])
 
 
 def subtorus_pair(draw, st):
@@ -289,7 +288,7 @@ def subtorus_pair(draw, st):
     dim = draw(st.integers(0, rank - 1))
     frame = _unimodular(rank, draw(MOVES))
     scale = draw(st.sampled_from((1, 1, 2)))
-    basis = [tuple(scale * frame.at(i, j) for i in range(rank)) for j in range(dim)]
+    basis = [tuple(scale * frame[i][j] for i in range(rank)) for j in range(dim)]
     den = st.integers(1, 6)
     base = [F(draw(st.integers(0, 11)), draw(den)) for _ in range(rank)]
     a = make_subtorus(mod1_vec(base), basis)
@@ -302,7 +301,7 @@ def subtorus_pair(draw, st):
     W = _unimodular(max(dim, 1), draw(MOVES))
     rescale = draw(st.sampled_from((1, 1, 3)))
     b = make_subtorus(mod1_vec(other), [
-        tuple(rescale * sum(W.at(j, i) * basis[i][c] for i in range(dim)) for c in range(rank))
+        tuple(rescale * sum(W[j][i] * basis[i][c] for i in range(dim)) for c in range(rank))
         for j in range(dim)])
     U = _unimodular(rank, draw(MOVES))
     shift = [F(draw(st.integers(0, 5)), draw(den)) for _ in range(rank)]

@@ -7,17 +7,17 @@ each of them once, and nothing outside the group keeps it alive.  Each
 command on the Hodge side decides evenness once and hands the report on,
 and the sampler's generator action serves the tangent count.  A J read
 off a sample point solves one determinant and no linear system.
-The character table splits its class algebra without a linear solve, an
-integer matrix product copies neither operand into lists, and the vector
-system is built, checked and averaged in integers, with no Fraction.  The
-lattice J search copies no group element into lists, the isotypic
-multiplicities conjugate no character value, and the rational isotypic
-projectors apply no Galois map to one.  Every order, inverse class, square
-class, exponent and Galois image is read off one power map, one walk of
-the powers of each class representative.  The commutant basis of the J
-search is an integer kernel, with no elimination over Q.  A cocycle is
-checked and averaged with no matrix-vector product, and the equivalence of
-two vector systems is solved on the generators.
+The character table splits its class algebra without a linear solve, a
+group element is the tuple of its rows, shared with the orbit of the unit
+rows, and the vector system is built, checked and averaged in integers,
+with no Fraction.  The lattice J search multiplies the group's own
+elements in integers, the isotypic multiplicities conjugate no character
+value, and the rational isotypic projectors apply no Galois map to one.
+Every order, inverse class, square class, exponent and Galois image is
+read off one power map, one walk of the powers of each class
+representative.  A cocycle is checked and averaged with no matrix-vector
+product, and the equivalence of two vector systems is solved on the
+generators.
 """
 
 import gc
@@ -194,13 +194,13 @@ def test_realize_multiplies_no_vector_and_solves_on_the_generators(monkeypatch):
     # products, and stacking every g handed `snf` 288 rows.
     group = crystal_group(family_documents()["c6wr_rank4"])
     cocycle = crystal.cocycle_from_system(group)
-    counts = _counter(monkeypatch, ((exactla.IntMatrix, "mul_vec"),))
+    counts = _counter(monkeypatch, ((exactla, "mul_vec"),))
     averaged = crystal.affine_realization(group.group, cocycle)
     assert counts == {"mul_vec": 0}
     rows, snf = [], exactla.snf
 
     def recorded(A, rhs=None):
-        rows.append(A.rows)
+        rows.append(len(A))
         return snf(A, rhs)
 
     monkeypatch.setattr(exactla, "snf", recorded)
@@ -258,30 +258,38 @@ def test_character_table_solves_no_system(monkeypatch):
     assert solves == [] and len(charpolys) >= 2
 
 
-def test_int_matrix_product_copies_nothing(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("to_lists called")
-
-    monkeypatch.setattr(exactla.IntMatrix, "to_lists", forbidden)
+def test_int_matrix_product_copies_nothing():
+    # b4_rank4: each element is the tuple of its rows, each row the orbit's
+    # own object, and the integer products read those rows in place
     g = crystal_group(family_documents()["b4_rank4"]).group
-    members = {m.entries for m in g.elements}
+    assert all(row is g.orbit[i] for m, key in zip(g.elements, g.row_keys)
+               for row, i in zip(m, key))
+    members = set(g.elements)
     for a in g.elements[:24]:
         for b in g.elements[:24]:
-            assert a.mul(b).entries in members
-        assert a.mul_vec(tuple(range(g.rank))) == tuple(
-            sum(a.at(i, j) * j for j in range(g.rank)) for i in range(g.rank))
+            assert tuple(map(tuple, fieldlin.mat_mul(a, b))) in members
+        assert exactla.mul_vec(a, tuple(range(g.rank))) == tuple(
+            sum(a[i][j] * j for j in range(g.rank)) for i in range(g.rank))
 
 
 def test_lattice_j_copies_only_the_generators(monkeypatch):
     # every corpus and scaling group whose J is a pairing pattern or a group
-    # element: the search tests IntMatrix candidates, so J costs at most one
-    # list copy per generator, not one per element of G
-    counts = _counter(monkeypatch, ((exactla.IntMatrix, "to_lists"),))
+    # element: the search multiplies the group's own elements, or a pairing
+    # pattern, in integers; no element is copied, into lists or Fractions
+    operands = []
+    mat_mul = fieldlin.mat_mul
+
+    def recorded_mul(A, B):
+        operands.extend((A, B))
+        return mat_mul(A, B)
+
     found = []
     search = hodge._rational_j
 
     def recorded(candidates, gens):
+        monkeypatch.setattr(fieldlin, "mat_mul", recorded_mul)
         J = search(candidates, gens)
+        monkeypatch.setattr(fieldlin, "mat_mul", mat_mul)
         found.append(J is not None)
         return J
 
@@ -293,11 +301,14 @@ def test_lattice_j_copies_only_the_generators(monkeypatch):
         if not ev.even:
             continue
         found.clear()
-        counts["to_lists"] = 0
+        operands.clear()
         hodge.invariant_complex_structure(g, ev)
         if found[0]:
             lattice += 1
-            assert counts["to_lists"] <= len(g.group.generators), name
+            # a tuple operand is an element of G itself, a list one a pairing
+            elements = {m: m for m in g.group.elements}
+            assert operands and all(type(x) is int for m in operands for row in m for x in row)
+            assert all(elements[m] is m for m in operands if type(m) is tuple), name
     assert lattice == 15
 
 

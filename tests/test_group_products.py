@@ -3,7 +3,7 @@
 Every MatrixGroup comes from `closure` and multiplies by walking the second
 factor's word over its generating set through a right-multiplication table.
 The oracle forms the matrix product and looks its index up in its own
-{entries: index} map; mul, inv and element_order must agree with it on
+{matrix: index} map; mul, inv and element_order must agree with it on
 every pair, for the corpus groups and for closures of a redundant, an
 exhaustive and a reordered generator list.
 
@@ -25,11 +25,17 @@ from math import lcm
 
 import family
 import pytest
-from conftest import corpus_documents, cyclotomic_documents, family_documents
+from conftest import (
+    corpus_documents,
+    cyclotomic_documents,
+    family_documents,
+    identity,
+    mat_product,
+)
 
 from crystorb import cli
 from crystorb.corpus import corpus_names, load_corpus
-from crystorb.exactla import IntMatrix
+from crystorb.exactla import mul_vec
 from crystorb.groupcore import character_table, closure
 
 ROT4 = [[0, -1], [1, 0]]
@@ -48,22 +54,22 @@ C6C6_GENS = [block(R6, IDENTITY2), block(IDENTITY2, R6)]
 
 def assert_matches_matrices(g):
     els = g.elements
-    index = {m.entries: i for i, m in enumerate(els)}
-    identity = IntMatrix.identity(g.rank)
+    index = {m: i for i, m in enumerate(els)}
+    one = identity(g.rank)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
-            assert g.mul(i, j) == index[a.mul(b).entries]
-        assert a.mul(els[g.inv(i)]) == identity
+            assert g.mul(i, j) == index[mat_product(a, b)]
+        assert mat_product(a, els[g.inv(i)]) == one
         order, power = 1, a
-        while power != identity:
-            power = power.mul(a)
+        while power != one:
+            power = mat_product(power, a)
             order += 1
         assert g.element_order(i) == order
 
 
 def generated(g, generators):
-    """The entries of every element of the closure of `generators`."""
-    return {m.entries for m in closure([g.elements[s] for s in generators]).elements}
+    """Every element of the closure of `generators`."""
+    return set(closure([g.elements[s] for s in generators]).elements)
 
 
 def point_group(name):
@@ -75,7 +81,7 @@ def point_group(name):
 def test_corpus_groups(name):
     g = point_group(name)
     # the generating set generates: the trivial groups by their identity
-    assert g.generators and generated(g, g.generators) == {m.entries for m in g.elements}
+    assert g.generators and generated(g, g.generators) == set(g.elements)
     assert_matches_matrices(g)
 
 
@@ -105,9 +111,9 @@ def reference_closure(generators):
     """(elements, words, generators, right) of the closure of `generators`:
     breadth first over words, each level sorted by entries, every w*s a
     matrix product."""
-    gens = [g if isinstance(g, IntMatrix) else IntMatrix.from_rows(g) for g in generators]
-    ident = IntMatrix.identity(gens[0].rows)
-    index = {ident.entries: 0}
+    gens = [tuple(map(tuple, g)) for g in generators]
+    ident = identity(len(gens[0]))
+    index = {ident: 0}
     ordered, words, right = [ident], [()], []
     start = 0
     while start < len(ordered):
@@ -115,18 +121,18 @@ def reference_closure(generators):
         for w in range(start, len(ordered)):
             row = []
             for k, g in enumerate(gens):
-                nxt = ordered[w].mul(g)
-                if nxt.entries not in index and nxt.entries not in level:
-                    level[nxt.entries] = (nxt, words[w] + (k,))
-                row.append(nxt.entries)
+                nxt = mat_product(ordered[w], g)
+                if nxt not in index and nxt not in level:
+                    level[nxt] = words[w] + (k,)
+                row.append(nxt)
             right.append(row)
         start = len(ordered)
         for key in sorted(level):
             index[key] = len(ordered)
-            ordered.append(level[key][0])
-            words.append(level[key][1])
+            ordered.append(key)
+            words.append(level[key])
     right = [tuple(index[key] for key in row) for row in right]
-    return ordered, words, tuple(index[g.entries] for g in gens), right
+    return ordered, words, tuple(index[g] for g in gens), right
 
 
 def reference_tree(right):
@@ -177,19 +183,19 @@ def test_closure_matches_matrix_products(name):
     if gens:
         elements, words, generators, right = reference_closure(gens)
     else:       # the trivial corpus groups, generated by their identity
-        elements, words, generators, right = [IntMatrix.identity(rank)], [()], (0,), [(0,)]
+        elements, words, generators, right = [identity(rank)], [()], (0,), [(0,)]
     assert g.elements == tuple(elements)
     assert g._words == words
     assert g.generators == generators
     assert g.right == right
     assert g.tree == reference_tree(right)
     # the orbit is exactly the rows of the elements
-    assert set(g.orbit) == {row for m in elements for row in m.row_tuples}
+    assert set(g.orbit) == {row for m in elements for row in m}
     assert len(g.orbit) <= g.rank * g.order()
     rng = random.Random(name)
     for _ in range(3):
         v = [rng.randint(-9, 9) for _ in range(g.rank)]
-        assert g.images(v) == [m.mul_vec(v) for m in elements]
+        assert g.images(v) == [mul_vec(m, v) for m in elements]
 
 
 @pytest.mark.parametrize("gens, orbit", [
@@ -204,9 +210,9 @@ def test_closure_multiplies_rows_not_matrices(products, gens, orbit):
     # or the character table
     g = closure(gens)
     assert len(g.orbit) == orbit
-    assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
+    assert products == {"mat_mul": 0, "mul_vec": (orbit - g.rank) * len(gens)}
     character_table(g)
-    assert products == {"mul": 0, "vec_mul": (orbit - g.rank) * len(gens)}
+    assert products == {"mat_mul": 0, "mul_vec": (orbit - g.rank) * len(gens)}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))

@@ -8,13 +8,13 @@ from pathlib import Path
 import family
 import pytest
 from conftest import (corpus_documents, crystal_group, cyclotomic_documents,
-                      extraspecial_documents, family_documents)
+                      extraspecial_documents, family_documents, identity,
+                      mat_product)
 from jcheck import assert_invariant_j
 
 from crystorb import cli, fieldlin, hodge
 from crystorb.crystal import CrystData, verify_crystallographic
 from crystorb.cyclo import CycloField, _pi_fixed, real_enclosure
-from crystorb.exactla import IntMatrix
 
 F = Fraction
 
@@ -25,10 +25,10 @@ def right_action(omega, g):
     Implemented on column spans: the subspace moves by the inverse linear
     part, so acting by g then h equals acting by g*h (a right action) and
     the fixed points are exactly the invariant subspaces."""
-    if g.rows != len(omega) or g.cols != len(omega):
+    if len(g) != len(omega) or any(len(row) != len(omega) for row in g):
         raise ValueError("group element has incompatible shape")
     try:
-        inv = fieldlin.inverse([[F(x) for x in row] for row in g.to_lists()])
+        inv = fieldlin.inverse([[F(x) for x in row] for row in g])
     except ArithmeticError:
         raise ValueError("matrix is singular") from None
     if any(x.denominator != 1 for row in inv for x in row):
@@ -149,7 +149,7 @@ class TestInvariantComplexStructure:
             assert all(JJ[i][j] == (F(-1) if i == j else 0)
                        for i in range(w) for j in range(w))
             for m in g.group.elements:
-                mf = [[F(m.at(i, j)) for j in range(w)] for i in range(w)]
+                mf = [[F(x) for x in row] for row in m]
                 assert fieldlin.mat_mul(J, mf) == fieldlin.mat_mul(mf, J)
 
     def test_hexagonal_j_is_algebraic(self):
@@ -256,28 +256,28 @@ class TestOmega:
 
     def test_right_action_identity_preserves_span(self):
         om = gaussian([[(1, 0)], [(0, 1)]])
-        moved = right_action(om, IntMatrix.identity(2))
+        moved = right_action(om, identity(2))
         assert same_span(om, moved)
 
     def test_right_action_fixes_eigenline(self):
         # the -i eigenline (1, i) of the rotation is span-fixed
         om = gaussian([[(1, 0)], [(0, 1)]])
-        moved = right_action(om, IntMatrix.from_rows(ROT4))
+        moved = right_action(om, ROT4)
         assert same_span(om, moved)
 
     def test_right_action_is_a_right_action(self):
-        g = IntMatrix.from_rows([[1, 1], [0, 1]])
-        h = IntMatrix.from_rows([[1, 0], [1, 1]])
+        g = [[1, 1], [0, 1]]
+        h = [[1, 0], [1, 1]]
         om = gaussian([[(1, 0)], [(0, 1)]])
         one = right_action(right_action(om, g), h)
-        two = right_action(om, g.mul(h))
+        two = right_action(om, mat_product(g, h))
         assert one == two
 
     def test_right_action_needs_an_integer_inverse(self):
         om = gaussian([[(1, 0)], [(0, 1)]])
         for g, message in (([[2, 0], [0, 1]], "non-integer"), ([[1, 1], [1, 1]], "singular")):
             with pytest.raises(ValueError, match=message):
-                right_action(om, IntMatrix.from_rows(g))
+                right_action(om, g)
 
     def test_invariant_omega_gives_commuting_j(self):
         om = gaussian([[(1, 0)], [(0, 1)]])
@@ -469,7 +469,7 @@ def test_extraspecial_group_has_no_simple_eigenvalue():
     for m in g.group.elements:
         for lam in (K(1), K(-1), K.zeta(), K.zeta(3)):
             shifted = [[x - (lam if i == j else 0) for j, x in enumerate(row)]
-                       for i, row in enumerate(m.to_lists())]
+                       for i, row in enumerate(m)]
             assert len(fieldlin.nullspace(shifted)) in (0, 4, 8)
 
 

@@ -11,7 +11,7 @@ first pairing pattern or group element the oracle accepts, else the J of
 the first Hodge type's sample point), and `_sylvester_rows` on the
 generators' block matrices must have the oracle's commutant basis over
 every element as its integer kernel.  The candidates of `_rational_j` are
-IntMatrix values, and the search tests them in integer arithmetic; read
+integer rows, and the search tests them in integer arithmetic; read
 back as Fraction rows, the Fraction test it replaced (the square test and
 the commutation test) must pick the same J from every candidate stream the
 corpus and the scaling family produce.
@@ -33,7 +33,7 @@ GENERATED = ("c6wr_rank4", "c3wr_rank6", "b3diag_rank6", "s4double_rank8")
 # oracles: the search and the equation loops the package used to carry
 
 def _frac_rows(mat):
-    return [[F(mat.at(i, j)) for j in range(mat.cols)] for i in range(mat.rows)]
+    return [[F(x) for x in row] for row in mat]
 
 
 def _is_minus_identity(A):

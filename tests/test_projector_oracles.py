@@ -82,7 +82,7 @@ def oracle_rational_isotypic_projectors(group, table):
             mat = group.elements[g]
             for i in range(w):
                 for j in range(w):
-                    proj[i][j] += c * mat.at(i, j)
+                    proj[i][j] += c * mat[i][j]
         if nonzero and any(x != 0 for row in proj for x in row):
             labels = tuple(chars[oi].label for oi in orbit)
             out.append((labels, proj))
@@ -102,8 +102,8 @@ def oracle_isotypic_basis(crys, table, chi, field):
         mat = crys.group.elements[g]
         for i in range(w):
             for j in range(w):
-                if mat.at(i, j):
-                    proj[i][j] = proj[i][j] + val * mat.at(i, j)
+                if mat[i][j]:
+                    proj[i][j] = proj[i][j] + val * mat[i][j]
     red, pivots = fieldlin.rref(proj)
     return fieldlin.columns(proj, pivots)
 
@@ -123,7 +123,7 @@ def oracle_rational_isotypic_basis(crys, table, chi):
         mat = crys.group.elements[g]
         for i in range(w):
             for j in range(w):
-                proj[i][j] += c * mat.at(i, j)
+                proj[i][j] += c * mat[i][j]
     red, pivots = fieldlin.rref(proj)
     return fieldlin.columns(proj, pivots)
 
@@ -150,8 +150,8 @@ def oracle_entrywise_basis(group, table, chars, field=None):
         mat = group.elements[g]
         for i in range(w):
             for j in range(w):
-                if mat.at(i, j):
-                    proj[i][j] = proj[i][j] + c * mat.at(i, j)
+                if mat[i][j]:
+                    proj[i][j] = proj[i][j] + c * mat[i][j]
     red, pivots = fieldlin.rref(proj)
     return fieldlin.columns(proj, pivots)
 
@@ -171,7 +171,8 @@ def oracle_class_sum_projector(group, table, chars, field=None):
         c = c * F(1, n)
         if c == 0:
             continue
-        class_sum = list(map(sum, zip(*(group.elements[g].entries for g in cls.members))))
+        class_sum = list(map(sum, zip(*([x for row in group.elements[g] for x in row]
+                                        for g in cls.members))))
         for i in range(w):
             for j in range(w):
                 if class_sum[i * w + j]:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import cardinality, congruence_rhs, translation
+from conftest import cardinality, congruence_rhs, l_minus_i, translation
 from jcheck import assert_invariant_j
 
 from crystorb import fieldlin, hodge, quotient
@@ -14,7 +14,7 @@ from crystorb.crystal import (
     normalize_action,
     verify_crystallographic,
 )
-from crystorb.exactla import IntMatrix, solve_affine_congruence
+from crystorb.exactla import solve_affine_congruence
 from crystorb.groupcore import ExceedsBound
 
 F = Fraction
@@ -63,9 +63,8 @@ def test_torsion_matches_fixed_point_emptiness():
     # each element's own congruence (L(g) - I) v = -u_g (mod Z^r), solved
     # directly instead of once per conjugacy class
     for g in GROUPS:
-        minus_identity = IntMatrix.identity(g.rank).neg()
         fixing = tuple(gi for gi in range(1, g.order()) if solve_affine_congruence(
-            g.linear(gi).add(minus_identity),
+            l_minus_i(g.linear(gi)),
             *congruence_rhs([-x for x in translation(g, gi)])) is not None)
         report = is_torsion_free(g)
         assert report.offenders == fixing and report.torsion_free == (not fixing)
@@ -73,12 +72,8 @@ def test_torsion_matches_fixed_point_emptiness():
 
 def test_determinant_counts_fixed_points():
     for g in GROUPS:
-        ident = IntMatrix.identity(g.rank)
         for gi in range(1, g.order()):
-            A = IntMatrix(g.rank, g.rank,
-                          tuple(a - b for a, b in
-                                zip(g.linear(gi).entries, ident.entries)))
-            d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
+            d = fieldlin.det([[F(x) for x in row] for row in l_minus_i(g.linear(gi))])
             if d != 0:
                 assert quotient.fixed_points(g, gi).real_dim == 0
                 assert cardinality(g.solve_fixed(gi)) == abs(d)

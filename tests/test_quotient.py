@@ -1,11 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import cardinality
+from conftest import cardinality, l_minus_i
 
 from crystorb import fieldlin, hodge
 from crystorb.crystal import CrystData, is_torsion_free, verify_crystallographic
-from crystorb.exactla import IntMatrix
 from crystorb.quotient import (
     classify_action,
     components,
@@ -70,12 +69,8 @@ class TestFixedPoints:
     def test_determinant_oracle(self):
         for data in (KUMMER, BDF, PSEUDOREF, MIXED, MINUS1_RANK2):
             g = crys(data)
-            ident = IntMatrix.identity(g.rank)
             for gi in range(1, g.order()):
-                lin = g.linear(gi)
-                A = IntMatrix(g.rank, g.rank,
-                              tuple(a - b for a, b in zip(lin.entries, ident.entries)))
-                d = fieldlin.det([[F(x) for x in row] for row in A.to_lists()])
+                d = fieldlin.det([[F(x) for x in row] for row in l_minus_i(g.linear(gi))])
                 if d == 0:
                     continue
                 assert fixed_points(g, gi).real_dim == 0
@@ -144,7 +139,7 @@ class TestPseudoreflections:
         refl = pseudoreflections(all_fixed_loci(g))
         assert len(refl) == 1
         lin = g.linear(refl[0])
-        assert [lin.at(i, i) for i in range(4)] == [1, 1, -1, -1]
+        assert [lin[i][i] for i in range(4)] == [1, 1, -1, -1]
 
 
 class TestGpr:

@@ -86,7 +86,7 @@ def oracle_tangent_dimension(crys, B):
     rows = []
     gens = crys.group.generators
     for gi, rho in zip(gens, hodge._block_action(crys, B, gens)):
-        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi).to_lists(), C))[n:]
+        Q = fieldlin.mat_mul(Minv, fieldlin.mat_mul(crys.linear(gi), C))[n:]
         rows += hodge._sylvester_rows(rho, Q)
     return len(fieldlin.nullspace(rows))
 
